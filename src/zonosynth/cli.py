@@ -1,9 +1,10 @@
 """Command-line frontend: synthesis runs, scaling benchmarks, plot data.
 
 Exit codes follow the convention: 0 synthesis correct, 1 synthesis failed
-(a retry hint is printed), 2 bad configuration or usage.  The tool itself is
-a thin sequential driver; any parallelism lives inside the library and is
-capped by the CONTRACT_SYNTH_THREADS environment variable.
+(a retry hint is printed) or the LP solver broke down (the reason is printed),
+2 bad configuration or usage.  The tool itself is a thin sequential driver;
+any parallelism lives inside the library and is capped by the
+CONTRACT_SYNTH_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .contracts import (
     potential,
 )
 from .geom import Zonotope, polygon_vertices_2d
-from .lpcore import track_solver_time
+from .lpcore import LpSolverError, track_solver_time
 from .sysmodel import ConfigError, load_network, random_network, save_network
 from .synthesis import (
     DescentConfig,
@@ -107,6 +108,9 @@ def cmd_synth(args):
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE
+    except LpSolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return FAILED
 
     if args.out:
         result.save(args.out)

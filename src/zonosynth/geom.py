@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpcore
-from .lpcore import LinearProgram, LinExpr, as_expr, lin_sum
+from .lpcore import LinearProgram, lin_sum, lin_triplets
 
 
 @dataclass(frozen=True)
@@ -240,38 +240,63 @@ def add_scaled_containment(lp, inner_G, inner_c, outer_cols, outer_scales,
 
     ``inner_G`` (n x r), ``inner_c`` (n,) may contain LinExpr entries;
     ``outer_cols`` (n x s) must be numeric; ``outer_scales`` is a length-s
-    sequence of LinExpr or numbers (nonnegative).  Returns a dict of handles
-    including the substituted factor ``Lambda = Diag(scale) @ Gamma`` and the
-    names of the row-sum rows (whose duals carry the scale sensitivities).
+    sequence of LinExpr or numbers (nonnegative).  Returns a dict of handles:
+    the column indices of the substituted factor ``Lambda = Diag(scale) @
+    Gamma`` ("Lam", s x r), of ``lam`` (s,) and of the row-sum bounds ``W``
+    (s x r+1), and the names of the row-sum rows (whose duals carry the scale
+    sensitivities).
+
+    The rows are, in order: for every i, ``G[i, j]`` (j < r) and ``c[i]``
+    equalities; then for every q, two rows ``|[Lam lam][q, j]| <= W[q, j]``
+    per j and the named ``rowsum[q]`` row.
     """
     outer_cols = np.asarray(outer_cols, dtype=float)
     n, s = outer_cols.shape
     inner_G = np.asarray(inner_G, dtype=object).reshape(n, -1)
     r = inner_G.shape[1]
-    Lam = lp.var_array(f"{prefix}:L", (s, r)) if s and r else np.empty((s, r), dtype=object)
-    lam = lp.var_array(f"{prefix}:l", s) if s else np.empty(0, dtype=object)
-    W = lp.var_array(f"{prefix}:W", (s, r + 1), lb=0.0) if s else np.empty((s, r + 1), dtype=object)
+    p = r + 1  # columns of [Lam lam], rows per i of the equality block
+    Lam = lp.var_block(f"{prefix}:L", (s, r))
+    lam = lp.var_block(f"{prefix}:l", s)
+    W = lp.var_block(f"{prefix}:W", (s, p), lb=0.0)
+    Lam_lam = np.hstack([Lam, lam.reshape(s, 1)])
 
-    for i in range(n):
-        row_cols = np.nonzero(outer_cols[i])[0]
-        for j in range(r):
-            expr = lin_sum(outer_cols[i, q] * Lam[q, j] for q in row_cols)
-            lp.add_eq(expr - as_expr(inner_G[i, j]), 0.0, name=f"{prefix}:G[{i},{j}]")
-        expr = lin_sum(outer_cols[i, q] * lam[q] for q in row_cols)
-        lp.add_eq(expr + as_expr(inner_c[i]) - as_expr(outer_c[i]), 0.0,
-                  name=f"{prefix}:c[{i}]")
+    # [inner_G, inner_c] = outer_cols @ [Lam, lam] with the inner terms moved
+    # left: row i*p + j is G[i, j] for j < r and c[i] for j == r
+    inner = np.hstack([inner_G, np.asarray(inner_c, dtype=object).reshape(n, 1)])
+    owner, cols, coefs, consts = lin_triplets(inner.ravel())
+    is_c = np.arange(n * p) % p == r
+    ii, qq = np.nonzero(outer_cols)
+    lp.add_rows(
+        np.concatenate([((ii * p)[:, None] + np.arange(p)).ravel(), owner]),
+        np.concatenate([Lam_lam[qq].ravel(), cols]),
+        np.concatenate([np.repeat(outer_cols[ii, qq], p),
+                        np.where(is_c[owner], coefs, -coefs)]),
+        np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p)),
+                 consts),
+        "=",
+        names=[f"{prefix}:G[{i},{j}]" if j < r else f"{prefix}:c[{i}]"
+               for i in range(n) for j in range(p)])
 
-    rowsum_names = []
-    for q in range(s):
-        for j in range(r):
-            lp.add_le(Lam[q, j] - W[q, j], 0.0)
-            lp.add_le(-Lam[q, j] - W[q, j], 0.0)
-        lp.add_le(lam[q] - W[q, r], 0.0)
-        lp.add_le(-lam[q] - W[q, r], 0.0)
-        total = lin_sum(W[q, j] for j in range(r + 1))
-        name = f"{prefix}:rowsum[{q}]"
-        lp.add_le(total - as_expr(outer_scales[q]), 0.0, name=name)
-        rowsum_names.append(name)
+    # per q: +/-[Lam lam][q, j] - W[q, j] <= 0 in rows q*rq + 2j, q*rq + 2j + 1,
+    # then the row sum sum_j W[q, j] - scale[q] <= 0 in row q*rq + 2p
+    rq = 2 * p + 1
+    plus = (np.arange(s) * rq)[:, None] + 2 * np.arange(p)
+    rowsum = np.arange(s) * rq + 2 * p
+    owner, cols, coefs, consts = lin_triplets(outer_scales)
+    bounds = np.zeros(s * rq)
+    bounds[rowsum] = consts
+    rowsum_names = [f"{prefix}:rowsum[{q}]" for q in range(s)]
+    names = [None] * (s * rq)
+    for q, name in zip(rowsum.tolist(), rowsum_names):
+        names[q] = name
+    lp.add_rows(
+        np.concatenate([plus.ravel(), plus.ravel(), (plus + 1).ravel(),
+                        (plus + 1).ravel(), np.repeat(rowsum, p), rowsum[owner]]),
+        np.concatenate([Lam_lam.ravel(), W.ravel(), Lam_lam.ravel(), W.ravel(),
+                        W.ravel(), cols]),
+        np.concatenate([np.full(s * p, 1.0), np.full(3 * s * p, -1.0),
+                        np.full(s * p, 1.0), -coefs]),
+        bounds, "<", names=names)
     return {"Lam": Lam, "lam": lam, "W": W, "rowsum_names": rowsum_names}
 
 
@@ -295,13 +320,11 @@ def containment_lp(inner, outer, backend=None):
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL:
         return ContainmentCertificate(False, solve_seconds=sol.solve_seconds)
-    s, r = outer.num_generators, inner.num_generators
-    Gamma = sol.value(handles["Lam"]) if s and r else np.zeros((s, r))
-    gamma = sol.value(handles["lam"]) if s else np.zeros(0)
-    rows = np.abs(Gamma).sum(axis=1) + np.abs(gamma) if s else np.zeros(0)
-    margin = float(1.0 - rows.max()) if s else 1.0
-    return ContainmentCertificate(True, Gamma.reshape(s, r), gamma, margin,
-                                  sol.solve_seconds)
+    Gamma = sol.column_values(handles["Lam"])
+    gamma = sol.column_values(handles["lam"])
+    rows = np.abs(Gamma).sum(axis=1) + np.abs(gamma)
+    margin = float(1.0 - rows.max()) if len(rows) else 1.0
+    return ContainmentCertificate(True, Gamma, gamma, margin, sol.solve_seconds)
 
 
 def directed_hausdorff(outer, inner, backend=None):

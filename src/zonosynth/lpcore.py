@@ -1,9 +1,10 @@
 """Sparse linear programs with named rows, duals, and cheap right-hand-side updates.
 
 This is the single place in the package that talks to an LP solver.  Models are
-built incrementally from :class:`LinExpr` objects (sparse affine expressions),
-rows and variables can be named, and solutions expose both primal values and
-row duals by name.  Two backends are supported:
+built incrementally, one row at a time from :class:`LinExpr` objects (sparse
+affine expressions) or a block of rows at a time from COO triplets; rows and
+variables can be named, and solutions expose both primal values and row duals
+by name.  Two backends are supported:
 
 * ``"highs"`` — the HiGHS bindings that ship inside scipy
   (``scipy.optimize._highspy``).  This is the default when importable.  It
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import time
 import threading
+from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -101,7 +103,11 @@ class SolverTimeTracker:
 @contextmanager
 def track_solver_time():
     """Accumulate in-solver seconds and model sizes of every ``solve()`` in
-    this context."""
+    this context.
+
+    Trackers nest without shielding: every enclosing tracker sees every
+    solve, so an inner tracker cannot keep solves out of an outer one.
+    """
     tracker = SolverTimeTracker()
     token = _tracker_stack.set(_tracker_stack.get() + (tracker,))
     try:
@@ -194,6 +200,27 @@ def lin_sum(items):
     return LinExpr(terms, const)
 
 
+def lin_triplets(items):
+    """Flatten LinExpr/number ``items`` into arrays ``(owner, cols, coefs, consts)``.
+
+    Term ``e`` is ``coefs[e] * x[cols[e]]`` of ``items[owner[e]]``, in each
+    expression's term order; ``consts[k]`` is the constant of ``items[k]``.
+    """
+    counts, cols, coefs, consts = [], [], [], []
+    for item in items:
+        if isinstance(item, LinExpr):
+            counts.append(len(item.terms))
+            cols.extend(item.terms)
+            coefs.extend(item.terms.values())
+            consts.append(item.const)
+        else:
+            counts.append(0)
+            consts.append(float(item))
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return (owner, np.array(cols, dtype=np.int64), np.array(coefs, dtype=np.float64),
+            np.array(consts, dtype=np.float64))
+
+
 def lin_matmul(A, X):
     """Matrix product of a numeric matrix ``A`` with an expression matrix ``X``.
 
@@ -222,17 +249,16 @@ def lin_matmul(A, X):
 # --------------------------------------------------------------------------
 # the program
 
+_EQ, _LE, _GE = ord("="), ord("<"), ord(">")
 
-@dataclass
-class _Row:
-    name: str
-    sense: str  # "=", "<", ">"
-    lo: float
-    hi: float
-    bound0: float  # folded bound at creation time
-    rhs0: float  # scalar rhs at creation time (set_rhs shifts relative to it)
-    cols: np.ndarray
-    coefs: np.ndarray
+
+def _default_row_index(name):
+    """k if ``name`` is "r<k>", the default name of an unnamed row k; else None."""
+    digits = name[1:]
+    if name[:1] == "r" and digits.isascii() and digits.isdigit() \
+            and str(int(digits)) == digits:
+        return int(digits)
+    return None
 
 
 class LinearProgram:
@@ -241,6 +267,12 @@ class LinearProgram:
     Minimization only.  Infeasible/unbounded are reported as statuses on the
     returned :class:`LpSolution`; numerical failures raise
     :class:`LpSolverError`.
+
+    Rows live in one store: COO triplets (row, column, coefficient), sorted
+    by row and then column, plus per-row sense, bound, creation-time rhs and
+    optional name.  :meth:`add_rows` appends a block of rows given as
+    triplets; :meth:`add_eq`/:meth:`add_le`/:meth:`add_ge` append one row
+    given as a LinExpr.
     """
 
     def __init__(self, name="lp", backend=None):
@@ -256,8 +288,15 @@ class LinearProgram:
         self._col_ub = []
         self._obj = {}
         self._obj_const = 0.0
-        self._rows = []
-        self._name_to_row = {}
+        self._coo = []                # (rows, cols, coefs) blocks, in row order
+        self._tail = ([], [], [])     # one-row triplets not yet in _coo
+        self._sense = bytearray()     # "=", "<" or ">" per row
+        self._bound = array("d")      # row reads: terms <sense> bound
+        self._bound0 = array("d")     # bound at creation time
+        self._rhs0 = array("d")       # scalar rhs at creation (set_rhs shifts relative to it)
+        self._row_names = []          # name, or None for the default "r<index>"
+        self._name_to_row = {}        # explicit names only
+        self._claimed_defaults = set()  # k of every explicit name "r<k>"
         self._structure_version = 0
         self._solver = None
         self._built_version = -1
@@ -272,67 +311,176 @@ class LinearProgram:
 
     @property
     def num_rows(self):
-        return len(self._rows)
+        return len(self._sense)
+
+    def _add_cols(self, names, lb, ub):
+        first = len(self._col_names)
+        new = dict(zip(names, range(first, first + len(names))))
+        if len(new) != len(names) or not self._name_to_col.keys().isdisjoint(new):
+            dup = next(n for n in names if n in self._name_to_col or names.count(n) > 1)
+            raise LpBuildError(f"duplicate variable name {dup!r}")
+        self._name_to_col.update(new)
+        self._col_names.extend(names)
+        self._col_lb.extend([float(lb)] * len(names))
+        self._col_ub.extend([float(ub)] * len(names))
+        self._structure_version += 1
+        return first
 
     def var(self, name=None, lb=-INF, ub=INF):
         """Create a variable; returns it as a single-term LinExpr."""
         col = len(self._col_names)
-        if name is None:
-            name = f"v{col}"
-        if name in self._name_to_col:
-            raise LpBuildError(f"duplicate variable name {name!r}")
-        self._name_to_col[name] = col
-        self._col_names.append(name)
-        self._col_lb.append(float(lb))
-        self._col_ub.append(float(ub))
-        self._structure_version += 1
+        self._add_cols([f"v{col}" if name is None else name], lb, ub)
         return LinExpr({col: 1.0})
 
-    def var_array(self, name, shape, lb=-INF, ub=INF):
-        """Array of fresh variables named ``name[i]`` / ``name[i,j]``."""
+    def var_block(self, name, shape, lb=-INF, ub=INF):
+        """Fresh variables ``name[i]`` / ``name[i,j]`` in C order; returns
+        their column indices as an int array of ``shape``."""
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            tag = ",".join(str(k) for k in idx)
-            out[idx] = self.var(f"{name}[{tag}]", lb=lb, ub=ub)
+        tags = [""]
+        for axis, size in enumerate(shape):
+            sep = "," if axis else ""
+            tags = [f"{tag}{sep}{k}" for tag in tags for k in range(size)]
+        first = self._add_cols([f"{name}[{tag}]" for tag in tags], lb, ub)
+        return np.arange(first, first + len(tags)).reshape(shape)
+
+    def var_array(self, name, shape, lb=-INF, ub=INF):
+        """Array of fresh variables named ``name[i]`` / ``name[i,j]``, as LinExpr."""
+        cols = self.var_block(name, shape, lb=lb, ub=ub)
+        out = np.empty(cols.shape, dtype=object)
+        out.reshape(-1)[:] = [LinExpr({c: 1.0}) for c in cols.ravel().tolist()]
         return out
 
     # -- constraints ---------------------------------------------------------
 
-    def _add_row(self, lhs, rhs, sense, name):
+    def _claim_row_names(self, names, first):
+        """Check and record the names of new rows ``first``, ``first + 1``, ...
+
+        ``None`` stands for the default name "r<index>", which must not
+        clash with an explicit name either way round.
+        """
+        named = {name: k for k, name in enumerate(names, first) if name is not None}
+        stop = first + len(names)
+        clash = [n for n in named if n in self._name_to_row]
+        if len(named) != len(names) - names.count(None):
+            clash.append(next(n for n in named if names.count(n) > 1))
+        claims = {}
+        for name in named:
+            k = _default_row_index(name)
+            if k is None:
+                continue
+            claims[k] = name
+            if (k < first and self._row_names[k] is None) or \
+                    (first <= k < stop and names[k - first] is None):
+                clash.append(name)
+        clash += [f"r{k}" for k in self._claimed_defaults
+                  if first <= k < stop and names[k - first] is None]
+        if clash:
+            raise LpBuildError(f"duplicate row name {clash[0]!r}")
+        self._name_to_row.update(named)
+        self._claimed_defaults.update(claims)
+        self._row_names.extend(names)
+
+    def _flush_tail(self):
+        rows, cols, coefs = self._tail
+        if rows:
+            self._coo.append((np.array(rows, dtype=np.int32),
+                              np.array(cols, dtype=np.int32),
+                              np.array(coefs, dtype=np.float64)))
+            self._tail = ([], [], [])
+
+    def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
+        """Append a block of rows given as COO triplets; returns the index of
+        its first row.
+
+        Local row ``k`` (``0 <= k < len(bounds)``) reads
+        ``sum(coefs[e] * x[cols[e]] over e with rows[e] == k) <sense> bounds[k]``
+        with one ``sense`` ("=", "<" or ">") for the block.  Repeated
+        (row, column) entries are summed in the order given and zero
+        coefficients dropped, as LinExpr arithmetic does.  ``names`` holds a
+        name or None (the default "r<index>") per row.  The rows count as
+        created with right-hand side 0, which is what :meth:`set_rhs` values
+        are taken relative to.
+        """
+        if sense not in ("=", "<", ">"):
+            raise LpBuildError(f"unknown sense {sense!r}")
+        bounds = np.array(bounds, dtype=np.float64).reshape(-1)
+        count = len(bounds)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+        coefs = np.asarray(coefs, dtype=np.float64).reshape(-1)
+        if not len(rows) == len(cols) == len(coefs):
+            raise LpBuildError("rows, cols and coefs differ in length")
+        ncol = self.num_vars
+        if len(rows) and (rows.min() < 0 or rows.max() >= count
+                          or cols.min() < 0 or cols.max() >= ncol):
+            raise LpBuildError("row or column index out of range")
+        names = [None] * count if names is None else list(names)
+        if len(names) != count:
+            raise LpBuildError(f"{len(names)} names for {count} rows")
+        first = self.num_rows
+        self._claim_row_names(names, first)
+
+        width = max(ncol, 1)
+        key = rows * width + cols
+        order = np.argsort(key, kind="stable")
+        key, coefs = key[order], coefs[order]
+        if len(key) > 1 and np.any(key[1:] == key[:-1]):
+            key, slot = np.unique(key, return_inverse=True)
+            merged = np.zeros(len(key))
+            np.add.at(merged, slot, coefs)  # left to right, from 0.0
+            coefs = merged
+        keep = coefs != 0.0
+        key, coefs = key[keep], coefs[keep]
+        self._flush_tail()
+        self._coo.append(((key // width + first).astype(np.int32),
+                          (key % width).astype(np.int32), coefs))
+        self._sense += bytes([ord(sense)]) * count
+        self._bound.frombytes(bounds.tobytes())
+        self._bound0.frombytes(bounds.tobytes())
+        self._rhs0.frombytes(bytes(8 * count))  # 0.0
+        self._structure_version += 1
+        return first
+
+    def _add_one_row(self, lhs, rhs, sense, name):
         rhs_expr = as_expr(rhs)
         expr = as_expr(lhs) - rhs_expr
-        if name is None:
-            name = f"r{len(self._rows)}"
-        if name in self._name_to_row:
-            raise LpBuildError(f"duplicate row name {name!r}")
+        idx = self.num_rows
+        self._claim_row_names([name], idx)
+        items = sorted((c, v) for c, v in expr.terms.items() if v != 0.0)
+        rows, cols, coefs = self._tail
+        rows.extend([idx] * len(items))
+        cols.extend(c for c, _ in items)
+        coefs.extend(v for _, v in items)
         bound = -expr.const
-        lo = bound if sense in ("=", ">") else -INF
-        hi = bound if sense in ("=", "<") else INF
-        items = [(c, v) for c, v in expr.terms.items() if v != 0.0]
-        items.sort()
-        cols = np.fromiter((c for c, _ in items), dtype=np.int32, count=len(items))
-        coefs = np.fromiter((v for _, v in items), dtype=np.float64, count=len(items))
-        row = _Row(name, sense, lo, hi, bound, rhs_expr.const, cols, coefs)
-        self._name_to_row[name] = len(self._rows)
-        self._rows.append(row)
+        self._sense.append(sense)
+        self._bound.append(bound)
+        self._bound0.append(bound)
+        self._rhs0.append(rhs_expr.const)
         self._structure_version += 1
-        return name
+        return f"r{idx}" if name is None else name
 
     def add_eq(self, lhs, rhs=0.0, name=None):
-        return self._add_row(lhs, rhs, "=", name)
+        return self._add_one_row(lhs, rhs, _EQ, name)
 
     def add_le(self, lhs, rhs=0.0, name=None):
-        return self._add_row(lhs, rhs, "<", name)
+        return self._add_one_row(lhs, rhs, _LE, name)
 
     def add_ge(self, lhs, rhs=0.0, name=None):
-        return self._add_row(lhs, rhs, ">", name)
+        return self._add_one_row(lhs, rhs, _GE, name)
 
     def minimize(self, expr):
         expr = as_expr(expr)
         self._obj = {c: v for c, v in expr.terms.items() if v != 0.0}
         self._obj_const = expr.const
         self._structure_version += 1
+
+    def _row_index(self, name):
+        idx = self._name_to_row.get(name)
+        if idx is None:
+            idx = _default_row_index(name)
+            if idx is None or idx >= self.num_rows or self._row_names[idx] is not None:
+                raise LpBuildError(f"no row named {name!r}")
+        return idx
 
     def set_rhs(self, name, value):
         """Update the right-hand side of a named row in place.
@@ -341,17 +489,48 @@ class LinearProgram:
         ``solve()`` is a warm re-solve.  ``value`` has the same meaning as the
         ``rhs`` argument the row was created with.
         """
-        idx = self._name_to_row.get(name)
-        if idx is None:
-            raise LpBuildError(f"no row named {name!r}")
-        row = self._rows[idx]
-        bound = row.bound0 + (float(value) - row.rhs0)
-        row.lo = bound if row.sense in ("=", ">") else -INF
-        row.hi = bound if row.sense in ("=", "<") else INF
-        self._pending_row_bounds[idx] = (row.lo, row.hi)
+        idx = self._row_index(name)
+        bound = self._bound0[idx] + (float(value) - self._rhs0[idx])
+        self._bound[idx] = bound
+        sense = self._sense[idx]
+        self._pending_row_bounds[idx] = (-INF if sense == _LE else bound,
+                                         INF if sense == _GE else bound)
 
     def row_names(self):
-        return [r.name for r in self._rows]
+        return [f"r{k}" if name is None else name
+                for k, name in enumerate(self._row_names)]
+
+    def _senses(self):
+        return np.frombuffer(self._sense, dtype=np.uint8).copy()
+
+    def _cost(self):
+        cost = np.zeros(self.num_vars)
+        if self._obj:
+            cost[list(self._obj)] = list(self._obj.values())
+        return cost
+
+    def _assemble(self):
+        """The model as arrays, with the constraint matrix column-wise (CSC):
+        ``(start, index, value, cost, lb, ub, row_lo, row_hi)``."""
+        self._flush_tail()
+        if len(self._coo) > 1:
+            self._coo = [tuple(np.concatenate(part) for part in zip(*self._coo))]
+        if self._coo:
+            rows, cols, coefs = self._coo[0]
+        else:
+            rows = cols = np.zeros(0, dtype=np.int32)
+            coefs = np.zeros(0)
+        # the triplets are in row order, so a stable sort keeps it per column
+        order = np.argsort(cols, kind="stable")
+        start = np.zeros(self.num_vars + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=self.num_vars), out=start[1:])
+        sense = self._senses()
+        bound = np.frombuffer(self._bound, dtype=np.float64).copy()
+        return (start, rows[order], coefs[order], self._cost(),
+                np.asarray(self._col_lb, dtype=float),
+                np.asarray(self._col_ub, dtype=float),
+                np.where(sense == _LE, -INF, bound),
+                np.where(sense == _GE, INF, bound))
 
     # -- solving -------------------------------------------------------------
 
@@ -364,36 +543,11 @@ class LinearProgram:
 
     def _solve_trivial(self):
         # No variables: every row is a constant; check feasibility directly.
-        for row in self._rows:
-            if not (row.lo - 1e-12 <= 0.0 <= row.hi + 1e-12):
-                return LpSolution(self, INFEASIBLE, None, np.zeros(0), None, None, 0.0)
+        rlo, rhi = self._assemble()[6:]
+        if np.any((rlo - 1e-12 > 0.0) | (rhi + 1e-12 < 0.0)):
+            return LpSolution(self, INFEASIBLE, None, np.zeros(0), None, None, 0.0)
         return LpSolution(self, OPTIMAL, self._obj_const, np.zeros(0),
                           np.zeros(self.num_rows), np.zeros(0), 0.0)
-
-    def _assemble(self):
-        ncol = self.num_vars
-        nrow = self.num_rows
-        counts = np.zeros(ncol + 1, dtype=np.int64)
-        for row in self._rows:
-            np.add.at(counts, row.cols + 1, 1)
-        start = np.cumsum(counts)
-        total = int(start[-1])
-        index = np.zeros(total, dtype=np.int32)
-        value = np.zeros(total, dtype=np.float64)
-        cursor = start[:-1].copy()
-        for r, row in enumerate(self._rows):
-            pos = cursor[row.cols]
-            index[pos] = r
-            value[pos] = row.coefs
-            cursor[row.cols] += 1
-        cost = np.zeros(ncol)
-        for c, v in self._obj.items():
-            cost[c] = v
-        lb = np.asarray(self._col_lb, dtype=float)
-        ub = np.asarray(self._col_ub, dtype=float)
-        rlo = np.fromiter((r.lo for r in self._rows), dtype=float, count=nrow)
-        rhi = np.fromiter((r.hi for r in self._rows), dtype=float, count=nrow)
-        return start, index, value, cost, lb, ub, rlo, rhi
 
     def _new_highs(self):
         solver = _hcore._Highs()
@@ -402,7 +556,8 @@ class LinearProgram:
         solver.setOptionValue("random_seed", 0)
         return solver
 
-    def _build_highs(self):
+    def _highs_model(self):
+        """A fresh HighsLp of the current model, and its number of nonzeros."""
         start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
         inf = _hcore.kHighsInf
         model = _hcore.HighsLp()
@@ -418,11 +573,15 @@ class LinearProgram:
         model.a_matrix_.start_ = start
         model.a_matrix_.index_ = index
         model.a_matrix_.value_ = value
+        return model, len(value)
+
+    def _build_highs(self):
+        model, nnz = self._highs_model()
         solver = self._new_highs()
         solver.passModel(model)
         self._solver = solver
         self._built_version = self._structure_version
-        self._size = (self.num_rows, self.num_vars, len(value))
+        self._size = (self.num_rows, self.num_vars, nnz)
         self._pending_row_bounds.clear()
 
     def _solve_highs(self, time_limit):
@@ -449,10 +608,7 @@ class LinearProgram:
             x = np.asarray(sol.col_value, dtype=float)
             row_sens = np.asarray(sol.row_dual, dtype=float)
             col_sens = np.asarray(sol.col_dual, dtype=float)
-            cost = np.zeros(self.num_vars)
-            for c, v in self._obj.items():
-                cost[c] = v
-            obj = float(cost @ x) + self._obj_const
+            obj = float(self._cost() @ x) + self._obj_const
             return LpSolution(self, OPTIMAL, obj, x, row_sens, col_sens, seconds)
         if status == S.kInfeasible:
             return LpSolution(self, INFEASIBLE, None, None, None, None, seconds)
@@ -465,79 +621,38 @@ class LinearProgram:
     def _disambiguate_highs(self):
         # Presolve sometimes cannot tell infeasible from unbounded; retry
         # without it on a throwaway instance.
-        start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
-        inf = _hcore.kHighsInf
-        model = _hcore.HighsLp()
-        model.num_col_ = self.num_vars
-        model.num_row_ = self.num_rows
-        model.col_cost_ = cost
-        model.offset_ = 0.0
-        model.col_lower_ = np.where(np.isneginf(lb), -inf, lb)
-        model.col_upper_ = np.where(np.isposinf(ub), inf, ub)
-        model.row_lower_ = np.where(np.isneginf(rlo), -inf, rlo)
-        model.row_upper_ = np.where(np.isposinf(rhi), inf, rhi)
-        model.a_matrix_.format_ = _hcore.MatrixFormat.kColwise
-        model.a_matrix_.start_ = start
-        model.a_matrix_.index_ = index
-        model.a_matrix_.value_ = value
         solver = self._new_highs()
         solver.setOptionValue("presolve", "off")
-        solver.passModel(model)
+        solver.passModel(self._highs_model()[0])
         solver.run()
         return solver.getModelStatus()
 
     def _solve_linprog(self, time_limit):
         from scipy.optimize import linprog
-        from scipy.sparse import csr_matrix
+        from scipy.sparse import csc_matrix
 
-        ncol = self.num_vars
-        eq_rows, eq_rhs, eq_src = [], [], []
-        ub_rows, ub_rhs, ub_src = [], [], []  # src: (row index, sign)
-        for r, row in enumerate(self._rows):
-            if row.sense == "=":
-                eq_rows.append(r)
-                eq_rhs.append(row.lo)
-                eq_src.append(r)
-            elif row.sense == "<":
-                ub_rows.append((r, 1.0))
-                ub_rhs.append(row.hi)
-                ub_src.append((r, 1.0))
-            else:
-                ub_rows.append((r, -1.0))
-                ub_rhs.append(-row.lo)
-                ub_src.append((r, -1.0))
-
-        def sparse_from(rows):
-            data, ri, ci = [], [], []
-            for k, item in enumerate(rows):
-                if isinstance(item, tuple):
-                    r, sign = item
-                else:
-                    r, sign = item, 1.0
-                row = self._rows[r]
-                ri.extend([k] * len(row.cols))
-                ci.extend(row.cols.tolist())
-                data.extend((sign * row.coefs).tolist())
-            return csr_matrix((data, (ri, ci)), shape=(len(rows), ncol))
-
-        self._size = (self.num_rows, ncol,
-                      sum(len(row.cols) for row in self._rows))
-        cost = np.zeros(ncol)
-        for c, v in self._obj.items():
-            cost[c] = v
-        bounds = list(zip(self._col_lb, self._col_ub))
-        bounds = [(None if np.isneginf(lo) else lo, None if np.isposinf(hi) else hi)
-                  for lo, hi in bounds]
+        start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
+        A = csc_matrix((value, index, start),
+                       shape=(self.num_rows, self.num_vars)).tocsr()
+        sense = self._senses()
+        eq = np.flatnonzero(sense == _EQ)
+        ineq = np.flatnonzero(sense != _EQ)
+        sign = np.where(sense[ineq] == _GE, -1.0, 1.0)  # ">" rows flip to "<"
+        A_ub = A[ineq]
+        A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
+        self._size = (self.num_rows, self.num_vars, len(value))
+        bounds = [(None if lo == -INF else lo, None if hi == INF else hi)
+                  for lo, hi in zip(self._col_lb, self._col_ub)]
         options = {"presolve": True}
         if time_limit:
             options["time_limit"] = float(time_limit)
         t0 = time.perf_counter()
         res = linprog(
             cost,
-            A_ub=sparse_from(ub_rows) if ub_rows else None,
-            b_ub=np.asarray(ub_rhs) if ub_rows else None,
-            A_eq=sparse_from(eq_rows) if eq_rows else None,
-            b_eq=np.asarray(eq_rhs) if eq_rows else None,
+            A_ub=A_ub if len(ineq) else None,
+            b_ub=np.where(sign > 0, rhi[ineq], -rlo[ineq]) if len(ineq) else None,
+            A_eq=A[eq] if len(eq) else None,
+            b_eq=rlo[eq] if len(eq) else None,
             bounds=bounds,
             method="highs",
             options=options,
@@ -546,12 +661,10 @@ class LinearProgram:
         _notify_trackers(seconds, self._size)
         if res.status == 0:
             row_sens = np.zeros(self.num_rows)
-            if eq_src:
-                for k, r in enumerate(eq_src):
-                    row_sens[r] = res.eqlin.marginals[k]
-            if ub_src:
-                for k, (r, sign) in enumerate(ub_src):
-                    row_sens[r] += sign * res.ineqlin.marginals[k]
+            if len(eq):
+                row_sens[eq] = res.eqlin.marginals
+            if len(ineq):
+                row_sens[ineq] += sign * res.ineqlin.marginals
             col_sens = np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals)
             obj = float(res.fun) + self._obj_const
             return LpSolution(self, OPTIMAL, obj, np.asarray(res.x), row_sens,
@@ -568,6 +681,7 @@ class LinearProgram:
 
     def to_lp_text(self):
         """Deterministic CPLEX-LP-style dump, for debugging and golden tests."""
+        start, index, value, _, _, _, rlo, rhi = self._assemble()
         out = [f"\\ {self.name}", "Minimize"]
         terms = " ".join(
             f"{v:+.12g} {self._col_names[c]}" for c, v in sorted(self._obj.items()))
@@ -575,16 +689,24 @@ class LinearProgram:
         if self._obj_const:
             out.append(f"\\ objective constant {self._obj_const:+.12g}")
         out.append("Subject To")
-        for row in self._rows:
-            lhs = " ".join(
-                f"{v:+.12g} {self._col_names[c]}" for c, v in zip(row.cols, row.coefs))
+        # row-major view of the CSC arrays; a stable sort keeps columns ascending
+        cols = np.repeat(np.arange(self.num_vars), np.diff(start))
+        order = np.argsort(index, kind="stable")
+        cols, coefs = cols[order].tolist(), value[order].tolist()
+        ends = np.cumsum(np.bincount(index, minlength=self.num_rows)).tolist()
+        rlo, rhi = rlo.tolist(), rhi.tolist()
+        begin = 0
+        for r, (name, sense, end) in enumerate(zip(self.row_names(), self._sense, ends)):
+            lhs = " ".join(f"{v:+.12g} {self._col_names[c]}"
+                           for c, v in zip(cols[begin:end], coefs[begin:end]))
             lhs = lhs or "0"
-            if row.sense == "=":
-                out.append(f" {row.name}: {lhs} = {row.lo:.12g}")
-            elif row.sense == "<":
-                out.append(f" {row.name}: {lhs} <= {row.hi:.12g}")
+            begin = end
+            if sense == _EQ:
+                out.append(f" {name}: {lhs} = {rlo[r]:.12g}")
+            elif sense == _LE:
+                out.append(f" {name}: {lhs} <= {rhi[r]:.12g}")
             else:
-                out.append(f" {row.name}: {lhs} >= {row.lo:.12g}")
+                out.append(f" {name}: {lhs} >= {rlo[r]:.12g}")
         out.append("Bounds")
         for c, name in enumerate(self._col_names):
             lo, hi = self._col_lb[c], self._col_ub[c]
@@ -648,21 +770,20 @@ class LpSolution:
             return np.array([self.value(e) for e in expr])
         return float(expr)
 
+    def column_values(self, cols):
+        """Primal values of the variables with column indices ``cols`` (any shape)."""
+        self._require_solution()
+        return self._x[np.asarray(cols, dtype=np.int64)]
+
     def sensitivity(self, name):
         """d(objective)/d(rhs) of the named row."""
         self._require_solution()
-        idx = self.lp._name_to_row.get(name)
-        if idx is None:
-            raise LpBuildError(f"no row named {name!r}")
-        return float(self._row_sens[idx])
+        return float(self._row_sens[self.lp._row_index(name)])
 
     def dual(self, name):
         """Dual with >=0 convention for <= rows in a minimization."""
-        idx = self.lp._name_to_row.get(name)
-        if idx is None:
-            raise LpBuildError(f"no row named {name!r}")
         sens = self.sensitivity(name)
-        return -sens if self.lp._rows[idx].sense == "<" else sens
+        return -sens if self.lp._sense[self.lp._row_index(name)] == _LE else sens
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -674,32 +795,20 @@ class LpSolution:
         """
         self._require_solution()
         lp = self.lp
-        x = self._x
-        primal = 0.0
-        dual_sign = 0.0
-        for r, row in enumerate(lp._rows):
-            ax = float(row.coefs @ x[row.cols]) if len(row.cols) else 0.0
-            if row.lo != -INF:
-                primal = max(primal, row.lo - ax)
-            if row.hi != INF:
-                primal = max(primal, ax - row.hi)
-            y = self._row_sens[r]
-            # sensitivity signs: <= rows need y <= 0, >= rows y >= 0
-            if row.sense == "<":
-                dual_sign = max(dual_sign, y)
-            elif row.sense == ">":
-                dual_sign = max(dual_sign, -y)
-        lb = np.asarray(lp._col_lb)
-        ub = np.asarray(lp._col_ub)
-        primal = max(primal, float(np.max(np.maximum(lb - x, 0.0), initial=0.0)))
-        primal = max(primal, float(np.max(np.maximum(x - ub, 0.0), initial=0.0)))
-        cost = np.zeros(lp.num_vars)
-        for c, v in lp._obj.items():
-            cost[c] = v
-        aty = np.zeros(lp.num_vars)
-        for r, row in enumerate(lp._rows):
-            if len(row.cols):
-                aty[row.cols] += self._row_sens[r] * row.coefs
+        x, y = self._x, self._row_sens
+        start, index, value, cost, lb, ub, rlo, rhi = lp._assemble()
+        cols = np.repeat(np.arange(lp.num_vars), np.diff(start))
+        ax = np.bincount(index, weights=value * x[cols], minlength=lp.num_rows)
+        # infinite row bounds give -inf terms, which never win the max
+        primal = max(float(np.max(rlo - ax, initial=0.0)),
+                     float(np.max(ax - rhi, initial=0.0)),
+                     float(np.max(lb - x, initial=0.0)),
+                     float(np.max(x - ub, initial=0.0)))
+        # sensitivity signs: <= rows need y <= 0, >= rows y >= 0
+        sense = lp._senses()
+        dual_sign = max(float(np.max(y[sense == _LE], initial=0.0)),
+                        float(np.max(-y[sense == _GE], initial=0.0)))
+        aty = np.bincount(cols, weights=value * y[index], minlength=lp.num_vars)
         stationarity = float(np.max(np.abs(cost - aty - self._col_sens), initial=0.0))
         return {"primal": primal, "dual_sign": dual_sign, "stationarity": stationarity}
 
@@ -707,17 +816,11 @@ class LpSolution:
         """|primal objective - dual objective| (strong-duality spot check)."""
         self._require_solution()
         lp = self.lp
-        dual_val = 0.0
-        for r, row in enumerate(lp._rows):
-            y = self._row_sens[r]
-            if y == 0.0:
-                continue
-            rhs = row.hi if row.sense == "<" else row.lo
-            dual_val += y * rhs
-        for c in range(lp.num_vars):
-            z = self._col_sens[c]
-            if z > 0 and lp._col_lb[c] != -INF:
-                dual_val += z * lp._col_lb[c]
-            elif z < 0 and lp._col_ub[c] != INF:
-                dual_val += z * lp._col_ub[c]
+        _, _, _, _, lb, ub, rlo, rhi = lp._assemble()
+        y, z = self._row_sens, self._col_sens
+        rhs = np.where(lp._senses() == _LE, rhi, rlo)
+        used = y != 0.0
+        at_lb = (z > 0) & (lb != -INF)
+        at_ub = (z < 0) & (ub != INF)
+        dual_val = float(y[used] @ rhs[used] + z[at_lb] @ lb[at_lb] + z[at_ub] @ ub[at_ub])
         return abs((self.objective - lp._obj_const) - dual_val)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import lpcore
 from .geom import Zonotope, add_scaled_containment, containment_lp, contains_point, directed_hausdorff
-from .lpcore import LinearProgram, lin_matmul, lin_sum
+from .lpcore import LinearProgram, LinExpr, lin_matmul, lin_triplets
 
 
 class CertificationError(lpcore.LpError):
@@ -45,17 +45,21 @@ class CertificationError(lpcore.LpError):
 
 def _abs_objective(lp, matrices, prefix="absT"):
     """Aux variables bounding |entry| for each entry of each matrix; returns their sum."""
-    pieces = []
+    aux = []
     for idx, mat in enumerate(matrices):
         mat = np.asarray(mat, dtype=object)
         if mat.size == 0:
             continue
-        s = lp.var_array(f"{prefix}{idx}", mat.shape, lb=0.0)
-        for pos in np.ndindex(mat.shape):
-            lp.add_le(mat[pos] - s[pos], 0.0)
-            lp.add_le(-mat[pos] - s[pos], 0.0)
-        pieces.append(lin_sum(s.ravel()))
-    return lin_sum(pieces)
+        s = lp.var_block(f"{prefix}{idx}", mat.shape, lb=0.0).ravel()
+        # entry e gives rows 2e (entry - s[e] <= 0) and 2e + 1 (-entry - s[e] <= 0)
+        owner, cols, coefs, consts = lin_triplets(mat.ravel())
+        pair = 2 * np.arange(mat.size)
+        lp.add_rows(np.concatenate([2 * owner, 2 * owner + 1, pair, pair + 1]),
+                    np.concatenate([cols, cols, s, s]),
+                    np.concatenate([coefs, -coefs, np.full(2 * mat.size, -1.0)]),
+                    np.column_stack([-consts, consts]).ravel(), "<")
+        aux.append(s)
+    return LinExpr(dict.fromkeys(np.concatenate(aux).tolist() if aux else [], 1.0))
 
 
 def _add_plain_containment(lp, inner_G, inner_c, outer, prefix):

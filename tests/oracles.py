@@ -3,7 +3,9 @@
 Everything in here deliberately avoids the package's own solver/geometry code
 paths: LPs are solved by brute-force vertex enumeration, zonotope geometry by
 enumerating sign patterns and convex hulls.  Slow but trustworthy on small
-instances.
+instances.  The exception is the reference emitter at the end, which builds
+the containment rows one LinExpr row at a time, to check the block emitter
+in ``geom`` against.
 """
 
 import itertools
@@ -189,3 +191,69 @@ def interval_hull_oracle(center, generators):
     center = np.asarray(center, dtype=float)
     radius = np.abs(np.asarray(generators, dtype=float)).sum(axis=1)
     return center - radius, center + radius
+
+
+# ---------------------------------------------------------------------------
+# reference LP emitters and matrices
+
+
+def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scales,
+                                   outer_c, prefix):
+    """Row-at-a-time reference for ``geom.add_scaled_containment``.
+
+    Emits the same variables and rows through ``add_eq``/``add_le`` and
+    LinExpr arithmetic, one row per call, and returns the handles as LinExpr
+    arrays.
+    """
+    from zonosynth.lpcore import as_expr, lin_sum
+
+    outer_cols = np.asarray(outer_cols, dtype=float)
+    n, s = outer_cols.shape
+    inner_G = np.asarray(inner_G, dtype=object).reshape(n, -1)
+    r = inner_G.shape[1]
+    Lam = lp.var_array(f"{prefix}:L", (s, r)) if s and r else np.empty((s, r), dtype=object)
+    lam = lp.var_array(f"{prefix}:l", s) if s else np.empty(0, dtype=object)
+    W = lp.var_array(f"{prefix}:W", (s, r + 1), lb=0.0) if s else np.empty((s, r + 1), dtype=object)
+
+    for i in range(n):
+        row_cols = np.nonzero(outer_cols[i])[0]
+        for j in range(r):
+            expr = lin_sum(outer_cols[i, q] * Lam[q, j] for q in row_cols)
+            lp.add_eq(expr - as_expr(inner_G[i, j]), 0.0, name=f"{prefix}:G[{i},{j}]")
+        expr = lin_sum(outer_cols[i, q] * lam[q] for q in row_cols)
+        lp.add_eq(expr + as_expr(inner_c[i]) - as_expr(outer_c[i]), 0.0,
+                  name=f"{prefix}:c[{i}]")
+
+    rowsum_names = []
+    for q in range(s):
+        for j in range(r):
+            lp.add_le(Lam[q, j] - W[q, j], 0.0)
+            lp.add_le(-Lam[q, j] - W[q, j], 0.0)
+        lp.add_le(lam[q] - W[q, r], 0.0)
+        lp.add_le(-lam[q] - W[q, r], 0.0)
+        total = lin_sum(W[q, j] for j in range(r + 1))
+        name = f"{prefix}:rowsum[{q}]"
+        lp.add_le(total - as_expr(outer_scales[q]), 0.0, name=name)
+        rowsum_names.append(name)
+    return {"Lam": Lam, "lam": lam, "W": W, "rowsum_names": rowsum_names}
+
+
+def dense_matrix(rows, num_cols):
+    """Dense constraint matrix of rows given as lists of (column, coefficient);
+    repeated columns are summed left to right."""
+    M = np.zeros((len(rows), num_cols))
+    for r, terms in enumerate(rows):
+        for col, coef in terms:
+            M[r, col] += coef
+    return M
+
+
+def csc_arrays(M):
+    """(start, index, value) of the nonzeros of dense ``M``, column by column."""
+    start, index, value = [0], [], []
+    for col in range(M.shape[1]):
+        nz = np.nonzero(M[:, col])[0]
+        index.extend(nz.tolist())
+        value.extend(M[nz, col].tolist())
+        start.append(len(index))
+    return np.array(start), np.array(index, dtype=int), np.array(value, dtype=float)

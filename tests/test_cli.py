@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from zonosynth import cli, lpcore
 from zonosynth.cli import lambda_for, main
 from zonosynth.sysmodel import load_network
 
@@ -72,6 +73,20 @@ def test_synth_centralized_failure_also_exits_one(tmp_path, capsys):
     code = main(["synth", "--config", str(cfg), "--method", "centralized"])
     assert code == 1
     assert "increase k" in capsys.readouterr().out
+
+
+def test_synth_solver_error_exits_one_with_reason(monkeypatch, capsys):
+    # e.g. the centralized driver's non-optimal, non-infeasible LP status
+    def broken(network, **kwargs):
+        raise lpcore.LpSolverError("centralized LP ended with time_limit")
+
+    monkeypatch.setattr(cli, "centralized_synthesize", broken)
+    code = main(["synth", "--config", "configs/case2.json",
+                 "--mode", "finite", "--method", "centralized"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "solver error: centralized LP ended with time_limit" in captured.err
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_synth_missing_config_exits_two(capsys):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from zonosynth.geom import (
     Zonotope,
+    add_scaled_containment,
     affine_map,
     containment_lp,
     contains_point,
@@ -22,6 +23,7 @@ from zonosynth.geom import (
     stack,
     zonogon_area,
 )
+from zonosynth.lpcore import LinearProgram, LinExpr
 
 import oracles
 
@@ -226,6 +228,73 @@ class TestContainment:
             assert np.allclose(Z.center + Z.generators @ zeta, x, atol=1e-8)
         outside, zeta = contains_point(Z, [10.0, 0.0])
         assert not outside and zeta is None
+
+
+BASE_VARS = 3  # variables y0..y2 that LinExpr entries of the emitter refer to
+coef = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0])
+expr = st.builds(LinExpr, st.dictionaries(st.integers(0, BASE_VARS - 1), coef,
+                                          max_size=BASE_VARS),
+                 st.sampled_from([0.0, -0.0, 1.5, -0.75]))
+entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0]), expr)
+
+
+def _column(e):
+    (col,) = e.terms
+    return col
+
+
+def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c):
+    """The block emitter builds the row-wise reference's program."""
+    def build(emit):
+        lp = LinearProgram(name="emit")
+        for k in range(BASE_VARS):
+            lp.var(f"y{k}", lb=-1.0, ub=1.0)
+        return lp, emit(lp, inner_G, inner_c, outer_cols, scales, outer_c, "ct")
+
+    fast, got = build(add_scaled_containment)
+    ref, want = build(oracles.add_scaled_containment_rowwise)
+    assert fast.row_names() == ref.row_names()
+    assert fast._col_names == ref._col_names
+    assert np.array_equal(fast._senses(), ref._senses())
+    # CSC arrays, costs, column and row bounds; bounds compare as numbers
+    # (-0 == 0)
+    for a, b in zip(fast._assemble(), ref._assemble()):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert got["rowsum_names"] == want["rowsum_names"]
+    for key in ("Lam", "lam", "W"):
+        cols = np.vectorize(_column, otypes=[int])(want[key]) if want[key].size \
+            else np.zeros(want[key].shape, dtype=int)
+        assert np.array_equal(got[key], cols)
+
+
+class TestContainmentEmitter:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_block_emitter_matches_rowwise_reference(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        s = data.draw(st.integers(0, 3), label="s")
+        r = data.draw(st.integers(0, 3), label="r")
+        outer_cols = data.draw(arrays(
+            np.float64, (n, s), elements=st.sampled_from([0.0, 1.0, -0.5, 2.0])))
+        inner_G = np.empty((n, r), dtype=object)
+        for pos in np.ndindex(n, r):
+            inner_G[pos] = data.draw(entry)
+        inner_c = [data.draw(entry) for _ in range(n)]
+        scales = [data.draw(entry) for _ in range(s)]
+        outer_c = data.draw(vec(n))
+        _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c)
+
+    @pytest.mark.parametrize("s,r", [(0, 0), (0, 2), (2, 0), (2, 3)])
+    def test_edge_shapes_and_mixed_entries(self, s, r):
+        n = 2
+        outer_cols = np.arange(n * s, dtype=float).reshape(n, s)  # has zeros
+        y = [LinExpr({k: 1.0}) for k in range(BASE_VARS)]
+        inner_G = np.empty((n, r), dtype=object)
+        for i, j in np.ndindex(n, r):
+            inner_G[i, j] = 2.0 * y[j % BASE_VARS] + 0.25 if (i + j) % 2 else float(i - j)
+        inner_c = [y[0] - 1.5, 0.5]
+        scales = [y[1] + 1.0 if q % 2 else 2.0 for q in range(s)]
+        _assert_same_program(inner_G, inner_c, outer_cols, scales, np.array([1.0, -1.0]))
 
 
 class TestDirectedHausdorff:

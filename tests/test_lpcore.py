@@ -168,6 +168,55 @@ def test_structure_edit_after_solve_rebuilds():
     assert sol.dual("later") == pytest.approx(1.0)
 
 
+def test_repeated_and_cancelling_columns_assemble_to_dense_oracle():
+    lp = LinearProgram()
+    x, y, z = lp.var("x"), lp.var("y"), lp.var("z")
+    lp.add_eq(x + y - x, 1.0, name="cancel")     # x cancels to 0: no entry
+    lp.add_le(z + 0.1 * y + 0.2 * y + 0.3 * y, 2.0)
+    # a block with repeated (row, col) entries, summed left to right
+    lp.add_rows([0, 0, 0, 1, 1, 1, 1], [2, 0, 2, 1, 1, 1, 0],
+                [1.5, 1.0, -1.5, 0.1, 0.2, 0.3, 4.0], [0.0, 1.0], ">")
+    rows = [[(0, 1.0), (1, 1.0), (0, -1.0)],
+            [(2, 1.0), (1, 0.1), (1, 0.2), (1, 0.3)],
+            [(2, 1.5), (0, 1.0), (2, -1.5)],
+            [(1, 0.1), (1, 0.2), (1, 0.3), (0, 4.0)]]
+    start, index, value = oracles.csc_arrays(oracles.dense_matrix(rows, 3))
+    got_start, got_index, got_value = lp._assemble()[:3]
+    assert np.array_equal(got_start, start)
+    assert np.array_equal(got_index, index)
+    assert np.array_equal(got_value, value)  # exact: same summation order
+    x_rows = got_index[got_start[0]:got_start[1]].tolist()
+    z_rows = got_index[got_start[2]:got_start[3]].tolist()
+    assert 0 not in x_rows and 2 not in z_rows    # the cancelled entries
+    assert len(got_value) == 6
+
+
+def test_add_rows_names_bounds_and_checks():
+    lp = LinearProgram()
+    a = lp.var("a", lb=0.0, ub=4.0)
+    lp.add_le(a, 3.0, name="r1")           # explicit name of the form r<k>
+    first = lp.add_rows([0, 1], [0, 0], [1.0, 1.0], [1.0, 2.5], "=",
+                        names=["fix", None])
+    assert first == 1
+    assert lp.row_names() == ["r1", "fix", "r2"]
+    with pytest.raises(LpBuildError):      # row 2 already goes by "r2"
+        lp.add_le(a, 9.0, name="r2")
+    lp.add_le(a, 9.0, name="r4")
+    with pytest.raises(LpBuildError):      # unnamed row 4 would be "r4" too
+        lp.add_rows([0], [0], [1.0], [0.0], "<")
+    with pytest.raises(LpBuildError):
+        lp.add_rows([0], [0], [1.0], [0.0], "=", names=["fix"])
+    with pytest.raises(LpBuildError):
+        lp.add_rows([0], [5], [1.0], [0.0], "<")
+    lp2 = LinearProgram()
+    b = lp2.var("b", lb=0.0, ub=4.0)
+    lp2.add_rows([0], [0], [1.0], [2.0], "=", names=["pin"])
+    lp2.minimize(b)
+    assert lp2.solve().objective == pytest.approx(2.0)
+    lp2.set_rhs("pin", 1.0)    # as add_eq(b - 2.0, 0.0): the bound becomes 3
+    assert lp2.solve().objective == pytest.approx(3.0)
+
+
 def test_lp_text_dump_is_deterministic():
     def build():
         lp = LinearProgram(name="demo")
