@@ -19,14 +19,19 @@ contracts stays a linear program.  The potential of a parameter vector is
                Theta_i(t) inside Uc_i(t, alpha) padded by d_t^u,
 
 i.e. the total directed-Hausdorff-style slack by which the local solution
-misses its own promise.  V(alpha) = 0 certifies the composition.  V_i is
-evaluated by one warm LP re-solve per call (the alpha enter only as pinned
-right-hand sides), and its gradient falls out of the pin-row duals.
+misses its own promise.  V(alpha) = 0 certifies the composition.
+
+Both per-subsystem programs are built once and re-solved warm: the alpha
+enter only as pinned right-hand sides, so a new parameter vector rewrites
+those and nothing else.  ``PotentialProgram`` evaluates V_i, whose gradient
+falls out of the pin-row duals; ``ExtractionProgram`` solves the same
+viability problem without slack to extract the final tubes.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -505,27 +510,19 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
 
 
 # ---------------------------------------------------------------------------
-# the potential of one subsystem
+# the per-subsystem programs: potential and hard extraction
 
 
-@dataclass
-class PotentialEval:
-    """One evaluation of V_i: value, gradient pieces, and the inner solution."""
+class _PinnedProgram:
+    """Subsystem ``sid``'s viability LP with every alpha a pinned variable.
 
-    sid: object
-    value: float
-    grads: dict  # (sid, channel, t) -> array of dV_i/dalpha
-    slack_x: np.ndarray
-    slack_u: np.ndarray
-    solution: object
-    solve_seconds: float
+    Each multiplier the subsystem reads is a variable ``al:*`` fixed by an
+    equality row ``pin:*``.  Moving to new parameters only rewrites those
+    right-hand sides, so every solve after the first is a warm re-solve.
+    """
 
-
-class PotentialProgram:
-    """V_i as a reusable LP: alphas are pinned variables, re-solves are warm."""
-
-    def __init__(self, network, template, sid, k=None, reduction_order=1,
-                 backend=None):
+    def __init__(self, network, template, sid, name, k, reduction_order,
+                 backend, slack):
         self.network = network
         self.template = template
         self.sid = sid
@@ -534,7 +531,7 @@ class PotentialProgram:
         steps = network.num_steps
         steps_x = steps + 1 if network.mode == "finite" else 1
 
-        lp = LinearProgram(name=f"potential[{sid}]", backend=backend)
+        lp = LinearProgram(name=name, backend=backend)
         self._pins = {}
 
         def ensure_alpha(j, channel, t):
@@ -560,13 +557,8 @@ class PotentialProgram:
                 ensure_alpha(sid, "u", t)
 
         self.handles = emit_subsystem(
-            lp, network, template, sid,
-            lambda j, ch, t: ensure_alpha(j, ch, t),
-            k=k, reduction_order=reduction_order, slack=True)
-        objective = lin_sum(self.handles.d_x)
-        if self.handles.d_u:
-            objective = objective + lin_sum(self.handles.d_u)
-        lp.minimize(objective)
+            lp, network, template, sid, ensure_alpha,
+            k=k, reduction_order=reduction_order, slack=slack)
         self.lp = lp
         self.k = self.handles.k
 
@@ -575,8 +567,13 @@ class PotentialProgram:
         series = params.x[j] if channel == "x" else params.u[j]
         return _at(series, t)
 
-    def evaluate(self, params):
-        """Warm re-solve of V_i at ``params``; raises PotentialInfeasible."""
+    def _solve_at(self, params):
+        """Pin ``params`` and re-solve.
+
+        Returns the LpSolution and the pinned values as one array, in pin
+        order (``_params_of`` reads them back).
+        """
+        pinned = []
         for key, (_, names) in self._pins.items():
             values = self._pin_value(params, key)
             if len(values) != len(names):
@@ -588,7 +585,69 @@ class PotentialProgram:
                 if v < -1e-12:
                     raise ContractError(f"negative alpha at {key}[{g}]")
                 self.lp.set_rhs(name, max(v, 0.0))
-        sol = self.lp.solve()
+                pinned.append(v)
+        return self.lp.solve(), np.array(pinned)
+
+    def _params_of(self, pinned):
+        """The parameter series this program reads, from its pinned values."""
+        series = {"x": {}, "u": {}}
+        pos = 0
+        for (j, channel, t), (_, names) in self._pins.items():
+            series[channel].setdefault(j, {})[t] = pinned[pos:pos + len(names)]
+            pos += len(names)
+        # a step where a neighbor's block is absent (zero coupling) stays None
+        x, u = ({j: [steps.get(t) for t in range(max(steps) + 1)]
+                 for j, steps in series[channel].items()}
+                for channel in ("x", "u"))
+        return ContractParams(x, u, {}, {})
+
+    def _solution(self, sol, params):
+        return _numeric_solution(sol, self.handles, self.network,
+                                 self.template, self.sid, params)
+
+
+@dataclass
+class PotentialEval:
+    """One evaluation of V_i: value, gradient pieces, and the inner solution.
+
+    ``solution`` is built on first access from this evaluation's own LP
+    solution and a copy of the parameter values it pinned, so later
+    re-solves of the program or changes to those parameters leave it as it
+    was.
+    """
+
+    sid: object
+    value: float
+    grads: dict  # (sid, channel, t) -> array of dV_i/dalpha
+    slack_x: np.ndarray
+    slack_u: np.ndarray
+    solve_seconds: float
+    _program: object = field(repr=False)
+    _lp_solution: object = field(repr=False)
+    _pinned: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def solution(self):
+        program = self._program
+        return program._solution(self._lp_solution,
+                                 program._params_of(self._pinned))
+
+
+class PotentialProgram(_PinnedProgram):
+    """V_i as a reusable LP: alphas are pinned variables, re-solves are warm."""
+
+    def __init__(self, network, template, sid, k=None, reduction_order=1,
+                 backend=None):
+        super().__init__(network, template, sid, f"potential[{sid}]", k,
+                         reduction_order, backend, slack=True)
+        objective = lin_sum(self.handles.d_x)
+        if self.handles.d_u:
+            objective = objective + lin_sum(self.handles.d_u)
+        self.lp.minimize(objective)
+
+    def evaluate(self, params):
+        """Warm re-solve of V_i at ``params``; raises PotentialInfeasible."""
+        sol, pinned = self._solve_at(params)
         if sol.status == lpcore.INFEASIBLE:
             raise PotentialInfeasible(
                 f"subsystem {self.sid!r}: no viable tube at these parameters")
@@ -602,11 +661,34 @@ class PotentialProgram:
         h = self.handles
         slack_x = np.array([sol.value(d) for d in h.d_x])
         slack_u = np.array([sol.value(d) for d in h.d_u]) if h.d_u else np.zeros(0)
-        extracted = _numeric_solution(sol, h, self.network, self.template,
-                                      self.sid, params)
         return PotentialEval(
             self.sid, max(0.0, sol.objective), grads, slack_x, slack_u,
-            extracted, sol.solve_seconds)
+            sol.solve_seconds, self, sol, pinned)
+
+
+class ExtractionProgram(_PinnedProgram):
+    """Subsystem ``sid``'s hard extraction LP, built once and re-solved warm.
+
+    The pinned parameters of PotentialProgram, but without slack: every
+    containment in the own promise is hard, and the objective is the total
+    template size sum |T|.
+    """
+
+    def __init__(self, network, template, sid, k=None, reduction_order=1,
+                 backend=None):
+        super().__init__(network, template, sid, f"extract[{sid}]", k,
+                         reduction_order, backend, slack=False)
+        self.lp.minimize(_abs_objective(self.lp, self.handles.T, prefix="size"))
+
+    def solve(self, params):
+        """The tubes at ``params``, or None if the hard problem is infeasible."""
+        sol, _ = self._solve_at(params)
+        if sol.status == lpcore.INFEASIBLE:
+            return None
+        if sol.status != lpcore.OPTIMAL:
+            raise lpcore.LpSolverError(
+                f"extraction LP for {self.sid!r} ended with {sol.status}")
+        return self._solution(sol, params)
 
 
 def _numeric_solution(sol, handles, network, template, sid, params):
@@ -626,40 +708,36 @@ def _numeric_solution(sol, handles, network, template, sid, params):
                        ubar[0] if ubar else None, W[0], 0.0, None, size)
 
 
-def numeric_alpha_of(params):
-    """alpha_of callback reading plain numbers out of ``params``."""
-    def alpha_of(j, channel, t):
-        series = params.x[j] if channel == "x" else params.u[j]
-        return np.asarray(_at(series, t), dtype=float)
-    return alpha_of
-
-
 def extract_solutions(network, template, params, k=None, reduction_order=1,
-                      backend=None):
+                      backend=None, programs=None):
     """Per-subsystem tubes satisfying the promises at ``params`` exactly.
 
     Unlike the potential LPs there is no slack here: each subsystem solves
     its viability problem with hard containment in its own promised sets,
-    minimizing total template size.  Raises PotentialInfeasible naming the
-    subsystems whose hard problem has no solution (the potential at
-    ``params`` is then necessarily positive).
+    minimizing total template size (one ExtractionProgram per subsystem).
+    Raises PotentialInfeasible naming the subsystems whose hard problem has
+    no solution (the potential at ``params`` is then necessarily positive).
+
+    ``programs`` is an optional cache of ExtractionPrograms keyed by id,
+    valid for one network, template, k, reduction order and backend.  A
+    missing program is built and stored there, so repeated extraction
+    re-solves them warm.  Without a cache each program is built, solved and
+    dropped before the next one is built.
     """
     solutions, losers = {}, []
     for sid in network.sorted_ids():
-        lp = LinearProgram(name=f"extract[{sid}]", backend=backend)
-        handles = emit_subsystem(lp, network, template, sid,
-                                 numeric_alpha_of(params), k=k,
-                                 reduction_order=reduction_order, slack=False)
-        lp.minimize(_abs_objective(lp, handles.T, prefix="size"))
-        sol = lp.solve()
-        if sol.status == lpcore.INFEASIBLE:
+        program = programs.get(sid) if programs is not None else None
+        if program is None:
+            program = ExtractionProgram(network, template, sid, k=k,
+                                        reduction_order=reduction_order,
+                                        backend=backend)
+            if programs is not None:
+                programs[sid] = program
+        solution = program.solve(params)
+        if solution is None:
             losers.append(sid)
-            continue
-        if sol.status != lpcore.OPTIMAL:
-            raise lpcore.LpSolverError(
-                f"extraction LP for {sid!r} ended with {sol.status}")
-        solutions[sid] = _numeric_solution(sol, handles, network, template,
-                                           sid, params)
+        else:
+            solutions[sid] = solution
     if losers:
         raise PotentialInfeasible(
             "hard extraction infeasible for subsystem(s) "
@@ -681,8 +759,12 @@ class PotentialResult:
     value: float
     grad: ContractParams
     evals: dict
-    solutions: dict
     solve_seconds: float
+
+    @property
+    def solutions(self):
+        """Each subsystem's inner solution, built on first access."""
+        return {sid: ev.solution for sid, ev in self.evals.items()}
 
 
 def _worker_count(requested, jobs):
@@ -717,8 +799,7 @@ def potential(programs, params, threads=None):
             series[t if len(series) > 1 else 0] += arr
     value = float(sum(evals[sid].value for sid in ids))
     seconds = float(sum(evals[sid].solve_seconds for sid in ids))
-    solutions = {sid: evals[sid].solution for sid in ids}
-    return PotentialResult(value, grad, evals, solutions, seconds)
+    return PotentialResult(value, grad, evals, seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ Two roads to a correct composition:
 
 * ``compositional_synthesize`` runs projected subgradient descent on the
   potential V(alpha) = sum_i V_i(alpha) from module ``contracts``.  Each
-  iteration solves |I| small independent LPs (warm, optionally in a thread
-  pool) and steps against the dual subgradient.  V = 0 certifies the
-  composition; the final parameters are then re-solved without slack to
-  extract the tubes and controllers.
+  iteration re-solves |I| small independent LPs, each built once and
+  re-solved warm (optionally in a thread pool), and steps against the dual
+  subgradient.  V = 0 certifies the composition; the final parameters are
+  then solved without slack to extract the tubes and controllers.  When
+  that hard extraction fails and the descent resumes, every later attempt
+  re-solves the extraction LPs built for the second one, warm.
 
 The step rule deserves a note.  V is convex piecewise-linear, and a plain
 backtracking line search can wedge into a kink where the negative
@@ -296,6 +298,7 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
     solutions = None
     value = None
     it = 0
+    attempts = 0
 
     with lpcore.track_solver_time() as solver:
         caps = alpha_max(network, tpl)
@@ -329,15 +332,22 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
             # Re-run satisfiability without slack at the final parameters.
             # The stopping tolerance permits a whisker of residual slack, so
             # the hard problem can miss by ~tol_v; in that case keep
-            # descending (the budget still applies) until it closes.
+            # descending (the budget still applies) until it closes.  A
+            # single attempt keeps no extraction LP alive; once one fails,
+            # the programs are kept and later attempts re-solve them warm.
+            extraction = None
             while True:
+                attempts += 1
                 try:
                     solutions = extract_solutions(
                         network, tpl, params, k=cfg.k,
-                        reduction_order=cfg.reduction_order)
+                        reduction_order=cfg.reduction_order,
+                        programs=extraction)
                     value = res.value
                     break
                 except PotentialInfeasible:
+                    if extraction is None:
+                        extraction = {}
                     if it >= cfg.max_iters:
                         break
                     stepped = _descent_step(programs, params, res, cfg)
@@ -366,10 +376,10 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
             value=value, objective=None, iterations=it, params=params,
             solutions=solutions, trace=trace, hint=hint,
             correctness=correctness, network=network, template=tpl),
-        solver, wall0, certify_seconds)
+        solver, wall0, certify_seconds, extract_attempts=attempts)
 
 
-def _finish(result, solver, wall0, certify_seconds):
+def _finish(result, solver, wall0, certify_seconds, extract_attempts=0):
     result.timings = {
         "solve_seconds": solver.seconds,
         "solves": solver.solves,
@@ -378,6 +388,7 @@ def _finish(result, solver, wall0, certify_seconds):
         "max_lp_rows": solver.max_rows,
         "max_lp_cols": solver.max_cols,
         "max_lp_nnz": solver.max_nnz,
+        "extract_attempts": extract_attempts,
     }
     return result
 

@@ -19,7 +19,9 @@ from zonosynth.contracts import (
     build_programs,
     check_correctness,
     default_template,
+    extract_solutions,
     potential,
+    _numeric_solution,
     _w_numeric,
 )
 from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
@@ -311,6 +313,80 @@ def test_potential_threaded_matches_serial(monkeypatch):
     threaded = potential(build_programs(net, tpl), params, threads=2)
     assert threaded.value == pytest.approx(serial.value, abs=1e-10)
     assert threaded.grad.to_vector() == pytest.approx(serial.grad.to_vector(), abs=1e-10)
+
+
+def gapped_input_pair():
+    # subsystem 2's input disturbs 1 only from step 1 on, so 1's program
+    # pins (2, "u", 1) and (2, "u", 2) but not (2, "u", 0)
+    subs = [interval_sub(1, 2), interval_sub(2, 1)]
+    subs[0]["couplings"][0]["B"] = [[[0.0]], [[0.3]], [[0.3]]]
+    return load_network({"mode": "finite", "horizon": 3, "subsystems": subs})
+
+
+def _flat(value):
+    if isinstance(value, Zonotope):
+        return np.concatenate([value.center, value.generators.ravel()])
+    if isinstance(value, list):
+        return np.concatenate([_flat(v) for v in value])
+    return np.ravel(value)
+
+
+@pytest.mark.parametrize("make_network", [pair_network, gapped_input_pair])
+def test_potential_solution_is_built_lazily_from_its_own_evaluation(make_network):
+    net = make_network()
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    p1 = alpha_max(net, tpl).scaled(0.5)
+    for series in p1.u.values():
+        for t, a in enumerate(series):
+            a -= 0.1 * t    # a different value at every step
+    kept = p1.copy()
+    r1 = potential(programs, p1)
+    assert r1.value == pytest.approx(0.0, abs=1e-9)
+    eager = {sid: _numeric_solution(ev._lp_solution, programs[sid].handles,
+                                    net, tpl, sid, kept)
+             for sid, ev in r1.evals.items()}
+    assert all("solution" not in vars(ev) for ev in r1.evals.values())
+
+    # re-solve the same programs elsewhere, then change p1 in place
+    p2 = p1.copy()
+    p2.x[1] = [a * 0.2 for a in p2.x[1]]
+    assert potential(programs, p2).value > 0.1
+    for series in (*p1.x.values(), *p1.u.values()):
+        for a in series:
+            a *= 1.7
+
+    lazy = r1.solutions
+    for sid, want in eager.items():
+        for name in ("T", "xbar", "M", "ubar", "W"):
+            got = _flat(getattr(lazy[sid], name))
+            assert np.max(np.abs(got - _flat(getattr(want, name)))) <= 1e-12
+    assert r1.solutions[1] is lazy[1]
+    report = check_correctness(net, tpl, kept, lazy)
+    assert report.ok, report.failures
+
+
+def test_extraction_programs_rewarm_like_fresh_ones():
+    net = pair_network()
+    tpl = default_template(net)
+    base = alpha_max(net, tpl)
+    cache = {}
+    # subsystem 1 sees 0.5 * 1.0 + 0.1 > 0.2: no hard tube fits its promise
+    with pytest.raises(PotentialInfeasible, match="subsystem\\(s\\) 1$"):
+        extract_solutions(net, tpl, set_pair(base, 0.2, 1.0), programs=cache)
+    with pytest.raises(PotentialInfeasible, match="subsystem\\(s\\) 1$"):
+        extract_solutions(net, tpl, set_pair(base, 0.2, 1.0))
+    built = dict(cache)
+    assert sorted(built) == [1, 2]
+    for a1, a2 in ((0.5, 0.5), (0.8, 0.6)):
+        params = set_pair(base, a1, a2)
+        warm = extract_solutions(net, tpl, params, programs=cache)
+        fresh = extract_solutions(net, tpl, params)
+        assert all(cache[sid] is built[sid] for sid in built)
+        for sid in (1, 2):
+            assert warm[sid].objective == pytest.approx(fresh[sid].objective, abs=1e-9)
+        report = check_correctness(net, tpl, params, warm)
+        assert report.ok, report.failures
 
 
 def test_thread_env_caps_pool(monkeypatch):

@@ -202,6 +202,32 @@ def test_case1_compositional_end_to_end():
     assert res.trace[0][1] == pytest.approx(20.2818636, abs=1e-5)
 
 
+def test_case1_builds_each_subsystem_lp_at_most_three_times(monkeypatch):
+    # potential programs once, the first extraction attempt once, and the
+    # extraction programs every later attempt re-solves warm once
+    from zonosynth import contracts, synthesis
+
+    emits, extracts = [], []
+    emit, extract = contracts.emit_subsystem, synthesis.extract_solutions
+
+    def counting_emit(*args, **kwargs):
+        emits.append(args[3])
+        return emit(*args, **kwargs)
+
+    def counting_extract(*args, **kwargs):
+        extracts.append(kwargs.get("programs"))
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(contracts, "emit_subsystem", counting_emit)
+    monkeypatch.setattr(synthesis, "extract_solutions", counting_extract)
+    res = compositional_synthesize(load_network("configs/case1.json"))
+    assert res.ok
+    assert res.timings["extract_attempts"] == len(extracts) > 2
+    assert extracts[0] is None and isinstance(extracts[1], dict)
+    assert all(cache is extracts[1] for cache in extracts[1:])
+    assert sorted(emits) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
 # ---------------------------------------------------------------------------
 # centralized single LP
 
@@ -356,6 +382,9 @@ def test_report_json_lp_sizes(tmp_path, driver):
     assert res.ok
     assert all(timings[key] > 0
                for key in ("max_lp_rows", "max_lp_cols", "max_lp_nnz"))
+    # only the compositional method extracts tubes after a descent
+    want = 1 if driver is compositional_synthesize else 0
+    assert timings["extract_attempts"] == want
 
 
 def test_trace_csv_header(tmp_path):
