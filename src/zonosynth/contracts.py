@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lpcore
-from .geom import Zonotope, add_scaled_containment, directed_hausdorff, scale_generators
+from .geom import (Zonotope, add_scaled_containment, directed_hausdorff, hausdorff_bound,
+                   scale_generators, witness_values)
 from .lpcore import LinearProgram, lin_matmul, lin_sum
 from .sysmodel import _id_key
 from .viability import RciSolution, ViableSolution, _abs_objective
@@ -399,6 +400,7 @@ class SubsystemHandles:
     d_u: list
     splits: list
     structure: list  # per step: (center, blocks)
+    witness: dict  # hard containments only: row prefix -> containment handles
 
 
 def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
@@ -411,7 +413,9 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     the own promise is padded by a nonnegative scalar d (one per step and
     channel); their sum is this subsystem's potential share.  With
     ``slack=False`` the containments are hard, which is what a centralized
-    program wants.
+    program wants; the handles of those containment witnesses are then
+    kept, keyed by the row prefix without the subsystem tag ("inC0",
+    "term", "inU0", ...).
     """
     sub = network.subsystem(sid)
     n, m = sub.n, sub.m
@@ -474,6 +478,7 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
             lp.add_eq(drift[i] + float(center_w[i]) - x_next[i], 0.0,
                       name=f"{tag}:cen[{t},{i}]")
 
+    witness = {}
     for t in range(steps_x):
         cx, Cx = _at(template.state[sid], t)
         own = alpha_of(sid, "x", t)
@@ -482,13 +487,14 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
         if slack:
             outer_cols = np.hstack([Cx, np.eye(n)])
             scales = scales + [d_x[t]] * n
-        add_scaled_containment(lp, T[t], xbar[t], outer_cols, scales,
-                               np.asarray(cx, dtype=float), f"{tag}:inC{t}")
+        witness[f"inC{t}"] = add_scaled_containment(
+            lp, T[t], xbar[t], outer_cols, scales, np.asarray(cx, dtype=float),
+            f"{tag}:inC{t}")
     if finite:
         Xh = sub.X_at(steps)
-        add_scaled_containment(lp, T[steps], xbar[steps], Xh.generators,
-                               [1.0] * Xh.num_generators, Xh.center,
-                               f"{tag}:term")
+        witness["term"] = add_scaled_containment(
+            lp, T[steps], xbar[steps], Xh.generators, [1.0] * Xh.num_generators,
+            Xh.center, f"{tag}:term")
     if m:
         for t in range(steps):
             if sid in template.input:
@@ -502,11 +508,11 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
             if slack:
                 outer_cols = np.hstack([outer_cols, np.eye(m)])
                 scales = scales + [d_u[t]] * m
-            add_scaled_containment(lp, M[t], ubar[t], outer_cols, scales,
-                                   outer_c, f"{tag}:inU{t}")
+            witness[f"inU{t}"] = add_scaled_containment(
+                lp, M[t], ubar[t], outer_cols, scales, outer_c, f"{tag}:inU{t}")
 
     return SubsystemHandles(sid, k, widths, T, xbar, M, ubar, d_x, d_u,
-                            splits, structure)
+                            splits, structure, {} if slack else witness)
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +708,11 @@ def _numeric_solution(sol, handles, network, template, sid, params):
     W = [_w_numeric(network, template, params, sid, t, h.splits[t])
          for t in range(steps)]
     size = float(sum(np.abs(Tt).sum() for Tt in T))
+    witness = witness_values(sol, h.witness) if h.witness else None
     if network.mode == "finite":
-        return ViableSolution("growing", T, xbar, M, ubar, W, size)
+        return ViableSolution("growing", T, xbar, M, ubar, W, size, witness)
     return RciSolution(T[0], xbar[0], M[0] if M else None,
-                       ubar[0] if ubar else None, W[0], 0.0, None, size)
+                       ubar[0] if ubar else None, W[0], 0.0, None, size, witness)
 
 
 def extract_solutions(network, template, params, k=None, reduction_order=1,
@@ -811,8 +818,14 @@ class CorrectnessReport:
     ok: bool
     max_state_margin: float
     max_input_margin: float
-    max_residual: float
+    max_residual: float | None  # None: the recursion was not checked
     failures: list = field(default_factory=list)
+    lp_fallbacks: int = 0  # containments a Hausdorff LP had to decide
+
+
+def _diag_witness(alpha):
+    """The witness [Diag(alpha) 0] of Z(c, C Diag(alpha)) inside Z(c, C)."""
+    return np.hstack([np.diag(alpha), np.zeros((len(alpha), 1))])
 
 
 def check_correctness(network, template, params, solutions, tol=1e-7):
@@ -823,50 +836,81 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
     promised tubes inside the admissible sets, the terminal set inside
     X_i(h) for finite horizons, and the algebraic recursion residuals of the
     stored solution against the stored disturbance sets.
+
+    Each containment is first checked on a witness: the one the hard
+    extraction or centralized LP found (``solution.witness``) for Omega,
+    Theta and the terminal set, and [Diag(alpha) 0] for a promise inside its
+    admissible set.  When the witness bounds the directed Hausdorff distance
+    within ``tol``, that bound is the margin; otherwise the Hausdorff LP
+    decides, as it does for a solution without witnesses (a loaded one).
+    ``lp_fallbacks`` counts those LPs.
     """
     failures = []
     max_state = 0.0
     max_input = 0.0
     max_res = 0.0
+    fallbacks = 0
     steps = network.num_steps
     finite = network.mode == "finite"
+
+    def escape(inner, center, cols, scales, witness):
+        nonlocal fallbacks
+        bound = hausdorff_bound(inner, center, cols, scales, witness)
+        if bound <= tol:
+            return bound
+        fallbacks += 1
+        outer = Zonotope(center, np.asarray(cols, dtype=float) * scales)
+        return directed_hausdorff(outer, inner)
+
     for sid in network.sorted_ids():
         sub = network.subsystem(sid)
         sol = solutions[sid]
+        witness = sol.witness or {}
         steps_x = steps + 1 if finite else 1
         for t in range(steps_x):
-            promise = template.state_set(params, sid, t)
-            margin = directed_hausdorff(promise, sol.omega(t))
+            cx, Cx = _at(template.state[sid], t)
+            alpha = _at(params.x[sid], t)
+            margin = escape(sol.omega(t), cx, Cx, alpha, witness.get(f"inC{t}"))
             max_state = max(max_state, margin)
             if margin > tol:
                 failures.append(f"{sid}: Omega({t}) escapes its promise by {margin:.3e}")
-            admissible = directed_hausdorff(sub.X_at(t), promise)
+            X = sub.X_at(t)
+            admissible = escape(template.state_set(params, sid, t), X.center,
+                                X.generators, np.ones(X.num_generators),
+                                _diag_witness(alpha))
             if admissible > tol:
                 failures.append(f"{sid}: state promise at t={t} exceeds X by {admissible:.3e}")
         if finite:
-            margin = directed_hausdorff(sub.X_at(steps), sol.omega(steps))
+            X = sub.X_at(steps)
+            margin = escape(sol.omega(steps), X.center, X.generators,
+                            np.ones(X.num_generators), witness.get("term"))
             max_state = max(max_state, margin)
             if margin > tol:
                 failures.append(f"{sid}: terminal set escapes X by {margin:.3e}")
         if sub.m:
             for t in range(steps):
-                theta = sol.theta(t)
                 if sid in template.input:
-                    promise = template.input_set(params, sid, t)
-                    admissible = directed_hausdorff(sub.U_at(t), promise)
+                    cu, Cu = _at(template.input[sid], t)
+                    alpha = _at(params.u[sid], t)
+                    U = sub.U_at(t)
+                    admissible = escape(template.input_set(params, sid, t), U.center,
+                                        U.generators, np.ones(U.num_generators),
+                                        _diag_witness(alpha))
                     if admissible > tol:
                         failures.append(
                             f"{sid}: input promise at t={t} exceeds U by {admissible:.3e}")
                 else:
-                    promise = sub.U_at(t)
-                margin = directed_hausdorff(promise, theta)
+                    U = sub.U_at(t)
+                    cu, Cu, alpha = U.center, U.generators, np.ones(U.num_generators)
+                margin = escape(sol.theta(t), cu, Cu, alpha, witness.get(f"inU{t}"))
                 max_input = max(max_input, margin)
                 if margin > tol:
                     failures.append(f"{sid}: Theta({t}) escapes its promise by {margin:.3e}")
         max_res = max(max_res, _recursion_residual(network, sid, sol))
     if max_res > 1e-8:
         failures.append(f"recursion residual {max_res:.3e}")
-    return CorrectnessReport(not failures, max_state, max_input, max_res, failures)
+    return CorrectnessReport(not failures, max_state, max_input, max_res, failures,
+                             fallbacks)
 
 
 def _recursion_residual(network, sid, sol):

@@ -13,7 +13,10 @@ sufficient containment condition
 as LP rows.  Written this way (the per-row bound on the right-hand side
 instead of a fixed 1) the rows stay linear even when both the inner body's
 generators and the scales are decision variables, which is what the
-viability and contract programs rely on.
+viability and contract programs rely on.  :func:`hausdorff_bound` turns any
+candidate (Lambda, lam), such as the one a solved program found, into an
+upper bound on the directed Hausdorff distance; certification checks that
+bound before it solves a Hausdorff LP.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpcore
-from .lpcore import LinearProgram, lin_sum, lin_triplets
+from .lpcore import LinearProgram, lin_triplets
 
 
 @dataclass(frozen=True)
@@ -349,6 +352,66 @@ def directed_hausdorff(outer, inner, backend=None):
     return max(0.0, sol.objective)
 
 
+def witness_values(sol, handles):
+    """The ``[Lam lam]`` array of each containment in ``handles``, by key.
+
+    ``handles`` maps a key to the dict that :func:`add_scaled_containment`
+    returned; ``sol`` is a solution of the LP those rows were emitted into.
+    """
+    return {key: np.column_stack([sol.column_values(h["Lam"]),
+                                  sol.column_values(h["lam"])])
+            for key, h in handles.items()}
+
+
+def hausdorff_bound(inner, center, cols, scales, L):
+    """Upper bound on ``directed_hausdorff(Z(center, cols @ Diag(scales)), inner)``.
+
+    ``L = [Lam lam]`` (s x r+1, r generators of ``inner``) is any candidate
+    containment witness in the convention of :func:`add_scaled_containment`:
+    ``inner.generators = cols @ Lam`` and ``center - inner.center = cols @
+    lam``.  Whatever the candidate misses is charged to the box inflation:
+    the residual ``E = [G_in, center - c_in] - cols @ L`` by its row-abs
+    sums, and the excess of each row sum of |L| over its scale through
+    ``|cols|``.  The bound is never below the true distance, and is 0 for
+    an exact witness.  Returns inf for a missing or misshapen candidate.
+    """
+    center = np.asarray(center, dtype=float)
+    cols = np.asarray(cols, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    n, s = cols.shape
+    if L is None:
+        return np.inf
+    L = np.asarray(L, dtype=float)
+    if inner.dim != n or scales.shape != (s,) or \
+            L.shape != (s, inner.num_generators + 1):
+        return np.inf
+    E = np.hstack([inner.generators, (center - inner.center)[:, None]]) - cols @ L
+    excess = np.maximum(np.abs(L).sum(axis=1) - scales, 0.0)
+    return float(np.max(np.abs(cols) @ excess + np.abs(E).sum(axis=1), initial=0.0))
+
+
+def membership_lp(Z, x):
+    """The LP min |zeta|_inf s.t. x = c + G zeta, and zeta's column indices.
+
+    Rows: ``G[i] @ zeta = x[i] - c[i]`` for every i, then ``zeta[k] - q <=
+    0`` and ``-zeta[k] - q <= 0`` for every k, where column p is ``q``.
+    """
+    p = Z.num_generators
+    lp = LinearProgram(name="member")
+    zeta = lp.var_block("z", p)
+    q = lp.var("q", lb=0.0)  # column p
+    ii, kk = np.nonzero(Z.generators)
+    lp.add_rows(ii, zeta[kk], Z.generators[ii, kk],
+                np.asarray(x, dtype=float) - Z.center, "=")
+    pair = 2 * np.arange(p)
+    lp.add_rows(np.concatenate([pair, pair + 1, pair, pair + 1]),
+                np.concatenate([zeta, zeta, np.full(2 * p, p)]),
+                np.concatenate([np.ones(p), -np.ones(p), -np.ones(2 * p)]),
+                np.zeros(2 * p), "<")
+    lp.minimize(q)
+    return lp, zeta
+
+
 def contains_point(Z, x, tol=1e-9):
     """Membership test with witness: returns (inside, zeta) with x = c + G zeta.
 
@@ -356,21 +419,11 @@ def contains_point(Z, x, tol=1e-9):
     <= 1 + tol.
     """
     x = np.asarray(x, dtype=float)
-    p = Z.num_generators
-    if p == 0:
+    if Z.num_generators == 0:
         inside = bool(np.allclose(x, Z.center, atol=max(tol, 1e-12)))
         return inside, (np.zeros(0) if inside else None)
-    lp = LinearProgram(name="member")
-    zeta = lp.var_array("z", p)
-    q = lp.var("q", lb=0.0)
-    for i in range(Z.dim):
-        expr = lin_sum(Z.generators[i, k] * zeta[k] for k in range(p))
-        lp.add_eq(expr, float(x[i] - Z.center[i]))
-    for k in range(p):
-        lp.add_le(zeta[k] - q, 0.0)
-        lp.add_le(-zeta[k] - q, 0.0)
-    lp.minimize(q)
+    lp, zeta = membership_lp(Z, x)
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL or sol.objective > 1.0 + tol:
         return False, None
-    return True, sol.value(zeta)
+    return True, sol.column_values(zeta)

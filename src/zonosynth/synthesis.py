@@ -40,6 +40,7 @@ import numpy as np
 from . import lpcore, viability
 from .contracts import (
     ContractParams,
+    CorrectnessReport,
     PotentialInfeasible,
     alpha_max,
     build_programs,
@@ -161,6 +162,7 @@ class SynthesisResult:
                 "max_input_margin": self.correctness.max_input_margin,
                 "max_residual": self.correctness.max_residual,
                 "failures": list(self.correctness.failures),
+                "lp_fallbacks": self.correctness.lp_fallbacks,
             }
         return rep
 
@@ -544,8 +546,12 @@ def centralized_dense(network, mode=None, k=None, beta=0.0, backend=None):
     # The containment checks are certification, metered apart from the
     # synthesis LP as in the other two methods.
     certify0 = time.perf_counter()
+    correctness = None
     if sol is not None:
-        viability.certify_solution(sol, X, U)
+        # containments only: the aggregate recursion is not re-checked
+        state, inputs, fallbacks = viability.certify_solution(sol, X, U)
+        correctness = CorrectnessReport(True, state, inputs, None,
+                                        lp_fallbacks=fallbacks)
     certify_seconds = time.perf_counter() - certify0
 
     status = "correct" if sol is not None else "failed"
@@ -555,5 +561,6 @@ def centralized_dense(network, mode=None, k=None, beta=0.0, backend=None):
             value=None, objective=sol.objective if sol else None,
             iterations=0, params=None,
             solutions={"aggregate": sol} if sol else None,
-            hint=None if sol else RETRY_HINT, network=network),
+            hint=None if sol else RETRY_HINT, correctness=correctness,
+            network=network),
         solver, wall0, certify_seconds)

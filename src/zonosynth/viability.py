@@ -25,17 +25,19 @@ Feasibility is encoded exactly by linear constraints:
 
 The objective min sum |T entries| shrinks the sets (an LP surrogate for the
 generator norms); infeasibility is a *result* (None), not an error.  All
-returned solutions re-certify their containments before being handed back.
+returned solutions re-certify their containments before being handed back,
+first on the containment witnesses the LP itself found.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lpcore
-from .geom import Zonotope, add_scaled_containment, containment_lp, contains_point, directed_hausdorff
+from .geom import (Zonotope, add_scaled_containment, contains_point, directed_hausdorff,
+                   hausdorff_bound, witness_values)
 from .lpcore import LinearProgram, LinExpr, lin_matmul, lin_triplets
 
 
@@ -68,14 +70,21 @@ def _add_plain_containment(lp, inner_G, inner_c, outer, prefix):
         [1.0] * outer.num_generators, outer.center, prefix)
 
 
-def _certify(inner, outer, what, tol=1e-7):
-    if containment_lp(inner, outer).feasible:
-        return
-    # binding constraints plus float roundoff can make the exact-equality
-    # certificate LP infeasible; accept a vanishing Hausdorff excess instead
-    if directed_hausdorff(outer, inner) <= tol:
-        return
-    raise CertificationError(f"{what}: solution violates containment")
+def _certify(inner, outer, what, witness=None, tol=1e-7):
+    """Check ``inner`` inside ``outer`` up to ``tol``; returns (margin, lp).
+
+    The margin is the witness's Hausdorff bound when that is within
+    ``tol``; otherwise the Hausdorff LP decides, and ``lp`` is True.
+    Raises CertificationError when the containment fails.
+    """
+    margin = hausdorff_bound(inner, outer.center, outer.generators,
+                             np.ones(outer.num_generators), witness)
+    if margin <= tol:
+        return margin, False
+    margin = directed_hausdorff(outer, inner)
+    if margin > tol:
+        raise CertificationError(f"{what}: solution violates containment")
+    return margin, True
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +102,10 @@ class ViableSolution:
     ubar: list | None
     W: list  # the disturbance sets the solution was computed against
     objective: float
+    #: the synthesis LP's containment witnesses [Lam lam], keyed by the
+    #: containment's row prefix ("inX3", "inU0", ...); certification checks
+    #: them first.  Never serialized: a loaded solution certifies by LP.
+    witness: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def horizon(self):
@@ -143,6 +156,8 @@ class RciSolution:
     beta: float
     E: np.ndarray | None
     objective: float
+    #: containment witnesses, as for ViableSolution ("inX", "inU", ...)
+    witness: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def k(self):
@@ -188,21 +203,34 @@ class RciSolution:
 
 
 def certify_solution(solution, X, U):
-    """Re-check every Omega(t) in X(t) and Theta(t) in U(t) by LP.
+    """Re-check every Omega(t) in X(t) and Theta(t) in U(t).
 
-    ``X``/``U`` are the per-step sequences for a ViableSolution and single
-    sets for an RciSolution.  Raises CertificationError on a violation.
+    Each containment is accepted on the solution's own witness when its
+    Hausdorff bound is within tolerance, and otherwise decided by the
+    Hausdorff LP.  ``X``/``U`` are the per-step sequences for a
+    ViableSolution and single sets for an RciSolution.  Raises
+    CertificationError on a violation; returns the largest Omega and Theta
+    margins and the number of containments the LP decided.
     """
     if isinstance(solution, RciSolution):
-        _certify(solution.omega(), X, "Omega in X")
-        if solution.M is not None:
-            _certify(solution.theta(), U, "Theta in U")
-        return
-    for t in range(solution.horizon + 1):
-        _certify(solution.omega(t), X[t], f"Omega({t}) in X({t})")
-    if solution.M is not None:
-        for t in range(solution.horizon):
-            _certify(solution.theta(t), U[t], f"Theta({t}) in U({t})")
+        states = [(solution.omega(), X, "Omega in X", "inX")]
+        inputs = [(solution.theta(), U, "Theta in U", "inU")] \
+            if solution.M is not None else []
+    else:
+        states = [(solution.omega(t), X[t], f"Omega({t}) in X({t})", f"inX{t}")
+                  for t in range(solution.horizon + 1)]
+        inputs = [(solution.theta(t), U[t], f"Theta({t}) in U({t})", f"inU{t}")
+                  for t in range(solution.horizon)] if solution.M is not None else []
+    witness = solution.witness or {}
+    margins, fallbacks = [], 0
+    for checks in (states, inputs):
+        worst = 0.0
+        for inner, outer, what, key in checks:
+            margin, lp = _certify(inner, outer, what, witness.get(key))
+            worst = max(worst, margin)
+            fallbacks += lp
+        margins.append(worst)
+    return margins[0], margins[1], fallbacks
 
 
 def solution_from_json(data):
@@ -266,11 +294,12 @@ def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
             lp.add_eq(drift[i] + float(W_seq[t].center[i]) - xbar[t + 1][i], 0.0,
                       name=f"cen[{t},{i}]")
 
-    for t in range(h + 1):
-        _add_plain_containment(lp, T[t], xbar[t], X_seq[t], f"inX{t}")
+    witness = {f"inX{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t], f"inX{t}")
+               for t in range(h + 1)}
     if m:
         for t in range(h):
-            _add_plain_containment(lp, M[t], ubar[t], U_seq[t], f"inU{t}")
+            witness[f"inU{t}"] = _add_plain_containment(lp, M[t], ubar[t], U_seq[t],
+                                                        f"inU{t}")
 
     if x0 is not None:
         p0 = x0.num_generators
@@ -296,6 +325,7 @@ def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
         [sol.value(ut) for ut in ubar] if m else None,
         list(W_seq),
         sol.objective,
+        witness_values(sol, witness),
     )
     if certify:
         certify_solution(result, X_seq, U_seq)
@@ -356,12 +386,12 @@ def rci(A, B, W, X, U, k, beta=0.0, simplified=None, backend=None, certify=True)
     scaledT = np.empty((n, k), dtype=object)
     for pos in np.ndindex(n, k):
         scaledT[pos] = sigma * T[pos]
-    _add_plain_containment(lp, scaledT, xbar, X, "inX")
+    witness = {"inX": _add_plain_containment(lp, scaledT, xbar, X, "inX")}
     if m:
         scaledM = np.empty((m, k), dtype=object)
         for pos in np.ndindex(m, k):
             scaledM[pos] = sigma * M[pos]
-        _add_plain_containment(lp, scaledM, ubar, U, "inU")
+        witness["inU"] = _add_plain_containment(lp, scaledM, ubar, U, "inU")
 
     lp.minimize(_abs_objective(lp, [T]))
     sol = lp.solve()
@@ -379,6 +409,7 @@ def rci(A, B, W, X, U, k, beta=0.0, simplified=None, backend=None, certify=True)
         beta,
         None if E is None else sol.value(E),
         sol.objective,
+        witness_values(sol, witness),
     )
     if certify:
         certify_solution(result, X, U)

@@ -238,6 +238,26 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
     return {"Lam": Lam, "lam": lam, "W": W, "rowsum_names": rowsum_names}
 
 
+def membership_lp_rowwise(Z, x):
+    """Row-at-a-time reference for ``geom.membership_lp``: the same LP
+    min |zeta|_inf s.t. x = c + G zeta, one ``add_eq``/``add_le`` per row;
+    returns the LP and zeta as LinExpr."""
+    from zonosynth.lpcore import LinearProgram, lin_sum
+
+    p = Z.num_generators
+    lp = LinearProgram(name="member")
+    zeta = lp.var_array("z", p)
+    q = lp.var("q", lb=0.0)
+    for i in range(Z.dim):
+        expr = lin_sum(Z.generators[i, k] * zeta[k] for k in range(p))
+        lp.add_eq(expr, float(x[i] - Z.center[i]))
+    for k in range(p):
+        lp.add_le(zeta[k] - q, 0.0)
+        lp.add_le(-zeta[k] - q, 0.0)
+    lp.minimize(q)
+    return lp, zeta
+
+
 def dense_matrix(rows, num_cols):
     """Dense constraint matrix of rows given as lists of (column, coefficient);
     repeated columns are summed left to right."""

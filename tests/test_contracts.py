@@ -6,6 +6,8 @@ max(0, 0.5 alpha_j + 0.1 - alpha_i) and the gradients are 0.5 / -1 wherever
 the slack is active.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -493,6 +495,47 @@ def test_check_correctness_flags_tampered_solution():
     report = check_correctness(net, tpl, params, {1: bad, 2: res.solutions[2]})
     assert not report.ok
     assert any("escapes" in f or "residual" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("make_network", [pair_network, gapped_input_pair])
+def test_check_correctness_rejects_tampering_past_the_witness(make_network):
+    net = make_network()
+    tpl = default_template(net)
+    params = alpha_max(net, tpl).scaled(0.5)
+    sols = extract_solutions(net, tpl, params)
+    good = sols[1]
+    report = check_correctness(net, tpl, params, sols)
+    assert report.ok and report.lp_fallbacks == 0, report.failures
+
+    # the kept witness still proves the old center, so its bound misses and
+    # the Hausdorff LP measures the escape
+    finite = isinstance(good.xbar, list)
+    shifted = dataclasses.replace(
+        good, xbar=[x + 0.3 for x in good.xbar] if finite else good.xbar + 0.3)
+    report = check_correctness(net, tpl, params, {**sols, 1: shifted})
+    assert not report.ok and report.lp_fallbacks >= 1
+    assert "1: Omega" in " ".join(report.failures)
+    escapes = [directed_hausdorff(tpl.state_set(params, 1, t), shifted.omega(t))
+               for t in range(len(tpl.state[1]))]
+    if finite:
+        steps = net.num_steps
+        escapes.append(directed_hausdorff(net.subsystem(1).X_at(steps),
+                                          shifted.omega(steps)))
+    assert report.max_state_margin == pytest.approx(max(escapes))
+
+    # one witness row scaled by 1.01 no longer proves the containment: the
+    # LP decides, accepts the correct solution, and still rejects the shift
+    key = f"inC{len(tpl.state[1]) - 1}"  # the last promise: Omega there is not a point
+    L = good.witness[key].copy()
+    q = int(np.flatnonzero(np.abs(L).sum(axis=1))[0])
+    L[q] *= 1.01
+    witness = {**good.witness, key: L}
+    report = check_correctness(
+        net, tpl, params, {**sols, 1: dataclasses.replace(good, witness=witness)})
+    assert report.ok and report.lp_fallbacks == 1, report.failures
+    report = check_correctness(
+        net, tpl, params, {**sols, 1: dataclasses.replace(shifted, witness=witness)})
+    assert not report.ok and report.lp_fallbacks >= 1
 
 
 def test_case1_potential_smoke():

@@ -13,7 +13,9 @@ from zonosynth.geom import (
     containment_lp,
     contains_point,
     directed_hausdorff,
+    hausdorff_bound,
     interval_hull,
+    membership_lp,
     minkowski_sum,
     order_reduce_box,
     point_zonotope,
@@ -21,6 +23,7 @@ from zonosynth.geom import (
     sample,
     scale_generators,
     stack,
+    witness_values,
     zonogon_area,
 )
 from zonosynth.lpcore import LinearProgram, LinExpr
@@ -366,3 +369,142 @@ class TestSupportProperties:
         lo, hi = interval_hull(Z)
         rlo, rhi = interval_hull(order_reduce_box(Z))
         assert np.allclose(lo, rlo) and np.allclose(hi, rhi)
+
+
+class TestMembershipEmitter:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_rows_match_rowwise_reference(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        p = data.draw(st.integers(1, 4), label="p")
+        G = data.draw(arrays(np.float64, (n, p),
+                             elements=st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0])))
+        Z = Zonotope(data.draw(vec(n)), G)
+        x = data.draw(vec(n))
+        fast, zeta = membership_lp(Z, x)
+        ref, zeta_ref = oracles.membership_lp_rowwise(Z, x)
+        assert fast.row_names() == ref.row_names()
+        assert fast._col_names == ref._col_names
+        assert np.array_equal(fast._senses(), ref._senses())
+        for a, b in zip(fast._assemble(), ref._assemble()):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert np.array_equal(zeta, [_column(e) for e in zeta_ref])
+        got, want = fast.solve(), ref.solve()
+        assert got.status == want.status
+        if got.is_optimal:
+            assert np.allclose(got.column_values(zeta), want.value(zeta_ref),
+                               rtol=0, atol=1e-12)
+
+
+def _contained_inner(rng, cols, scales):
+    """A zonotope inside Z(0, cols Diag(scales)), with its witness [Lam lam]."""
+    s = cols.shape[1]
+    L = rng.uniform(-1.0, 1.0, (s, int(rng.integers(0, 4)) + 1))
+    L *= (scales / np.maximum(np.abs(L).sum(axis=1), 1e-12))[:, None]
+    return Zonotope(-cols @ L[:, -1], cols @ L[:, :-1]), L
+
+
+class TestHausdorffBound:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bounds_the_lp_from_above_for_any_candidate(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        s = data.draw(st.integers(1, 3), label="s")
+        r = data.draw(st.integers(0, 3), label="r")
+        cols = data.draw(arrays(np.float64, (n, s), elements=finite))
+        scales = data.draw(arrays(np.float64, (s,), elements=st.floats(0.0, 2.0)))
+        inner = Zonotope(data.draw(vec(n)),
+                         data.draw(arrays(np.float64, (n, r), elements=finite)))
+        center = data.draw(vec(n))
+        L = data.draw(arrays(np.float64, (s, r + 1), elements=finite))
+        bound = hausdorff_bound(inner, center, cols, scales, L)
+        assert bound >= directed_hausdorff(Zonotope(center, cols * scales), inner) - 1e-9
+
+    def test_containment_lp_witness_certifies(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n, s = rng.integers(1, 4, size=2)
+            cols = rng.uniform(-1.5, 1.5, (n, s))
+            scales = rng.uniform(0.2, 1.5, s)
+            inner, _ = _contained_inner(rng, cols, scales)
+            lp = LinearProgram(name="ct")
+            handles = add_scaled_containment(lp, inner.generators, inner.center,
+                                             cols, scales, np.zeros(n), "ct")
+            sol = lp.solve()
+            assert sol.is_optimal
+            L = witness_values(sol, {"ct": handles})["ct"]
+            bound = hausdorff_bound(inner, np.zeros(n), cols, scales, L)
+            assert bound <= 1e-7
+            assert bound >= directed_hausdorff(Zonotope(np.zeros(n), cols * scales),
+                                               inner) - 1e-9
+
+    def test_hausdorff_lp_witness_is_tight(self):
+        # the Hausdorff LP's own witness, cut to the outer columns, charges
+        # exactly the box part to the residual: the bound is the LP optimum
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n, s, r = rng.integers(1, 4, size=3)
+            cols = rng.uniform(-1.5, 1.5, (n, s))
+            scales = rng.uniform(0.0, 1.5, s)
+            center = rng.uniform(-1, 1, n)
+            inner = Zonotope(rng.uniform(-1, 1, n), rng.uniform(-1.5, 1.5, (n, r)))
+            lp = LinearProgram(name="dh")
+            d = lp.var("d", lb=0.0)
+            handles = add_scaled_containment(
+                lp, inner.generators, inner.center, np.hstack([cols * scales, np.eye(n)]),
+                [1.0] * s + [d] * n, center, "dh")
+            lp.minimize(d)
+            sol = lp.solve()
+            L = witness_values(sol, {"dh": handles})["dh"][:s] * scales[:, None]
+            bound = hausdorff_bound(inner, center, cols, scales, L)
+            assert bound == pytest.approx(sol.objective, abs=1e-7)
+            assert bound >= directed_hausdorff(Zonotope(center, cols * scales),
+                                               inner) - 1e-9
+
+    def test_exact_on_intervals_with_the_unique_witness(self):
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            g = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+            scale = rng.uniform(0.0, 1.5)
+            oc, ic = rng.uniform(-1, 1, (2, 1))
+            ig = rng.uniform(-1.5, 1.5, (1, int(rng.integers(0, 4))))
+            L = np.hstack([ig, (oc - ic)[:, None]]) / g
+            bound = hausdorff_bound(Zonotope(ic, ig), oc, [[g]], [scale], L)
+            want = oracles.directed_hausdorff_oracle_1d(oc, [[g * scale]], ic, ig)
+            assert bound == pytest.approx(want, abs=1e-12)
+
+    def test_exact_on_boxes_with_the_unique_witness(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            g = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.2, 2.0, 2)
+            cols = np.diag(g)[:, rng.permutation(2)]
+            scales = rng.uniform(0.0, 1.5, 2)
+            oc, ic = rng.uniform(-1, 1, (2, 2))
+            ig = rng.uniform(-1.5, 1.5, (2, int(rng.integers(1, 4))))
+            L = np.linalg.solve(cols, np.hstack([ig, (oc - ic)[:, None]]))
+            bound = hausdorff_bound(Zonotope(ic, ig), oc, cols, scales, L)
+            want = oracles.directed_hausdorff_oracle_2d(oc, cols * scales, ic, ig)
+            assert bound == pytest.approx(want, abs=1e-9)
+
+    def test_strict_on_a_sheared_parallelotope(self):
+        # the witness is unique, yet its row excesses are charged to every
+        # row of |C| at once: 2 here, against a true distance of 1
+        cols = np.array([[1.0, 0.0], [1.0, 1.0]])
+        inner = Zonotope([1.0, 2.0], [[1.0], [0.0]])  # from C(2, 0) to C(0, 2)
+        L = np.linalg.solve(cols, np.hstack([inner.generators,
+                                             -inner.center[:, None]]))
+        bound = hausdorff_bound(inner, np.zeros(2), cols, np.ones(2), L)
+        assert bound == pytest.approx(2.0)
+        assert directed_hausdorff(Zonotope(np.zeros(2), cols), inner) == pytest.approx(1.0)
+        assert oracles.directed_hausdorff_oracle_2d(
+            np.zeros(2), cols, inner.center, inner.generators) == pytest.approx(1.0)
+
+    def test_missing_or_misshapen_candidate_is_infinite(self):
+        inner = Zonotope([0.0, 0.0], np.eye(2))
+        assert hausdorff_bound(inner, np.zeros(2), np.eye(2), np.ones(2), None) == np.inf
+        assert hausdorff_bound(inner, np.zeros(2), np.eye(2), np.ones(2),
+                               np.zeros((2, 2))) == np.inf
+        assert hausdorff_bound(inner, np.zeros(3), np.eye(3), np.ones(3),
+                               np.zeros((3, 3))) == np.inf
+        exact = np.hstack([np.eye(2), np.zeros((2, 1))])
+        assert hausdorff_bound(inner, np.zeros(2), np.eye(2), np.ones(2), exact) == 0.0

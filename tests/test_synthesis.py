@@ -378,13 +378,17 @@ def test_report_json_lp_sizes(tmp_path, driver):
     res = driver(pair_network(coupling=0.9))
     res.save(tmp_path / "r")
     with open(tmp_path / "r" / "report.json") as fh:
-        timings = json.load(fh)["timings"]
+        report = json.load(fh)
+    timings = report["timings"]
     assert res.ok
     assert all(timings[key] > 0
                for key in ("max_lp_rows", "max_lp_cols", "max_lp_nnz"))
     # only the compositional method extracts tubes after a descent
     want = 1 if driver is compositional_synthesize else 0
     assert timings["extract_attempts"] == want
+    # every containment is certified on the synthesis LP's own witness
+    assert report["correctness"]["ok"]
+    assert report["correctness"]["lp_fallbacks"] == 0
 
 
 def test_trace_csv_header(tmp_path):

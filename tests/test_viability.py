@@ -11,6 +11,7 @@ from zonosynth.viability import (
     RciSolution,
     ViableSolution,
     _certify,
+    certify_solution,
     escalate_k,
     extract_control,
     finite_viable,
@@ -272,6 +273,31 @@ def test_certify_rejects_blatant_violation():
     outer = zono([0.0], [[1.0]])
     with pytest.raises(CertificationError, match="containment"):
         _certify(inner, outer, "demo")
+
+
+def test_certify_solution_reads_the_lp_witnesses_first():
+    cases = [
+        (finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1,
+                       x0=zono([0.5], [[0.1]])), FIN["X"], FIN["U"],
+         {"inX0", "inX1", "inX2", "inU0", "inU1"}),
+        (rci(PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"],
+             PLANT2D["U"], k=4), PLANT2D["X"], PLANT2D["U"], {"inX", "inU"}),
+        (rci(CONTRACTION["A"], CONTRACTION["B"], CONTRACTION["W"],
+             CONTRACTION["X"], CONTRACTION["U"], k=1, beta=0.5),
+         CONTRACTION["X"], CONTRACTION["U"], {"inX"}),
+    ]
+    for sol, X, U, keys in cases:
+        assert set(sol.witness) == keys
+        state, inputs, lps = certify_solution(sol, X, U)
+        assert lps == 0 and 0.0 <= state <= 1e-7 and 0.0 <= inputs <= 1e-7
+        # witnesses are not serialized: a loaded solution certifies by LP
+        back = solution_from_json(sol.to_json())
+        assert back.witness is None and "witness" not in sol.to_json()
+        assert certify_solution(back, X, U)[2] == len(keys)
+        # a witness that proves nothing sends the check to the LP, which
+        # still accepts the (correct) solution
+        sol.witness = {key: 2.0 * L for key, L in sol.witness.items()}
+        assert certify_solution(sol, X, U)[2] == len(keys)
 
 
 def test_viable_solution_roundtrip():
