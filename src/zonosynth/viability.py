@@ -212,24 +212,25 @@ def certify_solution(solution, X, U):
     CertificationError on a violation; returns the largest Omega and Theta
     margins and the number of containments the LP decided.
     """
-    if isinstance(solution, RciSolution):
-        states = [(solution.omega(), X, "Omega in X", "inX")]
-        inputs = [(solution.theta(), U, "Theta in U", "inU")] \
-            if solution.M is not None else []
-    else:
-        states = [(solution.omega(t), X[t], f"Omega({t}) in X({t})", f"inX{t}")
-                  for t in range(solution.horizon + 1)]
-        inputs = [(solution.theta(t), U[t], f"Theta({t}) in U({t})", f"inU{t}")
-                  for t in range(solution.horizon)] if solution.M is not None else []
     witness = solution.witness or {}
-    margins, fallbacks = [], 0
-    for checks in (states, inputs):
-        worst = 0.0
-        for inner, outer, what, key in checks:
-            margin, lp = _certify(inner, outer, what, witness.get(key))
-            worst = max(worst, margin)
-            fallbacks += lp
-        margins.append(worst)
+    margins, fallbacks = [0.0, 0.0], 0
+
+    def check(channel, inner, outer, what, key):
+        nonlocal fallbacks
+        margin, lp = _certify(inner, outer, what, witness.get(key))
+        margins[channel] = max(margins[channel], margin)
+        fallbacks += lp
+
+    if isinstance(solution, RciSolution):
+        check(0, solution.omega(), X, "Omega in X", "inX")
+        if solution.M is not None:
+            check(1, solution.theta(), U, "Theta in U", "inU")
+    else:
+        for t in range(solution.horizon + 1):
+            check(0, solution.omega(t), X[t], f"Omega({t}) in X({t})", f"inX{t}")
+        if solution.M is not None:
+            for t in range(solution.horizon):
+                check(1, solution.theta(t), U[t], f"Theta({t}) in U({t})", f"inU{t}")
     return margins[0], margins[1], fallbacks
 
 
