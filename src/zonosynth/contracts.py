@@ -21,11 +21,13 @@ contracts stays a linear program.  The potential of a parameter vector is
 i.e. the total directed-Hausdorff-style slack by which the local solution
 misses its own promise.  V(alpha) = 0 certifies the composition.
 
-Both per-subsystem programs are built once and re-solved warm: the alpha
-enter only as pinned right-hand sides, so a new parameter vector rewrites
-those and nothing else.  ``PotentialProgram`` evaluates V_i, whose gradient
-falls out of the pin-row duals; ``ExtractionProgram`` solves the same
-viability problem without slack to extract the final tubes.
+Each subsystem has one LP, ``PotentialProgram``, built once and re-solved
+warm on one HiGHS instance for the whole synthesis.  Every alpha it reads
+is a column fixed by its bounds, so a new parameter vector moves those
+bounds in one solver call and nothing else; the gradient dV_i/dalpha is the
+fixed columns' reduced cost.  The same instance extracts the final tubes:
+``PotentialProgram.extract`` fixes the slack at zero, swaps the objective
+to the template size sum |T|, re-solves warm and puts both back.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ import numpy as np
 from . import lpcore
 from .geom import (Zonotope, add_scaled_containment, directed_hausdorff, hausdorff_bound,
                    scale_generators, witness_values)
-from .lpcore import LinearProgram, lin_matmul, lin_sum
+from .lpcore import LinearProgram, col_exprs, lin_sum
 from .sysmodel import _id_key
-from .viability import RciSolution, ViableSolution, _abs_objective
+from .viability import (RESIDUAL_TOL, RciSolution, ViableSolution, _abs_objective,
+                        add_recursion, recursion_residual)
 
 ALPHA_CAP = 1e6
 THREADS_ENV = "CONTRACT_SYNTH_THREADS"
@@ -200,11 +203,11 @@ class ContractParams:
                    load(data["max_x"]), load(data["max_u"]))
 
 
-def _max_alpha_lp(center, cols, admissible, backend=None):
+def _max_alpha_lp(center, cols, admissible):
     q = cols.shape[1]
     if q == 0:
         return np.zeros(0)
-    lp = LinearProgram(name="alphamax", backend=backend)
+    lp = LinearProgram(name="alphamax")
     a = lp.var_array("a", q, lb=0.0, ub=ALPHA_CAP)
     inner = np.empty(cols.shape, dtype=object)
     for i in range(cols.shape[0]):
@@ -222,7 +225,7 @@ def _max_alpha_lp(center, cols, admissible, backend=None):
     return np.minimum(sol.value(a), ALPHA_CAP)
 
 
-def alpha_max(network, template, backend=None):
+def alpha_max(network, template):
     """Outermost admissible parameters (ones for is_bounds templates)."""
     max_x = {}
     max_u = {}
@@ -230,14 +233,14 @@ def alpha_max(network, template, backend=None):
         sub = network.subsystem(sid)
         max_x[sid] = [
             np.ones(C.shape[1]) if template.is_bounds
-            else _max_alpha_lp(c, C, sub.X_at(t), backend)
+            else _max_alpha_lp(c, C, sub.X_at(t))
             for t, (c, C) in enumerate(entries)
         ]
     for sid, entries in template.input.items():
         sub = network.subsystem(sid)
         max_u[sid] = [
             np.ones(C.shape[1]) if template.is_bounds
-            else _max_alpha_lp(c, C, sub.U_at(t), backend)
+            else _max_alpha_lp(c, C, sub.U_at(t))
             for t, (c, C) in enumerate(entries)
         ]
     return ContractParams(
@@ -329,53 +332,61 @@ def _choose_columns(blocks, n, order):
     return kept, boxed
 
 
-def _w_expr_columns(blocks, split, alpha_cols, n):
-    """W_i generator columns as LP expressions: kept exact, remainder boxed."""
+def _w_columns(center, blocks, split, alpha_cols, n):
+    """W_i's columns in the ``W`` form of ``add_recursion``: kept exact,
+    remainder boxed into n diagonal columns.
+
+    ``alpha_cols[b]`` holds the column indices of block b's multipliers
+    (None for the local disturbance).  A kept column is alpha * base, with
+    constant 0.0 * base; a boxed radius sums its constant |entries| in
+    column order, plus alpha terms with coefficients |entry|.
+    """
     kept, boxed = split
-    columns = []
-    for bi, ci in kept:
+    const = np.zeros((n, len(kept) + (n if boxed else 0)))
+    rows, wcols, cols, coefs = [], [], [], []
+
+    def add_terms(base, wcol, alpha):
+        # alpha * base[i] in W entry (i, wcol[i]) for every nonzero base[i]
+        ii = np.flatnonzero(base)
+        rows.append(ii)
+        wcols.append(wcol[ii])
+        cols.append(np.full(len(ii), alpha))
+        coefs.append(base[ii])
+
+    for j, (bi, ci) in enumerate(kept):
         base = blocks[bi].cols[:, ci]
-        a = alpha_cols[bi]
-        if a is None:
-            columns.append([float(v) for v in base])
+        if alpha_cols[bi] is None:
+            const[:, j] = base
         else:
-            columns.append([a[ci] * float(v) for v in base])
+            const[:, j] = np.where(base < 0, -0.0, 0.0)
+            add_terms(base, np.full(n, j), alpha_cols[bi][ci])
     if boxed:
-        radii = []
-        for i in range(n):
-            terms = []
-            const = 0.0
-            for bi, ci in boxed:
-                coef = abs(float(blocks[bi].cols[i, ci]))
-                if coef == 0.0:
-                    continue
-                a = alpha_cols[bi]
-                if a is None:
-                    const += coef
-                else:
-                    terms.append(a[ci] * coef)
-            radii.append(lin_sum(terms) + const if terms else const)
-        for i in range(n):
-            col = [0.0] * n
-            col[i] = radii[i]
-            columns.append(col)
-    return columns
+        radius = np.zeros(n)
+        for bi, ci in boxed:
+            base = np.abs(blocks[bi].cols[:, ci])
+            if alpha_cols[bi] is None:
+                radius = radius + base
+            else:
+                add_terms(base, len(kept) + np.arange(n), alpha_cols[bi][ci])
+        const[:, len(kept):] = np.diag(radius)
+    index = np.zeros(0, dtype=np.int64)
+    terms = (np.concatenate(rows + [index]), np.concatenate(wcols + [index]),
+             np.concatenate(cols + [index]), np.concatenate(coefs + [np.zeros(0)]))
+    return center, const, terms
 
 
-def _w_numeric(network, template, params, sid, t, split):
-    """Numeric value of the reduced W_i(t, alpha) with the same column split."""
-    center, blocks = aug_blocks(network, template, sid, t)
+def _w_numeric(network, template, params, sid, t, split, structure=None):
+    """Numeric value of the reduced W_i(t, alpha) with the same column split;
+    ``structure`` is step t's ``aug_blocks``, when the caller has it."""
+    center, blocks = structure or aug_blocks(network, template, sid, t)
     n = center.shape[0]
     kept, boxed = split
-    cols = []
-    for bi, ci in kept:
-        a = _block_alpha(params, blocks[bi], t)
-        cols.append(blocks[bi].cols[:, ci] * a[ci])
+    alphas = [_block_alpha(params, block, t) for block in blocks]
+    cols = [blocks[bi].cols[:, ci] * alphas[bi][ci] for bi, ci in kept]
     if boxed:
         r = np.zeros(n)
         for bi, ci in boxed:
-            a = _block_alpha(params, blocks[bi], t)
-            r += np.abs(blocks[bi].cols[:, ci]) * a[ci]
+            r += np.abs(blocks[bi].cols[:, ci]) * alphas[bi][ci]
         cols.extend(list(np.diag(r).T))
     G = np.column_stack(cols) if cols else np.zeros((n, 0))
     return Zonotope(center, G)
@@ -387,7 +398,7 @@ def _w_numeric(network, template, params, sid, t, split):
 
 @dataclass
 class SubsystemHandles:
-    """LP variable handles produced by ``emit_subsystem``."""
+    """Column indices of the LP variables ``emit_subsystem`` created."""
 
     sid: object
     k: int
@@ -396,26 +407,28 @@ class SubsystemHandles:
     xbar: list
     M: list
     ubar: list
-    d_x: list
-    d_u: list
+    d_x: np.ndarray  # slack per state step (empty without slack)
+    d_u: np.ndarray  # slack per input step (empty without slack or inputs)
     splits: list
     structure: list  # per step: (center, blocks)
-    witness: dict  # hard containments only: row prefix -> containment handles
+    witness: dict  # row prefix -> containment handles, cut to the promise's rows
+    slack_cols: np.ndarray  # witness columns of the slack's identity columns
 
 
 def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
                    reduction_order=1, slack=True):
     """Emit subsystem ``sid``'s viability-under-contracts rows into ``lp``.
 
-    ``alpha_of(j, channel, t)`` returns the generator multipliers of
-    subsystem j's promised tube at step t, as numbers or LP expressions
-    (``channel`` is "x" or "u").  With ``slack=True`` every containment in
-    the own promise is padded by a nonnegative scalar d (one per step and
-    channel); their sum is this subsystem's potential share.  With
+    ``alpha_of(j, channel, t)`` returns the column indices of the generator
+    multipliers of subsystem j's promised tube at step t (``channel`` is "x"
+    or "u").  With ``slack=True`` every containment in the own promise is
+    padded by a nonnegative scalar d (one per step and channel) times the
+    identity; their sum is this subsystem's potential share.  With
     ``slack=False`` the containments are hard, which is what a centralized
-    program wants; the handles of those containment witnesses are then
-    kept, keyed by the row prefix without the subsystem tag ("inC0",
-    "term", "inU0", ...).
+    program wants.  The handles of the containment witnesses are kept,
+    keyed by the row prefix without the subsystem tag ("inC0", "term",
+    "inU0", ...) and cut to the rows of the promise itself; the witness
+    columns of the identity columns go to ``slack_cols``.
     """
     sub = network.subsystem(sid)
     n, m = sub.n, sub.m
@@ -434,182 +447,64 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     if finite:
         for t in range(steps):
             widths.append(widths[-1] + p_red[t])
-    T = [lp.var_array(f"{tag}:T{t}", (n, widths[t])) for t in range(steps_x)]
-    xbar = [lp.var_array(f"{tag}:x{t}", n) for t in range(steps_x)]
-    M = [lp.var_array(f"{tag}:M{t}", (m, widths[t])) for t in range(steps)] if m else None
-    ubar = [lp.var_array(f"{tag}:u{t}", m) for t in range(steps)] if m else None
-    d_x = [lp.var_array(f"{tag}:dx{t}", 1, lb=0.0)[0] for t in range(steps_x)] if slack else None
-    d_u = [lp.var_array(f"{tag}:du{t}", 1, lb=0.0)[0] for t in range(steps)] \
-        if slack and m else ([] if not m else None)
-
-    def w_columns(t):
-        center, blocks = structure[t]
-        alpha_cols = []
-        for block in blocks:
-            if block.kind == "local":
-                alpha_cols.append(None)
-            else:
-                alpha_cols.append(alpha_of(block.source,
-                                           "x" if block.kind == "state" else "u", t))
-        return center, _w_expr_columns(blocks, splits[t], alpha_cols, n)
+    T = [lp.var_block(f"{tag}:T{t}", (n, widths[t])) for t in range(steps_x)]
+    xbar = [lp.var_block(f"{tag}:x{t}", n) for t in range(steps_x)]
+    M = [lp.var_block(f"{tag}:M{t}", (m, widths[t])) for t in range(steps)] if m else None
+    ubar = [lp.var_block(f"{tag}:u{t}", m) for t in range(steps)] if m else None
+    none = np.zeros(0, dtype=np.int64)
+    d_x = np.array([lp.var_block(f"{tag}:dx{t}", 1, lb=0.0)[0]
+                    for t in range(steps_x)]) if slack else none
+    d_u = np.array([lp.var_block(f"{tag}:du{t}", 1, lb=0.0)[0]
+                    for t in range(steps)]) if slack and m else none
 
     for t in range(steps):
-        A_t = sub.A_at(t)
-        B_t = sub.B_at(t)
-        center_w, wcols = w_columns(t)
-        flow = lin_matmul(A_t, T[t])
-        if m:
-            flow = flow + lin_matmul(B_t, M[t])
-        t_next = T[t + 1] if finite else T[0]
-        width_next = widths[t + 1] if finite else widths[0]
-        for i in range(n):
-            for j in range(widths[t] + p_red[t]):
-                lhs = flow[i, j] if j < widths[t] else wcols[j - widths[t]][i]
-                if finite:
-                    rhs = t_next[i, j]
-                else:
-                    rhs = 0.0 if j < p_red[t] else t_next[i, j - p_red[t]]
-                lp.add_eq(lhs - rhs, 0.0, name=f"{tag}:rec[{t},{i},{j}]")
-        drift = lin_matmul(A_t, xbar[t].reshape(-1, 1))[:, 0]
-        if m:
-            drift = drift + lin_matmul(B_t, ubar[t].reshape(-1, 1))[:, 0]
-        x_next = xbar[t + 1] if finite else xbar[0]
-        for i in range(n):
-            lp.add_eq(drift[i] + float(center_w[i]) - x_next[i], 0.0,
-                      name=f"{tag}:cen[{t},{i}]")
+        center, blocks = structure[t]
+        alpha_cols = [None if block.kind == "local" else
+                      alpha_of(block.source, "x" if block.kind == "state" else "u", t)
+                      for block in blocks]
+        add_recursion(lp, sub.A_at(t), sub.B_at(t), T[t], M[t] if m else None, xbar[t],
+                      ubar[t] if m else None,
+                      _w_columns(center, blocks, splits[t], alpha_cols, n),
+                      T[t + 1] if finite else T[0], xbar[t + 1] if finite else xbar[0],
+                      (f"{tag}:rec[{t},", f"{tag}:cen[{t},"))
 
-    witness = {}
+    witness, slack_cols = {}, [none]
+
+    def contain(key, inner_G, inner_c, outer_cols, scales, outer_c, d=None):
+        q = outer_cols.shape[1]
+        if d is not None:
+            width = outer_cols.shape[0]
+            outer_cols = np.hstack([outer_cols, np.eye(width)])
+            scales = scales + list(col_exprs([d] * width))
+        h = add_scaled_containment(lp, col_exprs(inner_G), col_exprs(inner_c), outer_cols,
+                                   scales, np.asarray(outer_c, dtype=float), f"{tag}:{key}")
+        witness[key] = {name: h[name][:q] for name in h}
+        slack_cols.extend([h["Lam"][q:].ravel(), h["lam"][q:], h["W"][q:].ravel()])
+
     for t in range(steps_x):
         cx, Cx = _at(template.state[sid], t)
-        own = alpha_of(sid, "x", t)
-        scales = list(own)
-        outer_cols = Cx
-        if slack:
-            outer_cols = np.hstack([Cx, np.eye(n)])
-            scales = scales + [d_x[t]] * n
-        witness[f"inC{t}"] = add_scaled_containment(
-            lp, T[t], xbar[t], outer_cols, scales, np.asarray(cx, dtype=float),
-            f"{tag}:inC{t}")
+        contain(f"inC{t}", T[t], xbar[t], Cx, list(col_exprs(alpha_of(sid, "x", t))), cx,
+                d_x[t] if slack else None)
     if finite:
         Xh = sub.X_at(steps)
-        witness["term"] = add_scaled_containment(
-            lp, T[steps], xbar[steps], Xh.generators, [1.0] * Xh.num_generators,
-            Xh.center, f"{tag}:term")
+        contain("term", T[steps], xbar[steps], Xh.generators, [1.0] * Xh.num_generators,
+                Xh.center)
     if m:
         for t in range(steps):
             if sid in template.input:
                 cu, Cu = _at(template.input[sid], t)
-                scales = list(alpha_of(sid, "u", t))
-                outer_cols, outer_c = Cu, np.asarray(cu, dtype=float)
+                scales = list(col_exprs(alpha_of(sid, "u", t)))
             else:
                 U_t = sub.U_at(t)
-                scales = [1.0] * U_t.num_generators
-                outer_cols, outer_c = U_t.generators, U_t.center
-            if slack:
-                outer_cols = np.hstack([outer_cols, np.eye(m)])
-                scales = scales + [d_u[t]] * m
-            witness[f"inU{t}"] = add_scaled_containment(
-                lp, M[t], ubar[t], outer_cols, scales, outer_c, f"{tag}:inU{t}")
+                cu, Cu, scales = U_t.center, U_t.generators, [1.0] * U_t.num_generators
+            contain(f"inU{t}", M[t], ubar[t], Cu, scales, cu, d_u[t] if slack else None)
 
-    return SubsystemHandles(sid, k, widths, T, xbar, M, ubar, d_x, d_u,
-                            splits, structure, {} if slack else witness)
+    return SubsystemHandles(sid, k, widths, T, xbar, M, ubar, d_x, d_u, splits,
+                            structure, witness, np.concatenate(slack_cols))
 
 
 # ---------------------------------------------------------------------------
-# the per-subsystem programs: potential and hard extraction
-
-
-class _PinnedProgram:
-    """Subsystem ``sid``'s viability LP with every alpha a pinned variable.
-
-    Each multiplier the subsystem reads is a variable ``al:*`` fixed by an
-    equality row ``pin:*``.  Moving to new parameters only rewrites those
-    right-hand sides, so every solve after the first is a warm re-solve.
-    """
-
-    def __init__(self, network, template, sid, name, k, reduction_order,
-                 backend, slack):
-        self.network = network
-        self.template = template
-        self.sid = sid
-        self.reduction_order = reduction_order
-        sub = network.subsystem(sid)
-        steps = network.num_steps
-        steps_x = steps + 1 if network.mode == "finite" else 1
-
-        lp = LinearProgram(name=name, backend=backend)
-        self._pins = {}
-
-        def ensure_alpha(j, channel, t):
-            key = (j, channel, t)
-            if key in self._pins:
-                return self._pins[key][0]
-            entries = template.state[j] if channel == "x" else template.input[j]
-            q = _at(entries, t)[1].shape[1]
-            var = lp.var_array(f"al:{channel}:{j}:{t}", q)
-            names = []
-            for g in range(q):
-                name = f"pin:{channel}:{j}:{t}[{g}]"
-                lp.add_eq(var[g], 0.0, name=name)
-                names.append(name)
-            self._pins[key] = (var, names)
-            return var
-
-        # own promises first, in step order, so gradient layout is stable
-        for t in range(steps_x):
-            ensure_alpha(sid, "x", t)
-        if sub.m and sid in template.input:
-            for t in range(steps):
-                ensure_alpha(sid, "u", t)
-
-        self.handles = emit_subsystem(
-            lp, network, template, sid, ensure_alpha,
-            k=k, reduction_order=reduction_order, slack=slack)
-        self.lp = lp
-        self.k = self.handles.k
-
-    def _pin_value(self, params, key):
-        j, channel, t = key
-        series = params.x[j] if channel == "x" else params.u[j]
-        return _at(series, t)
-
-    def _solve_at(self, params):
-        """Pin ``params`` and re-solve.
-
-        Returns the LpSolution and the pinned values as one array, in pin
-        order (``_params_of`` reads them back).
-        """
-        pinned = []
-        for key, (_, names) in self._pins.items():
-            values = self._pin_value(params, key)
-            if len(values) != len(names):
-                raise ContractError(
-                    f"parameter block {key} has {len(values)} entries, "
-                    f"expected {len(names)}")
-            for g, name in enumerate(names):
-                v = float(values[g])
-                if v < -1e-12:
-                    raise ContractError(f"negative alpha at {key}[{g}]")
-                self.lp.set_rhs(name, max(v, 0.0))
-                pinned.append(v)
-        return self.lp.solve(), np.array(pinned)
-
-    def _params_of(self, pinned):
-        """The parameter series this program reads, from its pinned values."""
-        series = {"x": {}, "u": {}}
-        pos = 0
-        for (j, channel, t), (_, names) in self._pins.items():
-            series[channel].setdefault(j, {})[t] = pinned[pos:pos + len(names)]
-            pos += len(names)
-        # a step where a neighbor's block is absent (zero coupling) stays None
-        x, u = ({j: [steps.get(t) for t in range(max(steps) + 1)]
-                 for j, steps in series[channel].items()}
-                for channel in ("x", "u"))
-        return ContractParams(x, u, {}, {})
-
-    def _solution(self, sol, params):
-        return _numeric_solution(sol, self.handles, self.network,
-                                 self.template, self.sid, params)
+# the per-subsystem program: potential, gradient and hard extraction
 
 
 @dataclass
@@ -617,7 +512,7 @@ class PotentialEval:
     """One evaluation of V_i: value, gradient pieces, and the inner solution.
 
     ``solution`` is built on first access from this evaluation's own LP
-    solution and a copy of the parameter values it pinned, so later
+    solution and a copy of the parameter values it fixed, so later
     re-solves of the program or changes to those parameters leave it as it
     was.
     """
@@ -630,133 +525,196 @@ class PotentialEval:
     solve_seconds: float
     _program: object = field(repr=False)
     _lp_solution: object = field(repr=False)
-    _pinned: np.ndarray = field(repr=False)
+    _alpha_values: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def solution(self):
         program = self._program
         return program._solution(self._lp_solution,
-                                 program._params_of(self._pinned))
+                                 program._params_of(self._alpha_values))
 
 
-class PotentialProgram(_PinnedProgram):
-    """V_i as a reusable LP: alphas are pinned variables, re-solves are warm."""
+class PotentialProgram:
+    """Subsystem ``sid``'s one LP: V_i, its gradient and the hard extraction.
 
-    def __init__(self, network, template, sid, k=None, reduction_order=1,
-                 backend=None):
-        super().__init__(network, template, sid, f"potential[{sid}]", k,
-                         reduction_order, backend, slack=True)
-        objective = lin_sum(self.handles.d_x)
-        if self.handles.d_u:
-            objective = objective + lin_sum(self.handles.d_u)
-        self.lp.minimize(objective)
+    Every multiplier the subsystem reads is a column ``al:*`` fixed at its
+    value by its bounds; moving to new parameters sets those bounds in one
+    call, so every solve after the first is a warm re-solve, and the fixed
+    columns' reduced costs are dV_i/dalpha.  The objective is the slack sum
+    d; the columns of the size objective sum |T| sit in the model at zero
+    cost for ``extract``.
+    """
+
+    def __init__(self, network, template, sid, k=None, reduction_order=1):
+        self.network = network
+        self.template = template
+        self.sid = sid
+        sub = network.subsystem(sid)
+        steps = network.num_steps
+        steps_x = steps + 1 if network.mode == "finite" else 1
+
+        lp = LinearProgram(name=f"potential[{sid}]")
+        self._alpha = {}  # (j, channel, t) -> fixed columns, in creation order
+
+        def alpha_of(j, channel, t):
+            key = (j, channel, t)
+            if key not in self._alpha:
+                entries = template.state[j] if channel == "x" else template.input[j]
+                q = _at(entries, t)[1].shape[1]
+                self._alpha[key] = lp.var_block(f"al:{channel}:{j}:{t}", q, lb=0.0, ub=0.0)
+            return self._alpha[key]
+
+        # own promises first, in step order, so gradient layout is stable
+        for t in range(steps_x):
+            alpha_of(sid, "x", t)
+        if sub.m and sid in template.input:
+            for t in range(steps):
+                alpha_of(sid, "u", t)
+
+        h = emit_subsystem(lp, network, template, sid, alpha_of,
+                           k=k, reduction_order=reduction_order, slack=True)
+        size = _abs_objective(lp, h.T, prefix="size")
+        slack = np.concatenate([h.d_x, h.d_u])
+        self._alpha_cols = np.concatenate(list(self._alpha.values())).astype(np.int32)
+        # the objective's columns and their costs for V_i and for extraction
+        self._cost_cols = np.concatenate([slack, size])
+        self._potential_cost = np.r_[np.ones(len(slack)), np.zeros(len(size))]
+        self._extract_cost = 1.0 - self._potential_cost
+        lp.set_costs(self._cost_cols, self._potential_cost)
+        # fixed at 0 for extraction: d and the witness parts only d pays for
+        self._slack = np.concatenate([slack, h.slack_cols])
+        self._slack_bounds = lp.col_bounds(self._slack)
+        self.handles = h
+        self.lp = lp
+        self.k = h.k
+
+    def _fix(self, params):
+        """Fix the alpha columns at ``params``; returns their values, in
+        column order (``_params_of`` reads them back)."""
+        blocks = [_at(params.x[j] if channel == "x" else params.u[j], t)
+                  for j, channel, t in self._alpha]
+        for key, v, cols in zip(self._alpha, blocks, self._alpha.values()):
+            if len(v) != len(cols):
+                raise ContractError(
+                    f"parameter block {key} has {len(v)} entries, expected {len(cols)}")
+        values = np.concatenate(blocks, dtype=float)
+        if values.min(initial=0.0) < -1e-12:
+            key, v = next((key, v) for key, v in zip(self._alpha, blocks)
+                          if np.min(v) < -1e-12)
+            raise ContractError(f"negative alpha at {key}[{int(np.argmin(v))}]")
+        fixed = np.maximum(values, 0.0)
+        self.lp.set_col_bounds(self._alpha_cols, fixed, fixed)
+        return values
+
+    def _params_of(self, values):
+        """The parameter series this program reads, from its fixed values."""
+        series = {"x": {}, "u": {}}
+        pos = 0
+        for (j, channel, t), cols in self._alpha.items():
+            series[channel].setdefault(j, {})[t] = values[pos:pos + len(cols)]
+            pos += len(cols)
+        # a step where a neighbor's block is absent (zero coupling) stays None
+        x, u = ({j: [steps.get(t) for t in range(max(steps) + 1)]
+                 for j, steps in series[channel].items()}
+                for channel in ("x", "u"))
+        return ContractParams(x, u, {}, {})
+
+    def _solution(self, sol, params):
+        return _numeric_solution(sol, self.handles, self.network,
+                                 self.template, self.sid, params)
 
     def evaluate(self, params):
         """Warm re-solve of V_i at ``params``; raises PotentialInfeasible."""
-        sol, pinned = self._solve_at(params)
+        values = self._fix(params)
+        sol = self.lp.solve()
         if sol.status == lpcore.INFEASIBLE:
             raise PotentialInfeasible(
                 f"subsystem {self.sid!r}: no viable tube at these parameters")
         if sol.status != lpcore.OPTIMAL:
             raise lpcore.LpSolverError(
                 f"potential LP for {self.sid!r} ended with {sol.status}")
-        grads = {
-            key: np.array([sol.sensitivity(name) for name in names])
-            for key, (_, names) in self._pins.items()
-        }
+        duals = sol.column_duals(self._alpha_cols)
+        grads, pos = {}, 0
+        for key, cols in self._alpha.items():
+            grads[key] = duals[pos:pos + len(cols)]
+            pos += len(cols)
         h = self.handles
-        slack_x = np.array([sol.value(d) for d in h.d_x])
-        slack_u = np.array([sol.value(d) for d in h.d_u]) if h.d_u else np.zeros(0)
         return PotentialEval(
-            self.sid, max(0.0, sol.objective), grads, slack_x, slack_u,
-            sol.solve_seconds, self, sol, pinned)
+            self.sid, max(0.0, sol.objective), grads, sol.column_values(h.d_x),
+            sol.column_values(h.d_u), sol.solve_seconds, self, sol, values)
 
+    def extract(self, params):
+        """The hard tubes at ``params``, or None if none keeps the promises."""
+        sol = self._solve_hard(params)
+        return None if sol is None else self._solution(sol, params)
 
-class ExtractionProgram(_PinnedProgram):
-    """Subsystem ``sid``'s hard extraction LP, built once and re-solved warm.
+    def _solve_hard(self, params):
+        """The LP solution of the hard problem at ``params``, or None.
 
-    The pinned parameters of PotentialProgram, but without slack: every
-    containment in the own promise is hard, and the objective is the total
-    template size sum |T|.
-    """
-
-    def __init__(self, network, template, sid, k=None, reduction_order=1,
-                 backend=None):
-        super().__init__(network, template, sid, f"extract[{sid}]", k,
-                         reduction_order, backend, slack=False)
-        self.lp.minimize(_abs_objective(self.lp, self.handles.T, prefix="size"))
-
-    def solve(self, params):
-        """The tubes at ``params``, or None if the hard problem is infeasible."""
-        sol, _ = self._solve_at(params)
+        Solved on this program's own instance: the slack and its witness
+        columns are fixed at 0 and the objective becomes sum |T|; both are
+        put back afterwards, so the next ``evaluate`` is unaffected.
+        """
+        self._fix(params)
+        lp = self.lp
+        lp.set_col_bounds(self._slack, 0.0, 0.0)
+        lp.set_costs(self._cost_cols, self._extract_cost)
+        try:
+            sol = lp.solve()
+        finally:
+            lp.set_col_bounds(self._slack, *self._slack_bounds)
+            lp.set_costs(self._cost_cols, self._potential_cost)
         if sol.status == lpcore.INFEASIBLE:
             return None
         if sol.status != lpcore.OPTIMAL:
             raise lpcore.LpSolverError(
                 f"extraction LP for {self.sid!r} ended with {sol.status}")
-        return self._solution(sol, params)
+        return sol
 
 
 def _numeric_solution(sol, handles, network, template, sid, params):
     """Read a solved subsystem LP back into a Viable/RciSolution."""
     h = handles
-    T = [sol.value(Tt) for Tt in h.T]
-    xbar = [sol.value(xt) for xt in h.xbar]
-    M = [sol.value(Mt) for Mt in h.M] if h.M else None
-    ubar = [sol.value(ut) for ut in h.ubar] if h.ubar else None
+    T = [sol.column_values(Tt) for Tt in h.T]
+    xbar = [sol.column_values(xt) for xt in h.xbar]
+    M = [sol.column_values(Mt) for Mt in h.M] if h.M else None
+    ubar = [sol.column_values(ut) for ut in h.ubar] if h.ubar else None
     steps = network.num_steps
-    W = [_w_numeric(network, template, params, sid, t, h.splits[t])
+    W = [_w_numeric(network, template, params, sid, t, h.splits[t], h.structure[t])
          for t in range(steps)]
     size = float(sum(np.abs(Tt).sum() for Tt in T))
-    witness = witness_values(sol, h.witness) if h.witness else None
+    witness = witness_values(sol, h.witness)
     if network.mode == "finite":
         return ViableSolution("growing", T, xbar, M, ubar, W, size, witness)
     return RciSolution(T[0], xbar[0], M[0] if M else None,
                        ubar[0] if ubar else None, W[0], 0.0, None, size, witness)
 
 
-def extract_solutions(network, template, params, k=None, reduction_order=1,
-                      backend=None, programs=None):
+def extract_solutions(programs, params):
     """Per-subsystem tubes satisfying the promises at ``params`` exactly.
 
-    Unlike the potential LPs there is no slack here: each subsystem solves
-    its viability problem with hard containment in its own promised sets,
-    minimizing total template size (one ExtractionProgram per subsystem).
+    Unlike the potential there is no slack here: each subsystem's program
+    solves its viability problem with hard containment in its own promised
+    sets, minimizing total template size, warm on its own instance.
     Raises PotentialInfeasible naming the subsystems whose hard problem has
-    no solution (the potential at ``params`` is then necessarily positive).
-
-    ``programs`` is an optional cache of ExtractionPrograms keyed by id,
-    valid for one network, template, k, reduction order and backend.  A
-    missing program is built and stored there, so repeated extraction
-    re-solves them warm.  Without a cache each program is built, solved and
-    dropped before the next one is built.
+    no solution (the potential at ``params`` is then necessarily positive);
+    the tubes are read back only when every subsystem has one.
     """
-    solutions, losers = {}, []
-    for sid in network.sorted_ids():
-        program = programs.get(sid) if programs is not None else None
-        if program is None:
-            program = ExtractionProgram(network, template, sid, k=k,
-                                        reduction_order=reduction_order,
-                                        backend=backend)
-            if programs is not None:
-                programs[sid] = program
-        solution = program.solve(params)
-        if solution is None:
-            losers.append(sid)
-        else:
-            solutions[sid] = solution
+    ids = sorted(programs, key=_id_key)
+    solved = {sid: programs[sid]._solve_hard(params) for sid in ids}
+    losers = [sid for sid in ids if solved[sid] is None]
     if losers:
         raise PotentialInfeasible(
             "hard extraction infeasible for subsystem(s) "
             + ", ".join(repr(s) for s in losers))
-    return solutions
+    return {sid: programs[sid]._solution(solved[sid], params) for sid in ids}
 
 
-def build_programs(network, template, k=None, reduction_order=1, backend=None):
+def build_programs(network, template, k=None, reduction_order=1):
     """One PotentialProgram per subsystem, keyed by id."""
     return {
         sid: PotentialProgram(network, template, sid, k=k,
-                              reduction_order=reduction_order, backend=backend)
+                              reduction_order=reduction_order)
         for sid in network.sorted_ids()
     }
 
@@ -906,36 +864,9 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
                 max_input = max(max_input, margin)
                 if margin > tol:
                     failures.append(f"{sid}: Theta({t}) escapes its promise by {margin:.3e}")
-        max_res = max(max_res, _recursion_residual(network, sid, sol))
-    if max_res > 1e-8:
+        max_res = max(max_res, recursion_residual(
+            sol, [sub.A_at(t) for t in range(steps)], [sub.B_at(t) for t in range(steps)]))
+    if max_res > RESIDUAL_TOL:
         failures.append(f"recursion residual {max_res:.3e}")
     return CorrectnessReport(not failures, max_state, max_input, max_res, failures,
                              fallbacks)
-
-
-def _recursion_residual(network, sid, sol):
-    sub = network.subsystem(sid)
-    steps = network.num_steps
-    res = 0.0
-    for t in range(steps):
-        A_t, B_t = sub.A_at(t), sub.B_at(t)
-        W = sol.W[t] if isinstance(sol, ViableSolution) else sol.W
-        T_t = sol.T[t] if isinstance(sol, ViableSolution) else sol.T
-        flow = A_t @ T_t
-        drift = A_t @ (sol.xbar[t] if isinstance(sol, ViableSolution) else sol.xbar)
-        if sub.m:
-            M_t = sol.M[t] if isinstance(sol, ViableSolution) else sol.M
-            u_t = sol.ubar[t] if isinstance(sol, ViableSolution) else sol.ubar
-            flow = flow + B_t @ M_t
-            drift = drift + B_t @ u_t
-        lhs = np.hstack([flow, W.generators])
-        if isinstance(sol, ViableSolution):
-            rhs = sol.T[t + 1]
-            x_next = sol.xbar[t + 1]
-        else:
-            p = W.num_generators
-            rhs = np.hstack([np.zeros((sub.n, p)), sol.T])
-            x_next = sol.xbar
-        res = max(res, float(np.max(np.abs(lhs - rhs), initial=0.0)))
-        res = max(res, float(np.max(np.abs(drift + W.center - x_next))))
-    return res

@@ -312,11 +312,11 @@ class ContainmentCertificate:
     solve_seconds: float = 0.0
 
 
-def containment_lp(inner, outer, backend=None):
+def containment_lp(inner, outer):
     """Check Z_inner subset of Z_outer via the containment LP; returns a certificate."""
     if inner.dim != outer.dim:
         raise ValueError("dimension mismatch")
-    lp = LinearProgram(name="containment", backend=backend)
+    lp = LinearProgram(name="containment")
     handles = add_scaled_containment(
         lp, inner.generators, inner.center, outer.generators,
         [1.0] * outer.num_generators, outer.center, "ct")
@@ -330,7 +330,7 @@ def containment_lp(inner, outer, backend=None):
     return ContainmentCertificate(True, Gamma, gamma, margin, sol.solve_seconds)
 
 
-def directed_hausdorff(outer, inner, backend=None):
+def directed_hausdorff(outer, inner):
     """min d >= 0 with Z_inner inside Z_outer + d * unit box (directed Hausdorff).
 
     Zero iff the containment LP certifies Z_inner inside Z_outer; the box
@@ -339,7 +339,7 @@ def directed_hausdorff(outer, inner, backend=None):
     if inner.dim != outer.dim:
         raise ValueError("dimension mismatch")
     n = inner.dim
-    lp = LinearProgram(name="hausdorff", backend=backend)
+    lp = LinearProgram(name="hausdorff")
     d = lp.var("d", lb=0.0)
     cols = np.hstack([outer.generators, np.eye(n)])
     scales = [1.0] * outer.num_generators + [d] * n

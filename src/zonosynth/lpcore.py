@@ -1,19 +1,18 @@
-"""Sparse linear programs with named rows, duals, and cheap right-hand-side updates.
+"""Sparse linear programs with named rows, duals, and cheap warm updates.
 
-This is the single place in the package that talks to an LP solver.  Models are
-built incrementally, one row at a time from :class:`LinExpr` objects (sparse
-affine expressions) or a block of rows at a time from COO triplets; rows and
-variables can be named, and solutions expose both primal values and row duals
-by name.  Two backends are supported:
+This is the single place in the package that talks to an LP solver: the
+HiGHS bindings that ship inside scipy (``scipy.optimize._highspy``, scipy
+>= 1.15).  Models are built incrementally, one row at a time from
+:class:`LinExpr` objects (sparse affine expressions) or a block of rows at a
+time from COO triplets; rows and variables can be named, and solutions
+expose primal values, row duals by name and column duals (reduced costs) by
+index.
 
-* ``"highs"`` — the HiGHS bindings that ship inside scipy
-  (``scipy.optimize._highspy``).  This is the default when importable.  It
-  keeps the solver instance alive between solves so that updating only
-  equality right-hand sides (``set_rhs``) re-solves warm in microseconds,
-  and it reports true in-solver time.
-* ``"linprog"`` — plain ``scipy.optimize.linprog(method="highs")``.  Slower
-  (rebuilds the model every solve, wall-clock timing) but uses only public
-  scipy API.  Selected automatically if the bindings are missing.
+Column bounds and costs are kept as arrays.  The solver instance stays alive
+between solves, so :meth:`LinearProgram.set_col_bounds`,
+:meth:`LinearProgram.set_costs` and :meth:`LinearProgram.set_rhs` change it
+in place (one HiGHS call for a whole block of columns) and the next solve is
+a warm re-solve from the last basis.  Reported times are in-solver seconds.
 
 Sign conventions
 ----------------
@@ -25,26 +24,19 @@ duals of ``=`` and ``>=`` rows are the sensitivity itself.
 
 from __future__ import annotations
 
-import time
+import functools
 import threading
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 INF = float("inf")
 
-try:  # vendored HiGHS bindings (scipy >= 1.15)
-    from scipy.optimize._highspy import _core as _hcore
-
-    _HAVE_HIGHS = True
-except Exception:  # pragma: no cover - depends on scipy build
-    _hcore = None
-    _HAVE_HIGHS = False
-
-DEFAULT_BACKEND = "highs" if _HAVE_HIGHS else "linprog"
+from scipy.optimize._highspy import _core as _hcore  # vendored HiGHS (scipy >= 1.15)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -139,9 +131,6 @@ class LinExpr:
         self.terms = terms if terms is not None else {}
         self.const = float(const)
 
-    def copy(self):
-        return LinExpr(dict(self.terms), self.const)
-
     def __add__(self, other):
         if isinstance(other, LinExpr):
             terms = dict(self.terms)
@@ -221,29 +210,13 @@ def lin_triplets(items):
             np.array(consts, dtype=np.float64))
 
 
-def lin_matmul(A, X):
-    """Matrix product of a numeric matrix ``A`` with an expression matrix ``X``.
-
-    ``X`` entries may be LinExpr or numbers; returns an object array of
-    LinExpr.  Zero coefficients in ``A`` are skipped.
-    """
-    A = np.asarray(A, dtype=float)
-    X = np.asarray(X, dtype=object)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-        squeeze = True
-    else:
-        squeeze = False
-    n, s = A.shape
-    if X.shape[0] != s:
-        raise LpBuildError(f"lin_matmul shape mismatch: {A.shape} @ {X.shape}")
-    out = np.empty((n, X.shape[1]), dtype=object)
-    for i in range(n):
-        row = A[i]
-        nz = np.nonzero(row)[0]
-        for j in range(X.shape[1]):
-            out[i, j] = lin_sum(row[k] * as_expr(X[k, j]) for k in nz)
-    return out[:, 0] if squeeze else out
+def col_exprs(cols):
+    """The variables with column indices ``cols`` as an object array of
+    LinExpr of the same shape."""
+    cols = np.asarray(cols)
+    out = np.empty(cols.shape, dtype=object)
+    out.reshape(-1)[:] = [LinExpr({c: 1.0}) for c in cols.ravel().tolist()]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -272,21 +245,17 @@ class LinearProgram:
     by row and then column, plus per-row sense, bound, creation-time rhs and
     optional name.  :meth:`add_rows` appends a block of rows given as
     triplets; :meth:`add_eq`/:meth:`add_le`/:meth:`add_ge` append one row
-    given as a LinExpr.
+    given as a LinExpr.  Column bounds and costs are arrays, grown by
+    doubling as columns are added.
     """
 
-    def __init__(self, name="lp", backend=None):
+    def __init__(self, name="lp"):
         self.name = name
-        self.backend = backend or DEFAULT_BACKEND
-        if self.backend not in ("highs", "linprog"):
-            raise LpBuildError(f"unknown backend {self.backend!r}")
-        if self.backend == "highs" and not _HAVE_HIGHS:
-            raise LpBuildError("highs backend unavailable in this scipy build")
         self._col_names = []
         self._name_to_col = {}
-        self._col_lb = []
-        self._col_ub = []
-        self._obj = {}
+        self._lb = np.zeros(0)        # column arrays, valid up to num_vars
+        self._ub = np.zeros(0)
+        self._cost = np.zeros(0)
         self._obj_const = 0.0
         self._coo = []                # (rows, cols, coefs) blocks, in row order
         self._tail = ([], [], [])     # one-row triplets not yet in _coo
@@ -321,8 +290,13 @@ class LinearProgram:
             raise LpBuildError(f"duplicate variable name {dup!r}")
         self._name_to_col.update(new)
         self._col_names.extend(names)
-        self._col_lb.extend([float(lb)] * len(names))
-        self._col_ub.extend([float(ub)] * len(names))
+        stop = len(self._col_names)
+        if stop > len(self._lb):
+            extra = np.zeros(max(stop, 2 * len(self._lb)) - len(self._lb))
+            self._lb, self._ub, self._cost = (
+                np.concatenate([a, extra]) for a in (self._lb, self._ub, self._cost))
+        self._lb[first:stop] = float(lb)
+        self._ub[first:stop] = float(ub)
         self._structure_version += 1
         return first
 
@@ -345,10 +319,7 @@ class LinearProgram:
 
     def var_array(self, name, shape, lb=-INF, ub=INF):
         """Array of fresh variables named ``name[i]`` / ``name[i,j]``, as LinExpr."""
-        cols = self.var_block(name, shape, lb=lb, ub=ub)
-        out = np.empty(cols.shape, dtype=object)
-        out.reshape(-1)[:] = [LinExpr({c: 1.0}) for c in cols.ravel().tolist()]
-        return out
+        return col_exprs(self.var_block(name, shape, lb=lb, ub=ub))
 
     # -- constraints ---------------------------------------------------------
 
@@ -470,9 +441,38 @@ class LinearProgram:
 
     def minimize(self, expr):
         expr = as_expr(expr)
-        self._obj = {c: v for c, v in expr.terms.items() if v != 0.0}
+        self._cost[:] = 0.0
+        if expr.terms:
+            self._cost[list(expr.terms)] = list(expr.terms.values())
         self._obj_const = expr.const
         self._structure_version += 1
+
+    def _live(self):
+        """True if the solver instance holds the current structure."""
+        return self._solver is not None and self._built_version == self._structure_version
+
+    def col_bounds(self, cols):
+        """Copies of the (lower, upper) bounds of the columns ``cols``."""
+        cols = np.asarray(cols, dtype=np.int64)
+        return self._lb[cols].copy(), self._ub[cols].copy()
+
+    def set_col_bounds(self, cols, lb, ub):
+        """Set the bounds of the columns ``cols`` (``lb``/``ub`` scalars or
+        arrays).  A live solver instance takes them in one call, and the
+        next ``solve()`` is a warm re-solve."""
+        cols = np.asarray(cols, dtype=np.int32)
+        self._lb[cols] = lb
+        self._ub[cols] = ub
+        if self._live():
+            self._solver.changeColsBounds(len(cols), cols, self._lb[cols], self._ub[cols])
+
+    def set_costs(self, cols, values):
+        """Set the objective coefficients of the columns ``cols``; like
+        :meth:`set_col_bounds`, one call on a live solver instance."""
+        cols = np.asarray(cols, dtype=np.int32)
+        self._cost[cols] = values
+        if self._live():
+            self._solver.changeColsCost(len(cols), cols, self._cost[cols])
 
     def _row_index(self, name):
         idx = self._name_to_row.get(name)
@@ -485,9 +485,9 @@ class LinearProgram:
     def set_rhs(self, name, value):
         """Update the right-hand side of a named row in place.
 
-        On the highs backend this re-uses the live solver model, so the next
-        ``solve()`` is a warm re-solve.  ``value`` has the same meaning as the
-        ``rhs`` argument the row was created with.
+        This re-uses the live solver model, so the next ``solve()`` is a warm
+        re-solve.  ``value`` has the same meaning as the ``rhs`` argument the
+        row was created with.
         """
         idx = self._row_index(name)
         bound = self._bound0[idx] + (float(value) - self._rhs0[idx])
@@ -502,12 +502,6 @@ class LinearProgram:
 
     def _senses(self):
         return np.frombuffer(self._sense, dtype=np.uint8).copy()
-
-    def _cost(self):
-        cost = np.zeros(self.num_vars)
-        if self._obj:
-            cost[list(self._obj)] = list(self._obj.values())
-        return cost
 
     def _assemble(self):
         """The model as arrays, with the constraint matrix column-wise (CSC):
@@ -526,9 +520,9 @@ class LinearProgram:
         np.cumsum(np.bincount(cols, minlength=self.num_vars), out=start[1:])
         sense = self._senses()
         bound = np.frombuffer(self._bound, dtype=np.float64).copy()
-        return (start, rows[order], coefs[order], self._cost(),
-                np.asarray(self._col_lb, dtype=float),
-                np.asarray(self._col_ub, dtype=float),
+        n = self.num_vars
+        return (start, rows[order], coefs[order], self._cost[:n].copy(),
+                self._lb[:n].copy(), self._ub[:n].copy(),
                 np.where(sense == _LE, -INF, bound),
                 np.where(sense == _GE, INF, bound))
 
@@ -537,17 +531,15 @@ class LinearProgram:
     def solve(self, time_limit=None):
         if self.num_vars == 0:
             return self._solve_trivial()
-        if self.backend == "highs":
-            return self._solve_highs(time_limit)
-        return self._solve_linprog(time_limit)
+        return self._solve_highs(time_limit)
 
     def _solve_trivial(self):
         # No variables: every row is a constant; check feasibility directly.
         rlo, rhi = self._assemble()[6:]
         if np.any((rlo - 1e-12 > 0.0) | (rhi + 1e-12 < 0.0)):
-            return LpSolution(self, INFEASIBLE, None, np.zeros(0), None, None, 0.0)
-        return LpSolution(self, OPTIMAL, self._obj_const, np.zeros(0),
-                          np.zeros(self.num_rows), np.zeros(0), 0.0)
+            return LpSolution(self, INFEASIBLE, None, np.zeros(0), None, 0.0)
+        duals = SimpleNamespace(row_dual=np.zeros(self.num_rows), col_dual=np.zeros(0))
+        return LpSolution(self, OPTIMAL, self._obj_const, np.zeros(0), duals, 0.0)
 
     def _new_highs(self):
         solver = _hcore._Highs()
@@ -558,17 +550,17 @@ class LinearProgram:
 
     def _highs_model(self):
         """A fresh HighsLp of the current model, and its number of nonzeros."""
+        # HiGHS's infinity is IEEE inf, so bounds pass through unchanged
         start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
-        inf = _hcore.kHighsInf
         model = _hcore.HighsLp()
         model.num_col_ = self.num_vars
         model.num_row_ = self.num_rows
         model.col_cost_ = cost
         model.offset_ = 0.0
-        model.col_lower_ = np.where(np.isneginf(lb), -inf, lb)
-        model.col_upper_ = np.where(np.isposinf(ub), inf, ub)
-        model.row_lower_ = np.where(np.isneginf(rlo), -inf, rlo)
-        model.row_upper_ = np.where(np.isposinf(rhi), inf, rhi)
+        model.col_lower_ = lb
+        model.col_upper_ = ub
+        model.row_lower_ = rlo
+        model.row_upper_ = rhi
         model.a_matrix_.format_ = _hcore.MatrixFormat.kColwise
         model.a_matrix_.start_ = start
         model.a_matrix_.index_ = index
@@ -585,13 +577,11 @@ class LinearProgram:
         self._pending_row_bounds.clear()
 
     def _solve_highs(self, time_limit):
-        if self._solver is None or self._built_version != self._structure_version:
+        if not self._live():
             self._build_highs()
         elif self._pending_row_bounds:
             for idx, (lo, hi) in self._pending_row_bounds.items():
-                inf = _hcore.kHighsInf
-                self._solver.changeRowBounds(
-                    idx, -inf if lo == -INF else lo, inf if hi == INF else hi)
+                self._solver.changeRowBounds(idx, lo, hi)
             self._pending_row_bounds.clear()
         solver = self._solver
         solver.setOptionValue("time_limit", float(time_limit) if time_limit else INF)
@@ -604,18 +594,16 @@ class LinearProgram:
         if status == S.kUnboundedOrInfeasible:
             status = self._disambiguate_highs()
         if status == S.kOptimal:
-            sol = solver.getSolution()
+            sol = solver.getSolution()  # a copy: later solves leave it alone
             x = np.asarray(sol.col_value, dtype=float)
-            row_sens = np.asarray(sol.row_dual, dtype=float)
-            col_sens = np.asarray(sol.col_dual, dtype=float)
-            obj = float(self._cost() @ x) + self._obj_const
-            return LpSolution(self, OPTIMAL, obj, x, row_sens, col_sens, seconds)
+            obj = float(self._cost[:self.num_vars] @ x) + self._obj_const
+            return LpSolution(self, OPTIMAL, obj, x, sol, seconds)
         if status == S.kInfeasible:
-            return LpSolution(self, INFEASIBLE, None, None, None, None, seconds)
+            return LpSolution(self, INFEASIBLE, None, None, None, seconds)
         if status == S.kUnbounded:
-            return LpSolution(self, UNBOUNDED, None, None, None, None, seconds)
+            return LpSolution(self, UNBOUNDED, None, None, None, seconds)
         if status in (S.kTimeLimit, S.kIterationLimit):
-            return LpSolution(self, TIME_LIMIT, None, None, None, None, seconds)
+            return LpSolution(self, TIME_LIMIT, None, None, None, seconds)
         raise LpSolverError(f"solver failed on {self.name!r}: {status}")
 
     def _disambiguate_highs(self):
@@ -627,64 +615,15 @@ class LinearProgram:
         solver.run()
         return solver.getModelStatus()
 
-    def _solve_linprog(self, time_limit):
-        from scipy.optimize import linprog
-        from scipy.sparse import csc_matrix
-
-        start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
-        A = csc_matrix((value, index, start),
-                       shape=(self.num_rows, self.num_vars)).tocsr()
-        sense = self._senses()
-        eq = np.flatnonzero(sense == _EQ)
-        ineq = np.flatnonzero(sense != _EQ)
-        sign = np.where(sense[ineq] == _GE, -1.0, 1.0)  # ">" rows flip to "<"
-        A_ub = A[ineq]
-        A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
-        self._size = (self.num_rows, self.num_vars, len(value))
-        bounds = [(None if lo == -INF else lo, None if hi == INF else hi)
-                  for lo, hi in zip(self._col_lb, self._col_ub)]
-        options = {"presolve": True}
-        if time_limit:
-            options["time_limit"] = float(time_limit)
-        t0 = time.perf_counter()
-        res = linprog(
-            cost,
-            A_ub=A_ub if len(ineq) else None,
-            b_ub=np.where(sign > 0, rhi[ineq], -rlo[ineq]) if len(ineq) else None,
-            A_eq=A[eq] if len(eq) else None,
-            b_eq=rlo[eq] if len(eq) else None,
-            bounds=bounds,
-            method="highs",
-            options=options,
-        )
-        seconds = time.perf_counter() - t0
-        _notify_trackers(seconds, self._size)
-        if res.status == 0:
-            row_sens = np.zeros(self.num_rows)
-            if len(eq):
-                row_sens[eq] = res.eqlin.marginals
-            if len(ineq):
-                row_sens[ineq] += sign * res.ineqlin.marginals
-            col_sens = np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals)
-            obj = float(res.fun) + self._obj_const
-            return LpSolution(self, OPTIMAL, obj, np.asarray(res.x), row_sens,
-                              col_sens, seconds)
-        if res.status == 2:
-            return LpSolution(self, INFEASIBLE, None, None, None, None, seconds)
-        if res.status == 3:
-            return LpSolution(self, UNBOUNDED, None, None, None, None, seconds)
-        if res.status == 1:
-            return LpSolution(self, TIME_LIMIT, None, None, None, None, seconds)
-        raise LpSolverError(f"solver failed on {self.name!r}: {res.message}")
-
     # -- text dump -----------------------------------------------------------
 
     def to_lp_text(self):
         """Deterministic CPLEX-LP-style dump, for debugging and golden tests."""
-        start, index, value, _, _, _, rlo, rhi = self._assemble()
+        start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
         out = [f"\\ {self.name}", "Minimize"]
-        terms = " ".join(
-            f"{v:+.12g} {self._col_names[c]}" for c, v in sorted(self._obj.items()))
+        used = np.flatnonzero(cost)
+        terms = " ".join(f"{v:+.12g} {self._col_names[c]}"
+                         for c, v in zip(used.tolist(), cost[used].tolist()))
         out.append(f" obj: {terms if terms else '0'}")
         if self._obj_const:
             out.append(f"\\ objective constant {self._obj_const:+.12g}")
@@ -708,8 +647,7 @@ class LinearProgram:
             else:
                 out.append(f" {name}: {lhs} >= {rlo[r]:.12g}")
         out.append("Bounds")
-        for c, name in enumerate(self._col_names):
-            lo, hi = self._col_lb[c], self._col_ub[c]
+        for name, lo, hi in zip(self._col_names, lb.tolist(), ub.tolist()):
             if lo == -INF and hi == INF:
                 out.append(f" {name} free")
             elif lo == -INF:
@@ -732,18 +670,26 @@ class LpSolution:
     status: str
     objective: float | None
     _x: np.ndarray | None = field(repr=False)
-    _row_sens: np.ndarray | None = field(repr=False)
-    _col_sens: np.ndarray | None = field(repr=False)
+    _duals: object = field(repr=False)
     solve_seconds: float = 0.0
 
-    def __init__(self, lp, status, objective, x, row_sens, col_sens, solve_seconds):
+    def __init__(self, lp, status, objective, x, duals, solve_seconds):
+        """``duals`` has the row and column sensitivities as ``row_dual``
+        and ``col_dual``, read into arrays on first use (HiGHS's solution)."""
         self.lp = lp
         self.status = status
         self.objective = objective
         self._x = x
-        self._row_sens = row_sens
-        self._col_sens = col_sens
+        self._duals = duals
         self.solve_seconds = solve_seconds
+
+    @functools.cached_property
+    def _row_sens(self):
+        return np.asarray(self._duals.row_dual, dtype=float)
+
+    @functools.cached_property
+    def _col_sens(self):
+        return np.asarray(self._duals.col_dual, dtype=float)
 
     @property
     def is_optimal(self):
@@ -771,9 +717,16 @@ class LpSolution:
         return float(expr)
 
     def column_values(self, cols):
-        """Primal values of the variables with column indices ``cols`` (any shape)."""
+        """Primal values of the variables with column indices ``cols`` (any
+        shape); a signed zero reads as +0.0, as in :meth:`value`."""
         self._require_solution()
-        return self._x[np.asarray(cols, dtype=np.int64)]
+        return self._x[np.asarray(cols, dtype=np.int64)] + 0.0
+
+    def column_duals(self, cols):
+        """Reduced costs of the columns ``cols``: d(objective)/d(value) of a
+        column fixed by its bounds."""
+        self._require_solution()
+        return self._col_sens[np.asarray(cols, dtype=np.int64)]
 
     def sensitivity(self, name):
         """d(objective)/d(rhs) of the named row."""

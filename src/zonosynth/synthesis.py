@@ -12,9 +12,8 @@ Two roads to a correct composition:
   iteration re-solves |I| small independent LPs, each built once and
   re-solved warm (optionally in a thread pool), and steps against the dual
   subgradient.  V = 0 certifies the composition; the final parameters are
-  then solved without slack to extract the tubes and controllers.  When
-  that hard extraction fails and the descent resumes, every later attempt
-  re-solves the extraction LPs built for the second one, warm.
+  then solved without slack, on the same LPs, to extract the tubes and
+  controllers.  When that hard extraction fails, the descent resumes.
 
 The step rule deserves a note.  V is convex piecewise-linear, and a plain
 backtracking line search can wedge into a kink where the negative
@@ -33,6 +32,7 @@ import csv
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,8 +52,9 @@ from .contracts import (
     _numeric_solution,
 )
 from .geom import add_scaled_containment
-from .lpcore import LinearProgram, lin_sum
+from .lpcore import LinearProgram, col_exprs
 from .sysmodel import ConfigError, aggregate, load_network, save_network
+from .viability import recursion_residual
 
 #: machine-readable remedy attached to failed syntheses (the advisory is to
 #: re-run with a larger generator budget k or a higher reduction order).
@@ -108,6 +109,18 @@ def _initial_params(caps, cfg):
         vec = caps.to_vector() * rng.uniform(0.0, 1.0, caps.to_vector().size)
         return caps.from_vector(vec)
     return caps.scaled(0.5)
+
+
+class _Phases(dict):
+    """Wall seconds per phase; ``with phases("build"): ...`` adds to one."""
+
+    @contextmanager
+    def __call__(self, name):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self[name] = self.get(name, 0.0) + time.perf_counter() - t0
 
 
 def _check_mode(network, mode):
@@ -295,97 +308,99 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
     _check_mode(network, mode)
     tpl = template if template is not None else default_template(network)
     wall0 = time.perf_counter()
+    phases = _Phases()
     trace = []
-    hint = None
     solutions = None
     value = None
     it = 0
     attempts = 0
 
+    def step(res):
+        """One descent step from ``res``: its evaluation, or None if wedged."""
+        nonlocal params, it
+        with phases("descent"):
+            stepped = _descent_step(programs, params, res, cfg)
+        if stepped is None:
+            return None
+        params, res, s = stepped
+        it += 1
+        trace.append((it, res.value, float(np.linalg.norm(res.grad.to_vector())), s))
+        return res
+
     with lpcore.track_solver_time() as solver:
-        caps = alpha_max(network, tpl)
-        params = project_box(_initial_params(caps, cfg), caps)
-        try:
+        with phases("build"):
+            caps = alpha_max(network, tpl)
+            params = project_box(_initial_params(caps, cfg), caps)
             programs = build_programs(network, tpl, k=cfg.k,
                                       reduction_order=cfg.reduction_order)
-            res = potential(programs, params, threads=cfg.threads)
+        try:
+            with phases("descent"):
+                res = potential(programs, params, threads=cfg.threads)
         except PotentialInfeasible as exc:
-            hint = RETRY_HINT
             return _finish(
                 SynthesisResult(
                     status="failed", method="compositional", mode=network.mode,
                     value=None, objective=None, iterations=0, params=params,
-                    solutions=None, trace=trace, hint=f"{exc}; {hint}",
+                    solutions=None, trace=trace, hint=f"{exc}; {RETRY_HINT}",
                     network=network, template=tpl),
-                solver, wall0, certify_seconds=0.0)
+                solver, wall0, phases)
 
         trace.append((0, res.value, float(np.linalg.norm(res.grad.to_vector())), 0.0))
         while it < cfg.max_iters and res.value > cfg.tol_v:
-            stepped = _descent_step(programs, params, res, cfg)
+            stepped = step(res)
             if stepped is None:
                 break
-            params, res, s = stepped
-            it += 1
-            trace.append((it, res.value,
-                          float(np.linalg.norm(res.grad.to_vector())), s))
+            res = stepped
         value = res.value
 
         if value <= cfg.tol_v:
             # Re-run satisfiability without slack at the final parameters.
             # The stopping tolerance permits a whisker of residual slack, so
             # the hard problem can miss by ~tol_v; in that case keep
-            # descending (the budget still applies) until it closes.  A
-            # single attempt keeps no extraction LP alive; once one fails,
-            # the programs are kept and later attempts re-solve them warm.
-            extraction = None
+            # descending (the budget still applies) until it closes.
             while True:
                 attempts += 1
                 try:
-                    solutions = extract_solutions(
-                        network, tpl, params, k=cfg.k,
-                        reduction_order=cfg.reduction_order,
-                        programs=extraction)
+                    with phases("extract"):
+                        solutions = extract_solutions(programs, params)
                     value = res.value
                     break
                 except PotentialInfeasible:
-                    if extraction is None:
-                        extraction = {}
-                    if it >= cfg.max_iters:
-                        break
-                    stepped = _descent_step(programs, params, res, cfg)
+                    stepped = step(res) if it < cfg.max_iters else None
                     if stepped is None:
                         break
-                    params, res, s = stepped
-                    it += 1
-                    trace.append((it, res.value,
-                                  float(np.linalg.norm(res.grad.to_vector())), s))
+                    res = stepped
 
-    certify0 = time.perf_counter()
     correctness = None
-    if solutions is not None:
-        correctness = check_correctness(network, tpl, params, solutions)
-        status = "correct" if correctness.ok else "failed"
-        if not correctness.ok:
-            hint = RETRY_HINT
-    else:
-        status = "failed"
-        hint = RETRY_HINT
-    certify_seconds = time.perf_counter() - certify0
+    with phases("certify"):
+        if solutions is not None:
+            correctness = check_correctness(network, tpl, params, solutions)
+    status = "correct" if correctness is not None and correctness.ok else "failed"
 
     return _finish(
         SynthesisResult(
             status=status, method="compositional", mode=network.mode,
             value=value, objective=None, iterations=it, params=params,
-            solutions=solutions, trace=trace, hint=hint,
+            solutions=solutions, trace=trace,
+            hint=None if status == "correct" else RETRY_HINT,
             correctness=correctness, network=network, template=tpl),
-        solver, wall0, certify_seconds, extract_attempts=attempts)
+        solver, wall0, phases, extract_attempts=attempts)
 
 
-def _finish(result, solver, wall0, certify_seconds, extract_attempts=0):
+def _finish(result, solver, wall0, phases, extract_attempts=0):
+    """Stamp the solver totals and the per-phase wall seconds on ``result``.
+
+    The phases: ``build`` makes the synthesis LPs (for the dense baseline,
+    folds the network and builds its one LP); ``descent`` is the potential
+    descent (0 for the one-LP methods); ``extract`` solves for the tubes and
+    reads them back (compositional: every hard extraction attempt);
+    ``certify`` is check_correctness.
+    """
     result.timings = {
         "solve_seconds": solver.seconds,
         "solves": solver.solves,
-        "certify_seconds": certify_seconds,
+        **{f"{name}_seconds": phases.get(name, 0.0)
+           for name in ("build", "descent", "extract", "certify")},
         "wall_seconds": time.perf_counter() - wall0,
         "max_lp_rows": solver.max_rows,
         "max_lp_cols": solver.max_cols,
@@ -400,7 +415,7 @@ def _finish(result, solver, wall0, certify_seconds, extract_attempts=0):
 
 
 def centralized_synthesize(network, template=None, mode=None, k=None,
-                           reduction_order=None, backend=None):
+                           reduction_order=None):
     """All subsystems' viability plus the coupling definitions in one LP.
 
     Minimizes the total promised state-tube size sum_{i,t} sum(alpha^x).
@@ -416,67 +431,67 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
     _check_mode(network, mode)
     tpl = template if template is not None else default_template(network)
     wall0 = time.perf_counter()
+    phases = _Phases()
     ids = network.sorted_ids()
 
     with lpcore.track_solver_time() as solver:
-        lp = LinearProgram(name="centralized", backend=backend)
-        cap = 1.0 if tpl.is_bounds else lpcore.INF
-        alphas = {}
+        with phases("build"):
+            lp = LinearProgram(name="centralized")
+            cap = 1.0 if tpl.is_bounds else lpcore.INF
+            alphas = {}
 
-        def ensure(j, channel, t):
-            entries = tpl.state[j] if channel == "x" else tpl.input[j]
-            t = min(t, len(entries) - 1)
-            key = (j, channel, t)
-            if key not in alphas:
-                width = np.asarray(entries[t][1]).shape[1]
-                alphas[key] = lp.var_array(f"al:{channel}:{j}:{t}", width,
-                                           lb=0.0, ub=cap)
-            return list(alphas[key])
+            def ensure(j, channel, t):
+                entries = tpl.state[j] if channel == "x" else tpl.input[j]
+                t = min(t, len(entries) - 1)
+                key = (j, channel, t)
+                if key not in alphas:
+                    width = np.asarray(entries[t][1]).shape[1]
+                    alphas[key] = lp.var_block(f"al:{channel}:{j}:{t}", width,
+                                               lb=0.0, ub=cap)
+                return alphas[key]
 
-        handles = {
-            sid: emit_subsystem(lp, network, tpl, sid, ensure, k=k,
-                                reduction_order=reduction_order, slack=False)
-            for sid in ids
-        }
+            handles = {
+                sid: emit_subsystem(lp, network, tpl, sid, ensure, k=k,
+                                    reduction_order=reduction_order, slack=False)
+                for sid in ids
+            }
 
-        if not tpl.is_bounds:
-            _admissibility_rows(lp, network, tpl, ensure)
+            if not tpl.is_bounds:
+                _admissibility_rows(lp, network, tpl, ensure)
 
-        objective = lin_sum(
-            [lin_sum(ensure(sid, "x", t))
-             for sid in ids for t in range(len(tpl.state[sid]))])
-        lp.minimize(objective)
-        sol = lp.solve()
+            lp.set_costs(np.concatenate([ensure(sid, "x", t) for sid in ids
+                                         for t in range(len(tpl.state[sid]))]), 1.0)
 
-        if sol.status == lpcore.INFEASIBLE:
-            return _finish(
-                SynthesisResult(
-                    status="failed", method="centralized", mode=network.mode,
-                    value=None, objective=None, iterations=0, params=None,
-                    solutions=None, hint=RETRY_HINT, network=network,
-                    template=tpl),
-                solver, wall0, certify_seconds=0.0)
-        if sol.status != lpcore.OPTIMAL:
-            raise lpcore.LpSolverError(f"centralized LP ended with {sol.status}")
+        with phases("extract"):
+            sol = lp.solve()
+            if sol.status == lpcore.INFEASIBLE:
+                return _finish(
+                    SynthesisResult(
+                        status="failed", method="centralized", mode=network.mode,
+                        value=None, objective=None, iterations=0, params=None,
+                        solutions=None, hint=RETRY_HINT, network=network,
+                        template=tpl),
+                    solver, wall0, phases)
+            if sol.status != lpcore.OPTIMAL:
+                raise lpcore.LpSolverError(f"centralized LP ended with {sol.status}")
 
-        caps = alpha_max(network, tpl)
-        x_vals, u_vals = {}, {}
-        for sid in ids:
-            x_vals[sid] = [np.maximum(sol.value(alphas[(sid, "x", t)]), 0.0)
-                           for t in range(len(tpl.state[sid]))]
-            if sid in tpl.input:
-                u_vals[sid] = [np.maximum(sol.value(alphas[(sid, "u", t)]), 0.0)
-                               for t in range(len(tpl.input[sid]))]
-        params = ContractParams(x=x_vals, u=u_vals,
-                                max_x=caps.x, max_u=caps.u)
-        solutions = {
-            sid: _numeric_solution(sol, handles[sid], network, tpl, sid, params)
-            for sid in ids
-        }
+            caps = alpha_max(network, tpl)
+            x_vals, u_vals = {}, {}
+            for sid in ids:
+                x_vals[sid] = [np.maximum(sol.column_values(alphas[(sid, "x", t)]), 0.0)
+                               for t in range(len(tpl.state[sid]))]
+                if sid in tpl.input:
+                    u_vals[sid] = [np.maximum(sol.column_values(alphas[(sid, "u", t)]), 0.0)
+                                   for t in range(len(tpl.input[sid]))]
+            params = ContractParams(x=x_vals, u=u_vals,
+                                    max_x=caps.x, max_u=caps.u)
+            solutions = {
+                sid: _numeric_solution(sol, handles[sid], network, tpl, sid, params)
+                for sid in ids
+            }
 
-    certify0 = time.perf_counter()
-    correctness = check_correctness(network, tpl, params, solutions)
-    certify_seconds = time.perf_counter() - certify0
+    with phases("certify"):
+        correctness = check_correctness(network, tpl, params, solutions)
     status = "correct" if correctness.ok else "failed"
 
     return _finish(
@@ -486,7 +501,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
             iterations=0, params=params, solutions=solutions,
             hint=None if correctness.ok else RETRY_HINT,
             correctness=correctness, network=network, template=tpl),
-        solver, wall0, certify_seconds)
+        solver, wall0, phases)
 
 
 def _admissibility_rows(lp, network, template, ensure):
@@ -494,7 +509,7 @@ def _admissibility_rows(lp, network, template, ensure):
     for sid in network.sorted_ids():
         sub = network.subsystem(sid)
         for t, (c, C) in enumerate(template.state[sid]):
-            alpha = ensure(sid, "x", t)
+            alpha = col_exprs(ensure(sid, "x", t))
             C = np.asarray(C, float)
             inner = np.empty(C.shape, dtype=object)
             for (i, j), v in np.ndenumerate(C):
@@ -504,7 +519,7 @@ def _admissibility_rows(lp, network, template, ensure):
                                    X.generators, [1.0] * X.num_generators,
                                    X.center, f"adm:x:{sid}:{t}")
         for t, (c, C) in enumerate(template.input.get(sid, ())):
-            alpha = ensure(sid, "u", t)
+            alpha = col_exprs(ensure(sid, "u", t))
             C = np.asarray(C, float)
             inner = np.empty(C.shape, dtype=object)
             for (i, j), v in np.ndenumerate(C):
@@ -519,48 +534,53 @@ def _admissibility_rows(lp, network, template, ensure):
 # dense baseline (no decomposition at all)
 
 
-def centralized_dense(network, mode=None, k=None, beta=0.0, backend=None):
+def centralized_dense(network, mode=None, k=None, beta=0.0):
     """Fold the whole network into one system and solve it monolithically.
 
     The benchmark baseline: no contracts, no structure, one big viability
     problem whose LP grows with the total dimension.  The single aggregate
-    solution is stored under the key "aggregate".
+    solution is stored under the key "aggregate".  It is stamped "correct"
+    after its containments and its aggregate recursion are re-checked.
     """
     _check_mode(network, mode)
-    agg = aggregate(network)
     wall0 = time.perf_counter()
-    n_total = agg.A[0].shape[0]
+    phases = _Phases()
 
     with lpcore.track_solver_time() as solver:
-        if network.mode == "infinite":
-            budget = k if k is not None else n_total + agg.D[0].num_generators
-            X, U = agg.X[0], agg.U[0]
-            sol = viability.rci(agg.A[0], agg.B[0], agg.D[0], X, U, k=budget,
-                                beta=beta, backend=backend, certify=False)
-        else:
-            X, U = list(agg.X), list(agg.U)
-            sol = viability.finite_viable(list(agg.A), list(agg.B),
-                                          list(agg.D), X, U, k=k or 0,
-                                          backend=backend, certify=False)
+        with phases("build"):
+            agg = aggregate(network)
+            if network.mode == "infinite":
+                n_total = agg.A[0].shape[0]
+                budget = k if k is not None else n_total + agg.D[0].num_generators
+                X, U = agg.X[0], agg.U[0]
+                lp, read = viability.rci_lp(agg.A[0], agg.B[0], agg.D[0], X, U,
+                                            k=budget, beta=beta)
+            else:
+                X, U = list(agg.X), list(agg.U)
+                lp, read = viability.finite_viable_lp(list(agg.A), list(agg.B),
+                                                      list(agg.D), X, U, k=k or 0)
+        with phases("extract"):
+            sol = viability.solve_and_read(lp, read, lp.name)
 
-    # The containment checks are certification, metered apart from the
-    # synthesis LP as in the other two methods.
-    certify0 = time.perf_counter()
+    # Certification is metered apart from the synthesis LP, as in the
+    # other two methods.
     correctness = None
-    if sol is not None:
-        # containments only: the aggregate recursion is not re-checked
-        state, inputs, fallbacks = viability.certify_solution(sol, X, U)
-        correctness = CorrectnessReport(True, state, inputs, None,
-                                        lp_fallbacks=fallbacks)
-    certify_seconds = time.perf_counter() - certify0
+    with phases("certify"):
+        if sol is not None:
+            state, inputs, fallbacks = viability.certify_solution(sol, X, U)
+            residual = recursion_residual(sol, agg.A, agg.B)
+            failures = [] if residual <= viability.RESIDUAL_TOL else [
+                f"aggregate: recursion residual {residual:.3e}"]
+            correctness = CorrectnessReport(not failures, state, inputs, residual,
+                                            failures, lp_fallbacks=fallbacks)
+    ok = correctness is not None and correctness.ok
 
-    status = "correct" if sol is not None else "failed"
     return _finish(
         SynthesisResult(
-            status=status, method="centralized-dense", mode=network.mode,
-            value=None, objective=sol.objective if sol else None,
+            status="correct" if ok else "failed", method="centralized-dense",
+            mode=network.mode, value=None, objective=sol.objective if sol else None,
             iterations=0, params=None,
             solutions={"aggregate": sol} if sol else None,
-            hint=None if sol else RETRY_HINT, correctness=correctness,
+            hint=None if ok else RETRY_HINT, correctness=correctness,
             network=network),
-        solver, wall0, certify_seconds)
+        solver, wall0, phases)

@@ -27,6 +27,9 @@ The objective min sum |T entries| shrinks the sets (an LP surrogate for the
 generator norms); infeasibility is a *result* (None), not an error.  All
 returned solutions re-certify their containments before being handed back,
 first on the containment witnesses the LP itself found.
+
+The recursion rows of both programs, and of the per-subsystem contract
+programs in ``contracts``, come from one block emitter, :func:`add_recursion`.
 """
 
 from __future__ import annotations
@@ -38,35 +41,108 @@ import numpy as np
 from . import lpcore
 from .geom import (Zonotope, add_scaled_containment, contains_point, directed_hausdorff,
                    hausdorff_bound, witness_values)
-from .lpcore import LinearProgram, LinExpr, lin_matmul, lin_triplets
+from .lpcore import LinearProgram, col_exprs
+
+
+#: largest recursion residual a certified solution may have
+RESIDUAL_TOL = 1e-8
 
 
 class CertificationError(lpcore.LpError):
     """An LP-feasible solution failed its independent containment check."""
 
 
-def _abs_objective(lp, matrices, prefix="absT"):
-    """Aux variables bounding |entry| for each entry of each matrix; returns their sum."""
+def _abs_objective(lp, blocks, prefix="absT"):
+    """Aux columns s >= |x| for every variable x of each block of column
+    indices; returns the aux columns, whose sum is the size objective."""
     aux = []
-    for idx, mat in enumerate(matrices):
-        mat = np.asarray(mat, dtype=object)
-        if mat.size == 0:
+    for idx, cols in enumerate(blocks):
+        cols = np.asarray(cols)
+        size = cols.size
+        if size == 0:
             continue
-        s = lp.var_block(f"{prefix}{idx}", mat.shape, lb=0.0).ravel()
-        # entry e gives rows 2e (entry - s[e] <= 0) and 2e + 1 (-entry - s[e] <= 0)
-        owner, cols, coefs, consts = lin_triplets(mat.ravel())
-        pair = 2 * np.arange(mat.size)
-        lp.add_rows(np.concatenate([2 * owner, 2 * owner + 1, pair, pair + 1]),
-                    np.concatenate([cols, cols, s, s]),
-                    np.concatenate([coefs, -coefs, np.full(2 * mat.size, -1.0)]),
-                    np.column_stack([-consts, consts]).ravel(), "<")
+        s = lp.var_block(f"{prefix}{idx}", cols.shape, lb=0.0).ravel()
+        # entry e gives rows 2e (x - s[e] <= -0.0) and 2e + 1 (-x - s[e] <= 0)
+        pair = 2 * np.arange(size)
+        lp.add_rows(np.concatenate([pair, pair + 1, pair, pair + 1]),
+                    np.concatenate([cols.ravel(), cols.ravel(), s, s]),
+                    np.concatenate([np.ones(size), -np.ones(size), np.full(2 * size, -1.0)]),
+                    np.tile([-0.0, 0.0], size), "<")
         aux.append(s)
-    return LinExpr(dict.fromkeys(np.concatenate(aux).tolist() if aux else [], 1.0))
+    return np.concatenate(aux) if aux else np.zeros(0, dtype=np.int64)
 
 
-def _add_plain_containment(lp, inner_G, inner_c, outer, prefix):
+def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
+    """Emit one step of the tube recursion and its center row as one block.
+
+    With w columns in ``T`` and p in W, rows (i, j), i < n and j < w + p,
+    come first, i-major, and read
+
+        [A T + B M, W][i, j] = R[i, j],   R = [E, T_next] or [0, T_next],
+
+    where ``T_next`` has w + p columns (a growing tube: no left part) or w
+    (the left part is ``E``, or zero when ``E`` is None).  Rows i < n then
+    read ``A xbar + B ubar + W.center - x_next = 0``.  Every tube argument is
+    an array of column indices; ``B``, ``M`` and ``ubar`` are None without
+    inputs.  ``W`` is ``(center, const, terms)``: entry (i, j) of the W
+    columns is ``const[i, j]`` plus the terms ``coefs[e] * x[cols[e]]`` with
+    ``(rows[e], wcols[e]) == (i, j)`` of ``terms = (rows, wcols, cols,
+    coefs)``.  ``names = (rec, cen)`` names the rows ``f"{rec}{i},{j}]"`` and
+    ``f"{cen}{i}]"``.
+
+    The rows, their term order and their bounds (signed zeros included) are
+    those of writing each row as a LinExpr ``lhs - rhs`` with ``add_eq``.
+    """
+    center, const, (w_rows, w_cols, w_vars, w_coefs) = W
+    n, w = T.shape
+    p = const.shape[1]
+    width = w + p
+    rhs = np.full((n, width), -1)
+    rhs[:, width - T_next.shape[1]:] = T_next
+    if E is not None:
+        rhs[:, :E.shape[1]] = E
+    base = np.arange(n) * width
+    parts = []      # (rows, cols, coefs) in the order a LinExpr sums them
+
+    def product(K, X, first):
+        # K @ X: entry K[i, k] * X[k, j] goes to row first[i] + j
+        X = X.reshape(len(X), -1)
+        ii, kk = np.nonzero(K)
+        parts.append(((first[ii][:, None] + np.arange(X.shape[1])).ravel(),
+                      X[kk].ravel(), np.repeat(K[ii, kk], X.shape[1])))
+
+    product(A, T, base)
+    if M is not None:
+        product(B, M, base)
+    parts.append((base[w_rows] + w + w_cols, w_vars, w_coefs))
+    ii, jj = np.nonzero(rhs >= 0)
+    parts.append((base[ii] + jj, rhs[ii, jj], np.full(len(ii), -1.0)))
+    cen = n * width + np.arange(n)
+    product(A, xbar, cen)
+    if ubar is not None:
+        product(B, ubar, cen)
+    parts.append((cen, x_next, np.full(n, -1.0)))
+
+    # a W entry's constant moves right; every other row has constant 0.0,
+    # and the center row the constant 0.0 + center
+    bounds = np.concatenate([np.hstack([np.full((n, w), -0.0), -np.asarray(const, dtype=float)]).ravel(),
+                             -(0.0 + np.asarray(center, dtype=float))])
+    rec, cen_name = names
+    row_names = [f"{rec}{i},{j}]" for i in range(n) for j in range(width)]
+    row_names += [f"{cen_name}{i}]" for i in range(n)]
+    rows, cols, coefs = (np.concatenate(part) for part in zip(*parts))
+    lp.add_rows(rows, cols, coefs, bounds, "=", names=row_names)
+
+
+def numeric_w(W):
+    """The ``W`` argument of :func:`add_recursion` for a numeric zonotope."""
+    return W.center, W.generators, (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)
+
+
+def _add_plain_containment(lp, G, c, outer, prefix, scale=1.0):
+    """Rows for Z(c, scale * G) inside ``outer``; ``G``/``c`` are columns."""
     return add_scaled_containment(
-        lp, inner_G, inner_c, outer.generators,
+        lp, scale * col_exprs(G), col_exprs(c), outer.generators,
         [1.0] * outer.num_generators, outer.center, prefix)
 
 
@@ -234,6 +310,37 @@ def certify_solution(solution, X, U):
     return margins[0], margins[1], fallbacks
 
 
+def recursion_residual(solution, A_seq, B_seq):
+    """Largest entry of the recursion and center residuals of ``solution``.
+
+    ``A_seq``/``B_seq`` hold the system matrices per step (one step for an
+    RciSolution).  The residuals are ``[A T + B M, G_w] - R`` with R the
+    next tube (growing template), ``[0, T(t+1)]`` (fixed) or ``[E, T]``
+    (RCI, E = 0 when simplified), and ``A xbar + B ubar + w_c`` minus the
+    next (or, for RCI, the same) center.
+    """
+    finite = isinstance(solution, ViableSolution)
+    res = 0.0
+    for t in range(solution.horizon if finite else 1):
+        def at(series):
+            return series[t] if finite else series
+        W = at(solution.W)
+        flow = A_seq[t] @ at(solution.T)
+        drift = A_seq[t] @ at(solution.xbar)
+        if solution.M is not None:
+            flow = flow + B_seq[t] @ at(solution.M)
+            drift = drift + B_seq[t] @ at(solution.ubar)
+        T_next = solution.T[t + 1] if finite else solution.T
+        x_next = solution.xbar[t + 1] if finite else solution.xbar
+        lhs = np.hstack([flow, W.generators])
+        left = lhs.shape[1] - T_next.shape[1]
+        E = getattr(solution, "E", None)
+        rhs = np.hstack([np.zeros((len(x_next), left)) if E is None else E, T_next])
+        res = max(res, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+        res = max(res, float(np.max(np.abs(drift + W.center - x_next))))
+    return res
+
+
 def solution_from_json(data):
     return ViableSolution.from_json(data) if data["kind"] == "viable" \
         else RciSolution.from_json(data)
@@ -243,16 +350,19 @@ def solution_from_json(data):
 # finite horizon
 
 
-def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
-                  x0=None, backend=None, certify=True):
-    """Viable sets over a finite horizon; None if the LP is infeasible.
+def solve_and_read(lp, read, what):
+    """Solve ``lp`` and read the solution back; None if it is infeasible."""
+    sol = lp.solve()
+    if sol.status == lpcore.INFEASIBLE:
+        return None
+    if sol.status != lpcore.OPTIMAL:
+        raise lpcore.LpSolverError(f"{what} LP ended with status {sol.status}")
+    return read(sol)
 
-    ``A_seq/B_seq/W_seq/U_seq`` have one entry per step t = 0..h-1 and
-    ``X_seq`` has h+1 entries.  ``k`` is the generator budget of Omega(0).
-    ``template="growing"`` lets Omega(t) gain the disturbance generators each
-    step; ``"fixed"`` keeps exactly k columns throughout (needs k >= p).
-    ``x0`` (a Zonotope) optionally pins Omega(0) = x0.
-    """
+
+def finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing", x0=None):
+    """The LP of :func:`finite_viable`, and ``read(sol)`` that turns an
+    optimal solution of it into a ViableSolution."""
     h = len(A_seq)
     if not (len(B_seq) == len(W_seq) == len(U_seq) == h and len(X_seq) == h + 1):
         raise ValueError("sequence lengths disagree with the horizon")
@@ -263,37 +373,23 @@ def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
     p = [W.num_generators for W in W_seq]
     if template == "fixed" and any(pt > k for pt in p):
         raise ValueError("fixed template needs k >= number of disturbance generators")
+    if x0 is not None and x0.num_generators > k:
+        raise ValueError(f"x0 has {x0.num_generators} generators but k={k}")
 
     widths = [k]
     for t in range(h):
         widths.append(widths[-1] + p[t] if template == "growing" else k)
 
-    lp = LinearProgram(name="viable", backend=backend)
-    T = [lp.var_array(f"T{t}", (n, widths[t])) for t in range(h + 1)]
-    xbar = [lp.var_array(f"x{t}", n) for t in range(h + 1)]
-    M = [lp.var_array(f"M{t}", (m, widths[t])) for t in range(h)] if m else None
-    ubar = [lp.var_array(f"u{t}", m) for t in range(h)] if m else None
+    lp = LinearProgram(name="viable")
+    T = [lp.var_block(f"T{t}", (n, widths[t])) for t in range(h + 1)]
+    xbar = [lp.var_block(f"x{t}", n) for t in range(h + 1)]
+    M = [lp.var_block(f"M{t}", (m, widths[t])) for t in range(h)] if m else None
+    ubar = [lp.var_block(f"u{t}", m) for t in range(h)] if m else None
 
     for t in range(h):
-        flow = lin_matmul(A_seq[t], T[t])
-        if m:
-            flow = flow + lin_matmul(B_seq[t], M[t])
-        Gw = W_seq[t].generators
-        w = widths[t]
-        for i in range(n):
-            for j in range(w + p[t]):
-                lhs = flow[i, j] if j < w else float(Gw[i, j - w])
-                if template == "growing":
-                    rhs = T[t + 1][i, j]
-                else:
-                    rhs = 0.0 if j < p[t] else T[t + 1][i, j - p[t]]
-                lp.add_eq(lhs - rhs, 0.0, name=f"rec[{t},{i},{j}]")
-        drift = lin_matmul(A_seq[t], xbar[t].reshape(-1, 1))[:, 0]
-        if m:
-            drift = drift + lin_matmul(B_seq[t], ubar[t].reshape(-1, 1))[:, 0]
-        for i in range(n):
-            lp.add_eq(drift[i] + float(W_seq[t].center[i]) - xbar[t + 1][i], 0.0,
-                      name=f"cen[{t},{i}]")
+        add_recursion(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None, xbar[t],
+                      ubar[t] if m else None, numeric_w(W_seq[t]), T[t + 1],
+                      xbar[t + 1], (f"rec[{t},", f"cen[{t},"))
 
     witness = {f"inX{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t], f"inX{t}")
                for t in range(h + 1)}
@@ -303,32 +399,44 @@ def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
                                                         f"inU{t}")
 
     if x0 is not None:
-        p0 = x0.num_generators
-        if p0 > k:
-            raise ValueError(f"x0 has {p0} generators but k={k}")
-        for i in range(n):
-            lp.add_eq(xbar[0][i], float(x0.center[i]))
-            for j in range(k):
-                lp.add_eq(T[0][i, j], float(x0.generators[i, j]) if j < p0 else 0.0)
+        # per i: xbar0[i] = c[i], then T0[i, j] = G[i, j] (0 past x0's columns)
+        values = np.zeros((n, k + 1))
+        values[:, 0] = x0.center
+        values[:, 1:1 + x0.num_generators] = x0.generators
+        size = n * (k + 1)
+        lp.add_rows(np.arange(size), np.column_stack([xbar[0], T[0]]).ravel(),
+                    np.ones(size), -(0.0 + -values.ravel()), "=")
 
-    lp.minimize(_abs_objective(lp, T))
-    sol = lp.solve()
-    if sol.status != lpcore.OPTIMAL:
-        if sol.status == lpcore.INFEASIBLE:
-            return None
-        raise lpcore.LpSolverError(f"viable LP ended with status {sol.status}")
+    lp.set_costs(_abs_objective(lp, T), 1.0)
 
-    result = ViableSolution(
-        template,
-        [sol.value(Tt) for Tt in T],
-        [sol.value(xt) for xt in xbar],
-        [sol.value(Mt) for Mt in M] if m else None,
-        [sol.value(ut) for ut in ubar] if m else None,
-        list(W_seq),
-        sol.objective,
-        witness_values(sol, witness),
-    )
-    if certify:
+    def read(sol):
+        return ViableSolution(
+            template,
+            [sol.column_values(Tt) for Tt in T],
+            [sol.column_values(xt) for xt in xbar],
+            [sol.column_values(Mt) for Mt in M] if m else None,
+            [sol.column_values(ut) for ut in ubar] if m else None,
+            list(W_seq),
+            sol.objective,
+            witness_values(sol, witness),
+        )
+
+    return lp, read
+
+
+def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
+                  x0=None, certify=True):
+    """Viable sets over a finite horizon; None if the LP is infeasible.
+
+    ``A_seq/B_seq/W_seq/U_seq`` have one entry per step t = 0..h-1 and
+    ``X_seq`` has h+1 entries.  ``k`` is the generator budget of Omega(0).
+    ``template="growing"`` lets Omega(t) gain the disturbance generators each
+    step; ``"fixed"`` keeps exactly k columns throughout (needs k >= p).
+    ``x0`` (a Zonotope) optionally pins Omega(0) = x0.
+    """
+    lp, read = finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template, x0)
+    result = solve_and_read(lp, read, "viable")
+    if result is not None and certify:
         certify_solution(result, X_seq, U_seq)
     return result
 
@@ -337,14 +445,9 @@ def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
 # infinite horizon
 
 
-def rci(A, B, W, X, U, k, beta=0.0, simplified=None, backend=None, certify=True):
-    """Robust control invariant set; None if infeasible at this (k, beta).
-
-    ``simplified`` defaults to True exactly when ``beta == 0``; it drops the
-    wiggle generators E (forcing the disturbance columns to be reproduced by
-    T itself).  With ``beta > 0`` the full variant is used and the returned
-    set is inflated by sigma = 1/(1-beta).
-    """
+def rci_lp(A, B, W, X, U, k, beta=0.0, simplified=None):
+    """The LP of :func:`rci`, and ``read(sol)`` that turns an optimal
+    solution of it into an RciSolution."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
     if simplified is None:
@@ -356,63 +459,50 @@ def rci(A, B, W, X, U, k, beta=0.0, simplified=None, backend=None, certify=True)
     p = W.num_generators
     sigma = 1.0 / (1.0 - beta)
 
-    lp = LinearProgram(name="rci", backend=backend)
-    T = lp.var_array("T", (n, k))
-    xbar = lp.var_array("x", n)
-    M = lp.var_array("M", (m, k)) if m else None
-    ubar = lp.var_array("u", m) if m else None
-    E = None if simplified else lp.var_array("E", (n, p))
+    lp = LinearProgram(name="rci")
+    T = lp.var_block("T", (n, k))
+    xbar = lp.var_block("x", n)
+    M = lp.var_block("M", (m, k)) if m else None
+    ubar = lp.var_block("u", m) if m else None
+    E = None if simplified else lp.var_block("E", (n, p))
 
-    flow = lin_matmul(A, T)
-    if m:
-        flow = flow + lin_matmul(B, M)
-    Gw = W.generators
-    for i in range(n):
-        for j in range(k + p):
-            lhs = flow[i, j] if j < k else float(Gw[i, j - k])
-            if E is None:
-                rhs = 0.0 if j < p else T[i, j - p]
-            else:
-                rhs = E[i, j] if j < p else T[i, j - p]
-            lp.add_eq(lhs - rhs, 0.0, name=f"rec[{i},{j}]")
-    drift = lin_matmul(A, xbar.reshape(-1, 1))[:, 0]
-    if m:
-        drift = drift + lin_matmul(B, ubar.reshape(-1, 1))[:, 0]
-    for i in range(n):
-        lp.add_eq(drift[i] + float(W.center[i]) - xbar[i], 0.0, name=f"fix[{i}]")
-
+    add_recursion(lp, A, B, T, M, xbar, ubar, numeric_w(W), T, xbar, ("rec[", "fix["), E=E)
     if E is not None:
-        add_scaled_containment(lp, E, np.zeros(n), Gw, [beta] * p,
+        add_scaled_containment(lp, col_exprs(E), np.zeros(n), W.generators, [beta] * p,
                                np.zeros(n), "wiggle")
-    scaledT = np.empty((n, k), dtype=object)
-    for pos in np.ndindex(n, k):
-        scaledT[pos] = sigma * T[pos]
-    witness = {"inX": _add_plain_containment(lp, scaledT, xbar, X, "inX")}
+    witness = {"inX": _add_plain_containment(lp, T, xbar, X, "inX", sigma)}
     if m:
-        scaledM = np.empty((m, k), dtype=object)
-        for pos in np.ndindex(m, k):
-            scaledM[pos] = sigma * M[pos]
-        witness["inU"] = _add_plain_containment(lp, scaledM, ubar, U, "inU")
+        witness["inU"] = _add_plain_containment(lp, M, ubar, U, "inU", sigma)
 
-    lp.minimize(_abs_objective(lp, [T]))
-    sol = lp.solve()
-    if sol.status != lpcore.OPTIMAL:
-        if sol.status == lpcore.INFEASIBLE:
-            return None
-        raise lpcore.LpSolverError(f"RCI LP ended with status {sol.status}")
+    lp.set_costs(_abs_objective(lp, [T]), 1.0)
 
-    result = RciSolution(
-        sol.value(T),
-        sol.value(xbar),
-        sol.value(M) if m else None,
-        sol.value(ubar) if m else None,
-        W,
-        beta,
-        None if E is None else sol.value(E),
-        sol.objective,
-        witness_values(sol, witness),
-    )
-    if certify:
+    def read(sol):
+        return RciSolution(
+            sol.column_values(T),
+            sol.column_values(xbar),
+            sol.column_values(M) if m else None,
+            sol.column_values(ubar) if m else None,
+            W,
+            beta,
+            None if E is None else sol.column_values(E),
+            sol.objective,
+            witness_values(sol, witness),
+        )
+
+    return lp, read
+
+
+def rci(A, B, W, X, U, k, beta=0.0, simplified=None, certify=True):
+    """Robust control invariant set; None if infeasible at this (k, beta).
+
+    ``simplified`` defaults to True exactly when ``beta == 0``; it drops the
+    wiggle generators E (forcing the disturbance columns to be reproduced by
+    T itself).  With ``beta > 0`` the full variant is used and the returned
+    set is inflated by sigma = 1/(1-beta).
+    """
+    lp, read = rci_lp(A, B, W, X, U, k, beta, simplified)
+    result = solve_and_read(lp, read, "RCI")
+    if result is not None and certify:
         certify_solution(result, X, U)
     return result
 
@@ -420,11 +510,10 @@ def rci(A, B, W, X, U, k, beta=0.0, simplified=None, backend=None, certify=True)
 DEFAULT_BETA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
 
 
-def rci_beta_grid(A, B, W, X, U, k, betas=DEFAULT_BETA_GRID, backend=None):
+def rci_beta_grid(A, B, W, X, U, k, betas=DEFAULT_BETA_GRID):
     """First feasible RCI over a beta grid (beta=0 tried in simplified form)."""
     for beta in betas:
-        sol = rci(A, B, W, X, U, k, beta=beta, simplified=None if beta else True,
-                  backend=backend)
+        sol = rci(A, B, W, X, U, k, beta=beta, simplified=None if beta else True)
         if sol is not None:
             return sol
     return None

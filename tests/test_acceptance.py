@@ -192,7 +192,7 @@ def test_criterion_3_benchmark(capsys, tmp_path):
     assert ok_c, f"scaling exponent {exponent:.2f} exceeds 1.5"
     # The ordering is checked on program size, not on solver seconds.  A
     # compositional run must solve each subsystem's potential LP at least
-    # once: five cold 109-row LPs cost more HiGHS time than the one 365-row
+    # once: five cold 122-row LPs cost more HiGHS time than the one 365-row
     # block LP (3-4 ms against under 2 ms at dimension 10, under every HiGHS
     # option), because each solve carries a fixed cost of about 0.15 ms.
     # Seconds at this scale measure that fixed cost and the host's speed,

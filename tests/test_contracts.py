@@ -9,6 +9,7 @@ the slack is active.
 import dataclasses
 
 import numpy as np
+import oracles
 import pytest
 
 from zonosynth.contracts import (
@@ -369,26 +370,54 @@ def test_potential_solution_is_built_lazily_from_its_own_evaluation(make_network
 
 
 def test_extraction_programs_rewarm_like_fresh_ones():
-    net = pair_network()
-    tpl = default_template(net)
-    base = alpha_max(net, tpl)
-    cache = {}
-    # subsystem 1 sees 0.5 * 1.0 + 0.1 > 0.2: no hard tube fits its promise
-    with pytest.raises(PotentialInfeasible, match="subsystem\\(s\\) 1$"):
-        extract_solutions(net, tpl, set_pair(base, 0.2, 1.0), programs=cache)
-    with pytest.raises(PotentialInfeasible, match="subsystem\\(s\\) 1$"):
-        extract_solutions(net, tpl, set_pair(base, 0.2, 1.0))
-    built = dict(cache)
-    assert sorted(built) == [1, 2]
-    for a1, a2 in ((0.5, 0.5), (0.8, 0.6)):
-        params = set_pair(base, a1, a2)
-        warm = extract_solutions(net, tpl, params, programs=cache)
-        fresh = extract_solutions(net, tpl, params)
-        assert all(cache[sid] is built[sid] for sid in built)
-        for sid in (1, 2):
-            assert warm[sid].objective == pytest.approx(fresh[sid].objective, abs=1e-9)
-        report = check_correctness(net, tpl, params, warm)
-        assert report.ok, report.failures
+    # extraction runs on the potential programs' own instances; it must agree
+    # with the hard program built on its own (oracles.ExtractionProgram) and
+    # leave every program as a fresh one evaluates
+    # (an infeasible alpha first, two feasible ones, and a probe to evaluate)
+    def gapped_cases(caps):
+        starved = caps.copy()
+        starved.x[1] = [a * 0.05 for a in starved.x[1]]  # below D's 0.1 radius
+        return [starved, caps.scaled(0.5), caps.scaled(0.9)], caps.scaled(0.3)
+
+    def pair_cases(base):
+        # subsystem 1 sees 0.5 * 1.0 + 0.1 > 0.2: no hard tube fits its promise
+        return [set_pair(base, a1, a2) for a1, a2 in
+                ((0.2, 1.0), (0.5, 0.5), (0.8, 0.6))], set_pair(base, 0.1, 0.8)
+
+    for make_network, cases in ((pair_network, pair_cases),
+                                (gapped_input_pair, gapped_cases)):
+        net = make_network()
+        tpl = default_template(net)
+        points, probe = cases(alpha_max(net, tpl))
+        programs = build_programs(net, tpl)
+        references = {sid: oracles.ExtractionProgram(net, tpl, sid)
+                      for sid in net.sorted_ids()}
+        for index, params in enumerate(points):
+            want = {sid: ref.solve(params) for sid, ref in references.items()}
+            if index == 0:
+                assert want[1] is None
+                with pytest.raises(PotentialInfeasible, match="subsystem\\(s\\) 1$"):
+                    extract_solutions(programs, params)
+            else:
+                assert all(sol is not None for sol in want.values())
+                got = extract_solutions(programs, params)
+                for sid in got:
+                    assert got[sid].objective == pytest.approx(want[sid].objective, abs=1e-9)
+                report = check_correctness(net, tpl, params, got)
+                assert report.ok and report.lp_fallbacks == 0, report.failures
+            for sid, program in programs.items():
+                if index == 0:  # the same verdict per subsystem
+                    assert (program.extract(params) is None) == (want[sid] is None)
+                else:  # the witness parts only the slack pays for are fixed at 0
+                    sol = program._solve_hard(params)
+                    assert not np.any(sol.column_values(program.handles.slack_cols))
+                # bounds and costs are back: V_i and its gradient as fresh
+                fresh = build_programs(net, tpl)[sid].evaluate(probe)
+                warm = program.evaluate(probe)
+                assert warm.value == pytest.approx(fresh.value, abs=1e-9)
+                assert fresh.grads.keys() == warm.grads.keys()
+                for key, grad in fresh.grads.items():
+                    assert warm.grads[key] == pytest.approx(grad, abs=1e-9)
 
 
 def test_thread_env_caps_pool(monkeypatch):
@@ -502,7 +531,7 @@ def test_check_correctness_rejects_tampering_past_the_witness(make_network):
     net = make_network()
     tpl = default_template(net)
     params = alpha_max(net, tpl).scaled(0.5)
-    sols = extract_solutions(net, tpl, params)
+    sols = extract_solutions(build_programs(net, tpl), params)
     good = sols[1]
     report = check_correctness(net, tpl, params, sols)
     assert report.ok and report.lp_fallbacks == 0, report.failures

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from zonosynth import lpcore
-from zonosynth.lpcore import INF, LinearProgram, LpBuildError, lin_matmul, lin_sum
+from zonosynth.lpcore import INF, LinearProgram, LpBuildError, lin_sum
 
 import oracles
 
-BACKENDS = ["highs", "linprog"] if lpcore._HAVE_HIGHS else ["linprog"]
 
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["highs"])
 def backend(request):
-    return request.param
+    """A LinearProgram constructor on the solver backend (HiGHS, the only one)."""
+    return LinearProgram
 
 
 def test_min_x_subject_to_eq(backend):
-    lp = LinearProgram(backend=backend)
+    lp = backend()
     x = lp.var("x")
     lp.add_eq(x, 3.0, name="fix")
     lp.minimize(x)
@@ -32,7 +31,7 @@ def test_min_x_subject_to_eq(backend):
 
 def test_le_dual_is_nonnegative(backend):
     # maximize x s.t. x <= 5, posed as min -x; the <=-row dual must be >= 0
-    lp = LinearProgram(backend=backend)
+    lp = backend()
     x = lp.var("x")
     lp.add_le(x, 5.0, name="cap")
     lp.minimize(-x)
@@ -44,7 +43,7 @@ def test_le_dual_is_nonnegative(backend):
 
 def test_sensitivity_matches_perturbed_resolve(backend):
     def build(rhs):
-        lp = LinearProgram(backend=backend)
+        lp = backend()
         x = lp.var("x", lb=0.0)
         y = lp.var("y", lb=0.0)
         lp.add_ge(x + y, rhs, name="demand")
@@ -63,21 +62,21 @@ def test_sensitivity_matches_perturbed_resolve(backend):
 
 
 def test_infeasible_and_unbounded_are_statuses(backend):
-    lp = LinearProgram(backend=backend)
+    lp = backend()
     x = lp.var("x")
     lp.add_ge(x, 2.0)
     lp.add_le(x, 1.0)
     lp.minimize(x)
     assert lp.solve().status == lpcore.INFEASIBLE
 
-    lp2 = LinearProgram(backend=backend)
+    lp2 = backend()
     x2 = lp2.var("x")
     lp2.minimize(x2)
     assert lp2.solve().status == lpcore.UNBOUNDED
 
 
 def test_value_on_expression_arrays(backend):
-    lp = LinearProgram(backend=backend)
+    lp = backend()
     T = lp.var_array("T", (2, 2))
     for i in range(2):
         for j in range(2):
@@ -94,7 +93,7 @@ def test_lin_matmul_agrees_with_numeric():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(3, 4))
     X = rng.normal(size=(4, 2))
-    got = lin_matmul(A, X)
+    got = oracles.lin_matmul(A, X)
     want = A @ X
     vals = np.array([[got[i, j].const for j in range(2)] for i in range(3)])
     assert np.allclose(vals, want)
@@ -113,7 +112,7 @@ def test_duplicate_names_rejected():
 
 def test_kkt_and_duality_gap_small(backend):
     rng = np.random.default_rng(7)
-    lp = LinearProgram(backend=backend)
+    lp = backend()
     x = lp.var_array("x", 5, lb=-4.0, ub=4.0)
     for k in range(4):
         coefs = rng.normal(size=5)
@@ -254,7 +253,7 @@ def test_solver_time_tracker_accumulates():
 
 def test_solver_time_tracker_records_largest_model(backend):
     with lpcore.track_solver_time() as tracker:
-        big = LinearProgram(backend=backend)
+        big = backend()
         xs = [big.var(f"x{i}", lb=0.0) for i in range(3)]
         big.add_ge(xs[0] + xs[1], 1.0)
         big.add_ge(xs[1] + 2.0 * xs[2], 1.0)
@@ -262,7 +261,7 @@ def test_solver_time_tracker_records_largest_model(backend):
         big.minimize(lin_sum(xs))
         big.solve()
         with lpcore.track_solver_time() as inner:
-            small = LinearProgram(backend=backend)
+            small = backend()
             y = small.var("y", lb=0.0)
             small.add_ge(y, 1.0)
             small.minimize(y)
@@ -282,7 +281,7 @@ def test_against_vertex_enumeration_oracle(backend):
         c, A, lo, hi, xlb, xub = oracles.random_bounded_lp(rng)
         status, obj, _ = oracles.solve_lp_by_vertex_enumeration(c, A, lo, hi, xlb, xub)
 
-        lp = LinearProgram(backend=backend)
+        lp = backend()
         xs = [lp.var(f"x{i}", lb=xlb[i], ub=xub[i]) for i in range(len(c))]
         for k in range(A.shape[0]):
             expr = lin_sum(A[k, i] * xs[i] for i in range(len(c)))
@@ -302,3 +301,56 @@ def test_against_vertex_enumeration_oracle(backend):
             assert sol.objective == pytest.approx(obj, abs=1e-6)
         checked += 1
     assert checked == 20
+
+
+def test_column_bound_and_cost_switches_rewarm_like_fresh_builds():
+    def build(cost_y=3.0, x_ub=INF):
+        lp = LinearProgram()
+        x = lp.var("x", lb=0.0, ub=x_ub)
+        y = lp.var("y", lb=0.0)
+        lp.add_ge(x + y, 4.0, name="demand")
+        lp.add_le(x - 2.0 * y, 1.0)
+        lp.minimize(2.0 * x + cost_y * y)
+        return lp
+
+    lp = build()
+    first = lp.solve()
+    solver = lp._solver
+    lp.set_col_bounds([0], 0.0, 1.5)          # one call on the live instance
+    lp.set_costs(np.array([1]), [1.0])
+    warm = lp.solve()
+    assert lp._solver is solver                # re-solved, not rebuilt
+    ref = build(cost_y=1.0, x_ub=1.5).solve()
+    assert warm.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert warm.column_values([0, 1]) == pytest.approx(ref.column_values([0, 1]), abs=1e-9)
+    assert lp.col_bounds([0, 1]) == (pytest.approx([0.0, 0.0]), pytest.approx([1.5, INF]))
+    lp.set_col_bounds([0], 0.0, INF)
+    lp.set_costs([1], 3.0)
+    back = lp.solve()
+    assert back.objective == pytest.approx(first.objective, abs=1e-9)
+    assert lp.to_lp_text() == build().to_lp_text()
+
+
+def test_fixed_column_dual_is_the_pinned_row_sensitivity():
+    # min x + 2y s.t. x + y >= a, y >= 0.5 a, with a as a fixed column and,
+    # for reference, as a variable pinned by an equality row
+    def build(pinned, a):
+        lp = LinearProgram()
+        x = lp.var("x", lb=0.0)
+        y = lp.var("y", lb=0.0)
+        alpha = lp.var("a", lb=a if not pinned else -INF, ub=a if not pinned else INF)
+        if pinned:
+            lp.add_eq(alpha, a, name="pin")
+        lp.add_ge(x + y - alpha, 0.0)
+        lp.add_ge(y - 0.5 * alpha, 0.0)
+        lp.minimize(x + 2.0 * y)
+        return lp
+
+    fixed = build(False, 2.0)
+    fixed.solve()
+    fixed.set_col_bounds([2], 3.0, 3.0)
+    sol = fixed.solve()
+    ref = build(True, 3.0).solve()
+    assert sol.objective == pytest.approx(ref.objective)
+    assert sol.column_duals([2])[0] == pytest.approx(ref.sensitivity("pin"))
+    assert sol.column_duals([2])[0] == pytest.approx(1.5)

@@ -4,6 +4,7 @@ The 1-D pair networks come from test_contracts, where the potential is
 derived by hand: V_i = max(0, coupling * alpha_j + d - alpha_i).
 """
 
+import dataclasses
 import json
 import os
 
@@ -202,9 +203,9 @@ def test_case1_compositional_end_to_end():
     assert res.trace[0][1] == pytest.approx(20.2818636, abs=1e-5)
 
 
-def test_case1_builds_each_subsystem_lp_at_most_three_times(monkeypatch):
-    # potential programs once, the first extraction attempt once, and the
-    # extraction programs every later attempt re-solves warm once
+def test_case1_builds_each_subsystem_lp_once(monkeypatch):
+    # one potential program per subsystem serves the descent and every
+    # extraction attempt
     from zonosynth import contracts, synthesis
 
     emits, extracts = [], []
@@ -214,18 +215,19 @@ def test_case1_builds_each_subsystem_lp_at_most_three_times(monkeypatch):
         emits.append(args[3])
         return emit(*args, **kwargs)
 
-    def counting_extract(*args, **kwargs):
-        extracts.append(kwargs.get("programs"))
-        return extract(*args, **kwargs)
+    def counting_extract(programs, params):
+        extracts.append(programs)
+        return extract(programs, params)
 
     monkeypatch.setattr(contracts, "emit_subsystem", counting_emit)
     monkeypatch.setattr(synthesis, "extract_solutions", counting_extract)
     res = compositional_synthesize(load_network("configs/case1.json"))
     assert res.ok
     assert res.timings["extract_attempts"] == len(extracts) > 2
-    assert extracts[0] is None and isinstance(extracts[1], dict)
-    assert all(cache is extracts[1] for cache in extracts[1:])
-    assert sorted(emits) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert all(isinstance(program, contracts.PotentialProgram)
+               for program in extracts[0].values())
+    assert all(programs is extracts[0] for programs in extracts)
+    assert sorted(emits) == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +329,25 @@ def test_dense_meters_certification_apart():
     assert res.timings["certify_seconds"] > 0
 
 
+def test_dense_rejects_a_broken_recursion(monkeypatch):
+    # a center off its fixed point by 1e-6 still fits X, so only the
+    # recursion check can reject it
+    from zonosynth import viability
+
+    solve = viability.solve_and_read
+
+    def shifted(lp, read, what):
+        sol = solve(lp, read, what)
+        return dataclasses.replace(sol, xbar=sol.xbar + 1e-6)
+
+    monkeypatch.setattr(viability, "solve_and_read", shifted)
+    res = centralized_dense(load_network("configs/case1.json"))
+    assert res.status == "failed" and res.hint == RETRY_HINT
+    assert res.correctness.max_residual > 1e-8
+    assert res.correctness.failures == [
+        f"aggregate: recursion residual {res.correctness.max_residual:.3e}"]
+
+
 def test_dense_infeasible():
     net = pair_network(a_self=0.5, b=0.0)
     res = centralized_dense(net)
@@ -384,11 +405,21 @@ def test_report_json_lp_sizes(tmp_path, driver):
     assert all(timings[key] > 0
                for key in ("max_lp_rows", "max_lp_cols", "max_lp_nnz"))
     # only the compositional method extracts tubes after a descent
-    want = 1 if driver is compositional_synthesize else 0
-    assert timings["extract_attempts"] == want
-    # every containment is certified on the synthesis LP's own witness
+    compositional = driver is compositional_synthesize
+    assert timings["extract_attempts"] == (1 if compositional else 0)
+    # every containment is certified on the synthesis LP's own witness, and
+    # every method re-checks its recursion
     assert report["correctness"]["ok"]
     assert report["correctness"]["lp_fallbacks"] == 0
+    assert 0.0 <= report["correctness"]["max_residual"] <= 1e-8
+    # the phases are timed apart and fit inside the wall time
+    phases = [timings[f"{name}_seconds"]
+              for name in ("build", "descent", "extract", "certify")]
+    assert all(isinstance(sec, float) and sec >= 0.0 for sec in phases)
+    assert sum(phases) <= timings["wall_seconds"]
+    assert timings["build_seconds"] > 0 and timings["extract_seconds"] > 0
+    assert timings["certify_seconds"] > 0
+    assert (timings["descent_seconds"] > 0) == compositional
 
 
 def test_trace_csv_header(tmp_path):

@@ -17,6 +17,7 @@ from zonosynth.viability import (
     finite_viable,
     rci,
     rci_beta_grid,
+    recursion_residual,
     solution_from_json,
 )
 
@@ -209,6 +210,32 @@ def test_growing_recursion_is_exact():
             x_next = FIN["A"][t] @ x + FIN["B"][t] @ u + w
             x_param = sol.xbar[t + 1] + sol.T[t + 1] @ np.concatenate([zeta, zw])
             assert np.max(np.abs(x_next - x_param)) < 1e-10
+
+
+def test_recursion_residual_reads_every_template():
+    # ~0 on every kind of solution, and it sees a broken step or a dropped E
+    growing = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=2)
+    fixed = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=2,
+                          template="fixed")
+    contraction = (CONTRACTION["A"], CONTRACTION["B"], CONTRACTION["W"],
+                   CONTRACTION["X"], CONTRACTION["U"])
+    wiggled = rci(*contraction, k=1, beta=0.5)
+    deadbeat = rci(np.array([[1.0]]), np.array([[1.0]]), zono([0], [[0.3]]),
+                   zono([0], [[1.0]]), zono([0], [[1.0]]), k=1)
+    A_fin, B_fin = FIN["A"], FIN["B"]
+    for sol, A, B in ((growing, A_fin, B_fin), (fixed, A_fin, B_fin),
+                      (wiggled, [CONTRACTION["A"]], [CONTRACTION["B"]]),
+                      (deadbeat, [np.array([[1.0]])], [np.array([[1.0]])])):
+        assert recursion_residual(sol, A, B) <= 1e-9
+    shifted = [T.copy() for T in growing.T]
+    shifted[1] += 1e-3
+    broken = ViableSolution("growing", shifted, growing.xbar, growing.M, growing.ubar,
+                            growing.W, growing.objective)
+    assert recursion_residual(broken, A_fin, B_fin) == pytest.approx(1e-3)
+    assert np.abs(wiggled.E).max() > 0.1
+    no_wiggle = RciSolution(wiggled.T, wiggled.xbar, None, None, wiggled.W, 0.5, None,
+                            wiggled.objective)
+    assert recursion_residual(no_wiggle, [CONTRACTION["A"]], [CONTRACTION["B"]]) > 0.1
 
 
 # ---------------------------------------------------------------------------
