@@ -436,6 +436,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
 
     with lpcore.track_solver_time() as solver:
         with phases("build"):
+            caps = alpha_max(network, tpl)
             lp = LinearProgram(name="centralized")
             cap = 1.0 if tpl.is_bounds else lpcore.INF
             alphas = {}
@@ -475,7 +476,6 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
             if sol.status != lpcore.OPTIMAL:
                 raise lpcore.LpSolverError(f"centralized LP ended with {sol.status}")
 
-            caps = alpha_max(network, tpl)
             x_vals, u_vals = {}, {}
             for sid in ids:
                 x_vals[sid] = [np.maximum(sol.column_values(alphas[(sid, "x", t)]), 0.0)

@@ -425,7 +425,7 @@ def finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing", x
 
 
 def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
-                  x0=None, certify=True):
+                  x0=None):
     """Viable sets over a finite horizon; None if the LP is infeasible.
 
     ``A_seq/B_seq/W_seq/U_seq`` have one entry per step t = 0..h-1 and
@@ -436,7 +436,7 @@ def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
     """
     lp, read = finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template, x0)
     result = solve_and_read(lp, read, "viable")
-    if result is not None and certify:
+    if result is not None:
         certify_solution(result, X_seq, U_seq)
     return result
 
@@ -492,7 +492,7 @@ def rci_lp(A, B, W, X, U, k, beta=0.0, simplified=None):
     return lp, read
 
 
-def rci(A, B, W, X, U, k, beta=0.0, simplified=None, certify=True):
+def rci(A, B, W, X, U, k, beta=0.0, simplified=None):
     """Robust control invariant set; None if infeasible at this (k, beta).
 
     ``simplified`` defaults to True exactly when ``beta == 0``; it drops the
@@ -502,7 +502,7 @@ def rci(A, B, W, X, U, k, beta=0.0, simplified=None, certify=True):
     """
     lp, read = rci_lp(A, B, W, X, U, k, beta, simplified)
     result = solve_and_read(lp, read, "RCI")
-    if result is not None and certify:
+    if result is not None:
         certify_solution(result, X, U)
     return result
 
