@@ -85,16 +85,22 @@ def cmd_synth(args):
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE
 
+    # --reduce-order 0 keeps exact columns (None); unset keeps each
+    # driver's default
     reduce_order = None if args.reduce_order == 0 else args.reduce_order
     try:
+        if reduce_order is not None and reduce_order < 0:
+            raise ConfigError(f"--reduce-order must be >= 0, got {reduce_order}")
         if args.method == "compositional":
             if args.beta:
                 raise ConfigError("--beta only applies to --method dense")
             cfg = DescentConfig(
                 delta=args.step, max_iters=args.max_iter, tol_v=args.tol,
-                k=args.k, reduction_order=reduce_order or 1, seed=args.seed,
+                k=args.k, seed=args.seed,
                 threads=_env_threads(),
             )
+            if args.reduce_order is not None:
+                cfg.reduction_order = reduce_order
             result = compositional_synthesize(network, mode=args.mode,
                                               config=cfg)
         elif args.method == "centralized":

@@ -28,6 +28,10 @@ bounds in one solver call and nothing else; the gradient dV_i/dalpha is the
 fixed columns' reduced cost.  The same instance extracts the final tubes:
 ``PotentialProgram.extract`` fixes the slack at zero, swaps the objective
 to the template size sum |T|, re-solves warm and puts both back.
+
+W_i has one definition: the ``_w_columns`` terms that the recursion rows
+are built from.  A solution's W_i is those terms read at the solution's own
+column values, the fixed alphas included.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lpcore
-from .geom import (Zonotope, add_scaled_containment, directed_hausdorff, hausdorff_bound,
+from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff, numbers,
                    scale_generators, witness_values)
-from .lpcore import LinearProgram, col_exprs, lin_sum
+# kept by name: perfbench's tracer test rebinds this import
+from .geom import directed_hausdorff  # noqa: F401
+from .lpcore import LinearProgram
 from .sysmodel import _id_key
 from .viability import (RESIDUAL_TOL, RciSolution, ViableSolution, _abs_objective,
                         add_recursion, recursion_residual)
@@ -203,46 +209,48 @@ class ContractParams:
                    load(data["max_x"]), load(data["max_u"]))
 
 
+def admissible_set(sub, channel, t):
+    """Subsystem ``sub``'s admissible state ("x") or input ("u") set at t."""
+    return sub.X_at(t) if channel == "x" else sub.U_at(t)
+
+
+def add_promise_admissibility(lp, alpha, center, cols, admissible, prefix):
+    """Rows for the promise Z(center, cols @ Diag(alpha)) inside the set
+    ``admissible``; ``alpha`` holds the multipliers' column indices."""
+    n, q = np.shape(cols)
+    inner = affine(np.column_stack([np.broadcast_to(alpha, (n, q)), np.full(n, -1)]),
+                   np.column_stack([cols, np.zeros(n)]),
+                   np.column_stack([np.zeros((n, q)), center]))
+    add_scaled_containment(lp, inner, admissible.generators,
+                           numbers(np.ones(admissible.num_generators)),
+                           admissible.center, prefix)
+
+
 def _max_alpha_lp(center, cols, admissible):
     q = cols.shape[1]
     if q == 0:
         return np.zeros(0)
     lp = LinearProgram(name="alphamax")
-    a = lp.var_array("a", q, lb=0.0, ub=ALPHA_CAP)
-    inner = np.empty(cols.shape, dtype=object)
-    for i in range(cols.shape[0]):
-        for j in range(q):
-            inner[i, j] = a[j] * float(cols[i, j])
-    add_scaled_containment(lp, inner, np.asarray(center, dtype=float),
-                           admissible.generators,
-                           [1.0] * admissible.num_generators,
-                           admissible.center, "fit")
-    lp.minimize(lin_sum(a) * -1.0)
+    a = lp.var_block("a", q, lb=0.0, ub=ALPHA_CAP)
+    add_promise_admissibility(lp, a, center, cols, admissible, "fit")
+    lp.set_costs(a, -1.0)
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL:
         raise ContractError(
             f"cannot fit template inside admissible set ({sol.status})")
-    return np.minimum(sol.value(a), ALPHA_CAP)
+    return np.minimum(sol.column_values(a), ALPHA_CAP)
 
 
 def alpha_max(network, template):
     """Outermost admissible parameters (ones for is_bounds templates)."""
-    max_x = {}
-    max_u = {}
-    for sid, entries in template.state.items():
-        sub = network.subsystem(sid)
-        max_x[sid] = [
-            np.ones(C.shape[1]) if template.is_bounds
-            else _max_alpha_lp(c, C, sub.X_at(t))
-            for t, (c, C) in enumerate(entries)
-        ]
-    for sid, entries in template.input.items():
-        sub = network.subsystem(sid)
-        max_u[sid] = [
-            np.ones(C.shape[1]) if template.is_bounds
-            else _max_alpha_lp(c, C, sub.U_at(t))
-            for t, (c, C) in enumerate(entries)
-        ]
+    caps = {}
+    for channel, promises in (("x", template.state), ("u", template.input)):
+        caps[channel] = {
+            sid: [np.ones(C.shape[1]) if template.is_bounds
+                  else _max_alpha_lp(c, C, admissible_set(network.subsystem(sid), channel, t))
+                  for t, (c, C) in enumerate(entries)]
+            for sid, entries in promises.items()}
+    max_x, max_u = caps["x"], caps["u"]
     return ContractParams(
         {s: [a.copy() for a in v] for s, v in max_x.items()},
         {s: [a.copy() for a in v] for s, v in max_u.items()},
@@ -339,7 +347,9 @@ def _w_columns(center, blocks, split, alpha_cols, n):
     ``alpha_cols[b]`` holds the column indices of block b's multipliers
     (None for the local disturbance).  A kept column is alpha * base, with
     constant 0.0 * base; a boxed radius sums its constant |entries| in
-    column order, plus alpha terms with coefficients |entry|.
+    column order, plus alpha terms with coefficients |entry|.  Read at a
+    solution's values, the same form is the solution's W_i
+    (:func:`_w_value`).
     """
     kept, boxed = split
     const = np.zeros((n, len(kept) + (n if boxed else 0)))
@@ -375,21 +385,17 @@ def _w_columns(center, blocks, split, alpha_cols, n):
     return center, const, terms
 
 
-def _w_numeric(network, template, params, sid, t, split, structure=None):
-    """Numeric value of the reduced W_i(t, alpha) with the same column split;
-    ``structure`` is step t's ``aug_blocks``, when the caller has it."""
-    center, blocks = structure or aug_blocks(network, template, sid, t)
-    n = center.shape[0]
-    kept, boxed = split
-    alphas = [_block_alpha(params, block, t) for block in blocks]
-    cols = [blocks[bi].cols[:, ci] * alphas[bi][ci] for bi, ci in kept]
-    if boxed:
-        r = np.zeros(n)
-        for bi, ci in boxed:
-            r += np.abs(blocks[bi].cols[:, ci]) * alphas[bi][ci]
-        cols.extend(list(np.diag(r).T))
-    G = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return Zonotope(center, G)
+def _w_value(sol, W):
+    """The zonotope that ``W``, in the form of :func:`_w_columns`, is at the
+    column values of the LP solution ``sol``.
+
+    The terms are summed in their order from -0.0 (the additive identity,
+    so a lone term keeps its sign of zero), and the constants added last.
+    """
+    center, const, (rows, wcols, cols, coefs) = W
+    G = np.full(const.shape, -0.0)
+    np.add.at(G, (rows, wcols), coefs * sol.column_values(cols))
+    return Zonotope(center, G + const)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +415,7 @@ class SubsystemHandles:
     ubar: list
     d_x: np.ndarray  # slack per state step (empty without slack)
     d_u: np.ndarray  # slack per input step (empty without slack or inputs)
-    splits: list
-    structure: list  # per step: (center, blocks)
+    W: list  # per step: W_i's columns in the form of _w_columns
     witness: dict  # row prefix -> containment handles, cut to the promise's rows
     slack_cols: np.ndarray  # witness columns of the slack's identity columns
 
@@ -457,50 +462,52 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     d_u = np.array([lp.var_block(f"{tag}:du{t}", 1, lb=0.0)[0]
                     for t in range(steps)]) if slack and m else none
 
+    W = []
     for t in range(steps):
         center, blocks = structure[t]
         alpha_cols = [None if block.kind == "local" else
                       alpha_of(block.source, "x" if block.kind == "state" else "u", t)
                       for block in blocks]
+        W.append(_w_columns(center, blocks, splits[t], alpha_cols, n))
         add_recursion(lp, sub.A_at(t), sub.B_at(t), T[t], M[t] if m else None, xbar[t],
-                      ubar[t] if m else None,
-                      _w_columns(center, blocks, splits[t], alpha_cols, n),
+                      ubar[t] if m else None, W[t],
                       T[t + 1] if finite else T[0], xbar[t + 1] if finite else xbar[0],
                       (f"{tag}:rec[{t},", f"{tag}:cen[{t},"))
 
     witness, slack_cols = {}, [none]
 
-    def contain(key, inner_G, inner_c, outer_cols, scales, outer_c, d=None):
+    def contain(key, G, c, outer_cols, scales, outer_c, d=None):
+        # Z(c, G) inside Z(outer_c, outer_cols Diag(scales)), padded by d * I
         q = outer_cols.shape[1]
         if d is not None:
             width = outer_cols.shape[0]
             outer_cols = np.hstack([outer_cols, np.eye(width)])
-            scales = scales + list(col_exprs([d] * width))
-        h = add_scaled_containment(lp, col_exprs(inner_G), col_exprs(inner_c), outer_cols,
-                                   scales, np.asarray(outer_c, dtype=float), f"{tag}:{key}")
+            scales = tuple(map(np.concatenate, zip(scales, affine(np.full(width, d)))))
+        h = add_scaled_containment(lp, affine(np.column_stack([G, c])), outer_cols, scales,
+                                   outer_c, f"{tag}:{key}")
         witness[key] = {name: h[name][:q] for name in h}
         slack_cols.extend([h["Lam"][q:].ravel(), h["lam"][q:], h["W"][q:].ravel()])
 
     for t in range(steps_x):
         cx, Cx = _at(template.state[sid], t)
-        contain(f"inC{t}", T[t], xbar[t], Cx, list(col_exprs(alpha_of(sid, "x", t))), cx,
+        contain(f"inC{t}", T[t], xbar[t], Cx, affine(alpha_of(sid, "x", t)), cx,
                 d_x[t] if slack else None)
     if finite:
         Xh = sub.X_at(steps)
-        contain("term", T[steps], xbar[steps], Xh.generators, [1.0] * Xh.num_generators,
-                Xh.center)
+        contain("term", T[steps], xbar[steps], Xh.generators,
+                numbers(np.ones(Xh.num_generators)), Xh.center)
     if m:
         for t in range(steps):
             if sid in template.input:
                 cu, Cu = _at(template.input[sid], t)
-                scales = list(col_exprs(alpha_of(sid, "u", t)))
+                scales = affine(alpha_of(sid, "u", t))
             else:
                 U_t = sub.U_at(t)
-                cu, Cu, scales = U_t.center, U_t.generators, [1.0] * U_t.num_generators
+                cu, Cu, scales = U_t.center, U_t.generators, numbers(np.ones(U_t.num_generators))
             contain(f"inU{t}", M[t], ubar[t], Cu, scales, cu, d_u[t] if slack else None)
 
-    return SubsystemHandles(sid, k, widths, T, xbar, M, ubar, d_x, d_u, splits,
-                            structure, witness, np.concatenate(slack_cols))
+    return SubsystemHandles(sid, k, widths, T, xbar, M, ubar, d_x, d_u, W, witness,
+                            np.concatenate(slack_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +519,9 @@ class PotentialEval:
     """One evaluation of V_i: value, gradient pieces, and the inner solution.
 
     ``solution`` is built on first access from this evaluation's own LP
-    solution and a copy of the parameter values it fixed, so later
-    re-solves of the program or changes to those parameters leave it as it
-    was.
+    solution, which holds every column's value, the fixed alphas included;
+    later re-solves of the program or changes to the parameters leave it as
+    it was.
     """
 
     sid: object
@@ -523,15 +530,12 @@ class PotentialEval:
     slack_x: np.ndarray
     slack_u: np.ndarray
     solve_seconds: float
-    _program: object = field(repr=False)
+    _handles: SubsystemHandles = field(repr=False)
     _lp_solution: object = field(repr=False)
-    _alpha_values: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def solution(self):
-        program = self._program
-        return program._solution(self._lp_solution,
-                                 program._params_of(self._alpha_values))
+        return _numeric_solution(self._lp_solution, self._handles)
 
 
 class PotentialProgram:
@@ -546,8 +550,6 @@ class PotentialProgram:
     """
 
     def __init__(self, network, template, sid, k=None, reduction_order=1):
-        self.network = network
-        self.template = template
         self.sid = sid
         sub = network.subsystem(sid)
         steps = network.num_steps
@@ -589,8 +591,7 @@ class PotentialProgram:
         self.k = h.k
 
     def _fix(self, params):
-        """Fix the alpha columns at ``params``; returns their values, in
-        column order (``_params_of`` reads them back)."""
+        """Fix the alpha columns at ``params``."""
         blocks = [_at(params.x[j] if channel == "x" else params.u[j], t)
                   for j, channel, t in self._alpha]
         for key, v, cols in zip(self._alpha, blocks, self._alpha.values()):
@@ -604,28 +605,10 @@ class PotentialProgram:
             raise ContractError(f"negative alpha at {key}[{int(np.argmin(v))}]")
         fixed = np.maximum(values, 0.0)
         self.lp.set_col_bounds(self._alpha_cols, fixed, fixed)
-        return values
-
-    def _params_of(self, values):
-        """The parameter series this program reads, from its fixed values."""
-        series = {"x": {}, "u": {}}
-        pos = 0
-        for (j, channel, t), cols in self._alpha.items():
-            series[channel].setdefault(j, {})[t] = values[pos:pos + len(cols)]
-            pos += len(cols)
-        # a step where a neighbor's block is absent (zero coupling) stays None
-        x, u = ({j: [steps.get(t) for t in range(max(steps) + 1)]
-                 for j, steps in series[channel].items()}
-                for channel in ("x", "u"))
-        return ContractParams(x, u, {}, {})
-
-    def _solution(self, sol, params):
-        return _numeric_solution(sol, self.handles, self.network,
-                                 self.template, self.sid, params)
 
     def evaluate(self, params):
         """Warm re-solve of V_i at ``params``; raises PotentialInfeasible."""
-        values = self._fix(params)
+        self._fix(params)
         sol = self.lp.solve()
         if sol.status == lpcore.INFEASIBLE:
             raise PotentialInfeasible(
@@ -641,12 +624,12 @@ class PotentialProgram:
         h = self.handles
         return PotentialEval(
             self.sid, max(0.0, sol.objective), grads, sol.column_values(h.d_x),
-            sol.column_values(h.d_u), sol.solve_seconds, self, sol, values)
+            sol.column_values(h.d_u), sol.solve_seconds, h, sol)
 
     def extract(self, params):
         """The hard tubes at ``params``, or None if none keeps the promises."""
         sol = self._solve_hard(params)
-        return None if sol is None else self._solution(sol, params)
+        return None if sol is None else _numeric_solution(sol, self.handles)
 
     def _solve_hard(self, params):
         """The LP solution of the hard problem at ``params``, or None.
@@ -672,19 +655,18 @@ class PotentialProgram:
         return sol
 
 
-def _numeric_solution(sol, handles, network, template, sid, params):
-    """Read a solved subsystem LP back into a Viable/RciSolution."""
+def _numeric_solution(sol, handles):
+    """Read a solved subsystem LP back into a Viable/RciSolution, W_i from
+    the LP's own terms (:func:`_w_value`)."""
     h = handles
     T = [sol.column_values(Tt) for Tt in h.T]
     xbar = [sol.column_values(xt) for xt in h.xbar]
     M = [sol.column_values(Mt) for Mt in h.M] if h.M else None
     ubar = [sol.column_values(ut) for ut in h.ubar] if h.ubar else None
-    steps = network.num_steps
-    W = [_w_numeric(network, template, params, sid, t, h.splits[t], h.structure[t])
-         for t in range(steps)]
+    W = [_w_value(sol, Wt) for Wt in h.W]
     size = float(sum(np.abs(Tt).sum() for Tt in T))
     witness = witness_values(sol, h.witness)
-    if network.mode == "finite":
+    if len(T) > len(W):  # finite horizon: a tube per step and a terminal one
         return ViableSolution("growing", T, xbar, M, ubar, W, size, witness)
     return RciSolution(T[0], xbar[0], M[0] if M else None,
                        ubar[0] if ubar else None, W[0], 0.0, None, size, witness)
@@ -707,7 +689,7 @@ def extract_solutions(programs, params):
         raise PotentialInfeasible(
             "hard extraction infeasible for subsystem(s) "
             + ", ".join(repr(s) for s in losers))
-    return {sid: programs[sid]._solution(solved[sid], params) for sid in ids}
+    return {sid: _numeric_solution(solved[sid], programs[sid].handles) for sid in ids}
 
 
 def build_programs(network, template, k=None, reduction_order=1):
@@ -813,12 +795,9 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
 
     def escape(inner, center, cols, scales, witness):
         nonlocal fallbacks
-        bound = hausdorff_bound(inner, center, cols, scales, witness)
-        if bound <= tol:
-            return bound
-        fallbacks += 1
-        outer = Zonotope(center, np.asarray(cols, dtype=float) * scales)
-        return directed_hausdorff(outer, inner)
+        margin, lp = certified_hausdorff(inner, center, cols, scales, witness, tol)
+        fallbacks += lp
+        return margin
 
     for sid in network.sorted_ids():
         sub = network.subsystem(sid)

@@ -13,10 +13,13 @@ sufficient containment condition
 as LP rows.  Written this way (the per-row bound on the right-hand side
 instead of a fixed 1) the rows stay linear even when both the inner body's
 generators and the scales are decision variables, which is what the
-viability and contract programs rely on.  :func:`hausdorff_bound` turns any
-candidate (Lambda, lam), such as the one a solved program found, into an
-upper bound on the directed Hausdorff distance; certification checks that
-bound before it solves a Hausdorff LP.
+viability and contract programs rely on.  Every such entry is a number or
+one coefficient times one LP column, so the inner body and the scales are
+passed as arrays (:func:`affine`, :func:`numbers`).  :func:`hausdorff_bound`
+turns any candidate (Lambda, lam), such as the one a solved program found,
+into an upper bound on the directed Hausdorff distance;
+:func:`certified_hausdorff` checks that bound before it solves a Hausdorff
+LP.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpcore
-from .lpcore import LinearProgram, lin_triplets
+from .lpcore import LinearProgram
 
 
 @dataclass(frozen=True)
@@ -237,16 +240,35 @@ def polygon_vertices_2d(Z, tol=1e-12):
 # containment LPs
 
 
-def add_scaled_containment(lp, inner_G, inner_c, outer_cols, outer_scales,
-                           outer_c, prefix):
-    """Emit rows forcing Z(inner_c, inner_G) inside Z(outer_c, outer_cols*Diag(scales)).
+def affine(cols, coefs=1.0, consts=0.0):
+    """Entries ``consts + coefs * x[cols]`` as the arrays ``(cols, coefs,
+    consts)``, broadcast to one shape; a column index below 0 means the
+    entry is the number ``consts`` alone."""
+    return tuple(np.broadcast_arrays(np.asarray(cols, dtype=np.int64),
+                                     np.asarray(coefs, dtype=float),
+                                     np.asarray(consts, dtype=float)))
 
-    ``inner_G`` (n x r), ``inner_c`` (n,) may contain LinExpr entries;
-    ``outer_cols`` (n x s) must be numeric; ``outer_scales`` is a length-s
-    sequence of LinExpr or numbers (nonnegative).  Returns a dict of handles:
-    the column indices of the substituted factor ``Lambda = Diag(scale) @
-    Gamma`` ("Lam", s x r), of ``lam`` (s,) and of the row-sum bounds ``W``
-    (s x r+1), and the names of the row-sum rows (whose duals carry the scale
+
+def numbers(values):
+    """The numbers ``values`` as entries in the form of :func:`affine`."""
+    return affine(-1, 0.0, values)
+
+
+def _body(Z):
+    """The numeric inner body ``[G c]`` of zonotope ``Z``."""
+    return numbers(np.column_stack([Z.generators, Z.center]))
+
+
+def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
+    """Emit rows forcing Z(c, G) inside Z(outer_c, outer_cols @ Diag(scales)).
+
+    ``inner`` is the body ``[G c]`` (n x r+1) and ``scales`` the s scales
+    (nonnegative), each as :func:`affine` arrays: entry ``consts + coefs *
+    x[cols]``, a plain number where the column index is below 0.
+    ``outer_cols`` (n x s) is numeric.  Returns a dict of handles: the column
+    indices of the substituted factor ``Lambda = Diag(scale) @ Gamma``
+    ("Lam", s x r), of ``lam`` (s,) and of the row-sum bounds ``W`` (s x
+    r+1), and the names of the row-sum rows (whose duals carry the scale
     sensitivities).
 
     The rows are, in order: for every i, ``G[i, j]`` (j < r) and ``c[i]``
@@ -255,25 +277,24 @@ def add_scaled_containment(lp, inner_G, inner_c, outer_cols, outer_scales,
     """
     outer_cols = np.asarray(outer_cols, dtype=float)
     n, s = outer_cols.shape
-    inner_G = np.asarray(inner_G, dtype=object).reshape(n, -1)
-    r = inner_G.shape[1]
-    p = r + 1  # columns of [Lam lam], rows per i of the equality block
+    p = np.shape(inner[0])[1]  # columns of [Lam lam], rows per i of the equality block
+    r = p - 1
     Lam = lp.var_block(f"{prefix}:L", (s, r))
     lam = lp.var_block(f"{prefix}:l", s)
     W = lp.var_block(f"{prefix}:W", (s, p), lb=0.0)
     Lam_lam = np.hstack([Lam, lam.reshape(s, 1)])
 
-    # [inner_G, inner_c] = outer_cols @ [Lam, lam] with the inner terms moved
-    # left: row i*p + j is G[i, j] for j < r and c[i] for j == r
-    inner = np.hstack([inner_G, np.asarray(inner_c, dtype=object).reshape(n, 1)])
-    owner, cols, coefs, consts = lin_triplets(inner.ravel())
+    # [G, c] = outer_cols @ [Lam, lam] with the inner terms moved left:
+    # row i*p + j is G[i, j] for j < r and c[i] for j == r
+    cols, coefs, consts = (np.reshape(a, n * p) for a in inner)
+    own = np.flatnonzero(cols >= 0)
     is_c = np.arange(n * p) % p == r
     ii, qq = np.nonzero(outer_cols)
     lp.add_rows(
-        np.concatenate([((ii * p)[:, None] + np.arange(p)).ravel(), owner]),
-        np.concatenate([Lam_lam[qq].ravel(), cols]),
+        np.concatenate([((ii * p)[:, None] + np.arange(p)).ravel(), own]),
+        np.concatenate([Lam_lam[qq].ravel(), cols[own]]),
         np.concatenate([np.repeat(outer_cols[ii, qq], p),
-                        np.where(is_c[owner], coefs, -coefs)]),
+                        np.where(is_c[own], coefs[own], -coefs[own])]),
         np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p)),
                  consts),
         "=",
@@ -285,7 +306,8 @@ def add_scaled_containment(lp, inner_G, inner_c, outer_cols, outer_scales,
     rq = 2 * p + 1
     plus = (np.arange(s) * rq)[:, None] + 2 * np.arange(p)
     rowsum = np.arange(s) * rq + 2 * p
-    owner, cols, coefs, consts = lin_triplets(outer_scales)
+    cols, coefs, consts = scales
+    own = np.flatnonzero(cols >= 0)
     bounds = np.zeros(s * rq)
     bounds[rowsum] = consts
     rowsum_names = [f"{prefix}:rowsum[{q}]" for q in range(s)]
@@ -294,11 +316,11 @@ def add_scaled_containment(lp, inner_G, inner_c, outer_cols, outer_scales,
         names[q] = name
     lp.add_rows(
         np.concatenate([plus.ravel(), plus.ravel(), (plus + 1).ravel(),
-                        (plus + 1).ravel(), np.repeat(rowsum, p), rowsum[owner]]),
+                        (plus + 1).ravel(), np.repeat(rowsum, p), rowsum[own]]),
         np.concatenate([Lam_lam.ravel(), W.ravel(), Lam_lam.ravel(), W.ravel(),
-                        W.ravel(), cols]),
+                        W.ravel(), cols[own]]),
         np.concatenate([np.full(s * p, 1.0), np.full(3 * s * p, -1.0),
-                        np.full(s * p, 1.0), -coefs]),
+                        np.full(s * p, 1.0), -coefs[own]]),
         bounds, "<", names=names)
     return {"Lam": Lam, "lam": lam, "W": W, "rowsum_names": rowsum_names}
 
@@ -317,9 +339,9 @@ def containment_lp(inner, outer):
     if inner.dim != outer.dim:
         raise ValueError("dimension mismatch")
     lp = LinearProgram(name="containment")
-    handles = add_scaled_containment(
-        lp, inner.generators, inner.center, outer.generators,
-        [1.0] * outer.num_generators, outer.center, "ct")
+    handles = add_scaled_containment(lp, _body(inner), outer.generators,
+                                     numbers(np.ones(outer.num_generators)),
+                                     outer.center, "ct")
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL:
         return ContainmentCertificate(False, solve_seconds=sol.solve_seconds)
@@ -338,14 +360,13 @@ def directed_hausdorff(outer, inner):
     """
     if inner.dim != outer.dim:
         raise ValueError("dimension mismatch")
-    n = inner.dim
+    n, s = inner.dim, outer.num_generators
     lp = LinearProgram(name="hausdorff")
-    d = lp.var("d", lb=0.0)
-    cols = np.hstack([outer.generators, np.eye(n)])
-    scales = [1.0] * outer.num_generators + [d] * n
-    add_scaled_containment(lp, inner.generators, inner.center, cols, scales,
-                           outer.center, "dh")
-    lp.minimize(d)
+    d = lp.var_block("d", (), lb=0.0)
+    scales = affine(np.r_[np.full(s, -1), np.full(n, d)], 1.0, np.r_[np.ones(s), np.zeros(n)])
+    add_scaled_containment(lp, _body(inner), np.hstack([outer.generators, np.eye(n)]),
+                           scales, outer.center, "dh")
+    lp.set_costs([d], 1.0)
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL:
         raise lpcore.LpSolverError(f"hausdorff LP ended with {sol.status}")
@@ -390,6 +411,20 @@ def hausdorff_bound(inner, center, cols, scales, L):
     return float(np.max(np.abs(cols) @ excess + np.abs(E).sum(axis=1), initial=0.0))
 
 
+def certified_hausdorff(inner, center, cols, scales, witness, tol):
+    """``directed_hausdorff(Z(center, cols @ Diag(scales)), inner)`` as far
+    as ``tol`` needs it: returns ``(distance, used_lp)``.
+
+    The distance is the witness's :func:`hausdorff_bound` when that is
+    within ``tol`` (``used_lp`` False); otherwise the Hausdorff LP decides.
+    """
+    bound = hausdorff_bound(inner, center, cols, scales, witness)
+    if bound <= tol:
+        return bound, False
+    outer = Zonotope(center, np.asarray(cols, dtype=float) * scales)
+    return directed_hausdorff(outer, inner), True
+
+
 def membership_lp(Z, x):
     """The LP min |zeta|_inf s.t. x = c + G zeta, and zeta's column indices.
 
@@ -399,7 +434,7 @@ def membership_lp(Z, x):
     p = Z.num_generators
     lp = LinearProgram(name="member")
     zeta = lp.var_block("z", p)
-    q = lp.var("q", lb=0.0)  # column p
+    q = lp.var_block("q", (), lb=0.0)  # column p
     ii, kk = np.nonzero(Z.generators)
     lp.add_rows(ii, zeta[kk], Z.generators[ii, kk],
                 np.asarray(x, dtype=float) - Z.center, "=")
@@ -408,7 +443,7 @@ def membership_lp(Z, x):
                 np.concatenate([zeta, zeta, np.full(2 * p, p)]),
                 np.concatenate([np.ones(p), -np.ones(p), -np.ones(2 * p)]),
                 np.zeros(2 * p), "<")
-    lp.minimize(q)
+    lp.set_costs([q], 1.0)
     return lp, zeta
 
 

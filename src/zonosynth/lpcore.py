@@ -2,17 +2,23 @@
 
 This is the single place in the package that talks to an LP solver: the
 HiGHS bindings that ship inside scipy (``scipy.optimize._highspy``, scipy
->= 1.15).  Models are built incrementally, one row at a time from
-:class:`LinExpr` objects (sparse affine expressions) or a block of rows at a
-time from COO triplets; rows and variables can be named, and solutions
-expose primal values, row duals by name and column duals (reduced costs) by
-index.
+>= 1.15).  Models are built incrementally from column indices: variables
+come as int arrays from :meth:`LinearProgram.var_block` and rows a block at
+a time as COO triplets from :meth:`LinearProgram.add_rows`.  Rows and
+variables can be named, and solutions expose primal values by column, row
+duals by name and column duals (reduced costs) by index.
 
 Column bounds and costs are kept as arrays.  The solver instance stays alive
 between solves, so :meth:`LinearProgram.set_col_bounds`,
 :meth:`LinearProgram.set_costs` and :meth:`LinearProgram.set_rhs` change it
 in place (one HiGHS call for a whole block of columns) and the next solve is
 a warm re-solve from the last basis.  Reported times are in-solver seconds.
+
+:class:`LinExpr` (a sparse affine expression) with ``var``, ``add_eq``/
+``add_le``/``add_ge``, ``set_rhs``, ``minimize`` and ``value`` is the
+row-at-a-time path: one row per call, written as expression arithmetic.
+The package's programs do not use it; it stays as the plain reference that
+the block emitters are tested against.
 
 Sign conventions
 ----------------
@@ -189,27 +195,6 @@ def lin_sum(items):
     return LinExpr(terms, const)
 
 
-def lin_triplets(items):
-    """Flatten LinExpr/number ``items`` into arrays ``(owner, cols, coefs, consts)``.
-
-    Term ``e`` is ``coefs[e] * x[cols[e]]`` of ``items[owner[e]]``, in each
-    expression's term order; ``consts[k]`` is the constant of ``items[k]``.
-    """
-    counts, cols, coefs, consts = [], [], [], []
-    for item in items:
-        if isinstance(item, LinExpr):
-            counts.append(len(item.terms))
-            cols.extend(item.terms)
-            coefs.extend(item.terms.values())
-            consts.append(item.const)
-        else:
-            counts.append(0)
-            consts.append(float(item))
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return (owner, np.array(cols, dtype=np.int64), np.array(coefs, dtype=np.float64),
-            np.array(consts, dtype=np.float64))
-
-
 def col_exprs(cols):
     """The variables with column indices ``cols`` as an object array of
     LinExpr of the same shape."""
@@ -307,14 +292,16 @@ class LinearProgram:
         return LinExpr({col: 1.0})
 
     def var_block(self, name, shape, lb=-INF, ub=INF):
-        """Fresh variables ``name[i]`` / ``name[i,j]`` in C order; returns
-        their column indices as an int array of ``shape``."""
+        """Fresh variables ``name[i]`` / ``name[i,j]`` in C order (shape
+        ``()``: the one variable ``name``); returns their column indices as
+        an int array of ``shape``."""
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         tags = [""]
         for axis, size in enumerate(shape):
             sep = "," if axis else ""
             tags = [f"{tag}{sep}{k}" for tag in tags for k in range(size)]
-        first = self._add_cols([f"{name}[{tag}]" for tag in tags], lb, ub)
+        first = self._add_cols([f"{name}[{tag}]" if shape else name for tag in tags],
+                               lb, ub)
         return np.arange(first, first + len(tags)).reshape(shape)
 
     def var_array(self, name, shape, lb=-INF, ub=INF):
@@ -366,8 +353,8 @@ class LinearProgram:
         Local row ``k`` (``0 <= k < len(bounds)``) reads
         ``sum(coefs[e] * x[cols[e]] over e with rows[e] == k) <sense> bounds[k]``
         with one ``sense`` ("=", "<" or ">") for the block.  Repeated
-        (row, column) entries are summed in the order given and zero
-        coefficients dropped, as LinExpr arithmetic does.  ``names`` holds a
+        (row, column) entries are summed left to right from 0.0, and
+        entries whose coefficient is then zero are dropped.  ``names`` holds a
         name or None (the default "r<index>") per row.  The rows count as
         created with right-hand side 0, which is what :meth:`set_rhs` values
         are taken relative to.

@@ -42,6 +42,8 @@ from .contracts import (
     ContractParams,
     CorrectnessReport,
     PotentialInfeasible,
+    add_promise_admissibility,
+    admissible_set,
     alpha_max,
     build_programs,
     check_correctness,
@@ -51,8 +53,7 @@ from .contracts import (
     potential,
     _numeric_solution,
 )
-from .geom import add_scaled_containment
-from .lpcore import LinearProgram, col_exprs
+from .lpcore import LinearProgram
 from .sysmodel import ConfigError, aggregate, load_network, save_network
 from .viability import recursion_residual
 
@@ -486,7 +487,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
             params = ContractParams(x=x_vals, u=u_vals,
                                     max_x=caps.x, max_u=caps.u)
             solutions = {
-                sid: _numeric_solution(sol, handles[sid], network, tpl, sid, params)
+                sid: _numeric_solution(sol, handles[sid])
                 for sid in ids
             }
 
@@ -508,26 +509,11 @@ def _admissibility_rows(lp, network, template, ensure):
     """Custom-template promise-in-hard-bounds containments."""
     for sid in network.sorted_ids():
         sub = network.subsystem(sid)
-        for t, (c, C) in enumerate(template.state[sid]):
-            alpha = col_exprs(ensure(sid, "x", t))
-            C = np.asarray(C, float)
-            inner = np.empty(C.shape, dtype=object)
-            for (i, j), v in np.ndenumerate(C):
-                inner[i, j] = alpha[j] * float(v)
-            X = sub.X_at(t)
-            add_scaled_containment(lp, inner, np.asarray(c, float),
-                                   X.generators, [1.0] * X.num_generators,
-                                   X.center, f"adm:x:{sid}:{t}")
-        for t, (c, C) in enumerate(template.input.get(sid, ())):
-            alpha = col_exprs(ensure(sid, "u", t))
-            C = np.asarray(C, float)
-            inner = np.empty(C.shape, dtype=object)
-            for (i, j), v in np.ndenumerate(C):
-                inner[i, j] = alpha[j] * float(v)
-            U = sub.U_at(t)
-            add_scaled_containment(lp, inner, np.asarray(c, float),
-                                   U.generators, [1.0] * U.num_generators,
-                                   U.center, f"adm:u:{sid}:{t}")
+        for channel, promises in (("x", template.state), ("u", template.input)):
+            for t, (c, C) in enumerate(promises.get(sid, ())):
+                add_promise_admissibility(lp, ensure(sid, channel, t), c, C,
+                                          admissible_set(sub, channel, t),
+                                          f"adm:{channel}:{sid}:{t}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lpcore
-from .geom import (Zonotope, add_scaled_containment, contains_point, directed_hausdorff,
-                   hausdorff_bound, witness_values)
-from .lpcore import LinearProgram, col_exprs
+from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff,
+                   contains_point, numbers, witness_values)
+from .lpcore import LinearProgram
 
 
 #: largest recursion residual a certified solution may have
@@ -141,9 +141,10 @@ def numeric_w(W):
 
 def _add_plain_containment(lp, G, c, outer, prefix, scale=1.0):
     """Rows for Z(c, scale * G) inside ``outer``; ``G``/``c`` are columns."""
-    return add_scaled_containment(
-        lp, scale * col_exprs(G), col_exprs(c), outer.generators,
-        [1.0] * outer.num_generators, outer.center, prefix)
+    inner = affine(np.column_stack([G, c]), np.r_[np.full(G.shape[1], scale), 1.0])
+    return add_scaled_containment(lp, inner, outer.generators,
+                                  numbers(np.ones(outer.num_generators)),
+                                  outer.center, prefix)
 
 
 def _certify(inner, outer, what, witness=None, tol=1e-7):
@@ -153,14 +154,11 @@ def _certify(inner, outer, what, witness=None, tol=1e-7):
     ``tol``; otherwise the Hausdorff LP decides, and ``lp`` is True.
     Raises CertificationError when the containment fails.
     """
-    margin = hausdorff_bound(inner, outer.center, outer.generators,
-                             np.ones(outer.num_generators), witness)
-    if margin <= tol:
-        return margin, False
-    margin = directed_hausdorff(outer, inner)
+    margin, lp = certified_hausdorff(inner, outer.center, outer.generators,
+                                     np.ones(outer.num_generators), witness, tol)
     if margin > tol:
         raise CertificationError(f"{what}: solution violates containment")
-    return margin, True
+    return margin, lp
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +466,8 @@ def rci_lp(A, B, W, X, U, k, beta=0.0, simplified=None):
 
     add_recursion(lp, A, B, T, M, xbar, ubar, numeric_w(W), T, xbar, ("rec[", "fix["), E=E)
     if E is not None:
-        add_scaled_containment(lp, col_exprs(E), np.zeros(n), W.generators, [beta] * p,
-                               np.zeros(n), "wiggle")
+        add_scaled_containment(lp, affine(np.column_stack([E, np.full(n, -1)])),
+                               W.generators, numbers(np.full(p, beta)), np.zeros(n), "wiggle")
     witness = {"inX": _add_plain_containment(lp, T, xbar, X, "inX", sigma)}
     if m:
         witness["inU"] = _add_plain_containment(lp, M, ubar, U, "inU", sigma)

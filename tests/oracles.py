@@ -5,9 +5,10 @@ paths: LPs are solved by brute-force vertex enumeration, zonotope geometry by
 enumerating sign patterns and convex hulls.  Slow but trustworthy on small
 instances.  The exceptions are the reference emitters and programs at the
 end: they build the containment rows and the tube-recursion programs one
-LinExpr row at a time, to check the block emitters against, and the hard
-extraction as a second LP per subsystem with its parameters pinned by
-equality rows, to check ``PotentialProgram.extract`` against.
+LinExpr row at a time (``lpcore``'s row-wise path), to check the block
+emitters against, and the hard extraction as a second LP per subsystem with
+its parameters pinned by equality rows, to check
+``PotentialProgram.extract`` against.
 """
 
 import itertools
@@ -205,7 +206,11 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
 
     Emits the same variables and rows through ``add_eq``/``add_le`` and
     LinExpr arithmetic, one row per call, and returns the handles as LinExpr
-    arrays.
+    arrays.  ``inner_G``/``inner_c``/``outer_scales`` entries are LinExpr
+    or numbers.  The G, |[Lam lam]| and row-sum rows are written as
+    ``-(right - left)``: that moves a zero constant right as +0.0, the sign
+    the block emitter gives it, so the programs built with this reference
+    match the package's bit for bit.
     """
     from zonosynth.lpcore import as_expr, lin_sum
 
@@ -221,7 +226,7 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
         row_cols = np.nonzero(outer_cols[i])[0]
         for j in range(r):
             expr = lin_sum(outer_cols[i, q] * Lam[q, j] for q in row_cols)
-            lp.add_eq(expr - as_expr(inner_G[i, j]), 0.0, name=f"{prefix}:G[{i},{j}]")
+            lp.add_eq(-(as_expr(inner_G[i, j]) - expr), 0.0, name=f"{prefix}:G[{i},{j}]")
         expr = lin_sum(outer_cols[i, q] * lam[q] for q in row_cols)
         lp.add_eq(expr + as_expr(inner_c[i]) - as_expr(outer_c[i]), 0.0,
                   name=f"{prefix}:c[{i}]")
@@ -229,13 +234,13 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
     rowsum_names = []
     for q in range(s):
         for j in range(r):
-            lp.add_le(Lam[q, j] - W[q, j], 0.0)
+            lp.add_le(-(W[q, j] - Lam[q, j]), 0.0)
             lp.add_le(-Lam[q, j] - W[q, j], 0.0)
-        lp.add_le(lam[q] - W[q, r], 0.0)
+        lp.add_le(-(W[q, r] - lam[q]), 0.0)
         lp.add_le(-lam[q] - W[q, r], 0.0)
         total = lin_sum(W[q, j] for j in range(r + 1))
         name = f"{prefix}:rowsum[{q}]"
-        lp.add_le(total - as_expr(outer_scales[q]), 0.0, name=name)
+        lp.add_le(-(as_expr(outer_scales[q]) - total), 0.0, name=name)
         rowsum_names.append(name)
     return {"Lam": Lam, "lam": lam, "W": W, "rowsum_names": rowsum_names}
 
@@ -347,7 +352,6 @@ def _size_objective(lp, blocks):
 def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
                              x0=None):
     """Row-at-a-time reference for ``viability.finite_viable_lp``'s LP."""
-    from zonosynth.geom import add_scaled_containment
     from zonosynth.lpcore import LinearProgram, col_exprs
 
     h = len(A_seq)
@@ -372,8 +376,8 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="gro
                                 [[0.0] * (widths[t] + p[t])] * n, f"rec[{t},", f"cen[{t},")
 
     def plain(inner_G, inner_c, outer, prefix):
-        add_scaled_containment(lp, inner_G, inner_c, outer.generators,
-                               [1.0] * outer.num_generators, outer.center, prefix)
+        add_scaled_containment_rowwise(lp, inner_G, inner_c, outer.generators,
+                                       [1.0] * outer.num_generators, outer.center, prefix)
 
     for t in range(h + 1):
         plain(T[t], xbar[t], X_seq[t], f"inX{t}")
@@ -392,7 +396,6 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="gro
 
 def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0, simplified=None):
     """Row-at-a-time reference for ``viability.rci_lp``'s LP."""
-    from zonosynth.geom import add_scaled_containment
     from zonosynth.lpcore import LinearProgram, col_exprs
 
     if simplified is None:
@@ -414,12 +417,13 @@ def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0, simplified=None):
                             T, xbar, [[0.0] * (k + p)] * n if E is None else E,
                             "rec[", "fix[")
     if E is not None:
-        add_scaled_containment(lp, E, np.zeros(n), Gw, [beta] * p, np.zeros(n), "wiggle")
-    add_scaled_containment(lp, sigma * T, xbar, X.generators, [1.0] * X.num_generators,
-                           X.center, "inX")
+        add_scaled_containment_rowwise(lp, E, np.zeros(n), Gw, [beta] * p, np.zeros(n),
+                                       "wiggle")
+    add_scaled_containment_rowwise(lp, sigma * T, xbar, X.generators,
+                                   [1.0] * X.num_generators, X.center, "inX")
     if m:
-        add_scaled_containment(lp, sigma * M, ubar, U.generators,
-                               [1.0] * U.num_generators, U.center, "inU")
+        add_scaled_containment_rowwise(lp, sigma * M, ubar, U.generators,
+                                       [1.0] * U.num_generators, U.center, "inU")
     _size_objective(lp, [Tc])
     return lp
 
@@ -464,7 +468,6 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
     """Row-at-a-time reference for ``contracts.emit_subsystem``; ``alpha_of``
     returns column indices, as there."""
     from zonosynth.contracts import _at, _choose_columns, aug_blocks
-    from zonosynth.geom import add_scaled_containment
     from zonosynth.lpcore import col_exprs
 
     sub = network.subsystem(sid)
@@ -513,12 +516,12 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
         if slack:
             outer_cols = np.hstack([Cx, np.eye(n)])
             scales = scales + [d_x[t]] * n
-        add_scaled_containment(lp, T[t], xbar[t], outer_cols, scales,
-                               np.asarray(cx, dtype=float), f"{tag}:inC{t}")
+        add_scaled_containment_rowwise(lp, T[t], xbar[t], outer_cols, scales,
+                                       np.asarray(cx, dtype=float), f"{tag}:inC{t}")
     if finite:
         Xh = sub.X_at(steps)
-        add_scaled_containment(lp, T[steps], xbar[steps], Xh.generators,
-                               [1.0] * Xh.num_generators, Xh.center, f"{tag}:term")
+        add_scaled_containment_rowwise(lp, T[steps], xbar[steps], Xh.generators,
+                                       [1.0] * Xh.num_generators, Xh.center, f"{tag}:term")
     if m:
         for t in range(steps):
             if sid in template.input:
@@ -532,8 +535,8 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
             if slack:
                 outer_cols = np.hstack([outer_cols, np.eye(m)])
                 scales = scales + [d_u[t]] * m
-            add_scaled_containment(lp, M[t], ubar[t], outer_cols, scales, outer_c,
-                                   f"{tag}:inU{t}")
+            add_scaled_containment_rowwise(lp, M[t], ubar[t], outer_cols, scales, outer_c,
+                                           f"{tag}:inU{t}")
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +557,7 @@ class ExtractionProgram:
         from zonosynth.lpcore import LinearProgram
         from zonosynth.viability import _abs_objective
 
-        self.network, self.template, self.sid = network, template, sid
+        self.sid = sid
         lp = LinearProgram(name=f"extract[{sid}]")
         self._pins = {}
 
@@ -593,5 +596,4 @@ class ExtractionProgram:
         if sol.status == "infeasible":
             return None
         assert sol.status == "optimal", sol.status
-        return _numeric_solution(sol, self.handles, self.network, self.template,
-                                 self.sid, params)
+        return _numeric_solution(sol, self.handles)

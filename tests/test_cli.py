@@ -113,6 +113,31 @@ def test_synth_beta_needs_dense_method(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("method,flag,order", [
+    ("compositional", [], 1), ("compositional", ["--reduce-order", "0"], None),
+    ("compositional", ["--reduce-order", "2"], 2), ("centralized", [], None),
+    ("centralized", ["--reduce-order", "0"], None), ("centralized", ["--reduce-order", "1"], 1),
+])
+def test_synth_reduce_order_zero_means_exact_columns(monkeypatch, method, flag, order):
+    seen = []
+
+    def spy(network, mode=None, config=None, reduction_order="unset", **kwargs):
+        seen.append(config.reduction_order if config else reduction_order)
+        raise lpcore.LpSolverError("stop")
+
+    monkeypatch.setattr(cli, f"{method}_synthesize", spy)
+    assert main(["synth", "--config", "configs/case1.json", "--method", method, *flag]) == 1
+    assert seen == [order]
+
+
+@pytest.mark.parametrize("method", ["compositional", "centralized"])
+def test_synth_negative_reduce_order_exits_two(method, capsys):
+    code = main(["synth", "--config", "configs/case1.json", "--method", method,
+                 "--reduce-order", "-1"])
+    assert code == 2
+    assert "--reduce-order must be >= 0" in capsys.readouterr().err
+
+
 def test_synth_dense_method(tmp_path):
     out = tmp_path / "dense"
     code = main(["synth", "--config", "configs/case1.json",

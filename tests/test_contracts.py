@@ -25,7 +25,6 @@ from zonosynth.contracts import (
     extract_solutions,
     potential,
     _numeric_solution,
-    _w_numeric,
 )
 from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
 from zonosynth.sysmodel import load_network
@@ -215,22 +214,19 @@ def test_reduced_w_matches_order_reduce_box_at_alpha_max():
     net = load_network(cfg)
     tpl = default_template(net)
     params = alpha_max(net, tpl)
+    shrunk = params.scaled(0.6)
     exact = augmented_disturbance(net, tpl, params, 1, 0)
-    from zonosynth.contracts import _choose_columns
-
-    _, blocks = aug_blocks(net, tpl, 1, 0)
     for order in (1, 2, None):
-        split = _choose_columns(blocks, 2, order)
-        reduced = _w_numeric(net, tpl, params, 1, 0, split)
+        programs = build_programs(net, tpl, reduction_order=order)
+        # the W a solution reads back from its program's own terms
+        reduced = potential(programs, params).evals[1].solution.W
         oracle = order_reduce_box(exact, order)
         assert reduced.center == pytest.approx(oracle.center)
         assert reduced.generators == pytest.approx(oracle.generators)
-    # at other alphas the reduction is still an outer approximation
-    shrunk = params.scaled(0.6)
-    split = _choose_columns(blocks, 2, 2)
-    reduced = _w_numeric(net, tpl, shrunk, 1, 0, split)
-    exact6 = augmented_disturbance(net, tpl, shrunk, 1, 0)
-    assert directed_hausdorff(reduced, exact6) <= 1e-9
+        # at other alphas the reduction is still an outer approximation
+        for sid, ev in potential(programs, shrunk).evals.items():
+            exact6 = augmented_disturbance(net, tpl, shrunk, sid, 0)
+            assert directed_hausdorff(ev.solution.W, exact6) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +342,16 @@ def test_potential_solution_is_built_lazily_from_its_own_evaluation(make_network
     kept = p1.copy()
     r1 = potential(programs, p1)
     assert r1.value == pytest.approx(0.0, abs=1e-9)
-    eager = {sid: _numeric_solution(ev._lp_solution, programs[sid].handles,
-                                    net, tpl, sid, kept)
+    eager = {sid: _numeric_solution(ev._lp_solution, programs[sid].handles)
              for sid, ev in r1.evals.items()}
     assert all("solution" not in vars(ev) for ev in r1.evals.values())
+    # each W is the boxed augmented disturbance at the parameters evaluated
+    for sid, sol in eager.items():
+        for t in range(net.num_steps):
+            got = sol.W[t] if isinstance(sol.W, list) else sol.W
+            want = order_reduce_box(augmented_disturbance(net, tpl, kept, sid, t), 1)
+            assert np.array_equal(got.center, want.center)
+            assert got.generators == pytest.approx(want.generators, abs=1e-15)
 
     # re-solve the same programs elsewhere, then change p1 in place
     p2 = p1.copy()

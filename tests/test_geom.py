@@ -9,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 from zonosynth.geom import (
     Zonotope,
     add_scaled_containment,
+    affine,
     affine_map,
+    certified_hausdorff,
     containment_lp,
     contains_point,
     directed_hausdorff,
@@ -17,6 +19,7 @@ from zonosynth.geom import (
     interval_hull,
     membership_lp,
     minkowski_sum,
+    numbers,
     order_reduce_box,
     point_zonotope,
     polygon_vertices_2d,
@@ -233,12 +236,13 @@ class TestContainment:
         assert not outside and zeta is None
 
 
-BASE_VARS = 3  # variables y0..y2 that LinExpr entries of the emitter refer to
+BASE_VARS = 3  # variables y0..y2 that the emitter's entries refer to
 coef = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0])
-expr = st.builds(LinExpr, st.dictionaries(st.integers(0, BASE_VARS - 1), coef,
-                                          max_size=BASE_VARS),
-                 st.sampled_from([0.0, -0.0, 1.5, -0.75]))
-entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0]), expr)
+# an entry (col, coef, const) is const + coef * y[col], or the number const
+# for col -1
+entry = st.one_of(
+    st.tuples(st.just(-1), st.just(0.0), st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0])),
+    st.tuples(st.integers(0, BASE_VARS - 1), coef, st.sampled_from([0.0, -0.0, 1.5, -0.75])))
 
 
 def _column(e):
@@ -246,16 +250,42 @@ def _column(e):
     return col
 
 
+def _entry_arrays(entries, shape):
+    """``entries`` (col, coef, const) in the array form of ``geom.affine``."""
+    cols, coefs, consts = (np.array([e[k] for e in entries]).reshape(shape)
+                           for k in range(3))
+    return affine(cols.astype(np.int64), coefs, consts)
+
+
+def _entry_expr(e):
+    col, coef, const = e
+    return LinExpr({col: coef}, const) if col >= 0 else const
+
+
 def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c):
-    """The block emitter builds the row-wise reference's program."""
-    def build(emit):
+    """The block emitter builds the row-wise reference's program.
+
+    ``inner_G`` (n x r), ``inner_c`` (n) and ``scales`` (s) hold entries
+    (col, coef, const); the emitter gets them as arrays, the reference as
+    LinExpr or numbers.
+    """
+    n, r = np.shape(inner_G)[:2]
+
+    def make(emit, *args):
         lp = LinearProgram(name="emit")
         for k in range(BASE_VARS):
             lp.var(f"y{k}", lb=-1.0, ub=1.0)
-        return lp, emit(lp, inner_G, inner_c, outer_cols, scales, outer_c, "ct")
+        return lp, emit(lp, *args)
 
-    fast, got = build(add_scaled_containment)
-    ref, want = build(oracles.add_scaled_containment_rowwise)
+    body = [e for i in range(n) for e in list(inner_G[i]) + [inner_c[i]]]
+    fast, got = make(add_scaled_containment, _entry_arrays(body, (n, r + 1)), outer_cols,
+                     _entry_arrays(scales, len(scales)), outer_c, "ct")
+    exprs = np.empty((n, r), dtype=object)
+    for i, j in np.ndindex(n, r):
+        exprs[i, j] = _entry_expr(inner_G[i][j])
+    ref, want = make(oracles.add_scaled_containment_rowwise, exprs,
+                     [_entry_expr(e) for e in inner_c], outer_cols,
+                     [_entry_expr(e) for e in scales], outer_c, "ct")
     assert fast.row_names() == ref.row_names()
     assert fast._col_names == ref._col_names
     assert np.array_equal(fast._senses(), ref._senses())
@@ -279,9 +309,7 @@ class TestContainmentEmitter:
         r = data.draw(st.integers(0, 3), label="r")
         outer_cols = data.draw(arrays(
             np.float64, (n, s), elements=st.sampled_from([0.0, 1.0, -0.5, 2.0])))
-        inner_G = np.empty((n, r), dtype=object)
-        for pos in np.ndindex(n, r):
-            inner_G[pos] = data.draw(entry)
+        inner_G = [[data.draw(entry) for _ in range(r)] for _ in range(n)]
         inner_c = [data.draw(entry) for _ in range(n)]
         scales = [data.draw(entry) for _ in range(s)]
         outer_c = data.draw(vec(n))
@@ -291,12 +319,10 @@ class TestContainmentEmitter:
     def test_edge_shapes_and_mixed_entries(self, s, r):
         n = 2
         outer_cols = np.arange(n * s, dtype=float).reshape(n, s)  # has zeros
-        y = [LinExpr({k: 1.0}) for k in range(BASE_VARS)]
-        inner_G = np.empty((n, r), dtype=object)
-        for i, j in np.ndindex(n, r):
-            inner_G[i, j] = 2.0 * y[j % BASE_VARS] + 0.25 if (i + j) % 2 else float(i - j)
-        inner_c = [y[0] - 1.5, 0.5]
-        scales = [y[1] + 1.0 if q % 2 else 2.0 for q in range(s)]
+        inner_G = [[(j % BASE_VARS, 2.0, 0.25) if (i + j) % 2 else (-1, 0.0, float(i - j))
+                    for j in range(r)] for i in range(n)]
+        inner_c = [(0, 1.0, -1.5), (-1, 0.0, 0.5)]
+        scales = [(1, 1.0, 1.0) if q % 2 else (-1, 0.0, 2.0) for q in range(s)]
         _assert_same_program(inner_G, inner_c, outer_cols, scales, np.array([1.0, -1.0]))
 
 
@@ -428,8 +454,8 @@ class TestHausdorffBound:
             scales = rng.uniform(0.2, 1.5, s)
             inner, _ = _contained_inner(rng, cols, scales)
             lp = LinearProgram(name="ct")
-            handles = add_scaled_containment(lp, inner.generators, inner.center,
-                                             cols, scales, np.zeros(n), "ct")
+            body = numbers(np.column_stack([inner.generators, inner.center]))
+            handles = add_scaled_containment(lp, body, cols, numbers(scales), np.zeros(n), "ct")
             sol = lp.solve()
             assert sol.is_optimal
             L = witness_values(sol, {"ct": handles})["ct"]
@@ -449,11 +475,13 @@ class TestHausdorffBound:
             center = rng.uniform(-1, 1, n)
             inner = Zonotope(rng.uniform(-1, 1, n), rng.uniform(-1.5, 1.5, (n, r)))
             lp = LinearProgram(name="dh")
-            d = lp.var("d", lb=0.0)
+            d = lp.var_block("d", (), lb=0.0)
             handles = add_scaled_containment(
-                lp, inner.generators, inner.center, np.hstack([cols * scales, np.eye(n)]),
-                [1.0] * s + [d] * n, center, "dh")
-            lp.minimize(d)
+                lp, numbers(np.column_stack([inner.generators, inner.center])),
+                np.hstack([cols * scales, np.eye(n)]),
+                affine(np.r_[np.full(s, -1), np.full(n, d)], 1.0, np.r_[np.ones(s), np.zeros(n)]),
+                center, "dh")
+            lp.set_costs([d], 1.0)
             sol = lp.solve()
             L = witness_values(sol, {"dh": handles})["dh"][:s] * scales[:, None]
             bound = hausdorff_bound(inner, center, cols, scales, L)
@@ -498,6 +526,18 @@ class TestHausdorffBound:
         assert directed_hausdorff(Zonotope(np.zeros(2), cols), inner) == pytest.approx(1.0)
         assert oracles.directed_hausdorff_oracle_2d(
             np.zeros(2), cols, inner.center, inner.generators) == pytest.approx(1.0)
+
+    def test_certified_hausdorff_solves_the_lp_only_past_tol(self):
+        inner = Zonotope([0.5, 0.0], np.eye(2))
+        outer = (np.zeros(2), np.eye(2), np.ones(2))
+        L = np.array([[1.0, 0.0, -0.5], [0.0, 1.0, 0.0]])  # exact; row 0 sums to 1.5
+        d, used_lp = certified_hausdorff(inner, *outer, L, 1.0)
+        assert d == pytest.approx(0.5) and not used_lp
+        d, used_lp = certified_hausdorff(inner, *outer, L, 1e-7)
+        assert d == pytest.approx(0.5) and used_lp
+        d, used_lp = certified_hausdorff(Zonotope(np.zeros(2), 0.5 * np.eye(2)), *outer,
+                                         None, 1e-7)
+        assert d == pytest.approx(0.0, abs=1e-9) and used_lp
 
     def test_missing_or_misshapen_candidate_is_infinite(self):
         inner = Zonotope([0.0, 0.0], np.eye(2))

@@ -354,3 +354,31 @@ def test_fixed_column_dual_is_the_pinned_row_sensitivity():
     assert sol.objective == pytest.approx(ref.objective)
     assert sol.column_duals([2])[0] == pytest.approx(ref.sensitivity("pin"))
     assert sol.column_duals([2])[0] == pytest.approx(1.5)
+
+
+def test_scalar_var_block_is_one_named_column():
+    lp = LinearProgram()
+    lp.var_block("x", 2)
+    d = lp.var_block("d", (), lb=0.0)
+    assert d.shape == () and int(d) == 2
+    assert lp._col_names == ["x[0]", "x[1]", "d"]
+
+
+def test_only_lpcore_uses_expression_arithmetic():
+    # the package's programs are built from column-index arrays; LinExpr and
+    # its helpers are lpcore's row-wise path, which only tests build with
+    import ast
+    import pathlib
+
+    import zonosynth
+
+    banned = {"LinExpr", "lin_sum", "as_expr", "col_exprs"}
+    found = []
+    for path in sorted(pathlib.Path(zonosynth.__file__).parent.glob("*.py")):
+        if path.name == "lpcore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else \
+                {node.attr} if isinstance(node, ast.Attribute) else set()
+            found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & banned)]
+    assert found == []

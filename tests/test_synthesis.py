@@ -19,6 +19,7 @@ from zonosynth.contracts import (
     potential,
     ContractTemplate,
 )
+from zonosynth import lpcore
 from zonosynth.cli import lambda_for
 from zonosynth.sysmodel import ConfigError, load_network, random_network
 from zonosynth.synthesis import (
@@ -294,6 +295,36 @@ def test_centralized_custom_template_admissibility_rows():
     res = centralized_synthesize(net, template=tpl)
     assert res.ok
     assert res.params.x[1][0] == pytest.approx([0.05], abs=1e-9)
+
+
+def test_centralized_custom_template_with_an_input_contract(monkeypatch):
+    # subsystem 2 needs its input (A = 1.5) and its input disturbs 1; the
+    # custom promise columns are 2 X (caps 0.5) and 4 U (cap 0.25), so both
+    # channels take alpha_max's LP and the adm:x and adm:u containments
+    subs = [interval_sub(1, 2), interval_sub(2, 1, a_self=1.5)]
+    subs[0]["couplings"][0]["B"] = [[0.2]]
+    net = load_network({"mode": "infinite", "subsystems": subs})
+    tpl = ContractTemplate(
+        state={sid: [(np.zeros(1), np.array([[2.0]]))] for sid in (1, 2)},
+        input={2: [(np.zeros(1), np.array([[4.0]]))]},
+        is_bounds=False,
+    )
+    caps = alpha_max(net, tpl)
+    assert caps.x[1][0] == pytest.approx([0.5]) and caps.x[2][0] == pytest.approx([0.5])
+    assert caps.u[2][0] == pytest.approx([0.25])
+
+    solved = []
+    solve = lpcore.LinearProgram.solve
+    monkeypatch.setattr(lpcore.LinearProgram, "solve",
+                        lambda lp, *a, **kw: solved.append(lp) or solve(lp, *a, **kw))
+    res = centralized_synthesize(net, template=tpl)
+    assert res.ok, res.correctness.failures
+    names = set(next(lp for lp in solved if lp.name == "centralized").row_names())
+    assert {"adm:x:1:0:rowsum[0]", "adm:x:2:0:rowsum[0]", "adm:u:2:0:rowsum[0]",
+            "adm:u:2:0:G[0,0]", "adm:u:2:0:c[0]"} <= names
+    assert 0.0 < res.params.u[2][0][0] <= 0.25 + 1e-9
+    # every promise sits inside its admissible set, by witness or LP
+    assert res.correctness.max_input_margin <= 1e-7
 
 
 # ---------------------------------------------------------------------------
