@@ -52,6 +52,14 @@ LAMBDA_SCHEDULE = {
 }
 
 
+#: ``synth --rule`` -> the DescentConfig fields it sets
+STEP_RULES = {
+    "level": dict(rule="level"),
+    "polyak": dict(rule="subgradient", line_search=True),
+    "fixed": dict(rule="subgradient", line_search=False),
+}
+
+
 class UsageError(Exception):
     """Bad flags or inconsistent inputs; maps to exit code 2."""
 
@@ -91,14 +99,17 @@ def cmd_synth(args):
     try:
         if reduce_order is not None and reduce_order < 0:
             raise ConfigError(f"--reduce-order must be >= 0, got {reduce_order}")
+        if args.step is not None and args.rule != "fixed":
+            raise ConfigError("--step is the step size of --rule fixed")
         if args.method == "compositional":
             if args.beta:
                 raise ConfigError("--beta only applies to --method dense")
             cfg = DescentConfig(
-                delta=args.step, max_iters=args.max_iter, tol_v=args.tol,
-                k=args.k, seed=args.seed,
-                threads=_env_threads(),
+                max_iters=args.max_iter, tol_v=args.tol, k=args.k, seed=args.seed,
+                threads=_env_threads(), **STEP_RULES[args.rule],
             )
+            if args.step is not None:
+                cfg.delta = args.step
             if args.reduce_order is not None:
                 cfg.reduction_order = reduce_order
             result = compositional_synthesize(network, mode=args.mode,
@@ -399,8 +410,12 @@ def build_parser():
     s.add_argument("--max-iter", type=int, default=500)
     s.add_argument("--tol", type=float, default=1e-6,
                    help="stop once the potential is at or below this")
-    s.add_argument("--step", type=float, default=1.0,
-                   help="fixed step size fallback of the descent")
+    s.add_argument("--rule", choices=tuple(STEP_RULES), default="level",
+                   help="descent step rule: the cutting-plane level master, "
+                        "or the paper's subgradient steps with Polyak or "
+                        "fixed step sizes")
+    s.add_argument("--step", type=float,
+                   help="step size of --rule fixed (default 1.0)")
     s.add_argument("--reduce-order", type=int, default=None,
                    help="disturbance zonotope order; 0 keeps exact columns")
     s.add_argument("--seed", type=int, default=0)

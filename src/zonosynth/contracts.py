@@ -172,6 +172,16 @@ class ContractParams:
             chunks.extend((self.x if ch == "x" else self.u)[sid])
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
+    def slots(self):
+        """``{(sid, channel): [indices of step t in to_vector()]}``."""
+        out, pos = {}, 0
+        for sid, ch in self._keys():
+            out[(sid, ch)] = []
+            for a in (self.x if ch == "x" else self.u)[sid]:
+                out[(sid, ch)].append(np.arange(pos, pos + a.size))
+                pos += a.size
+        return out
+
     def from_vector(self, vec):
         vec = np.asarray(vec, dtype=float)
         out = self.zeros_like()

@@ -11,8 +11,9 @@ duals by name and column duals (reduced costs) by index.
 Column bounds and costs are kept as arrays.  The solver instance stays alive
 between solves, so :meth:`LinearProgram.set_col_bounds`,
 :meth:`LinearProgram.set_costs` and :meth:`LinearProgram.set_rhs` change it
-in place (one HiGHS call for a whole block of columns) and the next solve is
-a warm re-solve from the last basis.  Reported times are in-solver seconds.
+in place (one HiGHS call for a whole block of columns),
+:meth:`LinearProgram.add_rows` appends to it, and the next solve is a warm
+re-solve from the last basis.  Reported times are in-solver seconds.
 
 :class:`LinExpr` (a sparse affine expression) with ``var``, ``add_eq``/
 ``add_le``/``add_ge``, ``set_rhs``, ``minimize`` and ``value`` is the
@@ -357,7 +358,9 @@ class LinearProgram:
         entries whose coefficient is then zero are dropped.  ``names`` holds a
         name or None (the default "r<index>") per row.  The rows count as
         created with right-hand side 0, which is what :meth:`set_rhs` values
-        are taken relative to.
+        are taken relative to.  A live solver instance takes the block in
+        one call and keeps its basis, so the next ``solve()`` is a warm
+        re-solve.
         """
         if sense not in ("=", "<", ">"):
             raise LpBuildError(f"unknown sense {sense!r}")
@@ -389,14 +392,23 @@ class LinearProgram:
             coefs = merged
         keep = coefs != 0.0
         key, coefs = key[keep], coefs[keep]
+        local, cols = (key // width).astype(np.int32), (key % width).astype(np.int32)
+        live = self._live()
         self._flush_tail()
-        self._coo.append(((key // width + first).astype(np.int32),
-                          (key % width).astype(np.int32), coefs))
+        self._coo.append((local + first, cols, coefs))
         self._sense += bytes([ord(sense)]) * count
         self._bound.frombytes(bounds.tobytes())
         self._bound0.frombytes(bounds.tobytes())
         self._rhs0.frombytes(bytes(8 * count))  # 0.0
         self._structure_version += 1
+        if live:
+            self._solver.addRows(
+                count, np.full(count, -INF) if sense == "<" else bounds,
+                np.full(count, INF) if sense == ">" else bounds, len(coefs),
+                np.searchsorted(local, np.arange(count)).astype(np.int32), cols, coefs)
+            self._built_version = self._structure_version
+            rows, ncols, nnz = self._size
+            self._size = (rows + count, ncols, nnz + len(coefs))
         return first
 
     def _add_one_row(self, lhs, rhs, sense, name):

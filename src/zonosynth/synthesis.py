@@ -7,23 +7,36 @@ Two roads to a correct composition:
   total promised state-tube size.  Feasible means correct by construction,
   but the LP couples everything with everything.
 
-* ``compositional_synthesize`` runs projected subgradient descent on the
-  potential V(alpha) = sum_i V_i(alpha) from module ``contracts``.  Each
-  iteration re-solves |I| small independent LPs, each built once and
-  re-solved warm (optionally in a thread pool), and steps against the dual
-  subgradient.  V = 0 certifies the composition; the final parameters are
-  then solved without slack, on the same LPs, to extract the tubes and
-  controllers.  When that hard extraction fails, the descent resumes.
+* ``compositional_synthesize`` descends the potential
+  V(alpha) = sum_i V_i(alpha) from module ``contracts``.  Each iteration
+  re-solves |I| small independent LPs, each built once and re-solved warm
+  (optionally in a thread pool), whose duals give a subgradient of each
+  V_i.  V = 0 certifies the composition; the parameters are then solved
+  without slack, on the same LPs, to extract the tubes and controllers.
 
-The step rule deserves a note.  V is convex piecewise-linear, and a plain
-backtracking line search can wedge into a kink where the negative
-subgradient is not a descent direction (observed on the shipped
-three-subsystem example: a monotone Armijo loop stalls around V ~ 7e-2).
-With ``line_search=True`` the step length is therefore chosen by the
-target-value rule s = V / ||g||^2 (Polyak), which needs no tuning and
-converges on piecewise-linear potentials whose optimum is 0 -- exactly the
-situation here.  Individual iterations may move uphill; the run as a whole
-descends.  ``line_search=False`` uses the constant step ``delta`` instead.
+The step rule deserves a note.  V is convex and piecewise linear, each V_i
+is nonnegative, and the target value is known: a correct composition has
+V = 0.  So every evaluation gives valid cuts
+V_i(alpha_k) + g_ik . (alpha - alpha_k) <= 0 on every correct alpha.
+
+* ``rule="level"`` (the default) is the level method with a known optimum
+  0 (Kelley 1960; Lemarechal, Nemirovskii and Nesterov 1995).  A small
+  master LP keeps one cut per subsystem per evaluation, and the next
+  iterate is the L1 projection of the current one onto {every cut <= 0}
+  within [0, alpha_max].  Every iterate with V <= tol_v tries the hard
+  extraction; a miss leaves the cuts of its positive V_i in force, so the
+  master carries on.  An infeasible master, even with the cuts relaxed by
+  tol_v, proves that no alpha in the box composes under this template and
+  encoding, and the run ends "failed" saying so.
+* ``rule="subgradient"`` is the paper's projected subgradient descent,
+  kept as the baseline.  A plain backtracking line search can wedge into a
+  kink where the negative subgradient is not a descent direction (observed
+  on the shipped three-subsystem example: a monotone Armijo loop stalls
+  around V ~ 7e-2).  With ``line_search=True`` the step length is therefore
+  the target-value rule s = V / ||g||^2 (Polyak), which needs no tuning;
+  individual iterations may move uphill, the run as a whole descends.
+  ``line_search=False`` uses the constant step ``delta`` instead.  When
+  the hard extraction misses by ~tol_v, the descent resumes.
 """
 
 from __future__ import annotations
@@ -51,6 +64,7 @@ from .contracts import (
     emit_subsystem,
     extract_solutions,
     potential,
+    _at,
     _numeric_solution,
 )
 from .lpcore import LinearProgram
@@ -61,6 +75,14 @@ from .viability import recursion_residual
 #: re-run with a larger generator budget k or a higher reduction order).
 RETRY_HINT = "increase k or the reduction order and try again"
 
+#: attached when the level master proves that no parameters can compose.
+NO_ALPHA_HINT = ("the cutting-plane master is infeasible: no alpha in "
+                 "[0, alpha_max] gives V = 0 under this template, k and "
+                 "reduction order; change one of them")
+
+#: step rules of the compositional descent
+RULES = ("level", "subgradient")
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -70,17 +92,20 @@ RETRY_HINT = "increase k or the reduction order and try again"
 class DescentConfig:
     """Knobs of the compositional descent loop."""
 
-    delta: float = 1.0            # step size when line_search is off
+    delta: float = 1.0            # subgradient step size when line_search is off
     max_iters: int = 500
     tol_v: float = 1e-6           # stop once V <= tol_v
     k: int | None = None          # generator budget per subsystem (None: default)
     reduction_order: int | None = 1
-    line_search: bool = True      # True: target-value steps; False: fixed delta
+    line_search: bool = True      # subgradient: Polyak steps (True) or fixed delta
     seed: int = 0                 # seeds the "random" init
     init: str = "half"            # "half" | "max" | "random"
     threads: int | None = None    # worker pool size (None: env or serial)
+    rule: str = "level"           # "level" (cutting-plane master) | "subgradient"
 
     def validate(self):
+        if self.rule not in RULES:
+            raise ValueError(f"unknown step rule {self.rule!r}; expected one of {RULES}")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.tol_v <= 0:
@@ -277,16 +302,13 @@ def _template_from_json(data, network=None):
 # compositional descent
 
 
-def _descent_step(programs, params, res, cfg):
-    """One projected step; returns (params, eval, step) or None if wedged."""
+def _line_step(programs, params, direction, s, cfg):
+    """Evaluate at the box projection of ``params + s * direction``, halving
+    ``s`` while the potential is infeasible there; returns (params, eval, s)
+    or None after 60 halvings."""
     vec = params.to_vector()
-    g = res.grad.to_vector()
-    gnorm2 = float(np.dot(g, g))
-    if gnorm2 == 0.0:
-        return None
-    s = res.value / gnorm2 if cfg.line_search else cfg.delta
     for _ in range(60):
-        cand = project_box(params.from_vector(vec - s * g))
+        cand = project_box(params.from_vector(vec + s * direction))
         try:
             rc = potential(programs, cand, threads=cfg.threads)
         except PotentialInfeasible:
@@ -296,13 +318,122 @@ def _descent_step(programs, params, res, cfg):
     return None
 
 
+def _descent_step(programs, params, res, cfg):
+    """One projected subgradient step; (params, eval, step) or None if wedged."""
+    g = res.grad.to_vector()
+    gnorm2 = float(np.dot(g, g))
+    if gnorm2 == 0.0:
+        return None
+    s = res.value / gnorm2 if cfg.line_search else cfg.delta
+    return _line_step(programs, params, -g, s, cfg)
+
+
+class _LevelMaster:
+    """The level method's master LP over the whole parameter vector.
+
+    An evaluation with V_i(alpha_k) > 0 gives the cut
+    V_i(alpha_k) + g_ik . (alpha - alpha_k) <= 0 over the entries that
+    subsystem i reads: V_i >= 0 is convex and g_ik is a subgradient, so every
+    correct alpha (V = 0) satisfies every cut.  The next iterate is the point
+    of {every cut <= 0} within [0, alpha_max] nearest to the current one in
+    the L1 norm.
+
+    Columns: ``alpha`` in the box; the anchor, fixed at the current iterate
+    by its bounds; the move up/down >= 0 with alpha - anchor = up - down, at
+    cost 1 each; and one column every cut subtracts, fixed at 0, or at
+    ``tol`` for the infeasibility verdict.  Moving the anchor is one bound
+    update; each cut is one row.
+    """
+
+    def __init__(self, caps, tol):
+        self.tol = tol
+        self._slots = caps.slots()
+        self._reads = {}  # sid -> vector indices of its gradient entries
+        top = caps.to_vector()
+        n = top.size
+        lp = LinearProgram(name="master")
+        self.alpha = lp.var_block("al", n, lb=0.0)
+        lp.set_col_bounds(self.alpha, 0.0, top)
+        self.anchor = lp.var_block("anchor", n, lb=0.0, ub=0.0)
+        move = lp.var_block("move", (2, n), lb=0.0)
+        lp.add_rows(np.tile(np.arange(n), 4),
+                    np.concatenate([self.alpha, self.anchor, move[0], move[1]]),
+                    np.repeat([1.0, -1.0, -1.0, 1.0], n), np.zeros(n), "=")
+        lp.set_costs(move.ravel(), 1.0)
+        self.relax = lp.var_block("relax", 1, lb=0.0, ub=0.0)
+        self.lp = lp
+        self.empty = False  # set once the cuts exclude the whole box
+
+    def _read_by(self, ev):
+        if ev.sid not in self._reads:
+            self._reads[ev.sid] = np.concatenate(
+                [_at(self._slots[(j, channel)], t) for j, channel, t in ev.grads])
+        return self._reads[ev.sid]
+
+    def add_cuts(self, vec, res):
+        """One cut per subsystem with V_i > 0 in ``res``, the evaluation at
+        the parameter vector ``vec``."""
+        rows, cols, coefs, rhs = [], [], [], []
+        for ev in res.evals.values():
+            if ev.value <= 0.0:
+                continue
+            reads = self._read_by(ev)
+            g = np.concatenate(list(ev.grads.values()))
+            rows.append(np.full(len(reads) + 1, len(rhs)))
+            cols.append(np.append(self.alpha[reads], self.relax))
+            coefs.append(np.append(g, -1.0))
+            rhs.append(float(g @ vec[reads]) - ev.value)
+        if rhs:
+            self.lp.add_rows(np.concatenate(rows), np.concatenate(cols),
+                             np.concatenate(coefs), rhs, "<")
+
+    def project(self, vec):
+        """The L1-nearest point to ``vec`` on every cut; None if even the
+        cuts relaxed by ``tol`` leave no point in the box."""
+        self.lp.set_col_bounds(self.anchor, vec, vec)
+        sol = self.lp.solve()
+        if sol.status == lpcore.INFEASIBLE:
+            # the verdict is taken on cuts relaxed by tol, so that a thin
+            # correct region is not declared empty by rounding in the cuts
+            self.lp.set_col_bounds(self.relax, self.tol, self.tol)
+            try:
+                sol = self.lp.solve()
+            finally:
+                self.lp.set_col_bounds(self.relax, 0.0, 0.0)
+        if sol.status == lpcore.INFEASIBLE:
+            return None
+        if sol.status != lpcore.OPTIMAL:
+            raise lpcore.LpSolverError(f"master LP ended with {sol.status}")
+        return sol.column_values(self.alpha)
+
+    def step(self, programs, params, res, cfg, phases):
+        """Cut at ``res``, then evaluate at the projection, halving the move
+        while the potential is infeasible there.  Returns (params, eval, L1
+        length of the move), or None if wedged or if the cuts leave no
+        point (then ``empty`` is set)."""
+        vec = params.to_vector()
+        with phases("master"):
+            self.add_cuts(vec, res)
+            target = self.project(vec)
+        self.empty = target is None
+        if self.empty or np.array_equal(target, vec):
+            return None
+        with phases("descent"):
+            stepped = _line_step(programs, params, target - vec, 1.0, cfg)
+        if stepped is None:
+            return None
+        params, res, _ = stepped
+        return params, res, float(np.abs(params.to_vector() - vec).sum())
+
+
 def compositional_synthesize(network, template=None, mode=None, config=None):
     """Descend the potential; extract and certify tubes once it vanishes.
 
     Returns a SynthesisResult whose status is "correct" only if V reached
     ``tol_v``, the slack-free extraction succeeded, and check_correctness
     signed off.  Otherwise status is "failed" and ``hint`` carries the
-    retry advisory.
+    retry advisory, or :data:`NO_ALPHA_HINT` when the level master proved
+    that no parameters compose.
     """
     cfg = config or DescentConfig()
     cfg.validate()
@@ -312,25 +443,14 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
     phases = _Phases()
     trace = []
     solutions = None
-    value = None
     it = 0
     attempts = 0
-
-    def step(res):
-        """One descent step from ``res``: its evaluation, or None if wedged."""
-        nonlocal params, it
-        with phases("descent"):
-            stepped = _descent_step(programs, params, res, cfg)
-        if stepped is None:
-            return None
-        params, res, s = stepped
-        it += 1
-        trace.append((it, res.value, float(np.linalg.norm(res.grad.to_vector())), s))
-        return res
+    hint = RETRY_HINT
 
     with lpcore.track_solver_time() as solver:
-        with phases("build"):
+        with phases("caps"):
             caps = alpha_max(network, tpl)
+        with phases("build"):
             params = project_box(_initial_params(caps, cfg), caps)
             programs = build_programs(network, tpl, k=cfg.k,
                                       reduction_order=cfg.reduction_order)
@@ -347,30 +467,38 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
                 solver, wall0, phases)
 
         trace.append((0, res.value, float(np.linalg.norm(res.grad.to_vector())), 0.0))
-        while it < cfg.max_iters and res.value > cfg.tol_v:
-            stepped = step(res)
-            if stepped is None:
-                break
-            res = stepped
-        value = res.value
-
-        if value <= cfg.tol_v:
-            # Re-run satisfiability without slack at the final parameters.
-            # The stopping tolerance permits a whisker of residual slack, so
-            # the hard problem can miss by ~tol_v; in that case keep
-            # descending (the budget still applies) until it closes.
-            while True:
+        master = None
+        if cfg.rule == "level":
+            with phases("master"):
+                master = _LevelMaster(caps, cfg.tol_v)
+        # Every iterate at V <= tol_v tries the hard extraction, which can
+        # miss by ~tol_v.  A miss leaves the level master's cuts of the
+        # positive V_i in force; the subgradient rule, once it has tried,
+        # tries again at every later iterate.
+        while True:
+            if res.value <= cfg.tol_v or (attempts and master is None):
                 attempts += 1
                 try:
                     with phases("extract"):
                         solutions = extract_solutions(programs, params)
-                    value = res.value
                     break
                 except PotentialInfeasible:
-                    stepped = step(res) if it < cfg.max_iters else None
-                    if stepped is None:
-                        break
-                    res = stepped
+                    pass
+            if it >= cfg.max_iters:
+                break
+            if master is None:
+                with phases("descent"):
+                    stepped = _descent_step(programs, params, res, cfg)
+            else:
+                stepped = master.step(programs, params, res, cfg, phases)
+            if stepped is None:
+                break
+            params, res, s = stepped
+            it += 1
+            trace.append((it, res.value, float(np.linalg.norm(res.grad.to_vector())), s))
+        value = res.value
+        if master is not None and master.empty:
+            hint = NO_ALPHA_HINT
 
     correctness = None
     with phases("certify"):
@@ -383,7 +511,7 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
             status=status, method="compositional", mode=network.mode,
             value=value, objective=None, iterations=it, params=params,
             solutions=solutions, trace=trace,
-            hint=None if status == "correct" else RETRY_HINT,
+            hint=None if status == "correct" else hint,
             correctness=correctness, network=network, template=tpl),
         solver, wall0, phases, extract_attempts=attempts)
 
@@ -391,17 +519,18 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
 def _finish(result, solver, wall0, phases, extract_attempts=0):
     """Stamp the solver totals and the per-phase wall seconds on ``result``.
 
-    The phases: ``build`` makes the synthesis LPs (for the dense baseline,
-    folds the network and builds its one LP); ``descent`` is the potential
-    descent (0 for the one-LP methods); ``extract`` solves for the tubes and
-    reads them back (compositional: every hard extraction attempt);
-    ``certify`` is check_correctness.
+    The phases: ``caps`` computes the box [0, alpha_max]; ``build`` makes
+    the synthesis LPs (for the dense baseline, folds the network and builds
+    its one LP); ``descent`` evaluates the potential (0 for the one-LP
+    methods); ``master`` builds and solves the level rule's master LP;
+    ``extract`` solves for the tubes and reads them back (compositional:
+    every hard extraction attempt); ``certify`` is check_correctness.
     """
     result.timings = {
         "solve_seconds": solver.seconds,
         "solves": solver.solves,
         **{f"{name}_seconds": phases.get(name, 0.0)
-           for name in ("build", "descent", "extract", "certify")},
+           for name in ("caps", "build", "descent", "master", "extract", "certify")},
         "wall_seconds": time.perf_counter() - wall0,
         "max_lp_rows": solver.max_rows,
         "max_lp_cols": solver.max_cols,
@@ -436,8 +565,9 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
     ids = network.sorted_ids()
 
     with lpcore.track_solver_time() as solver:
-        with phases("build"):
+        with phases("caps"):
             caps = alpha_max(network, tpl)
+        with phases("build"):
             lp = LinearProgram(name="centralized")
             cap = 1.0 if tpl.is_bounds else lpcore.INF
             alphas = {}

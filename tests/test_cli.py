@@ -130,6 +130,34 @@ def test_synth_reduce_order_zero_means_exact_columns(monkeypatch, method, flag, 
     assert seen == [order]
 
 
+@pytest.mark.parametrize("flags, rule, line_search, delta", [
+    ([], "level", True, 1.0),
+    (["--rule", "level"], "level", True, 1.0),
+    (["--rule", "polyak"], "subgradient", True, 1.0),
+    (["--rule", "fixed"], "subgradient", False, 1.0),
+    (["--rule", "fixed", "--step", "0.25"], "subgradient", False, 0.25),
+])
+def test_synth_rule_maps_onto_the_descent_config(monkeypatch, flags, rule,
+                                                  line_search, delta):
+    seen = []
+
+    def spy(network, mode=None, config=None):
+        seen.append((config.rule, config.line_search, config.delta))
+        raise lpcore.LpSolverError("stop")
+
+    monkeypatch.setattr(cli, "compositional_synthesize", spy)
+    assert main(["synth", "--config", "configs/case1.json", *flags]) == 1
+    assert seen == [(rule, line_search, delta)]
+
+
+@pytest.mark.parametrize("flags", [[], ["--rule", "level"], ["--rule", "polyak"],
+                                   ["--method", "centralized"]])
+def test_synth_step_without_fixed_rule_exits_two(flags, capsys):
+    code = main(["synth", "--config", "configs/case1.json", "--step", "0.5", *flags])
+    assert code == 2
+    assert "--step is the step size of --rule fixed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["compositional", "centralized"])
 def test_synth_negative_reduce_order_exits_two(method, capsys):
     code = main(["synth", "--config", "configs/case1.json", "--method", method,

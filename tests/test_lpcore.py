@@ -331,6 +331,42 @@ def test_column_bound_and_cost_switches_rewarm_like_fresh_builds():
     assert lp.to_lp_text() == build().to_lp_text()
 
 
+def test_add_rows_after_solve_stays_warm_like_a_fresh_build():
+    # blocks of each sense, with a repeated entry, a cancelling pair and an
+    # empty row, appended to a live instance one at a time
+    blocks = [
+        ([0, 0, 1, 1], [0, 1, 1, 2], [1.0, 1.0, 1.0, 1.0], [3.0, 2.0], ">"),
+        ([0, 0, 2, 2, 2], [0, 0, 1, 2, 2], [0.5, 0.5, 1.0, 1.0, -1.0], [2.5, 0.0, 1.5], "<"),
+        ([0, 0], [0, 2], [1.0, -1.0], [0.25], "="),
+    ]
+
+    def build(count):
+        lp = LinearProgram()
+        x = lp.var_block("x", 3, lb=0.0, ub=4.0)
+        lp.set_costs(x, [1.0, 2.0, 3.0])
+        for rows, cols, coefs, bounds, sense in blocks[:count]:
+            lp.add_rows(rows, cols, coefs, bounds, sense)
+        return lp
+
+    lp = build(0)
+    lp.solve()
+    solver = lp._solver
+    for count, block in enumerate(blocks, 1):
+        lp.add_rows(*block)
+        with lpcore.track_solver_time() as tracker:
+            warm = lp.solve()
+        assert lp._solver is solver                 # re-solved, not rebuilt
+        fresh = build(count)
+        with lpcore.track_solver_time() as ref_tracker:
+            ref = fresh.solve()
+        assert lp.to_lp_text() == fresh.to_lp_text()
+        assert warm.objective == pytest.approx(ref.objective, abs=1e-9)
+        assert warm.column_values(np.arange(3)) == pytest.approx(
+            ref.column_values(np.arange(3)), abs=1e-9)
+        assert (tracker.max_rows, tracker.max_cols, tracker.max_nnz) == \
+            (ref_tracker.max_rows, ref_tracker.max_cols, ref_tracker.max_nnz)
+
+
 def test_fixed_column_dual_is_the_pinned_row_sensitivity():
     # min x + 2y s.t. x + y >= a, y >= 0.5 a, with a as a fixed column and,
     # for reference, as a variable pinned by an equality row

@@ -7,6 +7,7 @@ derived by hand: V_i = max(0, coupling * alpha_j + d - alpha_i).
 import dataclasses
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from zonosynth.contracts import (
 from zonosynth import lpcore
 from zonosynth.cli import lambda_for
 from zonosynth.sysmodel import ConfigError, load_network, random_network
+from zonosynth import synthesis
 from zonosynth.synthesis import (
     DescentConfig,
+    NO_ALPHA_HINT,
     RETRY_HINT,
     SynthesisResult,
     centralized_dense,
@@ -54,7 +57,10 @@ def test_descent_config_validation():
         DescentConfig(max_iters=0).validate()
     with pytest.raises(ValueError):
         DescentConfig(init="warmish").validate()
+    with pytest.raises(ValueError, match="step rule"):
+        DescentConfig(rule="kelley").validate()
     DescentConfig().validate()
+    DescentConfig(rule="subgradient").validate()
 
 
 def test_project_box_interior_unchanged():
@@ -153,7 +159,8 @@ def test_infeasible_local_problem_fails_with_hint():
 def test_unreachable_potential_floor_fails_after_budget():
     # coupling > 1: V* = 0.2 > 0 at the box corner, never reaches tol
     net = pair_network(coupling=1.2)
-    res = compositional_synthesize(net, config=DescentConfig(max_iters=40))
+    res = compositional_synthesize(
+        net, config=DescentConfig(max_iters=40, rule="subgradient"))
     assert res.status == "failed"
     assert res.hint == RETRY_HINT
     assert res.value > 1e-6
@@ -162,7 +169,8 @@ def test_unreachable_potential_floor_fails_after_budget():
 
 def test_fixed_step_fallback_converges_on_tame_pair():
     net = pair_network(coupling=0.9)
-    cfg = DescentConfig(line_search=False, delta=1.0, max_iters=100)
+    cfg = DescentConfig(line_search=False, delta=1.0, max_iters=100,
+                        rule="subgradient")
     res = compositional_synthesize(net, config=cfg)
     assert res.ok
     # every recorded step is the constant delta
@@ -170,7 +178,8 @@ def test_fixed_step_fallback_converges_on_tame_pair():
 
 
 def test_tame_descent_is_monotone():
-    res = compositional_synthesize(pair_network(coupling=0.9))
+    res = compositional_synthesize(pair_network(coupling=0.9),
+                                   config=DescentConfig(rule="subgradient"))
     values = [v for _, v, _, _ in res.trace]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -193,7 +202,7 @@ def test_random_init_is_seeded():
 
 def test_case1_compositional_end_to_end():
     net = load_network("configs/case1.json")
-    res = compositional_synthesize(net)
+    res = compositional_synthesize(net, config=DescentConfig(rule="subgradient"))
     assert res.status == "correct"
     assert res.value <= 1e-6
     assert res.iterations <= 500
@@ -222,13 +231,109 @@ def test_case1_builds_each_subsystem_lp_once(monkeypatch):
 
     monkeypatch.setattr(contracts, "emit_subsystem", counting_emit)
     monkeypatch.setattr(synthesis, "extract_solutions", counting_extract)
-    res = compositional_synthesize(load_network("configs/case1.json"))
+    res = compositional_synthesize(load_network("configs/case1.json"),
+                                   config=DescentConfig(rule="subgradient"))
     assert res.ok
     assert res.timings["extract_attempts"] == len(extracts) > 2
     assert all(isinstance(program, contracts.PotentialProgram)
                for program in extracts[0].values())
     assert all(programs is extracts[0] for programs in extracts)
     assert sorted(emits) == [1, 2, 3]
+
+
+def test_subgradient_rule_reproduces_the_polyak_trace_on_case1():
+    # the paper's step rule, kept as the baseline: 436 Polyak iterations,
+    # of which 84 are extraction attempts
+    res = compositional_synthesize(load_network("configs/case1.json"),
+                                   config=DescentConfig(rule="subgradient"))
+    assert res.ok
+    assert res.iterations == 436 and len(res.trace) == 437
+    assert res.timings["extract_attempts"] == 84
+    assert res.timings["master_seconds"] == 0.0
+    it, value, gnorm, step = res.trace[-1]
+    assert it == 436
+    assert value == pytest.approx(8.33021235949194e-08, rel=1e-9)
+    assert gnorm == pytest.approx(1.0023997167796888, rel=1e-12)
+    assert step == pytest.approx(5.4532257221237066e-08, rel=1e-9)
+
+
+def test_case1_level_master_extracts_once():
+    net = load_network("configs/case1.json")
+    res = compositional_synthesize(net)
+    assert res.status == "correct"
+    assert res.iterations <= 10
+    assert res.timings["extract_attempts"] == 1
+    assert res.value <= 1e-6
+    assert res.correctness.ok and res.correctness.max_residual <= 1e-8
+    assert sorted(res.solutions) == [1, 2, 3]
+    assert res.trace[0][1] == pytest.approx(20.2818636, abs=1e-5)
+    assert res.timings["master_seconds"] > 0
+
+
+@pytest.mark.parametrize("count, dim, seed", [
+    (50, 100, 3),    # the subgradient rule fails after 264 iterations
+    (200, 400, 25),  # the subgradient rule ends "V = 0, extracted, rejected"
+])
+def test_level_master_certifies_networks_the_subgradient_rule_fails(count, dim, seed):
+    res = compositional_synthesize(random_network(count, lambda_for(dim), seed=seed))
+    assert res.status == "correct", res.hint
+    assert res.timings["extract_attempts"] == 1
+
+
+def test_master_infeasibility_fails_with_its_proof():
+    # coupling > 1: the cuts of the first evaluation already exclude the box
+    res = compositional_synthesize(pair_network(coupling=1.2))
+    assert res.status == "failed"
+    assert res.iterations <= 3
+    assert res.hint == NO_ALPHA_HINT and RETRY_HINT not in res.hint
+    assert res.solutions is None and res.correctness is None
+
+
+def _cut(sid, value, grads):
+    return SimpleNamespace(sid=sid, value=value,
+                           grads={key: np.array([g]) for key, g in grads.items()})
+
+
+def test_master_verdict_relaxes_the_cuts_by_tol():
+    # the cuts a1 - a2 <= -gap/2 and a2 - a1 <= -gap/2 miss each other by
+    # gap: within tol the master still answers, beyond it it proves emptiness
+    net = pair_network()
+    caps = alpha_max(net, default_template(net))
+    at = caps.scaled(0.5)
+    tol = 1e-6
+    for gap, empty in ((0.5 * tol, False), (4 * tol, True)):
+        master = synthesis._LevelMaster(caps, tol)
+        evals = {1: _cut(1, 0.5 * gap, {(1, "x", 0): 1.0, (2, "x", 0): -1.0}),
+                 2: _cut(2, 0.5 * gap, {(2, "x", 0): 1.0, (1, "x", 0): -1.0})}
+        master.add_cuts(at.to_vector(), SimpleNamespace(evals=evals))
+        target = master.project(at.to_vector())
+        assert (target is None) == empty
+        if not empty:
+            assert abs(target[0] - target[1]) <= 0.5 * tol + 1e-9
+            assert np.all((target >= -1e-9) & (target <= caps.to_vector() + 1e-9))
+        # the exact cuts are in force again after the verdict
+        assert master.lp.col_bounds(master.relax)[1][0] == 0.0
+
+
+def test_level_step_halves_toward_the_last_iterate(monkeypatch):
+    # from (0.5, 0.5) the master moves to the cap (1, 1); a potential that
+    # is infeasible there makes the step stop halfway, at (0.75, 0.75)
+    seen = []
+    evaluate = synthesis.potential
+
+    def flaky(programs, params, threads=None):
+        seen.append(params.to_vector())
+        if len(seen) == 2:
+            raise synthesis.PotentialInfeasible("corner")
+        return evaluate(programs, params, threads=threads)
+
+    monkeypatch.setattr(synthesis, "potential", flaky)
+    res = compositional_synthesize(pair_network(coupling=0.9))
+    assert res.ok
+    assert np.array(seen) == pytest.approx(
+        np.array([[0.5, 0.5], [1.0, 1.0], [0.75, 0.75], [1.0, 1.0]]), abs=1e-12)
+    # the step column is the L1 length of each move taken
+    assert [s for _, _, _, s in res.trace] == pytest.approx([0.0, 0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +550,15 @@ def test_report_json_lp_sizes(tmp_path, driver):
     assert 0.0 <= report["correctness"]["max_residual"] <= 1e-8
     # the phases are timed apart and fit inside the wall time
     phases = [timings[f"{name}_seconds"]
-              for name in ("build", "descent", "extract", "certify")]
+              for name in ("caps", "build", "descent", "master", "extract", "certify")]
     assert all(isinstance(sec, float) and sec >= 0.0 for sec in phases)
     assert sum(phases) <= timings["wall_seconds"]
     assert timings["build_seconds"] > 0 and timings["extract_seconds"] > 0
     assert timings["certify_seconds"] > 0
     assert (timings["descent_seconds"] > 0) == compositional
+    assert (timings["master_seconds"] > 0) == compositional
+    # the dense baseline has no contract parameters, so no caps
+    assert (timings["caps_seconds"] > 0) == (driver is not centralized_dense)
 
 
 def test_trace_csv_header(tmp_path):
