@@ -46,7 +46,8 @@ def main():
                                num_steps=args.steps, seed=0)
     print(f"invariance check: {args.samples} trajectories x {args.steps} "
           f"steps -> {report.violations} violations, "
-          f"{report.witness_losses} witness re-seats "
+          f"{report.witness_losses} chained witnesses re-witnessed, "
+          f"{report.lp_rewitness} membership LPs "
           f"({time.perf_counter() - t0:.2f}s)")
     for sid in net.sorted_ids():
         print(f"  subsystem {sid}: worst margin "

@@ -426,39 +426,59 @@ def certified_hausdorff(inner, center, cols, scales, witness, tol):
 
 
 def membership_lp(Z, x):
-    """The LP min |zeta|_inf s.t. x = c + G zeta, and zeta's column indices.
+    """The LP min |zeta|_inf s.t. x = c + G zeta; returns it with the column
+    indices of zeta and of the point.
 
-    Rows: ``G[i] @ zeta = x[i] - c[i]`` for every i, then ``zeta[k] - q <=
-    0`` and ``-zeta[k] - q <= 0`` for every k, where column p is ``q``.
+    The point is a block of fixed columns (bounds ``x``), so one instance
+    serves every point: move it with one ``set_col_bounds`` call and
+    re-solve warm.  Columns: zeta (p), ``q`` (column p), the point (n).
+    Rows: ``G[i] @ zeta - x[i] = -c[i]`` for every i, then ``zeta[k] - q <=
+    0`` and ``-zeta[k] - q <= 0`` for every k.
     """
-    p = Z.num_generators
+    n, p = Z.generators.shape
     lp = LinearProgram(name="member")
     zeta = lp.var_block("z", p)
     q = lp.var_block("q", (), lb=0.0)  # column p
+    point = lp.var_block("x", n)
+    x = np.asarray(x, dtype=float)
+    lp.set_col_bounds(point, x, x)
     ii, kk = np.nonzero(Z.generators)
-    lp.add_rows(ii, zeta[kk], Z.generators[ii, kk],
-                np.asarray(x, dtype=float) - Z.center, "=")
+    lp.add_rows(np.concatenate([ii, np.arange(n)]), np.concatenate([zeta[kk], point]),
+                np.concatenate([Z.generators[ii, kk], -np.ones(n)]), -Z.center, "=")
     pair = 2 * np.arange(p)
     lp.add_rows(np.concatenate([pair, pair + 1, pair, pair + 1]),
                 np.concatenate([zeta, zeta, np.full(2 * p, p)]),
                 np.concatenate([np.ones(p), -np.ones(p), -np.ones(2 * p)]),
                 np.zeros(2 * p), "<")
     lp.set_costs([q], 1.0)
-    return lp, zeta
+    return lp, zeta, point
 
 
 def contains_point(Z, x, tol=1e-9):
     """Membership test with witness: returns (inside, zeta) with x = c + G zeta.
 
-    The witness minimizes |zeta|_inf, so membership holds iff the optimum is
-    <= 1 + tol.
+    ``x`` is one point (n,) or a stack of points (S, n).  A stack gets one
+    :func:`membership_lp`, re-solved warm per point, and returns a bool
+    array and an (S, p) array of witnesses, NaN in the rows outside; one
+    point returns a bool and a witness or None.  The witness minimizes
+    |zeta|_inf, so membership holds iff the optimum is <= 1 + tol.
     """
     x = np.asarray(x, dtype=float)
-    if Z.num_generators == 0:
-        inside = bool(np.allclose(x, Z.center, atol=max(tol, 1e-12)))
-        return inside, (np.zeros(0) if inside else None)
-    lp, zeta = membership_lp(Z, x)
-    sol = lp.solve()
-    if sol.status != lpcore.OPTIMAL or sol.objective > 1.0 + tol:
-        return False, None
-    return True, sol.column_values(zeta)
+    points = np.atleast_2d(x)
+    p = Z.num_generators
+    inside = np.zeros(len(points), dtype=bool)
+    zeta = np.full((len(points), p), np.nan)
+    if p == 0:
+        inside = np.isclose(points, Z.center, atol=max(tol, 1e-12)).all(axis=1)
+        zeta[inside] = 0.0
+    elif len(points):
+        lp, zcols, pcols = membership_lp(Z, points[0])
+        for s, point in enumerate(points):
+            lp.set_col_bounds(pcols, point, point)
+            sol = lp.solve()
+            if sol.status == lpcore.OPTIMAL and sol.objective <= 1.0 + tol:
+                inside[s] = True
+                zeta[s] = sol.column_values(zcols)
+    if x.ndim < 2:
+        return bool(inside[0]), (zeta[0] if inside[0] else None)
+    return inside, zeta

@@ -9,9 +9,16 @@ composition keeps every trajectory inside its tube forever (infinite mode)
 or across the horizon (finite mode).
 
 ``verify_invariance`` stress-tests that claim on a batch of sampled
-trajectories.  Witnesses are propagated in closed form where the stored
-disturbance template is an axis-aligned box (the default); otherwise each
-step re-witnesses membership through a small LP.  Disturbances mix uniform
+trajectories.  Witnesses are chained: a state keeps its coordinates from the
+last step, and only the new tail block of Omega_i(t+1), the columns that the
+disturbance generators became, is solved for.  A diagonal tail is divided
+out; any other tail takes a least-squares guess and, where that misses, a
+min-|zeta|_inf LP on the tail alone.  Every chained witness is checked
+(|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state whose chained
+witness fails, and every state of a contracted RCI tube (beta > 0 or an
+error term), is re-witnessed by the membership LP on the whole tube, one
+warm instance per tube step.  A chained witness need not be the min-norm
+one, so the per-step margins are lower bounds.  Disturbances mix uniform
 interior draws with all-plus/minus-one vertex patterns (all 2^p of them when
 p <= 12, random sign patterns otherwise), because worst cases live at
 vertices.
@@ -192,9 +199,8 @@ def _mixed_zeta(rng, num, p):
     return out
 
 
-def _diag_radii(W):
-    """Radii if W's generator block is a (possibly zero-padded) diagonal."""
-    G = W.generators
+def _diag_radii(G):
+    """Radii if the generator block G is a (possibly zero-padded) diagonal."""
     if G.shape[0] != G.shape[1]:
         return None
     off = G - np.diag(np.diag(G))
@@ -204,15 +210,45 @@ def _diag_radii(W):
 
 
 def _chain_exact(sol):
-    """Whether witnesses propagate in closed form for this solution.
+    """Whether witnesses chain through the tube recursion for this solution.
 
-    The contracted fixed-point form (beta > 0 or an error term) rescales the
+    A growing tube appends the disturbance generators to Omega(t+1), and an
+    uncontracted RCI tube shifts its oldest columns out for them, so a
+    state's coordinates carry over and only the tail block is new.  The
+    contracted fixed-point form (beta > 0 or an error term) rescales the
     tube, so the concatenation identity no longer holds and membership must
-    be re-witnessed by LP each step.
+    be re-witnessed on the whole tube every step.
     """
     if isinstance(sol, RciSolution):
         return sol.beta == 0.0 and sol.E is None
     return True
+
+
+def _tail_guess(tail, resid):
+    """Coordinates zw with resid ~ zw @ tail.T, row by row, and the tail's
+    radii if it is diagonal: then zw is the division, and no other
+    coordinates do better; otherwise (radii None) zw is the least-squares
+    guess."""
+    radii = _diag_radii(tail)
+    if radii is None:
+        return resid @ np.linalg.pinv(tail).T, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(radii > 0.0, resid / radii, 0.0), radii
+
+
+def _row_norms(a):
+    """|row|_inf of every row of ``a`` (0 without columns).  Reduced over a
+    column-major copy: with few columns that is several times faster than
+    reducing along C-ordered rows."""
+    return np.abs(np.asfortranarray(a)).max(axis=1, initial=0.0)
+
+
+def _witness_ok(tail, resid, zw, radii=None):
+    """Rows where zw is a witness: |zw|_inf <= 1 + 1e-9 and zw @ tail.T
+    reconstructs resid within 1e-9 (NaN rows fail).  A diagonal tail passes
+    its ``radii``, and the product is taken entrywise."""
+    recon = zw @ tail.T if radii is None else zw * radii
+    return (_row_norms(zw) <= 1.0 + 1e-9) & (_row_norms(resid - recon) <= 1e-9)
 
 
 @dataclass
@@ -220,8 +256,9 @@ class InvarianceReport:
     num_samples: int
     num_steps: int
     checked: int = 0              # membership decisions made
-    witness_losses: int = 0       # closed-form witness left the box but the
-                                  # state was still inside (re-witnessed)
+    witness_losses: int = 0       # chained witness failed its check but the
+                                  # tube LP found the state inside
+    lp_rewitness: int = 0         # membership LPs solved (tail and tube)
     violations: int = 0           # states confirmed outside their tube
     first_violation: tuple | None = None
     margins: dict = field(default_factory=dict)  # sid -> per-step min margin
@@ -287,12 +324,16 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
         n_vertex[sid] = min(full, max(S // 2, 1))
 
     report = InvarianceReport(S, num_steps, margins=margins)
+
+    def rewitness(Z, points):
+        if Z.num_generators:
+            report.lp_rewitness += len(points)
+        return contains_point(Z, points)
+
     alive = np.ones(S, dtype=bool)
     report.checked += len(ids) * S
     for sid in ids:
-        norms = np.abs(zeta[sid]).max(axis=1) if zeta[sid].shape[1] else \
-            np.zeros(S)
-        margins[sid][0] = float((1.0 - norms)[alive].min())
+        margins[sid][0] = float((1.0 - _row_norms(zeta[sid]))[alive].min())
 
     for t in range(num_steps):
         if not alive.any():
@@ -322,54 +363,52 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
             w = w + D.center + zd @ D.generators.T
             nxt[sid] = new + w
 
-            # Advance the membership witness.  The fresh witness coordinates
-            # are recovered from the actual next state (not from w), so the
-            # identity x = c + T zeta is re-established exactly every step;
+            # Advance the membership witness.  The tail coordinates are
+            # recovered from the actual next state (not from w), so the
+            # identity x = c + T zeta holds every step up to the 1e-9 check;
             # otherwise solver-tolerance residuals in the template recursion
             # compound through the witness dynamics and eventually decouple
             # the witness from the state it is supposed to describe.
-            radii = _diag_radii(w_set(sid, t)) \
-                if _chain_exact(solutions[sid]) else None
             om_next = omega(sid, t + 1)
-            k_next = om_next.num_generators
-            if radii is not None:
-                expected = radii.size + (zeta[sid].shape[1] - radii.size
-                                         if rci[sid] else zeta[sid].shape[1])
-                if k_next != expected:
-                    radii = None
+            G = om_next.generators
+            k_next = G.shape[1]
+            p = w_set(sid, t).num_generators
+            base = zeta[sid][:, p:] if rci[sid] else zeta[sid]
+            chained = _chain_exact(solutions[sid]) and \
+                base.shape[1] == k_next - p
             new_zeta = np.zeros((S, k_next))
-            if radii is not None:
-                p = radii.size
-                base = zeta[sid][:, p:] if rci[sid] else zeta[sid]
-                G = om_next.generators
-                pred = om_next.center + base @ G[:, :k_next - p].T
-                resid = nxt[sid] - pred
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    zw = np.where(radii > 0.0, resid / radii, 0.0)
-                bad = (np.abs(zw) > 1.0 + 1e-9).any(axis=1)
-                bad |= (np.abs(np.where(radii > 0.0, 0.0, resid)) > 1e-9).any(axis=1)
+            if chained:
+                tail = G[:, k_next - p:]
+                resid = nxt[sid] - (om_next.center
+                                    + base @ G[:, :k_next - p].T)
+                zw, radii = _tail_guess(tail, resid)
+                miss = alive & ~_witness_ok(tail, resid, zw, radii)
+                if radii is None and miss.any():
+                    rows = np.flatnonzero(miss)
+                    inside, wit = rewitness(
+                        Zonotope(np.zeros(resid.shape[1]), tail), resid[rows])
+                    zw[rows[inside]] = wit[inside]
+                    miss[rows] = ~_witness_ok(tail, resid[rows], zw[rows])
                 new_zeta[:, :k_next - p] = base
                 new_zeta[:, k_next - p:] = zw
-                redo = np.flatnonzero(bad & alive)
+                redo = np.flatnonzero(miss)
             else:
                 redo = np.flatnonzero(alive)
-            for s in redo:
-                inside, wit = contains_point(om_next, nxt[sid][s])
-                if inside:
-                    if radii is not None:
-                        report.witness_losses += 1
-                    new_zeta[s] = wit
-                else:
-                    report.violations += 1
-                    alive[s] = False
-                    if report.first_violation is None:
-                        report.first_violation = (sid, t + 1)
+            if redo.size:
+                inside, wit = rewitness(om_next, nxt[sid][redo])
+                new_zeta[redo[inside]] = wit[inside]
+                if chained:
+                    report.witness_losses += int(inside.sum())
+                out = redo[~inside]
+                report.violations += out.size
+                alive[out] = False
+                if out.size and report.first_violation is None:
+                    report.first_violation = (sid, t + 1)
             zeta[sid] = new_zeta
         states = nxt
         report.checked += len(ids) * int(alive.sum())
         for sid in ids:
             if alive.any():
-                norms = np.abs(zeta[sid]).max(axis=1) if zeta[sid].shape[1] \
-                    else np.zeros(S)
-                margins[sid][t + 1] = float((1.0 - norms)[alive].min())
+                margins[sid][t + 1] = float(
+                    (1.0 - _row_norms(zeta[sid]))[alive].min())
     return report

@@ -247,22 +247,24 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
 
 def membership_lp_rowwise(Z, x):
     """Row-at-a-time reference for ``geom.membership_lp``: the same LP
-    min |zeta|_inf s.t. x = c + G zeta, one ``add_eq``/``add_le`` per row;
-    returns the LP and zeta as LinExpr."""
+    min |zeta|_inf s.t. x = c + G zeta, with the point as columns fixed at
+    ``x`` and one ``add_eq``/``add_le`` per row; returns the LP, zeta and
+    the point as LinExpr."""
     from zonosynth.lpcore import LinearProgram, lin_sum
 
     p = Z.num_generators
     lp = LinearProgram(name="member")
     zeta = lp.var_array("z", p)
     q = lp.var("q", lb=0.0)
+    point = [lp.var(f"x[{i}]", lb=float(x[i]), ub=float(x[i])) for i in range(Z.dim)]
     for i in range(Z.dim):
         expr = lin_sum(Z.generators[i, k] * zeta[k] for k in range(p))
-        lp.add_eq(expr, float(x[i] - Z.center[i]))
+        lp.add_eq(expr - point[i], -float(Z.center[i]))
     for k in range(p):
         lp.add_le(zeta[k] - q, 0.0)
         lp.add_le(-zeta[k] - q, 0.0)
     lp.minimize(q)
-    return lp, zeta
+    return lp, zeta, point
 
 
 def dense_matrix(rows, num_cols):

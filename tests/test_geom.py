@@ -29,6 +29,7 @@ from zonosynth.geom import (
     witness_values,
     zonogon_area,
 )
+from zonosynth import lpcore
 from zonosynth.lpcore import LinearProgram, LinExpr
 
 import oracles
@@ -407,19 +408,77 @@ class TestMembershipEmitter:
                              elements=st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0])))
         Z = Zonotope(data.draw(vec(n)), G)
         x = data.draw(vec(n))
-        fast, zeta = membership_lp(Z, x)
-        ref, zeta_ref = oracles.membership_lp_rowwise(Z, x)
+        fast, zeta, point = membership_lp(Z, x)
+        ref, zeta_ref, point_ref = oracles.membership_lp_rowwise(Z, x)
         assert fast.row_names() == ref.row_names()
         assert fast._col_names == ref._col_names
         assert np.array_equal(fast._senses(), ref._senses())
         for a, b in zip(fast._assemble(), ref._assemble()):
             assert a.shape == b.shape and np.array_equal(a, b)
         assert np.array_equal(zeta, [_column(e) for e in zeta_ref])
+        assert np.array_equal(point, [_column(e) for e in point_ref])
         got, want = fast.solve(), ref.solve()
         assert got.status == want.status
         if got.is_optimal:
             assert np.allclose(got.column_values(zeta), want.value(zeta_ref),
                                rtol=0, atol=1e-12)
+
+
+def _oracle_membership(Z, x, tol=1e-9):
+    """(inside, optimum) from a fresh row-at-a-time membership LP."""
+    lp, _, _ = oracles.membership_lp_rowwise(Z, x)
+    sol = lp.solve()
+    if not sol.is_optimal:
+        return False, None
+    return sol.objective <= 1.0 + tol, sol.objective
+
+
+class TestBatchedMembership:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_stack_matches_a_fresh_lp_per_point(self, seed, monkeypatch):
+        # rank-2 generators in R^3 with a zero and a repeated column: points
+        # off their span are infeasible, scaled-up ones feasible but outside
+        rng = np.random.default_rng(seed)
+        B = rng.uniform(-1.5, 1.5, (3, 2))
+        G = np.column_stack([B[:, 0], np.zeros(3), B[:, 1], B[:, 0],
+                             B @ rng.uniform(-1, 1, 2)])
+        Z = Zonotope(rng.uniform(-1, 1, 3), G)
+        normal = np.cross(B[:, 0], B[:, 1])
+        zetas = rng.uniform(-1.0, 1.0, (12, G.shape[1]))
+        # 1.5 x a vertex that maximizes d.x: past the support in direction d
+        d = rng.uniform(-1.0, 1.0, (3, 2)) @ B.T
+        zetas[:3] = 1.5 * np.sign(d @ G)
+        points = Z.center + zetas @ G.T
+        points[3] += normal            # off the span: infeasible
+        tol = 1e-9
+        calls = []
+        real = membership_lp
+        monkeypatch.setattr("zonosynth.geom.membership_lp",
+                            lambda *a: calls.append(1) or real(*a))
+        with lpcore.track_solver_time() as tracker:
+            inside, wit = contains_point(Z, points, tol=tol)
+        assert len(calls) == 1 and tracker.solves == len(points)
+        assert inside.dtype == bool and wit.shape == (len(points), G.shape[1])
+        assert not inside[:4].any() and inside[4:].all()
+        for s, x in enumerate(points):
+            want, optimum = _oracle_membership(Z, x, tol)
+            assert inside[s] == want
+            if want:
+                assert np.abs(wit[s]).max() <= 1.0 + tol
+                assert np.abs(wit[s]).max() == pytest.approx(optimum, abs=1e-7)
+                assert np.allclose(Z.center + G @ wit[s], x, rtol=0, atol=1e-7)
+            else:
+                assert np.isnan(wit[s]).all()
+            one, zeta = contains_point(Z, x, tol=tol)
+            assert one == want and (zeta is None) == (not want)
+
+    def test_zero_generators_and_empty_stack(self):
+        Z = point_zonotope([1.0, 2.0])
+        inside, wit = contains_point(Z, [[1.0, 2.0], [1.0, 2.5]])
+        assert inside.tolist() == [True, False] and wit.shape == (2, 0)
+        Z = Zonotope([0.0], [[1.0]])
+        inside, wit = contains_point(Z, np.zeros((0, 1)))
+        assert inside.shape == (0,) and wit.shape == (0, 1)
 
 
 def _contained_inner(rng, cols, scales):

@@ -14,9 +14,13 @@ from zonosynth.runtime import (
     step,
     verify_invariance,
 )
-from zonosynth.synthesis import centralized_synthesize, compositional_synthesize
-from zonosynth.sysmodel import load_network
-from zonosynth.viability import rci
+from zonosynth.synthesis import (
+    centralized_dense,
+    centralized_synthesize,
+    compositional_synthesize,
+)
+from zonosynth.sysmodel import Network, Subsystem, aggregate, load_network
+from zonosynth.viability import ViableSolution, rci
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +255,9 @@ def test_verify_finite_defaults_to_horizon(finite):
 
 
 def test_verify_lp_fallback_matches_chain(finite):
-    # coarser reduction keeps non-diagonal disturbance columns, forcing the
-    # per-step LP re-witness path; the verdict must not change
+    # order-2 reduction keeps non-diagonal disturbance columns, so witnesses
+    # chain through a non-diagonal tail (least-squares guess, then the tail
+    # LP) instead of dividing by radii; the verdict must not change
     net, _ = finite
     result = centralized_synthesize(net, reduction_order=2)
     assert result.ok
@@ -276,3 +281,134 @@ def test_verify_case1_thousand_steps(case1):
     assert report.witness_losses == 0
     for sid in net.sorted_ids():
         assert np.all(report.margins[sid] >= -1e-9)
+
+
+@pytest.fixture(scope="module")
+def finite_exact():
+    net = finite_pair(horizon=6)
+    result = centralized_synthesize(net, reduction_order=None)
+    assert result.ok
+    return net, result
+
+
+def test_verify_exact_encoding_chains_through_a_non_diagonal_tail(finite_exact):
+    net, result = finite_exact
+    # W = [coupling column, own disturbance]: 1 x 2, so no radii to divide by
+    assert result.solutions[1].W[0].generators.shape == (1, 2)
+    samples, steps = 32, 6
+    report = verify_invariance(net, result, num_samples=samples, seed=4)
+    assert report.ok
+    assert report.checked == 2 * samples * (steps + 1)
+    assert report.witness_losses == 0
+    assert 0 < report.lp_rewitness < samples * steps
+    for sid in [1, 2]:
+        assert np.all(report.margins[sid] >= -1e-9)
+
+
+def test_verify_exact_encoding_flags_enlarged_coupling(finite_exact):
+    _, result = finite_exact
+    harsher = finite_pair(horizon=6, coupling=1.5)
+    report = verify_invariance(harsher, result, num_samples=16, seed=4)
+    assert not report.ok
+    assert report.violations > 0
+    assert report.first_violation[1] >= 1
+
+
+def aggregate_network(net):
+    """The dense baseline's one-subsystem view of ``net``."""
+    agg = aggregate(net)
+    sub = Subsystem("aggregate", agg.A, agg.B, agg.X, agg.U, agg.D)
+    return Network(net.mode, net.horizon, [sub]).validate()
+
+
+@pytest.fixture(scope="module")
+def contracted():
+    net = pair_network(coupling=0.9)
+    result = centralized_dense(net, beta=0.2)
+    assert result.ok
+    assert result.solutions["aggregate"].beta == 0.2
+    return net, result
+
+
+def test_verify_contracted_rci_rewitnesses_every_state(contracted):
+    # beta > 0 rescales the tube, so nothing chains: every live state is
+    # re-witnessed on the whole tube, one warm LP instance per step
+    net, result = contracted
+    samples, steps = 16, 20
+    report = verify_invariance(aggregate_network(net), result,
+                               num_samples=samples, num_steps=steps, seed=0)
+    assert report.ok
+    assert report.checked == samples * (steps + 1)
+    assert report.witness_losses == 0
+    assert report.lp_rewitness == samples * steps
+    assert np.all(report.margins["aggregate"] >= -1e-9)
+
+
+def test_verify_contracted_rci_flags_enlarged_coupling(contracted):
+    _, result = contracted
+    harsher = aggregate_network(pair_network(coupling=1.5))
+    report = verify_invariance(harsher, result, num_samples=16, num_steps=10,
+                               seed=0)
+    assert not report.ok
+    assert report.violations > 0
+    assert report.first_violation == ("aggregate", 1)
+
+
+@pytest.mark.parametrize("w_gens", [[0.1], [0.06, 0.04]],
+                         ids=["diagonal", "non-diagonal"])
+def test_witness_losses_count_chain_misses_the_tube_lp_rewitnesses(w_gens):
+    # Omega(1) = 0.5 Omega(0) + W = [-0.6, 0.6] with W of radius 0.1, but
+    # the network disturbs with radius 0.3: a state near 0 stays inside
+    # although its chained witness cannot cover the disturbance (a loss);
+    # one near the boundary leaves (a violation).
+    w_gens = np.asarray(w_gens)
+    net = load_network({
+        "mode": "finite", "horizon": 1,
+        "subsystems": [{
+            "id": "s", "A": [[0.5]], "B": [[1.0]],
+            "X": {"center": [0.0], "generators": [[1.0]]},
+            "U": {"center": [0.0], "generators": [[1.0]]},
+            "D": {"center": [0.0], "generators": [list(3.0 * w_gens)]},
+            "couplings": [],
+        }],
+    })
+    sol = ViableSolution(
+        "growing", [np.array([[1.0]]), np.array([[0.5, *w_gens]])],
+        [np.zeros(1), np.zeros(1)], [np.zeros((1, 1))], [np.zeros(1)],
+        [Zonotope([0.0], [w_gens])], 0.0)
+    samples = 64
+    report = verify_invariance(net, {"s": sol}, num_samples=samples, seed=0)
+    assert report.witness_losses > 0 and report.violations > 0
+    assert report.checked == 2 * samples - report.violations
+    tube_lps = report.witness_losses + report.violations
+    if len(w_gens) == 1:
+        assert report.lp_rewitness == tube_lps
+    else:   # least-squares misses first go to the LP on the tail
+        assert report.lp_rewitness > tube_lps
+    assert report.margins["s"][1] >= -1e-9
+
+
+@pytest.mark.parametrize("w_gens", [[[0.1, 0.0], [0.0, 0.0]],
+                                    [[0.06, 0.04], [0.0, 0.0]]],
+                         ids=["zero-radius", "rank-deficient"])
+def test_chained_witness_must_reconstruct_the_state(w_gens):
+    # The tail block spans only x1, and the network disturbs only x2: every
+    # chained witness has a small |zeta| but misses x2, so each state must
+    # go to the tube LP, which finds some inside and some outside.
+    w_gens = np.asarray(w_gens)
+    net = load_network({
+        "mode": "finite", "horizon": 1,
+        "subsystems": [{
+            "id": "s", "A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0]],
+            "X": {"center": [0.0, 0.0], "generators": [[1.0, 0.0], [0.0, 1.0]]},
+            "U": {"center": [0.0], "generators": [[1.0]]},
+            "D": {"center": [0.0, 0.0], "generators": [[0.0], [0.3]]},
+            "couplings": [],
+        }],
+    })
+    sol = ViableSolution(
+        "growing", [np.eye(2), np.hstack([0.5 * np.eye(2), w_gens])],
+        [np.zeros(2), np.zeros(2)], [np.zeros((1, 2))], [np.zeros(1)],
+        [Zonotope([0.0, 0.0], w_gens)], 0.0)
+    report = verify_invariance(net, {"s": sol}, num_samples=64, seed=0)
+    assert report.witness_losses > 0 and report.violations > 0
