@@ -7,7 +7,8 @@ Subpackages/modules:
 - ``sysmodel``  network/subsystem data model and JSON I/O
 - ``viability`` finite-horizon viable sets and robust control invariant sets
 - ``contracts`` parametric assume-guarantee contracts and the potential function
-- ``synthesis`` compositional (projected gradient) and centralized synthesis
+- ``synthesis`` compositional (a level master by default, the paper's
+                subgradient rule as the baseline) and centralized synthesis
 - ``runtime``   decentralized controllers and Monte-Carlo invariance checks
 - ``cli``       command-line entry points
 """

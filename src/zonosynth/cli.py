@@ -66,7 +66,10 @@ class UsageError(Exception):
 
 def _env_threads():
     raw = os.environ.get(THREADS_ENV)
-    return int(raw) if raw else None
+    try:
+        return int(raw) if raw else None
+    except ValueError:
+        raise UsageError(f"{THREADS_ENV}={raw!r} is not an integer") from None
 
 
 def lambda_for(dim):
@@ -345,9 +348,9 @@ def _emit_potential_slice(result, dims, outdir, grid):
                              f"#{coord}")
         axes.append((sid, coord))
 
+    threads = _env_threads()
     programs = build_programs(result.network, result.template)
     base = result.params
-    threads = _env_threads()
 
     def values(sid, coord):
         if grid == 1:

@@ -8,18 +8,20 @@ is exactly what the synthesized tubes were sized against — so a correct
 composition keeps every trajectory inside its tube forever (infinite mode)
 or across the horizon (finite mode).
 
-``verify_invariance`` stress-tests that claim on a batch of sampled
-trajectories.  Witnesses are chained: a state keeps its coordinates from the
-last step, and only the new tail block of Omega_i(t+1), the columns that the
-disturbance generators became, is solved for.  A diagonal tail is divided
-out; any other tail takes a least-squares guess and, where that misses, a
-min-|zeta|_inf LP on the tail alone.  Every chained witness is checked
-(|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state whose chained
-witness fails, and every state of a contracted RCI tube (beta > 0 or an
-error term), is re-witnessed by the membership LP on the whole tube, one
-warm instance per tube step.  A chained witness need not be the min-norm
-one, so the per-step margins are lower bounds.  Disturbances mix uniform
-interior draws with all-plus/minus-one vertex patterns (all 2^p of them when
+``step``, ``simulate`` and ``verify_invariance`` run one closed loop on
+stacked states, and chain the witnesses along it: a state keeps its
+coordinates from the last step, and only the new tail block of
+Omega_i(t+1), the columns that the disturbance generators became, is solved
+for.  A diagonal tail is divided out; any other tail takes a least-squares
+guess and, where that misses, a min-|zeta|_inf LP on the tail alone.  Every
+chained witness is checked (|zeta|_inf <= 1 + 1e-9, reconstruction within
+1e-9).  A state whose chained witness fails, and every state of a contracted
+RCI tube (beta > 0 or an error term), is re-witnessed by the membership LP
+on the whole tube, one warm instance per tube step; so is every start state
+of ``step`` and ``simulate``.  A chained witness need not be the min-norm
+one, so the per-step margins are lower bounds.  ``verify_invariance`` runs
+a batch of sampled trajectories; its disturbances mix uniform interior
+draws with all-plus/minus-one vertex patterns (all 2^p of them when
 p <= 12, random sign patterns otherwise), because worst cases live at
 vertices.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import Zonotope, contains_point
-from .viability import RciSolution, ViableSolution, extract_control
+from .viability import RciSolution, ViableSolution
 
 
 class OutsideViableSet(Exception):
@@ -53,10 +55,19 @@ def _solution_map(result):
     return solutions
 
 
-def _max_steps(solutions):
+def _num_steps(solutions, num_steps, verb):
+    """``num_steps`` checked against the shortest horizon; None means that
+    horizon, or 100 steps when every tube is invariant."""
     horizons = [sol.horizon for sol in solutions.values()
                 if isinstance(sol, ViableSolution)]
-    return min(horizons) if horizons else None
+    cap = min(horizons) if horizons else None
+    if num_steps is None:
+        num_steps = cap if cap is not None else 100
+    if num_steps < 0:
+        raise ValueError(f"num_steps must be nonnegative, got {num_steps}")
+    if cap is not None and num_steps > cap:
+        raise ValueError(f"horizon is {cap}, cannot {verb} {num_steps} steps")
+    return num_steps
 
 
 # ---------------------------------------------------------------------------
@@ -66,37 +77,21 @@ def _max_steps(solutions):
 def step(network, solutions, states, t=0, disturbances=None):
     """One synchronous update of the whole network; returns (next, inputs).
 
-    Inputs are computed from local state only.  ``disturbances`` maps sid to
-    a d_i in D_i(t) (defaults to the centers).  A state outside its tube
-    raises OutsideViableSet.
+    Each state is witnessed in its tube by the membership LP, and its input
+    follows from that witness, so inputs read local state only.
+    ``disturbances`` maps sid to a d_i in D_i(t) (defaults to the centers).
+    A state outside its tube raises OutsideViableSet.
     """
     solutions = _solution_map(solutions)
-    inputs = {}
-    for sid in network.sorted_ids():
-        if not network.subsystem(sid).m:
-            inside, _ = contains_point(solutions[sid].omega(t), states[sid])
-            if not inside:
-                raise OutsideViableSet(sid, t)
-            inputs[sid] = np.zeros(0)
-            continue
-        try:
-            inputs[sid] = extract_control(solutions[sid], states[sid], t)
-        except ValueError:
-            raise OutsideViableSet(sid, t) from None
-    nxt = {}
-    for sid in network.sorted_ids():
-        sub = network.subsystem(sid)
-        x = np.asarray(states[sid], dtype=float)
-        new = sub.A_at(t) @ x
-        if sub.m:
-            new = new + sub.B_at(t) @ inputs[sid]
-        for j, coupling in sub.couplings.items():
-            new = new + coupling.A_at(t) @ np.asarray(states[j], dtype=float)
-            if coupling.B is not None:
-                new = new + coupling.B_at(t) @ inputs[j]
-        d = disturbances[sid] if disturbances else sub.D_at(t).center
-        nxt[sid] = new + np.asarray(d, dtype=float)
-    return nxt, inputs
+    ids = network.sorted_ids()
+    stacked = {sid: np.atleast_2d(np.asarray(states[sid], dtype=float))
+               for sid in ids}
+    d = {sid: np.asarray(disturbances[sid], dtype=float) if disturbances
+         else network.subsystem(sid).D_at(t).center for sid in ids}
+    nxt, inputs = _closed_loop(network, solutions, t, stacked,
+                               _witness(network, solutions, t, stacked), d)
+    return ({sid: nxt[sid][0] for sid in ids},
+            {sid: inputs[sid][0] for sid in ids})
 
 
 @dataclass
@@ -137,37 +132,44 @@ class Trajectory:
 def simulate(network, solutions, num_steps, x0=None, seed=0):
     """Roll the closed loop forward under sampled disturbances.
 
-    Starts from ``x0`` (default: tube centers).  Disturbances are uniform
+    Starts from ``x0`` (default: tube centers), witnessed once by the
+    membership LP; from there the witnesses chain.  Disturbances are uniform
     zeta-samples from each D_i(t).  If a state escapes its tube the
-    trajectory is truncated there and the violation recorded.
+    trajectory is truncated there and the violation recorded; a start
+    outside its tube is the violation (sid, 0).
     """
     solutions = _solution_map(solutions)
-    cap = _max_steps(solutions)
-    if cap is not None and num_steps > cap:
-        raise ValueError(f"horizon is {cap}, cannot simulate {num_steps} steps")
+    num_steps = _num_steps(solutions, num_steps, "simulate")
     rng = np.random.default_rng(seed)
     ids = network.sorted_ids()
-    states = {sid: np.asarray(x0[sid], dtype=float) if x0 else
-              solutions[sid].omega(0).center.copy() for sid in ids}
-    xs = {sid: [states[sid]] for sid in ids}
+    states = {sid: np.atleast_2d(np.asarray(x0[sid], dtype=float)) if x0 else
+              solutions[sid].omega(0).center[None] for sid in ids}
+    xs = {sid: [states[sid][0]] for sid in ids}
     us = {sid: [] for sid in ids}
     ds = {sid: [] for sid in ids}
-    violation = None
+    report = InvarianceReport(1, num_steps)
+    alive = np.ones(1, dtype=bool)
+    try:
+        zeta = _witness(network, solutions, 0, states)
+    except OutsideViableSet as exc:
+        report.first_violation = (exc.sid, exc.t)
+        alive[0] = False
     for t in range(num_steps):
+        if not alive[0]:
+            break
         draws = {}
         for sid in ids:
             D = network.subsystem(sid).D_at(t)
-            zeta = rng.uniform(-1.0, 1.0, D.num_generators)
-            draws[sid] = D.center + D.generators @ zeta
-        try:
-            states, inputs = step(network, solutions, states, t, draws)
-        except OutsideViableSet as exc:
-            violation = (exc.sid, exc.t)
-            break
+            zd = rng.uniform(-1.0, 1.0, D.num_generators)
+            draws[sid] = D.center + D.generators @ zd
+        states, inputs = _closed_loop(network, solutions, t, states, zeta,
+                                      draws)
+        _rewitness(network, solutions, t, states, zeta, alive, report)
         for sid in ids:
-            xs[sid].append(states[sid])
-            us[sid].append(inputs[sid])
+            xs[sid].append(states[sid][0])
+            us[sid].append(inputs[sid][0])
             ds[sid].append(draws[sid])
+
     def rows(items, width):
         return np.array(items) if items else np.zeros((0, width))
 
@@ -176,7 +178,7 @@ def simulate(network, solutions, num_steps, x0=None, seed=0):
         inputs={sid: rows(us[sid], network.subsystem(sid).m) for sid in ids},
         disturbances={sid: rows(ds[sid], network.subsystem(sid).n)
                       for sid in ids},
-        violation=violation,
+        violation=report.first_violation,
     )
 
 
@@ -269,6 +271,96 @@ class InvarianceReport:
         return not self.vacuous and self.violations == 0
 
 
+def _witness(network, solutions, t, states):
+    """Membership-LP witnesses of stacked states in their tubes Omega_i(t);
+    the first subsystem with a state outside raises OutsideViableSet."""
+    zeta = {}
+    for sid in network.sorted_ids():
+        inside, zeta[sid] = contains_point(solutions[sid].omega(t), states[sid])
+        if not inside.all():
+            raise OutsideViableSet(sid, t)
+    return zeta
+
+
+def _closed_loop(network, solutions, t, states, zeta, d):
+    """One synchronous update of stacked (S, n_i) states with witnesses
+    ``zeta`` and disturbances ``d``; returns (next, inputs)."""
+    ids = network.sorted_ids()
+    inputs = {sid: np.zeros((len(zeta[sid]), 0)) for sid in ids}
+    for sid in ids:
+        if network.subsystem(sid).m:
+            th = solutions[sid].theta(t)
+            inputs[sid] = th.center + zeta[sid] @ th.generators.T
+    nxt = {}
+    for sid in ids:
+        sub = network.subsystem(sid)
+        new = states[sid] @ sub.A_at(t).T
+        if sub.m:
+            new = new + inputs[sid] @ sub.B_at(t).T
+        w = np.zeros_like(new)
+        for j, coupling in sub.couplings.items():
+            w = w + states[j] @ coupling.A_at(t).T
+            if coupling.B is not None:
+                w = w + inputs[j] @ coupling.B_at(t).T
+        nxt[sid] = new + (w + d[sid])
+    return nxt, inputs
+
+
+def _rewitness(network, solutions, t, states, zeta, alive, report):
+    """Advance the witnesses ``zeta`` to the ``states`` at t + 1, in place.
+    Rows the tube LP finds outside leave ``alive``; ``report`` counts them,
+    the LPs and the witness losses."""
+    def lp_witness(Z, points):
+        if Z.num_generators:
+            report.lp_rewitness += len(points)
+        return contains_point(Z, points)
+
+    for sid in network.sorted_ids():
+        sol = solutions[sid]
+        rci = isinstance(sol, RciSolution)
+        # The tail coordinates are recovered from the actual next state (not
+        # from the disturbance applied), so the identity x = c + T zeta holds
+        # every step up to the 1e-9 check; otherwise solver-tolerance
+        # residuals in the template recursion compound through the witness
+        # dynamics and eventually decouple the witness from the state it is
+        # supposed to describe.
+        om_next = sol.omega(t + 1)
+        G = om_next.generators
+        k_next = G.shape[1]
+        p = (sol.W if rci else sol.W[t]).num_generators
+        base = zeta[sid][:, p:] if rci else zeta[sid]
+        chained = _chain_exact(sol) and base.shape[1] == k_next - p
+        new_zeta = np.zeros((len(alive), k_next))
+        if chained:
+            tail = G[:, k_next - p:]
+            resid = states[sid] - (om_next.center
+                                   + base @ G[:, :k_next - p].T)
+            zw, radii = _tail_guess(tail, resid)
+            miss = alive & ~_witness_ok(tail, resid, zw, radii)
+            if radii is None and miss.any():
+                rows = np.flatnonzero(miss)
+                inside, wit = lp_witness(
+                    Zonotope(np.zeros(resid.shape[1]), tail), resid[rows])
+                zw[rows[inside]] = wit[inside]
+                miss[rows] = ~_witness_ok(tail, resid[rows], zw[rows])
+            new_zeta[:, :k_next - p] = base
+            new_zeta[:, k_next - p:] = zw
+            redo = np.flatnonzero(miss)
+        else:
+            redo = np.flatnonzero(alive)
+        if redo.size:
+            inside, wit = lp_witness(om_next, states[sid][redo])
+            new_zeta[redo[inside]] = wit[inside]
+            if chained:
+                report.witness_losses += int(inside.sum())
+            out = redo[~inside]
+            report.violations += out.size
+            alive[out] = False
+            if out.size and report.first_violation is None:
+                report.first_violation = (sid, t + 1)
+        zeta[sid] = new_zeta
+
+
 def verify_invariance(network, result, num_samples=10_000, num_steps=None,
                       seed=0):
     """Sample closed-loop trajectories and count tube escapes.
@@ -283,33 +375,19 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
     missing = [sid for sid in ids if sid not in solutions]
     if missing:
         raise ValueError(f"no solutions for subsystem(s) {missing}")
-    cap = _max_steps(solutions)
-    if num_steps is None:
-        num_steps = cap if cap is not None else 100
-    if cap is not None and num_steps > cap:
-        raise ValueError(f"horizon is {cap}, cannot verify {num_steps} steps")
+    num_steps = _num_steps(solutions, num_steps, "verify")
+    if num_samples < 0:
+        raise ValueError(f"num_samples must be nonnegative, got {num_samples}")
     if num_samples == 0:
         return InvarianceReport(0, num_steps, vacuous=True)
 
     rng = np.random.default_rng(seed)
     S = num_samples
-    rci = {sid: isinstance(solutions[sid], RciSolution) for sid in ids}
-
-    def omega(sid, t):
-        return solutions[sid].omega(None if rci[sid] else t)
-
-    def theta(sid, t):
-        return solutions[sid].theta(None if rci[sid] else t)
-
-    def w_set(sid, t):
-        sol = solutions[sid]
-        return sol.W if rci[sid] else sol.W[t]
-
     zeta = {}
     states = {}
     margins = {}
     for sid in ids:
-        om = omega(sid, 0)
+        om = solutions[sid].omega(0)
         zeta[sid] = _mixed_zeta(rng, S, om.num_generators)
         states[sid] = om.center + zeta[sid] @ om.generators.T
         margins[sid] = np.full(num_steps + 1, np.inf)
@@ -324,12 +402,6 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
         n_vertex[sid] = min(full, max(S // 2, 1))
 
     report = InvarianceReport(S, num_steps, margins=margins)
-
-    def rewitness(Z, points):
-        if Z.num_generators:
-            report.lp_rewitness += len(points)
-        return contains_point(Z, points)
-
     alive = np.ones(S, dtype=bool)
     report.checked += len(ids) * S
     for sid in ids:
@@ -338,74 +410,16 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
     for t in range(num_steps):
         if not alive.any():
             break
-        inputs = {}
+        d = {}
         for sid in ids:
-            sub = network.subsystem(sid)
-            if sub.m:
-                th = theta(sid, t)
-                inputs[sid] = th.center + zeta[sid] @ th.generators.T
-        nxt = {}
-        for sid in ids:
-            sub = network.subsystem(sid)
-            new = states[sid] @ sub.A_at(t).T
-            if sub.m:
-                new = new + inputs[sid] @ sub.B_at(t).T
-            w = np.zeros_like(new)
-            for j, coupling in sub.couplings.items():
-                w = w + states[j] @ coupling.A_at(t).T
-                if coupling.B is not None and j in inputs:
-                    w = w + inputs[j] @ coupling.B_at(t).T
-            D = sub.D_at(t)
+            D = network.subsystem(sid).D_at(t)
             nv = n_vertex[sid]
             zd = np.empty((S, D.num_generators))
             zd[:nv] = d_pattern[sid][:nv]
             zd[nv:] = rng.uniform(-1.0, 1.0, (S - nv, D.num_generators))
-            w = w + D.center + zd @ D.generators.T
-            nxt[sid] = new + w
-
-            # Advance the membership witness.  The tail coordinates are
-            # recovered from the actual next state (not from w), so the
-            # identity x = c + T zeta holds every step up to the 1e-9 check;
-            # otherwise solver-tolerance residuals in the template recursion
-            # compound through the witness dynamics and eventually decouple
-            # the witness from the state it is supposed to describe.
-            om_next = omega(sid, t + 1)
-            G = om_next.generators
-            k_next = G.shape[1]
-            p = w_set(sid, t).num_generators
-            base = zeta[sid][:, p:] if rci[sid] else zeta[sid]
-            chained = _chain_exact(solutions[sid]) and \
-                base.shape[1] == k_next - p
-            new_zeta = np.zeros((S, k_next))
-            if chained:
-                tail = G[:, k_next - p:]
-                resid = nxt[sid] - (om_next.center
-                                    + base @ G[:, :k_next - p].T)
-                zw, radii = _tail_guess(tail, resid)
-                miss = alive & ~_witness_ok(tail, resid, zw, radii)
-                if radii is None and miss.any():
-                    rows = np.flatnonzero(miss)
-                    inside, wit = rewitness(
-                        Zonotope(np.zeros(resid.shape[1]), tail), resid[rows])
-                    zw[rows[inside]] = wit[inside]
-                    miss[rows] = ~_witness_ok(tail, resid[rows], zw[rows])
-                new_zeta[:, :k_next - p] = base
-                new_zeta[:, k_next - p:] = zw
-                redo = np.flatnonzero(miss)
-            else:
-                redo = np.flatnonzero(alive)
-            if redo.size:
-                inside, wit = rewitness(om_next, nxt[sid][redo])
-                new_zeta[redo[inside]] = wit[inside]
-                if chained:
-                    report.witness_losses += int(inside.sum())
-                out = redo[~inside]
-                report.violations += out.size
-                alive[out] = False
-                if out.size and report.first_violation is None:
-                    report.first_violation = (sid, t + 1)
-            zeta[sid] = new_zeta
-        states = nxt
+            d[sid] = D.center + zd @ D.generators.T
+        states, _ = _closed_loop(network, solutions, t, states, zeta, d)
+        _rewitness(network, solutions, t, states, zeta, alive, report)
         report.checked += len(ids) * int(alive.sum())
         for sid in ids:
             if alive.any():

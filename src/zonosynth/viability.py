@@ -40,7 +40,7 @@ import numpy as np
 
 from . import lpcore
 from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff,
-                   contains_point, numbers, witness_values)
+                   numbers, witness_values)
 from .lpcore import LinearProgram
 
 
@@ -532,22 +532,3 @@ def escalate_k(solve_at_k, n, k0=None, cap=None):
         last = k
         k *= 2
     return None, last
-
-
-# ---------------------------------------------------------------------------
-# control extraction
-
-
-def extract_control(solution, x, t=0):
-    """Control for a measured state via a membership witness.
-
-    Any witness zeta of x in Omega(t) yields an admissible input
-    u = theta_center + theta_generators @ zeta; correctness does not depend
-    on which witness is returned.
-    """
-    omega = solution.omega(t)
-    inside, zeta = contains_point(omega, x)
-    if not inside:
-        raise ValueError("state is outside the viable set")
-    theta = solution.theta(t)
-    return theta.center + theta.generators @ zeta

@@ -314,6 +314,22 @@ def test_plotdata_rejects_unknown_subsystem(case1_dir):
                  "--what", "potential-slice", "--dims", "9:0,1:0"]) == 2
 
 
+def test_plotdata_bad_thread_count_exits_two(case1_dir, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.setenv("CONTRACT_SYNTH_THREADS", "abc")
+    assert main(["plotdata", "--result", str(case1_dir),
+                 "--what", "potential-slice", "--dims", "1:0,2:0",
+                 "--grid", "1", "--out", str(tmp_path)]) == 2
+    assert "CONTRACT_SYNTH_THREADS='abc'" in capsys.readouterr().err
+    assert not (tmp_path / "potential_slice.csv").exists()
+
+
+def test_synth_bad_thread_count_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("CONTRACT_SYNTH_THREADS", "abc")
+    assert main(["synth", "--config", "configs/case1.json"]) == 2
+    assert "CONTRACT_SYNTH_THREADS='abc'" in capsys.readouterr().err
+
+
 def test_plotdata_missing_result_exits_two(capsys):
     assert main(["plotdata", "--result", "/no/such/dir",
                  "--what", "viable-sets"]) == 2

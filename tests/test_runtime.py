@@ -5,8 +5,10 @@ import csv
 import numpy as np
 import pytest
 from test_contracts import finite_pair, pair_network
+from test_viability import PLANT2D
 
-from zonosynth.geom import Zonotope, contains_point
+from zonosynth import geom
+from zonosynth.geom import Zonotope, contains_point, sample
 from zonosynth.runtime import (
     OutsideViableSet,
     _mixed_zeta,
@@ -136,6 +138,24 @@ def test_step_raises_outside(pair):
     assert exc.value.t == 0
 
 
+@pytest.fixture(scope="module")
+def plant2d():
+    """PLANT2D as a one-subsystem network, with its RCI tube at k = 4."""
+    p = PLANT2D
+    sub = Subsystem("plant", (p["A"],), (p["B"],), (p["X"],), (p["U"],),
+                    (p["W"],))
+    sol = rci(p["A"], p["B"], p["W"], p["X"], p["U"], k=4)
+    assert sol is not None
+    return Network("infinite", None, [sub]).validate(), {"plant": sol}
+
+
+def test_step_outside_tube_raises(plant2d):
+    net, solutions = plant2d
+    with pytest.raises(OutsideViableSet) as exc:
+        step(net, solutions, {"plant": np.array([5.0, 5.0])})
+    assert (exc.value.sid, exc.value.t) == ("plant", 0)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -176,6 +196,57 @@ def test_simulate_honors_explicit_start(pair):
     assert traj.violation is None
     for sid in [1, 2]:
         assert traj.states[sid][0] == pytest.approx(x0[sid])
+
+
+def test_rci_invariance_under_simulation(plant2d):
+    net, solutions = plant2d
+    sol = solutions["plant"]
+    x0 = sample(sol.omega(), 1, np.random.default_rng(11))[0]
+    traj = simulate(net, solutions, num_steps=50, x0={"plant": x0}, seed=11)
+    assert traj.violation is None
+    assert traj.states["plant"].shape == (51, 2)
+    assert traj.inputs["plant"].shape == (50, 1)
+    for x in traj.states["plant"]:
+        inside, _ = contains_point(sol.omega(), x, tol=1e-7)
+        assert inside
+    for u in traj.inputs["plant"]:
+        inside_u, _ = contains_point(sol.theta(), u, tol=1e-7)
+        assert inside_u
+
+
+def test_simulate_solves_membership_lps_only_for_the_start(pair, monkeypatch):
+    # witnesses chain along the rollout; the pair's diagonal tails never
+    # miss, so only the start states take a membership LP
+    net, result = pair
+    calls = []
+    real = geom.membership_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "membership_lp", counted)
+    traj = simulate(net, result, num_steps=300, seed=5)
+    assert traj.violation is None
+    assert 0 < len(calls) <= len(net.sorted_ids())
+
+
+def test_simulate_start_outside_is_a_violation_at_step_zero(pair):
+    net, result = pair
+    x0 = {1: np.array([50.0]), 2: result.solutions[2].omega().center}
+    traj = simulate(net, result, num_steps=10, x0=x0, seed=0)
+    assert traj.violation == (1, 0)
+    assert traj.num_steps == 0
+    for sid in [1, 2]:
+        assert traj.states[sid].shape == (1, 1)
+        assert traj.inputs[sid].shape == (0, 1)
+        assert traj.disturbances[sid].shape == (0, 1)
+
+
+def test_simulate_rejects_negative_steps(pair):
+    net, result = pair
+    with pytest.raises(ValueError, match="num_steps"):
+        simulate(net, result, num_steps=-2)
 
 
 def test_simulate_beyond_horizon_raises(finite):
@@ -264,6 +335,16 @@ def test_verify_lp_fallback_matches_chain(finite):
     report = verify_invariance(net, result, num_samples=16, seed=4)
     assert report.ok
     assert report.violations == 0
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(num_steps=-1), "num_steps"),
+    (dict(num_samples=-2), "num_samples"),
+])
+def test_verify_rejects_negative_run_lengths(pair, kwargs, name):
+    net, result = pair
+    with pytest.raises(ValueError, match=name):
+        verify_invariance(net, result, **kwargs)
 
 
 def test_verify_missing_subsystem_raises(pair):

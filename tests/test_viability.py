@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonosynth.geom import Zonotope, contains_point, interval_hull, sample
+from zonosynth.geom import Zonotope, contains_point, interval_hull
 from zonosynth.viability import (
     CertificationError,
     RciSolution,
@@ -13,7 +13,6 @@ from zonosynth.viability import (
     _certify,
     certify_solution,
     escalate_k,
-    extract_control,
     finite_viable,
     rci,
     rci_beta_grid,
@@ -265,30 +264,6 @@ def test_escalation_gives_up_at_cap():
     sol, k = escalate_k(lambda k: rci(*args, k=k), n=1)
     assert sol is None
     assert k == 8
-
-
-def test_rci_invariance_under_simulation():
-    args = (PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"], PLANT2D["U"])
-    sol = rci(*args, k=4)
-    assert sol is not None
-    omega = sol.omega()
-    rng = np.random.default_rng(11)
-    x = sample(omega, 1, rng)[0]
-    for _ in range(50):
-        u = extract_control(sol, x)
-        inside_u, _ = contains_point(sol.theta(), u, tol=1e-7)
-        assert inside_u
-        w = sample(PLANT2D["W"], 1, rng)[0]
-        x = PLANT2D["A"] @ x + PLANT2D["B"] @ u + w
-        inside, _ = contains_point(omega, x, tol=1e-7)
-        assert inside
-
-
-def test_extract_control_outside_raises():
-    sol = rci(PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"],
-              PLANT2D["U"], k=4)
-    with pytest.raises(ValueError, match="outside"):
-        extract_control(sol, np.array([5.0, 5.0]))
 
 
 # ---------------------------------------------------------------------------
