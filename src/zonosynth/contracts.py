@@ -50,7 +50,7 @@ from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff
 # kept by name: perfbench's tracer test rebinds this import
 from .geom import directed_hausdorff  # noqa: F401
 from .lpcore import LinearProgram
-from .sysmodel import _id_key
+from .sysmodel import ConfigError, _id_key
 from .viability import (RESIDUAL_TOL, RciSolution, ViableSolution, _abs_objective,
                         add_recursion, recursion_residual)
 
@@ -282,6 +282,13 @@ class AugBlock:
     cols: np.ndarray  # base columns before any alpha scaling
 
 
+def _input_coupling(coupling, t):
+    """The coupling's B at step t, or None where the neighbor's input does
+    not act (no B, or an all-zero one)."""
+    B = coupling.B_at(t)
+    return B if B is not None and B.any() else None
+
+
 def aug_blocks(network, template, sid, t):
     """Center and column blocks of W_i(t, alpha), in canonical order.
 
@@ -298,8 +305,8 @@ def aug_blocks(network, template, sid, t):
         cx, Cx = _at(template.state[j], t)
         blocks.append(AugBlock("state", j, A_ij @ Cx))
         center = center + A_ij @ cx
-        B_ij = coupling.B_at(t)
-        if B_ij is not None and np.any(B_ij):
+        B_ij = _input_coupling(coupling, t)
+        if B_ij is not None:
             if j not in template.input:
                 raise ContractError(
                     f"subsystem {j!r} disturbs {sid!r} through its input "
@@ -328,26 +335,32 @@ def augmented_disturbance(network, template, params, sid, t):
     return Zonotope(center, G)
 
 
+def _kept_count(total, n, order):
+    """How many of W's ``total`` columns stay exact at reduction ``order``."""
+    if order is None:
+        return total
+    if order == 1:
+        return 0
+    return total if total <= n * order else n * (order - 1)
+
+
 def _choose_columns(blocks, n, order):
     """Split W columns into kept (exact) and boxed, mirroring order_reduce_box.
 
-    The split uses *unscaled* column norms so it does not depend on alpha and
+    Columns are numbered in block order, as in ``np.hstack`` of the blocks'
+    columns; returns the kept and the boxed numbers, each ascending.  The
+    split uses *unscaled* column norms so it does not depend on alpha and
     the LP structure stays fixed across evaluations.
     """
-    allcols = [(bi, ci) for bi, block in enumerate(blocks)
-               for ci in range(block.cols.shape[1])]
-    if order is None:
-        return allcols, []
-    if order == 1:
-        return [], allcols
-    if len(allcols) <= n * order:
-        return allcols, []
-    keep = n * (order - 1)
-    norms = np.array([np.linalg.norm(blocks[bi].cols[:, ci]) for bi, ci in allcols])
-    kept_idx = set(int(i) for i in np.argsort(-norms, kind="stable")[:keep])
-    kept = [pc for i, pc in enumerate(allcols) if i in kept_idx]
-    boxed = [pc for i, pc in enumerate(allcols) if i not in kept_idx]
-    return kept, boxed
+    total = sum(block.cols.shape[1] for block in blocks)
+    allcols = np.arange(total)
+    keep = _kept_count(total, n, order)
+    if keep in (0, total):
+        return allcols[:keep], allcols[keep:]
+    base = np.hstack([block.cols for block in blocks])
+    norms = np.array([np.linalg.norm(base[:, c]) for c in range(total)])
+    kept = np.sort(np.argsort(-norms, kind="stable")[:keep])
+    return kept, np.setdiff1d(allcols, kept)
 
 
 def _w_columns(center, blocks, split, alpha_cols, n):
@@ -357,41 +370,30 @@ def _w_columns(center, blocks, split, alpha_cols, n):
     ``alpha_cols[b]`` holds the column indices of block b's multipliers
     (None for the local disturbance).  A kept column is alpha * base, with
     constant 0.0 * base; a boxed radius sums its constant |entries| in
-    column order, plus alpha terms with coefficients |entry|.  Read at a
-    solution's values, the same form is the solution's W_i
+    column order, plus alpha terms with coefficients |entry|.  The terms
+    run column by column, each column's rows ascending, nonzero entries
+    only.  Read at a solution's values, the same form is the solution's W_i
     (:func:`_w_value`).
     """
     kept, boxed = split
-    const = np.zeros((n, len(kept) + (n if boxed else 0)))
-    rows, wcols, cols, coefs = [], [], [], []
-
-    def add_terms(base, wcol, alpha):
-        # alpha * base[i] in W entry (i, wcol[i]) for every nonzero base[i]
-        ii = np.flatnonzero(base)
-        rows.append(ii)
-        wcols.append(wcol[ii])
-        cols.append(np.full(len(ii), alpha))
-        coefs.append(base[ii])
-
-    for j, (bi, ci) in enumerate(kept):
-        base = blocks[bi].cols[:, ci]
-        if alpha_cols[bi] is None:
-            const[:, j] = base
-        else:
-            const[:, j] = np.where(base < 0, -0.0, 0.0)
-            add_terms(base, np.full(n, j), alpha_cols[bi][ci])
-    if boxed:
-        radius = np.zeros(n)
-        for bi, ci in boxed:
-            base = np.abs(blocks[bi].cols[:, ci])
-            if alpha_cols[bi] is None:
-                radius = radius + base
-            else:
-                add_terms(base, len(kept) + np.arange(n), alpha_cols[bi][ci])
+    base = np.hstack([block.cols for block in blocks])
+    alpha = np.concatenate([np.full(block.cols.shape[1], -1) if cols is None else cols
+                            for block, cols in zip(blocks, alpha_cols)]).astype(np.int64)
+    const = np.zeros((n, len(kept) + (n if len(boxed) else 0)))
+    K, k_alpha = base[:, kept], alpha[kept]
+    const[:, :len(kept)] = np.where(k_alpha >= 0, np.where(K < 0, -0.0, 0.0), K)
+    B, b_alpha = np.abs(base[:, boxed]), alpha[boxed]
+    if len(boxed):
+        # the constant radius summed left to right, column by column
+        local = B[:, b_alpha < 0]
+        radius = np.cumsum(local, axis=1)[:, -1] if local.shape[1] else np.zeros(n)
         const[:, len(kept):] = np.diag(radius)
-    index = np.zeros(0, dtype=np.int64)
-    terms = (np.concatenate(rows + [index]), np.concatenate(wcols + [index]),
-             np.concatenate(cols + [index]), np.concatenate(coefs + [np.zeros(0)]))
+    # (column, row) of every term, column-major: alpha * base[row, column]
+    kc, kr = np.nonzero((K != 0).T & (k_alpha >= 0)[:, None])
+    bc, br = np.nonzero((B != 0).T & (b_alpha >= 0)[:, None])
+    terms = (np.concatenate([kr, br]), np.concatenate([kc, len(kept) + br]),
+             np.concatenate([k_alpha[kc], b_alpha[bc]]),
+             np.concatenate([K[kr, kc], B[br, bc]]))
     return center, const, terms
 
 
@@ -430,6 +432,50 @@ class SubsystemHandles:
     slack_cols: np.ndarray  # witness columns of the slack's identity columns
 
 
+def _tagged(tag, names):
+    """The row names ``names()`` with ``tag`` in front (None stays None)."""
+    return [None if name is None else tag + name for name in names()]
+
+
+class _Tagged:
+    """What ``emit_subsystem`` writes to: its target with every member's
+    tag in front of the names given to it, and the leading member axis on
+    every array (added and dropped around a single LinearProgram)."""
+
+    def __init__(self, target, tags):
+        self.target, self.tags = target, tags
+        self.one = isinstance(target, LinearProgram)
+
+    def var_block(self, name, shape, lb=-lpcore.INF, ub=lpcore.INF):
+        if self.one:
+            return self.target.var_block(self.tags[0] + name, shape, lb, ub)[None]
+        return self.target.var_block([tag + name for tag in self.tags], shape, lb, ub)
+
+    def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
+        names = [None if names is None else functools.partial(_tagged, tag, names)
+                 for tag in self.tags]
+        if self.one:
+            return self.target.add_rows(
+                *(np.broadcast_to(a, (1,) + np.shape(a)[-1:])[0]
+                  for a in (rows, cols, coefs, bounds)), sense, names=names[0])
+        return self.target.add_rows(rows, cols, coefs, bounds, sense, names=names)
+
+
+def _stack_w(Ws):
+    """The members' W forms as one, with a leading member axis; the terms
+    are padded with zero terms to one length."""
+    centers, consts, terms = zip(*Ws)
+    counts = np.array([len(t[0]) for t in terms])
+    member = np.repeat(np.arange(len(Ws)), counts)
+    slot = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = []
+    for arrays in zip(*terms):
+        part = np.zeros((len(Ws), counts.max(initial=0)), dtype=arrays[0].dtype)
+        part[member, slot] = np.concatenate(arrays)
+        padded.append(part)
+    return np.stack(centers), np.stack(consts), tuple(padded)
+
+
 def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
                    reduction_order=1, slack=True):
     """Emit subsystem ``sid``'s viability-under-contracts rows into ``lp``.
@@ -444,80 +490,116 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     keyed by the row prefix without the subsystem tag ("inC0", "term",
     "inU0", ...) and cut to the rows of the promise itself; the witness
     columns of the identity columns go to ``slack_cols``.
+
+    The same code emits a group of subsystems at once: ``lp`` an
+    ``lpcore.LpBatch`` with one member per id in the list ``sid``, and
+    ``alpha_of`` a list of one such function per member.  The members must
+    share one structural signature (:func:`_signature`), so that they have
+    the same rows; the handles are then a list, one per member.
     """
-    sub = network.subsystem(sid)
-    n, m = sub.n, sub.m
+    one = isinstance(lp, LinearProgram)
+    sids, alpha_of = ([sid], [alpha_of]) if one else (list(sid), list(alpha_of))
+    lp = _Tagged(lp, [f"s{s}" for s in sids])
+    subs = [network.subsystem(s) for s in sids]
+    n, m = subs[0].n, subs[0].m
     steps = network.num_steps
     finite = network.mode == "finite"
-    structure = [aug_blocks(network, template, sid, t) for t in range(steps)]
-    splits = [_choose_columns(blocks, n, reduction_order)
-              for _, blocks in structure]
-    p_red = [len(kept) + (n if boxed else 0) for kept, boxed in splits]
+    structure = [[aug_blocks(network, template, s, t) for t in range(steps)] for s in sids]
+    splits = [[_choose_columns(blocks, n, reduction_order) for _, blocks in member]
+              for member in structure]
+    p_reds = {tuple(len(kept) + (n if len(boxed) else 0) for kept, boxed in member)
+              for member in splits}
+    if len(p_reds) != 1 or len({(sub.n, sub.m) for sub in subs}) != 1:
+        raise ContractError(f"subsystems {sids!r} differ in structure")
+    p_red = p_reds.pop()
     if k is None:
         k = n if finite else n + p_red[0]
 
-    tag = f"s{sid}"
     steps_x = steps + 1 if finite else 1
     widths = [k]
     if finite:
         for t in range(steps):
             widths.append(widths[-1] + p_red[t])
-    T = [lp.var_block(f"{tag}:T{t}", (n, widths[t])) for t in range(steps_x)]
-    xbar = [lp.var_block(f"{tag}:x{t}", n) for t in range(steps_x)]
-    M = [lp.var_block(f"{tag}:M{t}", (m, widths[t])) for t in range(steps)] if m else None
-    ubar = [lp.var_block(f"{tag}:u{t}", m) for t in range(steps)] if m else None
-    none = np.zeros(0, dtype=np.int64)
-    d_x = np.array([lp.var_block(f"{tag}:dx{t}", 1, lb=0.0)[0]
-                    for t in range(steps_x)]) if slack else none
-    d_u = np.array([lp.var_block(f"{tag}:du{t}", 1, lb=0.0)[0]
-                    for t in range(steps)]) if slack and m else none
+    T = [lp.var_block(f":T{t}", (n, widths[t])) for t in range(steps_x)]
+    xbar = [lp.var_block(f":x{t}", n) for t in range(steps_x)]
+    M = [lp.var_block(f":M{t}", (m, widths[t])) for t in range(steps)] if m else None
+    ubar = [lp.var_block(f":u{t}", m) for t in range(steps)] if m else None
+    none = np.zeros((len(sids), 0), dtype=np.int64)
+    d_x = np.column_stack([lp.var_block(f":dx{t}", 1, lb=0.0)[:, 0]
+                           for t in range(steps_x)]) if slack else none
+    d_u = np.column_stack([lp.var_block(f":du{t}", 1, lb=0.0)[:, 0]
+                           for t in range(steps)]) if slack and m else none
 
     W = []
+    for g, member in enumerate(structure):
+        W.append([])
+        for t, (center, blocks) in enumerate(member):
+            alpha_cols = [None if block.kind == "local" else
+                          alpha_of[g](block.source, "x" if block.kind == "state" else "u", t)
+                          for block in blocks]
+            W[g].append(_w_columns(center, blocks, splits[g][t], alpha_cols, n))
     for t in range(steps):
-        center, blocks = structure[t]
-        alpha_cols = [None if block.kind == "local" else
-                      alpha_of(block.source, "x" if block.kind == "state" else "u", t)
-                      for block in blocks]
-        W.append(_w_columns(center, blocks, splits[t], alpha_cols, n))
-        add_recursion(lp, sub.A_at(t), sub.B_at(t), T[t], M[t] if m else None, xbar[t],
-                      ubar[t] if m else None, W[t],
+        add_recursion(lp, np.stack([sub.A_at(t) for sub in subs]),
+                      np.stack([sub.B_at(t) for sub in subs]), T[t], M[t] if m else None,
+                      xbar[t], ubar[t] if m else None, _stack_w([Wg[t] for Wg in W]),
                       T[t + 1] if finite else T[0], xbar[t + 1] if finite else xbar[0],
-                      (f"{tag}:rec[{t},", f"{tag}:cen[{t},"))
+                      (f":rec[{t},", f":cen[{t},"))
 
     witness, slack_cols = {}, [none]
 
+    def stacked(arrays):
+        return np.stack([np.asarray(a, dtype=float) for a in arrays])
+
+    def own_alpha(channel, t):
+        return affine(np.stack([alpha_of[g](s, channel, t) for g, s in enumerate(sids)]))
+
     def contain(key, G, c, outer_cols, scales, outer_c, d=None):
         # Z(c, G) inside Z(outer_c, outer_cols Diag(scales)), padded by d * I
-        q = outer_cols.shape[1]
+        q = outer_cols.shape[-1]
         if d is not None:
-            width = outer_cols.shape[0]
-            outer_cols = np.hstack([outer_cols, np.eye(width)])
-            scales = tuple(map(np.concatenate, zip(scales, affine(np.full(width, d)))))
-        h = add_scaled_containment(lp, affine(np.column_stack([G, c])), outer_cols, scales,
-                                   outer_c, f"{tag}:{key}")
-        witness[key] = {name: h[name][:q] for name in h}
-        slack_cols.extend([h["Lam"][q:].ravel(), h["lam"][q:], h["W"][q:].ravel()])
+            width = outer_cols.shape[-2]
+            outer_cols = np.concatenate(
+                [outer_cols, np.broadcast_to(np.eye(width), (len(sids), width, width))], axis=-1)
+            extra = affine(np.repeat(d[:, None], width, axis=1))
+            scales = tuple(np.concatenate([np.broadcast_to(a, (len(sids), np.shape(a)[-1])), b],
+                                          axis=-1) for a, b in zip(scales, extra))
+        h = add_scaled_containment(lp, affine(np.concatenate([G, c[..., None]], axis=-1)),
+                                   outer_cols, scales, outer_c, f":{key}")
+        witness[key] = {name: h[name][:, :q] for name in ("Lam", "lam", "W")}
+        slack_cols.extend([h["Lam"][:, q:].reshape(len(sids), -1), h["lam"][:, q:],
+                           h["W"][:, q:].reshape(len(sids), -1)])
 
     for t in range(steps_x):
-        cx, Cx = _at(template.state[sid], t)
-        contain(f"inC{t}", T[t], xbar[t], Cx, affine(alpha_of(sid, "x", t)), cx,
-                d_x[t] if slack else None)
+        promises = [_at(template.state[s], t) for s in sids]
+        contain(f"inC{t}", T[t], xbar[t], stacked(C for _, C in promises),
+                own_alpha("x", t), stacked(c for c, _ in promises),
+                d_x[:, t] if slack else None)
     if finite:
-        Xh = sub.X_at(steps)
-        contain("term", T[steps], xbar[steps], Xh.generators,
-                numbers(np.ones(Xh.num_generators)), Xh.center)
+        Xh = [sub.X_at(steps) for sub in subs]
+        contain("term", T[steps], xbar[steps], stacked(X.generators for X in Xh),
+                numbers(np.ones(Xh[0].num_generators)), stacked(X.center for X in Xh))
     if m:
         for t in range(steps):
-            if sid in template.input:
-                cu, Cu = _at(template.input[sid], t)
-                scales = affine(alpha_of(sid, "u", t))
+            if sids[0] in template.input:
+                promises = [_at(template.input[s], t) for s in sids]
+                cu, Cu = stacked(c for c, _ in promises), stacked(C for _, C in promises)
+                scales = own_alpha("u", t)
             else:
-                U_t = sub.U_at(t)
-                cu, Cu, scales = U_t.center, U_t.generators, numbers(np.ones(U_t.num_generators))
-            contain(f"inU{t}", M[t], ubar[t], Cu, scales, cu, d_u[t] if slack else None)
+                U_t = [sub.U_at(t) for sub in subs]
+                cu, Cu = stacked(U.center for U in U_t), stacked(U.generators for U in U_t)
+                scales = numbers(np.ones(U_t[0].num_generators))
+            contain(f"inU{t}", M[t], ubar[t], Cu, scales, cu, d_u[:, t] if slack else None)
 
-    return SubsystemHandles(sid, k, widths, T, xbar, M, ubar, d_x, d_u, W, witness,
-                            np.concatenate(slack_cols))
+    slack_cols = np.concatenate(slack_cols, axis=-1)
+    handles = [
+        SubsystemHandles(s, k, widths, [Tt[g] for Tt in T], [xt[g] for xt in xbar],
+                         [Mt[g] for Mt in M] if m else None,
+                         [ut[g] for ut in ubar] if m else None, d_x[g], d_u[g], W[g],
+                         {key: {name: a[g] for name, a in h.items()}
+                          for key, h in witness.items()},
+                         slack_cols[g])
+        for g, s in enumerate(sids)]
+    return handles[0] if one else handles
 
 
 # ---------------------------------------------------------------------------
@@ -556,49 +638,29 @@ class PotentialProgram:
     call, so every solve after the first is a warm re-solve, and the fixed
     columns' reduced costs are dV_i/dalpha.  The objective is the slack sum
     d; the columns of the size objective sum |T| sit in the model at zero
-    cost for ``extract``.
+    cost for ``extract``.  :func:`build_programs` makes them.
     """
 
-    def __init__(self, network, template, sid, k=None, reduction_order=1):
+    def __init__(self, sid, lp, handles, alpha, size):
+        """Subsystem ``sid``'s program ``lp``, with the ``handles`` its rows
+        were emitted with, its fixed multiplier columns ``alpha`` ((j,
+        channel, t) -> columns, own promises first, in creation order) and
+        the aux columns ``size`` of the size objective sum |T|."""
         self.sid = sid
-        sub = network.subsystem(sid)
-        steps = network.num_steps
-        steps_x = steps + 1 if network.mode == "finite" else 1
-
-        lp = LinearProgram(name=f"potential[{sid}]")
-        self._alpha = {}  # (j, channel, t) -> fixed columns, in creation order
-
-        def alpha_of(j, channel, t):
-            key = (j, channel, t)
-            if key not in self._alpha:
-                entries = template.state[j] if channel == "x" else template.input[j]
-                q = _at(entries, t)[1].shape[1]
-                self._alpha[key] = lp.var_block(f"al:{channel}:{j}:{t}", q, lb=0.0, ub=0.0)
-            return self._alpha[key]
-
-        # own promises first, in step order, so gradient layout is stable
-        for t in range(steps_x):
-            alpha_of(sid, "x", t)
-        if sub.m and sid in template.input:
-            for t in range(steps):
-                alpha_of(sid, "u", t)
-
-        h = emit_subsystem(lp, network, template, sid, alpha_of,
-                           k=k, reduction_order=reduction_order, slack=True)
-        size = _abs_objective(lp, h.T, prefix="size")
-        slack = np.concatenate([h.d_x, h.d_u])
-        self._alpha_cols = np.concatenate(list(self._alpha.values())).astype(np.int32)
+        self._alpha = alpha
+        slack = np.concatenate([handles.d_x, handles.d_u])
+        self._alpha_cols = np.concatenate(list(alpha.values())).astype(np.int32)
         # the objective's columns and their costs for V_i and for extraction
         self._cost_cols = np.concatenate([slack, size])
         self._potential_cost = np.r_[np.ones(len(slack)), np.zeros(len(size))]
         self._extract_cost = 1.0 - self._potential_cost
         lp.set_costs(self._cost_cols, self._potential_cost)
         # fixed at 0 for extraction: d and the witness parts only d pays for
-        self._slack = np.concatenate([slack, h.slack_cols])
+        self._slack = np.concatenate([slack, handles.slack_cols])
         self._slack_bounds = lp.col_bounds(self._slack)
-        self.handles = h
+        self.handles = handles
         self.lp = lp
-        self.k = h.k
+        self.k = handles.k
 
     def _fix(self, params):
         """Fix the alpha columns at ``params``."""
@@ -702,13 +764,78 @@ def extract_solutions(programs, params):
     return {sid: _numeric_solution(solved[sid], programs[sid].handles) for sid in ids}
 
 
+def _signature(network, template, sid, reduction_order):
+    """The shapes that fix subsystem ``sid``'s rows and all its columns but
+    the neighbors' multipliers: n and m, the column counts of its own
+    promises per step and channel, the generator counts of the admissible
+    sets it is held to, whether it has an input contract, and per step how
+    many W columns stay exact and whether any are boxed."""
+    sub = network.subsystem(sid)
+    steps = network.num_steps
+    own_u = bool(sub.m) and sid in template.input
+    split = []
+    for t in range(steps):
+        total = sub.D_at(t).num_generators
+        for j, coupling in sub.couplings.items():
+            total += _at(template.state[j], t)[1].shape[1]
+            if _input_coupling(coupling, t) is not None and j in template.input:
+                total += _at(template.input[j], t)[1].shape[1]
+        kept = _kept_count(total, sub.n, reduction_order)
+        split.append((kept, kept < total))
+    return (sub.n, sub.m, tuple(C.shape[1] for _, C in template.state[sid]), own_u,
+            tuple(C.shape[1] for _, C in template.input[sid]) if own_u else
+            tuple(sub.U_at(t).num_generators for t in range(steps)) if sub.m else (),
+            sub.X_at(steps).num_generators if network.mode == "finite" else None,
+            tuple(split))
+
+
 def build_programs(network, template, k=None, reduction_order=1):
-    """One PotentialProgram per subsystem, keyed by id."""
-    return {
-        sid: PotentialProgram(network, template, sid, k=k,
-                              reduction_order=reduction_order)
-        for sid in network.sorted_ids()
-    }
+    """One PotentialProgram per subsystem, keyed by id.
+
+    Subsystems of one structural signature (:func:`_signature`) are built
+    together: ``emit_subsystem`` emits the group's rows once into an
+    ``lpcore.LpBatch``, which hands each member its own program.  Each
+    program's columns are its own multipliers, the tube, the neighbors'
+    multipliers (in the order W asks for them), the containment witnesses
+    and the size aux columns.
+    """
+    groups = {}
+    for sid in network.sorted_ids():
+        groups.setdefault(_signature(network, template, sid, reduction_order), []).append(sid)
+    programs = {}
+    for sids in groups.values():
+        programs.update(_build_group(network, template, sids, k, reduction_order))
+    return {sid: programs[sid] for sid in network.sorted_ids()}
+
+
+def _build_group(network, template, sids, k, reduction_order):
+    batch = lpcore.LpBatch([f"potential[{sid}]" for sid in sids])
+    alphas = [{} for _ in sids]  # per member: (j, channel, t) -> fixed columns
+
+    def alpha_of(g, j, channel, t):
+        key = (j, channel, t)
+        if key not in alphas[g]:
+            entries = template.state[j] if channel == "x" else template.input[j]
+            q = _at(entries, t)[1].shape[1]
+            alphas[g][key] = batch.member_block(g, f"al:{channel}:{j}:{t}", q, lb=0.0, ub=0.0)
+        return alphas[g][key]
+
+    # own promises first, in step order, so gradient layout is stable
+    steps = network.num_steps
+    own = [("x", t) for t in range(steps + 1 if network.mode == "finite" else 1)]
+    if network.subsystem(sids[0]).m and sids[0] in template.input:
+        own += [("u", t) for t in range(steps)]
+    for g, sid in enumerate(sids):
+        for channel, t in own:
+            alpha_of(g, sid, channel, t)
+
+    handles = emit_subsystem(batch, network, template, sids,
+                             [functools.partial(alpha_of, g) for g in range(len(sids))],
+                             k=k, reduction_order=reduction_order, slack=True)
+    size = _abs_objective(batch, [np.stack(T) for T in zip(*(h.T for h in handles))],
+                          prefix="size")
+    return {sid: PotentialProgram(sid, lp, h, alpha, cols) for sid, lp, h, alpha, cols
+            in zip(sids, batch.programs(), handles, alphas, size)}
 
 
 @dataclass
@@ -725,8 +852,11 @@ class PotentialResult:
 
 
 def _worker_count(requested, jobs):
-    cap = os.environ.get(THREADS_ENV)
-    cap = int(cap) if cap else None
+    raw = os.environ.get(THREADS_ENV)
+    try:
+        cap = int(raw) if raw else None
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV}={raw!r} is not an integer") from None
     workers = requested if requested else 1
     if cap is not None:
         workers = min(workers, max(cap, 1))

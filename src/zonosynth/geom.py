@@ -24,6 +24,7 @@ LP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,6 +260,32 @@ def _body(Z):
     return numbers(np.column_stack([Z.generators, Z.center]))
 
 
+def _union(mask, ndim):
+    """The entries of the last ``ndim`` axes that are set for any index of
+    the axes before them: one pattern for every member of a batch."""
+    mask = np.asarray(mask)
+    return mask.any(axis=tuple(range(mask.ndim - ndim)))
+
+
+def _join(parts, lead):
+    """The ``(rows, cols, coefs)`` parts joined along their last axis, each
+    broadcast to the leading axes ``lead`` first."""
+    return tuple(np.concatenate([np.broadcast_to(a, lead + np.shape(a)[-1:]) for a in arrays],
+                                axis=-1)
+                 for arrays in zip(*parts))
+
+
+def _containment_names(prefix, n, p, r):
+    return [f"{prefix}:G[{i},{j}]" if j < r else f"{prefix}:c[{i}]"
+            for i in range(n) for j in range(p)]
+
+
+def _rowsum_names(prefix, s, rq):
+    names = [None] * (s * rq)
+    names[rq - 1::rq] = [f"{prefix}:rowsum[{q}]" for q in range(s)]
+    return names
+
+
 def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
     """Emit rows forcing Z(c, G) inside Z(outer_c, outer_cols @ Diag(scales)).
 
@@ -274,55 +301,57 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
     The rows are, in order: for every i, ``G[i, j]`` (j < r) and ``c[i]``
     equalities; then for every q, two rows ``|[Lam lam][q, j]| <= W[q, j]``
     per j and the named ``rowsum[q]`` row.
+
+    ``lp`` may be an :class:`lpcore.LpBatch`: every argument may then carry
+    the batch's leading member axis, and so do the handles.  Entries that
+    are zero for one member but not for all are emitted as zeros, which
+    ``add_rows`` drops; the columns (index >= 0) must be the same for all.
     """
     outer_cols = np.asarray(outer_cols, dtype=float)
-    n, s = outer_cols.shape
-    p = np.shape(inner[0])[1]  # columns of [Lam lam], rows per i of the equality block
+    n, s = outer_cols.shape[-2:]
+    p = np.shape(inner[0])[-1]  # columns of [Lam lam], rows per i of the equality block
     r = p - 1
     Lam = lp.var_block(f"{prefix}:L", (s, r))
     lam = lp.var_block(f"{prefix}:l", s)
     W = lp.var_block(f"{prefix}:W", (s, p), lb=0.0)
-    Lam_lam = np.hstack([Lam, lam.reshape(s, 1)])
+    lead = lam.shape[:-1]
+    Lam_lam = np.concatenate([Lam, lam[..., None]], axis=-1)
 
     # [G, c] = outer_cols @ [Lam, lam] with the inner terms moved left:
     # row i*p + j is G[i, j] for j < r and c[i] for j == r
-    cols, coefs, consts = (np.reshape(a, n * p) for a in inner)
-    own = np.flatnonzero(cols >= 0)
+    cols, coefs, consts = (np.broadcast_to(a, lead + np.shape(a)[-2:]).reshape(lead + (n * p,))
+                           for a in inner)
+    own = np.flatnonzero(_union(cols >= 0, 1))
     is_c = np.arange(n * p) % p == r
-    ii, qq = np.nonzero(outer_cols)
+    ii, qq = np.nonzero(_union(outer_cols, 2))
     lp.add_rows(
-        np.concatenate([((ii * p)[:, None] + np.arange(p)).ravel(), own]),
-        np.concatenate([Lam_lam[qq].ravel(), cols[own]]),
-        np.concatenate([np.repeat(outer_cols[ii, qq], p),
-                        np.where(is_c[own], coefs[own], -coefs[own])]),
-        np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p)),
+        *_join([(((ii * p)[:, None] + np.arange(p)).ravel(),
+                  Lam_lam[..., qq, :].reshape(lead + (-1,)),
+                  np.repeat(outer_cols[..., ii, qq], p, axis=-1)),
+                 (own, cols[..., own], np.where(is_c[own], coefs[..., own], -coefs[..., own]))],
+                lead),
+        np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p, axis=-1)),
                  consts),
-        "=",
-        names=[f"{prefix}:G[{i},{j}]" if j < r else f"{prefix}:c[{i}]"
-               for i in range(n) for j in range(p)])
+        "=", names=functools.partial(_containment_names, prefix, n, p, r))
 
     # per q: +/-[Lam lam][q, j] - W[q, j] <= 0 in rows q*rq + 2j, q*rq + 2j + 1,
     # then the row sum sum_j W[q, j] - scale[q] <= 0 in row q*rq + 2p
     rq = 2 * p + 1
-    plus = (np.arange(s) * rq)[:, None] + 2 * np.arange(p)
+    plus = ((np.arange(s) * rq)[:, None] + 2 * np.arange(p)).ravel()
     rowsum = np.arange(s) * rq + 2 * p
     cols, coefs, consts = scales
-    own = np.flatnonzero(cols >= 0)
-    bounds = np.zeros(s * rq)
-    bounds[rowsum] = consts
-    rowsum_names = [f"{prefix}:rowsum[{q}]" for q in range(s)]
-    names = [None] * (s * rq)
-    for q, name in zip(rowsum.tolist(), rowsum_names):
-        names[q] = name
+    own = np.flatnonzero(_union(cols >= 0, 1))
+    bounds = np.zeros(np.broadcast_shapes(lead, np.shape(consts)[:-1]) + (s * rq,))
+    bounds[..., rowsum] = consts
+    Lam_lam, Wf = Lam_lam.reshape(lead + (-1,)), W.reshape(lead + (-1,))
+    one = np.ones(s * p)
     lp.add_rows(
-        np.concatenate([plus.ravel(), plus.ravel(), (plus + 1).ravel(),
-                        (plus + 1).ravel(), np.repeat(rowsum, p), rowsum[own]]),
-        np.concatenate([Lam_lam.ravel(), W.ravel(), Lam_lam.ravel(), W.ravel(),
-                        W.ravel(), cols[own]]),
-        np.concatenate([np.full(s * p, 1.0), np.full(3 * s * p, -1.0),
-                        np.full(s * p, 1.0), -coefs[own]]),
-        bounds, "<", names=names)
-    return {"Lam": Lam, "lam": lam, "W": W, "rowsum_names": rowsum_names}
+        *_join([(plus, Lam_lam, one), (plus, Wf, -one), (plus + 1, Lam_lam, -one),
+                (plus + 1, Wf, -one), (np.repeat(rowsum, p), Wf, one),
+                (rowsum[own], cols[..., own], -coefs[..., own])], lead),
+        bounds, "<", names=functools.partial(_rowsum_names, prefix, s, rq))
+    return {"Lam": Lam, "lam": lam, "W": W,
+            "rowsum_names": [f"{prefix}:rowsum[{q}]" for q in range(s)]}
 
 
 @dataclass

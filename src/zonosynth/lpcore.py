@@ -8,6 +8,18 @@ a time as COO triplets from :meth:`LinearProgram.add_rows`.  Rows and
 variables can be named, and solutions expose primal values by column, row
 duals by name and column duals (reduced costs) by index.
 
+Names are derived on demand.  A program keeps one record per block of
+columns (its name and shape) and per block of rows (a list of names, or a
+function that makes the list), and spells out the names only when
+something asks for them: ``row_names()``, ``_col_names``, ``to_lp_text``,
+``set_rhs`` and ``dual(name)``.  A name used twice raises
+:class:`LpBuildError` when it is spelled out; explicit row names, and the
+names of ``var``, are checked when they are added.
+
+:class:`LpBatch` builds many programs of one row structure together: each
+block of rows is emitted once as arrays with a leading member axis, and one
+stable sort hands every member its own column-ordered arrays.
+
 Column bounds and costs are kept as arrays.  The solver instance stays alive
 between solves, so :meth:`LinearProgram.set_col_bounds`,
 :meth:`LinearProgram.set_costs` and :meth:`LinearProgram.set_rhs` change it
@@ -32,6 +44,7 @@ duals of ``=`` and ``>=`` rows are the sensitivity itself.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from array import array
 from contextlib import contextmanager
@@ -220,6 +233,30 @@ def _default_row_index(name):
     return None
 
 
+def _merge(key, coefs):
+    """Entries sorted by ``key`` (stably), those of one key summed left to
+    right from 0.0 and those whose sum is zero dropped: ``(keys, sums)``."""
+    order = np.argsort(key, kind="stable")
+    key, coefs = key[order], coefs[order]
+    new = np.r_[True, key[1:] != key[:-1]]
+    if not new.all():
+        merged = np.zeros(np.count_nonzero(new))
+        np.add.at(merged, np.cumsum(new) - 1, coefs)  # in order, unlike reduceat
+        key, coefs = key[new], merged
+    keep = coefs != 0.0
+    return key[keep], coefs[keep]
+
+
+def _block_names(name, shape):
+    """``name[i]`` / ``name[i,j]`` for every index of ``shape`` in C order;
+    ``[name]`` for shape ``()``."""
+    tags = [""]
+    for axis, size in enumerate(shape):
+        sep = "," if axis else ""
+        tags = [f"{tag}{sep}{k}" for tag in tags for k in range(size)]
+    return [f"{name}[{tag}]" for tag in tags] if shape else [name]
+
+
 class LinearProgram:
     """Incrementally built LP, solved by HiGHS.
 
@@ -237,7 +274,10 @@ class LinearProgram:
 
     def __init__(self, name="lp"):
         self.name = name
-        self._col_names = []
+        self._num_cols = 0
+        self._col_records = []        # (first, name, shape) per block of columns
+        self._cols_named = 0          # records whose names are spelled out
+        self._col_name_list = []
         self._name_to_col = {}
         self._lb = np.zeros(0)        # column arrays, valid up to num_vars
         self._ub = np.zeros(0)
@@ -250,6 +290,7 @@ class LinearProgram:
         self._bound0 = array("d")     # bound at creation time
         self._rhs0 = array("d")       # scalar rhs at creation (set_rhs shifts relative to it)
         self._row_names = []          # name, or None for the default "r<index>"
+        self._pending_names = []       # (first, count, names) not yet in _row_names
         self._name_to_row = {}        # explicit names only
         self._claimed_defaults = set()  # k of every explicit name "r<k>"
         self._structure_version = 0
@@ -262,34 +303,53 @@ class LinearProgram:
 
     @property
     def num_vars(self):
-        return len(self._col_names)
+        return self._num_cols
 
     @property
     def num_rows(self):
         return len(self._sense)
 
-    def _add_cols(self, names, lb, ub):
-        first = len(self._col_names)
-        new = dict(zip(names, range(first, first + len(names))))
-        if len(new) != len(names) or not self._name_to_col.keys().isdisjoint(new):
-            dup = next(n for n in names if n in self._name_to_col or names.count(n) > 1)
-            raise LpBuildError(f"duplicate variable name {dup!r}")
-        self._name_to_col.update(new)
-        self._col_names.extend(names)
-        stop = len(self._col_names)
+    @property
+    def _col_names(self):
+        """Every column's name, spelled out from the block records."""
+        self._spell_cols()
+        return self._col_name_list
+
+    def _spell_cols(self):
+        """Spell out the names of columns added since the last call; returns
+        the name -> column map of every column."""
+        for first, name, shape in self._col_records[self._cols_named:]:
+            names = _block_names(name, shape)
+            new = dict(zip(names, range(first, first + len(names))))
+            if len(new) != len(names) or not self._name_to_col.keys().isdisjoint(new):
+                dup = next(n for n in names if n in self._name_to_col or names.count(n) > 1)
+                raise LpBuildError(f"duplicate variable name {dup!r}")
+            self._name_to_col.update(new)
+            self._col_name_list.extend(names)
+            self._cols_named += 1
+        return self._name_to_col
+
+    def _add_cols(self, name, shape, lb, ub):
+        first = self._num_cols
+        stop = first + int(np.prod(shape, dtype=np.int64))
         if stop > len(self._lb):
             extra = np.zeros(max(stop, 2 * len(self._lb)) - len(self._lb))
             self._lb, self._ub, self._cost = (
                 np.concatenate([a, extra]) for a in (self._lb, self._ub, self._cost))
         self._lb[first:stop] = float(lb)
         self._ub[first:stop] = float(ub)
+        self._col_records.append((first, name, shape))
+        self._num_cols = stop
         self._structure_version += 1
         return first
 
     def var(self, name=None, lb=-INF, ub=INF):
         """Create a variable; returns it as a single-term LinExpr."""
-        col = len(self._col_names)
-        self._add_cols([f"v{col}" if name is None else name], lb, ub)
+        col = self._num_cols
+        name = f"v{col}" if name is None else name
+        if name in self._spell_cols():
+            raise LpBuildError(f"duplicate variable name {name!r}")
+        self._add_cols(name, (), lb, ub)
         return LinExpr({col: 1.0})
 
     def var_block(self, name, shape, lb=-INF, ub=INF):
@@ -297,17 +357,31 @@ class LinearProgram:
         ``()``: the one variable ``name``); returns their column indices as
         an int array of ``shape``."""
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        tags = [""]
-        for axis, size in enumerate(shape):
-            sep = "," if axis else ""
-            tags = [f"{tag}{sep}{k}" for tag in tags for k in range(size)]
-        first = self._add_cols([f"{name}[{tag}]" if shape else name for tag in tags],
-                               lb, ub)
-        return np.arange(first, first + len(tags)).reshape(shape)
+        first = self._add_cols(name, shape, lb, ub)
+        return np.arange(first, self._num_cols).reshape(shape)
 
     def var_array(self, name, shape, lb=-INF, ub=INF):
         """Array of fresh variables named ``name[i]`` / ``name[i,j]``, as LinExpr."""
         return col_exprs(self.var_block(name, shape, lb=lb, ub=ub))
+
+    def _install(self, col_records, lb, ub, entries, sense, bounds, row_records):
+        """Make this empty program the model given as arrays.
+
+        ``col_records``/``row_records`` are the blocks' name records,
+        ``lb``/``ub`` every column's bounds, ``entries`` the matrix as
+        ``(rows, cols, coefs)`` in column order (rows ascending within a
+        column), one sense byte per row and the rows' bounds.
+        """
+        self._col_records = col_records
+        self._num_cols = len(lb)
+        self._lb, self._ub, self._cost = lb, ub, np.zeros(len(lb))
+        self._coo = [entries]
+        self._sense = bytearray(sense)
+        self._bound.frombytes(bounds.tobytes())
+        self._bound0.frombytes(bounds.tobytes())
+        self._rhs0.frombytes(bytes(8 * len(bounds)))  # 0.0
+        self._pending_names = row_records
+        self._structure_version += 1
 
     # -- constraints ---------------------------------------------------------
 
@@ -339,6 +413,31 @@ class LinearProgram:
         self._claimed_defaults.update(claims)
         self._row_names.extend(names)
 
+    def _spell_rows(self):
+        """Spell out and claim, in row order, the names of the row blocks
+        whose names were left for later; returns ``_row_names``."""
+        while self._pending_names:
+            first, count, names = self._pending_names[0]
+            names = [None] * count if names is None else list(names())
+            if len(names) != count:
+                raise LpBuildError(f"{len(names)} names for {count} rows")
+            self._claim_row_names(names, first)
+            del self._pending_names[0]
+        return self._row_names
+
+    def _name_rows(self, names, first, count):
+        """Record the names of new rows ``first``, ... ``first + count - 1``:
+        a list is checked now, a function (or None behind rows whose names
+        are still to be spelled out) when the names are first needed."""
+        if callable(names) or (names is None and self._pending_names):
+            self._pending_names.append((first, count, names))
+            return
+        names = [None] * count if names is None else list(names)
+        if len(names) != count:
+            raise LpBuildError(f"{len(names)} names for {count} rows")
+        self._spell_rows()
+        self._claim_row_names(names, first)
+
     def _flush_tail(self):
         rows, cols, coefs = self._tail
         if rows:
@@ -356,7 +455,8 @@ class LinearProgram:
         with one ``sense`` ("=", "<" or ">") for the block.  Repeated
         (row, column) entries are summed left to right from 0.0, and
         entries whose coefficient is then zero are dropped.  ``names`` holds a
-        name or None (the default "r<index>") per row.  The rows count as
+        name or None (the default "r<index>") per row, or is a function that
+        returns that list when the names are first needed.  The rows count as
         created with right-hand side 0, which is what :meth:`set_rhs` values
         are taken relative to.  A live solver instance takes the block in
         one call and keeps its basis, so the next ``solve()`` is a warm
@@ -375,23 +475,11 @@ class LinearProgram:
         if len(rows) and (rows.min() < 0 or rows.max() >= count
                           or cols.min() < 0 or cols.max() >= ncol):
             raise LpBuildError("row or column index out of range")
-        names = [None] * count if names is None else list(names)
-        if len(names) != count:
-            raise LpBuildError(f"{len(names)} names for {count} rows")
         first = self.num_rows
-        self._claim_row_names(names, first)
+        self._name_rows(names, first, count)
 
         width = max(ncol, 1)
-        key = rows * width + cols
-        order = np.argsort(key, kind="stable")
-        key, coefs = key[order], coefs[order]
-        if len(key) > 1 and np.any(key[1:] == key[:-1]):
-            key, slot = np.unique(key, return_inverse=True)
-            merged = np.zeros(len(key))
-            np.add.at(merged, slot, coefs)  # left to right, from 0.0
-            coefs = merged
-        keep = coefs != 0.0
-        key, coefs = key[keep], coefs[keep]
+        key, coefs = _merge(rows * width + cols, coefs)
         local, cols = (key // width).astype(np.int32), (key % width).astype(np.int32)
         live = self._live()
         self._flush_tail()
@@ -415,7 +503,7 @@ class LinearProgram:
         rhs_expr = as_expr(rhs)
         expr = as_expr(lhs) - rhs_expr
         idx = self.num_rows
-        self._claim_row_names([name], idx)
+        self._name_rows([name], idx, 1)
         items = sorted((c, v) for c, v in expr.terms.items() if v != 0.0)
         rows, cols, coefs = self._tail
         rows.extend([idx] * len(items))
@@ -474,6 +562,7 @@ class LinearProgram:
             self._solver.changeColsCost(len(cols), cols, self._cost[cols])
 
     def _row_index(self, name):
+        self._spell_rows()
         idx = self._name_to_row.get(name)
         if idx is None:
             idx = _default_row_index(name)
@@ -497,7 +586,7 @@ class LinearProgram:
 
     def row_names(self):
         return [f"r{k}" if name is None else name
-                for k, name in enumerate(self._row_names)]
+                for k, name in enumerate(self._spell_rows())]
 
     def _senses(self):
         return np.frombuffer(self._sense, dtype=np.uint8).copy()
@@ -620,8 +709,9 @@ class LinearProgram:
         """Deterministic CPLEX-LP-style dump, for debugging and golden tests."""
         start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
         out = [f"\\ {self.name}", "Minimize"]
+        col_names = self._col_names
         used = np.flatnonzero(cost)
-        terms = " ".join(f"{v:+.12g} {self._col_names[c]}"
+        terms = " ".join(f"{v:+.12g} {col_names[c]}"
                          for c, v in zip(used.tolist(), cost[used].tolist()))
         out.append(f" obj: {terms if terms else '0'}")
         if self._obj_const:
@@ -635,7 +725,7 @@ class LinearProgram:
         rlo, rhi = rlo.tolist(), rhi.tolist()
         begin = 0
         for r, (name, sense, end) in enumerate(zip(self.row_names(), self._sense, ends)):
-            lhs = " ".join(f"{v:+.12g} {self._col_names[c]}"
+            lhs = " ".join(f"{v:+.12g} {col_names[c]}"
                            for c, v in zip(cols[begin:end], coefs[begin:end]))
             lhs = lhs or "0"
             begin = end
@@ -646,7 +736,7 @@ class LinearProgram:
             else:
                 out.append(f" {name}: {lhs} >= {rlo[r]:.12g}")
         out.append("Bounds")
-        for name, lo, hi in zip(self._col_names, lb.tolist(), ub.tolist()):
+        for name, lo, hi in zip(col_names, lb.tolist(), ub.tolist()):
             if lo == -INF and hi == INF:
                 out.append(f" {name} free")
             elif lo == -INF:
@@ -657,6 +747,112 @@ class LinearProgram:
                 out.append(f" {lo:.12g} <= {name} <= {hi:.12g}")
         out.append("End")
         return "\n".join(out) + "\n"
+
+
+class LpBatch:
+    """Programs that share one row structure, built together as arrays.
+
+    Every member gets the same rows.  :meth:`var_block` and :meth:`add_rows`
+    take and return arrays with a leading member axis (an argument without
+    it holds for every member), so one call emits a block for all members.
+    Columns may differ in number: :meth:`member_block` adds a block to one
+    member only, which shifts that member's later columns.  :meth:`programs`
+    hands each member its own :class:`LinearProgram`, with the model and the
+    names that the same calls on that program alone would have given it.
+    """
+
+    def __init__(self, names):
+        self._names = list(names)
+        members = len(self._names)
+        self._next = [0] * members              # columns per member
+        self._cols = [[] for _ in self._names]  # per member: (first, name, shape, lb, ub)
+        none = np.zeros((members, 0), dtype=np.int64)
+        self._entries = [(none, none, none.astype(np.float64))]  # (rows, cols, coefs)
+        self._sense = bytearray()
+        self._bounds = [none.astype(np.float64)]
+        self._row_records = []                  # (first, count, names) per block
+
+    def var_block(self, name, shape, lb=-INF, ub=INF):
+        """Fresh variables ``name[...]`` for every member (``name`` may be a
+        list of one name per member); returns their column indices, shape
+        ``(members,) + shape``."""
+        shape = (shape,) if np.isscalar(shape) else tuple(shape)
+        size = math.prod(shape)
+        names = name if isinstance(name, list) else [name] * len(self._names)
+        for records, block, start in zip(self._cols, names, self._next):
+            records.append((start, block, shape, lb, ub))
+        first = np.array(self._next)
+        self._next = [start + size for start in self._next]
+        return (first[:, None] + np.arange(size)).reshape(first.shape + shape)
+
+    def member_block(self, g, name, size, lb=-INF, ub=INF):
+        """Fresh variables ``name[i]`` for member g alone; returns their
+        column indices."""
+        first = self._next[g]
+        self._cols[g].append((first, name, (size,), lb, ub))
+        self._next[g] = first + size
+        return np.arange(first, first + size)
+
+    def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
+        """:meth:`LinearProgram.add_rows` for every member at once.
+
+        ``rows``/``cols``/``coefs`` hold the entries of each member along
+        their last axis.  ``names`` is None, a function returning the row
+        names, or a list of one such per member.
+        """
+        if sense not in ("=", "<", ">"):
+            raise LpBuildError(f"unknown sense {sense!r}")
+        lead = (len(self._names),)
+        count = np.shape(bounds)[-1]
+        first = len(self._sense)
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= count):
+            raise LpBuildError("row index out of range")
+        self._entries.append(tuple(np.broadcast_to(a, lead + np.shape(a)[-1:])
+                                   for a in (rows + first, np.asarray(cols, dtype=np.int64),
+                                             np.asarray(coefs, dtype=np.float64))))
+        self._sense += bytes([ord(sense)]) * count
+        self._bounds.append(np.broadcast_to(np.asarray(bounds, dtype=np.float64),
+                                            lead + (count,)))
+        self._row_records.append((first, count, names))
+        return first
+
+    def programs(self):
+        """One :class:`LinearProgram` per member, in member order.
+
+        All members' entries are sorted in one stable pass by (member,
+        column, row); repeated entries are summed in emission order and zero
+        sums dropped, as :meth:`LinearProgram.add_rows` does.
+        """
+        members = len(self._names)
+        rows, cols, coefs = (np.concatenate(part, axis=1) for part in zip(*self._entries))
+        if cols.size and (cols.min() < 0 or np.any(cols >= np.array(self._next)[:, None])):
+            raise LpBuildError("column index out of range")
+        num_rows = max(len(self._sense), 1)
+        width = max(self._next, default=1) or 1
+        key = (np.arange(members)[:, None] * width + cols) * num_rows + rows
+        key, coefs = _merge(key.ravel(), coefs.ravel())
+        member, key = np.divmod(key, width * num_rows)
+        col, row = np.divmod(key, num_rows)
+        col, row = col.astype(np.int32), row.astype(np.int32)
+        cut = np.searchsorted(member, np.arange(members + 1)).tolist()
+        bounds = np.concatenate(self._bounds, axis=1)
+        out = []
+        for g, name in enumerate(self._names):
+            firsts, names, shapes, lbs, ubs = zip(*self._cols[g]) if self._cols[g] \
+                else ((),) * 5
+            sizes = [math.prod(shape) for shape in shapes]
+            a, b = cut[g], cut[g + 1]
+            lp = LinearProgram(name=name)
+            lp._install(list(zip(firsts, names, shapes)),
+                        np.repeat(np.asarray(lbs, dtype=float), sizes),
+                        np.repeat(np.asarray(ubs, dtype=float), sizes),
+                        (row[a:b].copy(), col[a:b].copy(), coefs[a:b].copy()),
+                        self._sense, np.ascontiguousarray(bounds[g]),
+                        [(first, count, names[g] if isinstance(names, list) else names)
+                         for first, count, names in self._row_records])
+            out.append(lp)
+        return out
 
 
 # --------------------------------------------------------------------------

@@ -80,9 +80,11 @@ def step(network, solutions, states, t=0, disturbances=None):
     Each state is witnessed in its tube by the membership LP, and its input
     follows from that witness, so inputs read local state only.
     ``disturbances`` maps sid to a d_i in D_i(t) (defaults to the centers).
-    A state outside its tube raises OutsideViableSet.
+    A state outside its tube raises OutsideViableSet; a step at or past a
+    finite horizon raises ValueError.
     """
     solutions = _solution_map(solutions)
+    _num_steps(solutions, t + 1, "take")
     ids = network.sorted_ids()
     stacked = {sid: np.atleast_2d(np.asarray(states[sid], dtype=float))
                for sid in ids}

@@ -24,6 +24,7 @@ zonotopes are ``{"center": [...], "generators": [[...]]}``; couplings are
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,14 +162,15 @@ class Network:
 
     def has_outgoing_input_coupling(self, sid):
         """True if some other subsystem's dynamics reads this subsystem's input."""
-        for other in self.subsystems:
-            if other.sid == sid:
-                continue
-            coupling = other.couplings.get(sid)
-            if coupling is not None and coupling.B is not None:
-                if any(np.any(B) for B in coupling.B):
-                    return True
-        return False
+        return sid in self._read_inputs
+
+    @functools.cached_property
+    def _read_inputs(self):
+        """Ids whose input some other subsystem's dynamics reads, found in
+        one pass over the couplings."""
+        return {j for other in self.subsystems for j, coupling in other.couplings.items()
+                if j != other.sid and coupling.B is not None
+                and any(np.any(B) for B in coupling.B)}
 
     def validate(self):
         if self.mode not in ("finite", "infinite"):

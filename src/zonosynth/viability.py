@@ -34,13 +34,14 @@ programs in ``contracts``, come from one block emitter, :func:`add_recursion`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lpcore
-from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff,
-                   numbers, witness_values)
+from .geom import (Zonotope, _join, _union, add_scaled_containment, affine,
+                   certified_hausdorff, numbers, witness_values)
 from .lpcore import LinearProgram
 
 
@@ -53,23 +54,31 @@ class CertificationError(lpcore.LpError):
 
 
 def _abs_objective(lp, blocks, prefix="absT"):
-    """Aux columns s >= |x| for every variable x of each block of column
-    indices; returns the aux columns, whose sum is the size objective."""
+    """Aux columns s >= |x| for every variable x of each (rows x cols)
+    block of column indices; returns the aux columns, whose sum is the size
+    objective.  With an ``lpcore.LpBatch`` the blocks and the result carry
+    its leading member axis."""
     aux = []
     for idx, cols in enumerate(blocks):
         cols = np.asarray(cols)
-        size = cols.size
+        size = cols.shape[-2] * cols.shape[-1]
         if size == 0:
             continue
-        s = lp.var_block(f"{prefix}{idx}", cols.shape, lb=0.0).ravel()
+        s = lp.var_block(f"{prefix}{idx}", cols.shape[-2:], lb=0.0)
+        s, cols = s.reshape(s.shape[:-2] + (size,)), cols.reshape(cols.shape[:-2] + (size,))
         # entry e gives rows 2e (x - s[e] <= -0.0) and 2e + 1 (-x - s[e] <= 0)
         pair = 2 * np.arange(size)
         lp.add_rows(np.concatenate([pair, pair + 1, pair, pair + 1]),
-                    np.concatenate([cols.ravel(), cols.ravel(), s, s]),
+                    np.concatenate([cols, cols, s, s], axis=-1),
                     np.concatenate([np.ones(size), -np.ones(size), np.full(2 * size, -1.0)]),
                     np.tile([-0.0, 0.0], size), "<")
         aux.append(s)
-    return np.concatenate(aux) if aux else np.zeros(0, dtype=np.int64)
+    return np.concatenate(aux, axis=-1) if aux else np.zeros(0, dtype=np.int64)
+
+
+def _recursion_names(rec, cen, n, width):
+    return ([f"{rec}{i},{j}]" for i in range(n) for j in range(width)]
+            + [f"{cen}{i}]" for i in range(n)])
 
 
 def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
@@ -92,46 +101,55 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
 
     The rows, their term order and their bounds (signed zeros included) are
     those of writing each row as a LinExpr ``lhs - rhs`` with ``add_eq``.
+
+    ``lp`` may be an ``lpcore.LpBatch``: every argument may then carry its
+    leading member axis.  A product entry that is zero for some members
+    but not all is emitted as a zero, which ``add_rows`` drops; terms of
+    ``W`` may be padded the same way.
     """
     center, const, (w_rows, w_cols, w_vars, w_coefs) = W
-    n, w = T.shape
-    p = const.shape[1]
+    n, w = T.shape[-2:]
+    p = const.shape[-1]
     width = w + p
-    rhs = np.full((n, width), -1)
-    rhs[:, width - T_next.shape[1]:] = T_next
+    lead = T.shape[:-2]
+    rhs = np.full(lead + (n, width), -1)
+    rhs[..., width - T_next.shape[-1]:] = T_next
     if E is not None:
-        rhs[:, :E.shape[1]] = E
+        rhs[..., :E.shape[-1]] = E
     base = np.arange(n) * width
     parts = []      # (rows, cols, coefs) in the order a LinExpr sums them
 
     def product(K, X, first):
         # K @ X: entry K[i, k] * X[k, j] goes to row first[i] + j
-        X = X.reshape(len(X), -1)
-        ii, kk = np.nonzero(K)
-        parts.append(((first[ii][:, None] + np.arange(X.shape[1])).ravel(),
-                      X[kk].ravel(), np.repeat(K[ii, kk], X.shape[1])))
+        ii, kk = np.nonzero(_union(K, 2))
+        c = X.shape[-1]
+        parts.append(((first[ii][:, None] + np.arange(c)).ravel(),
+                      X[..., kk, :].reshape(X.shape[:-2] + (-1,)),
+                      np.repeat(K[..., ii, kk], c, axis=-1)))
 
     product(A, T, base)
     if M is not None:
         product(B, M, base)
     parts.append((base[w_rows] + w + w_cols, w_vars, w_coefs))
-    ii, jj = np.nonzero(rhs >= 0)
-    parts.append((base[ii] + jj, rhs[ii, jj], np.full(len(ii), -1.0)))
+    ii, jj = np.nonzero(_union(rhs >= 0, 2))
+    parts.append((base[ii] + jj, rhs[..., ii, jj], np.full(len(ii), -1.0)))
     cen = n * width + np.arange(n)
-    product(A, xbar, cen)
+    product(A, xbar[..., None], cen)
     if ubar is not None:
-        product(B, ubar, cen)
+        product(B, ubar[..., None], cen)
     parts.append((cen, x_next, np.full(n, -1.0)))
 
     # a W entry's constant moves right; every other row has constant 0.0,
     # and the center row the constant 0.0 + center
-    bounds = np.concatenate([np.hstack([np.full((n, w), -0.0), -np.asarray(const, dtype=float)]).ravel(),
-                             -(0.0 + np.asarray(center, dtype=float))])
+    const = np.asarray(const, dtype=float)
+    bounds = np.concatenate(
+        [np.concatenate([np.full(const.shape[:-2] + (n, w), -0.0), -const], axis=-1)
+         .reshape(const.shape[:-2] + (-1,)),
+         np.broadcast_to(-(0.0 + np.asarray(center, dtype=float)), const.shape[:-2] + (n,))],
+        axis=-1)
     rec, cen_name = names
-    row_names = [f"{rec}{i},{j}]" for i in range(n) for j in range(width)]
-    row_names += [f"{cen_name}{i}]" for i in range(n)]
-    rows, cols, coefs = (np.concatenate(part) for part in zip(*parts))
-    lp.add_rows(rows, cols, coefs, bounds, "=", names=row_names)
+    lp.add_rows(*_join(parts, lead), bounds, "=",
+                names=functools.partial(_recursion_names, rec, cen_name, n, width))
 
 
 def numeric_w(W):

@@ -434,7 +434,8 @@ def _w_expr_columns(blocks, split, alpha_cols, n):
     """W_i generator columns as LP expressions: kept exact, remainder boxed."""
     from zonosynth.lpcore import lin_sum
 
-    kept, boxed = split
+    allcols = [(bi, ci) for bi, block in enumerate(blocks) for ci in range(block.cols.shape[1])]
+    kept, boxed = ([allcols[c] for c in part] for part in split)
     columns = []
     for bi, ci in kept:
         base = blocks[bi].cols[:, ci]
@@ -468,7 +469,8 @@ def _w_expr_columns(blocks, split, alpha_cols, n):
 def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
                            reduction_order=1, slack=True):
     """Row-at-a-time reference for ``contracts.emit_subsystem``; ``alpha_of``
-    returns column indices, as there."""
+    returns column indices, as there.  Returns the column indices of the
+    tubes T and of the slack columns d (state steps, then input steps)."""
     from zonosynth.contracts import _at, _choose_columns, aug_blocks
     from zonosynth.lpcore import col_exprs
 
@@ -478,7 +480,7 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
     finite = network.mode == "finite"
     structure = [aug_blocks(network, template, sid, t) for t in range(steps)]
     splits = [_choose_columns(blocks, n, reduction_order) for _, blocks in structure]
-    p_red = [len(kept) + (n if boxed else 0) for kept, boxed in splits]
+    p_red = [len(kept) + (n if len(boxed) else 0) for kept, boxed in splits]
     if k is None:
         k = n if finite else n + p_red[0]
 
@@ -491,13 +493,16 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
     if finite:
         for t in range(steps):
             widths.append(widths[-1] + p_red[t])
-    T = [lp.var_array(f"{tag}:T{t}", (n, widths[t])) for t in range(steps_x)]
+    Tc = [lp.var_block(f"{tag}:T{t}", (n, widths[t])) for t in range(steps_x)]
+    T = [col_exprs(c) for c in Tc]
     xbar = [lp.var_array(f"{tag}:x{t}", n) for t in range(steps_x)]
     M = [lp.var_array(f"{tag}:M{t}", (m, widths[t])) for t in range(steps)] if m else None
     ubar = [lp.var_array(f"{tag}:u{t}", m) for t in range(steps)] if m else None
-    d_x = [lp.var_array(f"{tag}:dx{t}", 1, lb=0.0)[0] for t in range(steps_x)] if slack else None
-    d_u = [lp.var_array(f"{tag}:du{t}", 1, lb=0.0)[0] for t in range(steps)] \
-        if slack and m else None
+    d_cols = [lp.var_block(f"{tag}:dx{t}", 1, lb=0.0)[0] for t in range(steps_x)] if slack else []
+    d_cols += [lp.var_block(f"{tag}:du{t}", 1, lb=0.0)[0] for t in range(steps)] \
+        if slack and m else []
+    d_x = col_exprs(d_cols[:steps_x]) if slack else None
+    d_u = col_exprs(d_cols[steps_x:]) if slack and m else None
 
     for t in range(steps):
         center_w, blocks = structure[t]
@@ -539,6 +544,40 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
                 scales = scales + [d_u[t]] * m
             add_scaled_containment_rowwise(lp, M[t], ubar[t], outer_cols, scales, outer_c,
                                            f"{tag}:inU{t}")
+    return Tc, np.array(d_cols, dtype=np.int64)
+
+
+def potential_lp_rowwise(network, template, sid, k=None, reduction_order=1):
+    """Reference for the LP of ``contracts.build_programs(...)[sid]``, built
+    for this one subsystem: its own multipliers first (fixed at 0), then
+    :func:`emit_subsystem_rowwise` with every other multiplier a column made
+    when W first asks for it, then the size aux columns of sum |T|; the
+    slack columns cost 1."""
+    from zonosynth.contracts import _at
+    from zonosynth.lpcore import LinearProgram
+    from zonosynth.viability import _abs_objective
+
+    lp = LinearProgram(name=f"potential[{sid}]")
+    alphas = {}
+
+    def alpha_of(j, channel, t):
+        if (j, channel, t) not in alphas:
+            entries = template.state[j] if channel == "x" else template.input[j]
+            alphas[(j, channel, t)] = lp.var_block(f"al:{channel}:{j}:{t}",
+                                                   _at(entries, t)[1].shape[1], lb=0.0, ub=0.0)
+        return alphas[(j, channel, t)]
+
+    steps = network.num_steps
+    for t in range(steps + 1 if network.mode == "finite" else 1):
+        alpha_of(sid, "x", t)
+    if network.subsystem(sid).m and sid in template.input:
+        for t in range(steps):
+            alpha_of(sid, "u", t)
+    T, slack = emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=k,
+                                      reduction_order=reduction_order, slack=True)
+    _abs_objective(lp, T, prefix="size")
+    lp.set_costs(slack, 1.0)
+    return lp
 
 
 # ---------------------------------------------------------------------------

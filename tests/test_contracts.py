@@ -27,7 +27,7 @@ from zonosynth.contracts import (
     _numeric_solution,
 )
 from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
-from zonosynth.sysmodel import load_network
+from zonosynth.sysmodel import ConfigError, load_network
 from zonosynth.viability import RciSolution
 
 
@@ -312,6 +312,14 @@ def test_potential_threaded_matches_serial(monkeypatch):
     threaded = potential(build_programs(net, tpl), params, threads=2)
     assert threaded.value == pytest.approx(serial.value, abs=1e-10)
     assert threaded.grad.to_vector() == pytest.approx(serial.grad.to_vector(), abs=1e-10)
+
+
+def test_bad_thread_count_is_a_config_error(monkeypatch):
+    from zonosynth.synthesis import compositional_synthesize
+
+    monkeypatch.setenv("CONTRACT_SYNTH_THREADS", "abc")
+    with pytest.raises(ConfigError, match="CONTRACT_SYNTH_THREADS='abc'"):
+        compositional_synthesize(pair_network(coupling=0.5))
 
 
 def gapped_input_pair():

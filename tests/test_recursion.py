@@ -1,10 +1,12 @@
 """The block tube-recursion emitter against the row-at-a-time references.
 
 Every program that emits recursion rows (``contracts.emit_subsystem``,
-``viability.finite_viable_lp`` and ``viability.rci_lp``) must build the
-same LP as its reference in ``oracles``: the same row names in the same
-order, the same CSC arrays and the same bounds, bit for bit (signed zeros
-included, which ``to_lp_text`` prints).
+``contracts.build_programs``, ``viability.finite_viable_lp`` and
+``viability.rci_lp``) must build the same LP as its reference in
+``oracles``: the same row names in the same order, the same CSC arrays and
+the same bounds, bit for bit (signed zeros included, which ``to_lp_text``
+prints).  ``build_programs`` emits whole groups of subsystems at once; its
+reference builds one subsystem at a time.
 """
 
 import numpy as np
@@ -13,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zonosynth.contracts import _at, default_template, emit_subsystem
+from zonosynth import sysmodel
+from zonosynth.cli import lambda_for
+from zonosynth.contracts import _at, _signature, build_programs, default_template, emit_subsystem
 from zonosynth.geom import Zonotope
 from zonosynth.lpcore import LinearProgram
 from zonosynth.sysmodel import load_network
@@ -116,6 +120,82 @@ def test_emit_subsystem_case_studies_match_rowwise_reference(config, slack, orde
     network = load_network(config)
     k = 16 if order is None and network.mode == "infinite" else None
     assert_emits_like_reference(network, slack=slack, reduction_order=order, k=k)
+
+
+# ---------------------------------------------------------------------------
+# build_programs: groups of subsystems of one shape
+
+
+def mixed_network(rng, finite):
+    """Three to six subsystems of a few shapes, each coupled to a random set
+    of the others, some through their inputs; disturbances of zero to two
+    generators.  Subsystems of one shape then share a program structure
+    only if their promises and W splits agree, so groups of one and of
+    several form."""
+    count = int(rng.integers(3, 7))
+    shapes = [(1, 1), (2, 1), (2, 0)]
+    dims = [shapes[int(rng.integers(len(shapes)))] for _ in range(count)]
+    steps = 2 if finite else 1
+
+    def seq(make):
+        return [make() for _ in range(steps)] if finite else make()
+
+    subs = []
+    for s, (n, m) in enumerate(dims):
+        couplings = []
+        for j in rng.permutation(count)[:int(rng.integers(0, count))].tolist():
+            if j == s:
+                continue
+            coupling = {"to": j + 1, "A": seq(lambda: matrix(rng, n, dims[j][0]).tolist())}
+            if dims[j][1] and rng.random() < 0.5:
+                coupling["B"] = seq(lambda: matrix(rng, n, dims[j][1]).tolist())
+            couplings.append(coupling)
+        subs.append({
+            "id": s + 1,
+            "A": seq(lambda: matrix(rng, n, n).tolist()),
+            "B": seq(lambda: matrix(rng, n, m).tolist()),
+            "X": {"center": rng.choice(VALUES, size=n).tolist(),
+                  "generators": (np.eye(n) + matrix(rng, n, n)).tolist()},
+            "U": {"center": [0.0] * m, "generators": np.eye(m).tolist()},
+            "D": {"center": rng.choice(VALUES, size=n).tolist(),
+                  "generators": matrix(rng, n, int(rng.integers(0, 3))).tolist()},
+            "couplings": couplings,
+        })
+    cfg = {"mode": "finite", "horizon": steps} if finite else {"mode": "infinite"}
+    return load_network({**cfg, "subsystems": subs})
+
+
+def assert_builds_like_reference(network, **kwargs):
+    template = default_template(network)
+    programs = build_programs(network, template, **kwargs)
+    assert list(programs) == network.sorted_ids()
+    for sid, program in programs.items():
+        assert_same_lp(program.lp, oracles.potential_lp_rowwise(network, template, sid,
+                                                                **kwargs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), finite=st.booleans(),
+       order=st.sampled_from([None, 1, 2]))
+def test_build_programs_matches_one_at_a_time_reference(seed, finite, order):
+    network = mixed_network(np.random.default_rng(seed), finite)
+    assert_builds_like_reference(network, reduction_order=order)
+
+
+def test_mixed_networks_form_groups_of_one_and_of_several():
+    network = mixed_network(np.random.default_rng(3), finite=False)
+    template = default_template(network)
+    groups = {}
+    for sid in network.sorted_ids():
+        groups.setdefault(_signature(network, template, sid, 1), []).append(sid)
+    assert sorted(map(len, groups.values())) == [1, 2, 3]
+    assert_builds_like_reference(network)
+
+
+def test_build_programs_of_a_geometric_network_match_reference():
+    # 50 subsystems of one shape and 0 to 4 neighbors: one group, whose
+    # members differ in how many neighbor multipliers W reads
+    assert_builds_like_reference(sysmodel.random_network(50, lambda_for(100), seed=0))
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,15 @@ def test_simulate_beyond_horizon_raises(finite):
         simulate(net, result, num_steps=7)
 
 
+def test_step_at_the_horizon_raises(finite):
+    net, result = finite
+    states = {sid: result.solutions[sid].omega(5).center for sid in net.sorted_ids()}
+    nxt, _ = step(net, result, states, t=5)     # the last step of horizon 6
+    assert sorted(nxt) == [1, 2]
+    with pytest.raises(ValueError, match="horizon is 6"):
+        step(net, result, states, t=6)
+
+
 def test_trajectory_csv(tmp_path, pair):
     net, result = pair
     traj = simulate(net, result, num_steps=5, seed=9)

@@ -222,7 +222,9 @@ def test_case1_builds_each_subsystem_lp_once(monkeypatch):
     emit, extract = contracts.emit_subsystem, synthesis.extract_solutions
 
     def counting_emit(*args, **kwargs):
-        emits.append(args[3])
+        # one call emits a group of subsystems of one shape: a list of ids
+        sids = args[3]
+        emits.extend(sids if isinstance(sids, list) else [sids])
         return emit(*args, **kwargs)
 
     def counting_extract(programs, params):
