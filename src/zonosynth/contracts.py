@@ -363,38 +363,66 @@ def _choose_columns(blocks, n, order):
     return kept, np.setdiff1d(allcols, kept)
 
 
-def _w_columns(center, blocks, split, alpha_cols, n):
-    """W_i's columns in the ``W`` form of ``add_recursion``: kept exact,
-    remainder boxed into n diagonal columns.
+def _w_columns(centers, blocks, splits, alpha_cols, n):
+    """W_i's columns in the ``W`` form of ``add_recursion``, kept exact and
+    the remainder boxed into n diagonal columns, for every member of a group
+    at one step: ``blocks[g]``, ``splits[g]`` and ``alpha_cols[g]`` are
+    member g's.
 
-    ``alpha_cols[b]`` holds the column indices of block b's multipliers
+    ``alpha_cols[g][b]`` holds the column indices of block b's multipliers
     (None for the local disturbance).  A kept column is alpha * base, with
     constant 0.0 * base; a boxed radius sums its constant |entries| in
-    column order, plus alpha terms with coefficients |entry|.  The terms
-    run column by column, each column's rows ascending, nonzero entries
-    only.  Read at a solution's values, the same form is the solution's W_i
-    (:func:`_w_value`).
+    column order, plus alpha terms with coefficients |entry|.  A member's
+    terms run over its kept, then its boxed columns, column by column with
+    rows ascending, nonzero entries only.  Read at a solution's values, the
+    same form is the solution's W_i (:func:`_w_value`).  The members must
+    keep equally many columns and all box some or none.
+
+    Returns each member's form and all of them stacked along a leading
+    member axis, the terms padded with zero terms to one length.
     """
-    kept, boxed = split
-    base = np.hstack([block.cols for block in blocks])
+    members = len(centers)
+    base = np.concatenate([block.cols for member in blocks for block in member], axis=1)
     alpha = np.concatenate([np.full(block.cols.shape[1], -1) if cols is None else cols
-                            for block, cols in zip(blocks, alpha_cols)]).astype(np.int64)
-    const = np.zeros((n, len(kept) + (n if len(boxed) else 0)))
-    K, k_alpha = base[:, kept], alpha[kept]
-    const[:, :len(kept)] = np.where(k_alpha >= 0, np.where(K < 0, -0.0, 0.0), K)
+                            for member, cols_of in zip(blocks, alpha_cols)
+                            for block, cols in zip(member, cols_of)]).astype(np.int64)
+    widths = np.array([sum(block.cols.shape[1] for block in member) for member in blocks])
+    owner = np.repeat(np.arange(members), widths)
+    offset = np.cumsum(widths) - widths
+    kept = np.concatenate([offset[g] + split[0] for g, split in enumerate(splits)])
+    boxed = np.concatenate([offset[g] + split[1] for g, split in enumerate(splits)])
+    nk = len(splits[0][0])
+    const = np.zeros((members, n, nk + (n if len(boxed) else 0)))
+    K, k_alpha, k_rank = base[:, kept], alpha[kept], np.arange(len(kept)) % max(nk, 1)
+    const[owner[kept], :, k_rank] = np.where(k_alpha >= 0, np.where(K < 0, -0.0, 0.0), K).T
     B, b_alpha = np.abs(base[:, boxed]), alpha[boxed]
     if len(boxed):
         # the constant radius summed left to right, column by column
-        local = B[:, b_alpha < 0]
-        radius = np.cumsum(local, axis=1)[:, -1] if local.shape[1] else np.zeros(n)
-        const[:, len(kept):] = np.diag(radius)
-    # (column, row) of every term, column-major: alpha * base[row, column]
+        radius = np.zeros((members, n))
+        local = b_alpha < 0
+        np.add.at(radius, owner[boxed][local], B[:, local].T)
+        const[:, np.arange(n), nk + np.arange(n)] = radius
+    # (column, row) of every term, column-major, kept before boxed per member
     kc, kr = np.nonzero((K != 0).T & (k_alpha >= 0)[:, None])
     bc, br = np.nonzero((B != 0).T & (b_alpha >= 0)[:, None])
-    terms = (np.concatenate([kr, br]), np.concatenate([kc, len(kept) + br]),
-             np.concatenate([k_alpha[kc], b_alpha[bc]]),
-             np.concatenate([K[kr, kc], B[br, bc]]))
-    return center, const, terms
+    term_owner = np.concatenate([owner[kept][kc], owner[boxed][bc]])
+    order = np.argsort(term_owner, kind="stable")
+    term_owner = term_owner[order]
+    terms = tuple(a[order] for a in (np.concatenate([kr, br]),
+                                     np.concatenate([k_rank[kc], nk + br]),
+                                     np.concatenate([k_alpha[kc], b_alpha[bc]]),
+                                     np.concatenate([K[kr, kc], B[br, bc]])))
+    cut = np.searchsorted(term_owner, np.arange(members + 1)).tolist()
+    forms = [(centers[g], const[g], tuple(a[cut[g]:cut[g + 1]] for a in terms))
+             for g in range(members)]
+    counts = np.diff(cut)
+    slot = np.arange(len(term_owner)) - np.repeat(cut[:-1], counts)
+    padded = []
+    for a in terms:
+        part = np.zeros((members, counts.max(initial=0)), dtype=a.dtype)
+        part[term_owner, slot] = a
+        padded.append(part)
+    return forms, (np.stack(centers), const, tuple(padded))
 
 
 def _w_value(sol, W):
@@ -461,21 +489,6 @@ class _Tagged:
         return self.target.add_rows(rows, cols, coefs, bounds, sense, names=names)
 
 
-def _stack_w(Ws):
-    """The members' W forms as one, with a leading member axis; the terms
-    are padded with zero terms to one length."""
-    centers, consts, terms = zip(*Ws)
-    counts = np.array([len(t[0]) for t in terms])
-    member = np.repeat(np.arange(len(Ws)), counts)
-    slot = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    padded = []
-    for arrays in zip(*terms):
-        part = np.zeros((len(Ws), counts.max(initial=0)), dtype=arrays[0].dtype)
-        part[member, slot] = np.concatenate(arrays)
-        padded.append(part)
-    return np.stack(centers), np.stack(consts), tuple(padded)
-
-
 def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
                    reduction_order=1, slack=True):
     """Emit subsystem ``sid``'s viability-under-contracts rows into ``lp``.
@@ -530,18 +543,21 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     d_u = np.column_stack([lp.var_block(f":du{t}", 1, lb=0.0)[:, 0]
                            for t in range(steps)]) if slack and m else none
 
-    W = []
-    for g, member in enumerate(structure):
-        W.append([])
-        for t, (center, blocks) in enumerate(member):
-            alpha_cols = [None if block.kind == "local" else
-                          alpha_of[g](block.source, "x" if block.kind == "state" else "u", t)
-                          for block in blocks]
-            W[g].append(_w_columns(center, blocks, splits[g][t], alpha_cols, n))
+    alpha_cols = [[[None if block.kind == "local" else
+                    alpha_of[g](block.source, "x" if block.kind == "state" else "u", t)
+                    for block in blocks] for t, (_, blocks) in enumerate(member)]
+                  for g, member in enumerate(structure)]
+    W = [[] for _ in sids]
     for t in range(steps):
+        forms, stacked_w = _w_columns([member[t][0] for member in structure],
+                                      [member[t][1] for member in structure],
+                                      [member[t] for member in splits],
+                                      [member[t] for member in alpha_cols], n)
+        for Wg, form in zip(W, forms):
+            Wg.append(form)
         add_recursion(lp, np.stack([sub.A_at(t) for sub in subs]),
                       np.stack([sub.B_at(t) for sub in subs]), T[t], M[t] if m else None,
-                      xbar[t], ubar[t] if m else None, _stack_w([Wg[t] for Wg in W]),
+                      xbar[t], ubar[t] if m else None, stacked_w,
                       T[t + 1] if finite else T[0], xbar[t + 1] if finite else xbar[0],
                       (f":rec[{t},", f":cen[{t},"))
 

@@ -275,7 +275,7 @@ class LinearProgram:
     def __init__(self, name="lp"):
         self.name = name
         self._num_cols = 0
-        self._col_records = []        # (first, name, shape) per block of columns
+        self._col_records = []        # (first, name, shape, lb, ub) per block of columns
         self._cols_named = 0          # records whose names are spelled out
         self._col_name_list = []
         self._name_to_col = {}
@@ -318,7 +318,7 @@ class LinearProgram:
     def _spell_cols(self):
         """Spell out the names of columns added since the last call; returns
         the name -> column map of every column."""
-        for first, name, shape in self._col_records[self._cols_named:]:
+        for first, name, shape, _, _ in self._col_records[self._cols_named:]:
             names = _block_names(name, shape)
             new = dict(zip(names, range(first, first + len(names))))
             if len(new) != len(names) or not self._name_to_col.keys().isdisjoint(new):
@@ -338,7 +338,7 @@ class LinearProgram:
                 np.concatenate([a, extra]) for a in (self._lb, self._ub, self._cost))
         self._lb[first:stop] = float(lb)
         self._ub[first:stop] = float(ub)
-        self._col_records.append((first, name, shape))
+        self._col_records.append((first, name, shape, lb, ub))
         self._num_cols = stop
         self._structure_version += 1
         return first
@@ -364,17 +364,20 @@ class LinearProgram:
         """Array of fresh variables named ``name[i]`` / ``name[i,j]``, as LinExpr."""
         return col_exprs(self.var_block(name, shape, lb=lb, ub=ub))
 
-    def _install(self, col_records, lb, ub, entries, sense, bounds, row_records):
+    def _install(self, col_records, entries, sense, bounds, row_records):
         """Make this empty program the model given as arrays.
 
-        ``col_records``/``row_records`` are the blocks' name records,
-        ``lb``/``ub`` every column's bounds, ``entries`` the matrix as
-        ``(rows, cols, coefs)`` in column order (rows ascending within a
-        column), one sense byte per row and the rows' bounds.
+        ``col_records``/``row_records`` are the column and row blocks'
+        records, ``entries`` the matrix as ``(rows, cols, coefs)`` in column
+        order (rows ascending within a column), ``sense`` one byte per row
+        and ``bounds`` the rows' bounds.
         """
+        sizes = [math.prod(record[2]) for record in col_records]
         self._col_records = col_records
-        self._num_cols = len(lb)
-        self._lb, self._ub, self._cost = lb, ub, np.zeros(len(lb))
+        self._num_cols = sum(sizes)
+        self._lb, self._ub = (np.repeat(np.array([record[i] for record in col_records],
+                                                 dtype=float), sizes) for i in (3, 4))
+        self._cost = np.zeros(self._num_cols)
         self._coo = [entries]
         self._sense = bytearray(sense)
         self._bound.frombytes(bounds.tobytes())
@@ -838,19 +841,13 @@ class LpBatch:
         cut = np.searchsorted(member, np.arange(members + 1)).tolist()
         bounds = np.concatenate(self._bounds, axis=1)
         out = []
-        for g, name in enumerate(self._names):
-            firsts, names, shapes, lbs, ubs = zip(*self._cols[g]) if self._cols[g] \
-                else ((),) * 5
-            sizes = [math.prod(shape) for shape in shapes]
+        for g, (name, records) in enumerate(zip(self._names, self._cols)):
             a, b = cut[g], cut[g + 1]
             lp = LinearProgram(name=name)
-            lp._install(list(zip(firsts, names, shapes)),
-                        np.repeat(np.asarray(lbs, dtype=float), sizes),
-                        np.repeat(np.asarray(ubs, dtype=float), sizes),
-                        (row[a:b].copy(), col[a:b].copy(), coefs[a:b].copy()),
+            lp._install(records, (row[a:b].copy(), col[a:b].copy(), coefs[a:b].copy()),
                         self._sense, np.ascontiguousarray(bounds[g]),
-                        [(first, count, names[g] if isinstance(names, list) else names)
-                         for first, count, names in self._row_records])
+                        [(first, count, spec[g] if isinstance(spec, list) else spec)
+                         for first, count, spec in self._row_records])
             out.append(lp)
         return out
 
