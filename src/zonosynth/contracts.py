@@ -29,6 +29,13 @@ fixed columns' reduced cost.  The same instance extracts the final tubes:
 ``PotentialProgram.extract`` fixes the slack at zero, swaps the objective
 to the template size sum |T|, re-solves warm and puts both back.
 
+``build_programs`` builds the programs of all subsystems of one structural
+signature (``_signature``: the shapes that fix their rows) together:
+``emit_subsystem`` emits each row family once for the whole group, as arrays
+with a leading subsystem axis, into an ``lpcore._LpBatch``, which sorts all
+entries in one pass and hands each subsystem its own program.  The
+subsystems of a group may differ in how many neighbor multipliers W reads.
+
 W_i has one definition: the ``_w_columns`` terms that the recursion rows
 are built from.  A solution's W_i is those terms read at the solution's own
 column values, the fixed alphas included.
@@ -505,7 +512,7 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     columns of the identity columns go to ``slack_cols``.
 
     The same code emits a group of subsystems at once: ``lp`` an
-    ``lpcore.LpBatch`` with one member per id in the list ``sid``, and
+    ``lpcore._LpBatch`` with one member per id in the list ``sid``, and
     ``alpha_of`` a list of one such function per member.  The members must
     share one structural signature (:func:`_signature`), so that they have
     the same rows; the handles are then a list, one per member.
@@ -810,7 +817,7 @@ def build_programs(network, template, k=None, reduction_order=1):
 
     Subsystems of one structural signature (:func:`_signature`) are built
     together: ``emit_subsystem`` emits the group's rows once into an
-    ``lpcore.LpBatch``, which hands each member its own program.  Each
+    ``lpcore._LpBatch``, which hands each member its own program.  Each
     program's columns are its own multipliers, the tube, the neighbors'
     multipliers (in the order W asks for them), the containment witnesses
     and the size aux columns.
@@ -825,7 +832,7 @@ def build_programs(network, template, k=None, reduction_order=1):
 
 
 def _build_group(network, template, sids, k, reduction_order):
-    batch = lpcore.LpBatch([f"potential[{sid}]" for sid in sids])
+    batch = lpcore._LpBatch([f"potential[{sid}]" for sid in sids])
     alphas = [{} for _ in sids]  # per member: (j, channel, t) -> fixed columns
 
     def alpha_of(g, j, channel, t):

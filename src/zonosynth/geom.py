@@ -267,12 +267,15 @@ def _union(mask, ndim):
     return mask.any(axis=tuple(range(mask.ndim - ndim)))
 
 
-def _join(parts, lead):
-    """The ``(rows, cols, coefs)`` parts joined along their last axis, each
-    broadcast to the leading axes ``lead`` first."""
-    return tuple(np.concatenate([np.broadcast_to(a, lead + np.shape(a)[-1:]) for a in arrays],
-                                axis=-1)
-                 for arrays in zip(*parts))
+def _join(parts):
+    """The ``(rows, cols, coefs)`` parts joined along their last axis; the
+    parts of each are broadcast to the leading axes they have in common."""
+    joined = []
+    for arrays in zip(*parts):
+        lead = np.broadcast_shapes(*(np.shape(a)[:-1] for a in arrays))
+        joined.append(np.concatenate([np.broadcast_to(a, lead + np.shape(a)[-1:])
+                                      for a in arrays], axis=-1))
+    return tuple(joined)
 
 
 def _containment_names(prefix, n, p, r):
@@ -302,7 +305,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
     equalities; then for every q, two rows ``|[Lam lam][q, j]| <= W[q, j]``
     per j and the named ``rowsum[q]`` row.
 
-    ``lp`` may be an :class:`lpcore.LpBatch`: every argument may then carry
+    ``lp`` may be an :class:`lpcore._LpBatch`: every argument may then carry
     the batch's leading member axis, and so do the handles.  Entries that
     are zero for one member but not for all are emitted as zeros, which
     ``add_rows`` drops; the columns (index >= 0) must be the same for all.
@@ -328,8 +331,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
         *_join([(((ii * p)[:, None] + np.arange(p)).ravel(),
                   Lam_lam[..., qq, :].reshape(lead + (-1,)),
                   np.repeat(outer_cols[..., ii, qq], p, axis=-1)),
-                 (own, cols[..., own], np.where(is_c[own], coefs[..., own], -coefs[..., own]))],
-                lead),
+                 (own, cols[..., own], np.where(is_c[own], coefs[..., own], -coefs[..., own]))]),
         np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p, axis=-1)),
                  consts),
         "=", names=functools.partial(_containment_names, prefix, n, p, r))
@@ -348,7 +350,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
     lp.add_rows(
         *_join([(plus, Lam_lam, one), (plus, Wf, -one), (plus + 1, Lam_lam, -one),
                 (plus + 1, Wf, -one), (np.repeat(rowsum, p), Wf, one),
-                (rowsum[own], cols[..., own], -coefs[..., own])], lead),
+                (rowsum[own], cols[..., own], -coefs[..., own])]),
         bounds, "<", names=functools.partial(_rowsum_names, prefix, s, rq))
     return {"Lam": Lam, "lam": lam, "W": W,
             "rowsum_names": [f"{prefix}:rowsum[{q}]" for q in range(s)]}

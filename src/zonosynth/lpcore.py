@@ -6,19 +6,12 @@ HiGHS bindings that ship inside scipy (``scipy.optimize._highspy``, scipy
 come as int arrays from :meth:`LinearProgram.var_block` and rows a block at
 a time as COO triplets from :meth:`LinearProgram.add_rows`.  Rows and
 variables can be named, and solutions expose primal values by column, row
-duals by name and column duals (reduced costs) by index.
-
-Names are derived on demand.  A program keeps one record per block of
-columns (its name and shape) and per block of rows (a list of names, or a
-function that makes the list), and spells out the names only when
-something asks for them: ``row_names()``, ``_col_names``, ``to_lp_text``,
-``set_rhs`` and ``dual(name)``.  A name used twice raises
-:class:`LpBuildError` when it is spelled out; explicit row names, and the
-names of ``var``, are checked when they are added.
-
-:class:`LpBatch` builds many programs of one row structure together: each
-block of rows is emitted once as arrays with a leading member axis, and one
-stable sort hands every member its own column-ordered arrays.
+duals by name and column duals (reduced costs) by index.  Names are kept as
+one record per block and spelled out only when asked for (``row_names()``,
+``_col_names``, ``to_lp_text``, ``set_rhs``, ``dual(name)``); a name used
+twice raises :class:`LpBuildError` then, or at once for explicit row names
+and ``var``.  :class:`_LpBatch` builds programs of one row structure
+together, as arrays with a leading member axis.
 
 Column bounds and costs are kept as arrays.  The solver instance stays alive
 between solves, so :meth:`LinearProgram.set_col_bounds`,
@@ -284,7 +277,6 @@ class LinearProgram:
         self._cost = np.zeros(0)
         self._obj_const = 0.0
         self._coo = []                # (rows, cols, coefs) blocks, in row order
-        self._tail = ([], [], [])     # one-row triplets not yet in _coo
         self._sense = bytearray()     # "=", "<" or ">" per row
         self._bound = array("d")      # row reads: terms <sense> bound
         self._bound0 = array("d")     # bound at creation time
@@ -365,13 +357,9 @@ class LinearProgram:
         return col_exprs(self.var_block(name, shape, lb=lb, ub=ub))
 
     def _install(self, col_records, entries, sense, bounds, row_records):
-        """Make this empty program the model given as arrays.
-
-        ``col_records``/``row_records`` are the column and row blocks'
-        records, ``entries`` the matrix as ``(rows, cols, coefs)`` in column
-        order (rows ascending within a column), ``sense`` one byte per row
-        and ``bounds`` the rows' bounds.
-        """
+        """Make this empty program the given model: block records of columns
+        and rows, the matrix ``(rows, cols, coefs)`` in column order, one
+        sense byte and one bound per row."""
         sizes = [math.prod(record[2]) for record in col_records]
         self._col_records = col_records
         self._num_cols = sum(sizes)
@@ -441,14 +429,6 @@ class LinearProgram:
         self._spell_rows()
         self._claim_row_names(names, first)
 
-    def _flush_tail(self):
-        rows, cols, coefs = self._tail
-        if rows:
-            self._coo.append((np.array(rows, dtype=np.int32),
-                              np.array(cols, dtype=np.int32),
-                              np.array(coefs, dtype=np.float64)))
-            self._tail = ([], [], [])
-
     def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
         """Append a block of rows given as COO triplets; returns the index of
         its first row.
@@ -485,7 +465,6 @@ class LinearProgram:
         key, coefs = _merge(rows * width + cols, coefs)
         local, cols = (key // width).astype(np.int32), (key % width).astype(np.int32)
         live = self._live()
-        self._flush_tail()
         self._coo.append((local + first, cols, coefs))
         self._sense += bytes([ord(sense)]) * count
         self._bound.frombytes(bounds.tobytes())
@@ -505,29 +484,19 @@ class LinearProgram:
     def _add_one_row(self, lhs, rhs, sense, name):
         rhs_expr = as_expr(rhs)
         expr = as_expr(lhs) - rhs_expr
-        idx = self.num_rows
-        self._name_rows([name], idx, 1)
-        items = sorted((c, v) for c, v in expr.terms.items() if v != 0.0)
-        rows, cols, coefs = self._tail
-        rows.extend([idx] * len(items))
-        cols.extend(c for c, _ in items)
-        coefs.extend(v for _, v in items)
-        bound = -expr.const
-        self._sense.append(sense)
-        self._bound.append(bound)
-        self._bound0.append(bound)
-        self._rhs0.append(rhs_expr.const)
-        self._structure_version += 1
+        idx = self.add_rows(np.zeros(len(expr.terms), dtype=np.int64), list(expr.terms),
+                            list(expr.terms.values()), [-expr.const], sense, names=[name])
+        self._rhs0[idx] = rhs_expr.const
         return f"r{idx}" if name is None else name
 
     def add_eq(self, lhs, rhs=0.0, name=None):
-        return self._add_one_row(lhs, rhs, _EQ, name)
+        return self._add_one_row(lhs, rhs, "=", name)
 
     def add_le(self, lhs, rhs=0.0, name=None):
-        return self._add_one_row(lhs, rhs, _LE, name)
+        return self._add_one_row(lhs, rhs, "<", name)
 
     def add_ge(self, lhs, rhs=0.0, name=None):
-        return self._add_one_row(lhs, rhs, _GE, name)
+        return self._add_one_row(lhs, rhs, ">", name)
 
     def minimize(self, expr):
         expr = as_expr(expr)
@@ -597,7 +566,6 @@ class LinearProgram:
     def _assemble(self):
         """The model as arrays, with the constraint matrix column-wise (CSC):
         ``(start, index, value, cost, lb, ub, row_lo, row_hi)``."""
-        self._flush_tail()
         if len(self._coo) > 1:
             self._coo = [tuple(np.concatenate(part) for part in zip(*self._coo))]
         if self._coo:
@@ -752,93 +720,78 @@ class LinearProgram:
         return "\n".join(out) + "\n"
 
 
-class LpBatch:
-    """Programs that share one row structure, built together as arrays.
+class _LpBatch:
+    """Programs of one row structure, built together as arrays.
 
-    Every member gets the same rows.  :meth:`var_block` and :meth:`add_rows`
-    take and return arrays with a leading member axis (an argument without
-    it holds for every member), so one call emits a block for all members.
-    Columns may differ in number: :meth:`member_block` adds a block to one
-    member only, which shifts that member's later columns.  :meth:`programs`
-    hands each member its own :class:`LinearProgram`, with the model and the
-    names that the same calls on that program alone would have given it.
+    :meth:`var_block` and :meth:`add_rows` work as on a LinearProgram, with a
+    leading member axis on every array (an argument without it holds for all
+    members); :meth:`member_block` adds columns to one member only, shifting
+    its later columns.  :meth:`programs` hands each member the program, names
+    included, that the same calls on it alone would have built.
     """
 
     def __init__(self, names):
         self._names = list(names)
-        members = len(self._names)
-        self._next = [0] * members              # columns per member
-        self._cols = [[] for _ in self._names]  # per member: (first, name, shape, lb, ub)
-        none = np.zeros((members, 0), dtype=np.int64)
+        self._next = [0] * len(self._names)     # columns per member
+        self._cols = [[] for _ in self._names]  # per member: records as in LinearProgram
+        none = np.zeros((len(self._names), 0), dtype=np.int64)
         self._entries = [(none, none, none.astype(np.float64))]  # (rows, cols, coefs)
-        self._sense = bytearray()
         self._bounds = [none.astype(np.float64)]
+        self._sense = bytearray()
         self._row_records = []                  # (first, count, names) per block
 
     def var_block(self, name, shape, lb=-INF, ub=INF):
-        """Fresh variables ``name[...]`` for every member (``name`` may be a
-        list of one name per member); returns their column indices, shape
-        ``(members,) + shape``."""
+        """Columns ``name[...]`` for every member (``name`` may be a list of
+        one per member); returns them with shape ``(members,) + shape``."""
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        size = math.prod(shape)
         names = name if isinstance(name, list) else [name] * len(self._names)
         for records, block, start in zip(self._cols, names, self._next):
             records.append((start, block, shape, lb, ub))
         first = np.array(self._next)
-        self._next = [start + size for start in self._next]
-        return (first[:, None] + np.arange(size)).reshape(first.shape + shape)
+        self._next = [start + math.prod(shape) for start in self._next]
+        return (first[:, None] + np.arange(math.prod(shape))).reshape(first.shape + shape)
 
     def member_block(self, g, name, size, lb=-INF, ub=INF):
-        """Fresh variables ``name[i]`` for member g alone; returns their
-        column indices."""
+        """Columns ``name[i]`` for member g alone."""
         first = self._next[g]
         self._cols[g].append((first, name, (size,), lb, ub))
         self._next[g] = first + size
         return np.arange(first, first + size)
 
     def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
-        """:meth:`LinearProgram.add_rows` for every member at once.
-
-        ``rows``/``cols``/``coefs`` hold the entries of each member along
-        their last axis.  ``names`` is None, a function returning the row
-        names, or a list of one such per member.
-        """
-        if sense not in ("=", "<", ">"):
-            raise LpBuildError(f"unknown sense {sense!r}")
-        lead = (len(self._names),)
-        count = np.shape(bounds)[-1]
-        first = len(self._sense)
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= count):
-            raise LpBuildError("row index out of range")
+        """``names`` is None, a function returning the row names, or a list
+        of one such per member."""
+        lead, count, first = (len(self._names),), np.shape(bounds)[-1], len(self._sense)
         self._entries.append(tuple(np.broadcast_to(a, lead + np.shape(a)[-1:])
-                                   for a in (rows + first, np.asarray(cols, dtype=np.int64),
+                                   for a in (np.asarray(rows, dtype=np.int64) + first,
+                                             np.asarray(cols, dtype=np.int64),
                                              np.asarray(coefs, dtype=np.float64))))
-        self._sense += bytes([ord(sense)]) * count
         self._bounds.append(np.broadcast_to(np.asarray(bounds, dtype=np.float64),
                                             lead + (count,)))
+        self._sense += sense.encode() * count
         self._row_records.append((first, count, names))
         return first
 
     def programs(self):
-        """One :class:`LinearProgram` per member, in member order.
-
-        All members' entries are sorted in one stable pass by (member,
-        column, row); repeated entries are summed in emission order and zero
-        sums dropped, as :meth:`LinearProgram.add_rows` does.
-        """
-        members = len(self._names)
-        rows, cols, coefs = (np.concatenate(part, axis=1) for part in zip(*self._entries))
-        if cols.size and (cols.min() < 0 or np.any(cols >= np.array(self._next)[:, None])):
-            raise LpBuildError("column index out of range")
-        num_rows = max(len(self._sense), 1)
-        width = max(self._next, default=1) or 1
-        key = (np.arange(members)[:, None] * width + cols) * num_rows + rows
-        key, coefs = _merge(key.ravel(), coefs.ravel())
+        """One :class:`LinearProgram` per member.  All members' entries are
+        sorted in one stable pass by (member, column, row) and merged as in
+        :meth:`LinearProgram.add_rows`."""
+        num_rows, width = max(len(self._sense), 1), max(max(self._next, default=0), 1)
+        first, limit = np.arange(len(self._names))[:, None] * width, np.array(self._next)[:, None]
+        keys, coefs = [], []
+        while self._entries:  # each block is let go once its keys are made
+            rows, cols, values = self._entries.pop()
+            if cols.size and (cols.min() < 0 or np.any(cols >= limit)):
+                raise LpBuildError("column index out of range")
+            keys.append(((first + cols) * num_rows + rows).ravel())
+            coefs.append(values.ravel())
+        # blocks were taken last first; reversed, every member's entries keep
+        # their emission order, which the merge sums in
+        key, coefs = _merge(np.concatenate(keys[::-1]), np.concatenate(coefs[::-1]))
+        del keys
         member, key = np.divmod(key, width * num_rows)
-        col, row = np.divmod(key, num_rows)
-        col, row = col.astype(np.int32), row.astype(np.int32)
-        cut = np.searchsorted(member, np.arange(members + 1)).tolist()
+        col, row = (a.astype(np.int32) for a in np.divmod(key, num_rows))
+        cut = np.searchsorted(member, np.arange(len(self._names) + 1)).tolist()
         bounds = np.concatenate(self._bounds, axis=1)
         out = []
         for g, (name, records) in enumerate(zip(self._names, self._cols)):

@@ -56,7 +56,7 @@ class CertificationError(lpcore.LpError):
 def _abs_objective(lp, blocks, prefix="absT"):
     """Aux columns s >= |x| for every variable x of each (rows x cols)
     block of column indices; returns the aux columns, whose sum is the size
-    objective.  With an ``lpcore.LpBatch`` the blocks and the result carry
+    objective.  With an ``lpcore._LpBatch`` the blocks and the result carry
     its leading member axis."""
     aux = []
     for idx, cols in enumerate(blocks):
@@ -102,7 +102,7 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
     The rows, their term order and their bounds (signed zeros included) are
     those of writing each row as a LinExpr ``lhs - rhs`` with ``add_eq``.
 
-    ``lp`` may be an ``lpcore.LpBatch``: every argument may then carry its
+    ``lp`` may be an ``lpcore._LpBatch``: every argument may then carry its
     leading member axis.  A product entry that is zero for some members
     but not all is emitted as a zero, which ``add_rows`` drops; terms of
     ``W`` may be padded the same way.
@@ -148,7 +148,7 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
          np.broadcast_to(-(0.0 + np.asarray(center, dtype=float)), const.shape[:-2] + (n,))],
         axis=-1)
     rec, cen_name = names
-    lp.add_rows(*_join(parts, lead), bounds, "=",
+    lp.add_rows(*_join(parts), bounds, "=",
                 names=functools.partial(_recursion_names, rec, cen_name, n, width))
 
 
