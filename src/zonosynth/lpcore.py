@@ -794,10 +794,12 @@ class _LpBatch:
         cut = np.searchsorted(member, np.arange(len(self._names) + 1)).tolist()
         bounds = np.concatenate(self._bounds, axis=1)
         out = []
+        # each member keeps views of the merged arrays, which hold nothing but
+        # the members' entries; every other array of the batch is let go
         for g, (name, records) in enumerate(zip(self._names, self._cols)):
             a, b = cut[g], cut[g + 1]
             lp = LinearProgram(name=name)
-            lp._install(records, (row[a:b].copy(), col[a:b].copy(), coefs[a:b].copy()),
+            lp._install(records, (row[a:b], col[a:b], coefs[a:b]),
                         self._sense, np.ascontiguousarray(bounds[g]),
                         [(first, count, spec[g] if isinstance(spec, list) else spec)
                          for first, count, spec in self._row_records])
