@@ -489,11 +489,9 @@ class _Tagged:
     def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
         names = [None if names is None else functools.partial(_tagged, tag, names)
                  for tag in self.tags]
-        if self.one:
-            return self.target.add_rows(
-                *(np.broadcast_to(a, (1,) + np.shape(a)[-1:])[0]
-                  for a in (rows, cols, coefs, bounds)), sense, names=names[0])
-        return self.target.add_rows(rows, cols, coefs, bounds, sense, names=names)
+        # a LinearProgram reads every array flat, so an axis of one is no matter
+        return self.target.add_rows(rows, cols, coefs, bounds, sense,
+                                    names=names[0] if self.one else names)
 
 
 def emit_subsystem(lp, network, template, sid, alpha_of, k=None,

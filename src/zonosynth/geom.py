@@ -264,16 +264,18 @@ def _union(mask, ndim):
     """The entries of the last ``ndim`` axes that are set for any index of
     the axes before them: one pattern for every member of a batch."""
     mask = np.asarray(mask)
-    return mask.any(axis=tuple(range(mask.ndim - ndim)))
+    return mask if mask.ndim == ndim else mask.any(axis=tuple(range(mask.ndim - ndim)))
 
 
 def _join(parts):
-    """The ``(rows, cols, coefs)`` parts joined along their last axis; the
-    parts of each are broadcast to the leading axes they have in common."""
+    """The ``(rows, cols, coefs)`` parts joined along their last axis.  Parts
+    have no leading axes or a batch's member axis; those without it are
+    broadcast to it where another part has it."""
     joined = []
     for arrays in zip(*parts):
-        lead = np.broadcast_shapes(*(np.shape(a)[:-1] for a in arrays))
-        joined.append(np.concatenate([np.broadcast_to(a, lead + np.shape(a)[-1:])
+        lead = next((np.shape(a)[:-1] for a in arrays if np.ndim(a) > 1), ())
+        joined.append(np.concatenate([a if np.shape(a)[:-1] == lead else
+                                      np.broadcast_to(a, lead + np.shape(a)[-1:])
                                       for a in arrays], axis=-1))
     return tuple(joined)
 
@@ -322,8 +324,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
 
     # [G, c] = outer_cols @ [Lam, lam] with the inner terms moved left:
     # row i*p + j is G[i, j] for j < r and c[i] for j == r
-    cols, coefs, consts = (np.broadcast_to(a, lead + np.shape(a)[-2:]).reshape(lead + (n * p,))
-                           for a in inner)
+    cols, coefs, consts = (np.reshape(a, np.shape(a)[:-2] + (n * p,)) for a in inner)
     own = np.flatnonzero(_union(cols >= 0, 1))
     is_c = np.arange(n * p) % p == r
     ii, qq = np.nonzero(_union(outer_cols, 2))
@@ -343,7 +344,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
     rowsum = np.arange(s) * rq + 2 * p
     cols, coefs, consts = scales
     own = np.flatnonzero(_union(cols >= 0, 1))
-    bounds = np.zeros(np.broadcast_shapes(lead, np.shape(consts)[:-1]) + (s * rq,))
+    bounds = np.zeros(np.shape(consts)[:-1] + (s * rq,))
     bounds[..., rowsum] = consts
     Lam_lam, Wf = Lam_lam.reshape(lead + (-1,)), W.reshape(lead + (-1,))
     one = np.ones(s * p)

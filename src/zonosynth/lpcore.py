@@ -231,7 +231,7 @@ def _merge(key, coefs):
     right from 0.0 and those whose sum is zero dropped: ``(keys, sums)``."""
     order = np.argsort(key, kind="stable")
     key, coefs = key[order], coefs[order]
-    new = np.r_[True, key[1:] != key[:-1]]
+    new = np.concatenate([[True], key[1:] != key[:-1]])
     if not new.all():
         merged = np.zeros(np.count_nonzero(new))
         np.add.at(merged, np.cumsum(new) - 1, coefs)  # in order, unlike reduceat
@@ -257,12 +257,13 @@ class LinearProgram:
     returned :class:`LpSolution`; numerical failures raise
     :class:`LpSolverError`.
 
-    Rows live in one store: COO triplets (row, column, coefficient), sorted
-    by row and then column, plus per-row sense, bound, creation-time rhs and
-    optional name.  :meth:`add_rows` appends a block of rows given as
-    triplets; :meth:`add_eq`/:meth:`add_le`/:meth:`add_ge` append one row
-    given as a LinExpr.  Column bounds and costs are arrays, grown by
-    doubling as columns are added.
+    Rows live in one store: COO triplets (row, column, coefficient), rows
+    ascending within each column, plus per-row sense, bound and
+    creation-time rhs, and the rows' name records.  :meth:`add_rows`
+    appends a block of rows given as triplets; :meth:`add_eq`/
+    :meth:`add_le`/:meth:`add_ge` append one row given as a LinExpr.
+    Column bounds and costs are arrays, grown by doubling as columns are
+    added.
     """
 
     def __init__(self, name="lp"):
@@ -276,7 +277,7 @@ class LinearProgram:
         self._ub = np.zeros(0)
         self._cost = np.zeros(0)
         self._obj_const = 0.0
-        self._coo = []                # (rows, cols, coefs) blocks, in row order
+        self._coo = []                # (rows, cols, coefs) blocks, row- or column-ordered
         self._sense = bytearray()     # "=", "<" or ">" per row
         self._bound = array("d")      # row reads: terms <sense> bound
         self._bound0 = array("d")     # bound at creation time
@@ -573,7 +574,8 @@ class LinearProgram:
         else:
             rows = cols = np.zeros(0, dtype=np.int32)
             coefs = np.zeros(0)
-        # the triplets are in row order, so a stable sort keeps it per column
+        # rows ascend within each column of every block, and later blocks hold
+        # later rows, so a stable sort by column keeps them ascending
         order = np.argsort(cols, kind="stable")
         start = np.zeros(self.num_vars + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=self.num_vars), out=start[1:])

@@ -145,7 +145,7 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
     bounds = np.concatenate(
         [np.concatenate([np.full(const.shape[:-2] + (n, w), -0.0), -const], axis=-1)
          .reshape(const.shape[:-2] + (-1,)),
-         np.broadcast_to(-(0.0 + np.asarray(center, dtype=float)), const.shape[:-2] + (n,))],
+         -(0.0 + np.asarray(center, dtype=float))],
         axis=-1)
     rec, cen_name = names
     lp.add_rows(*_join(parts), bounds, "=",

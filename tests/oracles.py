@@ -6,8 +6,9 @@ enumerating sign patterns and convex hulls.  Slow but trustworthy on small
 instances.  The exceptions are the reference emitters and programs at the
 end: they build the containment rows and the tube-recursion programs one
 LinExpr row at a time (``lpcore``'s row-wise path), to check the block
-emitters against, and the hard extraction as a second LP per subsystem with
-its parameters pinned by equality rows, to check
+emitters against, each potential program for its one subsystem, to check
+the grouped ``build_programs`` against, and the hard extraction as a second
+LP per subsystem with its parameters pinned by equality rows, to check
 ``PotentialProgram.extract`` against.
 """
 
