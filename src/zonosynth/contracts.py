@@ -473,9 +473,10 @@ def _tagged(tag, names):
 
 
 class _Tagged:
-    """What ``emit_subsystem`` writes to: its target with every member's
-    tag in front of the names given to it, and the leading member axis on
-    every array (added and dropped around a single LinearProgram)."""
+    """What ``emit_subsystem`` writes to: its target, with every member's
+    tag in front of the names given to it and the leading member axis on
+    the columns it returns, also for a single LinearProgram (which reads
+    the arrays it is given flat, so an axis of one is no matter to it)."""
 
     def __init__(self, target, tags):
         self.target, self.tags = target, tags
@@ -489,7 +490,6 @@ class _Tagged:
     def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
         names = [None if names is None else functools.partial(_tagged, tag, names)
                  for tag in self.tags]
-        # a LinearProgram reads every array flat, so an axis of one is no matter
         return self.target.add_rows(rows, cols, coefs, bounds, sense,
                                     names=names[0] if self.one else names)
 
