@@ -779,13 +779,13 @@ class _LpBatch:
         sorted in one stable pass by (member, column, row) and merged as in
         :meth:`LinearProgram.add_rows`."""
         num_rows, width = max(len(self._sense), 1), max(max(self._next, default=0), 1)
-        first, limit = np.arange(len(self._names))[:, None] * width, np.array(self._next)[:, None]
+        offset, limit = np.arange(len(self._names))[:, None] * width, np.array(self._next)[:, None]
         keys, coefs = [], []
         while self._entries:  # each block is let go once its keys are made
             rows, cols, values = self._entries.pop()
             if cols.size and (cols.min() < 0 or np.any(cols >= limit)):
                 raise LpBuildError("column index out of range")
-            keys.append(((first + cols) * num_rows + rows).ravel())
+            keys.append(((offset + cols) * num_rows + rows).ravel())
             coefs.append(values.ravel())
         # blocks were taken last first; reversed, every member's entries keep
         # their emission order, which the merge sums in
