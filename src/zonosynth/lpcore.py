@@ -2,9 +2,16 @@
 
 This is the single place in the package that talks to an LP solver: the
 HiGHS bindings that ship inside scipy (``scipy.optimize._highspy``, scipy
->= 1.15).  Models are built incrementally from column indices: variables
-come as int arrays from :meth:`LinearProgram.var_block` and rows a block at
-a time as COO triplets from :meth:`LinearProgram.add_rows`.  Rows and
+>= 1.15).  :func:`_load_highs` finds that one extension file in scipy's
+install folder without importing scipy, loads it and registers it under its
+own module name, so the ``scipy.optimize`` package, whose ``__init__``
+costs about 0.5 s of imports lpcore does not use, is never run.  A later
+``import scipy.optimize`` reuses the registered module; where the file is
+not found, the plain import is used.
+
+Models are built incrementally from column indices: variables come as int
+arrays from :meth:`LinearProgram.var_block` and rows a block at a time as
+COO triplets from :meth:`LinearProgram.add_rows`.  Rows and
 variables can be named, and solutions expose primal values by column, row
 duals by name and column duals (reduced costs) by index.  Names are kept as
 one record per block and spelled out only when asked for (``row_names()``,
@@ -37,7 +44,11 @@ duals of ``=`` and ``>=`` rows are the sensitivity itself.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from array import array
 from contextlib import contextmanager
@@ -49,7 +60,27 @@ import numpy as np
 
 INF = float("inf")
 
-from scipy.optimize._highspy import _core as _hcore  # vendored HiGHS (scipy >= 1.15)
+
+def _load_highs():
+    """scipy's HiGHS extension module, loaded without ``scipy.optimize``."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    for folder in scipy_spec.submodule_search_locations if scipy_spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module  # before exec: scipy.optimize reuses it
+                spec.loader.exec_module(module)
+                return module
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+_hcore = _load_highs()
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

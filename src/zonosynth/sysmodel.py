@@ -173,6 +173,8 @@ class Network:
                 and any(np.any(B) for B in coupling.B)}
 
     def validate(self):
+        if not self.subsystems:
+            raise ConfigError("config needs a non-empty subsystems list")
         if self.mode not in ("finite", "infinite"):
             raise ConfigError(f"mode must be finite|infinite, got {self.mode!r}")
         if self.mode == "finite":
@@ -360,10 +362,14 @@ def network_from_points(points, lam, radius=10.0, template=None):
     X = Zonotope.from_json(tpl["X"])
     U = Zonotope.from_json(tpl["U"])
     D = Zonotope.from_json(tpl["D"])
+    # squared distances, a row at a time, pick a superset of the neighbours;
+    # the per-pair norm then decides, as it rounds differently in the last ulp
+    limit = radius * radius * (1.0 + 1e-9) + np.finfo(float).tiny
     subsystems = []
     for i in range(len(points)):
+        d = points - points[i]
         couplings = {}
-        for j in range(len(points)):
+        for j in np.flatnonzero((d * d).sum(1) <= limit).tolist():
             if i == j:
                 continue
             dist = float(np.linalg.norm(points[i] - points[j]))

@@ -9,7 +9,9 @@ LinExpr row at a time (``lpcore``'s row-wise path), to check the block
 emitters against, each potential program for its one subsystem, to check
 the grouped ``build_programs`` against, and the hard extraction as a second
 LP per subsystem with its parameters pinned by equality rows, to check
-``PotentialProgram.extract`` against.
+``PotentialProgram.extract`` against; and the geometric network built with
+one distance call per pair of points, to check ``network_from_points``'
+neighbour prefilter against.
 """
 
 import itertools
@@ -639,3 +641,30 @@ class ExtractionProgram:
             return None
         assert sol.status == "optimal", sol.status
         return _numeric_solution(sol, self.handles)
+
+
+# ---------------------------------------------------------------------------
+# geometric networks, one distance per pair
+
+
+def network_from_points_pairwise(points, lam, radius=10.0, template=None):
+    """``sysmodel.network_from_points`` with every pair of points tested."""
+    from zonosynth.geom import Zonotope
+    from zonosynth.sysmodel import DEFAULT_GEOMETRIC, Coupling, Network, Subsystem
+
+    points = np.asarray(points, dtype=float)
+    tpl = dict(DEFAULT_GEOMETRIC, **(template or {}))
+    A_ii = np.asarray(tpl["A_ii"], dtype=float)
+    B_ii = np.asarray(tpl["B_ii"], dtype=float)
+    X, U, D = (Zonotope.from_json(tpl[key]) for key in ("X", "U", "D"))
+    subsystems = []
+    for i in range(len(points)):
+        couplings = {}
+        for j in range(len(points)):
+            if i == j:
+                continue
+            dist = float(np.linalg.norm(points[i] - points[j]))
+            if dist < radius:
+                couplings[j] = Coupling((lam / (1.0 + dist) * np.ones((2, 2)),))
+        subsystems.append(Subsystem(i, (A_ii,), (B_ii,), (X,), (U,), (D,), couplings))
+    return Network("infinite", None, subsystems).validate()

@@ -400,21 +400,123 @@ def test_scalar_var_block_is_one_named_column():
     assert lp._col_names == ["x[0]", "x[1]", "d"]
 
 
-def test_only_lpcore_uses_expression_arithmetic():
-    # the package's programs are built from column-index arrays; LinExpr and
-    # its helpers are lpcore's row-wise path, which only tests build with
+def _src_trees():
+    """(file name, parsed module) for every module of the package."""
     import ast
     import pathlib
 
     import zonosynth
 
+    for path in sorted(pathlib.Path(zonosynth.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), str(path))
+
+
+def test_only_lpcore_uses_expression_arithmetic():
+    # the package's programs are built from column-index arrays; LinExpr and
+    # its helpers are lpcore's row-wise path, which only tests build with
+    import ast
+
     banned = {"LinExpr", "lin_sum", "as_expr", "col_exprs"}
     found = []
-    for path in sorted(pathlib.Path(zonosynth.__file__).parent.glob("*.py")):
-        if path.name == "lpcore.py":
+    for name, tree in _src_trees():
+        if name == "lpcore.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(tree):
             names = {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else \
                 {node.attr} if isinstance(node, ast.Attribute) else set()
-            found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & banned)]
+            found += [f"{name}:{node.lineno} {n}" for n in sorted(names & banned)]
     assert found == []
+
+
+def test_only_lpcore_loader_imports_scipy():
+    # importing scipy.optimize costs about 0.5 s at start-up; the package
+    # reaches scipy only through lpcore._load_highs, which loads HiGHS alone
+    import ast
+
+    def scipy_imports(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Call):  # importlib.import_module("scipy...") etc.
+                modules = [a.value for a in node.args
+                           if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                yield node
+
+    found, allowed = [], []
+    for name, tree in _src_trees():
+        loader = [f for f in tree.body if name == "lpcore.py"
+                  and isinstance(f, ast.FunctionDef) and f.name == "_load_highs"]
+        inside = {id(n) for f in loader for n in scipy_imports(f)}
+        allowed += [name for node in scipy_imports(tree) if id(node) in inside]
+        found += [f"{name}:{node.lineno}" for node in scipy_imports(tree)
+                  if id(node) not in inside]
+    assert found == []
+    assert allowed  # the guard sees the loader's own scipy lookups
+
+
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this checkout."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import zonosynth
+
+    src = str(pathlib.Path(zonosynth.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+_SOLVES = """
+lp = lpcore.LinearProgram()
+x = lp.var_block("x", 2, lb=0.0)
+lp.add_rows([0, 0], x, [1.0, 1.0], [1.0], ">")
+lp.set_costs(x, [1.0, 2.0])
+sol = lp.solve()
+assert sol.status == lpcore.OPTIMAL and abs(sol.objective - 1.0) < 1e-9
+"""
+
+
+def test_highs_loads_without_scipy_optimize_and_scipy_reuses_it():
+    _run_fresh("""
+import sys
+import zonosynth.cli
+from zonosynth import lpcore
+heavy = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.sparse") if m in sys.modules]
+assert heavy == [], heavy
+""" + _SOLVES + """
+import scipy.optimize
+import scipy.optimize._highspy._core as core
+assert core is lpcore._hcore
+assert scipy.optimize._linprog_highs.HighsModelStatus is lpcore._hcore.HighsModelStatus
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+assert res.status == 0 and abs(res.fun - 1.0) < 1e-9
+""")
+
+
+def test_highs_loader_reuses_a_module_scipy_loaded_first():
+    _run_fresh("""
+import scipy.optimize
+import scipy.optimize._highspy._core as core
+from zonosynth import lpcore
+assert lpcore._hcore is core
+""" + _SOLVES)
+
+
+def test_highs_loader_falls_back_to_the_import_when_the_file_is_not_found():
+    _run_fresh("""
+import importlib.machinery
+import sys
+importlib.machinery.EXTENSION_SUFFIXES = [".not-an-extension"]
+from zonosynth import lpcore
+assert "scipy.optimize" in sys.modules  # reached through the plain import
+assert lpcore._hcore is sys.modules["scipy.optimize._highspy._core"]
+""" + _SOLVES)

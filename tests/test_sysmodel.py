@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zonosynth.geom import Zonotope
 from zonosynth.sysmodel import (
@@ -15,6 +18,8 @@ from zonosynth.sysmodel import (
     random_network,
     save_network,
 )
+
+import oracles
 
 
 def tiny_config(mode="infinite", horizon=None):
@@ -176,6 +181,61 @@ class TestGeometricFamily:
         assert a == b
         c = network_to_dict(random_network(6, lam=0.1, seed=4))
         assert c != a
+
+
+def assert_same_network(got, want):
+    """Bitwise equal: neighbour ids in the same order, the same coupling
+    bytes, the same serialized network."""
+    assert len(got.subsystems) == len(want.subsystems)
+    for a, b in zip(got.subsystems, want.subsystems):
+        assert list(a.couplings) == list(b.couplings)
+        for j in a.couplings:
+            assert a.couplings[j].A[0].tobytes() == b.couplings[j].A[0].tobytes()
+    assert json.dumps(network_to_dict(got)) == json.dumps(network_to_dict(want))
+
+
+coordinates = st.one_of(
+    st.floats(-40.0, 40.0, allow_nan=False),  # generic distances
+    st.integers(-12, 12).map(float),  # ties: exact distances such as 5 and 10
+    st.sampled_from([0.0, 1e-170, -1e-170, 1e-300]),  # coincident and underflowing
+)
+radii = st.one_of(st.floats(0.0, 60.0), st.sampled_from([0.0, 5.0, 10.0, 13.0, 1e-160]))
+
+
+class TestNeighbourPrefilter:
+    @settings(max_examples=150, deadline=None)
+    @given(points=st.integers(1, 14).flatmap(
+               lambda n: arrays(np.float64, (n, 2), elements=coordinates)),
+           radius=radii, lam=st.floats(0.01, 2.0))
+    def test_matches_pairwise_reference(self, points, radius, lam):
+        assert_same_network(network_from_points(points, lam, radius=radius),
+                            oracles.network_from_points_pairwise(points, lam, radius=radius))
+
+    @pytest.mark.parametrize("radius", [10.0, 0.1, 3.7, 1e-150, 1e150])
+    def test_pair_at_radius_is_out_and_just_inside_is_in(self, radius):
+        inside = np.nextafter(radius, 0.0)
+        points = [(0.0, 0.0), (radius, 0.0), (0.0, inside)]
+        net = network_from_points(points, lam=1.0, radius=radius)
+        assert list(net.subsystem(0).couplings) == [2]
+        assert_same_network(net, oracles.network_from_points_pairwise(points, 1.0, radius=radius))
+
+    def test_one_point_radius_zero_and_custom_template(self):
+        template = {"A_ii": [[0.5, 0.0], [0.1, 0.5]], "B_ii": [[1.0], [0.0]]}
+        for points in ([(1.0, 2.0)], [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]):
+            for radius in (0.0, 10.0):
+                got = network_from_points(points, 0.3, radius=radius, template=template)
+                assert_same_network(got, oracles.network_from_points_pairwise(
+                    points, 0.3, radius=radius, template=template))
+                assert np.array_equal(got.subsystems[0].A_at(0), template["A_ii"])
+                if radius == 0.0:
+                    assert all(not s.couplings for s in got.subsystems)
+
+
+def test_empty_network_is_rejected():
+    with pytest.raises(ConfigError, match="non-empty subsystems"):
+        random_network(0, 0.1)
+    with pytest.raises(ConfigError, match="non-empty subsystems"):
+        network_from_points([], 0.1)
 
 
 class TestAggregate:
