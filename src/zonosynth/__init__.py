@@ -3,7 +3,7 @@
 Subpackages/modules:
 
 - ``geom``      zonotopes and the LP-based set operations on them
-- ``lpcore``    named sparse linear programs (HiGHS)
+- ``lpcore``    sparse linear programs over column and row indices (HiGHS)
 - ``sysmodel``  network/subsystem data model and JSON I/O
 - ``viability`` finite-horizon viable sets and robust control invariant sets
 - ``contracts`` parametric assume-guarantee contracts and the potential function

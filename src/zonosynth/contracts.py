@@ -231,7 +231,7 @@ def admissible_set(sub, channel, t):
     return sub.X_at(t) if channel == "x" else sub.U_at(t)
 
 
-def add_promise_admissibility(lp, alpha, center, cols, admissible, prefix):
+def add_promise_admissibility(lp, alpha, center, cols, admissible):
     """Rows for the promise Z(center, cols @ Diag(alpha)) inside the set
     ``admissible``; ``alpha`` holds the multipliers' column indices."""
     n, q = np.shape(cols)
@@ -240,7 +240,7 @@ def add_promise_admissibility(lp, alpha, center, cols, admissible, prefix):
                    np.column_stack([np.zeros((n, q)), center]))
     add_scaled_containment(lp, inner, admissible.generators,
                            numbers(np.ones(admissible.num_generators)),
-                           admissible.center, prefix)
+                           admissible.center)
 
 
 def _max_alpha_lp(center, cols, admissible):
@@ -248,8 +248,8 @@ def _max_alpha_lp(center, cols, admissible):
     if q == 0:
         return np.zeros(0)
     lp = LinearProgram(name="alphamax")
-    a = lp.var_block("a", q, lb=0.0, ub=ALPHA_CAP)
-    add_promise_admissibility(lp, a, center, cols, admissible, "fit")
+    a = lp.var_block(q, lb=0.0, ub=ALPHA_CAP)
+    add_promise_admissibility(lp, a, center, cols, admissible)
     lp.set_costs(a, -1.0)
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL:
@@ -463,35 +463,22 @@ class SubsystemHandles:
     d_x: np.ndarray  # slack per state step (empty without slack)
     d_u: np.ndarray  # slack per input step (empty without slack or inputs)
     W: list  # per step: W_i's columns in the form of _w_columns
-    witness: dict  # row prefix -> containment handles, cut to the promise's rows
+    witness: dict  # containment key -> its handles, cut to the promise's rows
     slack_cols: np.ndarray  # witness columns of the slack's identity columns
 
 
-def _tagged(tag, names):
-    """The row names ``names()`` with ``tag`` in front (None stays None)."""
-    return [None if name is None else tag + name for name in names()]
+class _OneMember:
+    """A single LinearProgram written to as a batch of one member: the
+    columns it returns carry a leading member axis of one.  Its
+    ``add_rows`` reads the arrays it is given flat, so the axis is no
+    matter to it."""
 
+    def __init__(self, lp):
+        self.add_rows = lp.add_rows
+        self._var_block = lp.var_block
 
-class _Tagged:
-    """What ``emit_subsystem`` writes to: its target, with every member's
-    tag in front of the names given to it and the leading member axis on
-    the columns it returns, also for a single LinearProgram (which reads
-    the arrays it is given flat, so an axis of one is no matter to it)."""
-
-    def __init__(self, target, tags):
-        self.target, self.tags = target, tags
-        self.one = isinstance(target, LinearProgram)
-
-    def var_block(self, name, shape, lb=-lpcore.INF, ub=lpcore.INF):
-        if self.one:
-            return self.target.var_block(self.tags[0] + name, shape, lb, ub)[None]
-        return self.target.var_block([tag + name for tag in self.tags], shape, lb, ub)
-
-    def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
-        names = [None if names is None else functools.partial(_tagged, tag, names)
-                 for tag in self.tags]
-        return self.target.add_rows(rows, cols, coefs, bounds, sense,
-                                    names=names[0] if self.one else names)
+    def var_block(self, shape, lb=-lpcore.INF, ub=lpcore.INF):
+        return self._var_block(shape, lb, ub)[None]
 
 
 def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
@@ -505,9 +492,9 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     identity; their sum is this subsystem's potential share.  With
     ``slack=False`` the containments are hard, which is what a centralized
     program wants.  The handles of the containment witnesses are kept,
-    keyed by the row prefix without the subsystem tag ("inC0", "term",
-    "inU0", ...) and cut to the rows of the promise itself; the witness
-    columns of the identity columns go to ``slack_cols``.
+    keyed by the containment ("inC0", "term", "inU0", ...) and cut to the
+    rows of the promise itself; the witness columns of the identity columns
+    go to ``slack_cols``.
 
     The same code emits a group of subsystems at once: ``lp`` an
     ``lpcore._LpBatch`` with one member per id in the list ``sid``, and
@@ -517,7 +504,7 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     """
     one = isinstance(lp, LinearProgram)
     sids, alpha_of = ([sid], [alpha_of]) if one else (list(sid), list(alpha_of))
-    lp = _Tagged(lp, [f"s{s}" for s in sids])
+    lp = _OneMember(lp) if one else lp
     subs = [network.subsystem(s) for s in sids]
     n, m = subs[0].n, subs[0].m
     steps = network.num_steps
@@ -538,15 +525,15 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     if finite:
         for t in range(steps):
             widths.append(widths[-1] + p_red[t])
-    T = [lp.var_block(f":T{t}", (n, widths[t])) for t in range(steps_x)]
-    xbar = [lp.var_block(f":x{t}", n) for t in range(steps_x)]
-    M = [lp.var_block(f":M{t}", (m, widths[t])) for t in range(steps)] if m else None
-    ubar = [lp.var_block(f":u{t}", m) for t in range(steps)] if m else None
+    T = [lp.var_block((n, widths[t])) for t in range(steps_x)]
+    xbar = [lp.var_block(n) for _ in range(steps_x)]
+    M = [lp.var_block((m, widths[t])) for t in range(steps)] if m else None
+    ubar = [lp.var_block(m) for _ in range(steps)] if m else None
     none = np.zeros((len(sids), 0), dtype=np.int64)
-    d_x = np.column_stack([lp.var_block(f":dx{t}", 1, lb=0.0)[:, 0]
-                           for t in range(steps_x)]) if slack else none
-    d_u = np.column_stack([lp.var_block(f":du{t}", 1, lb=0.0)[:, 0]
-                           for t in range(steps)]) if slack and m else none
+    d_x = np.column_stack([lp.var_block(1, lb=0.0)[:, 0]
+                           for _ in range(steps_x)]) if slack else none
+    d_u = np.column_stack([lp.var_block(1, lb=0.0)[:, 0]
+                           for _ in range(steps)]) if slack and m else none
 
     alpha_cols = [[[None if block.kind == "local" else
                     alpha_of[g](block.source, "x" if block.kind == "state" else "u", t)
@@ -563,8 +550,7 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
         add_recursion(lp, np.stack([sub.A_at(t) for sub in subs]),
                       np.stack([sub.B_at(t) for sub in subs]), T[t], M[t] if m else None,
                       xbar[t], ubar[t] if m else None, stacked_w,
-                      T[t + 1] if finite else T[0], xbar[t + 1] if finite else xbar[0],
-                      (f":rec[{t},", f":cen[{t},"))
+                      T[t + 1] if finite else T[0], xbar[t + 1] if finite else xbar[0])
 
     witness, slack_cols = {}, [none]
 
@@ -585,7 +571,7 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
             scales = tuple(np.concatenate([np.broadcast_to(a, (len(sids), np.shape(a)[-1])), b],
                                           axis=-1) for a, b in zip(scales, extra))
         h = add_scaled_containment(lp, affine(np.concatenate([G, c[..., None]], axis=-1)),
-                                   outer_cols, scales, outer_c, f":{key}")
+                                   outer_cols, scales, outer_c)
         witness[key] = {name: h[name][:, :q] for name in ("Lam", "lam", "W")}
         slack_cols.extend([h["Lam"][:, q:].reshape(len(sids), -1), h["lam"][:, q:],
                            h["W"][:, q:].reshape(len(sids), -1)])
@@ -654,7 +640,7 @@ class PotentialEval:
 class PotentialProgram:
     """Subsystem ``sid``'s one LP: V_i, its gradient and the hard extraction.
 
-    Every multiplier the subsystem reads is a column ``al:*`` fixed at its
+    Every multiplier the subsystem reads is a column fixed at its
     value by its bounds; moving to new parameters sets those bounds in one
     call, so every solve after the first is a warm re-solve, and the fixed
     columns' reduced costs are dV_i/dalpha.  The objective is the slack sum
@@ -838,7 +824,7 @@ def _build_group(network, template, sids, k, reduction_order):
         if key not in alphas[g]:
             entries = template.state[j] if channel == "x" else template.input[j]
             q = _at(entries, t)[1].shape[1]
-            alphas[g][key] = batch.member_block(g, f"al:{channel}:{j}:{t}", q, lb=0.0, ub=0.0)
+            alphas[g][key] = batch.member_block(g, q, lb=0.0, ub=0.0)
         return alphas[g][key]
 
     # own promises first, in step order, so gradient layout is stable
@@ -853,8 +839,7 @@ def _build_group(network, template, sids, k, reduction_order):
     handles = emit_subsystem(batch, network, template, sids,
                              [functools.partial(alpha_of, g) for g in range(len(sids))],
                              k=k, reduction_order=reduction_order, slack=True)
-    size = _abs_objective(batch, [np.stack(T) for T in zip(*(h.T for h in handles))],
-                          prefix="size")
+    size = _abs_objective(batch, [np.stack(T) for T in zip(*(h.T for h in handles))])
     return {sid: PotentialProgram(sid, lp, h, alpha, cols) for sid, lp, h, alpha, cols
             in zip(sids, batch.programs(), handles, alphas, size)}
 

@@ -24,7 +24,6 @@ LP.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,18 +279,7 @@ def _join(parts):
     return tuple(joined)
 
 
-def _containment_names(prefix, n, p, r):
-    return [f"{prefix}:G[{i},{j}]" if j < r else f"{prefix}:c[{i}]"
-            for i in range(n) for j in range(p)]
-
-
-def _rowsum_names(prefix, s, rq):
-    names = [None] * (s * rq)
-    names[rq - 1::rq] = [f"{prefix}:rowsum[{q}]" for q in range(s)]
-    return names
-
-
-def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
+def add_scaled_containment(lp, inner, outer_cols, scales, outer_c):
     """Emit rows forcing Z(c, G) inside Z(outer_c, outer_cols @ Diag(scales)).
 
     ``inner`` is the body ``[G c]`` (n x r+1) and ``scales`` the s scales
@@ -300,12 +288,13 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
     ``outer_cols`` (n x s) is numeric.  Returns a dict of handles: the column
     indices of the substituted factor ``Lambda = Diag(scale) @ Gamma``
     ("Lam", s x r), of ``lam`` (s,) and of the row-sum bounds ``W`` (s x
-    r+1), and the names of the row-sum rows (whose duals carry the scale
-    sensitivities).
+    r+1).
 
     The rows are, in order: for every i, ``G[i, j]`` (j < r) and ``c[i]``
-    equalities; then for every q, two rows ``|[Lam lam][q, j]| <= W[q, j]``
-    per j and the named ``rowsum[q]`` row.
+    equalities (row ``i * (r+1) + j`` of the block); then for every q, two
+    rows ``|[Lam lam][q, j]| <= W[q, j]`` per j and the row-sum row
+    ``sum_j W[q, j] <= scale[q]`` (row ``(2r+3) q + 2r+2`` of the second
+    block), whose dual carries the scale's sensitivity.
 
     ``lp`` may be an :class:`lpcore._LpBatch`: every argument may then carry
     the batch's leading member axis, and so do the handles.  Entries that
@@ -316,9 +305,9 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
     n, s = outer_cols.shape[-2:]
     p = np.shape(inner[0])[-1]  # columns of [Lam lam], rows per i of the equality block
     r = p - 1
-    Lam = lp.var_block(f"{prefix}:L", (s, r))
-    lam = lp.var_block(f"{prefix}:l", s)
-    W = lp.var_block(f"{prefix}:W", (s, p), lb=0.0)
+    Lam = lp.var_block((s, r))
+    lam = lp.var_block(s)
+    W = lp.var_block((s, p), lb=0.0)
     lead = lam.shape[:-1]
     Lam_lam = np.concatenate([Lam, lam[..., None]], axis=-1)
 
@@ -335,7 +324,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
                  (own, cols[..., own], np.where(is_c[own], coefs[..., own], -coefs[..., own]))]),
         np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p, axis=-1)),
                  consts),
-        "=", names=functools.partial(_containment_names, prefix, n, p, r))
+        "=")
 
     # per q: +/-[Lam lam][q, j] - W[q, j] <= 0 in rows q*rq + 2j, q*rq + 2j + 1,
     # then the row sum sum_j W[q, j] - scale[q] <= 0 in row q*rq + 2p
@@ -352,9 +341,8 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, prefix):
         *_join([(plus, Lam_lam, one), (plus, Wf, -one), (plus + 1, Lam_lam, -one),
                 (plus + 1, Wf, -one), (np.repeat(rowsum, p), Wf, one),
                 (rowsum[own], cols[..., own], -coefs[..., own])]),
-        bounds, "<", names=functools.partial(_rowsum_names, prefix, s, rq))
-    return {"Lam": Lam, "lam": lam, "W": W,
-            "rowsum_names": [f"{prefix}:rowsum[{q}]" for q in range(s)]}
+        bounds, "<")
+    return {"Lam": Lam, "lam": lam, "W": W}
 
 
 @dataclass
@@ -373,7 +361,7 @@ def containment_lp(inner, outer):
     lp = LinearProgram(name="containment")
     handles = add_scaled_containment(lp, _body(inner), outer.generators,
                                      numbers(np.ones(outer.num_generators)),
-                                     outer.center, "ct")
+                                     outer.center)
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL:
         return ContainmentCertificate(False, solve_seconds=sol.solve_seconds)
@@ -394,10 +382,10 @@ def directed_hausdorff(outer, inner):
         raise ValueError("dimension mismatch")
     n, s = inner.dim, outer.num_generators
     lp = LinearProgram(name="hausdorff")
-    d = lp.var_block("d", (), lb=0.0)
+    d = lp.var_block((), lb=0.0)
     scales = affine(np.r_[np.full(s, -1), np.full(n, d)], 1.0, np.r_[np.ones(s), np.zeros(n)])
     add_scaled_containment(lp, _body(inner), np.hstack([outer.generators, np.eye(n)]),
-                           scales, outer.center, "dh")
+                           scales, outer.center)
     lp.set_costs([d], 1.0)
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL:
@@ -469,9 +457,9 @@ def membership_lp(Z, x):
     """
     n, p = Z.generators.shape
     lp = LinearProgram(name="member")
-    zeta = lp.var_block("z", p)
-    q = lp.var_block("q", (), lb=0.0)  # column p
-    point = lp.var_block("x", n)
+    zeta = lp.var_block(p)
+    q = lp.var_block((), lb=0.0)  # column p
+    point = lp.var_block(n)
     x = np.asarray(x, dtype=float)
     lp.set_col_bounds(point, x, x)
     ii, kk = np.nonzero(Z.generators)

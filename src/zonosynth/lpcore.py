@@ -1,4 +1,4 @@
-"""Sparse linear programs with named rows, duals, and cheap warm updates.
+"""Sparse linear programs over column and row indices, with cheap warm updates.
 
 This is the single place in the package that talks to an LP solver: the
 HiGHS bindings that ship inside scipy (``scipy.optimize._highspy``, scipy
@@ -9,16 +9,14 @@ costs about 0.5 s of imports lpcore does not use, is never run.  A later
 ``import scipy.optimize`` reuses the registered module; where the file is
 not found, the plain import is used.
 
-Models are built incrementally from column indices: variables come as int
-arrays from :meth:`LinearProgram.var_block` and rows a block at a time as
-COO triplets from :meth:`LinearProgram.add_rows`.  Rows and
-variables can be named, and solutions expose primal values by column, row
-duals by name and column duals (reduced costs) by index.  Names are kept as
-one record per block and spelled out only when asked for (``row_names()``,
-``_col_names``, ``to_lp_text``, ``set_rhs``, ``dual(name)``); a name used
-twice raises :class:`LpBuildError` then, or at once for explicit row names
-and ``var``.  :class:`_LpBatch` builds programs of one row structure
-together, as arrays with a leading member axis.
+Models are built incrementally from indices: variables come as int arrays
+of column indices from :meth:`LinearProgram.var_block`, and rows a block at
+a time as COO triplets from :meth:`LinearProgram.add_rows`, which returns
+the index of the block's first row.  Rows and columns have no names; a
+program has one ``name``, for its messages.  Solutions expose primal values
+and column duals (reduced costs) by column index and row duals by row
+index.  :class:`_LpBatch` builds programs of one row structure together, as
+arrays with a leading member axis.
 
 Column bounds and costs are kept as arrays.  The solver instance stays alive
 between solves, so :meth:`LinearProgram.set_col_bounds`,
@@ -28,17 +26,17 @@ in place (one HiGHS call for a whole block of columns),
 re-solve from the last basis.  Reported times are in-solver seconds.
 
 :class:`LinExpr` (a sparse affine expression) with ``var``, ``add_eq``/
-``add_le``/``add_ge``, ``set_rhs``, ``minimize`` and ``value`` is the
-row-at-a-time path: one row per call, written as expression arithmetic.
-The package's programs do not use it; it stays as the plain reference that
-the block emitters are tested against.
+``add_le``/``add_ge``, ``minimize`` and ``value`` is the row-at-a-time
+path: one row per call, written as expression arithmetic, each call
+returning its row's index.  The package's programs do not use it; it stays
+as the plain reference that the block emitters are tested against.
 
 Sign conventions
 ----------------
-``LpSolution.sensitivity(name)`` is always d(objective)/d(rhs) for the named
-row.  ``LpSolution.dual(name)`` applies the textbook sign convention for a
-minimization: duals of ``<=`` rows are >= 0 (i.e. the negated sensitivity),
-duals of ``=`` and ``>=`` rows are the sensitivity itself.
+``LpSolution.sensitivity(row)`` is always d(objective)/d(rhs) of row
+``row``.  ``LpSolution.dual(row)`` applies the textbook sign convention for
+a minimization: duals of ``<=`` rows are >= 0 (i.e. the negated
+sensitivity), duals of ``=`` and ``>=`` rows are the sensitivity itself.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ class LpError(Exception):
 
 
 class LpBuildError(LpError):
-    """Raised for malformed models (duplicate names, bad shapes, ...)."""
+    """Raised for malformed models (bad shapes, indices out of range, ...)."""
 
 
 class LpSolverError(LpError):
@@ -245,16 +243,7 @@ def col_exprs(cols):
 # --------------------------------------------------------------------------
 # the program
 
-_EQ, _LE, _GE = ord("="), ord("<"), ord(">")
-
-
-def _default_row_index(name):
-    """k if ``name`` is "r<k>", the default name of an unnamed row k; else None."""
-    digits = name[1:]
-    if name[:1] == "r" and digits.isascii() and digits.isdigit() \
-            and str(int(digits)) == digits:
-        return int(digits)
-    return None
+_LE, _GE = ord("<"), ord(">")
 
 
 def _merge(key, coefs):
@@ -271,16 +260,6 @@ def _merge(key, coefs):
     return key[keep], coefs[keep]
 
 
-def _block_names(name, shape):
-    """``name[i]`` / ``name[i,j]`` for every index of ``shape`` in C order;
-    ``[name]`` for shape ``()``."""
-    tags = [""]
-    for axis, size in enumerate(shape):
-        sep = "," if axis else ""
-        tags = [f"{tag}{sep}{k}" for tag in tags for k in range(size)]
-    return [f"{name}[{tag}]" for tag in tags] if shape else [name]
-
-
 class LinearProgram:
     """Incrementally built LP, solved by HiGHS.
 
@@ -290,20 +269,15 @@ class LinearProgram:
 
     Rows live in one store: COO triplets (row, column, coefficient), rows
     ascending within each column, plus per-row sense, bound and
-    creation-time rhs, and the rows' name records.  :meth:`add_rows`
-    appends a block of rows given as triplets; :meth:`add_eq`/
-    :meth:`add_le`/:meth:`add_ge` append one row given as a LinExpr.
-    Column bounds and costs are arrays, grown by doubling as columns are
-    added.
+    creation-time rhs.  :meth:`add_rows` appends a block of rows given as
+    triplets; :meth:`add_eq`/:meth:`add_le`/:meth:`add_ge` append one row
+    given as a LinExpr.  Column bounds and costs are arrays, grown by
+    doubling as columns are added.
     """
 
     def __init__(self, name="lp"):
         self.name = name
         self._num_cols = 0
-        self._col_records = []        # (first, name, shape, lb, ub) per block of columns
-        self._cols_named = 0          # records whose names are spelled out
-        self._col_name_list = []
-        self._name_to_col = {}
         self._lb = np.zeros(0)        # column arrays, valid up to num_vars
         self._ub = np.zeros(0)
         self._cost = np.zeros(0)
@@ -313,10 +287,6 @@ class LinearProgram:
         self._bound = array("d")      # row reads: terms <sense> bound
         self._bound0 = array("d")     # bound at creation time
         self._rhs0 = array("d")       # scalar rhs at creation (set_rhs shifts relative to it)
-        self._row_names = []          # name, or None for the default "r<index>"
-        self._pending_names = []       # (first, count, names) not yet in _row_names
-        self._name_to_row = {}        # explicit names only
-        self._claimed_defaults = set()  # k of every explicit name "r<k>"
         self._structure_version = 0
         self._solver = None
         self._built_version = -1
@@ -333,135 +303,50 @@ class LinearProgram:
     def num_rows(self):
         return len(self._sense)
 
-    @property
-    def _col_names(self):
-        """Every column's name, spelled out from the block records."""
-        self._spell_cols()
-        return self._col_name_list
+    def var(self, lb=-INF, ub=INF):
+        """Create a variable; returns it as a single-term LinExpr."""
+        return LinExpr({int(self.var_block((), lb, ub)): 1.0})
 
-    def _spell_cols(self):
-        """Spell out the names of columns added since the last call; returns
-        the name -> column map of every column."""
-        for first, name, shape, _, _ in self._col_records[self._cols_named:]:
-            names = _block_names(name, shape)
-            new = dict(zip(names, range(first, first + len(names))))
-            if len(new) != len(names) or not self._name_to_col.keys().isdisjoint(new):
-                dup = next(n for n in names if n in self._name_to_col or names.count(n) > 1)
-                raise LpBuildError(f"duplicate variable name {dup!r}")
-            self._name_to_col.update(new)
-            self._col_name_list.extend(names)
-            self._cols_named += 1
-        return self._name_to_col
-
-    def _add_cols(self, name, shape, lb, ub):
+    def var_block(self, shape, lb=-INF, ub=INF):
+        """Fresh variables, one per index of ``shape`` in C order (shape
+        ``()``: one variable); returns their column indices as an int array
+        of ``shape``."""
+        shape = (shape,) if np.isscalar(shape) else tuple(shape)
         first = self._num_cols
-        stop = first + int(np.prod(shape, dtype=np.int64))
+        stop = first + math.prod(shape)
         if stop > len(self._lb):
             extra = np.zeros(max(stop, 2 * len(self._lb)) - len(self._lb))
             self._lb, self._ub, self._cost = (
                 np.concatenate([a, extra]) for a in (self._lb, self._ub, self._cost))
         self._lb[first:stop] = float(lb)
         self._ub[first:stop] = float(ub)
-        self._col_records.append((first, name, shape, lb, ub))
         self._num_cols = stop
         self._structure_version += 1
-        return first
+        return np.arange(first, stop).reshape(shape)
 
-    def var(self, name=None, lb=-INF, ub=INF):
-        """Create a variable; returns it as a single-term LinExpr."""
-        col = self._num_cols
-        name = f"v{col}" if name is None else name
-        if name in self._spell_cols():
-            raise LpBuildError(f"duplicate variable name {name!r}")
-        self._add_cols(name, (), lb, ub)
-        return LinExpr({col: 1.0})
+    def var_array(self, shape, lb=-INF, ub=INF):
+        """Array of fresh variables of ``shape``, as LinExpr."""
+        return col_exprs(self.var_block(shape, lb=lb, ub=ub))
 
-    def var_block(self, name, shape, lb=-INF, ub=INF):
-        """Fresh variables ``name[i]`` / ``name[i,j]`` in C order (shape
-        ``()``: the one variable ``name``); returns their column indices as
-        an int array of ``shape``."""
-        shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        first = self._add_cols(name, shape, lb, ub)
-        return np.arange(first, self._num_cols).reshape(shape)
-
-    def var_array(self, name, shape, lb=-INF, ub=INF):
-        """Array of fresh variables named ``name[i]`` / ``name[i,j]``, as LinExpr."""
-        return col_exprs(self.var_block(name, shape, lb=lb, ub=ub))
-
-    def _install(self, col_records, entries, sense, bounds, row_records):
-        """Make this empty program the given model: block records of columns
-        and rows, the matrix ``(rows, cols, coefs)`` in column order, one
-        sense byte and one bound per row."""
-        sizes = [math.prod(record[2]) for record in col_records]
-        self._col_records = col_records
+    def _install(self, col_records, entries, sense, bounds):
+        """Make this empty program the given model: ``(size, lb, ub)`` per
+        block of columns, the matrix ``(rows, cols, coefs)`` in column
+        order, one sense byte and one bound per row."""
+        sizes = [record[0] for record in col_records]
         self._num_cols = sum(sizes)
         self._lb, self._ub = (np.repeat(np.array([record[i] for record in col_records],
-                                                 dtype=float), sizes) for i in (3, 4))
+                                                 dtype=float), sizes) for i in (1, 2))
         self._cost = np.zeros(self._num_cols)
         self._coo = [entries]
         self._sense = bytearray(sense)
         self._bound.frombytes(bounds.tobytes())
         self._bound0.frombytes(bounds.tobytes())
         self._rhs0.frombytes(bytes(8 * len(bounds)))  # 0.0
-        self._pending_names = row_records
         self._structure_version += 1
 
     # -- constraints ---------------------------------------------------------
 
-    def _claim_row_names(self, names, first):
-        """Check and record the names of new rows ``first``, ``first + 1``, ...
-
-        ``None`` stands for the default name "r<index>", which must not
-        clash with an explicit name either way round.
-        """
-        named = {name: k for k, name in enumerate(names, first) if name is not None}
-        stop = first + len(names)
-        clash = [n for n in named if n in self._name_to_row]
-        if len(named) != len(names) - names.count(None):
-            clash.append(next(n for n in named if names.count(n) > 1))
-        claims = {}
-        for name in named:
-            k = _default_row_index(name)
-            if k is None:
-                continue
-            claims[k] = name
-            if (k < first and self._row_names[k] is None) or \
-                    (first <= k < stop and names[k - first] is None):
-                clash.append(name)
-        clash += [f"r{k}" for k in self._claimed_defaults
-                  if first <= k < stop and names[k - first] is None]
-        if clash:
-            raise LpBuildError(f"duplicate row name {clash[0]!r}")
-        self._name_to_row.update(named)
-        self._claimed_defaults.update(claims)
-        self._row_names.extend(names)
-
-    def _spell_rows(self):
-        """Spell out and claim, in row order, the names of the row blocks
-        whose names were left for later; returns ``_row_names``."""
-        while self._pending_names:
-            first, count, names = self._pending_names[0]
-            names = [None] * count if names is None else list(names())
-            if len(names) != count:
-                raise LpBuildError(f"{len(names)} names for {count} rows")
-            self._claim_row_names(names, first)
-            del self._pending_names[0]
-        return self._row_names
-
-    def _name_rows(self, names, first, count):
-        """Record the names of new rows ``first``, ... ``first + count - 1``:
-        a list is checked now, a function (or None behind rows whose names
-        are still to be spelled out) when the names are first needed."""
-        if callable(names) or (names is None and self._pending_names):
-            self._pending_names.append((first, count, names))
-            return
-        names = [None] * count if names is None else list(names)
-        if len(names) != count:
-            raise LpBuildError(f"{len(names)} names for {count} rows")
-        self._spell_rows()
-        self._claim_row_names(names, first)
-
-    def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
+    def add_rows(self, rows, cols, coefs, bounds, sense):
         """Append a block of rows given as COO triplets; returns the index of
         its first row.
 
@@ -469,13 +354,11 @@ class LinearProgram:
         ``sum(coefs[e] * x[cols[e]] over e with rows[e] == k) <sense> bounds[k]``
         with one ``sense`` ("=", "<" or ">") for the block.  Repeated
         (row, column) entries are summed left to right from 0.0, and
-        entries whose coefficient is then zero are dropped.  ``names`` holds a
-        name or None (the default "r<index>") per row, or is a function that
-        returns that list when the names are first needed.  The rows count as
-        created with right-hand side 0, which is what :meth:`set_rhs` values
-        are taken relative to.  A live solver instance takes the block in
-        one call and keeps its basis, so the next ``solve()`` is a warm
-        re-solve.
+        entries whose coefficient is then zero are dropped.  The rows count
+        as created with right-hand side 0, which is what :meth:`set_rhs`
+        values are taken relative to.  A live solver instance takes the
+        block in one call and keeps its basis, so the next ``solve()`` is a
+        warm re-solve.
         """
         if sense not in ("=", "<", ">"):
             raise LpBuildError(f"unknown sense {sense!r}")
@@ -491,8 +374,6 @@ class LinearProgram:
                           or cols.min() < 0 or cols.max() >= ncol):
             raise LpBuildError("row or column index out of range")
         first = self.num_rows
-        self._name_rows(names, first, count)
-
         width = max(ncol, 1)
         key, coefs = _merge(rows * width + cols, coefs)
         local, cols = (key // width).astype(np.int32), (key % width).astype(np.int32)
@@ -513,22 +394,25 @@ class LinearProgram:
             self._size = (rows + count, ncols, nnz + len(coefs))
         return first
 
-    def _add_one_row(self, lhs, rhs, sense, name):
+    def _add_one_row(self, lhs, rhs, sense):
         rhs_expr = as_expr(rhs)
         expr = as_expr(lhs) - rhs_expr
         idx = self.add_rows(np.zeros(len(expr.terms), dtype=np.int64), list(expr.terms),
-                            list(expr.terms.values()), [-expr.const], sense, names=[name])
+                            list(expr.terms.values()), [-expr.const], sense)
         self._rhs0[idx] = rhs_expr.const
-        return f"r{idx}" if name is None else name
+        return idx
 
-    def add_eq(self, lhs, rhs=0.0, name=None):
-        return self._add_one_row(lhs, rhs, "=", name)
+    def add_eq(self, lhs, rhs=0.0):
+        """Append the row ``lhs = rhs``; returns its index."""
+        return self._add_one_row(lhs, rhs, "=")
 
-    def add_le(self, lhs, rhs=0.0, name=None):
-        return self._add_one_row(lhs, rhs, "<", name)
+    def add_le(self, lhs, rhs=0.0):
+        """Append the row ``lhs <= rhs``; returns its index."""
+        return self._add_one_row(lhs, rhs, "<")
 
-    def add_ge(self, lhs, rhs=0.0, name=None):
-        return self._add_one_row(lhs, rhs, ">", name)
+    def add_ge(self, lhs, rhs=0.0):
+        """Append the row ``lhs >= rhs``; returns its index."""
+        return self._add_one_row(lhs, rhs, ">")
 
     def minimize(self, expr):
         expr = as_expr(expr)
@@ -565,32 +449,25 @@ class LinearProgram:
         if self._live():
             self._solver.changeColsCost(len(cols), cols, self._cost[cols])
 
-    def _row_index(self, name):
-        self._spell_rows()
-        idx = self._name_to_row.get(name)
-        if idx is None:
-            idx = _default_row_index(name)
-            if idx is None or idx >= self.num_rows or self._row_names[idx] is not None:
-                raise LpBuildError(f"no row named {name!r}")
-        return idx
+    def _row(self, row):
+        """``row`` as a checked row index."""
+        if not 0 <= row < self.num_rows:
+            raise LpBuildError(f"no row {row!r} in {self.name!r}")
+        return row
 
-    def set_rhs(self, name, value):
-        """Update the right-hand side of a named row in place.
+    def set_rhs(self, row, value):
+        """Update the right-hand side of row ``row`` (an index) in place.
 
         This re-uses the live solver model, so the next ``solve()`` is a warm
         re-solve.  ``value`` has the same meaning as the ``rhs`` argument the
         row was created with.
         """
-        idx = self._row_index(name)
+        idx = self._row(row)
         bound = self._bound0[idx] + (float(value) - self._rhs0[idx])
         self._bound[idx] = bound
         sense = self._sense[idx]
         self._pending_row_bounds[idx] = (-INF if sense == _LE else bound,
                                          INF if sense == _GE else bound)
-
-    def row_names(self):
-        return [f"r{k}" if name is None else name
-                for k, name in enumerate(self._spell_rows())]
 
     def _senses(self):
         return np.frombuffer(self._sense, dtype=np.uint8).copy()
@@ -707,51 +584,6 @@ class LinearProgram:
         solver.run()
         return solver.getModelStatus()
 
-    # -- text dump -----------------------------------------------------------
-
-    def to_lp_text(self):
-        """Deterministic CPLEX-LP-style dump, for debugging and golden tests."""
-        start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
-        out = [f"\\ {self.name}", "Minimize"]
-        col_names = self._col_names
-        used = np.flatnonzero(cost)
-        terms = " ".join(f"{v:+.12g} {col_names[c]}"
-                         for c, v in zip(used.tolist(), cost[used].tolist()))
-        out.append(f" obj: {terms if terms else '0'}")
-        if self._obj_const:
-            out.append(f"\\ objective constant {self._obj_const:+.12g}")
-        out.append("Subject To")
-        # row-major view of the CSC arrays; a stable sort keeps columns ascending
-        cols = np.repeat(np.arange(self.num_vars), np.diff(start))
-        order = np.argsort(index, kind="stable")
-        cols, coefs = cols[order].tolist(), value[order].tolist()
-        ends = np.cumsum(np.bincount(index, minlength=self.num_rows)).tolist()
-        rlo, rhi = rlo.tolist(), rhi.tolist()
-        begin = 0
-        for r, (name, sense, end) in enumerate(zip(self.row_names(), self._sense, ends)):
-            lhs = " ".join(f"{v:+.12g} {col_names[c]}"
-                           for c, v in zip(cols[begin:end], coefs[begin:end]))
-            lhs = lhs or "0"
-            begin = end
-            if sense == _EQ:
-                out.append(f" {name}: {lhs} = {rlo[r]:.12g}")
-            elif sense == _LE:
-                out.append(f" {name}: {lhs} <= {rhi[r]:.12g}")
-            else:
-                out.append(f" {name}: {lhs} >= {rlo[r]:.12g}")
-        out.append("Bounds")
-        for name, lo, hi in zip(col_names, lb.tolist(), ub.tolist()):
-            if lo == -INF and hi == INF:
-                out.append(f" {name} free")
-            elif lo == -INF:
-                out.append(f" -inf <= {name} <= {hi:.12g}")
-            elif hi == INF:
-                out.append(f" {name} >= {lo:.12g}")
-            else:
-                out.append(f" {lo:.12g} <= {name} <= {hi:.12g}")
-        out.append("End")
-        return "\n".join(out) + "\n"
-
 
 class _LpBatch:
     """Programs of one row structure, built together as arrays.
@@ -759,41 +591,38 @@ class _LpBatch:
     :meth:`var_block` and :meth:`add_rows` work as on a LinearProgram, with a
     leading member axis on every array (an argument without it holds for all
     members); :meth:`member_block` adds columns to one member only, shifting
-    its later columns.  :meth:`programs` hands each member the program, names
-    included, that the same calls on it alone would have built.
+    its later columns.  :meth:`programs` hands each member the program that
+    the same calls on it alone would have built, named by ``names``.
     """
 
     def __init__(self, names):
         self._names = list(names)
         self._next = [0] * len(self._names)     # columns per member
-        self._cols = [[] for _ in self._names]  # per member: records as in LinearProgram
+        self._cols = [[] for _ in self._names]  # per member: (size, lb, ub) per block
         none = np.zeros((len(self._names), 0), dtype=np.int64)
         self._entries = [(none, none, none.astype(np.float64))]  # (rows, cols, coefs)
         self._bounds = [none.astype(np.float64)]
         self._sense = bytearray()
-        self._row_records = []                  # (first, count, names) per block
 
-    def var_block(self, name, shape, lb=-INF, ub=INF):
-        """Columns ``name[...]`` for every member (``name`` may be a list of
-        one per member); returns them with shape ``(members,) + shape``."""
+    def var_block(self, shape, lb=-INF, ub=INF):
+        """Columns of ``shape`` for every member; returns them with shape
+        ``(members,) + shape``."""
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        names = name if isinstance(name, list) else [name] * len(self._names)
-        for records, block, start in zip(self._cols, names, self._next):
-            records.append((start, block, shape, lb, ub))
+        size = math.prod(shape)
+        for records in self._cols:
+            records.append((size, lb, ub))
         first = np.array(self._next)
-        self._next = [start + math.prod(shape) for start in self._next]
-        return (first[:, None] + np.arange(math.prod(shape))).reshape(first.shape + shape)
+        self._next = [start + size for start in self._next]
+        return (first[:, None] + np.arange(size)).reshape(first.shape + shape)
 
-    def member_block(self, g, name, size, lb=-INF, ub=INF):
-        """Columns ``name[i]`` for member g alone."""
+    def member_block(self, g, size, lb=-INF, ub=INF):
+        """``size`` columns for member g alone."""
         first = self._next[g]
-        self._cols[g].append((first, name, (size,), lb, ub))
+        self._cols[g].append((size, lb, ub))
         self._next[g] = first + size
         return np.arange(first, first + size)
 
-    def add_rows(self, rows, cols, coefs, bounds, sense, names=None):
-        """``names`` is None, a function returning the row names, or a list
-        of one such per member."""
+    def add_rows(self, rows, cols, coefs, bounds, sense):
         lead, count, first = (len(self._names),), np.shape(bounds)[-1], len(self._sense)
         self._entries.append(tuple(np.broadcast_to(a, lead + np.shape(a)[-1:])
                                    for a in (np.asarray(rows, dtype=np.int64) + first,
@@ -802,7 +631,6 @@ class _LpBatch:
         self._bounds.append(np.broadcast_to(np.asarray(bounds, dtype=np.float64),
                                             lead + (count,)))
         self._sense += sense.encode() * count
-        self._row_records.append((first, count, names))
         return first
 
     def programs(self):
@@ -833,9 +661,7 @@ class _LpBatch:
             a, b = cut[g], cut[g + 1]
             lp = LinearProgram(name=name)
             lp._install(records, (row[a:b], col[a:b], coefs[a:b]),
-                        self._sense, np.ascontiguousarray(bounds[g]),
-                        [(first, count, spec[g] if isinstance(spec, list) else spec)
-                         for first, count, spec in self._row_records])
+                        self._sense, np.ascontiguousarray(bounds[g]))
             out.append(lp)
         return out
 
@@ -908,15 +734,16 @@ class LpSolution:
         self._require_solution()
         return self._col_sens[np.asarray(cols, dtype=np.int64)]
 
-    def sensitivity(self, name):
-        """d(objective)/d(rhs) of the named row."""
+    def sensitivity(self, row):
+        """d(objective)/d(rhs) of row ``row`` (an index)."""
         self._require_solution()
-        return float(self._row_sens[self.lp._row_index(name)])
+        return float(self._row_sens[self.lp._row(row)])
 
-    def dual(self, name):
-        """Dual with >=0 convention for <= rows in a minimization."""
-        sens = self.sensitivity(name)
-        return -sens if self.lp._sense[self.lp._row_index(name)] == _LE else sens
+    def dual(self, row):
+        """Dual of row ``row``, with the >= 0 convention for <= rows in a
+        minimization."""
+        sens = self.sensitivity(row)
+        return -sens if self.lp._sense[row] == _LE else sens
 
     # -- diagnostics ---------------------------------------------------------
 

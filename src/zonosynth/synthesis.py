@@ -114,6 +114,7 @@ class DescentConfig:
             raise ValueError("max_iters must be at least 1")
         if self.init not in ("half", "max", "random"):
             raise ValueError(f"unknown init {self.init!r}")
+        _check_encoding(self.k, self.reduction_order)
 
 
 def project_box(params, caps=None):
@@ -147,6 +148,15 @@ class _Phases(dict):
             yield
         finally:
             self[name] = self.get(name, 0.0) + time.perf_counter() - t0
+
+
+def _check_encoding(k, reduction_order=None):
+    """Reject a negative generator budget ``k`` and a reduction order below
+    1 (None keeps the columns exact)."""
+    if k is not None and k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if reduction_order is not None and reduction_order < 1:
+        raise ValueError(f"reduction_order must be >= 1 or None (exact), got {reduction_order}")
 
 
 def _check_mode(network, mode):
@@ -352,15 +362,15 @@ class _LevelMaster:
         top = caps.to_vector()
         n = top.size
         lp = LinearProgram(name="master")
-        self.alpha = lp.var_block("al", n, lb=0.0)
+        self.alpha = lp.var_block(n, lb=0.0)
         lp.set_col_bounds(self.alpha, 0.0, top)
-        self.anchor = lp.var_block("anchor", n, lb=0.0, ub=0.0)
-        move = lp.var_block("move", (2, n), lb=0.0)
+        self.anchor = lp.var_block(n, lb=0.0, ub=0.0)
+        move = lp.var_block((2, n), lb=0.0)
         lp.add_rows(np.tile(np.arange(n), 4),
                     np.concatenate([self.alpha, self.anchor, move[0], move[1]]),
                     np.repeat([1.0, -1.0, -1.0, 1.0], n), np.zeros(n), "=")
         lp.set_costs(move.ravel(), 1.0)
-        self.relax = lp.var_block("relax", 1, lb=0.0, ub=0.0)
+        self.relax = lp.var_block(1, lb=0.0, ub=0.0)
         self.lp = lp
         self.empty = False  # set once the cuts exclude the whole box
 
@@ -559,6 +569,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
     returns status "failed" with no partial solutions (retry with larger k).
     """
     _check_mode(network, mode)
+    _check_encoding(k, reduction_order)
     tpl = template if template is not None else default_template(network)
     wall0 = time.perf_counter()
     phases = _Phases()
@@ -578,8 +589,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
                 key = (j, channel, t)
                 if key not in alphas:
                     width = np.asarray(entries[t][1]).shape[1]
-                    alphas[key] = lp.var_block(f"al:{channel}:{j}:{t}", width,
-                                               lb=0.0, ub=cap)
+                    alphas[key] = lp.var_block(width, lb=0.0, ub=cap)
                 return alphas[key]
 
             handles = {
@@ -642,8 +652,7 @@ def _admissibility_rows(lp, network, template, ensure):
         for channel, promises in (("x", template.state), ("u", template.input)):
             for t, (c, C) in enumerate(promises.get(sid, ())):
                 add_promise_admissibility(lp, ensure(sid, channel, t), c, C,
-                                          admissible_set(sub, channel, t),
-                                          f"adm:{channel}:{sid}:{t}")
+                                          admissible_set(sub, channel, t))
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +668,7 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     after its containments and its aggregate recursion are re-checked.
     """
     _check_mode(network, mode)
+    _check_encoding(k)
     wall0 = time.perf_counter()
     phases = _Phases()
 

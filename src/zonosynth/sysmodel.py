@@ -142,6 +142,8 @@ class Network:
     subsystems: list
 
     def __post_init__(self):
+        if not self.subsystems:
+            raise ConfigError("config needs a non-empty subsystems list")
         self._index = {s.sid: s for s in self.subsystems}
         if len(self._index) != len(self.subsystems):
             raise ConfigError("duplicate subsystem ids")
@@ -173,8 +175,6 @@ class Network:
                 and any(np.any(B) for B in coupling.B)}
 
     def validate(self):
-        if not self.subsystems:
-            raise ConfigError("config needs a non-empty subsystems list")
         if self.mode not in ("finite", "infinite"):
             raise ConfigError(f"mode must be finite|infinite, got {self.mode!r}")
         if self.mode == "finite":

@@ -34,7 +34,6 @@ programs in ``contracts``, come from one block emitter, :func:`add_recursion`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,18 +52,19 @@ class CertificationError(lpcore.LpError):
     """An LP-feasible solution failed its independent containment check."""
 
 
-def _abs_objective(lp, blocks, prefix="absT"):
+def _abs_objective(lp, blocks):
     """Aux columns s >= |x| for every variable x of each (rows x cols)
-    block of column indices; returns the aux columns, whose sum is the size
-    objective.  With an ``lpcore._LpBatch`` the blocks and the result carry
-    its leading member axis."""
-    aux = []
-    for idx, cols in enumerate(blocks):
+    block of column indices (at least one block); returns the aux columns,
+    whose sum is the size objective.  With an ``lpcore._LpBatch`` the blocks
+    and the result carry its leading member axis, also when every block is
+    empty."""
+    aux = [np.zeros(np.shape(blocks[0])[:-2] + (0,), dtype=np.int64)]
+    for cols in blocks:
         cols = np.asarray(cols)
         size = cols.shape[-2] * cols.shape[-1]
         if size == 0:
             continue
-        s = lp.var_block(f"{prefix}{idx}", cols.shape[-2:], lb=0.0)
+        s = lp.var_block(cols.shape[-2:], lb=0.0)
         s, cols = s.reshape(s.shape[:-2] + (size,)), cols.reshape(cols.shape[:-2] + (size,))
         # entry e gives rows 2e (x - s[e] <= -0.0) and 2e + 1 (-x - s[e] <= 0)
         pair = 2 * np.arange(size)
@@ -73,15 +73,10 @@ def _abs_objective(lp, blocks, prefix="absT"):
                     np.concatenate([np.ones(size), -np.ones(size), np.full(2 * size, -1.0)]),
                     np.tile([-0.0, 0.0], size), "<")
         aux.append(s)
-    return np.concatenate(aux, axis=-1) if aux else np.zeros(0, dtype=np.int64)
+    return np.concatenate(aux, axis=-1)
 
 
-def _recursion_names(rec, cen, n, width):
-    return ([f"{rec}{i},{j}]" for i in range(n) for j in range(width)]
-            + [f"{cen}{i}]" for i in range(n)])
-
-
-def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
+def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None):
     """Emit one step of the tube recursion and its center row as one block.
 
     With w columns in ``T`` and p in W, rows (i, j), i < n and j < w + p,
@@ -91,13 +86,14 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
 
     where ``T_next`` has w + p columns (a growing tube: no left part) or w
     (the left part is ``E``, or zero when ``E`` is None).  Rows i < n then
-    read ``A xbar + B ubar + W.center - x_next = 0``.  Every tube argument is
+    read ``A xbar + B ubar + W.center - x_next = 0``; row (i, j) is row
+    ``i * (w + p) + j`` of the block and center row i is row ``n * (w + p) +
+    i``.  Every tube argument is
     an array of column indices; ``B``, ``M`` and ``ubar`` are None without
     inputs.  ``W`` is ``(center, const, terms)``: entry (i, j) of the W
     columns is ``const[i, j]`` plus the terms ``coefs[e] * x[cols[e]]`` with
     ``(rows[e], wcols[e]) == (i, j)`` of ``terms = (rows, wcols, cols,
-    coefs)``.  ``names = (rec, cen)`` names the rows ``f"{rec}{i},{j}]"`` and
-    ``f"{cen}{i}]"``.
+    coefs)``.
 
     The rows, their term order and their bounds (signed zeros included) are
     those of writing each row as a LinExpr ``lhs - rhs`` with ``add_eq``.
@@ -147,9 +143,7 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, names, E=None):
          .reshape(const.shape[:-2] + (-1,)),
          -(0.0 + np.asarray(center, dtype=float))],
         axis=-1)
-    rec, cen_name = names
-    lp.add_rows(*_join(parts), bounds, "=",
-                names=functools.partial(_recursion_names, rec, cen_name, n, width))
+    lp.add_rows(*_join(parts), bounds, "=")
 
 
 def numeric_w(W):
@@ -157,12 +151,12 @@ def numeric_w(W):
     return W.center, W.generators, (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)
 
 
-def _add_plain_containment(lp, G, c, outer, prefix, scale=1.0):
+def _add_plain_containment(lp, G, c, outer, scale=1.0):
     """Rows for Z(c, scale * G) inside ``outer``; ``G``/``c`` are columns."""
     inner = affine(np.column_stack([G, c]), np.r_[np.full(G.shape[1], scale), 1.0])
     return add_scaled_containment(lp, inner, outer.generators,
                                   numbers(np.ones(outer.num_generators)),
-                                  outer.center, prefix)
+                                  outer.center)
 
 
 def _certify(inner, outer, what, witness=None, tol=1e-7):
@@ -195,7 +189,7 @@ class ViableSolution:
     W: list  # the disturbance sets the solution was computed against
     objective: float
     #: the synthesis LP's containment witnesses [Lam lam], keyed by the
-    #: containment's row prefix ("inX3", "inU0", ...); certification checks
+    #: containment ("inX3", "inU0", ...); certification checks
     #: them first.  Never serialized: a loaded solution certifies by LP.
     witness: dict | None = field(default=None, compare=False, repr=False)
 
@@ -397,22 +391,21 @@ def finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing", x
         widths.append(widths[-1] + p[t] if template == "growing" else k)
 
     lp = LinearProgram(name="viable")
-    T = [lp.var_block(f"T{t}", (n, widths[t])) for t in range(h + 1)]
-    xbar = [lp.var_block(f"x{t}", n) for t in range(h + 1)]
-    M = [lp.var_block(f"M{t}", (m, widths[t])) for t in range(h)] if m else None
-    ubar = [lp.var_block(f"u{t}", m) for t in range(h)] if m else None
+    T = [lp.var_block((n, widths[t])) for t in range(h + 1)]
+    xbar = [lp.var_block(n) for _ in range(h + 1)]
+    M = [lp.var_block((m, widths[t])) for t in range(h)] if m else None
+    ubar = [lp.var_block(m) for _ in range(h)] if m else None
 
     for t in range(h):
         add_recursion(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None, xbar[t],
                       ubar[t] if m else None, numeric_w(W_seq[t]), T[t + 1],
-                      xbar[t + 1], (f"rec[{t},", f"cen[{t},"))
+                      xbar[t + 1])
 
-    witness = {f"inX{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t], f"inX{t}")
+    witness = {f"inX{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t])
                for t in range(h + 1)}
     if m:
         for t in range(h):
-            witness[f"inU{t}"] = _add_plain_containment(lp, M[t], ubar[t], U_seq[t],
-                                                        f"inU{t}")
+            witness[f"inU{t}"] = _add_plain_containment(lp, M[t], ubar[t], U_seq[t])
 
     if x0 is not None:
         # per i: xbar0[i] = c[i], then T0[i, j] = G[i, j] (0 past x0's columns)
@@ -476,19 +469,19 @@ def rci_lp(A, B, W, X, U, k, beta=0.0, simplified=None):
     sigma = 1.0 / (1.0 - beta)
 
     lp = LinearProgram(name="rci")
-    T = lp.var_block("T", (n, k))
-    xbar = lp.var_block("x", n)
-    M = lp.var_block("M", (m, k)) if m else None
-    ubar = lp.var_block("u", m) if m else None
-    E = None if simplified else lp.var_block("E", (n, p))
+    T = lp.var_block((n, k))
+    xbar = lp.var_block(n)
+    M = lp.var_block((m, k)) if m else None
+    ubar = lp.var_block(m) if m else None
+    E = None if simplified else lp.var_block((n, p))
 
-    add_recursion(lp, A, B, T, M, xbar, ubar, numeric_w(W), T, xbar, ("rec[", "fix["), E=E)
+    add_recursion(lp, A, B, T, M, xbar, ubar, numeric_w(W), T, xbar, E=E)
     if E is not None:
         add_scaled_containment(lp, affine(np.column_stack([E, np.full(n, -1)])),
-                               W.generators, numbers(np.full(p, beta)), np.zeros(n), "wiggle")
-    witness = {"inX": _add_plain_containment(lp, T, xbar, X, "inX", sigma)}
+                               W.generators, numbers(np.full(p, beta)), np.zeros(n))
+    witness = {"inX": _add_plain_containment(lp, T, xbar, X, sigma)}
     if m:
-        witness["inU"] = _add_plain_containment(lp, M, ubar, U, "inU", sigma)
+        witness["inU"] = _add_plain_containment(lp, M, ubar, U, sigma)
 
     lp.set_costs(_abs_objective(lp, [T]), 1.0)
 

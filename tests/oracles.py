@@ -204,7 +204,7 @@ def interval_hull_oracle(center, generators):
 
 
 def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scales,
-                                   outer_c, prefix):
+                                   outer_c):
     """Row-at-a-time reference for ``geom.add_scaled_containment``.
 
     Emits the same variables and rows through ``add_eq``/``add_le`` and
@@ -221,20 +221,18 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
     n, s = outer_cols.shape
     inner_G = np.asarray(inner_G, dtype=object).reshape(n, -1)
     r = inner_G.shape[1]
-    Lam = lp.var_array(f"{prefix}:L", (s, r)) if s and r else np.empty((s, r), dtype=object)
-    lam = lp.var_array(f"{prefix}:l", s) if s else np.empty(0, dtype=object)
-    W = lp.var_array(f"{prefix}:W", (s, r + 1), lb=0.0) if s else np.empty((s, r + 1), dtype=object)
+    Lam = lp.var_array((s, r)) if s and r else np.empty((s, r), dtype=object)
+    lam = lp.var_array(s) if s else np.empty(0, dtype=object)
+    W = lp.var_array((s, r + 1), lb=0.0) if s else np.empty((s, r + 1), dtype=object)
 
     for i in range(n):
         row_cols = np.nonzero(outer_cols[i])[0]
         for j in range(r):
             expr = lin_sum(outer_cols[i, q] * Lam[q, j] for q in row_cols)
-            lp.add_eq(-(as_expr(inner_G[i, j]) - expr), 0.0, name=f"{prefix}:G[{i},{j}]")
+            lp.add_eq(-(as_expr(inner_G[i, j]) - expr), 0.0)
         expr = lin_sum(outer_cols[i, q] * lam[q] for q in row_cols)
-        lp.add_eq(expr + as_expr(inner_c[i]) - as_expr(outer_c[i]), 0.0,
-                  name=f"{prefix}:c[{i}]")
+        lp.add_eq(expr + as_expr(inner_c[i]) - as_expr(outer_c[i]), 0.0)
 
-    rowsum_names = []
     for q in range(s):
         for j in range(r):
             lp.add_le(-(W[q, j] - Lam[q, j]), 0.0)
@@ -242,10 +240,8 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
         lp.add_le(-(W[q, r] - lam[q]), 0.0)
         lp.add_le(-lam[q] - W[q, r], 0.0)
         total = lin_sum(W[q, j] for j in range(r + 1))
-        name = f"{prefix}:rowsum[{q}]"
-        lp.add_le(-(as_expr(outer_scales[q]) - total), 0.0, name=name)
-        rowsum_names.append(name)
-    return {"Lam": Lam, "lam": lam, "W": W, "rowsum_names": rowsum_names}
+        lp.add_le(-(as_expr(outer_scales[q]) - total), 0.0)
+    return {"Lam": Lam, "lam": lam, "W": W}
 
 
 def membership_lp_rowwise(Z, x):
@@ -257,9 +253,9 @@ def membership_lp_rowwise(Z, x):
 
     p = Z.num_generators
     lp = LinearProgram(name="member")
-    zeta = lp.var_array("z", p)
-    q = lp.var("q", lb=0.0)
-    point = [lp.var(f"x[{i}]", lb=float(x[i]), ub=float(x[i])) for i in range(Z.dim)]
+    zeta = lp.var_array(p)
+    q = lp.var(lb=0.0)
+    point = [lp.var(lb=float(x[i]), ub=float(x[i])) for i in range(Z.dim)]
     for i in range(Z.dim):
         expr = lin_sum(Z.generators[i, k] * zeta[k] for k in range(p))
         lp.add_eq(expr - point[i], -float(Z.center[i]))
@@ -325,8 +321,8 @@ def lin_matmul(A, X):
 
 
 def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
-                            x_next, left, rec, cen):
-    """The rec/cen rows of one step: ``[A T + B M, W] = [left, T_next]`` row
+                            x_next, left):
+    """The recursion rows of one step: ``[A T + B M, W] = [left, T_next]`` row
     by row (``left[i][j]`` an expression, or 0.0), then the center rows.
     ``wcols`` holds the W columns as lists of LinExpr or numbers."""
     n, w = T.shape
@@ -339,12 +335,12 @@ def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
         for j in range(w + p):
             lhs = flow[i, j] if j < w else wcols[j - w][i]
             rhs = left[i][j] if j < shift else T_next[i, j - shift]
-            lp.add_eq(lhs - rhs, 0.0, name=f"{rec}{i},{j}]")
+            lp.add_eq(lhs - rhs, 0.0)
     drift = lin_matmul(A, xbar.reshape(-1, 1))[:, 0]
     if M is not None:
         drift = drift + lin_matmul(B, ubar.reshape(-1, 1))[:, 0]
     for i in range(n):
-        lp.add_eq(drift[i] + float(w_center[i]) - x_next[i], 0.0, name=f"{cen}{i}]")
+        lp.add_eq(drift[i] + float(w_center[i]) - x_next[i], 0.0)
 
 
 def _size_objective(lp, blocks):
@@ -367,28 +363,28 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="gro
     for t in range(h):
         widths.append(widths[-1] + p[t] if template == "growing" else k)
     lp = LinearProgram(name="viable")
-    Tc = [lp.var_block(f"T{t}", (n, widths[t])) for t in range(h + 1)]
+    Tc = [lp.var_block((n, widths[t])) for t in range(h + 1)]
     T = [col_exprs(c) for c in Tc]
-    xbar = [lp.var_array(f"x{t}", n) for t in range(h + 1)]
-    M = [lp.var_array(f"M{t}", (m, widths[t])) for t in range(h)] if m else None
-    ubar = [lp.var_array(f"u{t}", m) for t in range(h)] if m else None
+    xbar = [lp.var_array(n) for _ in range(h + 1)]
+    M = [lp.var_array((m, widths[t])) for t in range(h)] if m else None
+    ubar = [lp.var_array(m) for _ in range(h)] if m else None
     for t in range(h):
         Gw = W_seq[t].generators
         _recursion_rows_rowwise(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None,
                                 xbar[t], ubar[t] if m else None,
                                 [[float(v) for v in Gw[:, j]] for j in range(p[t])],
                                 W_seq[t].center, T[t + 1], xbar[t + 1],
-                                [[0.0] * (widths[t] + p[t])] * n, f"rec[{t},", f"cen[{t},")
+                                [[0.0] * (widths[t] + p[t])] * n)
 
-    def plain(inner_G, inner_c, outer, prefix):
+    def plain(inner_G, inner_c, outer):
         add_scaled_containment_rowwise(lp, inner_G, inner_c, outer.generators,
-                                       [1.0] * outer.num_generators, outer.center, prefix)
+                                       [1.0] * outer.num_generators, outer.center)
 
     for t in range(h + 1):
-        plain(T[t], xbar[t], X_seq[t], f"inX{t}")
+        plain(T[t], xbar[t], X_seq[t])
     if m:
         for t in range(h):
-            plain(M[t], ubar[t], U_seq[t], f"inU{t}")
+            plain(M[t], ubar[t], U_seq[t])
     if x0 is not None:
         p0 = x0.num_generators
         for i in range(n):
@@ -410,25 +406,23 @@ def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0, simplified=None):
     p = W.num_generators
     sigma = 1.0 / (1.0 - beta)
     lp = LinearProgram(name="rci")
-    Tc = lp.var_block("T", (n, k))
+    Tc = lp.var_block((n, k))
     T = col_exprs(Tc)
-    xbar = lp.var_array("x", n)
-    M = lp.var_array("M", (m, k)) if m else None
-    ubar = lp.var_array("u", m) if m else None
-    E = None if simplified else lp.var_array("E", (n, p))
+    xbar = lp.var_array(n)
+    M = lp.var_array((m, k)) if m else None
+    ubar = lp.var_array(m) if m else None
+    E = None if simplified else lp.var_array((n, p))
     Gw = W.generators
     _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar,
                             [[float(v) for v in Gw[:, j]] for j in range(p)], W.center,
-                            T, xbar, [[0.0] * (k + p)] * n if E is None else E,
-                            "rec[", "fix[")
+                            T, xbar, [[0.0] * (k + p)] * n if E is None else E)
     if E is not None:
-        add_scaled_containment_rowwise(lp, E, np.zeros(n), Gw, [beta] * p, np.zeros(n),
-                                       "wiggle")
+        add_scaled_containment_rowwise(lp, E, np.zeros(n), Gw, [beta] * p, np.zeros(n))
     add_scaled_containment_rowwise(lp, sigma * T, xbar, X.generators,
-                                   [1.0] * X.num_generators, X.center, "inX")
+                                   [1.0] * X.num_generators, X.center)
     if m:
         add_scaled_containment_rowwise(lp, sigma * M, ubar, U.generators,
-                                       [1.0] * U.num_generators, U.center, "inU")
+                                       [1.0] * U.num_generators, U.center)
     _size_objective(lp, [Tc])
     return lp
 
@@ -490,20 +484,18 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
     def alpha(j, channel, t):
         return col_exprs(alpha_of(j, channel, t))
 
-    tag = f"s{sid}"
     steps_x = steps + 1 if finite else 1
     widths = [k]
     if finite:
         for t in range(steps):
             widths.append(widths[-1] + p_red[t])
-    Tc = [lp.var_block(f"{tag}:T{t}", (n, widths[t])) for t in range(steps_x)]
+    Tc = [lp.var_block((n, widths[t])) for t in range(steps_x)]
     T = [col_exprs(c) for c in Tc]
-    xbar = [lp.var_array(f"{tag}:x{t}", n) for t in range(steps_x)]
-    M = [lp.var_array(f"{tag}:M{t}", (m, widths[t])) for t in range(steps)] if m else None
-    ubar = [lp.var_array(f"{tag}:u{t}", m) for t in range(steps)] if m else None
-    d_cols = [lp.var_block(f"{tag}:dx{t}", 1, lb=0.0)[0] for t in range(steps_x)] if slack else []
-    d_cols += [lp.var_block(f"{tag}:du{t}", 1, lb=0.0)[0] for t in range(steps)] \
-        if slack and m else []
+    xbar = [lp.var_array(n) for _ in range(steps_x)]
+    M = [lp.var_array((m, widths[t])) for t in range(steps)] if m else None
+    ubar = [lp.var_array(m) for _ in range(steps)] if m else None
+    d_cols = [lp.var_block(1, lb=0.0)[0] for _ in range(steps_x)] if slack else []
+    d_cols += [lp.var_block(1, lb=0.0)[0] for _ in range(steps)] if slack and m else []
     d_x = col_exprs(d_cols[:steps_x]) if slack else None
     d_u = col_exprs(d_cols[steps_x:]) if slack and m else None
 
@@ -516,8 +508,7 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
                                 xbar[t], ubar[t] if m else None, wcols, center_w,
                                 T[t + 1] if finite else T[0],
                                 xbar[t + 1] if finite else xbar[0],
-                                [[0.0] * (widths[t] + p_red[t])] * n,
-                                f"{tag}:rec[{t},", f"{tag}:cen[{t},")
+                                [[0.0] * (widths[t] + p_red[t])] * n)
 
     for t in range(steps_x):
         cx, Cx = _at(template.state[sid], t)
@@ -527,11 +518,11 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
             outer_cols = np.hstack([Cx, np.eye(n)])
             scales = scales + [d_x[t]] * n
         add_scaled_containment_rowwise(lp, T[t], xbar[t], outer_cols, scales,
-                                       np.asarray(cx, dtype=float), f"{tag}:inC{t}")
+                                       np.asarray(cx, dtype=float))
     if finite:
         Xh = sub.X_at(steps)
         add_scaled_containment_rowwise(lp, T[steps], xbar[steps], Xh.generators,
-                                       [1.0] * Xh.num_generators, Xh.center, f"{tag}:term")
+                                       [1.0] * Xh.num_generators, Xh.center)
     if m:
         for t in range(steps):
             if sid in template.input:
@@ -545,8 +536,7 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
             if slack:
                 outer_cols = np.hstack([outer_cols, np.eye(m)])
                 scales = scales + [d_u[t]] * m
-            add_scaled_containment_rowwise(lp, M[t], ubar[t], outer_cols, scales, outer_c,
-                                           f"{tag}:inU{t}")
+            add_scaled_containment_rowwise(lp, M[t], ubar[t], outer_cols, scales, outer_c)
     return Tc, np.array(d_cols, dtype=np.int64)
 
 
@@ -566,8 +556,8 @@ def potential_lp_rowwise(network, template, sid, k=None, reduction_order=1):
     def alpha_of(j, channel, t):
         if (j, channel, t) not in alphas:
             entries = template.state[j] if channel == "x" else template.input[j]
-            alphas[(j, channel, t)] = lp.var_block(f"al:{channel}:{j}:{t}",
-                                                   _at(entries, t)[1].shape[1], lb=0.0, ub=0.0)
+            alphas[(j, channel, t)] = lp.var_block(_at(entries, t)[1].shape[1],
+                                                   lb=0.0, ub=0.0)
         return alphas[(j, channel, t)]
 
     steps = network.num_steps
@@ -578,7 +568,7 @@ def potential_lp_rowwise(network, template, sid, k=None, reduction_order=1):
             alpha_of(sid, "u", t)
     T, slack = emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=k,
                                       reduction_order=reduction_order, slack=True)
-    _abs_objective(lp, T, prefix="size")
+    _abs_objective(lp, T)
     lp.set_costs(slack, 1.0)
     return lp
 
@@ -590,10 +580,10 @@ def potential_lp_rowwise(network, template, sid, k=None, reduction_order=1):
 class ExtractionProgram:
     """Subsystem ``sid``'s hard extraction LP, built on its own.
 
-    Every multiplier is a variable ``al:*`` pinned by an equality row
-    ``pin:*``; the containments in the own promise are hard, and the
-    objective is the total template size sum |T|.  ``solve`` rewrites the
-    pins one row at a time and re-solves warm.
+    Every multiplier is a variable pinned by an equality row; the
+    containments in the own promise are hard, and the objective is the
+    total template size sum |T|.  ``solve`` rewrites the pins one row at a
+    time and re-solves warm.
     """
 
     def __init__(self, network, template, sid, k=None, reduction_order=1):
@@ -610,10 +600,9 @@ class ExtractionProgram:
             if key not in self._pins:
                 entries = template.state[j] if channel == "x" else template.input[j]
                 q = _at(entries, t)[1].shape[1]
-                cols = lp.var_block(f"al:{channel}:{j}:{t}", q)
-                names = [f"pin:{channel}:{j}:{t}[{g}]" for g in range(q)]
-                lp.add_rows(np.arange(q), cols, np.ones(q), np.zeros(q), "=", names=names)
-                self._pins[key] = (cols, names)
+                cols = lp.var_block(q)
+                first = lp.add_rows(np.arange(q), cols, np.ones(q), np.zeros(q), "=")
+                self._pins[key] = (cols, first + np.arange(q))
             return self._pins[key][0]
 
         sub = network.subsystem(sid)
@@ -625,17 +614,17 @@ class ExtractionProgram:
                 alpha_of(sid, "u", t)
         self.handles = emit_subsystem(lp, network, template, sid, alpha_of, k=k,
                                       reduction_order=reduction_order, slack=False)
-        lp.set_costs(_abs_objective(lp, self.handles.T, prefix="size"), 1.0)
+        lp.set_costs(_abs_objective(lp, self.handles.T), 1.0)
         self.lp = lp
 
     def solve(self, params):
         """The tubes at ``params``, or None if the hard problem is infeasible."""
         from zonosynth.contracts import _at, _numeric_solution
 
-        for (j, channel, t), (_, names) in self._pins.items():
+        for (j, channel, t), (_, rows) in self._pins.items():
             values = _at(params.x[j] if channel == "x" else params.u[j], t)
-            for name, v in zip(names, values):
-                self.lp.set_rhs(name, max(float(v), 0.0))
+            for row, v in zip(rows.tolist(), values):
+                self.lp.set_rhs(row, max(float(v), 0.0))
         sol = self.lp.solve()
         if sol.status == "infeasible":
             return None

@@ -346,7 +346,7 @@ def test_criterion_6_oracle_suite(capsys):
         status, obj, _ = oracles.solve_lp_by_vertex_enumeration(
             c, A, lo, hi, xlb, xub)
         lp = LinearProgram()
-        xs = [lp.var(f"x{i}", lb=xlb[i], ub=xub[i]) for i in range(len(c))]
+        xs = [lp.var(lb=xlb[i], ub=xub[i]) for i in range(len(c))]
         for k in range(A.shape[0]):
             expr = lin_sum(A[k, i] * xs[i] for i in range(len(c)))
             if lo[k] == hi[k]:

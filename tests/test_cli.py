@@ -166,6 +166,50 @@ def test_synth_negative_reduce_order_exits_two(method, capsys):
     assert "--reduce-order must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["compositional", "centralized"])
+def test_synth_reduce_order_zero_runs_with_exact_columns(monkeypatch, method, capsys):
+    # the real drivers take --reduce-order 0 as exact columns, not as an
+    # order below 1
+    from zonosynth import synthesis
+
+    seen = []
+    emit = synthesis.emit_subsystem
+    build = synthesis.build_programs
+
+    def emit_spy(*args, reduction_order, **kwargs):
+        seen.append(reduction_order)
+        return emit(*args, reduction_order=reduction_order, **kwargs)
+
+    def build_spy(*args, reduction_order, **kwargs):
+        seen.append(reduction_order)
+        return build(*args, reduction_order=reduction_order, **kwargs)
+
+    monkeypatch.setattr(synthesis, "emit_subsystem", emit_spy)
+    monkeypatch.setattr(synthesis, "build_programs", build_spy)
+    code = main(["synth", "--config", "configs/case1.json", "--method", method,
+                 "--reduce-order", "0"])
+    assert code in (0, 1)
+    assert "config error" not in capsys.readouterr().err
+    assert seen and set(seen) == {None}
+
+
+@pytest.mark.parametrize("method", ["compositional", "centralized", "dense"])
+def test_synth_zero_k_fails_with_a_hint(method, capsys):
+    code = main(["synth", "--config", "configs/case1.json", "--method", method, "--k", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status: failed" in out and "hint: " in out
+
+
+@pytest.mark.parametrize("method", ["compositional", "centralized", "dense"])
+def test_synth_negative_k_exits_two(method, capsys):
+    code = main(["synth", "--config", "configs/case1.json", "--method", method, "--k", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: k must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_synth_dense_method(tmp_path):
     out = tmp_path / "dense"
     code = main(["synth", "--config", "configs/case1.json",

@@ -9,6 +9,13 @@ from zonosynth.lpcore import INF, LinearProgram, LpBuildError, lin_sum
 import oracles
 
 
+def assert_same_arrays(got, want):
+    """The two programs hand HiGHS the same arrays, byte for byte."""
+    assert np.array_equal(got._senses(), want._senses())
+    for a, b in zip(got._assemble(), want._assemble()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture(params=["highs"])
 def backend(request):
     """A LinearProgram constructor on the solver backend (HiGHS, the only one)."""
@@ -17,37 +24,37 @@ def backend(request):
 
 def test_min_x_subject_to_eq(backend):
     lp = backend()
-    x = lp.var("x")
-    lp.add_eq(x, 3.0, name="fix")
+    x = lp.var()
+    fix = lp.add_eq(x, 3.0)
     lp.minimize(x)
     sol = lp.solve()
     assert sol.status == lpcore.OPTIMAL
     assert sol.objective == pytest.approx(3.0)
     assert sol.value(x) == pytest.approx(3.0)
     # raising the rhs raises the optimum one-for-one
-    assert sol.sensitivity("fix") == pytest.approx(1.0)
-    assert sol.dual("fix") == pytest.approx(1.0)
+    assert sol.sensitivity(fix) == pytest.approx(1.0)
+    assert sol.dual(fix) == pytest.approx(1.0)
 
 
 def test_le_dual_is_nonnegative(backend):
     # maximize x s.t. x <= 5, posed as min -x; the <=-row dual must be >= 0
     lp = backend()
-    x = lp.var("x")
-    lp.add_le(x, 5.0, name="cap")
+    x = lp.var()
+    cap = lp.add_le(x, 5.0)
     lp.minimize(-x)
     sol = lp.solve()
     assert sol.objective == pytest.approx(-5.0)
-    assert sol.dual("cap") == pytest.approx(1.0)
-    assert sol.sensitivity("cap") == pytest.approx(-1.0)
+    assert sol.dual(cap) == pytest.approx(1.0)
+    assert sol.sensitivity(cap) == pytest.approx(-1.0)
 
 
 def test_sensitivity_matches_perturbed_resolve(backend):
     def build(rhs):
         lp = backend()
-        x = lp.var("x", lb=0.0)
-        y = lp.var("y", lb=0.0)
-        lp.add_ge(x + y, rhs, name="demand")
-        lp.add_le(x - y, 1.0, name="skew")
+        x = lp.var(lb=0.0)
+        y = lp.var(lb=0.0)
+        assert lp.add_ge(x + y, rhs) == 0
+        assert lp.add_le(x - y, 1.0) == 1
         lp.minimize(2.0 * x + 3.0 * y)
         return lp
 
@@ -55,29 +62,29 @@ def test_sensitivity_matches_perturbed_resolve(backend):
     eps = 1e-5
     bumped = build(4.0 + eps).solve()
     fd = (bumped.objective - base.objective) / eps
-    assert base.sensitivity("demand") == pytest.approx(fd, abs=1e-6)
+    assert base.sensitivity(0) == pytest.approx(fd, abs=1e-6)
     # >=-row dual in a minimization is the plain sensitivity (here positive:
     # tightening the demand increases cost)
-    assert base.dual("demand") > 0
+    assert base.dual(0) > 0
 
 
 def test_infeasible_and_unbounded_are_statuses(backend):
     lp = backend()
-    x = lp.var("x")
+    x = lp.var()
     lp.add_ge(x, 2.0)
     lp.add_le(x, 1.0)
     lp.minimize(x)
     assert lp.solve().status == lpcore.INFEASIBLE
 
     lp2 = backend()
-    x2 = lp2.var("x")
+    x2 = lp2.var()
     lp2.minimize(x2)
     assert lp2.solve().status == lpcore.UNBOUNDED
 
 
 def test_value_on_expression_arrays(backend):
     lp = backend()
-    T = lp.var_array("T", (2, 2))
+    T = lp.var_array((2, 2))
     for i in range(2):
         for j in range(2):
             lp.add_eq(T[i, j], float(i + 2 * j))
@@ -99,28 +106,17 @@ def test_lin_matmul_agrees_with_numeric():
     assert np.allclose(vals, want)
 
 
-def test_duplicate_names_rejected():
-    lp = LinearProgram()
-    lp.var("x")
-    with pytest.raises(LpBuildError):
-        lp.var("x")
-    y = lp.var("y")
-    lp.add_eq(y, 0.0, name="row")
-    with pytest.raises(LpBuildError):
-        lp.add_le(y, 1.0, name="row")
-
-
 def test_kkt_and_duality_gap_small(backend):
     rng = np.random.default_rng(7)
     lp = backend()
-    x = lp.var_array("x", 5, lb=-4.0, ub=4.0)
+    x = lp.var_array(5, lb=-4.0, ub=4.0)
     for k in range(4):
         coefs = rng.normal(size=5)
         expr = lin_sum(c * v for c, v in zip(coefs, x))
         if k % 2:
-            lp.add_le(expr, float(rng.uniform(0.5, 2.0)), name=f"c{k}")
+            lp.add_le(expr, float(rng.uniform(0.5, 2.0)))
         else:
-            lp.add_ge(expr, float(rng.uniform(-2.0, -0.5)), name=f"c{k}")
+            lp.add_ge(expr, float(rng.uniform(-2.0, -0.5)))
     lp.minimize(lin_sum(float(c) * v for c, v in zip(rng.normal(size=5), x)))
     sol = lp.solve()
     assert sol.status == lpcore.OPTIMAL
@@ -133,23 +129,24 @@ def test_kkt_and_duality_gap_small(backend):
 
 def test_warm_rhs_update_matches_fresh_build():
     lp = LinearProgram()
-    x = lp.var("x", lb=0.0)
-    y = lp.var("y", lb=0.0)
-    lp.add_eq(x + 2.0 * y, 4.0, name="pin")
+    x = lp.var(lb=0.0)
+    y = lp.var(lb=0.0)
     lp.add_ge(x - y, -10.0)
+    pin = lp.add_eq(x + 2.0 * y, 4.0)
+    assert pin == 1
     lp.minimize(x + y)
     first = lp.solve()
     assert first.objective == pytest.approx(2.0)
 
-    lp.set_rhs("pin", 8.0)
+    lp.set_rhs(pin, 8.0)
     warm = lp.solve()
     assert warm.objective == pytest.approx(4.0)
-    assert warm.sensitivity("pin") == pytest.approx(0.5)
+    assert warm.sensitivity(pin) == pytest.approx(0.5)
 
     fresh = LinearProgram()
-    xf = fresh.var("x", lb=0.0)
-    yf = fresh.var("y", lb=0.0)
-    fresh.add_eq(xf + 2.0 * yf, 8.0, name="pin")
+    xf = fresh.var(lb=0.0)
+    yf = fresh.var(lb=0.0)
+    fresh.add_eq(xf + 2.0 * yf, 8.0)
     fresh.add_ge(xf - yf, -10.0)
     fresh.minimize(xf + yf)
     ref = fresh.solve()
@@ -158,19 +155,19 @@ def test_warm_rhs_update_matches_fresh_build():
 
 def test_structure_edit_after_solve_rebuilds():
     lp = LinearProgram()
-    x = lp.var("x", lb=0.0, ub=10.0)
+    x = lp.var(lb=0.0, ub=10.0)
     lp.minimize(x)
     assert lp.solve().objective == pytest.approx(0.0)
-    lp.add_ge(x, 3.0, name="later")
+    later = lp.add_ge(x, 3.0)
     sol = lp.solve()
     assert sol.objective == pytest.approx(3.0)
-    assert sol.dual("later") == pytest.approx(1.0)
+    assert sol.dual(later) == pytest.approx(1.0)
 
 
 def test_repeated_and_cancelling_columns_assemble_to_dense_oracle():
     lp = LinearProgram()
-    x, y, z = lp.var("x"), lp.var("y"), lp.var("z")
-    lp.add_eq(x + y - x, 1.0, name="cancel")     # x cancels to 0: no entry
+    x, y, z = lp.var(), lp.var(), lp.var()
+    lp.add_eq(x + y - x, 1.0)                    # x cancels to 0: no entry
     lp.add_le(z + 0.1 * y + 0.2 * y + 0.3 * y, 2.0)
     # a block with repeated (row, col) entries, summed left to right
     lp.add_rows([0, 0, 0, 1, 1, 1, 1], [2, 0, 2, 1, 1, 1, 0],
@@ -190,45 +187,28 @@ def test_repeated_and_cancelling_columns_assemble_to_dense_oracle():
     assert len(got_value) == 6
 
 
-def test_add_rows_names_bounds_and_checks():
+def test_add_rows_indices_bounds_and_checks():
     lp = LinearProgram()
-    a = lp.var("a", lb=0.0, ub=4.0)
-    lp.add_le(a, 3.0, name="r1")           # explicit name of the form r<k>
-    first = lp.add_rows([0, 1], [0, 0], [1.0, 1.0], [1.0, 2.5], "=",
-                        names=["fix", None])
-    assert first == 1
-    assert lp.row_names() == ["r1", "fix", "r2"]
-    with pytest.raises(LpBuildError):      # row 2 already goes by "r2"
-        lp.add_le(a, 9.0, name="r2")
-    lp.add_le(a, 9.0, name="r4")
-    with pytest.raises(LpBuildError):      # unnamed row 4 would be "r4" too
-        lp.add_rows([0], [0], [1.0], [0.0], "<")
-    with pytest.raises(LpBuildError):
-        lp.add_rows([0], [0], [1.0], [0.0], "=", names=["fix"])
+    a = lp.var(lb=0.0, ub=4.0)
+    assert lp.add_le(a, 3.0) == 0
+    first = lp.add_rows([0, 1], [0, 0], [1.0, 1.0], [1.0, 2.5], "=")
+    assert first == 1 and lp.num_rows == 3
     with pytest.raises(LpBuildError):
         lp.add_rows([0], [5], [1.0], [0.0], "<")
+    with pytest.raises(LpBuildError):
+        lp.add_rows([1], [0], [1.0], [0.0], "<")
+    with pytest.raises(LpBuildError):
+        lp.add_rows([0], [0], [1.0], [0.0], "<=")
+    with pytest.raises(LpBuildError):
+        lp.set_rhs(3, 0.0)
+    assert lp.num_rows == 3
     lp2 = LinearProgram()
-    b = lp2.var("b", lb=0.0, ub=4.0)
-    lp2.add_rows([0], [0], [1.0], [2.0], "=", names=["pin"])
+    b = lp2.var(lb=0.0, ub=4.0)
+    pin = lp2.add_rows([0], [0], [1.0], [2.0], "=")
     lp2.minimize(b)
     assert lp2.solve().objective == pytest.approx(2.0)
-    lp2.set_rhs("pin", 1.0)    # as add_eq(b - 2.0, 0.0): the bound becomes 3
+    lp2.set_rhs(pin, 1.0)    # as add_eq(b - 2.0, 0.0): the bound becomes 3
     assert lp2.solve().objective == pytest.approx(3.0)
-
-
-def test_lp_text_dump_is_deterministic():
-    def build():
-        lp = LinearProgram(name="demo")
-        a = lp.var("a", lb=0.0)
-        b = lp.var("b", ub=2.5)
-        lp.add_eq(a + 2.0 * b, 1.0, name="mix")
-        lp.add_le(a - b, 0.75, name="diff")
-        lp.minimize(a + 0.1 * b)
-        return lp.to_lp_text()
-
-    text1, text2 = build(), build()
-    assert text1 == text2
-    assert "mix:" in text1 and "diff:" in text1 and "free" not in text1
 
 
 def test_empty_program_is_trivially_optimal():
@@ -241,11 +221,11 @@ def test_empty_program_is_trivially_optimal():
 def test_solver_time_tracker_accumulates():
     with lpcore.track_solver_time() as tracker:
         lp = LinearProgram()
-        x = lp.var("x", lb=0.0)
-        lp.add_ge(x, 1.0)
+        x = lp.var(lb=0.0)
+        row = lp.add_ge(x, 1.0)
         lp.minimize(x)
         lp.solve()
-        lp.set_rhs(lp.row_names()[0], 2.0)
+        lp.set_rhs(row, 2.0)
         lp.solve()
     assert tracker.solves == 2
     assert tracker.seconds >= 0.0
@@ -254,21 +234,21 @@ def test_solver_time_tracker_accumulates():
 def test_solver_time_tracker_records_largest_model(backend):
     with lpcore.track_solver_time() as tracker:
         big = backend()
-        xs = [big.var(f"x{i}", lb=0.0) for i in range(3)]
+        xs = [big.var(lb=0.0) for _ in range(3)]
         big.add_ge(xs[0] + xs[1], 1.0)
         big.add_ge(xs[1] + 2.0 * xs[2], 1.0)
-        big.add_le(xs[0] - xs[2], 4.0, name="cap")
+        cap = big.add_le(xs[0] - xs[2], 4.0)
         big.minimize(lin_sum(xs))
         big.solve()
         with lpcore.track_solver_time() as inner:
             small = backend()
-            y = small.var("y", lb=0.0)
+            y = small.var(lb=0.0)
             small.add_ge(y, 1.0)
             small.minimize(y)
             small.solve()
         assert (inner.max_rows, inner.max_cols, inner.max_nnz) == (1, 1, 1)
         assert (tracker.max_rows, tracker.max_cols, tracker.max_nnz) == (3, 3, 6)
-        big.set_rhs("cap", 5.0)   # warm re-solve of the same model
+        big.set_rhs(cap, 5.0)     # warm re-solve of the same model
         big.solve()
     assert tracker.solves == 3
     assert (tracker.max_rows, tracker.max_cols, tracker.max_nnz) == (3, 3, 6)
@@ -282,7 +262,7 @@ def test_against_vertex_enumeration_oracle(backend):
         status, obj, _ = oracles.solve_lp_by_vertex_enumeration(c, A, lo, hi, xlb, xub)
 
         lp = backend()
-        xs = [lp.var(f"x{i}", lb=xlb[i], ub=xub[i]) for i in range(len(c))]
+        xs = [lp.var(lb=xlb[i], ub=xub[i]) for i in range(len(c))]
         for k in range(A.shape[0]):
             expr = lin_sum(A[k, i] * xs[i] for i in range(len(c)))
             if lo[k] == hi[k]:
@@ -306,9 +286,9 @@ def test_against_vertex_enumeration_oracle(backend):
 def test_column_bound_and_cost_switches_rewarm_like_fresh_builds():
     def build(cost_y=3.0, x_ub=INF):
         lp = LinearProgram()
-        x = lp.var("x", lb=0.0, ub=x_ub)
-        y = lp.var("y", lb=0.0)
-        lp.add_ge(x + y, 4.0, name="demand")
+        x = lp.var(lb=0.0, ub=x_ub)
+        y = lp.var(lb=0.0)
+        lp.add_ge(x + y, 4.0)
         lp.add_le(x - 2.0 * y, 1.0)
         lp.minimize(2.0 * x + cost_y * y)
         return lp
@@ -328,7 +308,7 @@ def test_column_bound_and_cost_switches_rewarm_like_fresh_builds():
     lp.set_costs([1], 3.0)
     back = lp.solve()
     assert back.objective == pytest.approx(first.objective, abs=1e-9)
-    assert lp.to_lp_text() == build().to_lp_text()
+    assert_same_arrays(lp, build())
 
 
 def test_add_rows_after_solve_stays_warm_like_a_fresh_build():
@@ -342,7 +322,7 @@ def test_add_rows_after_solve_stays_warm_like_a_fresh_build():
 
     def build(count):
         lp = LinearProgram()
-        x = lp.var_block("x", 3, lb=0.0, ub=4.0)
+        x = lp.var_block(3, lb=0.0, ub=4.0)
         lp.set_costs(x, [1.0, 2.0, 3.0])
         for rows, cols, coefs, bounds, sense in blocks[:count]:
             lp.add_rows(rows, cols, coefs, bounds, sense)
@@ -359,7 +339,7 @@ def test_add_rows_after_solve_stays_warm_like_a_fresh_build():
         fresh = build(count)
         with lpcore.track_solver_time() as ref_tracker:
             ref = fresh.solve()
-        assert lp.to_lp_text() == fresh.to_lp_text()
+        assert_same_arrays(lp, fresh)
         assert warm.objective == pytest.approx(ref.objective, abs=1e-9)
         assert warm.column_values(np.arange(3)) == pytest.approx(
             ref.column_values(np.arange(3)), abs=1e-9)
@@ -372,11 +352,11 @@ def test_fixed_column_dual_is_the_pinned_row_sensitivity():
     # for reference, as a variable pinned by an equality row
     def build(pinned, a):
         lp = LinearProgram()
-        x = lp.var("x", lb=0.0)
-        y = lp.var("y", lb=0.0)
-        alpha = lp.var("a", lb=a if not pinned else -INF, ub=a if not pinned else INF)
+        x = lp.var(lb=0.0)
+        y = lp.var(lb=0.0)
+        alpha = lp.var(lb=a if not pinned else -INF, ub=a if not pinned else INF)
         if pinned:
-            lp.add_eq(alpha, a, name="pin")
+            assert lp.add_eq(alpha, a) == 0
         lp.add_ge(x + y - alpha, 0.0)
         lp.add_ge(y - 0.5 * alpha, 0.0)
         lp.minimize(x + 2.0 * y)
@@ -388,16 +368,17 @@ def test_fixed_column_dual_is_the_pinned_row_sensitivity():
     sol = fixed.solve()
     ref = build(True, 3.0).solve()
     assert sol.objective == pytest.approx(ref.objective)
-    assert sol.column_duals([2])[0] == pytest.approx(ref.sensitivity("pin"))
+    assert sol.column_duals([2])[0] == pytest.approx(ref.sensitivity(0))
     assert sol.column_duals([2])[0] == pytest.approx(1.5)
 
 
-def test_scalar_var_block_is_one_named_column():
+def test_scalar_var_block_is_one_column():
     lp = LinearProgram()
-    lp.var_block("x", 2)
-    d = lp.var_block("d", (), lb=0.0)
-    assert d.shape == () and int(d) == 2
-    assert lp._col_names == ["x[0]", "x[1]", "d"]
+    lp.var_block(2)
+    d = lp.var_block((), lb=0.0)
+    assert d.shape == () and int(d) == 2 and lp.num_vars == 3
+    assert lp.col_bounds([0, 1, 2]) == (pytest.approx([-INF, -INF, 0.0]),
+                                        pytest.approx([INF, INF, INF]))
 
 
 def _src_trees():
@@ -412,11 +393,13 @@ def _src_trees():
 
 
 def test_only_lpcore_uses_expression_arithmetic():
-    # the package's programs are built from column-index arrays; LinExpr and
-    # its helpers are lpcore's row-wise path, which only tests build with
+    # the package's programs are built from index arrays; LinExpr, its
+    # helpers and the one-row methods are lpcore's row-wise path, which only
+    # tests build with
     import ast
 
-    banned = {"LinExpr", "lin_sum", "as_expr", "col_exprs"}
+    banned = {"LinExpr", "lin_sum", "as_expr", "col_exprs",
+              "add_eq", "add_le", "add_ge", "var_array", "minimize", "set_rhs"}
     found = []
     for name, tree in _src_trees():
         if name == "lpcore.py":
@@ -477,7 +460,7 @@ def _run_fresh(code):
 
 _SOLVES = """
 lp = lpcore.LinearProgram()
-x = lp.var_block("x", 2, lb=0.0)
+x = lp.var_block(2, lb=0.0)
 lp.add_rows([0, 0], x, [1.0, 1.0], [1.0], ">")
 lp.set_costs(x, [1.0, 2.0])
 sol = lp.solve()

@@ -3,11 +3,13 @@
 Every program that emits recursion rows (``contracts.emit_subsystem``,
 ``contracts.build_programs``, ``viability.finite_viable_lp`` and
 ``viability.rci_lp``) must build the same LP as its reference in
-``oracles``: the same row names in the same order, the same CSC arrays and
-the same bounds, bit for bit (signed zeros included, which ``to_lp_text``
-prints).  ``build_programs`` emits whole groups of subsystems at once; its
-reference builds one subsystem at a time.
+``oracles``: the same row senses in the same order, the same CSC arrays,
+costs and bounds, bit for bit (signed zeros included).  ``build_programs``
+emits whole groups of subsystems at once; its reference builds one
+subsystem at a time.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from zonosynth.cli import lambda_for
 from zonosynth.contracts import _at, _signature, build_programs, default_template, emit_subsystem
 from zonosynth.geom import Zonotope
 from zonosynth.lpcore import LinearProgram
+from zonosynth.synthesis import centralized_synthesize
 from zonosynth.sysmodel import load_network
 from zonosynth.viability import finite_viable_lp, rci_lp
 
@@ -29,8 +32,9 @@ VALUES = np.array([0.0, -0.0, 0.0, 1.0, -0.5, 0.3, 2.0, -1.25])
 
 
 def assert_same_lp(got, want):
-    assert got.row_names() == want.row_names()
-    assert got.to_lp_text() == want.to_lp_text()
+    assert got.name == want.name
+    assert got._senses().tobytes() == want._senses().tobytes()
+    assert got._obj_const == want._obj_const
     for a, b in zip(got._assemble(), want._assemble()):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -91,8 +95,7 @@ def emitted(emit, network, sid, **kwargs):
         key = (j, channel, t)
         if key not in alphas:
             entries = template.state[j] if channel == "x" else template.input[j]
-            alphas[key] = lp.var_block(f"al:{channel}:{j}:{t}",
-                                       _at(entries, t)[1].shape[1], lb=0.0, ub=1.0)
+            alphas[key] = lp.var_block(_at(entries, t)[1].shape[1], lb=0.0, ub=1.0)
         return alphas[key]
 
     emit(lp, network, template, sid, alpha_of, **kwargs)
@@ -249,3 +252,42 @@ def test_fixed_shapes_match_rowwise_reference():
         lp, _ = finite_viable_lp(A, B, D, X, U, 2, template=template, x0=x0)
         assert_same_lp(lp, oracles.finite_viable_lp_rowwise(A, B, D, X, U, 2,
                                                             template=template, x0=x0))
+
+
+# ---------------------------------------------------------------------------
+# golden digests: the emitters and their references above can change
+# together, so the LPs handed to HiGHS are also pinned by a digest
+
+
+def lp_digest(lps):
+    """sha256 over each program's ``_assemble()`` arrays and row senses."""
+    h = hashlib.sha256()
+    for lp in lps:
+        for a in lp._assemble():
+            h.update(a.tobytes())
+        h.update(lp._senses().tobytes())
+    return h.hexdigest()
+
+
+def programs_digest(network):
+    return lp_digest(p.lp for p in build_programs(network, default_template(network)).values())
+
+
+def test_case1_programs_match_golden_digest():
+    assert programs_digest(load_network("configs/case1.json")) == \
+        "33efa58c3458afaae9ddf3230a6fcf07f69d76a7d3576d3799a08feb50580e02"
+
+
+def test_geometric_programs_match_golden_digest():
+    assert programs_digest(sysmodel.random_network(10, lambda_for(20), seed=0)) == \
+        "654b6e63f6871f10c04ddbba084697644e55c46ed8216c694bc4e73b3f556b45"
+
+
+def test_case1_centralized_lp_matches_golden_digest(monkeypatch):
+    solved = []
+    solve = LinearProgram.solve
+    monkeypatch.setattr(LinearProgram, "solve",
+                        lambda lp, *a, **kw: solved.append(lp) or solve(lp, *a, **kw))
+    centralized_synthesize(load_network("configs/case1.json"))
+    assert lp_digest(lp for lp in solved if lp.name == "centralized") == \
+        "97272aa18b49e7380bb2137005b834cb581922682c6ca7241ab3da7d5efc06b2"

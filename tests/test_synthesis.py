@@ -22,7 +22,7 @@ from zonosynth.contracts import (
 )
 from zonosynth import lpcore
 from zonosynth.cli import lambda_for
-from zonosynth.sysmodel import ConfigError, load_network, random_network
+from zonosynth.sysmodel import ConfigError, Network, load_network, random_network
 from zonosynth import synthesis
 from zonosynth.synthesis import (
     DescentConfig,
@@ -420,15 +420,28 @@ def test_centralized_custom_template_with_an_input_contract(monkeypatch):
     assert caps.x[1][0] == pytest.approx([0.5]) and caps.x[2][0] == pytest.approx([0.5])
     assert caps.u[2][0] == pytest.approx([0.25])
 
-    solved = []
+    solved, added = [], []
     solve = lpcore.LinearProgram.solve
     monkeypatch.setattr(lpcore.LinearProgram, "solve",
                         lambda lp, *a, **kw: solved.append(lp) or solve(lp, *a, **kw))
+    admissibility = synthesis.add_promise_admissibility
+
+    def recorded(lp, alpha, *args):
+        first = lp.num_rows
+        admissibility(lp, alpha, *args)
+        added.append((lp, np.asarray(alpha).tolist(), set(range(first, lp.num_rows))))
+
+    monkeypatch.setattr(synthesis, "add_promise_admissibility", recorded)
     res = centralized_synthesize(net, template=tpl)
     assert res.ok, res.correctness.failures
-    names = set(next(lp for lp in solved if lp.name == "centralized").row_names())
-    assert {"adm:x:1:0:rowsum[0]", "adm:x:2:0:rowsum[0]", "adm:u:2:0:rowsum[0]",
-            "adm:u:2:0:G[0,0]", "adm:u:2:0:c[0]"} <= names
+    # one containment per promise (x of 1 and of 2, u of 2), each in the
+    # solved LP as rows on its own multiplier's column
+    lp = next(lp for lp in solved if lp.name == "centralized")
+    start, index = lp._assemble()[:2]
+    assert len(added) == 3 and len({tuple(cols) for _, cols, _ in added}) == 3
+    for target, cols, rows in added:
+        assert target is lp and rows
+        assert all(rows & set(index[start[c]:start[c + 1]].tolist()) for c in cols)
     assert 0.0 < res.params.u[2][0][0] <= 0.25 + 1e-9
     # every promise sits inside its admissible set, by witness or LP
     assert res.correctness.max_input_margin <= 1e-7
@@ -583,3 +596,24 @@ def test_custom_template_roundtrip(tmp_path):
     assert not back.template.is_bounds
     c, C = back.template.state[1][0]
     assert np.asarray(C) == pytest.approx(np.array([[2.0]]))
+
+
+# ---------------------------------------------------------------------------
+# inputs every driver rejects
+
+
+@pytest.mark.parametrize("driver", [compositional_synthesize, centralized_synthesize,
+                                    centralized_dense])
+def test_drivers_reject_a_network_without_subsystems(driver):
+    with pytest.raises(ConfigError, match="non-empty subsystems"):
+        driver(Network("infinite", None, []))
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_drivers_reject_a_reduction_order_below_one(order):
+    with pytest.raises(ValueError, match="reduction_order must be >= 1"):
+        DescentConfig(reduction_order=order).validate()
+    with pytest.raises(ValueError, match="reduction_order must be >= 1"):
+        compositional_synthesize(pair_network(), config=DescentConfig(reduction_order=order))
+    with pytest.raises(ValueError, match="reduction_order must be >= 1"):
+        centralized_synthesize(pair_network(), reduction_order=order)
