@@ -8,22 +8,32 @@ is exactly what the synthesized tubes were sized against — so a correct
 composition keeps every trajectory inside its tube forever (infinite mode)
 or across the horizon (finite mode).
 
-``step``, ``simulate`` and ``verify_invariance`` run one closed loop on
-stacked states, and chain the witnesses along it: a state keeps its
-coordinates from the last step, and only the new tail block of
-Omega_i(t+1), the columns that the disturbance generators became, is solved
-for.  A diagonal tail is divided out; any other tail takes a least-squares
-guess and, where that misses, a min-|zeta|_inf LP on the tail alone.  Every
-chained witness is checked (|zeta|_inf <= 1 + 1e-9, reconstruction within
-1e-9).  A state whose chained witness fails, and every state of a contracted
-RCI tube (beta > 0 or an error term), is re-witnessed by the membership LP
-on the whole tube, one warm instance per tube step; so is every start state
-of ``step`` and ``simulate``.  A chained witness need not be the min-norm
-one, so the per-step margins are lower bounds.  ``verify_invariance`` runs
-a batch of sampled trajectories; its disturbances mix uniform interior
-draws with all-plus/minus-one vertex patterns (all 2^p of them when
-p <= 12, random sign patterns otherwise), because worst cases live at
-vertices.
+``step``, ``simulate`` and ``verify_invariance`` run one closed loop on the
+whole network at once, with the sample axis last.  The states are one
+(n_total, S) array in ``sysmodel.stacked_slices`` order, and the update is
+one product with the aggregate A(t)/B(t), built once per distinct step.  The
+subsystems whose tubes share one shape over the run (n, m, k(t), p(t),
+whether they chain, whether the tail is diagonal) form a group, and the
+group's witnesses are one (g, k, S) block; a step makes a fixed number of
+numpy calls per group.  Each tube's step data (Omega(t+1), Theta(t), the
+head/tail split, the tail's radii or pseudo-inverse) is stacked once per
+step index, once per run for an RCI tube.
+
+The witnesses chain along the loop: a state keeps its coordinates from the
+last step, and only the new tail block of Omega_i(t+1), the columns that
+the disturbance generators became, is solved for.  A diagonal tail is
+divided out; any other tail takes a least-squares guess and, where that
+misses, a min-|zeta|_inf LP on the tail alone.  Every chained witness is
+checked (|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state
+whose chained witness fails, and every state of a contracted RCI tube
+(beta > 0 or an error term), is re-witnessed by the membership LP on the
+whole tube, one warm instance per tube step, subsystem by subsystem in
+sorted order; so is every start state of ``step`` and ``simulate``.  A
+chained witness need not be the min-norm one, so the per-step margins are
+lower bounds.  ``verify_invariance`` runs a batch of sampled trajectories;
+its disturbances mix uniform interior draws with all-plus/minus-one vertex
+patterns (all 2^p of them when p <= 12, random sign patterns otherwise),
+because worst cases live at vertices.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sysmodel
 from .geom import Zonotope, contains_point
 from .viability import RciSolution, ViableSolution
 
@@ -47,11 +58,15 @@ class OutsideViableSet(Exception):
         self.t = t
 
 
-def _solution_map(result):
-    """Accept a SynthesisResult or a plain {sid: solution} dict."""
+def _solution_map(result, network):
+    """Accept a SynthesisResult or a plain {sid: solution} dict; every
+    subsystem of ``network`` needs a solution."""
     solutions = getattr(result, "solutions", result)
     if not isinstance(solutions, dict) or not solutions:
         raise ValueError("no per-subsystem solutions to run")
+    missing = [sid for sid in network.sorted_ids() if sid not in solutions]
+    if missing:
+        raise ValueError(f"no solutions for subsystem(s) {missing}")
     return solutions
 
 
@@ -81,19 +96,18 @@ def step(network, solutions, states, t=0, disturbances=None):
     follows from that witness, so inputs read local state only.
     ``disturbances`` maps sid to a d_i in D_i(t) (defaults to the centers).
     A state outside its tube raises OutsideViableSet; a step at or past a
-    finite horizon raises ValueError.
+    finite horizon raises ValueError, and so does a state or disturbance
+    that is missing or has the wrong length.
     """
-    solutions = _solution_map(solutions)
+    solutions = _solution_map(solutions, network)
     _num_steps(solutions, t + 1, "take")
-    ids = network.sorted_ids()
-    stacked = {sid: np.atleast_2d(np.asarray(states[sid], dtype=float))
-               for sid in ids}
-    d = {sid: np.asarray(disturbances[sid], dtype=float) if disturbances
-         else network.subsystem(sid).D_at(t).center for sid in ids}
-    nxt, inputs = _closed_loop(network, solutions, t, stacked,
-                               _witness(network, solutions, t, stacked), d)
-    return ({sid: nxt[sid][0] for sid in ids},
-            {sid: inputs[sid][0] for sid in ids})
+    loop = _Loop(network, solutions, range(t, t + 1))
+    X = loop.column(states, "states")
+    d = loop.column(disturbances, "disturbances",
+                    lambda sid: network.subsystem(sid).D_at(t).center)
+    nxt, U = loop.advance(t, X, loop.witness(t, X), d)
+    return ({sid: nxt[sl, 0] for sid, sl in loop.state_slices.items()},
+            {sid: U[sl, 0] for sid, sl in loop.input_slices.items()})
 
 
 @dataclass
@@ -138,54 +152,44 @@ def simulate(network, solutions, num_steps, x0=None, seed=0):
     membership LP; from there the witnesses chain.  Disturbances are uniform
     zeta-samples from each D_i(t).  If a state escapes its tube the
     trajectory is truncated there and the violation recorded; a start
-    outside its tube is the violation (sid, 0).
+    outside its tube is the violation (sid, 0).  An ``x0`` that misses a
+    subsystem or has the wrong length raises ValueError.
     """
-    solutions = _solution_map(solutions)
+    solutions = _solution_map(solutions, network)
     num_steps = _num_steps(solutions, num_steps, "simulate")
     rng = np.random.default_rng(seed)
-    ids = network.sorted_ids()
-    states = {sid: np.atleast_2d(np.asarray(x0[sid], dtype=float)) if x0 else
-              solutions[sid].omega(0).center[None] for sid in ids}
-    xs = {sid: [states[sid][0]] for sid in ids}
-    us = {sid: [] for sid in ids}
-    ds = {sid: [] for sid in ids}
+    loop = _Loop(network, solutions, range(num_steps))
+    X = loop.column(x0, "x0", lambda sid: solutions[sid].omega(0).center)
+    xs, us, ds = [X[:, 0]], [], []
     report = InvarianceReport(1, num_steps)
     alive = np.ones(1, dtype=bool)
     try:
-        zeta = _witness(network, solutions, 0, states)
+        zetas = loop.witness(0, X)
     except OutsideViableSet as exc:
         report.first_violation = (exc.sid, exc.t)
         alive[0] = False
     for t in range(num_steps):
         if not alive[0]:
             break
-        draws = {}
-        for sid in ids:
-            D = network.subsystem(sid).D_at(t)
-            zd = rng.uniform(-1.0, 1.0, D.num_generators)
-            draws[sid] = D.center + D.generators @ zd
-        states, inputs = _closed_loop(network, solutions, t, states, zeta,
-                                      draws)
-        _rewitness(network, solutions, t, states, zeta, alive, report)
-        for sid in ids:
-            xs[sid].append(states[sid][0])
-            us[sid].append(inputs[sid][0])
-            ds[sid].append(draws[sid])
-
-    def rows(items, width):
-        return np.array(items) if items else np.zeros((0, width))
-
+        d = loop.disturbance(rng, t, 1)
+        X, U = loop.advance(t, X, zetas, d)
+        zetas = loop.rewitness(t, X, zetas, alive, report)
+        xs.append(X[:, 0])
+        us.append(U[:, 0])
+        ds.append(d[:, 0])
+    xs = np.array(xs)
+    us = np.array(us).reshape(len(us), loop.m_total)
+    ds = np.array(ds).reshape(len(ds), loop.n_total)
     return Trajectory(
-        states={sid: np.array(xs[sid]) for sid in ids},
-        inputs={sid: rows(us[sid], network.subsystem(sid).m) for sid in ids},
-        disturbances={sid: rows(ds[sid], network.subsystem(sid).n)
-                      for sid in ids},
+        states={sid: xs[:, sl] for sid, sl in loop.state_slices.items()},
+        inputs={sid: us[:, sl] for sid, sl in loop.input_slices.items()},
+        disturbances={sid: ds[:, sl] for sid, sl in loop.state_slices.items()},
         violation=report.first_violation,
     )
 
 
 # ---------------------------------------------------------------------------
-# batched Monte-Carlo invariance verification
+# the network-stacked closed loop
 
 
 def _mixed_zeta(rng, num, p):
@@ -203,16 +207,6 @@ def _mixed_zeta(rng, num, p):
     return out
 
 
-def _diag_radii(G):
-    """Radii if the generator block G is a (possibly zero-padded) diagonal."""
-    if G.shape[0] != G.shape[1]:
-        return None
-    off = G - np.diag(np.diag(G))
-    if np.any(off != 0.0):
-        return None
-    return np.diag(G)
-
-
 def _chain_exact(sol):
     """Whether witnesses chain through the tube recursion for this solution.
 
@@ -228,31 +222,379 @@ def _chain_exact(sol):
     return True
 
 
-def _tail_guess(tail, resid):
-    """Coordinates zw with resid ~ zw @ tail.T, row by row, and the tail's
-    radii if it is diagonal: then zw is the division, and no other
-    coordinates do better; otherwise (radii None) zw is the least-squares
-    guess."""
-    radii = _diag_radii(tail)
-    if radii is None:
-        return resid @ np.linalg.pinv(tail).T, None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(radii > 0.0, resid / radii, 0.0), radii
+def _norms(a):
+    """|.|_inf over axis -2 of samples-last witnesses or residuals: one
+    value per sample (0 without coordinates)."""
+    return np.abs(a).max(axis=-2, initial=0.0)
 
 
-def _row_norms(a):
-    """|row|_inf of every row of ``a`` (0 without columns).  Reduced over a
-    column-major copy: with few columns that is several times faster than
-    reducing along C-ordered rows."""
-    return np.abs(np.asfortranarray(a)).max(axis=1, initial=0.0)
+def _tail_ok(tail, radii, resid, zw):
+    """Samples where zw is a witness of resid on the tail: |zw|_inf <= 1 +
+    1e-9 and tail @ zw reconstructs resid within 1e-9 (NaN fails).  A
+    diagonal tail passes its ``radii``, and the product is entrywise."""
+    recon = tail @ zw if radii is None else zw * radii
+    return (_norms(zw) <= 1.0 + 1e-9) & (_norms(resid - recon) <= 1e-9)
 
 
-def _witness_ok(tail, resid, zw, radii=None):
-    """Rows where zw is a witness: |zw|_inf <= 1 + 1e-9 and zw @ tail.T
-    reconstructs resid within 1e-9 (NaN rows fail).  A diagonal tail passes
-    its ``radii``, and the product is taken entrywise."""
-    recon = zw @ tail.T if radii is None else zw * radii
-    return (_row_norms(zw) <= 1.0 + 1e-9) & (_row_norms(resid - recon) <= 1e-9)
+def _diagonal(tails):
+    """Which tails of a (g, n, p) stack are square diagonal blocks."""
+    g, n, p = tails.shape
+    if n != p:
+        return np.zeros(g, dtype=bool)
+    off = tails.copy()
+    off[:, np.arange(n), np.arange(n)] = 0.0
+    return ~np.any(off != 0.0, axis=(1, 2))
+
+
+def _tube_steps(rci, steps):
+    """The step indices whose tube data a run over ``steps`` stacks: the
+    first alone for an RCI tube, which is the same at every step."""
+    return list(steps)[:1] if rci else list(steps)
+
+
+def _shape(sol, sub, steps):
+    """What the members of a group share: RCI or not, n, m, the witness
+    width at the first step, and per step (k(t+1), p(t), chained)."""
+    rci = isinstance(sol, RciSolution)
+
+    def width(t):
+        return sol.k if rci else sol.T[t].shape[1]
+
+    per_step = []
+    for t in _tube_steps(rci, steps):
+        p = (sol.W if rci else sol.W[t]).num_generators
+        chained = (_chain_exact(sol)
+                   and width(t) - (p if rci else 0) == width(t + 1) - p)
+        per_step.append((width(t + 1), p, chained))
+    return rci, sub.n, sub.m, width(steps.start), tuple(per_step)
+
+
+class _TubeStep:
+    """One step t -> t + 1 of a group's tubes, stacked over the group:
+    Theta(t) for the inputs, and Omega(t+1) with its head/tail split and the
+    tail's radii (a diagonal tail) or pseudo-inverse for the witnesses."""
+
+    def __init__(self, omegas, thetas, p, shift, chained, diagonal):
+        self.omegas = omegas                # Omega(t+1) per member
+        self.p = p                          # disturbance generators
+        self.shift = shift                  # leading witness columns dropped
+        self.chained = chained
+        self.theta_c = self.theta_G = None
+        if thetas:
+            self.theta_c = np.stack([th.center for th in thetas])[:, :, None]
+            self.theta_G = np.stack([th.generators for th in thetas])
+        self.width = omegas[0].num_generators
+        self.radii = self.pinv = None
+        if chained:
+            gens = np.stack([om.generators for om in omegas])
+            self.center = np.stack([om.center for om in omegas])[:, :, None]
+            self.head = gens[:, :, :self.width - p]
+            self.tail = gens[:, :, self.width - p:]
+            if diagonal:
+                self.radii = np.diagonal(self.tail, axis1=1, axis2=2)[:, :, None]
+            else:
+                self.pinv = np.linalg.pinv(self.tail)
+        self._tail_sets = {}
+
+    def solve_tail(self, resid):
+        """Tail coordinates of (g, n, S) residuals: divided out by a
+        diagonal tail, the least-squares guess otherwise."""
+        if self.radii is None:
+            return self.pinv @ resid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.radii > 0.0, resid / self.radii, 0.0)
+
+    def tail_set(self, i):
+        """Member i's tail as a zonotope around 0, for the tail LP."""
+        if i not in self._tail_sets:
+            self._tail_sets[i] = Zonotope(np.zeros(self.tail.shape[1]),
+                                          self.tail[i])
+        return self._tail_sets[i]
+
+
+class _Group:
+    """Subsystems whose tubes have one shape over the run; their witnesses
+    are one (g, k, S) block, members in sorted-id order."""
+
+    def __init__(self, pos, rows, urows, rci, steps):
+        self.pos = pos          # (g,) positions in sorted-id order
+        self.rows = rows        # (g, n) rows of the stacked states
+        self.urows = urows      # (g, m) rows of the stacked inputs
+        self.rci = rci
+        self._steps = steps     # t (None for an RCI tube) -> _TubeStep
+
+    def at(self, t):
+        return self._steps[None if self.rci else t]
+
+
+def _groups(network, solutions, ids, steps, state_slices, input_slices):
+    """The groups of the run ``steps``: subsystems bucketed by ``_shape``,
+    and each bucket split by which steps have a diagonal tail."""
+    buckets = {}
+    for pos, sid in enumerate(ids):
+        key = _shape(solutions[sid], network.subsystem(sid), steps)
+        buckets.setdefault(key, []).append(pos)
+    groups = []
+    for (rci, n, m, _, per_step), members in buckets.items():
+        sols = [solutions[ids[i]] for i in members]
+        stacked, flags = {}, []
+        for t, (width, p, chained) in zip(_tube_steps(rci, steps), per_step):
+            omegas = [sol.omega(t + 1) for sol in sols]
+            thetas = [sol.theta(t) for sol in sols] if m else None
+            stacked[None if rci else t] = (omegas, thetas, p, chained)
+            flags.append(_diagonal(np.stack(
+                [om.generators[:, width - p:] for om in omegas]))
+                if chained else np.zeros(len(sols), dtype=bool))
+        signatures = {}
+        for i, sig in enumerate(zip(*flags) if flags else [()] * len(sols)):
+            signatures.setdefault(sig, []).append(i)
+        for sig, sel in signatures.items():
+            pos = np.array([members[i] for i in sel])
+            tube_steps = {
+                t: _TubeStep([omegas[i] for i in sel],
+                             thetas and [thetas[i] for i in sel],
+                             p, p if rci else 0, chained, diag)
+                for (t, (omegas, thetas, p, chained)), diag
+                in zip(stacked.items(), sig)}
+            first = np.array([[state_slices[ids[i]].start,
+                               input_slices[ids[i]].start] for i in pos])
+            groups.append(_Group(pos, first[:, :1] + np.arange(n),
+                                 first[:, 1:] + np.arange(m), rci, tube_steps))
+    return groups
+
+
+class _Loop:
+    """The closed loop of one network on stacked, samples-last arrays.
+
+    States are one (n_total, S) array and inputs one (m_total, S) array,
+    both in ``sysmodel.stacked_slices`` order; witnesses are a list of
+    (g, k, S) blocks, one per group.  ``steps`` is the range of steps the
+    run takes, for which the groups' tube data is stacked.
+    """
+
+    def __init__(self, network, solutions, steps):
+        self.network = network
+        self.solutions = solutions
+        self.ids = network.sorted_ids()
+        self.slices = sysmodel.stacked_slices(network)
+        self.state_slices, self.input_slices = self.slices
+        self.n_total = sum(sl.stop - sl.start for sl in self.state_slices.values())
+        self.m_total = sum(sl.stop - sl.start for sl in self.input_slices.values())
+        self.groups = _groups(network, solutions, self.ids, steps,
+                              *self.slices)
+        subs = [network.subsystem(sid) for sid in self.ids]
+        # per-step sequences; a step whose entries are the same objects as
+        # the last build's reuses what was built from them
+        self._varying = {
+            "dynamics": [seq for s in subs for seq in itertools.chain(
+                (s.A, s.B), *((c.A, c.B or ()) for c in s.couplings.values()))
+                if len(seq) > 1],
+            "disturbance": [s.D for s in subs if len(s.D) > 1]}
+        self._built = {}
+
+    def _rebuilt(self, what, t, build):
+        """``build(t)``, rebuilt only when one of the per-step sequences of
+        ``what`` holds another entry at t than at the last build."""
+        last = self._built.get(what)
+        if last is None or any(seq[t] is not seq[last[0]]
+                               for seq in self._varying[what]):
+            last = self._built[what] = (t, build(t))
+        return last[1]
+
+    def column(self, values, what, default=None):
+        """One (n_total, 1) column of the per-subsystem vectors ``values``,
+        or of ``default(sid)`` when no ``values`` are given."""
+        col = np.empty((self.n_total, 1))
+        for sid, sl in self.state_slices.items():
+            n = sl.stop - sl.start
+            if not values and default is not None:
+                col[sl, 0] = default(sid)
+                continue
+            if not values or sid not in values:
+                raise ValueError(f"{what}: no entry for subsystem {sid!r} "
+                                 f"(expected {n} values)")
+            v = np.asarray(values[sid], dtype=float).ravel()
+            if v.size != n:
+                raise ValueError(f"{what}: subsystem {sid!r} has {v.size} "
+                                 f"values, expected {n}")
+            col[sl, 0] = v
+        return col
+
+    def _blocks(self, per_subsystem):
+        """Group blocks from per-subsystem (k, S) witnesses."""
+        return [np.stack([per_subsystem[i] for i in group.pos])
+                for group in self.groups]
+
+    def sample(self, rng, S):
+        """zeta-samples of every Omega_i(0), vertex patterns first, in sorted
+        order; returns the states and their witness blocks."""
+        X = np.empty((self.n_total, S))
+        found = []
+        for sid, sl in self.state_slices.items():
+            om = self.solutions[sid].omega(0)
+            zeta = _mixed_zeta(rng, S, om.num_generators)
+            X[sl] = (om.center + zeta @ om.generators.T).T
+            found.append(zeta.T)
+        return X, self._blocks(found)
+
+    def witness(self, t, X):
+        """Membership-LP witnesses of the states X in their tubes Omega_i(t);
+        the first subsystem with a state outside raises OutsideViableSet."""
+        found = []
+        for sid, sl in self.state_slices.items():
+            inside, zeta = contains_point(self.solutions[sid].omega(t), X[sl].T)
+            if not inside.all():
+                raise OutsideViableSet(sid, t)
+            found.append(zeta.T)
+        return self._blocks(found)
+
+    def _runs(self, t):
+        """Runs of consecutive subsystems whose D_i(t) have one shape:
+        (sids, state rows, centers (r, n, 1), generators (r, n, p))."""
+        runs = []
+        Ds = {sid: self.network.subsystem(sid).D_at(t) for sid in self.ids}
+        for _, sids in itertools.groupby(
+                self.ids, key=lambda sid: Ds[sid].generators.shape):
+            sids = tuple(sids)
+            rows = slice(self.state_slices[sids[0]].start,
+                         self.state_slices[sids[-1]].stop)
+            runs.append((sids, rows,
+                         np.stack([Ds[sid].center for sid in sids])[:, :, None],
+                         np.stack([Ds[sid].generators for sid in sids])))
+        return runs
+
+    def disturbance(self, rng, t, S, patterns=None):
+        """d(t) for S samples: uniform zeta-draws from each D_i(t), in sorted
+        order, after the first columns that ``patterns`` fixes.  Consecutive
+        subsystems of one shape share one ``rng.uniform`` call, which draws
+        the same numbers as one call each."""
+        runs = self._rebuilt("disturbance", t, self._runs)
+        fixed = [None if patterns is None else patterns.block(sids, G.shape[2])
+                 for sids, _, _, G in runs]
+        d = np.empty((self.n_total, S))
+        for (sids, rows, c, G), vertex in zip(runs, fixed):
+            r, n, p = G.shape
+            nv = 0 if vertex is None else vertex.shape[2]
+            zd = np.empty((r, p, S))
+            if nv:
+                zd[:, :, :nv] = vertex
+            zd[:, :, nv:] = rng.uniform(-1.0, 1.0, (r, S - nv, p)).transpose(0, 2, 1)
+            d[rows] = (c + G @ zd).reshape(r * n, S)
+        return d
+
+    def advance(self, t, X, zetas, d):
+        """One synchronous update: inputs from the witnesses, then x(t+1) =
+        A(t) x + B(t) u + d; returns (next states, inputs)."""
+        U = np.zeros((self.m_total, X.shape[1]))
+        for group, Z in zip(self.groups, zetas):
+            st = group.at(t)
+            if st.theta_G is not None:
+                U[group.urows] = st.theta_c + st.theta_G @ Z
+        A, B = self._rebuilt("dynamics", t, lambda s: sysmodel.aggregate_dynamics(
+            self.network, s, self.slices))
+        nxt = A @ X
+        nxt += B @ U
+        nxt += d
+        return nxt, U
+
+    def rewitness(self, t, X, zetas, alive, report):
+        """Witness blocks of the states X at t + 1.
+
+        Chained witnesses are solved for a whole group at once.  Then, in
+        sorted order, each subsystem with a live sample whose chained witness
+        failed takes the tail LP (a non-diagonal tail) and the tube LP, and
+        each subsystem whose tube does not chain takes the tube LP for every
+        live sample.  Samples the tube LP finds outside leave ``alive``;
+        ``report`` counts them, the LPs and the witness losses.
+        """
+        new, work = [], []
+        for gi, (group, Z) in enumerate(zip(self.groups, zetas)):
+            st = group.at(t)
+            if not st.chained:
+                new.append(np.zeros((len(group.pos), st.width, Z.shape[2])))
+                work += [(pos, gi, i, None) for i, pos in enumerate(group.pos)]
+                continue
+            # the tail coordinates are recovered from the actual next state
+            # (not from the disturbance applied), so x = c + T zeta holds
+            # every step up to the 1e-9 check, and solver-tolerance residuals
+            # of the tube recursion cannot compound through the witnesses
+            base = Z[:, st.shift:]
+            resid = X[group.rows] - (st.center + st.head @ base)
+            zw = st.solve_tail(resid)
+            new.append(np.concatenate([base, zw], axis=1))
+            bad = ~_tail_ok(st.tail, st.radii, resid, zw)
+            work += [(group.pos[i], gi, i, (resid[i], bad[i]))
+                     for i in np.flatnonzero((bad & alive).any(axis=1))]
+
+        def lp_witness(Z, points):
+            if Z.num_generators:
+                report.lp_rewitness += len(points)
+            return contains_point(Z, points)
+
+        for pos, gi, i, chain in sorted(work, key=lambda w: w[0]):
+            st = self.groups[gi].at(t)
+            zeta = new[gi][i]
+            if chain is None:
+                redo = np.flatnonzero(alive)
+            else:
+                resid, bad = chain
+                miss = alive & bad
+                if st.pinv is not None and miss.any():
+                    rows = np.flatnonzero(miss)
+                    inside, wit = lp_witness(st.tail_set(i), resid[:, rows].T)
+                    zw = zeta[st.width - st.p:]
+                    zw[:, rows[inside]] = wit[inside].T
+                    miss[rows] = ~_tail_ok(st.tail[i], None, resid[:, rows],
+                                           zw[:, rows])
+                redo = np.flatnonzero(miss)
+            if not redo.size:
+                continue
+            sl = self.state_slices[self.ids[pos]]
+            inside, wit = lp_witness(st.omegas[i], X[sl, redo].T)
+            zeta[:, redo[inside]] = wit[inside].T
+            if chain is not None:
+                report.witness_losses += int(inside.sum())
+            out = redo[~inside]
+            report.violations += out.size
+            alive[out] = False
+            if out.size and report.first_violation is None:
+                report.first_violation = (self.ids[pos], t + 1)
+        return new
+
+    def margins(self, zetas, alive, out):
+        """1 - |zeta|_inf minimized over the live samples (at least one),
+        into ``out`` (one entry per subsystem, sorted order).  1 - x rounds
+        monotonically, so that is 1 - the largest norm."""
+        for group, Z in zip(self.groups, zetas):
+            out[group.pos] = 1.0 - _norms(Z).max(axis=1, where=alive,
+                                                 initial=-np.inf)
+
+
+class _VertexPatterns:
+    """The vertex-role disturbance columns of ``verify_invariance``: one
+    ``_mixed_zeta`` draw per subsystem and generator count of D_i(t), made
+    on first use and replayed at every later step."""
+
+    def __init__(self, rng, num_samples):
+        self.rng = rng
+        self.num_samples = num_samples
+        self._drawn = {}        # (sid, p) -> (p, nv) pattern
+        self._blocks = {}       # (sids, p) -> (r, p, nv) stack
+
+    def block(self, sids, p):
+        key = (sids, p)
+        if key not in self._blocks:
+            S = self.num_samples
+            nv = min(2 ** p if p <= 12 else S, max(S // 2, 1))
+            for sid in sids:
+                if (sid, p) not in self._drawn:
+                    self._drawn[sid, p] = _mixed_zeta(self.rng, S, p)[:nv].T
+            self._blocks[key] = np.stack([self._drawn[sid, p] for sid in sids])
+        return self._blocks[key]
+
+
+# ---------------------------------------------------------------------------
+# batched Monte-Carlo invariance verification
 
 
 @dataclass
@@ -273,110 +615,17 @@ class InvarianceReport:
         return not self.vacuous and self.violations == 0
 
 
-def _witness(network, solutions, t, states):
-    """Membership-LP witnesses of stacked states in their tubes Omega_i(t);
-    the first subsystem with a state outside raises OutsideViableSet."""
-    zeta = {}
-    for sid in network.sorted_ids():
-        inside, zeta[sid] = contains_point(solutions[sid].omega(t), states[sid])
-        if not inside.all():
-            raise OutsideViableSet(sid, t)
-    return zeta
-
-
-def _closed_loop(network, solutions, t, states, zeta, d):
-    """One synchronous update of stacked (S, n_i) states with witnesses
-    ``zeta`` and disturbances ``d``; returns (next, inputs)."""
-    ids = network.sorted_ids()
-    inputs = {sid: np.zeros((len(zeta[sid]), 0)) for sid in ids}
-    for sid in ids:
-        if network.subsystem(sid).m:
-            th = solutions[sid].theta(t)
-            inputs[sid] = th.center + zeta[sid] @ th.generators.T
-    nxt = {}
-    for sid in ids:
-        sub = network.subsystem(sid)
-        new = states[sid] @ sub.A_at(t).T
-        if sub.m:
-            new = new + inputs[sid] @ sub.B_at(t).T
-        w = np.zeros_like(new)
-        for j, coupling in sub.couplings.items():
-            w = w + states[j] @ coupling.A_at(t).T
-            if coupling.B is not None:
-                w = w + inputs[j] @ coupling.B_at(t).T
-        nxt[sid] = new + (w + d[sid])
-    return nxt, inputs
-
-
-def _rewitness(network, solutions, t, states, zeta, alive, report):
-    """Advance the witnesses ``zeta`` to the ``states`` at t + 1, in place.
-    Rows the tube LP finds outside leave ``alive``; ``report`` counts them,
-    the LPs and the witness losses."""
-    def lp_witness(Z, points):
-        if Z.num_generators:
-            report.lp_rewitness += len(points)
-        return contains_point(Z, points)
-
-    for sid in network.sorted_ids():
-        sol = solutions[sid]
-        rci = isinstance(sol, RciSolution)
-        # The tail coordinates are recovered from the actual next state (not
-        # from the disturbance applied), so the identity x = c + T zeta holds
-        # every step up to the 1e-9 check; otherwise solver-tolerance
-        # residuals in the template recursion compound through the witness
-        # dynamics and eventually decouple the witness from the state it is
-        # supposed to describe.
-        om_next = sol.omega(t + 1)
-        G = om_next.generators
-        k_next = G.shape[1]
-        p = (sol.W if rci else sol.W[t]).num_generators
-        base = zeta[sid][:, p:] if rci else zeta[sid]
-        chained = _chain_exact(sol) and base.shape[1] == k_next - p
-        new_zeta = np.zeros((len(alive), k_next))
-        if chained:
-            tail = G[:, k_next - p:]
-            resid = states[sid] - (om_next.center
-                                   + base @ G[:, :k_next - p].T)
-            zw, radii = _tail_guess(tail, resid)
-            miss = alive & ~_witness_ok(tail, resid, zw, radii)
-            if radii is None and miss.any():
-                rows = np.flatnonzero(miss)
-                inside, wit = lp_witness(
-                    Zonotope(np.zeros(resid.shape[1]), tail), resid[rows])
-                zw[rows[inside]] = wit[inside]
-                miss[rows] = ~_witness_ok(tail, resid[rows], zw[rows])
-            new_zeta[:, :k_next - p] = base
-            new_zeta[:, k_next - p:] = zw
-            redo = np.flatnonzero(miss)
-        else:
-            redo = np.flatnonzero(alive)
-        if redo.size:
-            inside, wit = lp_witness(om_next, states[sid][redo])
-            new_zeta[redo[inside]] = wit[inside]
-            if chained:
-                report.witness_losses += int(inside.sum())
-            out = redo[~inside]
-            report.violations += out.size
-            alive[out] = False
-            if out.size and report.first_violation is None:
-                report.first_violation = (sid, t + 1)
-        zeta[sid] = new_zeta
-
-
 def verify_invariance(network, result, num_samples=10_000, num_steps=None,
                       seed=0):
     """Sample closed-loop trajectories and count tube escapes.
 
     Initial states are zeta-sampled from each Omega_i(0) (vertex patterns
     included); disturbances likewise from D_i(t), with the vertex-role
-    samples holding a constant extreme pattern across all steps.  Returns an
-    InvarianceReport; a sound synthesis gives violations == 0.
+    samples holding one extreme pattern per generator count of D_i(t)
+    across all steps.  Returns an InvarianceReport; a sound synthesis gives
+    violations == 0.
     """
-    solutions = _solution_map(result)
-    ids = network.sorted_ids()
-    missing = [sid for sid in ids if sid not in solutions]
-    if missing:
-        raise ValueError(f"no solutions for subsystem(s) {missing}")
+    solutions = _solution_map(result, network)
     num_steps = _num_steps(solutions, num_steps, "verify")
     if num_samples < 0:
         raise ValueError(f"num_samples must be nonnegative, got {num_samples}")
@@ -385,46 +634,23 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
 
     rng = np.random.default_rng(seed)
     S = num_samples
-    zeta = {}
-    states = {}
-    margins = {}
-    for sid in ids:
-        om = solutions[sid].omega(0)
-        zeta[sid] = _mixed_zeta(rng, S, om.num_generators)
-        states[sid] = om.center + zeta[sid] @ om.generators.T
-        margins[sid] = np.full(num_steps + 1, np.inf)
-
-    # vertex-role samples replay one extreme disturbance pattern forever
-    d_pattern = {}
-    n_vertex = {}
-    for sid in ids:
-        p = network.subsystem(sid).D_at(0).num_generators
-        d_pattern[sid] = _mixed_zeta(rng, S, p)
-        full = 2 ** p if p <= 12 else S
-        n_vertex[sid] = min(full, max(S // 2, 1))
-
-    report = InvarianceReport(S, num_steps, margins=margins)
+    loop = _Loop(network, solutions, range(num_steps))
+    N = len(loop.ids)
+    X, zetas = loop.sample(rng, S)
+    patterns = _VertexPatterns(rng, S)
+    margins = np.full((N, num_steps + 1), np.inf)
+    report = InvarianceReport(S, num_steps, margins=dict(zip(loop.ids, margins)))
     alive = np.ones(S, dtype=bool)
-    report.checked += len(ids) * S
-    for sid in ids:
-        margins[sid][0] = float((1.0 - _row_norms(zeta[sid]))[alive].min())
+    report.checked += N * S
+    loop.margins(zetas, alive, margins[:, 0])
 
     for t in range(num_steps):
         if not alive.any():
             break
-        d = {}
-        for sid in ids:
-            D = network.subsystem(sid).D_at(t)
-            nv = n_vertex[sid]
-            zd = np.empty((S, D.num_generators))
-            zd[:nv] = d_pattern[sid][:nv]
-            zd[nv:] = rng.uniform(-1.0, 1.0, (S - nv, D.num_generators))
-            d[sid] = D.center + zd @ D.generators.T
-        states, _ = _closed_loop(network, solutions, t, states, zeta, d)
-        _rewitness(network, solutions, t, states, zeta, alive, report)
-        report.checked += len(ids) * int(alive.sum())
-        for sid in ids:
-            if alive.any():
-                margins[sid][t + 1] = float(
-                    (1.0 - _row_norms(zeta[sid]))[alive].min())
+        d = loop.disturbance(rng, t, S, patterns)
+        X, _ = loop.advance(t, X, zetas, d)
+        zetas = loop.rewitness(t, X, zetas, alive, report)
+        report.checked += N * int(alive.sum())
+        if alive.any():
+            loop.margins(zetas, alive, margins[:, t + 1])
     return report

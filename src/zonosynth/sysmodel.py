@@ -406,32 +406,47 @@ class AggregateModel:
     input_slices: dict
 
 
+def stacked_slices(network):
+    """Each subsystem's slice of the stacked state and of the stacked input
+    vector of the whole network, in sorted-id order: (state, input) dicts."""
+    state_slices, input_slices = {}, {}
+    r = c = 0
+    for sid in network.sorted_ids():
+        s = network.subsystem(sid)
+        state_slices[sid] = slice(r, r + s.n)
+        input_slices[sid] = slice(c, c + s.m)
+        r += s.n
+        c += s.m
+    return state_slices, input_slices
+
+
+def aggregate_dynamics(network, t, slices=None):
+    """A(t) and B(t) of the whole network on the ``stacked_slices`` layout:
+    each subsystem's own blocks with its couplings folded in."""
+    state_slices, input_slices = slices or stacked_slices(network)
+    n_total = max((sl.stop for sl in state_slices.values()), default=0)
+    m_total = max((sl.stop for sl in input_slices.values()), default=0)
+    A = np.zeros((n_total, n_total))
+    B = np.zeros((n_total, m_total))
+    for sid, rs in state_slices.items():
+        s = network.subsystem(sid)
+        A[rs, rs] = s.A_at(t)
+        B[rs, input_slices[sid]] = s.B_at(t)
+        for j, coupling in s.couplings.items():
+            A[rs, state_slices[j]] += coupling.A_at(t)
+            if coupling.B is not None:
+                B[rs, input_slices[j]] += coupling.B_at(t)
+    return A, B
+
+
 def aggregate(network):
     ids = network.sorted_ids()
     subs = [network.subsystem(sid) for sid in ids]
-    n_total = sum(s.n for s in subs)
-    m_total = sum(s.m for s in subs)
-    state_slices = {}
-    input_slices = {}
-    r = c = 0
-    for s in subs:
-        state_slices[s.sid] = slice(r, r + s.n)
-        input_slices[s.sid] = slice(c, c + s.m)
-        r += s.n
-        c += s.m
+    slices = stacked_slices(network)
     steps = network.num_steps
     A_seq, B_seq, X_seq, U_seq, D_seq = [], [], [], [], []
     for t in range(steps):
-        A = np.zeros((n_total, n_total))
-        B = np.zeros((n_total, m_total))
-        for s in subs:
-            rs = state_slices[s.sid]
-            A[rs, state_slices[s.sid]] = s.A_at(t)
-            B[rs, input_slices[s.sid]] = s.B_at(t)
-            for j, coupling in s.couplings.items():
-                A[rs, state_slices[j]] += coupling.A_at(t)
-                if coupling.B is not None:
-                    B[rs, input_slices[j]] += coupling.B_at(t)
+        A, B = aggregate_dynamics(network, t, slices)
         A_seq.append(A)
         B_seq.append(B)
         U_seq.append(stack([s.U_at(t) for s in subs]))
@@ -439,4 +454,4 @@ def aggregate(network):
     for t in range(steps + 1 if network.mode == "finite" else 1):
         X_seq.append(stack([s.X_at(t) for s in subs]))
     return AggregateModel(tuple(A_seq), tuple(B_seq), tuple(X_seq), tuple(U_seq),
-                          tuple(D_seq), ids, state_slices, input_slices)
+                          tuple(D_seq), ids, *slices)

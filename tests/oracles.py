@@ -11,7 +11,9 @@ the grouped ``build_programs`` against, and the hard extraction as a second
 LP per subsystem with its parameters pinned by equality rows, to check
 ``PotentialProgram.extract`` against; and the geometric network built with
 one distance call per pair of points, to check ``network_from_points``'
-neighbour prefilter against.
+neighbour prefilter against; and the Monte-Carlo closed loop run subsystem
+by subsystem on (S, n_i) arrays, to check ``runtime``'s network-stacked
+loop against.
 """
 
 import itertools
@@ -657,3 +659,244 @@ def network_from_points_pairwise(points, lam, radius=10.0, template=None):
                 couplings[j] = Coupling((lam / (1.0 + dist) * np.ones((2, 2)),))
         subsystems.append(Subsystem(i, (A_ii,), (B_ii,), (X,), (U,), (D,), couplings))
     return Network("infinite", None, subsystems).validate()
+
+
+# ---------------------------------------------------------------------------
+# the closed loop, one subsystem at a time
+
+
+def _row_norms(a):
+    """|row|_inf of every row of ``a`` (0 without columns)."""
+    return np.abs(np.asfortranarray(a)).max(axis=1, initial=0.0)
+
+
+def _diag_radii(G):
+    """Radii if the generator block G is a (possibly zero-padded) diagonal."""
+    if G.shape[0] != G.shape[1]:
+        return None
+    off = G - np.diag(np.diag(G))
+    if np.any(off != 0.0):
+        return None
+    return np.diag(G)
+
+
+def _tail_guess(tail, resid):
+    """Coordinates zw with resid ~ zw @ tail.T, row by row: the division
+    when the tail is diagonal (its radii are returned too), the
+    least-squares guess otherwise (radii None)."""
+    radii = _diag_radii(tail)
+    if radii is None:
+        return resid @ np.linalg.pinv(tail).T, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(radii > 0.0, resid / radii, 0.0), radii
+
+
+def _witness_ok(tail, resid, zw, radii=None):
+    """Rows where zw is a witness: |zw|_inf <= 1 + 1e-9 and zw @ tail.T
+    reconstructs resid within 1e-9 (NaN rows fail)."""
+    recon = zw @ tail.T if radii is None else zw * radii
+    return (_row_norms(zw) <= 1.0 + 1e-9) & (_row_norms(resid - recon) <= 1e-9)
+
+
+def _witness_per_subsystem(network, solutions, t, states):
+    from zonosynth.geom import contains_point
+    from zonosynth.runtime import OutsideViableSet
+
+    zeta = {}
+    for sid in network.sorted_ids():
+        inside, zeta[sid] = contains_point(solutions[sid].omega(t), states[sid])
+        if not inside.all():
+            raise OutsideViableSet(sid, t)
+    return zeta
+
+
+def _closed_loop_per_subsystem(network, solutions, t, states, zeta, d):
+    """One synchronous update of per-subsystem (S, n_i) states; returns
+    (next, inputs)."""
+    ids = network.sorted_ids()
+    inputs = {sid: np.zeros((len(zeta[sid]), 0)) for sid in ids}
+    for sid in ids:
+        if network.subsystem(sid).m:
+            th = solutions[sid].theta(t)
+            inputs[sid] = th.center + zeta[sid] @ th.generators.T
+    nxt = {}
+    for sid in ids:
+        sub = network.subsystem(sid)
+        new = states[sid] @ sub.A_at(t).T
+        if sub.m:
+            new = new + inputs[sid] @ sub.B_at(t).T
+        w = np.zeros_like(new)
+        for j, coupling in sub.couplings.items():
+            w = w + states[j] @ coupling.A_at(t).T
+            if coupling.B is not None:
+                w = w + inputs[j] @ coupling.B_at(t).T
+        nxt[sid] = new + (w + d[sid])
+    return nxt, inputs
+
+
+def _rewitness_per_subsystem(network, solutions, t, states, zeta, alive, report):
+    """Advance the witnesses to the states at t + 1, subsystem by subsystem
+    in sorted order: chained tail, tail LP, tube LP."""
+    from zonosynth.geom import Zonotope, contains_point
+    from zonosynth.runtime import _chain_exact
+    from zonosynth.viability import RciSolution
+
+    def lp_witness(Z, points):
+        if Z.num_generators:
+            report.lp_rewitness += len(points)
+        return contains_point(Z, points)
+
+    for sid in network.sorted_ids():
+        sol = solutions[sid]
+        rci = isinstance(sol, RciSolution)
+        om_next = sol.omega(t + 1)
+        G = om_next.generators
+        k_next = G.shape[1]
+        p = (sol.W if rci else sol.W[t]).num_generators
+        base = zeta[sid][:, p:] if rci else zeta[sid]
+        chained = _chain_exact(sol) and base.shape[1] == k_next - p
+        new_zeta = np.zeros((len(alive), k_next))
+        if chained:
+            tail = G[:, k_next - p:]
+            resid = states[sid] - (om_next.center + base @ G[:, :k_next - p].T)
+            zw, radii = _tail_guess(tail, resid)
+            miss = alive & ~_witness_ok(tail, resid, zw, radii)
+            if radii is None and miss.any():
+                rows = np.flatnonzero(miss)
+                inside, wit = lp_witness(
+                    Zonotope(np.zeros(resid.shape[1]), tail), resid[rows])
+                zw[rows[inside]] = wit[inside]
+                miss[rows] = ~_witness_ok(tail, resid[rows], zw[rows])
+            new_zeta[:, :k_next - p] = base
+            new_zeta[:, k_next - p:] = zw
+            redo = np.flatnonzero(miss)
+        else:
+            redo = np.flatnonzero(alive)
+        if redo.size:
+            inside, wit = lp_witness(om_next, states[sid][redo])
+            new_zeta[redo[inside]] = wit[inside]
+            if chained:
+                report.witness_losses += int(inside.sum())
+            out = redo[~inside]
+            report.violations += out.size
+            alive[out] = False
+            if out.size and report.first_violation is None:
+                report.first_violation = (sid, t + 1)
+        zeta[sid] = new_zeta
+
+
+def step_per_subsystem(network, solutions, states, t=0, disturbances=None):
+    """``runtime.step``, one subsystem at a time."""
+    ids = network.sorted_ids()
+    stacked = {sid: np.atleast_2d(np.asarray(states[sid], dtype=float))
+               for sid in ids}
+    d = {sid: np.asarray(disturbances[sid], dtype=float) if disturbances
+         else network.subsystem(sid).D_at(t).center for sid in ids}
+    nxt, inputs = _closed_loop_per_subsystem(
+        network, solutions, t, stacked,
+        _witness_per_subsystem(network, solutions, t, stacked), d)
+    return ({sid: nxt[sid][0] for sid in ids},
+            {sid: inputs[sid][0] for sid in ids})
+
+
+def simulate_per_subsystem(network, solutions, num_steps, x0=None, seed=0):
+    """``runtime.simulate``, one subsystem at a time, with the same draws."""
+    from zonosynth.runtime import InvarianceReport, OutsideViableSet, Trajectory
+
+    rng = np.random.default_rng(seed)
+    ids = network.sorted_ids()
+    states = {sid: np.atleast_2d(np.asarray(x0[sid], dtype=float)) if x0 else
+              solutions[sid].omega(0).center[None] for sid in ids}
+    xs = {sid: [states[sid][0]] for sid in ids}
+    us = {sid: [] for sid in ids}
+    ds = {sid: [] for sid in ids}
+    report = InvarianceReport(1, num_steps)
+    alive = np.ones(1, dtype=bool)
+    try:
+        zeta = _witness_per_subsystem(network, solutions, 0, states)
+    except OutsideViableSet as exc:
+        report.first_violation = (exc.sid, exc.t)
+        alive[0] = False
+    for t in range(num_steps):
+        if not alive[0]:
+            break
+        draws = {}
+        for sid in ids:
+            D = network.subsystem(sid).D_at(t)
+            zd = rng.uniform(-1.0, 1.0, D.num_generators)
+            draws[sid] = D.center + D.generators @ zd
+        states, inputs = _closed_loop_per_subsystem(network, solutions, t,
+                                                    states, zeta, draws)
+        _rewitness_per_subsystem(network, solutions, t, states, zeta, alive,
+                                 report)
+        for sid in ids:
+            xs[sid].append(states[sid][0])
+            us[sid].append(inputs[sid][0])
+            ds[sid].append(draws[sid])
+
+    def rows(items, width):
+        return np.array(items) if items else np.zeros((0, width))
+
+    return Trajectory(
+        states={sid: np.array(xs[sid]) for sid in ids},
+        inputs={sid: rows(us[sid], network.subsystem(sid).m) for sid in ids},
+        disturbances={sid: rows(ds[sid], network.subsystem(sid).n)
+                      for sid in ids},
+        violation=report.first_violation,
+    )
+
+
+def verify_invariance_per_subsystem(network, solutions, num_samples,
+                                    num_steps, seed=0):
+    """``runtime.verify_invariance``, one subsystem at a time, with the same
+    draws in the same order: the start witnesses subsystem by subsystem,
+    then at every step the vertex patterns that step needs first (one per
+    subsystem and generator count of D_i(t), drawn on first use), then the
+    uniform disturbance draws."""
+    from zonosynth.runtime import InvarianceReport, _mixed_zeta
+
+    rng = np.random.default_rng(seed)
+    ids = network.sorted_ids()
+    S = num_samples
+    zeta, states, margins = {}, {}, {}
+    for sid in ids:
+        om = solutions[sid].omega(0)
+        zeta[sid] = _mixed_zeta(rng, S, om.num_generators)
+        states[sid] = om.center + zeta[sid] @ om.generators.T
+        margins[sid] = np.full(num_steps + 1, np.inf)
+
+    d_pattern = {}      # (sid, generator count) -> replayed vertex rows
+    report = InvarianceReport(S, num_steps, margins=margins)
+    alive = np.ones(S, dtype=bool)
+    report.checked += len(ids) * S
+    for sid in ids:
+        margins[sid][0] = float((1.0 - _row_norms(zeta[sid]))[alive].min())
+
+    for t in range(num_steps):
+        if not alive.any():
+            break
+        Ds = {sid: network.subsystem(sid).D_at(t) for sid in ids}
+        for sid in ids:
+            p = Ds[sid].num_generators
+            if (sid, p) not in d_pattern:
+                nv = min(2 ** p if p <= 12 else S, max(S // 2, 1))
+                d_pattern[sid, p] = _mixed_zeta(rng, S, p)[:nv]
+        d = {}
+        for sid in ids:
+            D = Ds[sid]
+            pattern = d_pattern[sid, D.num_generators]
+            nv = len(pattern)
+            zd = np.empty((S, D.num_generators))
+            zd[:nv] = pattern
+            zd[nv:] = rng.uniform(-1.0, 1.0, (S - nv, D.num_generators))
+            d[sid] = D.center + zd @ D.generators.T
+        states, _ = _closed_loop_per_subsystem(network, solutions, t, states,
+                                               zeta, d)
+        _rewitness_per_subsystem(network, solutions, t, states, zeta, alive,
+                                 report)
+        report.checked += len(ids) * int(alive.sum())
+        for sid in ids:
+            if alive.any():
+                margins[sid][t + 1] = float(
+                    (1.0 - _row_norms(zeta[sid]))[alive].min())
+    return report

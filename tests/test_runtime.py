@@ -1,13 +1,16 @@
 """Closed-loop rollouts and the Monte-Carlo invariance checker."""
 
 import csv
+import itertools
 
 import numpy as np
+import oracles
 import pytest
 from test_contracts import finite_pair, pair_network
 from test_viability import PLANT2D
 
-from zonosynth import geom
+from zonosynth import geom, runtime
+from zonosynth.cli import lambda_for
 from zonosynth.geom import Zonotope, contains_point, sample
 from zonosynth.runtime import (
     OutsideViableSet,
@@ -21,7 +24,13 @@ from zonosynth.synthesis import (
     centralized_synthesize,
     compositional_synthesize,
 )
-from zonosynth.sysmodel import Network, Subsystem, aggregate, load_network
+from zonosynth.sysmodel import (
+    Network,
+    Subsystem,
+    aggregate,
+    load_network,
+    random_network,
+)
 from zonosynth.viability import ViableSolution, rci
 
 
@@ -502,3 +511,233 @@ def test_chained_witness_must_reconstruct_the_state(w_gens):
         [Zonotope([0.0, 0.0], w_gens)], 0.0)
     report = verify_invariance(net, {"s": sol}, num_samples=64, seed=0)
     assert report.witness_losses > 0 and report.violations > 0
+
+
+# ---------------------------------------------------------------------------
+# the network-stacked loop against the per-subsystem reference
+
+
+def _box(center, generators):
+    return {"center": center, "generators": generators}
+
+
+def mixed_network(scale=1.0):
+    """Subsystems of n = 1 and 2, m = 0 and 1, in three groups, one of them
+    not contiguous in sorted order, and an input coupling; ``scale``
+    multiplies every coupling."""
+    def scalar(sid, couplings):
+        return {"id": sid, "A": [[0.0]], "B": [[1.0]], "X": _box([0.0], [[1.0]]),
+                "U": _box([0.0], [[1.0]]), "D": _box([0.0], [[0.1]]),
+                "couplings": couplings}
+    return load_network({"mode": "infinite", "subsystems": [
+        scalar(1, [{"to": 2, "A": [[0.1 * scale, 0.0]]}]),
+        {"id": 2, "A": [[1.0, 1.1], [0.0, 1.0]], "B": [[0.0], [0.1]],
+         "X": _box([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), "U": _box([0.0], [[10.0]]),
+         "D": _box([0.0, 0.0], [[0.02, 0.0], [0.0, 0.02]]),
+         "couplings": [{"to": 1, "A": [[0.05 * scale], [0.05 * scale]]},
+                       {"to": 3, "A": [[0.02 * scale, 0.0], [0.0, 0.02 * scale]]}]},
+        {"id": 3, "A": [[0.0, 0.5], [0.0, 0.0]], "B": [[], []],
+         "X": _box([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), "U": _box([], []),
+         "D": _box([0.0, 0.0], [[0.05, 0.0], [0.0, 0.05]]),
+         "couplings": [{"to": 2, "A": [[0.1 * scale, 0.0], [0.0, 0.1 * scale]]}]},
+        scalar(4, [{"to": 1, "A": [[0.3 * scale]], "B": [[0.2 * scale]]}]),
+        scalar(5, [{"to": 4, "A": [[0.2 * scale]]}]),
+    ]})
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    """``mixed_network`` and its compositional tubes, of k = 2 and 4."""
+    net = mixed_network()
+    result = compositional_synthesize(net)
+    assert result.ok
+    shapes = {(net.subsystem(sid).n, net.subsystem(sid).m, sol.k)
+              for sid, sol in result.solutions.items()}
+    assert shapes == {(1, 1, 2), (2, 1, 4), (2, 0, 4)}
+    return net, result
+
+
+@pytest.fixture(scope="module")
+def geo20():
+    net = random_network(20, lambda_for(40), seed=0)
+    result = compositional_synthesize(net)
+    assert result.ok
+    return net, result
+
+
+# fixture, whether to check it on the aggregate network or a harsher pair,
+# samples and steps (None: the horizon)
+ORACLE_CASES = {
+    "pair": ("pair", None, 64, 40),
+    "finite-pair": ("finite", None, 32, None),
+    "case1": ("case1", None, 200, 100),
+    "finite-exact": ("finite_exact", None, 32, None),
+    "contracted-rci": ("contracted", "aggregate", 16, 20),
+    "violating-pair": ("pair", "harsher", 64, 10),
+    "mixed-shapes": ("mixed", None, 64, 30),
+    "violating-mixed-shapes": ("mixed", "harsher", 64, 10),
+    "geo20": ("geo20", None, 100, 30),
+}
+
+
+def oracle_case(request, name):
+    fixture, view, samples, steps = ORACLE_CASES[name]
+    net, result = request.getfixturevalue(fixture)
+    if view == "aggregate":
+        net = aggregate_network(net)
+    elif view == "harsher":
+        net = pair_network(coupling=45.0) if fixture == "pair" else mixed_network(5.0)
+    return net, result.solutions, samples, steps
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_verify_matches_the_per_subsystem_loop(request, name, seed):
+    net, solutions, samples, steps = oracle_case(request, name)
+    got = verify_invariance(net, solutions, num_samples=samples,
+                            num_steps=steps, seed=seed)
+    ref = oracles.verify_invariance_per_subsystem(
+        net, solutions, samples, got.num_steps, seed=seed)
+    fields = ("checked", "violations", "lp_rewitness", "witness_losses",
+              "first_violation")
+    assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert list(got.margins) == list(ref.margins)
+    for sid in ref.margins:
+        np.testing.assert_allclose(got.margins[sid], ref.margins[sid],
+                                   rtol=0, atol=1e-12)
+    if name.startswith("violating"):
+        assert got.violations > 0
+    if name in ("finite-exact", "contracted-rci"):
+        assert got.lp_rewitness > 0
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_simulate_matches_the_per_subsystem_loop(request, name):
+    net, solutions, _, steps = oracle_case(request, name)
+    steps = 3 * steps if steps else min(sol.horizon for sol in solutions.values())
+    got = simulate(net, solutions, steps, seed=3)
+    ref = oracles.simulate_per_subsystem(net, solutions, steps, seed=3)
+    assert got.violation == ref.violation
+    for part in ("states", "inputs", "disturbances"):
+        mine, theirs = getattr(got, part), getattr(ref, part)
+        assert list(mine) == list(theirs)
+        for sid in theirs:
+            assert mine[sid].shape == theirs[sid].shape
+            np.testing.assert_allclose(mine[sid], theirs[sid], rtol=1e-12,
+                                       atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["pair", "finite-exact"])
+def test_step_matches_the_per_subsystem_loop(request, name):
+    net, solutions, _, _ = oracle_case(request, name)
+    states = {sid: solutions[sid].omega(1).center
+              + 0.5 * solutions[sid].omega(1).generators.sum(axis=1)
+              / solutions[sid].omega(1).num_generators for sid in net.sorted_ids()}
+    got = step(net, solutions, states, t=1)
+    ref = oracles.step_per_subsystem(net, solutions, states, t=1)
+    for mine, theirs in zip(got, ref):
+        for sid in theirs:
+            np.testing.assert_allclose(mine[sid], theirs[sid], rtol=1e-12,
+                                       atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["pair", "contracted"])
+def test_rci_geometry_is_built_once_per_run(request, fixture, monkeypatch):
+    # Omega, Theta and every tube-LP zonotope of an RCI tube are built once
+    # per verification, however many steps it takes
+    net, result = request.getfixturevalue(fixture)
+    if fixture == "contracted":
+        net = aggregate_network(net)
+    built = []
+    real = Zonotope.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Zonotope, "__post_init__", counted)
+    counts = []
+    for steps in (5, 50):
+        built.clear()
+        report = verify_invariance(net, result, num_samples=16,
+                                   num_steps=steps, seed=0)
+        assert report.ok
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+def changing_disturbance_pair(first, second):
+    """Two scalar subsystems over horizon 2 whose D has the generator row
+    ``first`` at step 0 and ``second`` at step 1."""
+    def sub(sid, other):
+        return {"id": sid, "A": [[0.0]], "B": [[1.0]],
+                "X": _box([0.0], [[1.0]]), "U": _box([0.0], [[1.0]]),
+                "D": [_box([0.0], [first]), _box([0.0], [second])],
+                "couplings": [{"to": other, "A": [[0.5]]}]}
+    return load_network({"mode": "finite", "horizon": 2,
+                         "subsystems": [sub(1, 2), sub(2, 1)]})
+
+
+@pytest.mark.parametrize("first, second", [([0.1, 0.05], [0.1]),
+                                           ([0.1], [0.1, 0.05])],
+                         ids=["fewer-generators-later", "more-generators-later"])
+def test_vertex_patterns_follow_the_generator_count_of_each_step(
+        first, second, monkeypatch):
+    net = changing_disturbance_pair(first, second)
+    result = centralized_synthesize(net, reduction_order=None)
+    assert result.ok
+    seen = []
+    real = runtime._Loop.disturbance
+
+    def record(self, rng, t, S, patterns=None):
+        d = real(self, rng, t, S, patterns)
+        seen.append(d.copy())
+        return d
+
+    monkeypatch.setattr(runtime._Loop, "disturbance", record)
+    samples = 16
+    report = verify_invariance(net, result, num_samples=samples, seed=0)
+    assert report.ok and report.checked == 2 * samples * 3
+    for d, gens in zip(seen, (first, second)):
+        vertices = sorted(np.dot(gens, signs) for signs in
+                          itertools.product((-1.0, 1.0), repeat=len(gens)))
+        for row in range(2):    # every sign pattern, each once
+            assert np.sort(d[row, :len(vertices)]) == pytest.approx(vertices)
+    ref = oracles.verify_invariance_per_subsystem(net, result.solutions,
+                                                  samples, 2, seed=0)
+    assert (report.checked, report.lp_rewitness, report.violations) == \
+        (ref.checked, ref.lp_rewitness, ref.violations)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda net, res: simulate(net, res, 5, x0={1: [0.0]}),
+     r"x0: no entry for subsystem 2 \(expected 1 values\)"),
+    (lambda net, res: simulate(net, res, 5, x0={1: [0.0], 2: [0.0, 0.0]}),
+     r"x0: subsystem 2 has 2 values, expected 1"),
+    (lambda net, res: step(net, res, {2: [0.0]}),
+     r"states: no entry for subsystem 1 \(expected 1 values\)"),
+    (lambda net, res: step(net, res, {1: [0.0, 1.0, 2.0], 2: [0.0]}),
+     r"states: subsystem 1 has 3 values, expected 1"),
+    (lambda net, res: step(net, res, {1: [0.0], 2: [0.0]},
+                           disturbances={1: [0.0]}),
+     r"disturbances: no entry for subsystem 2 \(expected 1 values\)"),
+    (lambda net, res: step(net, res, {1: [0.0], 2: [0.0]},
+                           disturbances={1: [0.0], 2: []}),
+     r"disturbances: subsystem 2 has 0 values, expected 1"),
+], ids=["simulate-x0-missing", "simulate-x0-length", "step-state-missing",
+        "step-state-length", "step-disturbance-missing",
+        "step-disturbance-length"])
+def test_bad_state_maps_name_the_subsystem(pair, call, message):
+    net, result = pair
+    with pytest.raises(ValueError, match=message):
+        call(net, result)
+
+
+@pytest.mark.parametrize("call", [
+    lambda net, sols: simulate(net, sols, 5),
+    lambda net, sols: step(net, sols, {1: [0.0], 2: [0.0]}),
+], ids=["simulate", "step"])
+def test_rollouts_name_subsystems_without_solutions(pair, call):
+    net, result = pair
+    with pytest.raises(ValueError, match=r"no solutions for subsystem\(s\) \[2\]"):
+        call(net, {1: result.solutions[1]})
