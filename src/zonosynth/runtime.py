@@ -173,7 +173,7 @@ def simulate(network, solutions, num_steps, x0=None, seed=0):
             break
         d = loop.disturbance(rng, t, 1)
         X, U = loop.advance(t, X, zetas, d)
-        zetas = loop.rewitness(t, X, zetas, alive, report)
+        loop.rewitness(t, X, zetas, alive, report)
         xs.append(X[:, 0])
         us.append(U[:, 0])
         ds.append(d[:, 0])
@@ -232,8 +232,11 @@ def _tail_ok(tail, radii, resid, zw):
     """Samples where zw is a witness of resid on the tail: |zw|_inf <= 1 +
     1e-9 and tail @ zw reconstructs resid within 1e-9 (NaN fails).  A
     diagonal tail passes its ``radii``, and the product is entrywise."""
-    recon = tail @ zw if radii is None else zw * radii
-    return (_norms(zw) <= 1.0 + 1e-9) & (_norms(resid - recon) <= 1e-9)
+    ok = _norms(zw) <= 1.0 + 1e-9
+    miss = tail @ zw if radii is None else zw * radii
+    np.subtract(resid, miss, out=miss)
+    np.abs(miss, out=miss)
+    return ok & (miss.max(axis=-2, initial=0.0) <= 1e-9)
 
 
 def _diagonal(tails):
@@ -296,13 +299,16 @@ class _TubeStep:
                 self.pinv = np.linalg.pinv(self.tail)
         self._tail_sets = {}
 
-    def solve_tail(self, resid):
-        """Tail coordinates of (g, n, S) residuals: divided out by a
-        diagonal tail, the least-squares guess otherwise."""
+    def solve_tail(self, resid, out):
+        """Tail coordinates of (g, n, S) residuals into ``out``: divided out
+        by a diagonal tail (0 where a radius is not positive), the
+        least-squares guess otherwise."""
         if self.radii is None:
-            return self.pinv @ resid
+            np.matmul(self.pinv, resid, out=out)
+            return
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.radii > 0.0, resid / self.radii, 0.0)
+            np.divide(resid, self.radii, out=out)
+        np.copyto(out, 0.0, where=~(self.radii > 0.0))
 
     def tail_set(self, i):
         """Member i's tail as a zonotope around 0, for the tail LP."""
@@ -382,6 +388,8 @@ class _Loop:
         self.m_total = sum(sl.stop - sl.start for sl in self.input_slices.values())
         self.groups = _groups(network, solutions, self.ids, steps,
                               *self.slices)
+        self._slot = {pos: (gi, i) for gi, group in enumerate(self.groups)
+                      for i, pos in enumerate(group.pos)}
         subs = [network.subsystem(sid) for sid in self.ids]
         # per-step sequences; a step whose entries are the same objects as
         # the last build's reuses what was built from them
@@ -420,33 +428,43 @@ class _Loop:
             col[sl, 0] = v
         return col
 
-    def _blocks(self, per_subsystem):
-        """Group blocks from per-subsystem (k, S) witnesses."""
-        return [np.stack([per_subsystem[i] for i in group.pos])
-                for group in self.groups]
+    def _blocks(self, witnesses):
+        """Group blocks filled from the per-subsystem (k, S) witnesses that
+        ``witnesses`` yields in sorted order."""
+        blocks = [None] * len(self.groups)
+        for pos, zeta in enumerate(witnesses):
+            gi, i = self._slot[pos]
+            if blocks[gi] is None:
+                blocks[gi] = np.empty((len(self.groups[gi].pos),) + zeta.shape)
+            blocks[gi][i] = zeta
+        return blocks
 
     def sample(self, rng, S):
         """zeta-samples of every Omega_i(0), vertex patterns first, in sorted
         order; returns the states and their witness blocks."""
         X = np.empty((self.n_total, S))
-        found = []
-        for sid, sl in self.state_slices.items():
-            om = self.solutions[sid].omega(0)
-            zeta = _mixed_zeta(rng, S, om.num_generators)
-            X[sl] = (om.center + zeta @ om.generators.T).T
-            found.append(zeta.T)
-        return X, self._blocks(found)
+
+        def witnesses():
+            for sid, sl in self.state_slices.items():
+                om = self.solutions[sid].omega(0)
+                zeta = _mixed_zeta(rng, S, om.num_generators)
+                X[sl] = (om.center + zeta @ om.generators.T).T
+                yield zeta.T
+
+        return X, self._blocks(witnesses())
 
     def witness(self, t, X):
         """Membership-LP witnesses of the states X in their tubes Omega_i(t);
         the first subsystem with a state outside raises OutsideViableSet."""
-        found = []
-        for sid, sl in self.state_slices.items():
-            inside, zeta = contains_point(self.solutions[sid].omega(t), X[sl].T)
-            if not inside.all():
-                raise OutsideViableSet(sid, t)
-            found.append(zeta.T)
-        return self._blocks(found)
+        def witnesses():
+            for sid, sl in self.state_slices.items():
+                inside, zeta = contains_point(self.solutions[sid].omega(t),
+                                              X[sl].T)
+                if not inside.all():
+                    raise OutsideViableSet(sid, t)
+                yield zeta.T
+
+        return self._blocks(witnesses())
 
     def _runs(self, t):
         """Runs of consecutive subsystems whose D_i(t) have one shape:
@@ -479,7 +497,9 @@ class _Loop:
             if nv:
                 zd[:, :, :nv] = vertex
             zd[:, :, nv:] = rng.uniform(-1.0, 1.0, (r, S - nv, p)).transpose(0, 2, 1)
-            d[rows] = (c + G @ zd).reshape(r * n, S)
+            dr = d[rows].reshape(r, n, S)
+            np.matmul(G, zd, out=dr)
+            dr += c
         return d
 
     def advance(self, t, X, zetas, d):
@@ -498,7 +518,8 @@ class _Loop:
         return nxt, U
 
     def rewitness(self, t, X, zetas, alive, report):
-        """Witness blocks of the states X at t + 1.
+        """Replace the witness blocks ``zetas`` by those of the states X at
+        t + 1.
 
         Chained witnesses are solved for a whole group at once.  Then, in
         sorted order, each subsystem with a live sample whose chained witness
@@ -507,21 +528,27 @@ class _Loop:
         live sample.  Samples the tube LP finds outside leave ``alive``;
         ``report`` counts them, the LPs and the witness losses.
         """
-        new, work = [], []
-        for gi, (group, Z) in enumerate(zip(self.groups, zetas)):
+        work = []
+        for gi, group in enumerate(self.groups):
             st = group.at(t)
             if not st.chained:
-                new.append(np.zeros((len(group.pos), st.width, Z.shape[2])))
+                zetas[gi] = np.zeros((len(group.pos), st.width, X.shape[1]))
                 work += [(pos, gi, i, None) for i, pos in enumerate(group.pos)]
                 continue
             # the tail coordinates are recovered from the actual next state
             # (not from the disturbance applied), so x = c + T zeta holds
             # every step up to the 1e-9 check, and solver-tolerance residuals
             # of the tube recursion cannot compound through the witnesses
-            base = Z[:, st.shift:]
-            resid = X[group.rows] - (st.center + st.head @ base)
-            zw = st.solve_tail(resid)
-            new.append(np.concatenate([base, zw], axis=1))
+            block = np.empty((len(group.pos), st.width, X.shape[1]))
+            block[:, :st.width - st.p] = zetas[gi][:, st.shift:]
+            zetas[gi] = block   # the old block goes before the residuals come
+            fit = st.head @ block[:, :st.width - st.p]
+            fit += st.center
+            resid = X[group.rows]
+            resid -= fit
+            del fit
+            zw = block[:, st.width - st.p:]
+            st.solve_tail(resid, zw)
             bad = ~_tail_ok(st.tail, st.radii, resid, zw)
             work += [(group.pos[i], gi, i, (resid[i], bad[i]))
                      for i in np.flatnonzero((bad & alive).any(axis=1))]
@@ -533,7 +560,7 @@ class _Loop:
 
         for pos, gi, i, chain in sorted(work, key=lambda w: w[0]):
             st = self.groups[gi].at(t)
-            zeta = new[gi][i]
+            zeta = zetas[gi][i]
             if chain is None:
                 redo = np.flatnonzero(alive)
             else:
@@ -559,7 +586,6 @@ class _Loop:
             alive[out] = False
             if out.size and report.first_violation is None:
                 report.first_violation = (self.ids[pos], t + 1)
-        return new
 
     def margins(self, zetas, alive, out):
         """1 - |zeta|_inf minimized over the live samples (at least one),
@@ -588,7 +614,7 @@ class _VertexPatterns:
             nv = min(2 ** p if p <= 12 else S, max(S // 2, 1))
             for sid in sids:
                 if (sid, p) not in self._drawn:
-                    self._drawn[sid, p] = _mixed_zeta(self.rng, S, p)[:nv].T
+                    self._drawn[sid, p] = _mixed_zeta(self.rng, S, p)[:nv].T.copy()
             self._blocks[key] = np.stack([self._drawn[sid, p] for sid in sids])
         return self._blocks[key]
 
@@ -647,9 +673,8 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
     for t in range(num_steps):
         if not alive.any():
             break
-        d = loop.disturbance(rng, t, S, patterns)
-        X, _ = loop.advance(t, X, zetas, d)
-        zetas = loop.rewitness(t, X, zetas, alive, report)
+        X = loop.advance(t, X, zetas, loop.disturbance(rng, t, S, patterns))[0]
+        loop.rewitness(t, X, zetas, alive, report)
         report.checked += N * int(alive.sum())
         if alive.any():
             loop.margins(zetas, alive, margins[:, t + 1])
