@@ -239,14 +239,9 @@ def _tail_ok(tail, radii, resid, zw):
     return ok & (miss.max(axis=-2, initial=0.0) <= 1e-9)
 
 
-def _diagonal(tails):
-    """Which tails of a (g, n, p) stack are square diagonal blocks."""
-    g, n, p = tails.shape
-    if n != p:
-        return np.zeros(g, dtype=bool)
-    off = tails.copy()
-    off[:, np.arange(n), np.arange(n)] = 0.0
-    return ~np.any(off != 0.0, axis=(1, 2))
+def _diagonal(G):
+    """Whether the generator block G is a square diagonal one."""
+    return G.shape[0] == G.shape[1] and not np.any(G - np.diag(np.diag(G)))
 
 
 def _tube_steps(rci, steps):
@@ -257,7 +252,8 @@ def _tube_steps(rci, steps):
 
 def _shape(sol, sub, steps):
     """What the members of a group share: RCI or not, n, m, the witness
-    width at the first step, and per step (k(t+1), p(t), chained)."""
+    width at the first step, and per step p(t), whether the witnesses
+    chain and whether the tail of Omega(t+1) is diagonal."""
     rci = isinstance(sol, RciSolution)
 
     def width(t):
@@ -268,7 +264,8 @@ def _shape(sol, sub, steps):
         p = (sol.W if rci else sol.W[t]).num_generators
         chained = (_chain_exact(sol)
                    and width(t) - (p if rci else 0) == width(t + 1) - p)
-        per_step.append((width(t + 1), p, chained))
+        tail = sol.omega(t + 1).generators[:, width(t + 1) - p:]
+        per_step.append((p, chained, chained and _diagonal(tail)))
     return rci, sub.n, sub.m, width(steps.start), tuple(per_step)
 
 
@@ -334,38 +331,24 @@ class _Group:
 
 
 def _groups(network, solutions, ids, steps, state_slices, input_slices):
-    """The groups of the run ``steps``: subsystems bucketed by ``_shape``,
-    and each bucket split by which steps have a diagonal tail."""
+    """The subsystems of the run ``steps``, grouped by ``_shape``."""
     buckets = {}
     for pos, sid in enumerate(ids):
         key = _shape(solutions[sid], network.subsystem(sid), steps)
         buckets.setdefault(key, []).append(pos)
     groups = []
-    for (rci, n, m, _, per_step), members in buckets.items():
-        sols = [solutions[ids[i]] for i in members]
-        stacked, flags = {}, []
-        for t, (width, p, chained) in zip(_tube_steps(rci, steps), per_step):
-            omegas = [sol.omega(t + 1) for sol in sols]
-            thetas = [sol.theta(t) for sol in sols] if m else None
-            stacked[None if rci else t] = (omegas, thetas, p, chained)
-            flags.append(_diagonal(np.stack(
-                [om.generators[:, width - p:] for om in omegas]))
-                if chained else np.zeros(len(sols), dtype=bool))
-        signatures = {}
-        for i, sig in enumerate(zip(*flags) if flags else [()] * len(sols)):
-            signatures.setdefault(sig, []).append(i)
-        for sig, sel in signatures.items():
-            pos = np.array([members[i] for i in sel])
-            tube_steps = {
-                t: _TubeStep([omegas[i] for i in sel],
-                             thetas and [thetas[i] for i in sel],
-                             p, p if rci else 0, chained, diag)
-                for (t, (omegas, thetas, p, chained)), diag
-                in zip(stacked.items(), sig)}
-            first = np.array([[state_slices[ids[i]].start,
-                               input_slices[ids[i]].start] for i in pos])
-            groups.append(_Group(pos, first[:, :1] + np.arange(n),
-                                 first[:, 1:] + np.arange(m), rci, tube_steps))
+    for (rci, n, m, _, per_step), pos in buckets.items():
+        sols = [solutions[ids[i]] for i in pos]
+        tube_steps = {
+            None if rci else t: _TubeStep(
+                [sol.omega(t + 1) for sol in sols],
+                [sol.theta(t) for sol in sols] if m else None,
+                p, p if rci else 0, chained, diagonal)
+            for t, (p, chained, diagonal) in zip(_tube_steps(rci, steps), per_step)}
+        first = np.array([[state_slices[ids[i]].start,
+                           input_slices[ids[i]].start] for i in pos])
+        groups.append(_Group(np.array(pos), first[:, :1] + np.arange(n),
+                             first[:, 1:] + np.arange(m), rci, tube_steps))
     return groups
 
 
@@ -541,7 +524,7 @@ class _Loop:
             # of the tube recursion cannot compound through the witnesses
             block = np.empty((len(group.pos), st.width, X.shape[1]))
             block[:, :st.width - st.p] = zetas[gi][:, st.shift:]
-            zetas[gi] = block   # the old block goes before the residuals come
+            zetas[gi] = block   # frees the old block before the residuals
             fit = st.head @ block[:, :st.width - st.p]
             fit += st.center
             resid = X[group.rows]
