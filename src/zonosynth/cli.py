@@ -2,9 +2,8 @@
 
 Exit codes follow the convention: 0 synthesis correct, 1 synthesis failed
 (a retry hint is printed) or the LP solver broke down (the reason is printed),
-2 bad configuration or usage.  The tool itself is a thin sequential driver;
-any parallelism lives inside the library and is capped by the
-CONTRACT_SYNTH_THREADS environment variable.
+2 bad configuration or usage.  The tool is a thin sequential driver over
+the library.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ import time
 
 import numpy as np
 
-from .contracts import (
-    PotentialInfeasible,
-    THREADS_ENV,
-    build_programs,
-    potential,
-)
+from .contracts import PotentialInfeasible, build_programs, potential
 from .geom import Zonotope, polygon_vertices_2d
 from .lpcore import LpSolverError, track_solver_time
 from .sysmodel import ConfigError, load_network, random_network, save_network
@@ -64,14 +58,6 @@ class UsageError(Exception):
     """Bad flags or inconsistent inputs; maps to exit code 2."""
 
 
-def _env_threads():
-    raw = os.environ.get(THREADS_ENV)
-    try:
-        return int(raw) if raw else None
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-
-
 def lambda_for(dim):
     """Coupling strength for a total dimension, from the published schedule.
 
@@ -109,7 +95,7 @@ def cmd_synth(args):
                 raise ConfigError("--beta only applies to --method dense")
             cfg = DescentConfig(
                 max_iters=args.max_iter, tol_v=args.tol, k=args.k, seed=args.seed,
-                threads=_env_threads(), **STEP_RULES[args.rule],
+                **STEP_RULES[args.rule],
             )
             if args.step is not None:
                 cfg.delta = args.step
@@ -181,8 +167,7 @@ def _bench_worker(conn, dim, lam, seed, method):
         start = time.perf_counter()
         with track_solver_time() as tracker:
             if method == "compositional":
-                result = compositional_synthesize(
-                    network, config=DescentConfig(threads=_env_threads()))
+                result = compositional_synthesize(network)
             elif method == "centralized-decentralized":
                 result = centralized_synthesize(network)
             else:
@@ -279,11 +264,14 @@ def _parse_dims(raw, expect_pairs):
     for part in parts:
         if ":" in part:
             owner, _, coord = part.partition(":")
-            out.append((owner, int(coord)))
         elif expect_pairs:
             raise UsageError('--dims entries must look like "subsystem:coord"')
         else:
-            out.append((None, int(part)))
+            owner, coord = None, part
+        try:
+            out.append((owner, int(coord)))
+        except ValueError:
+            raise UsageError(f"--dims: coordinate {coord!r} is not an integer") from None
     return out
 
 
@@ -316,6 +304,9 @@ def _emit_viable_sets(result, dims, outdir, grid):
                         f"subsystem {sid} is {om.dim}-D; pass --dims to "
                         "choose a 2-D projection")
                 pair = coords or [0, 1]
+                if not all(0 <= c < om.dim for c in pair):
+                    raise UsageError(f"--dims {pair} out of range for the {om.dim}-D "
+                                     f"subsystem {sid}")
                 proj = Zonotope(om.center[pair], om.generators[pair, :])
                 verts = polygon_vertices_2d(proj)
                 header = [f"x{pair[0]}", f"x{pair[1]}"]
@@ -348,7 +339,6 @@ def _emit_potential_slice(result, dims, outdir, grid):
                              f"#{coord}")
         axes.append((sid, coord))
 
-    threads = _env_threads()
     programs = build_programs(result.network, result.template)
     base = result.params
 
@@ -368,7 +358,7 @@ def _emit_potential_slice(result, dims, outdir, grid):
                 probe.x[axes[0][0]][0][axes[0][1]] = a1
                 probe.x[axes[1][0]][0][axes[1][1]] = a2
                 try:
-                    v = potential(programs, probe, threads=threads).value
+                    v = potential(programs, probe).value
                 except PotentialInfeasible:
                     v = float("inf")
                 writer.writerow([f"{a1:.10g}", f"{a2:.10g}", f"{v:.10g}"])

@@ -43,10 +43,7 @@ column values, the fixed alphas included.
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,12 +54,11 @@ from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff
 # kept by name: perfbench's tracer test rebinds this import
 from .geom import directed_hausdorff  # noqa: F401
 from .lpcore import LinearProgram
-from .sysmodel import ConfigError, _id_key
+from .sysmodel import _id_key
 from .viability import (RESIDUAL_TOL, RciSolution, ViableSolution, _abs_objective,
                         add_recursion, recursion_residual)
 
 ALPHA_CAP = 1e6
-THREADS_ENV = "CONTRACT_SYNTH_THREADS"
 
 
 class ContractError(Exception):
@@ -467,25 +463,15 @@ class SubsystemHandles:
     slack_cols: np.ndarray  # witness columns of the slack's identity columns
 
 
-class _OneMember:
-    """A single LinearProgram written to as a batch of one member: the
-    columns it returns carry a leading member axis of one.  Its
-    ``add_rows`` reads the arrays it is given flat, so the axis is no
-    matter to it."""
-
-    def __init__(self, lp):
-        self.add_rows = lp.add_rows
-        self._var_block = lp.var_block
-
-    def var_block(self, shape, lb=-lpcore.INF, ub=lpcore.INF):
-        return self._var_block(shape, lb, ub)[None]
-
-
-def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
+def emit_subsystem(batch, network, template, sids, alpha_of, k=None,
                    reduction_order=1, slack=True):
-    """Emit subsystem ``sid``'s viability-under-contracts rows into ``lp``.
+    """Emit the viability-under-contracts rows of the subsystems ``sids``
+    into ``batch``, an ``lpcore._LpBatch`` with one member per id.
 
-    ``alpha_of(j, channel, t)`` returns the column indices of the generator
+    The members must share one structural signature (:func:`_signature`),
+    so that they have the same rows; each row family is emitted once for
+    all of them, as arrays with a leading member axis.  ``alpha_of[g](j,
+    channel, t)`` returns member g's column indices of the generator
     multipliers of subsystem j's promised tube at step t (``channel`` is "x"
     or "u").  With ``slack=True`` every containment in the own promise is
     padded by a nonnegative scalar d (one per step and channel) times the
@@ -494,17 +480,8 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     program wants.  The handles of the containment witnesses are kept,
     keyed by the containment ("inC0", "term", "inU0", ...) and cut to the
     rows of the promise itself; the witness columns of the identity columns
-    go to ``slack_cols``.
-
-    The same code emits a group of subsystems at once: ``lp`` an
-    ``lpcore._LpBatch`` with one member per id in the list ``sid``, and
-    ``alpha_of`` a list of one such function per member.  The members must
-    share one structural signature (:func:`_signature`), so that they have
-    the same rows; the handles are then a list, one per member.
+    go to ``slack_cols``.  Returns the handles, one per member.
     """
-    one = isinstance(lp, LinearProgram)
-    sids, alpha_of = ([sid], [alpha_of]) if one else (list(sid), list(alpha_of))
-    lp = _OneMember(lp) if one else lp
     subs = [network.subsystem(s) for s in sids]
     n, m = subs[0].n, subs[0].m
     steps = network.num_steps
@@ -525,14 +502,14 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
     if finite:
         for t in range(steps):
             widths.append(widths[-1] + p_red[t])
-    T = [lp.var_block((n, widths[t])) for t in range(steps_x)]
-    xbar = [lp.var_block(n) for _ in range(steps_x)]
-    M = [lp.var_block((m, widths[t])) for t in range(steps)] if m else None
-    ubar = [lp.var_block(m) for _ in range(steps)] if m else None
+    T = [batch.var_block((n, widths[t])) for t in range(steps_x)]
+    xbar = [batch.var_block(n) for _ in range(steps_x)]
+    M = [batch.var_block((m, widths[t])) for t in range(steps)] if m else None
+    ubar = [batch.var_block(m) for _ in range(steps)] if m else None
     none = np.zeros((len(sids), 0), dtype=np.int64)
-    d_x = np.column_stack([lp.var_block(1, lb=0.0)[:, 0]
+    d_x = np.column_stack([batch.var_block(1, lb=0.0)[:, 0]
                            for _ in range(steps_x)]) if slack else none
-    d_u = np.column_stack([lp.var_block(1, lb=0.0)[:, 0]
+    d_u = np.column_stack([batch.var_block(1, lb=0.0)[:, 0]
                            for _ in range(steps)]) if slack and m else none
 
     alpha_cols = [[[None if block.kind == "local" else
@@ -547,7 +524,7 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
                                       [member[t] for member in alpha_cols], n)
         for Wg, form in zip(W, forms):
             Wg.append(form)
-        add_recursion(lp, np.stack([sub.A_at(t) for sub in subs]),
+        add_recursion(batch, np.stack([sub.A_at(t) for sub in subs]),
                       np.stack([sub.B_at(t) for sub in subs]), T[t], M[t] if m else None,
                       xbar[t], ubar[t] if m else None, stacked_w,
                       T[t + 1] if finite else T[0], xbar[t + 1] if finite else xbar[0])
@@ -570,7 +547,7 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
             extra = affine(np.repeat(d[:, None], width, axis=1))
             scales = tuple(np.concatenate([np.broadcast_to(a, (len(sids), np.shape(a)[-1])), b],
                                           axis=-1) for a, b in zip(scales, extra))
-        h = add_scaled_containment(lp, affine(np.concatenate([G, c[..., None]], axis=-1)),
+        h = add_scaled_containment(batch, affine(np.concatenate([G, c[..., None]], axis=-1)),
                                    outer_cols, scales, outer_c)
         witness[key] = {name: h[name][:, :q] for name in ("Lam", "lam", "W")}
         slack_cols.extend([h["Lam"][:, q:].reshape(len(sids), -1), h["lam"][:, q:],
@@ -598,7 +575,7 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
             contain(f"inU{t}", M[t], ubar[t], Cu, scales, cu, d_u[:, t] if slack else None)
 
     slack_cols = np.concatenate(slack_cols, axis=-1)
-    handles = [
+    return [
         SubsystemHandles(s, k, widths, [Tt[g] for Tt in T], [xt[g] for xt in xbar],
                          [Mt[g] for Mt in M] if m else None,
                          [ut[g] for ut in ubar] if m else None, d_x[g], d_u[g], W[g],
@@ -606,7 +583,6 @@ def emit_subsystem(lp, network, template, sid, alpha_of, k=None,
                           for key, h in witness.items()},
                          slack_cols[g])
         for g, s in enumerate(sids)]
-    return handles[0] if one else handles
 
 
 # ---------------------------------------------------------------------------
@@ -857,34 +833,10 @@ class PotentialResult:
         return {sid: ev.solution for sid, ev in self.evals.items()}
 
 
-def _worker_count(requested, jobs):
-    raw = os.environ.get(THREADS_ENV)
-    try:
-        cap = int(raw) if raw else None
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-    workers = requested if requested else 1
-    if cap is not None:
-        workers = min(workers, max(cap, 1))
-    return max(1, min(workers, jobs))
-
-
-def potential(programs, params, threads=None):
+def potential(programs, params):
     """V(alpha) = sum of V_i, with the gradient assembled in params shape."""
     ids = sorted(programs, key=_id_key)
-    workers = _worker_count(threads, len(ids))
-    evals = {}
-    if workers <= 1:
-        for sid in ids:
-            evals[sid] = programs[sid].evaluate(params)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                sid: pool.submit(contextvars.copy_context().run,
-                                 programs[sid].evaluate, params)
-                for sid in ids
-            }
-            evals = {sid: fut.result() for sid, fut in futures.items()}
+    evals = {sid: programs[sid].evaluate(params) for sid in ids}
     grad = params.zeros_like()
     for sid in ids:
         for (j, channel, t), arr in evals[sid].grads.items():

@@ -481,7 +481,9 @@ def contains_point(Z, x, tol=1e-9):
     :func:`membership_lp`, re-solved warm per point, and returns a bool
     array and an (S, p) array of witnesses, NaN in the rows outside; one
     point returns a bool and a witness or None.  The witness minimizes
-    |zeta|_inf, so membership holds iff the optimum is <= 1 + tol.
+    |zeta|_inf, so membership holds iff the optimum is <= 1 + tol.  Without
+    generators, membership is every coordinate within ``tol`` of the center
+    (an absolute tolerance, whatever the center's magnitude).
     """
     x = np.asarray(x, dtype=float)
     points = np.atleast_2d(x)
@@ -489,7 +491,8 @@ def contains_point(Z, x, tol=1e-9):
     inside = np.zeros(len(points), dtype=bool)
     zeta = np.full((len(points), p), np.nan)
     if p == 0:
-        inside = np.isclose(points, Z.center, atol=max(tol, 1e-12)).all(axis=1)
+        inside = np.isclose(points, Z.center, rtol=0.0,
+                            atol=max(tol, 1e-12)).all(axis=1)
         zeta[inside] = 0.0
     elif len(points):
         lp, zcols, pcols = membership_lp(Z, points[0])

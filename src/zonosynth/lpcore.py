@@ -14,29 +14,24 @@ of column indices from :meth:`LinearProgram.var_block`, and rows a block at
 a time as COO triplets from :meth:`LinearProgram.add_rows`, which returns
 the index of the block's first row.  Rows and columns have no names; a
 program has one ``name``, for its messages.  Solutions expose primal values
-and column duals (reduced costs) by column index and row duals by row
-index.  :class:`_LpBatch` builds programs of one row structure together, as
-arrays with a leading member axis.
+and column duals (reduced costs) by column index.  :class:`_LpBatch` builds
+programs of one row structure together, as arrays with a leading member
+axis.
 
 Column bounds and costs are kept as arrays.  The solver instance stays alive
-between solves, so :meth:`LinearProgram.set_col_bounds`,
-:meth:`LinearProgram.set_costs` and :meth:`LinearProgram.set_rhs` change it
-in place (one HiGHS call for a whole block of columns),
-:meth:`LinearProgram.add_rows` appends to it, and the next solve is a warm
-re-solve from the last basis.  Reported times are in-solver seconds.
+between solves, so :meth:`LinearProgram.set_col_bounds` and
+:meth:`LinearProgram.set_costs` change it in place (one HiGHS call for a
+whole block of columns), :meth:`LinearProgram.add_rows` appends to it, and
+the next solve is a warm re-solve from the last basis.  Reported times are
+in-solver seconds.
 
-:class:`LinExpr` (a sparse affine expression) with ``var``, ``add_eq``/
-``add_le``/``add_ge``, ``minimize`` and ``value`` is the row-at-a-time
-path: one row per call, written as expression arithmetic, each call
-returning its row's index.  The package's programs do not use it; it stays
-as the plain reference that the block emitters are tested against.
-
-Sign conventions
-----------------
-``LpSolution.sensitivity(row)`` is always d(objective)/d(rhs) of row
-``row``.  ``LpSolution.dual(row)`` applies the textbook sign convention for
-a minimization: duals of ``<=`` rows are >= 0 (i.e. the negated
-sensitivity), duals of ``=`` and ``>=`` rows are the sensitivity itself.
+:class:`LinExpr`, :func:`as_expr` and ``add_eq``/``add_le``/``add_ge`` (one
+row per call, written as expression arithmetic) are no part of that API;
+no program of the package calls them.  They stay only because the
+benchmark's layer tracer (``perfbench/layertrace.py``) wraps the three
+adders and its tests assert that every traced function exists; they go with
+the next change to the benchmark.  The row-wise reference layer built on
+them lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ import importlib.util
 import math
 import os
 import sys
-import threading
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -122,16 +116,14 @@ class SolverTimeTracker:
         self.max_rows = 0
         self.max_cols = 0
         self.max_nnz = 0
-        self._lock = threading.Lock()
 
     def _add(self, seconds, size):
         rows, cols, nnz = size
-        with self._lock:
-            self.seconds += seconds
-            self.solves += 1
-            self.max_rows = max(self.max_rows, rows)
-            self.max_cols = max(self.max_cols, cols)
-            self.max_nnz = max(self.max_nnz, nnz)
+        self.seconds += seconds
+        self.solves += 1
+        self.max_rows = max(self.max_rows, rows)
+        self.max_cols = max(self.max_cols, cols)
+        self.max_nnz = max(self.max_nnz, nnz)
 
 
 @contextmanager
@@ -160,7 +152,8 @@ def _notify_trackers(seconds, size):
 
 
 class LinExpr:
-    """Sparse affine expression ``sum(coef * var) + const``.
+    """Sparse affine expression ``sum(coef * var) + const``, the argument
+    of ``add_eq``/``add_le``/``add_ge`` (see the module docstring).
 
     Supports ``+``, ``-`` and scalar ``*``/``/``; ``sum()`` works via
     ``__radd__``.  Instances are treated as immutable: every operation
@@ -217,29 +210,6 @@ def as_expr(value):
     return LinExpr({}, float(value))
 
 
-def lin_sum(items):
-    """Sum an iterable of LinExpr/floats without quadratic dict copying."""
-    terms = {}
-    const = 0.0
-    for item in items:
-        if isinstance(item, LinExpr):
-            const += item.const
-            for col, coef in item.terms.items():
-                terms[col] = terms.get(col, 0.0) + coef
-        else:
-            const += float(item)
-    return LinExpr(terms, const)
-
-
-def col_exprs(cols):
-    """The variables with column indices ``cols`` as an object array of
-    LinExpr of the same shape."""
-    cols = np.asarray(cols)
-    out = np.empty(cols.shape, dtype=object)
-    out.reshape(-1)[:] = [LinExpr({c: 1.0}) for c in cols.ravel().tolist()]
-    return out
-
-
 # --------------------------------------------------------------------------
 # the program
 
@@ -268,11 +238,9 @@ class LinearProgram:
     :class:`LpSolverError`.
 
     Rows live in one store: COO triplets (row, column, coefficient), rows
-    ascending within each column, plus per-row sense, bound and
-    creation-time rhs.  :meth:`add_rows` appends a block of rows given as
-    triplets; :meth:`add_eq`/:meth:`add_le`/:meth:`add_ge` append one row
-    given as a LinExpr.  Column bounds and costs are arrays, grown by
-    doubling as columns are added.
+    ascending within each column, plus per-row sense and bound.
+    :meth:`add_rows` appends a block of rows given as triplets.  Column
+    bounds and costs are arrays, grown by doubling as columns are added.
     """
 
     def __init__(self, name="lp"):
@@ -281,16 +249,12 @@ class LinearProgram:
         self._lb = np.zeros(0)        # column arrays, valid up to num_vars
         self._ub = np.zeros(0)
         self._cost = np.zeros(0)
-        self._obj_const = 0.0
         self._coo = []                # (rows, cols, coefs) blocks, row- or column-ordered
         self._sense = bytearray()     # "=", "<" or ">" per row
         self._bound = array("d")      # row reads: terms <sense> bound
-        self._bound0 = array("d")     # bound at creation time
-        self._rhs0 = array("d")       # scalar rhs at creation (set_rhs shifts relative to it)
         self._structure_version = 0
         self._solver = None
         self._built_version = -1
-        self._pending_row_bounds = {}
         self._size = (0, 0, 0)  # (rows, cols, nnz) of the last model built
 
     # -- variables ---------------------------------------------------------
@@ -302,10 +266,6 @@ class LinearProgram:
     @property
     def num_rows(self):
         return len(self._sense)
-
-    def var(self, lb=-INF, ub=INF):
-        """Create a variable; returns it as a single-term LinExpr."""
-        return LinExpr({int(self.var_block((), lb, ub)): 1.0})
 
     def var_block(self, shape, lb=-INF, ub=INF):
         """Fresh variables, one per index of ``shape`` in C order (shape
@@ -324,10 +284,6 @@ class LinearProgram:
         self._structure_version += 1
         return np.arange(first, stop).reshape(shape)
 
-    def var_array(self, shape, lb=-INF, ub=INF):
-        """Array of fresh variables of ``shape``, as LinExpr."""
-        return col_exprs(self.var_block(shape, lb=lb, ub=ub))
-
     def _install(self, col_records, entries, sense, bounds):
         """Make this empty program the given model: ``(size, lb, ub)`` per
         block of columns, the matrix ``(rows, cols, coefs)`` in column
@@ -340,8 +296,6 @@ class LinearProgram:
         self._coo = [entries]
         self._sense = bytearray(sense)
         self._bound.frombytes(bounds.tobytes())
-        self._bound0.frombytes(bounds.tobytes())
-        self._rhs0.frombytes(bytes(8 * len(bounds)))  # 0.0
         self._structure_version += 1
 
     # -- constraints ---------------------------------------------------------
@@ -354,11 +308,9 @@ class LinearProgram:
         ``sum(coefs[e] * x[cols[e]] over e with rows[e] == k) <sense> bounds[k]``
         with one ``sense`` ("=", "<" or ">") for the block.  Repeated
         (row, column) entries are summed left to right from 0.0, and
-        entries whose coefficient is then zero are dropped.  The rows count
-        as created with right-hand side 0, which is what :meth:`set_rhs`
-        values are taken relative to.  A live solver instance takes the
-        block in one call and keeps its basis, so the next ``solve()`` is a
-        warm re-solve.
+        entries whose coefficient is then zero are dropped.  A live solver
+        instance takes the block in one call and keeps its basis, so the
+        next ``solve()`` is a warm re-solve.
         """
         if sense not in ("=", "<", ">"):
             raise LpBuildError(f"unknown sense {sense!r}")
@@ -381,8 +333,6 @@ class LinearProgram:
         self._coo.append((local + first, cols, coefs))
         self._sense += bytes([ord(sense)]) * count
         self._bound.frombytes(bounds.tobytes())
-        self._bound0.frombytes(bounds.tobytes())
-        self._rhs0.frombytes(bytes(8 * count))  # 0.0
         self._structure_version += 1
         if live:
             self._solver.addRows(
@@ -395,12 +345,12 @@ class LinearProgram:
         return first
 
     def _add_one_row(self, lhs, rhs, sense):
-        rhs_expr = as_expr(rhs)
-        expr = as_expr(lhs) - rhs_expr
-        idx = self.add_rows(np.zeros(len(expr.terms), dtype=np.int64), list(expr.terms),
-                            list(expr.terms.values()), [-expr.const], sense)
-        self._rhs0[idx] = rhs_expr.const
-        return idx
+        expr = as_expr(lhs) - as_expr(rhs)
+        return self.add_rows(np.zeros(len(expr.terms), dtype=np.int64), list(expr.terms),
+                             list(expr.terms.values()), [-expr.const], sense)
+
+    # add_eq/add_le/add_ge: one LinExpr row per call; no program of the
+    # package calls them, see the module docstring
 
     def add_eq(self, lhs, rhs=0.0):
         """Append the row ``lhs = rhs``; returns its index."""
@@ -413,14 +363,6 @@ class LinearProgram:
     def add_ge(self, lhs, rhs=0.0):
         """Append the row ``lhs >= rhs``; returns its index."""
         return self._add_one_row(lhs, rhs, ">")
-
-    def minimize(self, expr):
-        expr = as_expr(expr)
-        self._cost[:] = 0.0
-        if expr.terms:
-            self._cost[list(expr.terms)] = list(expr.terms.values())
-        self._obj_const = expr.const
-        self._structure_version += 1
 
     def _live(self):
         """True if the solver instance holds the current structure."""
@@ -448,26 +390,6 @@ class LinearProgram:
         self._cost[cols] = values
         if self._live():
             self._solver.changeColsCost(len(cols), cols, self._cost[cols])
-
-    def _row(self, row):
-        """``row`` as a checked row index."""
-        if not 0 <= row < self.num_rows:
-            raise LpBuildError(f"no row {row!r} in {self.name!r}")
-        return row
-
-    def set_rhs(self, row, value):
-        """Update the right-hand side of row ``row`` (an index) in place.
-
-        This re-uses the live solver model, so the next ``solve()`` is a warm
-        re-solve.  ``value`` has the same meaning as the ``rhs`` argument the
-        row was created with.
-        """
-        idx = self._row(row)
-        bound = self._bound0[idx] + (float(value) - self._rhs0[idx])
-        self._bound[idx] = bound
-        sense = self._sense[idx]
-        self._pending_row_bounds[idx] = (-INF if sense == _LE else bound,
-                                         INF if sense == _GE else bound)
 
     def _senses(self):
         return np.frombuffer(self._sense, dtype=np.uint8).copy()
@@ -507,8 +429,8 @@ class LinearProgram:
         rlo, rhi = self._assemble()[6:]
         if np.any((rlo - 1e-12 > 0.0) | (rhi + 1e-12 < 0.0)):
             return LpSolution(self, INFEASIBLE, None, np.zeros(0), None, 0.0)
-        duals = SimpleNamespace(row_dual=np.zeros(self.num_rows), col_dual=np.zeros(0))
-        return LpSolution(self, OPTIMAL, self._obj_const, np.zeros(0), duals, 0.0)
+        duals = SimpleNamespace(col_dual=np.zeros(0))
+        return LpSolution(self, OPTIMAL, 0.0, np.zeros(0), duals, 0.0)
 
     def _new_highs(self):
         solver = _hcore._Highs()
@@ -543,15 +465,10 @@ class LinearProgram:
         self._solver = solver
         self._built_version = self._structure_version
         self._size = (self.num_rows, self.num_vars, nnz)
-        self._pending_row_bounds.clear()
 
     def _solve_highs(self, time_limit):
         if not self._live():
             self._build_highs()
-        elif self._pending_row_bounds:
-            for idx, (lo, hi) in self._pending_row_bounds.items():
-                self._solver.changeRowBounds(idx, lo, hi)
-            self._pending_row_bounds.clear()
         solver = self._solver
         solver.setOptionValue("time_limit", float(time_limit) if time_limit else INF)
         t0 = solver.getRunTime()
@@ -565,7 +482,7 @@ class LinearProgram:
         if status == S.kOptimal:
             sol = solver.getSolution()  # a copy: later solves leave it alone
             x = np.asarray(sol.col_value, dtype=float)
-            obj = float(self._cost[:self.num_vars] @ x) + self._obj_const
+            obj = float(self._cost[:self.num_vars] @ x) + 0.0  # -0.0 reads as +0.0
             return LpSolution(self, OPTIMAL, obj, x, sol, seconds)
         if status == S.kInfeasible:
             return LpSolution(self, INFEASIBLE, None, None, None, seconds)
@@ -680,18 +597,14 @@ class LpSolution:
     solve_seconds: float = 0.0
 
     def __init__(self, lp, status, objective, x, duals, solve_seconds):
-        """``duals`` has the row and column sensitivities as ``row_dual``
-        and ``col_dual``, read into arrays on first use (HiGHS's solution)."""
+        """``duals`` has the column sensitivities as ``col_dual`` (HiGHS's
+        solution), read into an array on first use."""
         self.lp = lp
         self.status = status
         self.objective = objective
         self._x = x
         self._duals = duals
         self.solve_seconds = solve_seconds
-
-    @functools.cached_property
-    def _row_sens(self):
-        return np.asarray(self._duals.row_dual, dtype=float)
 
     @functools.cached_property
     def _col_sens(self):
@@ -705,26 +618,9 @@ class LpSolution:
         if self._x is None:
             raise LpError(f"no solution available (status={self.status})")
 
-    def value(self, expr):
-        """Evaluate a LinExpr, a number, or an (object) array of them."""
-        self._require_solution()
-        if isinstance(expr, LinExpr):
-            total = expr.const
-            for c, v in expr.terms.items():
-                total += v * self._x[c]
-            return float(total)
-        if isinstance(expr, np.ndarray) and expr.dtype == object:
-            out = np.empty(expr.shape, dtype=float)
-            for idx in np.ndindex(expr.shape):
-                out[idx] = self.value(expr[idx])
-            return out
-        if isinstance(expr, (list, tuple)):
-            return np.array([self.value(e) for e in expr])
-        return float(expr)
-
     def column_values(self, cols):
         """Primal values of the variables with column indices ``cols`` (any
-        shape); a signed zero reads as +0.0, as in :meth:`value`."""
+        shape); a signed zero reads as +0.0."""
         self._require_solution()
         return self._x[np.asarray(cols, dtype=np.int64)] + 0.0
 
@@ -733,54 +629,3 @@ class LpSolution:
         column fixed by its bounds."""
         self._require_solution()
         return self._col_sens[np.asarray(cols, dtype=np.int64)]
-
-    def sensitivity(self, row):
-        """d(objective)/d(rhs) of row ``row`` (an index)."""
-        self._require_solution()
-        return float(self._row_sens[self.lp._row(row)])
-
-    def dual(self, row):
-        """Dual of row ``row``, with the >= 0 convention for <= rows in a
-        minimization."""
-        sens = self.sensitivity(row)
-        return -sens if self.lp._sense[row] == _LE else sens
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def kkt_residuals(self):
-        """Max primal/dual-feasibility and stationarity residuals.
-
-        Useful as a cheap independent check that the reported solution and
-        duals are mutually consistent.
-        """
-        self._require_solution()
-        lp = self.lp
-        x, y = self._x, self._row_sens
-        start, index, value, cost, lb, ub, rlo, rhi = lp._assemble()
-        cols = np.repeat(np.arange(lp.num_vars), np.diff(start))
-        ax = np.bincount(index, weights=value * x[cols], minlength=lp.num_rows)
-        # infinite row bounds give -inf terms, which never win the max
-        primal = max(float(np.max(rlo - ax, initial=0.0)),
-                     float(np.max(ax - rhi, initial=0.0)),
-                     float(np.max(lb - x, initial=0.0)),
-                     float(np.max(x - ub, initial=0.0)))
-        # sensitivity signs: <= rows need y <= 0, >= rows y >= 0
-        sense = lp._senses()
-        dual_sign = max(float(np.max(y[sense == _LE], initial=0.0)),
-                        float(np.max(-y[sense == _GE], initial=0.0)))
-        aty = np.bincount(cols, weights=value * y[index], minlength=lp.num_vars)
-        stationarity = float(np.max(np.abs(cost - aty - self._col_sens), initial=0.0))
-        return {"primal": primal, "dual_sign": dual_sign, "stationarity": stationarity}
-
-    def duality_gap(self):
-        """|primal objective - dual objective| (strong-duality spot check)."""
-        self._require_solution()
-        lp = self.lp
-        _, _, _, _, lb, ub, rlo, rhi = lp._assemble()
-        y, z = self._row_sens, self._col_sens
-        rhs = np.where(lp._senses() == _LE, rhi, rlo)
-        used = y != 0.0
-        at_lb = (z > 0) & (lb != -INF)
-        at_ub = (z < 0) & (ub != INF)
-        dual_val = float(y[used] @ rhs[used] + z[at_lb] @ lb[at_lb] + z[at_ub] @ ub[at_ub])
-        return abs((self.objective - lp._obj_const) - dual_val)

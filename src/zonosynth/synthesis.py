@@ -9,10 +9,10 @@ Two roads to a correct composition:
 
 * ``compositional_synthesize`` descends the potential
   V(alpha) = sum_i V_i(alpha) from module ``contracts``.  Each iteration
-  re-solves |I| small independent LPs, each built once and re-solved warm
-  (optionally in a thread pool), whose duals give a subgradient of each
-  V_i.  V = 0 certifies the composition; the parameters are then solved
-  without slack, on the same LPs, to extract the tubes and controllers.
+  re-solves |I| small independent LPs, each built once and re-solved warm,
+  whose duals give a subgradient of each V_i.  V = 0 certifies the
+  composition; the parameters are then solved without slack, on the same
+  LPs, to extract the tubes and controllers.
 
 The step rule deserves a note.  V is convex and piecewise linear, each V_i
 is nonnegative, and the target value is known: a correct composition has
@@ -100,10 +100,15 @@ class DescentConfig:
     line_search: bool = True      # subgradient: Polyak steps (True) or fixed delta
     seed: int = 0                 # seeds the "random" init
     init: str = "half"            # "half" | "max" | "random"
-    threads: int | None = None    # worker pool size (None: env or serial)
+    # None or 1 only: evaluation is serial.  The field stays while
+    # perfbench/workloads.py spells it out, and goes with its next change.
+    threads: int | None = None
     rule: str = "level"           # "level" (cutting-plane master) | "subgradient"
 
     def validate(self):
+        if self.threads not in (None, 1):
+            raise ValueError(f"threads={self.threads!r}: the worker pool is gone and "
+                             "evaluation is serial; pass None or 1")
         if self.rule not in RULES:
             raise ValueError(f"unknown step rule {self.rule!r}; expected one of {RULES}")
         if self.delta <= 0:
@@ -320,7 +325,7 @@ def _line_step(programs, params, direction, s, cfg):
     for _ in range(60):
         cand = project_box(params.from_vector(vec + s * direction))
         try:
-            rc = potential(programs, cand, threads=cfg.threads)
+            rc = potential(programs, cand)
         except PotentialInfeasible:
             s *= 0.5          # step into an infeasible corner; shorten
             continue
@@ -466,7 +471,7 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
                                       reduction_order=cfg.reduction_order)
         try:
             with phases("descent"):
-                res = potential(programs, params, threads=cfg.threads)
+                res = potential(programs, params)
         except PotentialInfeasible as exc:
             return _finish(
                 SynthesisResult(
@@ -579,7 +584,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
         with phases("caps"):
             caps = alpha_max(network, tpl)
         with phases("build"):
-            lp = LinearProgram(name="centralized")
+            batch = lpcore._LpBatch(["centralized"])
             cap = 1.0 if tpl.is_bounds else lpcore.INF
             alphas = {}
 
@@ -589,18 +594,19 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
                 key = (j, channel, t)
                 if key not in alphas:
                     width = np.asarray(entries[t][1]).shape[1]
-                    alphas[key] = lp.var_block(width, lb=0.0, ub=cap)
+                    alphas[key] = batch.var_block(width, lb=0.0, ub=cap)[0]
                 return alphas[key]
 
             handles = {
-                sid: emit_subsystem(lp, network, tpl, sid, ensure, k=k,
-                                    reduction_order=reduction_order, slack=False)
+                sid: emit_subsystem(batch, network, tpl, [sid], [ensure], k=k,
+                                    reduction_order=reduction_order, slack=False)[0]
                 for sid in ids
             }
 
             if not tpl.is_bounds:
-                _admissibility_rows(lp, network, tpl, ensure)
+                _admissibility_rows(batch, network, tpl, ensure)
 
+            (lp,) = batch.programs()
             lp.set_costs(np.concatenate([ensure(sid, "x", t) for sid in ids
                                          for t in range(len(tpl.state[sid]))]), 1.0)
 

@@ -243,6 +243,8 @@ def load_network(source):
     horizon = data.get("horizon")
     if mode == "finite" and horizon is None:
         raise ConfigError("finite mode requires a horizon")
+    if mode == "finite" and (not isinstance(horizon, int) or horizon < 1):
+        raise ConfigError("finite mode needs an integer horizon >= 1")
     subs_data = data.get("subsystems")
     if not isinstance(subs_data, list) or not subs_data:
         raise ConfigError("config needs a non-empty subsystems list")
@@ -250,6 +252,8 @@ def load_network(source):
 
     subsystems = []
     for entry in subs_data:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"subsystem entries must be objects, got {entry!r}")
         if "id" not in entry:
             raise ConfigError("every subsystem needs an id")
         sid = entry["id"]
@@ -270,7 +274,12 @@ def load_network(source):
             D = _expand(D, steps, f"{w}.D")
             X = _expand(X, steps + 1, f"{w}.X")
         couplings = {}
-        for c in entry.get("couplings", []):
+        couplings_data = entry.get("couplings", [])
+        if not isinstance(couplings_data, list):
+            raise ConfigError(f"{w}: couplings must be a list")
+        for c in couplings_data:
+            if not isinstance(c, dict):
+                raise ConfigError(f"{w}: coupling entries must be objects, got {c!r}")
             if "to" not in c or "A" not in c:
                 raise ConfigError(f"{w}: coupling entries need 'to' and 'A'")
             j = c["to"]

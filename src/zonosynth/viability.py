@@ -189,8 +189,9 @@ class ViableSolution:
     W: list  # the disturbance sets the solution was computed against
     objective: float
     #: the synthesis LP's containment witnesses [Lam lam], keyed by the
-    #: containment ("inX3", "inU0", ...); certification checks
-    #: them first.  Never serialized: a loaded solution certifies by LP.
+    #: containment as in ``contracts.check_correctness`` ("inC3", "term",
+    #: "inU0", ...); certification checks them first.  Never serialized: a
+    #: loaded solution certifies by LP.
     witness: dict | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -242,7 +243,7 @@ class RciSolution:
     beta: float
     E: np.ndarray | None
     objective: float
-    #: containment witnesses, as for ViableSolution ("inX", "inU", ...)
+    #: containment witnesses, as for ViableSolution ("inC0", "inU0")
     witness: dict | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -308,12 +309,12 @@ def certify_solution(solution, X, U):
         fallbacks += lp
 
     if isinstance(solution, RciSolution):
-        check(0, solution.omega(), X, "Omega in X", "inX")
+        check(0, solution.omega(), X, "Omega in X", "inC0")
         if solution.M is not None:
-            check(1, solution.theta(), U, "Theta in U", "inU")
+            check(1, solution.theta(), U, "Theta in U", "inU0")
     else:
         for t in range(solution.horizon + 1):
-            check(0, solution.omega(t), X[t], f"Omega({t}) in X({t})", f"inX{t}")
+            check(0, solution.omega(t), X[t], f"Omega({t}) in X({t})", f"inC{t}")
         if solution.M is not None:
             for t in range(solution.horizon):
                 check(1, solution.theta(t), U[t], f"Theta({t}) in U({t})", f"inU{t}")
@@ -401,8 +402,9 @@ def finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing", x
                       ubar[t] if m else None, numeric_w(W_seq[t]), T[t + 1],
                       xbar[t + 1])
 
-    witness = {f"inX{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t])
+    witness = {f"inC{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t])
                for t in range(h + 1)}
+    witness["term"] = witness[f"inC{h}"]
     if m:
         for t in range(h):
             witness[f"inU{t}"] = _add_plain_containment(lp, M[t], ubar[t], U_seq[t])
@@ -479,9 +481,9 @@ def rci_lp(A, B, W, X, U, k, beta=0.0, simplified=None):
     if E is not None:
         add_scaled_containment(lp, affine(np.column_stack([E, np.full(n, -1)])),
                                W.generators, numbers(np.full(p, beta)), np.zeros(n))
-    witness = {"inX": _add_plain_containment(lp, T, xbar, X, sigma)}
+    witness = {"inC0": _add_plain_containment(lp, T, xbar, X, sigma)}
     if m:
-        witness["inU"] = _add_plain_containment(lp, M, ubar, U, sigma)
+        witness["inU0"] = _add_plain_containment(lp, M, ubar, U, sigma)
 
     lp.set_costs(_abs_objective(lp, [T]), 1.0)
 

@@ -5,7 +5,7 @@ paths: LPs are solved by brute-force vertex enumeration, zonotope geometry by
 enumerating sign patterns and convex hulls.  Slow but trustworthy on small
 instances.  The exceptions are the reference emitters and programs at the
 end: they build the containment rows and the tube-recursion programs one
-LinExpr row at a time (``lpcore``'s row-wise path), to check the block
+LinExpr row at a time (the row-wise LP layer below), to check the block
 emitters against, each potential program for its one subsystem, to check
 the grouped ``build_programs`` against, and the hard extraction as a second
 LP per subsystem with its parameters pinned by equality rows, to check
@@ -14,13 +14,161 @@ one distance call per pair of points, to check ``network_from_points``'
 neighbour prefilter against; and the Monte-Carlo closed loop run subsystem
 by subsystem on (S, n_i) arrays, to check ``runtime``'s network-stacked
 loop against.
+
+The row-wise LP layer
+---------------------
+``lpcore`` speaks column and row indices only.  The functions of the
+row-wise layer write a ``LinearProgram`` one row per call, as expression
+arithmetic over ``lpcore.LinExpr`` (``var``/``var_array``, ``lin_sum``,
+``col_exprs``, ``add_eq``/``add_le``/``add_ge`` and ``minimize``), and read
+a solution back by expression (``value``) and by row (``sensitivity``,
+``dual``, ``kkt_residuals``, ``duality_gap``).  They work on the program's
+assembled arrays and on HiGHS's own row duals, which ``lpcore`` does not
+read.
+
+Sign conventions: ``sensitivity(sol, row)`` is always d(objective)/d(rhs)
+of row ``row``.  ``dual(sol, row)`` applies the textbook sign convention
+for a minimization: duals of ``<=`` rows are >= 0 (i.e. the negated
+sensitivity), duals of ``=`` and ``>=`` rows are the sensitivity itself.
 """
 
 import itertools
 
 import numpy as np
 
+from zonosynth.lpcore import LinearProgram, LinExpr, _LpBatch, as_expr
+
 INF = float("inf")
+_LE, _GE = ord("<"), ord(">")
+
+
+# ---------------------------------------------------------------------------
+# the row-wise LP layer
+
+
+def lin_sum(items):
+    """Sum an iterable of LinExpr/floats without quadratic dict copying."""
+    terms = {}
+    const = 0.0
+    for item in items:
+        if isinstance(item, LinExpr):
+            const += item.const
+            for col, coef in item.terms.items():
+                terms[col] = terms.get(col, 0.0) + coef
+        else:
+            const += float(item)
+    return LinExpr(terms, const)
+
+
+def col_exprs(cols):
+    """The variables with column indices ``cols`` as an object array of
+    LinExpr of the same shape."""
+    cols = np.asarray(cols)
+    out = np.empty(cols.shape, dtype=object)
+    out.reshape(-1)[:] = [LinExpr({c: 1.0}) for c in cols.ravel().tolist()]
+    return out
+
+
+def var(lp, lb=-INF, ub=INF):
+    """A fresh variable of ``lp``, as a single-term LinExpr."""
+    return LinExpr({int(lp.var_block((), lb, ub)): 1.0})
+
+
+def var_array(lp, shape, lb=-INF, ub=INF):
+    """Fresh variables of ``lp`` of ``shape``, as an object array of LinExpr."""
+    return col_exprs(lp.var_block(shape, lb=lb, ub=ub))
+
+
+def minimize(lp, expr):
+    """Make the LinExpr ``expr`` the objective: its coefficients are the
+    costs, every other column costs 0.  ``lpcore`` keeps no objective
+    constant, so ``expr`` must have none."""
+    expr = as_expr(expr)
+    if expr.const:
+        raise ValueError("objective constants are not kept")
+    lp.set_costs(np.arange(lp.num_vars), 0.0)
+    if expr.terms:
+        lp.set_costs(list(expr.terms), list(expr.terms.values()))
+
+
+def value(sol, expr):
+    """A LinExpr, a number, or an (object) array or list of them, at ``sol``."""
+    if isinstance(expr, LinExpr):
+        x = sol.column_values(np.array(list(expr.terms), dtype=np.int64))
+        total = expr.const
+        for v, xc in zip(expr.terms.values(), x.tolist()):
+            total += v * xc
+        return float(total)
+    if isinstance(expr, np.ndarray) and expr.dtype == object:
+        out = np.empty(expr.shape, dtype=float)
+        for idx in np.ndindex(expr.shape):
+            out[idx] = value(sol, expr[idx])
+        return out
+    if isinstance(expr, (list, tuple)):
+        return np.array([value(sol, e) for e in expr])
+    sol.column_values([])  # raises without a solution
+    return float(expr)
+
+
+def _row_sens(sol):
+    """HiGHS's row duals of ``sol``: d(objective)/d(rhs) per row."""
+    sol.column_values([])  # raises without a solution
+    return np.asarray(sol._duals.row_dual, dtype=float)
+
+
+def sensitivity(sol, row):
+    """d(objective)/d(rhs) of row ``row`` (an index)."""
+    if not 0 <= row < sol.lp.num_rows:
+        raise IndexError(f"no row {row!r} in {sol.lp.name!r}")
+    return float(_row_sens(sol)[row])
+
+
+def dual(sol, row):
+    """Dual of row ``row``, with the >= 0 convention for <= rows in a
+    minimization."""
+    sens = sensitivity(sol, row)
+    return -sens if sol.lp._senses()[row] == _LE else sens
+
+
+def kkt_residuals(sol):
+    """Max primal/dual-feasibility and stationarity residuals of ``sol``.
+
+    A cheap independent check that the reported solution and duals are
+    mutually consistent.
+    """
+    lp = sol.lp
+    y = _row_sens(sol)
+    x = sol.column_values(np.arange(lp.num_vars))
+    z = sol.column_duals(np.arange(lp.num_vars))
+    start, index, coefs, cost, lb, ub, rlo, rhi = lp._assemble()
+    cols = np.repeat(np.arange(lp.num_vars), np.diff(start))
+    ax = np.bincount(index, weights=coefs * x[cols], minlength=lp.num_rows)
+    # infinite row bounds give -inf terms, which never win the max
+    primal = max(float(np.max(rlo - ax, initial=0.0)),
+                 float(np.max(ax - rhi, initial=0.0)),
+                 float(np.max(lb - x, initial=0.0)),
+                 float(np.max(x - ub, initial=0.0)))
+    # sensitivity signs: <= rows need y <= 0, >= rows y >= 0
+    sense = lp._senses()
+    dual_sign = max(float(np.max(y[sense == _LE], initial=0.0)),
+                    float(np.max(-y[sense == _GE], initial=0.0)))
+    aty = np.bincount(cols, weights=coefs * y[index], minlength=lp.num_vars)
+    stationarity = float(np.max(np.abs(cost - aty - z), initial=0.0))
+    return {"primal": primal, "dual_sign": dual_sign, "stationarity": stationarity}
+
+
+def duality_gap(sol):
+    """|primal objective - dual objective| (strong-duality spot check)."""
+    lp = sol.lp
+    y = _row_sens(sol)
+    z = sol.column_duals(np.arange(lp.num_vars))
+    _, _, _, _, lb, ub, rlo, rhi = lp._assemble()
+    rhs = np.where(lp._senses() == _LE, rhi, rlo)
+    used = y != 0.0
+    at_lb = (z > 0) & (lb != -INF)
+    at_ub = (z < 0) & (ub != INF)
+    dual_val = float(y[used] @ rhs[used] + z[at_lb] @ lb[at_lb] + z[at_ub] @ ub[at_ub])
+    return abs(sol.objective - dual_val)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +365,13 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
     the block emitter gives it, so the programs built with this reference
     match the package's bit for bit.
     """
-    from zonosynth.lpcore import as_expr, lin_sum
-
     outer_cols = np.asarray(outer_cols, dtype=float)
     n, s = outer_cols.shape
     inner_G = np.asarray(inner_G, dtype=object).reshape(n, -1)
     r = inner_G.shape[1]
-    Lam = lp.var_array((s, r)) if s and r else np.empty((s, r), dtype=object)
-    lam = lp.var_array(s) if s else np.empty(0, dtype=object)
-    W = lp.var_array((s, r + 1), lb=0.0) if s else np.empty((s, r + 1), dtype=object)
+    Lam = var_array(lp, (s, r)) if s and r else np.empty((s, r), dtype=object)
+    lam = var_array(lp, s) if s else np.empty(0, dtype=object)
+    W = var_array(lp, (s, r + 1), lb=0.0) if s else np.empty((s, r + 1), dtype=object)
 
     for i in range(n):
         row_cols = np.nonzero(outer_cols[i])[0]
@@ -251,20 +397,18 @@ def membership_lp_rowwise(Z, x):
     min |zeta|_inf s.t. x = c + G zeta, with the point as columns fixed at
     ``x`` and one ``add_eq``/``add_le`` per row; returns the LP, zeta and
     the point as LinExpr."""
-    from zonosynth.lpcore import LinearProgram, lin_sum
-
     p = Z.num_generators
     lp = LinearProgram(name="member")
-    zeta = lp.var_array(p)
-    q = lp.var(lb=0.0)
-    point = [lp.var(lb=float(x[i]), ub=float(x[i])) for i in range(Z.dim)]
+    zeta = var_array(lp, p)
+    q = var(lp, lb=0.0)
+    point = [var(lp, lb=float(x[i]), ub=float(x[i])) for i in range(Z.dim)]
     for i in range(Z.dim):
         expr = lin_sum(Z.generators[i, k] * zeta[k] for k in range(p))
         lp.add_eq(expr - point[i], -float(Z.center[i]))
     for k in range(p):
         lp.add_le(zeta[k] - q, 0.0)
         lp.add_le(-zeta[k] - q, 0.0)
-    lp.minimize(q)
+    minimize(lp, q)
     return lp, zeta, point
 
 
@@ -301,8 +445,6 @@ def lin_matmul(A, X):
     ``X`` entries may be LinExpr or numbers; returns an object array of
     LinExpr.  Zero coefficients in ``A`` are skipped.
     """
-    from zonosynth.lpcore import as_expr, lin_sum
-
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=object)
     if X.ndim == 1:
@@ -346,17 +488,14 @@ def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
 
 
 def _size_objective(lp, blocks):
-    from zonosynth.lpcore import LinExpr
     from zonosynth.viability import _abs_objective
 
-    lp.minimize(LinExpr(dict.fromkeys(_abs_objective(lp, blocks).tolist(), 1.0)))
+    minimize(lp, LinExpr(dict.fromkeys(_abs_objective(lp, blocks).tolist(), 1.0)))
 
 
 def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
                              x0=None):
     """Row-at-a-time reference for ``viability.finite_viable_lp``'s LP."""
-    from zonosynth.lpcore import LinearProgram, col_exprs
-
     h = len(A_seq)
     n = A_seq[0].shape[0]
     m = B_seq[0].shape[1]
@@ -367,9 +506,9 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="gro
     lp = LinearProgram(name="viable")
     Tc = [lp.var_block((n, widths[t])) for t in range(h + 1)]
     T = [col_exprs(c) for c in Tc]
-    xbar = [lp.var_array(n) for _ in range(h + 1)]
-    M = [lp.var_array((m, widths[t])) for t in range(h)] if m else None
-    ubar = [lp.var_array(m) for _ in range(h)] if m else None
+    xbar = [var_array(lp, n) for _ in range(h + 1)]
+    M = [var_array(lp, (m, widths[t])) for t in range(h)] if m else None
+    ubar = [var_array(lp, m) for _ in range(h)] if m else None
     for t in range(h):
         Gw = W_seq[t].generators
         _recursion_rows_rowwise(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None,
@@ -399,8 +538,6 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="gro
 
 def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0, simplified=None):
     """Row-at-a-time reference for ``viability.rci_lp``'s LP."""
-    from zonosynth.lpcore import LinearProgram, col_exprs
-
     if simplified is None:
         simplified = beta == 0.0
     n = A.shape[0]
@@ -410,10 +547,10 @@ def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0, simplified=None):
     lp = LinearProgram(name="rci")
     Tc = lp.var_block((n, k))
     T = col_exprs(Tc)
-    xbar = lp.var_array(n)
-    M = lp.var_array((m, k)) if m else None
-    ubar = lp.var_array(m) if m else None
-    E = None if simplified else lp.var_array((n, p))
+    xbar = var_array(lp, n)
+    M = var_array(lp, (m, k)) if m else None
+    ubar = var_array(lp, m) if m else None
+    E = None if simplified else var_array(lp, (n, p))
     Gw = W.generators
     _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar,
                             [[float(v) for v in Gw[:, j]] for j in range(p)], W.center,
@@ -431,8 +568,6 @@ def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0, simplified=None):
 
 def _w_expr_columns(blocks, split, alpha_cols, n):
     """W_i generator columns as LP expressions: kept exact, remainder boxed."""
-    from zonosynth.lpcore import lin_sum
-
     allcols = [(bi, ci) for bi, block in enumerate(blocks) for ci in range(block.cols.shape[1])]
     kept, boxed = ([allcols[c] for c in part] for part in split)
     columns = []
@@ -471,7 +606,6 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
     returns column indices, as there.  Returns the column indices of the
     tubes T and of the slack columns d (state steps, then input steps)."""
     from zonosynth.contracts import _at, _choose_columns, aug_blocks
-    from zonosynth.lpcore import col_exprs
 
     sub = network.subsystem(sid)
     n, m = sub.n, sub.m
@@ -493,9 +627,9 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
             widths.append(widths[-1] + p_red[t])
     Tc = [lp.var_block((n, widths[t])) for t in range(steps_x)]
     T = [col_exprs(c) for c in Tc]
-    xbar = [lp.var_array(n) for _ in range(steps_x)]
-    M = [lp.var_array((m, widths[t])) for t in range(steps)] if m else None
-    ubar = [lp.var_array(m) for _ in range(steps)] if m else None
+    xbar = [var_array(lp, n) for _ in range(steps_x)]
+    M = [var_array(lp, (m, widths[t])) for t in range(steps)] if m else None
+    ubar = [var_array(lp, m) for _ in range(steps)] if m else None
     d_cols = [lp.var_block(1, lb=0.0)[0] for _ in range(steps_x)] if slack else []
     d_cols += [lp.var_block(1, lb=0.0)[0] for _ in range(steps)] if slack and m else []
     d_x = col_exprs(d_cols[:steps_x]) if slack else None
@@ -549,7 +683,6 @@ def potential_lp_rowwise(network, template, sid, k=None, reduction_order=1):
     when W first asks for it, then the size aux columns of sum |T|; the
     slack columns cost 1."""
     from zonosynth.contracts import _at
-    from zonosynth.lpcore import LinearProgram
     from zonosynth.viability import _abs_objective
 
     lp = LinearProgram(name=f"potential[{sid}]")
@@ -584,54 +717,48 @@ class ExtractionProgram:
 
     Every multiplier is a variable pinned by an equality row; the
     containments in the own promise are hard, and the objective is the
-    total template size sum |T|.  ``solve`` rewrites the pins one row at a
-    time and re-solves warm.
+    total template size sum |T|.  ``solve`` builds the program afresh, as a
+    batch of one, with the bounds of its pin rows set to the parameters.
     """
 
     def __init__(self, network, template, sid, k=None, reduction_order=1):
-        from zonosynth.contracts import _at, emit_subsystem
-        from zonosynth.lpcore import LinearProgram
-        from zonosynth.viability import _abs_objective
-
         self.sid = sid
-        lp = LinearProgram(name=f"extract[{sid}]")
-        self._pins = {}
-
-        def alpha_of(j, channel, t):
-            key = (j, channel, t)
-            if key not in self._pins:
-                entries = template.state[j] if channel == "x" else template.input[j]
-                q = _at(entries, t)[1].shape[1]
-                cols = lp.var_block(q)
-                first = lp.add_rows(np.arange(q), cols, np.ones(q), np.zeros(q), "=")
-                self._pins[key] = (cols, first + np.arange(q))
-            return self._pins[key][0]
-
-        sub = network.subsystem(sid)
-        steps = network.num_steps
-        for t in range(steps + 1 if network.mode == "finite" else 1):
-            alpha_of(sid, "x", t)
-        if sub.m and sid in template.input:
-            for t in range(steps):
-                alpha_of(sid, "u", t)
-        self.handles = emit_subsystem(lp, network, template, sid, alpha_of, k=k,
-                                      reduction_order=reduction_order, slack=False)
-        lp.set_costs(_abs_objective(lp, self.handles.T), 1.0)
-        self.lp = lp
+        self._args = (network, template, sid, k, reduction_order)
 
     def solve(self, params):
         """The tubes at ``params``, or None if the hard problem is infeasible."""
-        from zonosynth.contracts import _at, _numeric_solution
+        from zonosynth.contracts import _at, _numeric_solution, emit_subsystem
+        from zonosynth.viability import _abs_objective
 
-        for (j, channel, t), (_, rows) in self._pins.items():
-            values = _at(params.x[j] if channel == "x" else params.u[j], t)
-            for row, v in zip(rows.tolist(), values):
-                self.lp.set_rhs(row, max(float(v), 0.0))
-        sol = self.lp.solve()
+        network, template, sid, k, reduction_order = self._args
+        batch = _LpBatch([f"extract[{sid}]"])
+        pins = {}
+
+        def alpha_of(j, channel, t):
+            if (j, channel, t) not in pins:
+                values = _at(params.x[j] if channel == "x" else params.u[j], t)
+                q = len(values)
+                cols = batch.var_block(q)
+                batch.add_rows(np.arange(q), cols, np.ones(q), np.maximum(values, 0.0), "=")
+                pins[(j, channel, t)] = cols[0]
+            return pins[(j, channel, t)]
+
+        steps = network.num_steps
+        for t in range(steps + 1 if network.mode == "finite" else 1):
+            alpha_of(sid, "x", t)
+        if network.subsystem(sid).m and sid in template.input:
+            for t in range(steps):
+                alpha_of(sid, "u", t)
+        (handles,) = emit_subsystem(batch, network, template, [sid], [alpha_of], k=k,
+                                    reduction_order=reduction_order, slack=False)
+        size = _abs_objective(batch, [T[None] for T in handles.T])
+        (lp,) = batch.programs()
+        lp.set_costs(size[0], 1.0)
+        sol = lp.solve()
         if sol.status == "infeasible":
             return None
         assert sol.status == "optimal", sol.status
-        return _numeric_solution(sol, self.handles)
+        return _numeric_solution(sol, handles)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from zonosynth.contracts import (
     potential,
 )
 from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
-from zonosynth.lpcore import LinearProgram, lin_sum
+from zonosynth.lpcore import LinearProgram
 from zonosynth.runtime import verify_invariance
 from zonosynth.sysmodel import load_network, random_network
 from zonosynth.synthesis import (
@@ -346,16 +346,16 @@ def test_criterion_6_oracle_suite(capsys):
         status, obj, _ = oracles.solve_lp_by_vertex_enumeration(
             c, A, lo, hi, xlb, xub)
         lp = LinearProgram()
-        xs = [lp.var(lb=xlb[i], ub=xub[i]) for i in range(len(c))]
+        xs = [oracles.var(lp, lb=xlb[i], ub=xub[i]) for i in range(len(c))]
         for k in range(A.shape[0]):
-            expr = lin_sum(A[k, i] * xs[i] for i in range(len(c)))
+            expr = oracles.lin_sum(A[k, i] * xs[i] for i in range(len(c)))
             if lo[k] == hi[k]:
                 lp.add_eq(expr, lo[k])
             elif lo[k] == -INF:
                 lp.add_le(expr, hi[k])
             else:
                 lp.add_ge(expr, lo[k])
-        lp.minimize(lin_sum(ci * xi for ci, xi in zip(c, xs)))
+        oracles.minimize(lp, oracles.lin_sum(ci * xi for ci, xi in zip(c, xs)))
         sol = lp.solve()
         if status == "infeasible":
             ok_lp = ok_lp and sol.status == lpcore.INFEASIBLE

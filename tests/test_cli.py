@@ -358,20 +358,40 @@ def test_plotdata_rejects_unknown_subsystem(case1_dir):
                  "--what", "potential-slice", "--dims", "9:0,1:0"]) == 2
 
 
-def test_plotdata_bad_thread_count_exits_two(case1_dir, tmp_path, monkeypatch,
-                                           capsys):
+def test_synth_ignores_the_old_thread_variable(monkeypatch):
+    # the worker pool is gone; CONTRACT_SYNTH_THREADS is no longer read
     monkeypatch.setenv("CONTRACT_SYNTH_THREADS", "abc")
-    assert main(["plotdata", "--result", str(case1_dir),
-                 "--what", "potential-slice", "--dims", "1:0,2:0",
-                 "--grid", "1", "--out", str(tmp_path)]) == 2
-    assert "CONTRACT_SYNTH_THREADS='abc'" in capsys.readouterr().err
-    assert not (tmp_path / "potential_slice.csv").exists()
+    assert main(["synth", "--config", "configs/case1.json"]) == 0
 
 
-def test_synth_bad_thread_count_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("CONTRACT_SYNTH_THREADS", "abc")
-    assert main(["synth", "--config", "configs/case1.json"]) == 2
-    assert "CONTRACT_SYNTH_THREADS='abc'" in capsys.readouterr().err
+@pytest.mark.parametrize("what,dims", [("viable-sets", "a,b"), ("viable-sets", "0,7"),
+                                       ("viable-sets", "-1,0"),
+                                       ("potential-slice", "1:x,2:0")])
+def test_plotdata_bad_dims_exit_two(case1_dir, tmp_path, capsys, what, dims):
+    # case1's subsystems have 2-D states
+    assert main(["plotdata", "--result", str(case1_dir), "--what", what,
+                 f"--dims={dims}", "--out", str(tmp_path)]) == 2
+    assert "--dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"subsystems": [1]},
+    {"subsystems": [{"id": 1, "A": [[1.0]], "B": [[1.0]],
+                     "X": {"center": [0.0], "generators": [[1.0]]},
+                     "U": {"center": [0.0], "generators": [[1.0]]},
+                     "D": {"center": [0.0], "generators": [[0.1]]},
+                     "couplings": [3]}]},
+    {"mode": "finite", "horizon": "3", "subsystems": [
+        {"id": 1, "A": [[1.0]], "B": [[1.0]],
+         "X": {"center": [0.0], "generators": [[1.0]]},
+         "U": {"center": [0.0], "generators": [[1.0]]},
+         "D": {"center": [0.0], "generators": [[0.1]]}}]},
+], ids=["subsystem-not-object", "coupling-not-object", "string-horizon"])
+def test_synth_malformed_config_exits_two(tmp_path, capsys, config):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["synth", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_plotdata_missing_result_exits_two(capsys):

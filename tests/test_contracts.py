@@ -27,7 +27,7 @@ from zonosynth.contracts import (
     _numeric_solution,
 )
 from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
-from zonosynth.sysmodel import ConfigError, load_network
+from zonosynth.sysmodel import load_network
 from zonosynth.viability import RciSolution
 
 
@@ -302,26 +302,6 @@ def test_potential_infeasible_when_recursion_cannot_close():
         potential(programs, alpha_max(net, tpl).scaled(0.5))
 
 
-def test_potential_threaded_matches_serial(monkeypatch):
-    net = pair_network()
-    tpl = default_template(net)
-    base = alpha_max(net, tpl)
-    params = set_pair(base, 0.15, 0.75)
-    serial = potential(build_programs(net, tpl), params)
-    monkeypatch.setenv("CONTRACT_SYNTH_THREADS", "2")
-    threaded = potential(build_programs(net, tpl), params, threads=2)
-    assert threaded.value == pytest.approx(serial.value, abs=1e-10)
-    assert threaded.grad.to_vector() == pytest.approx(serial.grad.to_vector(), abs=1e-10)
-
-
-def test_bad_thread_count_is_a_config_error(monkeypatch):
-    from zonosynth.synthesis import compositional_synthesize
-
-    monkeypatch.setenv("CONTRACT_SYNTH_THREADS", "abc")
-    with pytest.raises(ConfigError, match="CONTRACT_SYNTH_THREADS='abc'"):
-        compositional_synthesize(pair_network(coupling=0.5))
-
-
 def gapped_input_pair():
     # subsystem 2's input disturbs 1 only from step 1 on, so 1's program
     # pins (2, "u", 1) and (2, "u", 2) but not (2, "u", 0)
@@ -428,17 +408,6 @@ def test_extraction_programs_rewarm_like_fresh_ones():
                 assert fresh.grads.keys() == warm.grads.keys()
                 for key, grad in fresh.grads.items():
                     assert warm.grads[key] == pytest.approx(grad, abs=1e-9)
-
-
-def test_thread_env_caps_pool(monkeypatch):
-    from zonosynth.contracts import _worker_count
-
-    monkeypatch.setenv("CONTRACT_SYNTH_THREADS", "1")
-    assert _worker_count(8, 10) == 1
-    monkeypatch.delenv("CONTRACT_SYNTH_THREADS")
-    assert _worker_count(8, 10) == 8
-    assert _worker_count(None, 10) == 1
-    assert _worker_count(4, 2) == 2
 
 
 # ---------------------------------------------------------------------------

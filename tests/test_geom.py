@@ -275,7 +275,7 @@ def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c):
     def make(emit, *args):
         lp = LinearProgram(name="emit")
         for k in range(BASE_VARS):
-            lp.var(lb=-1.0, ub=1.0)
+            oracles.var(lp, lb=-1.0, ub=1.0)
         return lp, emit(lp, *args)
 
     body = [e for i in range(n) for e in list(inner_G[i]) + [inner_c[i]]]
@@ -415,7 +415,7 @@ class TestMembershipEmitter:
         got, want = fast.solve(), ref.solve()
         assert got.status == want.status
         if got.is_optimal:
-            assert np.allclose(got.column_values(zeta), want.value(zeta_ref),
+            assert np.allclose(got.column_values(zeta), oracles.value(want, zeta_ref),
                                rtol=0, atol=1e-12)
 
 
@@ -474,6 +474,16 @@ class TestBatchedMembership:
         Z = Zonotope([0.0], [[1.0]])
         inside, wit = contains_point(Z, np.zeros((0, 1)))
         assert inside.shape == (0,) and wit.shape == (0, 1)
+
+    def test_zero_generators_use_an_absolute_tolerance(self):
+        # 5e-3 off a center of 1000 is outside at tol 1e-9, whatever the
+        # center's magnitude
+        Z = Zonotope([1000.0], np.zeros((1, 0)))
+        assert contains_point(Z, [1000.005]) == (False, None)
+        inside, zeta = contains_point(Z, [1000.0 + 1e-10])
+        assert inside and zeta.shape == (0,)
+        inside, wit = contains_point(Z, [[1000.005], [1000.0], [999.995]])
+        assert inside.tolist() == [False, True, False] and wit.shape == (3, 0)
 
 
 def _contained_inner(rng, cols, scales):

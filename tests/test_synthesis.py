@@ -16,13 +16,15 @@ from test_contracts import finite_pair, interval_sub, pair_network
 from zonosynth.contracts import (
     alpha_max,
     build_programs,
+    check_correctness,
     default_template,
     potential,
     ContractTemplate,
 )
 from zonosynth import lpcore
 from zonosynth.cli import lambda_for
-from zonosynth.sysmodel import ConfigError, Network, load_network, random_network
+from zonosynth.sysmodel import (ConfigError, Network, Subsystem, aggregate, load_network,
+                                random_network)
 from zonosynth import synthesis
 from zonosynth.synthesis import (
     DescentConfig,
@@ -61,6 +63,15 @@ def test_descent_config_validation():
         DescentConfig(rule="kelley").validate()
     DescentConfig().validate()
     DescentConfig(rule="subgradient").validate()
+
+
+def test_descent_config_has_no_worker_pool():
+    # evaluation is serial: threads takes None or 1 only
+    DescentConfig(threads=None).validate()
+    DescentConfig(threads=1).validate()
+    for threads in (0, 2, 8):
+        with pytest.raises(ValueError, match="worker pool is gone"):
+            DescentConfig(threads=threads).validate()
 
 
 def test_project_box_interior_unchanged():
@@ -323,11 +334,11 @@ def test_level_step_halves_toward_the_last_iterate(monkeypatch):
     seen = []
     evaluate = synthesis.potential
 
-    def flaky(programs, params, threads=None):
+    def flaky(programs, params):
         seen.append(params.to_vector())
         if len(seen) == 2:
             raise synthesis.PotentialInfeasible("corner")
-        return evaluate(programs, params, threads=threads)
+        return evaluate(programs, params)
 
     monkeypatch.setattr(synthesis, "potential", flaky)
     res = compositional_synthesize(pair_network(coupling=0.9))
@@ -426,10 +437,12 @@ def test_centralized_custom_template_with_an_input_contract(monkeypatch):
                         lambda lp, *a, **kw: solved.append(lp) or solve(lp, *a, **kw))
     admissibility = synthesis.add_promise_admissibility
 
-    def recorded(lp, alpha, *args):
-        first = lp.num_rows
-        admissibility(lp, alpha, *args)
-        added.append((lp, np.asarray(alpha).tolist(), set(range(first, lp.num_rows))))
+    def recorded(batch, alpha, *args):
+        # the centralized LP is built as a batch of one member: the batch's
+        # rows are the rows of the one program it hands out
+        first = len(batch._sense)
+        admissibility(batch, alpha, *args)
+        added.append((np.asarray(alpha).tolist(), set(range(first, len(batch._sense)))))
 
     monkeypatch.setattr(synthesis, "add_promise_admissibility", recorded)
     res = centralized_synthesize(net, template=tpl)
@@ -438,9 +451,9 @@ def test_centralized_custom_template_with_an_input_contract(monkeypatch):
     # solved LP as rows on its own multiplier's column
     lp = next(lp for lp in solved if lp.name == "centralized")
     start, index = lp._assemble()[:2]
-    assert len(added) == 3 and len({tuple(cols) for _, cols, _ in added}) == 3
-    for target, cols, rows in added:
-        assert target is lp and rows
+    assert len(added) == 3 and len({tuple(cols) for cols, _ in added}) == 3
+    for cols, rows in added:
+        assert rows
         assert all(rows & set(index[start[c]:start[c + 1]].tolist()) for c in cols)
     assert 0.0 < res.params.u[2][0][0] <= 0.25 + 1e-9
     # every promise sits inside its admissible set, by witness or LP
@@ -465,6 +478,23 @@ def test_dense_finite_pair():
     res = centralized_dense(finite_pair(horizon=3))
     assert res.ok
     assert isinstance(res.solutions["aggregate"], ViableSolution)
+
+
+@pytest.mark.parametrize("network", [lambda: load_network("configs/case1.json"),
+                                     lambda: finite_pair(horizon=3)],
+                         ids=["rci", "finite"])
+def test_dense_result_recertifies_on_its_own_witnesses(network):
+    # the dense LP keys its witnesses as check_correctness reads them, so
+    # re-certifying on the folded one-subsystem network solves no LP
+    net = network()
+    res = centralized_dense(net)
+    assert res.ok
+    agg = aggregate(net)
+    folded = Network(net.mode, net.horizon, [
+        Subsystem("aggregate", agg.A, agg.B, agg.X, agg.U, agg.D)]).validate()
+    tpl = default_template(folded)
+    report = check_correctness(folded, tpl, alpha_max(folded, tpl), res.solutions)
+    assert report.ok and report.lp_fallbacks == 0, report.failures
 
 
 def test_dense_meters_certification_apart():

@@ -131,6 +131,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="not found"):
             load_network("/nonexistent/net.json")
 
+    def test_entries_that_are_not_objects(self):
+        with pytest.raises(ConfigError, match="subsystem entries must be objects"):
+            load_network({"subsystems": [1]})
+        cfg = tiny_config()
+        cfg["subsystems"][0]["couplings"] = [3]
+        with pytest.raises(ConfigError, match="coupling entries must be objects"):
+            load_network(cfg)
+        cfg["subsystems"][0]["couplings"] = {"to": 1}
+        with pytest.raises(ConfigError, match="couplings must be a list"):
+            load_network(cfg)
+
+    @pytest.mark.parametrize("horizon", ["3", 2.5, 0])
+    def test_finite_horizon_must_be_a_positive_integer(self, horizon):
+        with pytest.raises(ConfigError, match="integer horizon"):
+            load_network(tiny_config(mode="finite", horizon=horizon))
+
 
 class TestInputCouplingDetection:
     def test_state_only_couplings(self):

@@ -281,25 +281,26 @@ def test_certify_solution_reads_the_lp_witnesses_first():
     cases = [
         (finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1,
                        x0=zono([0.5], [[0.1]])), FIN["X"], FIN["U"],
-         {"inX0", "inX1", "inX2", "inU0", "inU1"}),
+         {"inC0", "inC1", "inC2", "term", "inU0", "inU1"}),
         (rci(PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"],
-             PLANT2D["U"], k=4), PLANT2D["X"], PLANT2D["U"], {"inX", "inU"}),
+             PLANT2D["U"], k=4), PLANT2D["X"], PLANT2D["U"], {"inC0", "inU0"}),
         (rci(CONTRACTION["A"], CONTRACTION["B"], CONTRACTION["W"],
              CONTRACTION["X"], CONTRACTION["U"], k=1, beta=0.5),
-         CONTRACTION["X"], CONTRACTION["U"], {"inX"}),
+         CONTRACTION["X"], CONTRACTION["U"], {"inC0"}),
     ]
     for sol, X, U, keys in cases:
         assert set(sol.witness) == keys
+        checks = len(keys - {"term"})  # "term" is the last "inC" again
         state, inputs, lps = certify_solution(sol, X, U)
         assert lps == 0 and 0.0 <= state <= 1e-7 and 0.0 <= inputs <= 1e-7
         # witnesses are not serialized: a loaded solution certifies by LP
         back = solution_from_json(sol.to_json())
         assert back.witness is None and "witness" not in sol.to_json()
-        assert certify_solution(back, X, U)[2] == len(keys)
+        assert certify_solution(back, X, U)[2] == checks
         # a witness that proves nothing sends the check to the LP, which
         # still accepts the (correct) solution
         sol.witness = {key: 2.0 * L for key, L in sol.witness.items()}
-        assert certify_solution(sol, X, U)[2] == len(keys)
+        assert certify_solution(sol, X, U)[2] == checks
 
 
 def test_viable_solution_roundtrip():
