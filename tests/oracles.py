@@ -5,7 +5,7 @@ paths: LPs are solved by brute-force vertex enumeration, zonotope geometry by
 enumerating sign patterns and convex hulls.  Slow but trustworthy on small
 instances.  The exceptions are the reference emitters and programs at the
 end: they build the containment rows and the tube-recursion programs one
-LinExpr row at a time (the row-wise LP layer below), to check the block
+LinExpr row at a time (the row-wise LP layer, first below), to check the block
 emitters against, each potential program for its one subsystem, to check
 the grouped ``build_programs`` against, and the hard extraction as a second
 LP per subsystem with its parameters pinned by equality rows, to check
@@ -106,13 +106,13 @@ def value(sol, expr):
         return out
     if isinstance(expr, (list, tuple)):
         return np.array([value(sol, e) for e in expr])
-    sol.column_values([])  # raises without a solution
+    sol._require_solution()
     return float(expr)
 
 
 def _row_sens(sol):
     """HiGHS's row duals of ``sol``: d(objective)/d(rhs) per row."""
-    sol.column_values([])  # raises without a solution
+    sol._require_solution()
     return np.asarray(sol._duals.row_dual, dtype=float)
 
 
