@@ -321,23 +321,6 @@ def aug_blocks(network, template, sid, t):
     return center, blocks
 
 
-def _block_alpha(params, block, t):
-    if block.kind == "state":
-        return _at(params.x[block.source], t)
-    if block.kind == "input":
-        return _at(params.u[block.source], t)
-    return np.ones(block.cols.shape[1])
-
-
-def augmented_disturbance(network, template, params, sid, t):
-    """The exact (un-reduced) W_i(t, alpha) as a numeric zonotope."""
-    center, blocks = aug_blocks(network, template, sid, t)
-    n = center.shape[0]
-    cols = [block.cols * _block_alpha(params, block, t)[None, :] for block in blocks]
-    G = np.hstack(cols) if cols else np.zeros((n, 0))
-    return Zonotope(center, G)
-
-
 def _kept_count(total, n, order):
     """How many of W's ``total`` columns stay exact at reduction ``order``."""
     if order is None:
@@ -596,7 +579,9 @@ class PotentialEval:
     ``solution`` is built on first access from this evaluation's own LP
     solution, which holds every column's value, the fixed alphas included;
     later re-solves of the program or changes to the parameters leave it as
-    it was.
+    it was.  ``solve_seconds`` are those of that solve, also where
+    ``PotentialProgram.evaluate`` hands the evaluation out again; the
+    solver trackers count only the solves made.
     """
 
     sid: object
@@ -624,12 +609,15 @@ class PotentialProgram:
     cost for ``extract``.  :func:`build_programs` makes them.
     """
 
-    def __init__(self, sid, lp, handles, alpha, size):
+    def __init__(self, sid, lp, handles, alpha, size, group):
         """Subsystem ``sid``'s program ``lp``, with the ``handles`` its rows
         were emitted with, its fixed multiplier columns ``alpha`` ((j,
-        channel, t) -> columns, own promises first, in creation order) and
-        the aux columns ``size`` of the size objective sum |T|."""
+        channel, t) -> columns, own promises first, in creation order), the
+        aux columns ``size`` of the size objective sum |T| and ``group``,
+        the list of the programs built in one batch with it."""
         self.sid = sid
+        self._group = group
+        self._last = None  # (fixed alphas, PotentialEval) of the last solve, if an evaluate
         self._alpha = alpha
         slack = np.concatenate([handles.d_x, handles.d_u])
         self._alpha_cols = np.concatenate(list(alpha.values())).astype(np.int32)
@@ -645,8 +633,8 @@ class PotentialProgram:
         self.lp = lp
         self.k = handles.k
 
-    def _fix(self, params):
-        """Fix the alpha columns at ``params``."""
+    def _fixed(self, params):
+        """The values ``params`` fixes the alpha columns at."""
         blocks = [_at(params.x[j] if channel == "x" else params.u[j], t)
                   for j, channel, t in self._alpha]
         for key, v, cols in zip(self._alpha, blocks, self._alpha.values()):
@@ -658,13 +646,36 @@ class PotentialProgram:
             key, v = next((key, v) for key, v in zip(self._alpha, blocks)
                           if np.min(v) < -1e-12)
             raise ContractError(f"negative alpha at {key}[{int(np.argmin(v))}]")
-        fixed = np.maximum(values, 0.0)
+        return np.maximum(values, 0.0)
+
+    def _solve(self, fixed):
+        """Solve the instance with the alpha columns fixed at ``fixed``.
+
+        The group's first program to reach an optimum lends its basis to
+        the first solve of every other program of the group
+        (:meth:`lpcore.LinearProgram.start_from`), so only that one starts
+        cold.
+        """
         self.lp.set_col_bounds(self._alpha_cols, fixed, fixed)
+        self._last = None
+        sol = self.lp.solve()
+        if self._group and sol.status == lpcore.OPTIMAL:
+            for other in self._group:
+                other._group = None
+                other.lp.start_from(self.lp)
+        return sol
 
     def evaluate(self, params):
-        """Warm re-solve of V_i at ``params``; raises PotentialInfeasible."""
-        self._fix(params)
-        sol = self.lp.solve()
+        """Warm re-solve of V_i at ``params``; raises PotentialInfeasible.
+
+        Where the fixed alphas are bitwise those of the last solve and that
+        solve was an evaluation, the LP is the same: its PotentialEval is
+        returned again, and HiGHS is not called.
+        """
+        fixed = self._fixed(params)
+        if self._last is not None and self._last[0] == fixed.tobytes():
+            return self._last[1]
+        sol = self._solve(fixed)
         if sol.status == lpcore.INFEASIBLE:
             raise PotentialInfeasible(
                 f"subsystem {self.sid!r}: no viable tube at these parameters")
@@ -677,9 +688,11 @@ class PotentialProgram:
             grads[key] = duals[pos:pos + len(cols)]
             pos += len(cols)
         h = self.handles
-        return PotentialEval(
+        ev = PotentialEval(
             self.sid, max(0.0, sol.objective), grads, sol.column_values(h.d_x),
             sol.column_values(h.d_u), sol.solve_seconds, h, sol)
+        self._last = (fixed.tobytes(), ev)
+        return ev
 
     def extract(self, params):
         """The hard tubes at ``params``, or None if none keeps the promises."""
@@ -693,12 +706,12 @@ class PotentialProgram:
         columns are fixed at 0 and the objective becomes sum |T|; both are
         put back afterwards, so the next ``evaluate`` is unaffected.
         """
-        self._fix(params)
+        fixed = self._fixed(params)
         lp = self.lp
         lp.set_col_bounds(self._slack, 0.0, 0.0)
         lp.set_costs(self._cost_cols, self._extract_cost)
         try:
-            sol = lp.solve()
+            sol = self._solve(fixed)
         finally:
             lp.set_col_bounds(self._slack, *self._slack_bounds)
             lp.set_costs(self._cost_cols, self._potential_cost)
@@ -816,8 +829,10 @@ def _build_group(network, template, sids, k, reduction_order):
                              [functools.partial(alpha_of, g) for g in range(len(sids))],
                              k=k, reduction_order=reduction_order, slack=True)
     size = _abs_objective(batch, [np.stack(T) for T in zip(*(h.T for h in handles))])
-    return {sid: PotentialProgram(sid, lp, h, alpha, cols) for sid, lp, h, alpha, cols
-            in zip(sids, batch.programs(), handles, alphas, size)}
+    group = []
+    group.extend(PotentialProgram(sid, lp, h, alpha, cols, group) for sid, lp, h, alpha, cols
+                 in zip(sids, batch.programs(), handles, alphas, size))
+    return {program.sid: program for program in group}
 
 
 @dataclass

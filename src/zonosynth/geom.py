@@ -71,11 +71,6 @@ class Zonotope:
     def order(self):
         return self.num_generators / self.dim
 
-    def support(self, direction):
-        """Support function h(d) = max_{x in Z} d.x."""
-        d = np.asarray(direction, dtype=float)
-        return float(d @ self.center + np.abs(d @ self.generators).sum())
-
     def to_json(self):
         return {"center": self.center.tolist(),
                 "generators": self.generators.tolist()}
@@ -87,20 +82,6 @@ class Zonotope:
 
     def __repr__(self):
         return f"Zonotope(dim={self.dim}, p={self.num_generators})"
-
-
-def point_zonotope(center):
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    return Zonotope(center, np.zeros((len(center), 0)))
-
-
-def affine_map(A, Z, b=None):
-    """Image A @ Z + b (exact: zonotopes are closed under affine maps)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    c = A @ Z.center
-    if b is not None:
-        c = c + np.asarray(b, dtype=float)
-    return Zonotope(c, A @ Z.generators)
 
 
 def minkowski_sum(*zonotopes):
@@ -138,12 +119,6 @@ def scale_generators(Z, alpha):
     if alpha.shape != (Z.num_generators,):
         raise ValueError(f"alpha shape {alpha.shape} != ({Z.num_generators},)")
     return Zonotope(Z.center, Z.generators * alpha)
-
-
-def interval_hull(Z):
-    """Componentwise bounds (lo, hi): lo = c - sum|G| rows, hi = c + sum|G|."""
-    radius = np.abs(Z.generators).sum(axis=1)
-    return Z.center - radius, Z.center + radius
 
 
 def order_reduce_box(Z, order=1):

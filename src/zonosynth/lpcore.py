@@ -22,8 +22,10 @@ Column bounds and costs are kept as arrays.  The solver instance stays alive
 between solves, so :meth:`LinearProgram.set_col_bounds` and
 :meth:`LinearProgram.set_costs` change it in place (one HiGHS call for a
 whole block of columns), :meth:`LinearProgram.add_rows` appends to it, and
-the next solve is a warm re-solve from the last basis.  Reported times are
-in-solver seconds.
+the next solve is a warm re-solve from the last basis.  A program's first
+solve is cold (presolve and a crash basis), unless
+:meth:`LinearProgram.start_from` names a solved program of the same batch
+whose basis it starts from instead.  Reported times are in-solver seconds.
 
 :class:`LinExpr`, :func:`as_expr` and ``add_eq``/``add_le``/``add_ge`` (one
 row per call, written as expression arithmetic) are no part of that API;
@@ -105,6 +107,7 @@ _tracker_stack: ContextVar[tuple] = ContextVar("zonosynth_lp_trackers", default=
 class SolverTimeTracker:
     """In-solver seconds, solve count and the largest model solved.
 
+    ``cold_solves`` counts the solves that started with no basis.
     ``max_rows``/``max_cols``/``max_nnz`` are the size of the largest LP
     solved in the context, each maximized on its own (rows, columns and
     constraint-matrix nonzeros).
@@ -113,14 +116,16 @@ class SolverTimeTracker:
     def __init__(self):
         self.seconds = 0.0
         self.solves = 0
+        self.cold_solves = 0
         self.max_rows = 0
         self.max_cols = 0
         self.max_nnz = 0
 
-    def _add(self, seconds, size):
+    def _add(self, seconds, size, cold):
         rows, cols, nnz = size
         self.seconds += seconds
         self.solves += 1
+        self.cold_solves += cold
         self.max_rows = max(self.max_rows, rows)
         self.max_cols = max(self.max_cols, cols)
         self.max_nnz = max(self.max_nnz, nnz)
@@ -142,9 +147,9 @@ def track_solver_time():
         _tracker_stack.reset(token)
 
 
-def _notify_trackers(seconds, size):
+def _notify_trackers(seconds, size, cold):
     for tracker in _tracker_stack.get():
-        tracker._add(seconds, size)
+        tracker._add(seconds, size, cold)
 
 
 # --------------------------------------------------------------------------
@@ -214,6 +219,7 @@ def as_expr(value):
 # the program
 
 _LE, _GE = ord("<"), ord(">")
+_BASIS = _hcore.HighsBasisStatus
 
 
 def _merge(key, coefs):
@@ -256,6 +262,8 @@ class LinearProgram:
         self._solver = None
         self._built_version = -1
         self._size = (0, 0, 0)  # (rows, cols, nnz) of the last model built
+        self._shared = None           # batch programs: the batch-wide columns, in order
+        self._start = None            # program whose basis the first solve starts from
 
     # -- variables ---------------------------------------------------------
 
@@ -285,13 +293,17 @@ class LinearProgram:
         return np.arange(first, stop).reshape(shape)
 
     def _install(self, col_records, entries, sense, bounds):
-        """Make this empty program the given model: ``(size, lb, ub)`` per
-        block of columns, the matrix ``(rows, cols, coefs)`` in column
-        order, one sense byte and one bound per row."""
+        """Make this empty program the given model: ``(size, lb, ub,
+        shared)`` per block of columns, the matrix ``(rows, cols, coefs)``
+        in column order, one sense byte and one bound per row.  The columns
+        of the blocks marked ``shared`` are kept, in order, as the layout
+        :meth:`start_from` maps a basis through."""
         sizes = [record[0] for record in col_records]
         self._num_cols = sum(sizes)
         self._lb, self._ub = (np.repeat(np.array([record[i] for record in col_records],
                                                  dtype=float), sizes) for i in (1, 2))
+        self._shared = np.flatnonzero(
+            np.repeat([record[3] for record in col_records], sizes)).tolist()
         self._cost = np.zeros(self._num_cols)
         self._coo = [entries]
         self._sense = bytearray(sense)
@@ -466,15 +478,54 @@ class LinearProgram:
         self._built_version = self._structure_version
         self._size = (self.num_rows, self.num_vars, nnz)
 
+    def start_from(self, donor):
+        """Let this program's first solve start from the basis ``donor``
+        holds then, instead of cold; no effect once this program is solved.
+
+        Both programs must come from one :class:`_LpBatch`: the rows and
+        the batch-wide columns (``var_block``) take the donor's statuses,
+        and this program's own columns (``member_block``) start nonbasic at
+        their lower bounds.  Where that basis
+        cannot be used (the layouts differ, the donor has no live basis,
+        its basic count is not the row count, or HiGHS rejects it) the
+        solve starts cold.  Only where the simplex starts changes, not the
+        model.
+        """
+        if self._solver is None:
+            self._start = donor
+
+    def _set_start_basis(self):
+        """Hand the fresh solver instance the basis mapped from the program
+        named by :meth:`start_from`; False where it starts cold."""
+        donor, self._start = self._start, None
+        if (donor is None or self._shared is None or donor._shared is None
+                or not donor._live() or donor.num_rows != self.num_rows
+                or len(donor._shared) != len(self._shared)):
+            return False
+        basis = donor._solver.getBasis()
+        if not basis.valid:
+            return False
+        donor_cols = basis.col_status
+        cols = [_BASIS.kLower] * self.num_vars
+        for mine, theirs in zip(self._shared, donor._shared):
+            cols[mine] = donor_cols[theirs]
+        start = _hcore.HighsBasis()
+        start.col_status = cols
+        start.row_status = basis.row_status
+        start.valid, start.alien = True, False  # HiGHS rejects a wrong basic count
+        return self._solver.setBasis(start) == _hcore.HighsStatus.kOk
+
     def _solve_highs(self, time_limit):
+        cold = False
         if not self._live():
             self._build_highs()
+            cold = not self._set_start_basis()
         solver = self._solver
         solver.setOptionValue("time_limit", float(time_limit) if time_limit else INF)
         t0 = solver.getRunTime()
         solver.run()
         seconds = solver.getRunTime() - t0
-        _notify_trackers(seconds, self._size)
+        _notify_trackers(seconds, self._size, cold)
         status = solver.getModelStatus()
         S = _hcore.HighsModelStatus
         if status == S.kUnboundedOrInfeasible:
@@ -509,13 +560,16 @@ class _LpBatch:
     leading member axis on every array (an argument without it holds for all
     members); :meth:`member_block` adds columns to one member only, shifting
     its later columns.  :meth:`programs` hands each member the program that
-    the same calls on it alone would have built, named by ``names``.
+    the same calls on it alone would have built, named by ``names``, and
+    tells it which of its columns came from :meth:`var_block`: those come in
+    the same order in every member, so one member's basis maps onto another
+    (:meth:`LinearProgram.start_from`).
     """
 
     def __init__(self, names):
         self._names = list(names)
         self._next = [0] * len(self._names)     # columns per member
-        self._cols = [[] for _ in self._names]  # per member: (size, lb, ub) per block
+        self._cols = [[] for _ in self._names]  # per member: (size, lb, ub, shared) per block
         none = np.zeros((len(self._names), 0), dtype=np.int64)
         self._entries = [(none, none, none.astype(np.float64))]  # (rows, cols, coefs)
         self._bounds = [none.astype(np.float64)]
@@ -527,7 +581,7 @@ class _LpBatch:
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
         size = math.prod(shape)
         for records in self._cols:
-            records.append((size, lb, ub))
+            records.append((size, lb, ub, True))
         first = np.array(self._next)
         self._next = [start + size for start in self._next]
         return (first[:, None] + np.arange(size)).reshape(first.shape + shape)
@@ -535,7 +589,7 @@ class _LpBatch:
     def member_block(self, g, size, lb=-INF, ub=INF):
         """``size`` columns for member g alone."""
         first = self._next[g]
-        self._cols[g].append((size, lb, ub))
+        self._cols[g].append((size, lb, ub, False))
         self._next[g] = first + size
         return np.arange(first, first + size)
 
@@ -609,10 +663,6 @@ class LpSolution:
     @functools.cached_property
     def _col_sens(self):
         return np.asarray(self._duals.col_dual, dtype=float)
-
-    @property
-    def is_optimal(self):
-        return self.status == OPTIMAL
 
     def _require_solution(self):
         if self._x is None:

@@ -38,7 +38,6 @@ because worst cases live at vertices.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -122,27 +121,6 @@ class Trajectory:
     @property
     def num_steps(self):
         return next(iter(self.inputs.values())).shape[0] if self.inputs else 0
-
-    def to_csv(self, path):
-        """Rows (t, i, x components..., u components...); ragged cells blank."""
-        sids = sorted(self.states, key=lambda s: str(s))
-        n_max = max(self.states[s].shape[1] for s in sids)
-        m_max = max((self.inputs[s].shape[1] for s in sids), default=0)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "i"]
-                            + [f"x{c}" for c in range(n_max)]
-                            + [f"u{c}" for c in range(m_max)])
-            for sid in sids:
-                X, U = self.states[sid], self.inputs[sid]
-                for t in range(X.shape[0]):
-                    row = [t, sid] + list(X[t]) + [""] * (n_max - X.shape[1])
-                    if t < U.shape[0]:
-                        row += list(U[t]) + [""] * (m_max - U.shape[1])
-                    else:
-                        row += [""] * m_max
-                    writer.writerow(row)
-        return path
 
 
 def simulate(network, solutions, num_steps, x0=None, seed=0):

@@ -544,6 +544,7 @@ def _finish(result, solver, wall0, phases, extract_attempts=0):
     result.timings = {
         "solve_seconds": solver.seconds,
         "solves": solver.solves,
+        "cold_solves": solver.cold_solves,
         **{f"{name}_seconds": phases.get(name, 0.0)
            for name in ("caps", "build", "descent", "master", "extract", "certify")},
         "wall_seconds": time.perf_counter() - wall0,
@@ -671,7 +672,9 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     The benchmark baseline: no contracts, no structure, one big viability
     problem whose LP grows with the total dimension.  The single aggregate
     solution is stored under the key "aggregate".  It is stamped "correct"
-    after its containments and its aggregate recursion are re-checked.
+    after its containments and its aggregate recursion are re-checked; a
+    containment that fails its check ends the run "failed", with a hint
+    that names the set and the step.
     """
     _check_mode(network, mode)
     _check_encoding(k)
@@ -696,15 +699,18 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
 
     # Certification is metered apart from the synthesis LP, as in the
     # other two methods.
-    correctness = None
+    correctness, hint = None, RETRY_HINT
     with phases("certify"):
-        if sol is not None:
-            state, inputs, fallbacks = viability.certify_solution(sol, X, U)
-            residual = recursion_residual(sol, agg.A, agg.B)
-            failures = [] if residual <= viability.RESIDUAL_TOL else [
-                f"aggregate: recursion residual {residual:.3e}"]
-            correctness = CorrectnessReport(not failures, state, inputs, residual,
-                                            failures, lp_fallbacks=fallbacks)
+        try:
+            if sol is not None:
+                state, inputs, fallbacks = viability.certify_solution(sol, X, U)
+                residual = recursion_residual(sol, agg.A, agg.B)
+                failures = [] if residual <= viability.RESIDUAL_TOL else [
+                    f"aggregate: recursion residual {residual:.3e}"]
+                correctness = CorrectnessReport(not failures, state, inputs, residual,
+                                                failures, lp_fallbacks=fallbacks)
+        except viability.CertificationError as exc:
+            hint = f"aggregate: {exc}; {RETRY_HINT}"
     ok = correctness is not None and correctness.ok
 
     return _finish(
@@ -713,6 +719,6 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
             mode=network.mode, value=None, objective=sol.objective if sol else None,
             iterations=0, params=None,
             solutions={"aggregate": sol} if sol else None,
-            hint=None if ok else RETRY_HINT, correctness=correctness,
+            hint=None if ok else hint, correctness=correctness,
             network=network),
         solver, wall0, phases)

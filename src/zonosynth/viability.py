@@ -516,32 +516,3 @@ def rci(A, B, W, X, U, k, beta=0.0, simplified=None):
     if result is not None:
         certify_solution(result, X, U)
     return result
-
-
-DEFAULT_BETA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
-
-
-def rci_beta_grid(A, B, W, X, U, k, betas=DEFAULT_BETA_GRID):
-    """First feasible RCI over a beta grid (beta=0 tried in simplified form)."""
-    for beta in betas:
-        sol = rci(A, B, W, X, U, k, beta=beta, simplified=None if beta else True)
-        if sol is not None:
-            return sol
-    return None
-
-
-def escalate_k(solve_at_k, n, k0=None, cap=None):
-    """Run ``solve_at_k(k)`` for k = k0, 2 k0, ... up to ``cap`` (default 8n).
-
-    Returns (solution, k) for the first feasible k, or (None, last_k_tried).
-    """
-    k = k0 if k0 else max(1, n)
-    cap = cap if cap else 8 * max(1, n)
-    last = k
-    while k <= cap:
-        sol = solve_at_k(k)
-        if sol is not None:
-            return sol, k
-        last = k
-        k *= 2
-    return None, last

@@ -1027,3 +1027,115 @@ def verify_invariance_per_subsystem(network, solutions, num_samples,
                 margins[sid][t + 1] = float(
                     (1.0 - _row_norms(zeta[sid]))[alive].min())
     return report
+
+
+# ---------------------------------------------------------------------------
+# small helpers that only the tests use
+
+
+def is_optimal(sol):
+    """True if the lpcore solution ``sol`` is optimal."""
+    return sol.status == "optimal"
+
+
+def support(Z, direction):
+    """Support function h(d) = max_{x in Z} d.x of the zonotope ``Z``."""
+    d = np.asarray(direction, dtype=float)
+    return float(d @ Z.center + np.abs(d @ Z.generators).sum())
+
+
+def point_zonotope(center):
+    """The zonotope of one point."""
+    from zonosynth.geom import Zonotope
+
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    return Zonotope(center, np.zeros((len(center), 0)))
+
+
+def affine_map(A, Z, b=None):
+    """Image A @ Z + b (exact: zonotopes are closed under affine maps)."""
+    from zonosynth.geom import Zonotope
+
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    c = A @ Z.center
+    if b is not None:
+        c = c + np.asarray(b, dtype=float)
+    return Zonotope(c, A @ Z.generators)
+
+
+def interval_hull(Z):
+    """Componentwise bounds (lo, hi): lo = c - sum|G| rows, hi = c + sum|G|."""
+    radius = np.abs(Z.generators).sum(axis=1)
+    return Z.center - radius, Z.center + radius
+
+
+def augmented_disturbance(network, template, params, sid, t):
+    """The exact (un-reduced) W_i(t, alpha) as a numeric zonotope."""
+    from zonosynth.contracts import _at, aug_blocks
+    from zonosynth.geom import Zonotope
+
+    def alpha(block):
+        if block.kind == "local":
+            return np.ones(block.cols.shape[1])
+        return _at((params.x if block.kind == "state" else params.u)[block.source], t)
+
+    center, blocks = aug_blocks(network, template, sid, t)
+    cols = [block.cols * alpha(block)[None, :] for block in blocks]
+    G = np.hstack(cols) if cols else np.zeros((center.shape[0], 0))
+    return Zonotope(center, G)
+
+
+DEFAULT_BETA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
+
+
+def rci_beta_grid(A, B, W, X, U, k, betas=DEFAULT_BETA_GRID):
+    """First feasible RCI over a beta grid (beta=0 tried in simplified form)."""
+    from zonosynth.viability import rci
+
+    for beta in betas:
+        sol = rci(A, B, W, X, U, k, beta=beta, simplified=None if beta else True)
+        if sol is not None:
+            return sol
+    return None
+
+
+def escalate_k(solve_at_k, n, k0=None, cap=None):
+    """Run ``solve_at_k(k)`` for k = k0, 2 k0, ... up to ``cap`` (default 8n).
+
+    Returns (solution, k) for the first feasible k, or (None, last_k_tried).
+    """
+    k = k0 if k0 else max(1, n)
+    cap = cap if cap else 8 * max(1, n)
+    last = k
+    while k <= cap:
+        sol = solve_at_k(k)
+        if sol is not None:
+            return sol, k
+        last = k
+        k *= 2
+    return None, last
+
+
+def trajectory_csv(traj, path):
+    """Write the ``runtime.Trajectory`` ``traj`` as rows (t, i, x
+    components..., u components...), ragged cells blank; returns ``path``."""
+    import csv
+
+    sids = sorted(traj.states, key=lambda s: str(s))
+    n_max = max(traj.states[s].shape[1] for s in sids)
+    m_max = max((traj.inputs[s].shape[1] for s in sids), default=0)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "i"]
+                        + [f"x{c}" for c in range(n_max)]
+                        + [f"u{c}" for c in range(m_max)])
+        for sid in sids:
+            X, U = traj.states[sid], traj.inputs[sid]
+            for t in range(X.shape[0]):
+                row = [t, sid] + list(X[t]) + [""] * (n_max - X.shape[1])
+                if t < U.shape[0]:
+                    row += list(U[t]) + [""] * (m_max - U.shape[1])
+                else:
+                    row += [""] * m_max
+                writer.writerow(row)
+    return path

@@ -219,6 +219,21 @@ def test_synth_dense_method(tmp_path):
         assert json.load(fh)["method"] == "centralized-dense"
 
 
+def test_synth_dense_failed_certificate_exits_one_with_a_reason(monkeypatch, capsys):
+    from zonosynth import viability
+
+    def fails(solution, X, U):
+        raise viability.CertificationError("Omega in X: solution violates containment")
+
+    monkeypatch.setattr(viability, "certify_solution", fails)
+    code = main(["synth", "--config", "configs/case1.json", "--method", "dense"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "status: failed" in captured.out
+    assert "hint: aggregate: Omega in X: solution violates containment; " in captured.out
+    assert "Traceback" not in captured.err + captured.out
+
+
 # ---------------------------------------------------------------------------
 # gen-random
 

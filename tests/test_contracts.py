@@ -18,16 +18,18 @@ from zonosynth.contracts import (
     PotentialInfeasible,
     alpha_max,
     aug_blocks,
-    augmented_disturbance,
     build_programs,
     check_correctness,
     default_template,
     extract_solutions,
     potential,
     _numeric_solution,
+    _signature,
 )
+from zonosynth import lpcore
+from zonosynth.cli import lambda_for
 from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
-from zonosynth.sysmodel import load_network
+from zonosynth.sysmodel import load_network, random_network
 from zonosynth.viability import RciSolution
 
 
@@ -159,7 +161,7 @@ def test_augmented_disturbance_scales_with_alpha():
     net = pair_network()
     tpl = default_template(net)
     params = alpha_max(net, tpl).scaled(0.8)
-    W = augmented_disturbance(net, tpl, params, 1, 0)
+    W = oracles.augmented_disturbance(net, tpl, params, 1, 0)
     assert W.generators == pytest.approx(np.array([[0.4, 0.1]]))
 
 
@@ -177,7 +179,7 @@ def test_input_coupling_requires_input_contract():
     tpl = default_template(net)
     # the default template gives subsystem 2 an input promise automatically
     assert 2 in tpl.input
-    W = augmented_disturbance(net, tpl, alpha_max(net, tpl), 1, 0)
+    W = oracles.augmented_disturbance(net, tpl, alpha_max(net, tpl), 1, 0)
     assert W.generators == pytest.approx(np.array([[0.5, 0.2, 0.1]]))
     stripped = ContractTemplate(tpl.state, {}, is_bounds=True)
     with pytest.raises(ContractError, match="input"):
@@ -215,7 +217,7 @@ def test_reduced_w_matches_order_reduce_box_at_alpha_max():
     tpl = default_template(net)
     params = alpha_max(net, tpl)
     shrunk = params.scaled(0.6)
-    exact = augmented_disturbance(net, tpl, params, 1, 0)
+    exact = oracles.augmented_disturbance(net, tpl, params, 1, 0)
     for order in (1, 2, None):
         programs = build_programs(net, tpl, reduction_order=order)
         # the W a solution reads back from its program's own terms
@@ -225,7 +227,7 @@ def test_reduced_w_matches_order_reduce_box_at_alpha_max():
         assert reduced.generators == pytest.approx(oracle.generators)
         # at other alphas the reduction is still an outer approximation
         for sid, ev in potential(programs, shrunk).evals.items():
-            exact6 = augmented_disturbance(net, tpl, shrunk, sid, 0)
+            exact6 = oracles.augmented_disturbance(net, tpl, shrunk, sid, 0)
             assert directed_hausdorff(ev.solution.W, exact6) <= 1e-9
 
 
@@ -337,7 +339,7 @@ def test_potential_solution_is_built_lazily_from_its_own_evaluation(make_network
     for sid, sol in eager.items():
         for t in range(net.num_steps):
             got = sol.W[t] if isinstance(sol.W, list) else sol.W
-            want = order_reduce_box(augmented_disturbance(net, tpl, kept, sid, t), 1)
+            want = order_reduce_box(oracles.augmented_disturbance(net, tpl, kept, sid, t), 1)
             assert np.array_equal(got.center, want.center)
             assert got.generators == pytest.approx(want.generators, abs=1e-15)
 
@@ -558,3 +560,124 @@ def test_case1_potential_smoke():
     assert res.grad.to_vector().shape == (6,)
     assert isinstance(res.solutions[1], RciSolution)
     assert res.solve_seconds >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# first solves started from a solved sibling's basis
+
+
+def _cold(programs):
+    """The programs, each left to start its first solve cold."""
+    for program in programs.values():
+        program._group = None
+    return programs
+
+
+def _groups(net, tpl):
+    return len({_signature(net, tpl, sid, 1) for sid in net.sorted_ids()})
+
+
+def _first_evals(programs, params):
+    """Per subsystem: its first V_i and gradient, or the PotentialInfeasible
+    message; and the solver tracker of the sweep."""
+    out = {}
+    with lpcore.track_solver_time() as tracker:
+        for sid, program in programs.items():
+            try:
+                out[sid] = program.evaluate(params)
+            except PotentialInfeasible as exc:
+                out[sid] = str(exc)
+    return out, tracker
+
+
+@pytest.mark.parametrize("make_network", [
+    lambda: random_network(20, lambda_for(40), seed=0),
+    lambda: load_network("configs/case1.json"),
+    finite_pair,
+], ids=["geo40", "case1", "finite-pair"])
+def test_sibling_started_first_solves_match_cold_ones(make_network):
+    net = make_network()
+    tpl = default_template(net)
+    params = alpha_max(net, tpl).scaled(0.5)
+    started, tracker = _first_evals(build_programs(net, tpl), params)
+    cold, cold_tracker = _first_evals(_cold(build_programs(net, tpl)), params)
+    assert tracker.solves == cold_tracker.solves == len(net.sorted_ids())
+    assert cold_tracker.cold_solves == len(net.sorted_ids())
+    assert tracker.cold_solves == _groups(net, tpl) < len(net.sorted_ids())
+    for sid, want in cold.items():
+        got = started[sid]
+        assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
+        assert got.grads.keys() == want.grads.keys()
+
+
+def test_sibling_started_group_members_differ_in_layout():
+    # one group, whose members read one or two neighbors' multipliers
+    net = random_network(20, lambda_for(40), seed=0)
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    assert _groups(net, tpl) == 1
+    assert len({program.lp.num_vars for program in programs.values()}) > 1
+    assert len({program.lp.num_rows for program in programs.values()}) == 1
+
+
+def test_sibling_started_infeasible_member_names_itself():
+    # subsystem 1 solves first and lends its basis; subsystem 2 sees
+    # 2 * 1.0 + 0.1 > 1 and cannot end its horizon inside X
+    net = finite_pair(coupling=2.0)
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    params = set_pair(alpha_max(net, tpl), 1.0, 1.0)
+    for t in range(len(params.x[2])):
+        params.x[2][t][:] = 0.1
+    started, tracker = _first_evals(programs, params)
+    assert started[2] == "subsystem 2: no viable tube at these parameters"
+    assert not isinstance(started[1], str)
+    assert (tracker.solves, tracker.cold_solves) == (2, 1)
+    with pytest.raises(PotentialInfeasible, match="^subsystem 2: "):
+        potential(build_programs(net, tpl), params)
+
+
+def test_group_of_one_starts_cold():
+    subs = [interval_sub(1, 2), interval_sub(2, 1)]
+    subs[1]["X"]["generators"] = [[1.0, 0.5]]  # another promise width: its own group
+    net = load_network({"mode": "infinite", "subsystems": subs})
+    tpl = default_template(net)
+    assert _groups(net, tpl) == 2
+    with lpcore.track_solver_time() as tracker:
+        potential(build_programs(net, tpl), alpha_max(net, tpl).scaled(0.5))
+    assert (tracker.solves, tracker.cold_solves) == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# an unchanged evaluation is reused
+
+
+def test_unchanged_evaluation_is_reused_until_extraction_resolves():
+    net = random_network(20, lambda_for(40), seed=0)
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    params = alpha_max(net, tpl).scaled(0.5)
+    count = len(programs)
+    with lpcore.track_solver_time() as tracker:
+        first = potential(programs, params)
+        again = potential(programs, params.copy())
+    assert tracker.solves == count
+    assert again.value == first.value
+    assert np.array_equal(again.grad.to_vector(), first.grad.to_vector())
+    assert all(again.evals[sid] is first.evals[sid] for sid in programs)
+
+    assert first.value > 0.0  # so the hard problem fails somewhere, after solving all
+    with lpcore.track_solver_time() as tracker:
+        with pytest.raises(PotentialInfeasible):
+            extract_solutions(programs, params)
+        third = potential(programs, params)
+    assert tracker.solves == 2 * count
+    assert third.value == pytest.approx(first.value, rel=1e-9, abs=1e-12)
+
+    moved = params.copy()
+    moved.x[0][0][0] *= 0.9
+    with lpcore.track_solver_time() as tracker:
+        potential(programs, moved)
+    readers = [sid for sid, program in programs.items()
+               if any(j == 0 for j, _, _ in program._alpha)]
+    assert tracker.solves == len(readers) < count

@@ -508,3 +508,58 @@ from zonosynth import lpcore
 assert "scipy.optimize" in sys.modules  # reached through the plain import
 assert lpcore._hcore is sys.modules["scipy.optimize._highspy._core"]
 """ + _SOLVES)
+
+
+def _sibling_pair(member_lb, member_ub, member_cost):
+    """Two programs of one batch: min x0 + 2 x1 + c a subject to
+    x0 + x1 + a >= 2 and x0 - x1 <= 1, with each member's own column a."""
+    batch = lpcore._LpBatch(["first", "second"])
+    x = batch.var_block(2, lb=0.0)
+    a = [batch.member_block(g, 1, lb=member_lb, ub=member_ub) for g in range(2)]
+    batch.add_rows([0, 0, 0], np.column_stack([x, np.concatenate(a)]), [1.0] * 3, [2.0], ">")
+    batch.add_rows([0, 0], x, [1.0, -1.0], [1.0], "<")
+    programs = batch.programs()
+    for lp, cols in zip(programs, a):
+        lp.set_costs(np.r_[x[0], cols], [1.0, 2.0, member_cost])
+    return programs, a
+
+
+def test_start_from_a_sibling_basis_solves_like_a_cold_start():
+    programs, a = _sibling_pair(0.0, 0.0, 0.0)
+    first, second = programs
+    first.set_col_bounds(a[0], 0.5, 0.5)
+    second.set_col_bounds(a[1], 0.8, 0.8)
+    with lpcore.track_solver_time() as tracker:
+        first.solve()
+        second.start_from(first)
+        got = second.solve()
+    assert (tracker.solves, tracker.cold_solves) == (2, 1)
+    cold = _sibling_pair(0.0, 0.0, 0.0)[0][1]
+    cold.set_col_bounds(a[1], 0.8, 0.8)
+    with lpcore.track_solver_time() as tracker:
+        want = cold.solve()
+    assert tracker.cold_solves == 1
+    assert got.objective == pytest.approx(want.objective, rel=1e-12)
+    assert got.column_values(np.arange(3)) == pytest.approx(want.column_values(np.arange(3)))
+    second.start_from(first)            # solved already: no effect
+    assert second._start is None
+
+
+def test_an_unusable_sibling_basis_falls_back_to_a_cold_start():
+    # the donor's own column is basic at its optimum (a = 2); mapped onto a
+    # sibling, where own columns start nonbasic, the basis is one short
+    (first, second), _ = _sibling_pair(0.0, INF, 0.1)
+    plain = LinearProgram()
+    plain.set_costs(plain.var_block(1, lb=1.0), 1.0)
+    other = _sibling_pair(0.0, INF, 0.1)[0][0]
+    other.add_rows([0], [0], [1.0], [5.0], "<")     # one row more than the donor
+    with lpcore.track_solver_time() as tracker:
+        donor = first.solve()
+        for lp in (second, plain, other):
+            lp.start_from(first)
+            sol = lp.solve()
+            assert sol.status == lpcore.OPTIMAL
+    assert donor.column_values([2]) == pytest.approx([2.0])
+    assert (tracker.solves, tracker.cold_solves) == (4, 4)
+    assert sol.objective == pytest.approx(0.2)
+    assert second.solve().objective == pytest.approx(0.2)

@@ -276,7 +276,7 @@ def test_step_at_the_horizon_raises(finite):
 def test_trajectory_csv(tmp_path, pair):
     net, result = pair
     traj = simulate(net, result, num_steps=5, seed=9)
-    path = traj.to_csv(tmp_path / "traj.csv")
+    path = oracles.trajectory_csv(traj, tmp_path / "traj.csv")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "i", "x0", "u0"]

@@ -255,19 +255,19 @@ def test_case1_builds_each_subsystem_lp_once(monkeypatch):
 
 
 def test_subgradient_rule_reproduces_the_polyak_trace_on_case1():
-    # the paper's step rule, kept as the baseline: 436 Polyak iterations,
-    # of which 84 are extraction attempts
+    # the paper's step rule, kept as the baseline: 433 Polyak iterations,
+    # of which 81 are extraction attempts
     res = compositional_synthesize(load_network("configs/case1.json"),
                                    config=DescentConfig(rule="subgradient"))
     assert res.ok
-    assert res.iterations == 436 and len(res.trace) == 437
-    assert res.timings["extract_attempts"] == 84
+    assert res.iterations == 433 and len(res.trace) == 434
+    assert res.timings["extract_attempts"] == 81
     assert res.timings["master_seconds"] == 0.0
     it, value, gnorm, step = res.trace[-1]
-    assert it == 436
-    assert value == pytest.approx(8.33021235949194e-08, rel=1e-9)
+    assert it == 433
+    assert value == pytest.approx(8.924552129252472e-08, rel=1e-9)
     assert gnorm == pytest.approx(1.0023997167796888, rel=1e-12)
-    assert step == pytest.approx(5.4532257221237066e-08, rel=1e-9)
+    assert step == pytest.approx(5.8422997061059365e-08, rel=1e-9)
 
 
 def test_case1_level_master_extracts_once():
@@ -529,6 +529,20 @@ def test_dense_rejects_a_broken_recursion(monkeypatch):
         f"aggregate: recursion residual {res.correctness.max_residual:.3e}"]
 
 
+def test_dense_names_the_containment_that_fails_its_check(monkeypatch):
+    from zonosynth import viability
+
+    def fails(solution, X, U):
+        raise viability.CertificationError("Omega(2) in X(2): solution violates containment")
+
+    monkeypatch.setattr(viability, "certify_solution", fails)
+    res = centralized_dense(finite_pair(horizon=3))
+    assert res.status == "failed" and res.correctness is None
+    assert res.hint == ("aggregate: Omega(2) in X(2): solution violates containment; "
+                        + RETRY_HINT)
+    assert res.solutions["aggregate"] is not None
+
+
 def test_dense_infeasible():
     net = pair_network(a_self=0.5, b=0.0)
     res = centralized_dense(net)
@@ -647,3 +661,17 @@ def test_drivers_reject_a_reduction_order_below_one(order):
         compositional_synthesize(pair_network(), config=DescentConfig(reduction_order=order))
     with pytest.raises(ValueError, match="reduction_order must be >= 1"):
         centralized_synthesize(pair_network(), reduction_order=order)
+
+
+def test_cold_solves_are_one_per_group_and_the_master(tmp_path):
+    # random_network(20, ...) builds its subsystem LPs as one group: its
+    # first program starts cold, every other from its basis; the level
+    # master's first solve is the only other cold one
+    res = compositional_synthesize(random_network(20, lambda_for(40), seed=0))
+    assert res.ok
+    assert res.timings["cold_solves"] == 2 < res.timings["solves"]
+    res.save(tmp_path / "r")
+    with open(tmp_path / "r" / "report.json") as fh:
+        assert json.load(fh)["timings"]["cold_solves"] == 2
+    res = centralized_synthesize(pair_network(coupling=0.9))
+    assert res.timings["cold_solves"] == res.timings["solves"] == 1

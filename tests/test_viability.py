@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import escalate_k, interval_hull, rci_beta_grid
 
-from zonosynth.geom import Zonotope, contains_point, interval_hull
+from zonosynth.geom import Zonotope, contains_point
 from zonosynth.viability import (
     CertificationError,
     RciSolution,
     ViableSolution,
     _certify,
     certify_solution,
-    escalate_k,
     finite_viable,
     rci,
-    rci_beta_grid,
     recursion_residual,
     solution_from_json,
 )
