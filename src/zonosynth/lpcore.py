@@ -303,7 +303,7 @@ class LinearProgram:
         self._lb, self._ub = (np.repeat(np.array([record[i] for record in col_records],
                                                  dtype=float), sizes) for i in (1, 2))
         self._shared = np.flatnonzero(
-            np.repeat([record[3] for record in col_records], sizes)).tolist()
+            np.repeat([record[3] for record in col_records], sizes)).astype(np.int32)
         self._cost = np.zeros(self._num_cols)
         self._coo = [entries]
         self._sense = bytearray(sense)
@@ -507,7 +507,7 @@ class LinearProgram:
             return False
         donor_cols = basis.col_status
         cols = [_BASIS.kLower] * self.num_vars
-        for mine, theirs in zip(self._shared, donor._shared):
+        for mine, theirs in zip(self._shared.tolist(), donor._shared.tolist()):
             cols[mine] = donor_cols[theirs]
         start = _hcore.HighsBasis()
         start.col_status = cols

@@ -606,6 +606,9 @@ def test_sibling_started_first_solves_match_cold_ones(make_network):
     assert tracker.cold_solves == _groups(net, tpl) < len(net.sorted_ids())
     for sid, want in cold.items():
         got = started[sid]
+        if isinstance(want, str):
+            assert got == want
+            continue
         assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
         assert got.grads.keys() == want.grads.keys()
 
