@@ -701,16 +701,17 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     # other two methods.
     correctness, hint = None, RETRY_HINT
     with phases("certify"):
-        try:
-            if sol is not None:
+        if sol is not None:
+            try:
                 state, inputs, fallbacks = viability.certify_solution(sol, X, U)
+            except viability.CertificationError as exc:
+                hint = f"aggregate: {exc}; {RETRY_HINT}"
+            else:
                 residual = recursion_residual(sol, agg.A, agg.B)
                 failures = [] if residual <= viability.RESIDUAL_TOL else [
                     f"aggregate: recursion residual {residual:.3e}"]
                 correctness = CorrectnessReport(not failures, state, inputs, residual,
                                                 failures, lp_fallbacks=fallbacks)
-        except viability.CertificationError as exc:
-            hint = f"aggregate: {exc}; {RETRY_HINT}"
     ok = correctness is not None and correctness.ok
 
     return _finish(
