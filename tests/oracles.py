@@ -13,7 +13,10 @@ LP per subsystem with its parameters pinned by equality rows, to check
 one distance call per pair of points, to check ``network_from_points``'
 neighbour prefilter against; and the Monte-Carlo closed loop run subsystem
 by subsystem on (S, n_i) arrays, to check ``runtime``'s network-stacked
-loop against.
+loop against.  Last come small helpers that only the tests use (support
+functions, interval hulls, the exact augmented disturbance, a beta grid and
+a k escalation over ``viability.rci``, a trajectory CSV writer), which call
+the package freely.
 
 The row-wise LP layer
 ---------------------
@@ -36,7 +39,7 @@ import itertools
 
 import numpy as np
 
-from zonosynth.lpcore import LinearProgram, LinExpr, _LpBatch, as_expr
+from zonosynth.lpcore import OPTIMAL, LinearProgram, LinExpr, _LpBatch, as_expr
 
 INF = float("inf")
 _LE, _GE = ord("<"), ord(">")
@@ -1035,7 +1038,7 @@ def verify_invariance_per_subsystem(network, solutions, num_samples,
 
 def is_optimal(sol):
     """True if the lpcore solution ``sol`` is optimal."""
-    return sol.status == "optimal"
+    return sol.status == OPTIMAL
 
 
 def support(Z, direction):
