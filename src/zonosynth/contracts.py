@@ -579,9 +579,7 @@ class PotentialEval:
     ``solution`` is built on first access from this evaluation's own LP
     solution, which holds every column's value, the fixed alphas included;
     later re-solves of the program or changes to the parameters leave it as
-    it was.  ``solve_seconds`` are those of that solve, also where
-    ``PotentialProgram.evaluate`` hands the evaluation out again; the
-    solver trackers count only the solves made.
+    it was.
     """
 
     sid: object
@@ -609,15 +607,12 @@ class PotentialProgram:
     cost for ``extract``.  :func:`build_programs` makes them.
     """
 
-    def __init__(self, sid, lp, handles, alpha, size, group):
+    def __init__(self, sid, lp, handles, alpha, size):
         """Subsystem ``sid``'s program ``lp``, with the ``handles`` its rows
         were emitted with, its fixed multiplier columns ``alpha`` ((j,
-        channel, t) -> columns, own promises first, in creation order), the
-        aux columns ``size`` of the size objective sum |T| and ``group``,
-        the list of the programs built in one batch with it."""
+        channel, t) -> columns, own promises first, in creation order) and
+        the aux columns ``size`` of the size objective sum |T|."""
         self.sid = sid
-        self._group = group
-        self._last = None  # (fixed alphas, PotentialEval) of the last solve, if an evaluate
         self._alpha = alpha
         slack = np.concatenate([handles.d_x, handles.d_u])
         self._alpha_cols = np.concatenate(list(alpha.values())).astype(np.int32)
@@ -633,8 +628,8 @@ class PotentialProgram:
         self.lp = lp
         self.k = handles.k
 
-    def _fixed(self, params):
-        """The values ``params`` fixes the alpha columns at."""
+    def _fix(self, params):
+        """Fix the alpha columns at ``params``."""
         blocks = [_at(params.x[j] if channel == "x" else params.u[j], t)
                   for j, channel, t in self._alpha]
         for key, v, cols in zip(self._alpha, blocks, self._alpha.values()):
@@ -646,36 +641,13 @@ class PotentialProgram:
             key, v = next((key, v) for key, v in zip(self._alpha, blocks)
                           if np.min(v) < -1e-12)
             raise ContractError(f"negative alpha at {key}[{int(np.argmin(v))}]")
-        return np.maximum(values, 0.0)
-
-    def _solve(self, fixed):
-        """Solve the instance with the alpha columns fixed at ``fixed``.
-
-        The group's first program to reach an optimum lends its basis to
-        the first solve of every other program of the group
-        (:meth:`lpcore.LinearProgram.start_from`), so only that one starts
-        cold.
-        """
+        fixed = np.maximum(values, 0.0)
         self.lp.set_col_bounds(self._alpha_cols, fixed, fixed)
-        self._last = None
-        sol = self.lp.solve()
-        if self._group and sol.status == lpcore.OPTIMAL:
-            for other in self._group:
-                other._group = None
-                other.lp.start_from(self.lp)
-        return sol
 
     def evaluate(self, params):
-        """Warm re-solve of V_i at ``params``; raises PotentialInfeasible.
-
-        Where the fixed alphas are bitwise those of the last solve and that
-        solve was an evaluation, the LP is the same: its PotentialEval is
-        returned again, and HiGHS is not called.
-        """
-        fixed = self._fixed(params)
-        if self._last is not None and self._last[0] == fixed.tobytes():
-            return self._last[1]
-        sol = self._solve(fixed)
+        """Warm re-solve of V_i at ``params``; raises PotentialInfeasible."""
+        self._fix(params)
+        sol = self.lp.solve()
         if sol.status == lpcore.INFEASIBLE:
             raise PotentialInfeasible(
                 f"subsystem {self.sid!r}: no viable tube at these parameters")
@@ -688,11 +660,9 @@ class PotentialProgram:
             grads[key] = duals[pos:pos + len(cols)]
             pos += len(cols)
         h = self.handles
-        ev = PotentialEval(
+        return PotentialEval(
             self.sid, max(0.0, sol.objective), grads, sol.column_values(h.d_x),
             sol.column_values(h.d_u), sol.solve_seconds, h, sol)
-        self._last = (fixed.tobytes(), ev)
-        return ev
 
     def extract(self, params):
         """The hard tubes at ``params``, or None if none keeps the promises."""
@@ -706,12 +676,12 @@ class PotentialProgram:
         columns are fixed at 0 and the objective becomes sum |T|; both are
         put back afterwards, so the next ``evaluate`` is unaffected.
         """
-        fixed = self._fixed(params)
+        self._fix(params)
         lp = self.lp
         lp.set_col_bounds(self._slack, 0.0, 0.0)
         lp.set_costs(self._cost_cols, self._extract_cost)
         try:
-            sol = self._solve(fixed)
+            sol = lp.solve()
         finally:
             lp.set_col_bounds(self._slack, *self._slack_bounds)
             lp.set_costs(self._cost_cols, self._potential_cost)
@@ -829,10 +799,8 @@ def _build_group(network, template, sids, k, reduction_order):
                              [functools.partial(alpha_of, g) for g in range(len(sids))],
                              k=k, reduction_order=reduction_order, slack=True)
     size = _abs_objective(batch, [np.stack(T) for T in zip(*(h.T for h in handles))])
-    group = []
-    group.extend(PotentialProgram(sid, lp, h, alpha, cols, group) for sid, lp, h, alpha, cols
-                 in zip(sids, batch.programs(), handles, alphas, size))
-    return {program.sid: program for program in group}
+    return {sid: PotentialProgram(sid, lp, h, alpha, cols) for sid, lp, h, alpha, cols
+            in zip(sids, batch.programs(), handles, alphas, size)}
 
 
 @dataclass

@@ -23,9 +23,10 @@ between solves, so :meth:`LinearProgram.set_col_bounds` and
 :meth:`LinearProgram.set_costs` change it in place (one HiGHS call for a
 whole block of columns), :meth:`LinearProgram.add_rows` appends to it, and
 the next solve is a warm re-solve from the last basis.  A program's first
-solve is cold (presolve and a crash basis), unless
-:meth:`LinearProgram.start_from` names a solved program of the same batch
-whose basis it starts from instead.  Reported times are in-solver seconds.
+solve is cold (presolve and a crash basis), except among the programs of one
+:class:`_LpBatch`: the first of them to reach an optimum lends its basis to
+the first solve of every other one not yet solved.  Reported times are
+in-solver seconds.
 
 :class:`LinExpr`, :func:`as_expr` and ``add_eq``/``add_le``/``add_ge`` (one
 row per call, written as expression arithmetic) are no part of that API;
@@ -219,7 +220,6 @@ def as_expr(value):
 # the program
 
 _LE, _GE = ord("<"), ord(">")
-_BASIS = _hcore.HighsBasisStatus
 
 
 def _merge(key, coefs):
@@ -263,7 +263,8 @@ class LinearProgram:
         self._built_version = -1
         self._size = (0, 0, 0)  # (rows, cols, nnz) of the last model built
         self._shared = None           # batch programs: the batch-wide columns, in order
-        self._start = None            # program whose basis the first solve starts from
+        self._siblings = None         # batch programs: the batch, until one lends
+        self._start = None            # the lent basis the first solve starts from
 
     # -- variables ---------------------------------------------------------
 
@@ -297,7 +298,7 @@ class LinearProgram:
         shared)`` per block of columns, the matrix ``(rows, cols, coefs)``
         in column order, one sense byte and one bound per row.  The columns
         of the blocks marked ``shared`` are kept, in order, as the layout
-        :meth:`start_from` maps a basis through."""
+        a lent basis is mapped through."""
         sizes = [record[0] for record in col_records]
         self._num_cols = sum(sizes)
         self._lb, self._ub = (np.repeat(np.array([record[i] for record in col_records],
@@ -478,41 +479,39 @@ class LinearProgram:
         self._built_version = self._structure_version
         self._size = (self.num_rows, self.num_vars, nnz)
 
-    def start_from(self, donor):
-        """Let this program's first solve start from the basis ``donor``
-        holds then, instead of cold; no effect once this program is solved.
+    def _lend_basis(self):
+        """Lend this first optimum of the batch to the first solve of every
+        sibling not yet built; no sibling lends after that.
 
-        Both programs must come from one :class:`_LpBatch`: the rows and
-        the batch-wide columns (``var_block``) take the donor's statuses,
-        and this program's own columns (``member_block``) start nonbasic at
-        their lower bounds.  Where that basis
-        cannot be used (the layouts differ, the donor has no live basis,
-        its basic count is not the row count, or HiGHS rejects it) the
-        solve starts cold.  Only where the simplex starts changes, not the
-        model.
+        The rows and the batch-wide columns (``var_block``, the same in every
+        member and in the same order) keep this program's statuses.  They are
+        read once here; each borrower fills in its own columns
+        (``member_block``) as nonbasic at their lower bounds.
         """
-        if self._solver is None:
-            self._start = donor
+        basis, lent = self._solver.getBasis(), None
+        if basis.valid:
+            start = _hcore.HighsBasis()
+            start.row_status = basis.row_status
+            start.valid, start.alien = True, False  # HiGHS rejects a wrong basic count
+            lent = (start, self.num_rows, np.array(basis.col_status, dtype=object)[self._shared])
+        for lp in self._siblings:
+            lp._siblings = None
+            if lp._solver is None:
+                lp._start = lent
 
     def _set_start_basis(self):
-        """Hand the fresh solver instance the basis mapped from the program
-        named by :meth:`start_from`; False where it starts cold."""
-        donor, self._start = self._start, None
-        if (donor is None or self._shared is None or donor._shared is None
-                or not donor._live() or donor.num_rows != self.num_rows
-                or len(donor._shared) != len(self._shared)):
+        """Hand the fresh solver instance the basis a sibling lent; False
+        where it starts cold: nothing was lent, the layouts differ, or
+        HiGHS refuses the basis (its basic count is not the row count)."""
+        lent, self._start = self._start, None
+        if lent is None:
             return False
-        basis = donor._solver.getBasis()
-        if not basis.valid:
+        start, rows, shared = lent
+        if rows != self.num_rows or len(shared) != len(self._shared):
             return False
-        donor_cols = basis.col_status
-        cols = [_BASIS.kLower] * self.num_vars
-        for mine, theirs in zip(self._shared.tolist(), donor._shared.tolist()):
-            cols[mine] = donor_cols[theirs]
-        start = _hcore.HighsBasis()
-        start.col_status = cols
-        start.row_status = basis.row_status
-        start.valid, start.alien = True, False  # HiGHS rejects a wrong basic count
+        cols = np.full(self.num_vars, _hcore.HighsBasisStatus.kLower, dtype=object)
+        cols[self._shared] = shared
+        start.col_status = cols.tolist()
         return self._solver.setBasis(start) == _hcore.HighsStatus.kOk
 
     def _solve_highs(self, time_limit):
@@ -531,6 +530,8 @@ class LinearProgram:
         if status == S.kUnboundedOrInfeasible:
             status = self._disambiguate_highs()
         if status == S.kOptimal:
+            if self._siblings:
+                self._lend_basis()
             sol = solver.getSolution()  # a copy: later solves leave it alone
             x = np.asarray(sol.col_value, dtype=float)
             obj = float(self._cost[:self.num_vars] @ x) + 0.0  # -0.0 reads as +0.0
@@ -562,8 +563,8 @@ class _LpBatch:
     its later columns.  :meth:`programs` hands each member the program that
     the same calls on it alone would have built, named by ``names``, and
     tells it which of its columns came from :meth:`var_block`: those come in
-    the same order in every member, so one member's basis maps onto another
-    (:meth:`LinearProgram.start_from`).
+    the same order in every member, so the basis of the first member solved
+    to optimality maps onto the first solve of each other one.
     """
 
     def __init__(self, names):
@@ -634,6 +635,9 @@ class _LpBatch:
             lp._install(records, (row[a:b], col[a:b], coefs[a:b]),
                         self._sense, np.ascontiguousarray(bounds[g]))
             out.append(lp)
+        siblings = tuple(out) if len(out) > 1 else None
+        for lp in out:
+            lp._siblings = siblings
         return out
 
 

@@ -569,7 +569,7 @@ def test_case1_potential_smoke():
 def _cold(programs):
     """The programs, each left to start its first solve cold."""
     for program in programs.values():
-        program._group = None
+        program.lp._siblings = None
     return programs
 
 
@@ -649,38 +649,3 @@ def test_group_of_one_starts_cold():
     with lpcore.track_solver_time() as tracker:
         potential(build_programs(net, tpl), alpha_max(net, tpl).scaled(0.5))
     assert (tracker.solves, tracker.cold_solves) == (2, 2)
-
-
-# ---------------------------------------------------------------------------
-# an unchanged evaluation is reused
-
-
-def test_unchanged_evaluation_is_reused_until_extraction_resolves():
-    net = random_network(20, lambda_for(40), seed=0)
-    tpl = default_template(net)
-    programs = build_programs(net, tpl)
-    params = alpha_max(net, tpl).scaled(0.5)
-    count = len(programs)
-    with lpcore.track_solver_time() as tracker:
-        first = potential(programs, params)
-        again = potential(programs, params.copy())
-    assert tracker.solves == count
-    assert again.value == first.value
-    assert np.array_equal(again.grad.to_vector(), first.grad.to_vector())
-    assert all(again.evals[sid] is first.evals[sid] for sid in programs)
-
-    assert first.value > 0.0  # so the hard problem fails somewhere, after solving all
-    with lpcore.track_solver_time() as tracker:
-        with pytest.raises(PotentialInfeasible):
-            extract_solutions(programs, params)
-        third = potential(programs, params)
-    assert tracker.solves == 2 * count
-    assert third.value == pytest.approx(first.value, rel=1e-9, abs=1e-12)
-
-    moved = params.copy()
-    moved.x[0][0][0] *= 0.9
-    with lpcore.track_solver_time() as tracker:
-        potential(programs, moved)
-    readers = [sid for sid, program in programs.items()
-               if any(j == 0 for j, _, _ in program._alpha)]
-    assert tracker.solves == len(readers) < count

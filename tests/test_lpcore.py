@@ -524,16 +524,16 @@ def _sibling_pair(member_lb, member_ub, member_cost):
     return programs, a
 
 
-def test_start_from_a_sibling_basis_solves_like_a_cold_start():
+def test_a_batch_lends_its_first_optimum_to_the_other_first_solves():
     programs, a = _sibling_pair(0.0, 0.0, 0.0)
     first, second = programs
     first.set_col_bounds(a[0], 0.5, 0.5)
     second.set_col_bounds(a[1], 0.8, 0.8)
     with lpcore.track_solver_time() as tracker:
         first.solve()
-        second.start_from(first)
         got = second.solve()
     assert (tracker.solves, tracker.cold_solves) == (2, 1)
+    assert first._siblings is None and second._siblings is None  # lent once
     cold = _sibling_pair(0.0, 0.0, 0.0)[0][1]
     cold.set_col_bounds(a[1], 0.8, 0.8)
     with lpcore.track_solver_time() as tracker:
@@ -541,25 +541,25 @@ def test_start_from_a_sibling_basis_solves_like_a_cold_start():
     assert tracker.cold_solves == 1
     assert got.objective == pytest.approx(want.objective, rel=1e-12)
     assert got.column_values(np.arange(3)) == pytest.approx(want.column_values(np.arange(3)))
-    second.start_from(first)            # solved already: no effect
-    assert second._start is None
+    (alone,) = lpcore._LpBatch(["alone"]).programs()
+    assert alone._siblings is None
 
 
 def test_an_unusable_sibling_basis_falls_back_to_a_cold_start():
     # the donor's own column is basic at its optimum (a = 2); mapped onto a
     # sibling, where own columns start nonbasic, the basis is one short
     (first, second), _ = _sibling_pair(0.0, INF, 0.1)
-    plain = LinearProgram()
-    plain.set_costs(plain.var_block(1, lb=1.0), 1.0)
-    other = _sibling_pair(0.0, INF, 0.1)[0][0]
-    other.add_rows([0], [0], [1.0], [5.0], "<")     # one row more than the donor
     with lpcore.track_solver_time() as tracker:
         donor = first.solve()
-        for lp in (second, plain, other):
-            lp.start_from(first)
-            sol = lp.solve()
-            assert sol.status == lpcore.OPTIMAL
+        sol = second.solve()
     assert donor.column_values([2]) == pytest.approx([2.0])
-    assert (tracker.solves, tracker.cold_solves) == (4, 4)
-    assert sol.objective == pytest.approx(0.2)
-    assert second.solve().objective == pytest.approx(0.2)
+    assert sol.status == lpcore.OPTIMAL and sol.objective == pytest.approx(0.2)
+    assert (tracker.solves, tracker.cold_solves) == (2, 2)
+    # a sibling given one row more after the batch was built
+    (first, second), a = _sibling_pair(0.0, 0.0, 0.0)
+    second.add_rows([0], a[1], [1.0], [5.0], "<")
+    with lpcore.track_solver_time() as tracker:
+        first.solve()
+        sol = second.solve()
+    assert sol.status == lpcore.OPTIMAL and sol.objective == pytest.approx(2.5)
+    assert (tracker.solves, tracker.cold_solves) == (2, 2)
