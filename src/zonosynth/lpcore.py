@@ -501,14 +501,13 @@ class LinearProgram:
 
     def _set_start_basis(self):
         """Hand the fresh solver instance the basis a sibling lent; False
-        where it starts cold: nothing was lent, the layouts differ, or
-        HiGHS refuses the basis (its basic count is not the row count)."""
+        where it starts cold: nothing was lent, rows were added after the
+        batch was built, or HiGHS refuses the basis (its basic count is not
+        the row count)."""
         lent, self._start = self._start, None
-        if lent is None:
+        if lent is None or lent[1] != self.num_rows:
             return False
-        start, rows, shared = lent
-        if rows != self.num_rows or len(shared) != len(self._shared):
-            return False
+        start, _, shared = lent
         cols = np.full(self.num_vars, _hcore.HighsBasisStatus.kLower, dtype=object)
         cols[self._shared] = shared
         start.col_status = cols.tolist()
