@@ -492,8 +492,8 @@ class LinearProgram:
         if basis.valid:
             start = _hcore.HighsBasis()
             start.row_status = basis.row_status
-            start.valid, start.alien = True, False  # HiGHS rejects a wrong basic count
-            lent = (start, self.num_rows, np.array(basis.col_status, dtype=object)[self._shared])
+            start.valid, start.alien = True, False  # HiGHS rejects a basis that does not fit
+            lent = (start, np.array(basis.col_status, dtype=object)[self._shared])
         for lp in self._siblings:
             lp._siblings = None
             if lp._solver is None:
@@ -501,13 +501,13 @@ class LinearProgram:
 
     def _set_start_basis(self):
         """Hand the fresh solver instance the basis a sibling lent; False
-        where it starts cold: nothing was lent, rows were added after the
-        batch was built, or HiGHS refuses the basis (its basic count is not
-        the row count)."""
+        where it starts cold: nothing was lent, or HiGHS refuses the basis
+        (rows were added after the batch was built, or its basic count is
+        not the row count)."""
         lent, self._start = self._start, None
-        if lent is None or lent[1] != self.num_rows:
+        if lent is None:
             return False
-        start, _, shared = lent
+        start, shared = lent
         cols = np.full(self.num_vars, _hcore.HighsBasisStatus.kLower, dtype=object)
         cols[self._shared] = shared
         start.col_status = cols.tolist()
