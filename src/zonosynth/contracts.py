@@ -54,7 +54,7 @@ from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff
 # kept by name: perfbench's tracer test rebinds this import
 from .geom import directed_hausdorff  # noqa: F401
 from .lpcore import LinearProgram
-from .sysmodel import _id_key
+from .sysmodel import _at, _id_key  # _at: a one-entry list is constant in t
 from .viability import (RESIDUAL_TOL, RciSolution, ViableSolution, _abs_objective,
                         add_recursion, recursion_residual)
 
@@ -67,11 +67,6 @@ class ContractError(Exception):
 
 class PotentialInfeasible(ContractError):
     """The local viability LP has no solution at the requested parameters."""
-
-
-def _at(entries, t):
-    """Index a per-step list, treating single-entry lists as constant."""
-    return entries[t] if len(entries) > 1 else entries[0]
 
 
 # ---------------------------------------------------------------------------
@@ -118,108 +113,117 @@ def default_template(network):
     return ContractTemplate(state, inputs, is_bounds=True)
 
 
-@dataclass
+class _Layout:
+    """Where each (sid, channel, step) block sits in a flat parameter vector:
+    the state ("x") blocks of every id in id order, then the input ("u")
+    blocks, steps ascending.  Equal layouts are one object (:meth:`of`)."""
+
+    _known = {}
+
+    def __init__(self, key):
+        self.key = key  # ((sid, channel, entries per step), ...)
+        stops = np.cumsum([0] + [n for *_, sizes in key for n in sizes]).tolist()
+        steps = zip(stops, stops[1:])  # (start, stop) of each step's entries
+        self.size = stops[-1]
+        self.spans = {(sid, channel): [next(steps) for _ in sizes] for sid, channel, sizes in key}
+
+    @classmethod
+    def of(cls, x, u):
+        """The layout of ``x``/``u``: sid -> entry count per step."""
+        key = tuple((sid, channel, tuple(sizes[sid])) for channel, sizes in (("x", x), ("u", u))
+                    for sid in sorted(sizes, key=_id_key))
+        return cls._known.get(key) or cls._known.setdefault(key, cls(key))
+
+    def mismatch(self, other):
+        """ContractError naming the first block ``other`` lacks, adds or sizes differently."""
+        mine, theirs = ({(sid, ch): sizes for sid, ch, sizes in layout.key} for layout in (self, other))
+        block = next(b for b in {**mine, **theirs} if mine.get(b) != theirs.get(b))
+        return ContractError(f"parameter block {block} has entries per step "
+                             f"{theirs.get(block)}, expected {mine.get(block)}")
+
+
+class _Series(dict):
+    """sid -> per-step views into a flat vector; assigning a series writes the views."""
+
+    def __setitem__(self, sid, series):
+        if len(series) != len(self[sid]):
+            raise ContractError(f"series {sid!r} has {len(series)} steps, expected {len(self[sid])}")
+        for view, values in zip(self[sid], series):
+            view[...] = values
+
+
 class ContractParams:
-    """Per-subsystem, per-step generator multipliers with their upper caps."""
+    """Per-subsystem, per-step generator multipliers with their upper caps.
 
-    x: dict
-    u: dict
-    max_x: dict
-    max_u: dict
+    The multipliers are one flat float vector in the order of
+    :class:`_Layout`, the caps another, shared by the parameter sets derived
+    from these.  ``x``/``u`` (``max_x``/``max_u``) map each id to its
+    per-step arrays, writable views into the vector (the caps' vector).
+    """
 
-    def _keys(self):
-        for sid in sorted(self.x, key=_id_key):
-            yield sid, "x"
-        for sid in sorted(self.u, key=_id_key):
-            yield sid, "u"
+    def __init__(self, x, u, max_x, max_u):
+        def layout(*series):
+            return _Layout.of(*({sid: [np.size(a) for a in v] for sid, v in d.items()}
+                                for d in series))
+
+        def flat(*series):
+            return np.concatenate([np.ravel(a) for d in series for sid in sorted(d, key=_id_key)
+                                   for a in d[sid]] or [np.zeros(0)]).astype(float, copy=False)
+
+        self._layout, self._vec, self._top = layout(x, u), flat(x, u), flat(max_x, max_u)
+        if layout(max_x, max_u) is not self._layout:
+            raise self._layout.mismatch(layout(max_x, max_u))
+
+    def __getattr__(self, name):  # x, u, max_x, max_u: built on first use
+        if name not in ("x", "u", "max_x", "max_u"):
+            raise AttributeError(name)
+        vec = self._vec if len(name) == 1 else self._top
+        views = self.__dict__[name] = _Series(
+            {sid: [vec[a:b] for a, b in spans]
+             for (sid, channel), spans in self._layout.spans.items() if channel == name[-1]})
+        return views
+
+    def _like(self, vec, top=None):
+        """Parameters of this layout holding ``vec``, capped by ``top`` (default: these caps)."""
+        out = object.__new__(type(self))
+        out._layout, out._vec, out._top = self._layout, vec, self._top if top is None else top
+        return out
 
     def copy(self):
-        return ContractParams(
-            {s: [a.copy() for a in v] for s, v in self.x.items()},
-            {s: [a.copy() for a in v] for s, v in self.u.items()},
-            self.max_x,
-            self.max_u,
-        )
-
-    def zeros_like(self):
-        return ContractParams(
-            {s: [np.zeros_like(a) for a in v] for s, v in self.x.items()},
-            {s: [np.zeros_like(a) for a in v] for s, v in self.u.items()},
-            self.max_x,
-            self.max_u,
-        )
+        return self._like(self._vec.copy())
 
     def scaled(self, fraction):
         """Parameters at ``fraction`` of their caps (e.g. the descent start)."""
-        return ContractParams(
-            {s: [a * fraction for a in v] for s, v in self.max_x.items()},
-            {s: [a * fraction for a in v] for s, v in self.max_u.items()},
-            self.max_x,
-            self.max_u,
-        )
+        return self._like(self._top * fraction)
 
-    def clipped(self):
-        """Projection onto the admissible box [0, alpha_max]."""
-        return ContractParams(
-            {s: [np.clip(a, 0.0, mx) for a, mx in zip(v, self.max_x[s])]
-             for s, v in self.x.items()},
-            {s: [np.clip(a, 0.0, mx) for a, mx in zip(v, self.max_u[s])]
-             for s, v in self.u.items()},
-            self.max_x,
-            self.max_u,
-        )
+    def clipped(self, caps=None):
+        """Projection onto the box [0, alpha_max]; ``caps`` (parameters of
+        this layout whose values are the upper corner) overrides the caps."""
+        if caps is not None and caps._layout is not self._layout:
+            raise self._layout.mismatch(caps._layout)
+        top = self._top if caps is None else caps._vec
+        return self._like(np.clip(self._vec, 0.0, top), top)
 
     def to_vector(self):
-        chunks = []
-        for sid, ch in self._keys():
-            chunks.extend((self.x if ch == "x" else self.u)[sid])
-        return np.concatenate(chunks) if chunks else np.zeros(0)
-
-    def slots(self):
-        """``{(sid, channel): [indices of step t in to_vector()]}``."""
-        out, pos = {}, 0
-        for sid, ch in self._keys():
-            out[(sid, ch)] = []
-            for a in (self.x if ch == "x" else self.u)[sid]:
-                out[(sid, ch)].append(np.arange(pos, pos + a.size))
-                pos += a.size
-        return out
+        return self._vec.copy()
 
     def from_vector(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        out = self.zeros_like()
-        pos = 0
-        for sid, ch in self._keys():
-            target = (out.x if ch == "x" else out.u)[sid]
-            for t, a in enumerate(target):
-                target[t] = vec[pos:pos + a.size].copy()
-                pos += a.size
-        if pos != vec.size:
-            raise ContractError(f"vector has {vec.size} entries, expected {pos}")
-        return out
+        vec = np.array(vec, dtype=float)
+        if vec.shape != (self._layout.size,):
+            raise ContractError(f"vector has {vec.size} entries, expected {self._layout.size}")
+        return self._like(vec)
 
     def to_json(self):
-        def dump(d):
-            return {str(s): [a.tolist() for a in v] for s, v in d.items()}
-
-        return {"x": dump(self.x), "u": dump(self.u),
-                "max_x": dump(self.max_x), "max_u": dump(self.max_u)}
+        return {name: {str(s): [a.tolist() for a in v] for s, v in getattr(self, name).items()}
+                for name in ("x", "u", "max_x", "max_u")}
 
     @classmethod
     def from_json(cls, data, ids=None):
-        def load(d):
-            out = {}
-            for s, v in d.items():
-                key = s
-                if ids is not None:
-                    matches = [i for i in ids if str(i) == s]
-                    if matches:
-                        key = matches[0]
-                out[key] = [np.asarray(a, dtype=float) for a in v]
-            return out
-
-        return cls(load(data["x"]), load(data["u"]),
-                   load(data["max_x"]), load(data["max_u"]))
+        """Parameters from :meth:`to_json`, keyed by the ids in ``ids`` whose
+        string form matches (by the string otherwise)."""
+        lookup = {str(i): i for i in ids or ()}
+        return cls(*({lookup.get(s, s): [np.asarray(a, dtype=float) for a in v]
+                      for s, v in data[name].items()} for name in ("x", "u", "max_x", "max_u")))
 
 
 def admissible_set(sub, channel, t):
@@ -263,13 +267,7 @@ def alpha_max(network, template):
                   else _max_alpha_lp(c, C, admissible_set(network.subsystem(sid), channel, t))
                   for t, (c, C) in enumerate(entries)]
             for sid, entries in promises.items()}
-    max_x, max_u = caps["x"], caps["u"]
-    return ContractParams(
-        {s: [a.copy() for a in v] for s, v in max_x.items()},
-        {s: [a.copy() for a in v] for s, v in max_u.items()},
-        max_x,
-        max_u,
-    )
+    return ContractParams(caps["x"], caps["u"], caps["x"], caps["u"])
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +572,19 @@ def emit_subsystem(batch, network, template, sids, alpha_of, k=None,
 
 @dataclass
 class PotentialEval:
-    """One evaluation of V_i: value, gradient pieces, and the inner solution.
+    """One evaluation of V_i: value, gradient, and the inner solution.
 
-    ``solution`` is built on first access from this evaluation's own LP
-    solution, which holds every column's value, the fixed alphas included;
-    later re-solves of the program or changes to the parameters leave it as
-    it was.
+    ``grad[e]`` is dV_i/dalpha at the parameter vector's entry
+    ``reads[e]``.  ``solution`` is built on first access from this
+    evaluation's own LP solution, which holds every column's value, the
+    fixed alphas included; later re-solves of the program or changes to the
+    parameters leave it as it was.
     """
 
     sid: object
     value: float
-    grads: dict  # (sid, channel, t) -> array of dV_i/dalpha
-    slack_x: np.ndarray
-    slack_u: np.ndarray
+    reads: np.ndarray
+    grad: np.ndarray
     solve_seconds: float
     _handles: SubsystemHandles = field(repr=False)
     _lp_solution: object = field(repr=False)
@@ -607,13 +605,18 @@ class PotentialProgram:
     cost for ``extract``.  :func:`build_programs` makes them.
     """
 
-    def __init__(self, sid, lp, handles, alpha, size):
+    def __init__(self, sid, lp, handles, alpha, size, layout):
         """Subsystem ``sid``'s program ``lp``, with the ``handles`` its rows
         were emitted with, its fixed multiplier columns ``alpha`` ((j,
-        channel, t) -> columns, own promises first, in creation order) and
-        the aux columns ``size`` of the size objective sum |T|."""
+        channel, t) -> columns, own promises first, in creation order), the
+        aux columns ``size`` of the size objective sum |T| and the
+        ``layout`` of the parameter vectors it reads."""
         self.sid = sid
         self._alpha = alpha
+        self._layout = layout
+        # the parameter vector's entries the alpha columns are fixed at
+        self.reads = np.concatenate([np.arange(*_at(layout.spans[(j, channel)], t))
+                                     for j, channel, t in alpha])
         slack = np.concatenate([handles.d_x, handles.d_u])
         self._alpha_cols = np.concatenate(list(alpha.values())).astype(np.int32)
         # the objective's columns and their costs for V_i and for extraction
@@ -627,26 +630,38 @@ class PotentialProgram:
         self.handles = handles
         self.lp = lp
         self.k = handles.k
+        self._last = None  # (values read, evaluation) of the last solve, if a potential one
 
-    def _fix(self, params):
-        """Fix the alpha columns at ``params``."""
-        blocks = [_at(params.x[j] if channel == "x" else params.u[j], t)
-                  for j, channel, t in self._alpha]
-        for key, v, cols in zip(self._alpha, blocks, self._alpha.values()):
-            if len(v) != len(cols):
-                raise ContractError(
-                    f"parameter block {key} has {len(v)} entries, expected {len(cols)}")
-        values = np.concatenate(blocks, dtype=float)
+    def _values(self, params):
+        """The entries of ``params`` the alpha columns are fixed at."""
+        if params._layout is not self._layout:
+            raise self._layout.mismatch(params._layout)
+        values = params._vec[self.reads]
         if values.min(initial=0.0) < -1e-12:
-            key, v = next((key, v) for key, v in zip(self._alpha, blocks)
-                          if np.min(v) < -1e-12)
-            raise ContractError(f"negative alpha at {key}[{int(np.argmin(v))}]")
+            bad = int(np.flatnonzero(values < -1e-12)[0])
+            for key, cols in self._alpha.items():
+                if bad < len(cols):
+                    raise ContractError(f"negative alpha at {key}[{bad}]")
+                bad -= len(cols)
+        return values
+
+    def _fix(self, values):
         fixed = np.maximum(values, 0.0)
         self.lp.set_col_bounds(self._alpha_cols, fixed, fixed)
 
     def evaluate(self, params):
-        """Warm re-solve of V_i at ``params``; raises PotentialInfeasible."""
-        self._fix(params)
+        """Warm re-solve of V_i at ``params``; raises PotentialInfeasible.
+
+        Where the values read are bitwise those of the last solve and the
+        instance is as that solve left it, the LP is the same, and that
+        solve's evaluation is returned.
+        """
+        values = self._values(params)
+        key = values.tobytes()
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        self._last = None
+        self._fix(values)
         sol = self.lp.solve()
         if sol.status == lpcore.INFEASIBLE:
             raise PotentialInfeasible(
@@ -654,15 +669,10 @@ class PotentialProgram:
         if sol.status != lpcore.OPTIMAL:
             raise lpcore.LpSolverError(
                 f"potential LP for {self.sid!r} ended with {sol.status}")
-        duals = sol.column_duals(self._alpha_cols)
-        grads, pos = {}, 0
-        for key, cols in self._alpha.items():
-            grads[key] = duals[pos:pos + len(cols)]
-            pos += len(cols)
-        h = self.handles
-        return PotentialEval(
-            self.sid, max(0.0, sol.objective), grads, sol.column_values(h.d_x),
-            sol.column_values(h.d_u), sol.solve_seconds, h, sol)
+        ev = PotentialEval(self.sid, max(0.0, sol.objective), self.reads,
+                           sol.column_duals(self._alpha_cols), sol.solve_seconds, self.handles, sol)
+        self._last = (key, ev)
+        return ev
 
     def extract(self, params):
         """The hard tubes at ``params``, or None if none keeps the promises."""
@@ -674,9 +684,11 @@ class PotentialProgram:
 
         Solved on this program's own instance: the slack and its witness
         columns are fixed at 0 and the objective becomes sum |T|; both are
-        put back afterwards, so the next ``evaluate`` is unaffected.
+        put back afterwards, so the next ``evaluate`` is unaffected but for
+        its warm start, and re-solves.
         """
-        self._fix(params)
+        self._last = None
+        self._fix(self._values(params))
         lp = self.lp
         lp.set_col_bounds(self._slack, 0.0, 0.0)
         lp.set_costs(self._cost_cols, self._extract_cost)
@@ -763,18 +775,22 @@ def build_programs(network, template, k=None, reduction_order=1):
     ``lpcore._LpBatch``, which hands each member its own program.  Each
     program's columns are its own multipliers, the tube, the neighbors'
     multipliers (in the order W asks for them), the containment witnesses
-    and the size aux columns.
+    and the size aux columns.  Each reads the parameter vectors of the
+    template's layout, that of ``alpha_max(network, template)``.
     """
+    layout = _Layout.of(*({sid: [C.shape[1] for _, C in entries]
+                           for sid, entries in promises.items()}
+                          for promises in (template.state, template.input)))
     groups = {}
     for sid in network.sorted_ids():
         groups.setdefault(_signature(network, template, sid, reduction_order), []).append(sid)
     programs = {}
     for sids in groups.values():
-        programs.update(_build_group(network, template, sids, k, reduction_order))
+        programs.update(_build_group(network, template, sids, k, reduction_order, layout))
     return {sid: programs[sid] for sid in network.sorted_ids()}
 
 
-def _build_group(network, template, sids, k, reduction_order):
+def _build_group(network, template, sids, k, reduction_order, layout):
     batch = lpcore._LpBatch([f"potential[{sid}]" for sid in sids])
     alphas = [{} for _ in sids]  # per member: (j, channel, t) -> fixed columns
 
@@ -799,7 +815,7 @@ def _build_group(network, template, sids, k, reduction_order):
                              [functools.partial(alpha_of, g) for g in range(len(sids))],
                              k=k, reduction_order=reduction_order, slack=True)
     size = _abs_objective(batch, [np.stack(T) for T in zip(*(h.T for h in handles))])
-    return {sid: PotentialProgram(sid, lp, h, alpha, cols) for sid, lp, h, alpha, cols
+    return {sid: PotentialProgram(sid, lp, h, alpha, cols, layout) for sid, lp, h, alpha, cols
             in zip(sids, batch.programs(), handles, alphas, size)}
 
 
@@ -817,17 +833,18 @@ class PotentialResult:
 
 
 def potential(programs, params):
-    """V(alpha) = sum of V_i, with the gradient assembled in params shape."""
+    """V(alpha) = sum of V_i, with the gradient summed entry by entry over
+    the programs in id order.  A program whose values did not move re-uses
+    its last evaluation (:meth:`PotentialProgram.evaluate`);
+    ``solve_seconds`` counts the solves this call made."""
     ids = sorted(programs, key=_id_key)
-    evals = {sid: programs[sid].evaluate(params) for sid in ids}
-    grad = params.zeros_like()
-    for sid in ids:
-        for (j, channel, t), arr in evals[sid].grads.items():
-            series = grad.x[j] if channel == "x" else grad.u[j]
-            series[t if len(series) > 1 else 0] += arr
-    value = float(sum(evals[sid].value for sid in ids))
-    seconds = float(sum(evals[sid].solve_seconds for sid in ids))
-    return PotentialResult(value, grad, evals, seconds)
+    with lpcore.track_solver_time() as solver:
+        evals = {sid: programs[sid].evaluate(params) for sid in ids}
+    parts = evals.values()
+    grad = np.bincount(np.concatenate([ev.reads for ev in parts]),
+                       np.concatenate([ev.grad for ev in parts]), params._layout.size)
+    value = float(sum(ev.value for ev in parts))
+    return PotentialResult(value, params._like(grad), evals, solver.seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -874,11 +891,17 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
     steps = network.num_steps
     finite = network.mode == "finite"
 
-    def escape(inner, center, cols, scales, witness):
+    def check(what, inner, center, cols, scales, witness):
+        # the margin of inner in Z(center, cols Diag(scales)); beyond tol, a failure
         nonlocal fallbacks
         margin, lp = certified_hausdorff(inner, center, cols, scales, witness, tol)
         fallbacks += lp
+        if margin > tol:
+            failures.append(f"{what} by {margin:.3e}")
         return margin
+
+    def within(what, inner, S, witness):
+        return check(what, inner, S.center, S.generators, np.ones(S.num_generators), witness)
 
     for sid in network.sorted_ids():
         sub = network.subsystem(sid)
@@ -888,42 +911,26 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
         for t in range(steps_x):
             cx, Cx = _at(template.state[sid], t)
             alpha = _at(params.x[sid], t)
-            margin = escape(sol.omega(t), cx, Cx, alpha, witness.get(f"inC{t}"))
-            max_state = max(max_state, margin)
-            if margin > tol:
-                failures.append(f"{sid}: Omega({t}) escapes its promise by {margin:.3e}")
-            X = sub.X_at(t)
-            admissible = escape(template.state_set(params, sid, t), X.center,
-                                X.generators, np.ones(X.num_generators),
-                                _diag_witness(alpha))
-            if admissible > tol:
-                failures.append(f"{sid}: state promise at t={t} exceeds X by {admissible:.3e}")
+            max_state = max(max_state, check(f"{sid}: Omega({t}) escapes its promise",
+                                             sol.omega(t), cx, Cx, alpha, witness.get(f"inC{t}")))
+            within(f"{sid}: state promise at t={t} exceeds X",
+                   template.state_set(params, sid, t), sub.X_at(t), _diag_witness(alpha))
         if finite:
-            X = sub.X_at(steps)
-            margin = escape(sol.omega(steps), X.center, X.generators,
-                            np.ones(X.num_generators), witness.get("term"))
-            max_state = max(max_state, margin)
-            if margin > tol:
-                failures.append(f"{sid}: terminal set escapes X by {margin:.3e}")
+            max_state = max(max_state, within(f"{sid}: terminal set escapes X", sol.omega(steps),
+                                              sub.X_at(steps), witness.get("term")))
         if sub.m:
             for t in range(steps):
+                U = sub.U_at(t)
                 if sid in template.input:
                     cu, Cu = _at(template.input[sid], t)
                     alpha = _at(params.u[sid], t)
-                    U = sub.U_at(t)
-                    admissible = escape(template.input_set(params, sid, t), U.center,
-                                        U.generators, np.ones(U.num_generators),
-                                        _diag_witness(alpha))
-                    if admissible > tol:
-                        failures.append(
-                            f"{sid}: input promise at t={t} exceeds U by {admissible:.3e}")
+                    within(f"{sid}: input promise at t={t} exceeds U",
+                           template.input_set(params, sid, t), U, _diag_witness(alpha))
                 else:
-                    U = sub.U_at(t)
                     cu, Cu, alpha = U.center, U.generators, np.ones(U.num_generators)
-                margin = escape(sol.theta(t), cu, Cu, alpha, witness.get(f"inU{t}"))
-                max_input = max(max_input, margin)
-                if margin > tol:
-                    failures.append(f"{sid}: Theta({t}) escapes its promise by {margin:.3e}")
+                max_input = max(max_input, check(f"{sid}: Theta({t}) escapes its promise",
+                                                 sol.theta(t), cu, Cu, alpha,
+                                                 witness.get(f"inU{t}")))
         max_res = max(max_res, recursion_residual(
             sol, [sub.A_at(t) for t in range(steps)], [sub.B_at(t) for t in range(steps)]))
     if max_res > RESIDUAL_TOL:

@@ -39,7 +39,6 @@ them lives in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -48,7 +47,6 @@ import sys
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,25 +106,28 @@ _tracker_stack: ContextVar[tuple] = ContextVar("zonosynth_lp_trackers", default=
 class SolverTimeTracker:
     """In-solver seconds, solve count and the largest model solved.
 
-    ``cold_solves`` counts the solves that started with no basis.
-    ``max_rows``/``max_cols``/``max_nnz`` are the size of the largest LP
-    solved in the context, each maximized on its own (rows, columns and
-    constraint-matrix nonzeros).
+    ``cold_solves`` counts the solves that started with no basis, and
+    ``retries`` those re-run by the interior-point solver after the simplex
+    solver broke down.  ``max_rows``/``max_cols``/``max_nnz`` are the size
+    of the largest LP solved in the context, each maximized on its own
+    (rows, columns and constraint-matrix nonzeros).
     """
 
     def __init__(self):
         self.seconds = 0.0
         self.solves = 0
         self.cold_solves = 0
+        self.retries = 0
         self.max_rows = 0
         self.max_cols = 0
         self.max_nnz = 0
 
-    def _add(self, seconds, size, cold):
+    def _add(self, seconds, size, cold, retried):
         rows, cols, nnz = size
         self.seconds += seconds
         self.solves += 1
         self.cold_solves += cold
+        self.retries += retried
         self.max_rows = max(self.max_rows, rows)
         self.max_cols = max(self.max_cols, cols)
         self.max_nnz = max(self.max_nnz, nnz)
@@ -148,9 +149,9 @@ def track_solver_time():
         _tracker_stack.reset(token)
 
 
-def _notify_trackers(seconds, size, cold):
+def _notify_trackers(seconds, size, cold, retried):
     for tracker in _tracker_stack.get():
-        tracker._add(seconds, size, cold)
+        tracker._add(seconds, size, cold, retried)
 
 
 # --------------------------------------------------------------------------
@@ -220,6 +221,10 @@ def as_expr(value):
 # the program
 
 _LE, _GE = ord("<"), ord(">")
+_S = _hcore.HighsModelStatus
+# a simplex breakdown, which one run by the interior-point solver retries,
+# with these options set and then put back
+_BREAKDOWN, _IPM = (_S.kNotset, _S.kSolveError), ("solver", "run_crossover")
 
 
 def _merge(key, coefs):
@@ -394,7 +399,10 @@ class LinearProgram:
         self._lb[cols] = lb
         self._ub[cols] = ub
         if self._live():
-            self._solver.changeColsBounds(len(cols), cols, self._lb[cols], self._ub[cols])
+            # an array per column goes to the solver as it is
+            lo = lb if np.shape(lb) == cols.shape else self._lb[cols]
+            hi = ub if np.shape(ub) == cols.shape else self._ub[cols]
+            self._solver.changeColsBounds(len(cols), cols, lo, hi)
 
     def set_costs(self, cols, values):
         """Set the objective coefficients of the columns ``cols``; like
@@ -476,6 +484,7 @@ class LinearProgram:
         solver = self._new_highs()
         solver.passModel(model)
         self._solver = solver
+        self._time_limit = INF  # the instance's, set again only when it changes
         self._built_version = self._structure_version
         self._size = (self.num_rows, self.num_vars, nnz)
 
@@ -519,27 +528,40 @@ class LinearProgram:
             self._build_highs()
             cold = not self._set_start_basis()
         solver = self._solver
-        solver.setOptionValue("time_limit", float(time_limit) if time_limit else INF)
+        limit = float(time_limit) if time_limit else INF
+        if limit != self._time_limit:
+            solver.setOptionValue("time_limit", limit)
+            self._time_limit = limit
         t0 = solver.getRunTime()
         solver.run()
         seconds = solver.getRunTime() - t0
-        _notify_trackers(seconds, self._size, cold)
         status = solver.getModelStatus()
-        S = _hcore.HighsModelStatus
-        if status == S.kUnboundedOrInfeasible:
+        retried = status in _BREAKDOWN
+        if retried:  # once more by the interior-point solver, crossover on
+            previous = [solver.getOptionValue(name)[1] for name in _IPM]
+            for name, value in zip(_IPM, ("ipm", "on")):
+                solver.setOptionValue(name, value)
+            t0 = solver.getRunTime()
+            solver.run()
+            seconds += solver.getRunTime() - t0
+            for name, value in zip(_IPM, previous):
+                solver.setOptionValue(name, value)
+            status = solver.getModelStatus()
+        _notify_trackers(seconds, self._size, cold, retried)
+        if status == _S.kUnboundedOrInfeasible:
             status = self._disambiguate_highs()
-        if status == S.kOptimal:
+        if status == _S.kOptimal:
             if self._siblings:
                 self._lend_basis()
             sol = solver.getSolution()  # a copy: later solves leave it alone
             x = np.asarray(sol.col_value, dtype=float)
-            obj = float(self._cost[:self.num_vars] @ x) + 0.0  # -0.0 reads as +0.0
+            obj = float(self._cost[:self._num_cols] @ x) + 0.0  # -0.0 reads as +0.0
             return LpSolution(self, OPTIMAL, obj, x, sol, seconds)
-        if status == S.kInfeasible:
+        if status == _S.kInfeasible:
             return LpSolution(self, INFEASIBLE, None, None, None, seconds)
-        if status == S.kUnbounded:
+        if status == _S.kUnbounded:
             return LpSolution(self, UNBOUNDED, None, None, None, seconds)
-        if status in (S.kTimeLimit, S.kIterationLimit):
+        if status in (_S.kTimeLimit, _S.kIterationLimit):
             return LpSolution(self, TIME_LIMIT, None, None, None, seconds)
         raise LpSolverError(f"solver failed on {self.name!r}: {status}")
 
@@ -644,28 +666,15 @@ class _LpBatch:
 # solutions
 
 
-@dataclass
 class LpSolution:
-    lp: LinearProgram
-    status: str
-    objective: float | None
-    _x: np.ndarray | None = field(repr=False)
-    _duals: object = field(repr=False)
-    solve_seconds: float = 0.0
+    """A solve's status, objective and in-solver seconds, with primal values
+    and reduced costs by column index."""
 
     def __init__(self, lp, status, objective, x, duals, solve_seconds):
         """``duals`` has the column sensitivities as ``col_dual`` (HiGHS's
         solution), read into an array on first use."""
-        self.lp = lp
-        self.status = status
-        self.objective = objective
-        self._x = x
-        self._duals = duals
-        self.solve_seconds = solve_seconds
-
-    @functools.cached_property
-    def _col_sens(self):
-        return np.asarray(self._duals.col_dual, dtype=float)
+        self.lp, self.status, self.objective, self.solve_seconds = lp, status, objective, solve_seconds
+        self._x, self._duals, self._col_sens = x, duals, None
 
     def _require_solution(self):
         if self._x is None:
@@ -675,10 +684,12 @@ class LpSolution:
         """Primal values of the variables with column indices ``cols`` (any
         shape); a signed zero reads as +0.0."""
         self._require_solution()
-        return self._x[np.asarray(cols, dtype=np.int64)] + 0.0
+        return self._x[cols] + 0.0
 
     def column_duals(self, cols):
         """Reduced costs of the columns ``cols``: d(objective)/d(value) of a
         column fixed by its bounds."""
         self._require_solution()
-        return self._col_sens[np.asarray(cols, dtype=np.int64)]
+        if self._col_sens is None:
+            self._col_sens = np.asarray(self._duals.col_dual, dtype=float)
+        return self._col_sens[cols]

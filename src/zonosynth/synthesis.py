@@ -46,13 +46,14 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lpcore, viability
 from .contracts import (
     ContractParams,
+    ContractTemplate,
     CorrectnessReport,
     PotentialInfeasible,
     add_promise_admissibility,
@@ -64,7 +65,6 @@ from .contracts import (
     emit_subsystem,
     extract_solutions,
     potential,
-    _at,
     _numeric_solution,
 )
 from .lpcore import LinearProgram
@@ -128,9 +128,7 @@ def project_box(params, caps=None):
     ``caps`` overrides the box recorded in ``params`` (a ContractParams
     whose values are the upper corner, e.g. from ``alpha_max``).
     """
-    if caps is not None:
-        params = replace(params, max_x=caps.x, max_u=caps.u)
-    return params.clipped()
+    return params.clipped(caps)
 
 
 def _initial_params(caps, cfg):
@@ -138,8 +136,7 @@ def _initial_params(caps, cfg):
         return caps.copy()
     if cfg.init == "random":
         rng = np.random.default_rng(cfg.seed)
-        vec = caps.to_vector() * rng.uniform(0.0, 1.0, caps.to_vector().size)
-        return caps.from_vector(vec)
+        return caps.from_vector(caps.to_vector() * rng.uniform(0.0, 1.0, caps.to_vector().size))
     return caps.scaled(0.5)
 
 
@@ -296,21 +293,11 @@ def _template_to_json(template):
 
 
 def _template_from_json(data, network=None):
-    from .contracts import ContractTemplate
-
     lookup = {str(s): s for s in (network.sorted_ids() if network else [])}
-
-    def parse(block):
-        out = {}
-        for key, entries in block.items():
-            sid = lookup.get(key, key)
-            out[sid] = [(np.asarray(c, float), np.asarray(C, float))
-                        for c, C in entries]
-        return out
-
-    return ContractTemplate(state=parse(data["state"]),
-                            input=parse(data["input"]),
-                            is_bounds=bool(data["is_bounds"]))
+    state, inputs = ({lookup.get(key, key): [(np.asarray(c, float), np.asarray(C, float))
+                                             for c, C in entries]
+                      for key, entries in data[name].items()} for name in ("state", "input"))
+    return ContractTemplate(state=state, input=inputs, is_bounds=bool(data["is_bounds"]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +335,8 @@ class _LevelMaster:
 
     An evaluation with V_i(alpha_k) > 0 gives the cut
     V_i(alpha_k) + g_ik . (alpha - alpha_k) <= 0 over the entries that
-    subsystem i reads: V_i >= 0 is convex and g_ik is a subgradient, so every
+    subsystem i reads (its program's index array, ``PotentialEval.reads``):
+    V_i >= 0 is convex and g_ik is a subgradient, so every
     correct alpha (V = 0) satisfies every cut.  The next iterate is the point
     of {every cut <= 0} within [0, alpha_max] nearest to the current one in
     the L1 norm.
@@ -362,8 +350,6 @@ class _LevelMaster:
 
     def __init__(self, caps, tol):
         self.tol = tol
-        self._slots = caps.slots()
-        self._reads = {}  # sid -> vector indices of its gradient entries
         top = caps.to_vector()
         n = top.size
         lp = LinearProgram(name="master")
@@ -379,12 +365,6 @@ class _LevelMaster:
         self.lp = lp
         self.empty = False  # set once the cuts exclude the whole box
 
-    def _read_by(self, ev):
-        if ev.sid not in self._reads:
-            self._reads[ev.sid] = np.concatenate(
-                [_at(self._slots[(j, channel)], t) for j, channel, t in ev.grads])
-        return self._reads[ev.sid]
-
     def add_cuts(self, vec, res):
         """One cut per subsystem with V_i > 0 in ``res``, the evaluation at
         the parameter vector ``vec``."""
@@ -392,8 +372,7 @@ class _LevelMaster:
         for ev in res.evals.values():
             if ev.value <= 0.0:
                 continue
-            reads = self._read_by(ev)
-            g = np.concatenate(list(ev.grads.values()))
+            reads, g = ev.reads, ev.grad
             rows.append(np.full(len(reads) + 1, len(rhs)))
             cols.append(np.append(self.alpha[reads], self.relax))
             coefs.append(np.append(g, -1.0))
@@ -528,10 +507,11 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
             solutions=solutions, trace=trace,
             hint=None if status == "correct" else hint,
             correctness=correctness, network=network, template=tpl),
-        solver, wall0, phases, extract_attempts=attempts)
+        solver, wall0, phases, extract_attempts=attempts,
+        master_size=master.lp._size if master is not None else (0, 0, 0))
 
 
-def _finish(result, solver, wall0, phases, extract_attempts=0):
+def _finish(result, solver, wall0, phases, extract_attempts=0, master_size=(0, 0, 0)):
     """Stamp the solver totals and the per-phase wall seconds on ``result``.
 
     The phases: ``caps`` computes the box [0, alpha_max]; ``build`` makes
@@ -540,6 +520,10 @@ def _finish(result, solver, wall0, phases, extract_attempts=0):
     methods); ``master`` builds and solves the level rule's master LP;
     ``extract`` solves for the tubes and reads them back (compositional:
     every hard extraction attempt); ``certify`` is check_correctness.
+    ``max_lp_*`` is the largest LP solved, the level master included;
+    ``master_lp_*`` is the level master alone (0 without one).
+    ``solver_retries`` counts the solves re-run by the interior-point solver
+    after the simplex solver broke down.
     """
     result.timings = {
         "solve_seconds": solver.seconds,
@@ -551,6 +535,8 @@ def _finish(result, solver, wall0, phases, extract_attempts=0):
         "max_lp_rows": solver.max_rows,
         "max_lp_cols": solver.max_cols,
         "max_lp_nnz": solver.max_nnz,
+        **dict(zip(("master_lp_rows", "master_lp_cols", "master_lp_nnz"), master_size)),
+        "solver_retries": solver.retries,
         "extract_attempts": extract_attempts,
     }
     return result
@@ -624,15 +610,9 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
             if sol.status != lpcore.OPTIMAL:
                 raise lpcore.LpSolverError(f"centralized LP ended with {sol.status}")
 
-            x_vals, u_vals = {}, {}
-            for sid in ids:
-                x_vals[sid] = [np.maximum(sol.column_values(alphas[(sid, "x", t)]), 0.0)
-                               for t in range(len(tpl.state[sid]))]
-                if sid in tpl.input:
-                    u_vals[sid] = [np.maximum(sol.column_values(alphas[(sid, "u", t)]), 0.0)
-                                   for t in range(len(tpl.input[sid]))]
-            params = ContractParams(x=x_vals, u=u_vals,
-                                    max_x=caps.x, max_u=caps.u)
+            cols = [alphas[(sid, channel, t)] for channel, series in (("x", caps.x), ("u", caps.u))
+                    for sid, steps in series.items() for t in range(len(steps))]
+            params = caps.from_vector(np.maximum(sol.column_values(np.concatenate(cols)), 0.0))
             solutions = {
                 sid: _numeric_solution(sol, handles[sid])
                 for sid in ids

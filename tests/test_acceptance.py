@@ -164,15 +164,18 @@ def test_criterion_3_benchmark(capsys, tmp_path):
             and lp_nnz[0] < lp_nnz[1] < lp_nnz[2])
 
     # (c) compositional per-iteration solver time grows sub-quadratically in
-    # the subsystem count (one warm potential sweep per size, median of 5)
+    # the subsystem count (one warm potential sweep per size, median of 5).
+    # Each sweep moves every alpha a little: a program whose alpha did not
+    # move re-uses its last evaluation and solves nothing.
     sizes, times = [], []
     for n_subs in (5, 10, 20, 50):
         net = random_network(n_subs, lambda_for(2 * n_subs), seed=0)
         template = default_template(net)
         programs = build_programs(net, template)
-        params = alpha_max(net, template).scaled(0.5)
-        potential(programs, params)  # first evaluate pays LP assembly
-        reps = [potential(programs, params).solve_seconds for _ in range(5)]
+        caps = alpha_max(net, template)
+        potential(programs, caps.scaled(0.5))  # first evaluate pays LP assembly
+        reps = [potential(programs, caps.scaled(0.5 - 0.01 * r)).solve_seconds
+                for r in range(1, 6)]
         sizes.append(n_subs)
         times.append(float(np.median(reps)))
     exponent = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])

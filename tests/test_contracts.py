@@ -407,9 +407,8 @@ def test_extraction_programs_rewarm_like_fresh_ones():
                 fresh = build_programs(net, tpl)[sid].evaluate(probe)
                 warm = program.evaluate(probe)
                 assert warm.value == pytest.approx(fresh.value, abs=1e-9)
-                assert fresh.grads.keys() == warm.grads.keys()
-                for key, grad in fresh.grads.items():
-                    assert warm.grads[key] == pytest.approx(grad, abs=1e-9)
+                assert np.array_equal(fresh.reads, warm.reads)
+                assert warm.grad == pytest.approx(fresh.grad, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +609,7 @@ def test_sibling_started_first_solves_match_cold_ones(make_network):
             assert got == want
             continue
         assert got.value == pytest.approx(want.value, rel=1e-9, abs=1e-12)
-        assert got.grads.keys() == want.grads.keys()
+        assert np.array_equal(got.reads, want.reads)
 
 
 def test_sibling_started_group_members_differ_in_layout():
@@ -649,3 +648,107 @@ def test_group_of_one_starts_cold():
     with lpcore.track_solver_time() as tracker:
         potential(build_programs(net, tpl), alpha_max(net, tpl).scaled(0.5))
     assert (tracker.solves, tracker.cold_solves) == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# flat parameters, and evaluations re-used while their alphas do not move
+
+
+def _swept(programs, params):
+    """``potential`` at ``params`` and the solves it made."""
+    with lpcore.track_solver_time() as tracker:
+        res = potential(programs, params)
+    return res, tracker.solves
+
+
+def test_potential_twice_at_one_alpha_solves_once():
+    net = random_network(20, lambda_for(40), seed=0)
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    params = alpha_max(net, tpl).scaled(0.5)
+    first, solves = _swept(programs, params)
+    assert solves == len(programs)
+    again, solves = _swept(programs, params.copy())
+    assert solves == 0 and again.solve_seconds == 0.0
+    assert all(again.evals[sid] is first.evals[sid] for sid in programs)
+    assert again.value == first.value
+    assert again.grad.to_vector().tobytes() == first.grad.to_vector().tobytes()
+
+
+def test_extraction_and_infeasibility_force_a_re_solve():
+    net = finite_pair(coupling=2.0)
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    # subsystem i sees 2 * alpha_j + 0.1 and has no tube beyond 1
+
+    def set_pair(params, a1, a2):  # at every step
+        out = params.copy()
+        for sid, a in ((1, a1), (2, a2)):
+            out.x[sid] = [np.full(1, a) for _ in out.x[sid]]
+        return out
+
+    params = set_pair(alpha_max(net, tpl), 0.3, 0.3)
+    first, _ = _swept(programs, params)
+    assert first.value > 0  # no hard tubes here, but the instances are solved
+    with pytest.raises(PotentialInfeasible, match="hard extraction"):
+        extract_solutions(programs, params)
+    again, solves = _swept(programs, params)
+    assert solves == len(programs)
+    assert again.value == pytest.approx(first.value, abs=1e-9)
+    with pytest.raises(PotentialInfeasible, match="^subsystem 2: "):
+        potential(programs, set_pair(params, 1.0, 0.3))
+    back, solves = _swept(programs, params)
+    assert solves == len(programs) and back.evals[2] is not again.evals[2]
+    assert back.value == pytest.approx(first.value, abs=1e-9)
+
+
+def test_moving_one_entry_re_solves_only_its_readers():
+    net = random_network(20, lambda_for(40), seed=0)
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    params = alpha_max(net, tpl).scaled(0.5)
+    first, _ = _swept(programs, params)
+    vec = params.to_vector()
+    for entry in (0, vec.size // 2, vec.size - 1):
+        moved = vec.copy()
+        moved[entry] *= 0.9
+        res, solves = _swept(programs, params.from_vector(moved))
+        readers = {sid for sid, program in programs.items() if entry in program.reads}
+        assert 1 <= len(readers) < len(programs) and solves == len(readers)
+        assert all((res.evals[sid] is first.evals[sid]) == (sid not in readers)
+                   for sid in programs)
+        first, _ = _swept(programs, params)  # the readers solve back at params
+
+
+def test_parameters_of_another_layout_are_refused():
+    net = finite_pair(horizon=1)
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    caps = alpha_max(net, tpl)
+    # the pair's own layout, but one step short, or keyed by strings
+    short = ContractParams({1: caps.x[1][:1], 2: caps.x[2]}, {},
+                           {1: caps.max_x[1][:1], 2: caps.max_x[2]}, {})
+    with pytest.raises(ContractError, match=r"parameter block \(1, 'x'\) has entries "
+                                            r"per step \(1,\), expected \(1, 1\)"):
+        potential(programs, short)
+    loaded = ContractParams.from_json(caps.to_json())
+    with pytest.raises(ContractError, match=r"parameter block \(1, 'x'\)"):
+        potential(programs, loaded)
+    assert potential(programs, ContractParams.from_json(caps.to_json(), ids=[1, 2])).value >= 0
+    with pytest.raises(ContractError, match=r"parameter block \(1, 'x'\)"):
+        caps.clipped(short)
+    with pytest.raises(ContractError, match="negative alpha at \\(2, 'x', 1\\)\\[0\\]"):
+        bad = caps.copy()
+        bad.x[2][1][:] = -0.5
+        potential(programs, bad)
+
+
+def test_parameter_views_write_the_flat_vector():
+    net = finite_pair(horizon=1)
+    params = alpha_max(net, default_template(net)).scaled(0.5)
+    params.x[2] = [np.array([0.25]), np.array([0.75])]
+    params.x[1][1][:] = 0.125
+    assert params.to_vector() == pytest.approx([0.5, 0.125, 0.25, 0.75])
+    assert params.max_x[1][0] == pytest.approx([1.0])
+    with pytest.raises(ContractError, match="steps"):
+        params.x[1] = [np.array([0.5])]

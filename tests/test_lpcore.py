@@ -226,6 +226,61 @@ def test_solver_time_tracker_records_largest_model(backend):
     assert (tracker.max_rows, tracker.max_cols, tracker.max_nnz) == (3, 3, 6)
 
 
+class _BrokenSimplex:
+    """A HiGHS instance whose runs by any solver but IPM report ``status``,
+    as a simplex breakdown does."""
+
+    def __init__(self, solver, status):
+        self._solver, self._status, self.runs = solver, status, []
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+    def run(self):
+        self.runs.append(self._solver.getOptionValue("solver")[1])
+        return self._solver.run()
+
+    def getModelStatus(self):
+        return self._solver.getModelStatus() if self.runs[-1] == "ipm" else self._status
+
+
+def _breaking(monkeypatch, status):
+    new_highs = LinearProgram._new_highs
+    monkeypatch.setattr(LinearProgram, "_new_highs",
+                        lambda lp: _BrokenSimplex(new_highs(lp), status))
+    lp = LinearProgram("stub")
+    x = lp.var_block(2, lb=0.0)
+    lp.add_rows([0, 0, 1], [x[0], x[1], x[1]], [1.0, 1.0, 1.0], [2.0, 0.5], ">")
+    lp.set_costs(x, [1.0, 3.0])
+    return lp
+
+
+@pytest.mark.parametrize("status", ["kNotset", "kSolveError"])
+def test_simplex_breakdown_is_retried_once_by_ipm(monkeypatch, status):
+    lp = _breaking(monkeypatch, getattr(lpcore._hcore.HighsModelStatus, status))
+    with lpcore.track_solver_time() as tracker:
+        sol = lp.solve()
+        assert sol.status == lpcore.OPTIMAL
+        assert sol.objective == pytest.approx(1.5 + 1.5)  # x = (1.5, 0.5)
+        assert lp._solver.runs == ["choose", "ipm"]
+        # the options are put back: the next solve is a simplex one again
+        assert [lp._solver.getOptionValue(name)[1] for name in ("solver", "run_crossover")] \
+            == ["choose", "on"]
+        lp.set_col_bounds([1], 1.0, INF)
+        assert lp.solve().objective == pytest.approx(1.0 + 3.0)
+        assert lp._solver.runs == ["choose", "ipm", "choose", "ipm"]
+    assert (tracker.solves, tracker.retries) == (2, 2)
+
+
+def test_breakdown_of_the_retry_is_a_solver_error(monkeypatch):
+    lp = _breaking(monkeypatch, lpcore._hcore.HighsModelStatus.kSolveError)
+    monkeypatch.setattr(_BrokenSimplex, "getModelStatus", lambda self: self._status)
+    with lpcore.track_solver_time() as tracker:
+        with pytest.raises(lpcore.LpSolverError, match="kSolveError"):
+            lp.solve()
+    assert (tracker.solves, tracker.retries) == (1, 1)
+
+
 def test_against_vertex_enumeration_oracle(backend):
     rng = np.random.default_rng(2024)
     checked = 0

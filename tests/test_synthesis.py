@@ -5,6 +5,7 @@ derived by hand: V_i = max(0, coupling * alpha_j + d - alpha_i).
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 from types import SimpleNamespace
@@ -303,8 +304,9 @@ def test_master_infeasibility_fails_with_its_proof():
 
 
 def _cut(sid, value, grads):
-    return SimpleNamespace(sid=sid, value=value,
-                           grads={key: np.array([g]) for key, g in grads.items()})
+    """An evaluation whose gradient is ``grads``: vector entry -> dV_i/dalpha."""
+    return SimpleNamespace(sid=sid, value=value, reads=np.array(list(grads)),
+                           grad=np.array(list(grads.values())))
 
 
 def test_master_verdict_relaxes_the_cuts_by_tol():
@@ -316,8 +318,8 @@ def test_master_verdict_relaxes_the_cuts_by_tol():
     tol = 1e-6
     for gap, empty in ((0.5 * tol, False), (4 * tol, True)):
         master = synthesis._LevelMaster(caps, tol)
-        evals = {1: _cut(1, 0.5 * gap, {(1, "x", 0): 1.0, (2, "x", 0): -1.0}),
-                 2: _cut(2, 0.5 * gap, {(2, "x", 0): 1.0, (1, "x", 0): -1.0})}
+        evals = {1: _cut(1, 0.5 * gap, {0: 1.0, 1: -1.0}),  # entries: alpha_1, alpha_2
+                 2: _cut(2, 0.5 * gap, {1: 1.0, 0: -1.0})}
         master.add_cuts(at.to_vector(), SimpleNamespace(evals=evals))
         target = master.project(at.to_vector())
         assert (target is None) == empty
@@ -602,6 +604,14 @@ def test_report_json_lp_sizes(tmp_path, driver):
     # only the compositional method extracts tubes after a descent
     compositional = driver is compositional_synthesize
     assert timings["extract_attempts"] == (1 if compositional else 0)
+    # the level master is reported apart, and max_lp_* still counts it
+    master = [timings[f"master_lp_{key}"] for key in ("rows", "cols", "nnz")]
+    if compositional:
+        assert all(size > 0 for size in master)
+        assert timings["max_lp_rows"] >= master[0] and timings["max_lp_cols"] >= master[1]
+    else:
+        assert master == [0, 0, 0]
+    assert timings["solver_retries"] == 0
     # every containment is certified on the synthesis LP's own witness, and
     # every method re-checks its recursion
     assert report["correctness"]["ok"]
@@ -618,6 +628,13 @@ def test_report_json_lp_sizes(tmp_path, driver):
     assert (timings["master_seconds"] > 0) == compositional
     # the dense baseline has no contract parameters, so no caps
     assert (timings["caps_seconds"] > 0) == (driver is not centralized_dense)
+
+
+def test_subgradient_rule_reports_no_master():
+    res = compositional_synthesize(pair_network(coupling=0.9),
+                                   config=DescentConfig(rule="subgradient"))
+    assert res.ok and res.timings["max_lp_rows"] > 0
+    assert [res.timings[f"master_lp_{key}"] for key in ("rows", "cols", "nnz")] == [0, 0, 0]
 
 
 def test_trace_csv_header(tmp_path):
@@ -675,3 +692,35 @@ def test_cold_solves_are_one_per_group_and_the_master(tmp_path):
         assert json.load(fh)["timings"]["cold_solves"] == 2
     res = centralized_synthesize(pair_network(coupling=0.9))
     assert res.timings["cold_solves"] == res.timings["solves"] == 1
+
+
+# ---------------------------------------------------------------------------
+# golden descent digests: a change that claims "the same results" must keep
+# the iterates' trace, the parameters and the stored tubes bit for bit
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("make_network, iterations, solves, trace, params, tubes", [
+    (lambda: load_network("configs/case1.json"), 3, 18,
+     "4f1b621f241dc1ca6d547902daad9ebf6c4d8601a08044959356c26f58ac67dc",
+     "c617499eccf54ec60cfafab9e6207702c640e00514602768a7017073143e6fa2",
+     "462ca8b1ec47c383bccac61ee9e9f91ffc81ceb188c05b6822cc38b6fe219fc1"),
+    (lambda: random_network(20, lambda_for(40), seed=0), 1, 43,
+     "1f60c3dc8d90d749469219d1f284291bc177c17b1e012f310f3f87e0dbf214f0",
+     "6b67d9cea2f6e52dcac52c1224040ff60cc71e421e44c638c7c2099c70050f23",
+     "21f8c6eecc6dd9e6430370d3502ab279eda00c14360bacffacc13b03b513f0a4"),
+], ids=["case1", "geo40"])
+def test_level_descent_matches_golden_digest(make_network, iterations, solves, trace,
+                                             params, tubes):
+    res = compositional_synthesize(make_network(), config=DescentConfig(rule="level"))
+    assert res.ok
+    # the digests are those of the descent before unmoved evaluations were
+    # re-used, which cut the solves on geo40 from 61 to 43
+    assert (res.iterations, res.timings["solves"]) == (iterations, solves)
+    assert _sha(" ".join(float(v).hex() for row in res.trace for v in row)) == trace
+    assert _sha(" ".join(float(v).hex() for v in res.params.to_vector())) == params
+    assert _sha("\n".join(json.dumps(res.solutions[sid].to_json(), sort_keys=True)
+                          for sid in res.network.sorted_ids())) == tubes
