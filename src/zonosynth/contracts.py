@@ -684,8 +684,8 @@ class PotentialProgram:
 
         Solved on this program's own instance: the slack and its witness
         columns are fixed at 0 and the objective becomes sum |T|; both are
-        put back afterwards, so the next ``evaluate`` is unaffected but for
-        its warm start, and re-solves.
+        put back afterwards.  The next ``evaluate`` solves again, warm from
+        this solve's basis.
         """
         self._last = None
         self._fix(self._values(params))
