@@ -20,7 +20,7 @@ import numpy as np
 
 from .contracts import PotentialInfeasible, build_programs, potential
 from .geom import Zonotope, polygon_vertices_2d
-from .lpcore import LpSolverError, track_solver_time
+from .lpcore import LpSolverError
 from .sysmodel import ConfigError, load_network, random_network, save_network
 from .synthesis import (
     DescentConfig,
@@ -29,7 +29,6 @@ from .synthesis import (
     centralized_synthesize,
     compositional_synthesize,
 )
-from .viability import ViableSolution
 
 OK, FAILED, USAGE = 0, 1, 2
 
@@ -165,16 +164,14 @@ def _bench_worker(conn, dim, lam, seed, method):
     try:
         network = random_network(dim // 2, lam, seed=seed)
         start = time.perf_counter()
-        with track_solver_time() as tracker:
-            if method == "compositional":
-                result = compositional_synthesize(network)
-            elif method == "centralized-decentralized":
-                result = centralized_synthesize(network)
-            else:
-                result = centralized_dense(network)
+        if method == "compositional":
+            result = compositional_synthesize(network)
+        elif method == "centralized-decentralized":
+            result = centralized_synthesize(network)
+        else:
+            result = centralized_dense(network)
         wall = time.perf_counter() - start
-        solver = result.timings.get("solve_seconds", tracker.seconds) \
-            if result.timings else tracker.seconds
+        solver = result.timings["solve_seconds"]
         conn.send({"status": result.status, "solver": f"{solver:.4f}",
                    "wall": f"{wall:.4f}"})
     except Exception as exc:  # noqa: BLE001 - the row must report, not hang
@@ -291,9 +288,8 @@ def _emit_viable_sets(result, dims, outdir, grid):
     written = []
     for sid in sorted(result.solutions, key=str):
         sol = result.solutions[sid]
-        steps = sol.horizon + 1 if isinstance(sol, ViableSolution) else None
-        for t in (range(steps) if steps else (0,)):
-            om = sol.omega(t if steps else None)
+        for t in range(len(sol.T)):
+            om = sol.omega(t)
             if om.dim == 1:
                 lo = float(om.center[0] - np.abs(om.generators).sum())
                 hi = float(om.center[0] + np.abs(om.generators).sum())

@@ -55,8 +55,8 @@ from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff
 from .geom import directed_hausdorff  # noqa: F401
 from .lpcore import LinearProgram
 from .sysmodel import _at, _id_key  # _at: a one-entry list is constant in t
-from .viability import (RESIDUAL_TOL, RciSolution, ViableSolution, _abs_objective,
-                        add_recursion, recursion_residual)
+from .viability import (RESIDUAL_TOL, TubeSolution, _abs_objective, add_recursion,
+                        recursion_residual)
 
 ALPHA_CAP = 1e6
 
@@ -706,8 +706,8 @@ class PotentialProgram:
 
 
 def _numeric_solution(sol, handles):
-    """Read a solved subsystem LP back into a Viable/RciSolution, W_i from
-    the LP's own terms (:func:`_w_value`)."""
+    """Read a solved subsystem LP back into a TubeSolution, W_i from the
+    LP's own terms (:func:`_w_value`)."""
     h = handles
     T = [sol.column_values(Tt) for Tt in h.T]
     xbar = [sol.column_values(xt) for xt in h.xbar]
@@ -716,10 +716,7 @@ def _numeric_solution(sol, handles):
     W = [_w_value(sol, Wt) for Wt in h.W]
     size = float(sum(np.abs(Tt).sum() for Tt in T))
     witness = witness_values(sol, h.witness)
-    if len(T) > len(W):  # finite horizon: a tube per step and a terminal one
-        return ViableSolution("growing", T, xbar, M, ubar, W, size, witness)
-    return RciSolution(T[0], xbar[0], M[0] if M else None,
-                       ubar[0] if ubar else None, W[0], 0.0, None, size, witness)
+    return TubeSolution(T, xbar, M, ubar, W, 0.0, None, size, witness=witness)
 
 
 def extract_solutions(programs, params):

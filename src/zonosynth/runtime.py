@@ -12,12 +12,13 @@ or across the horizon (finite mode).
 whole network at once, with the sample axis last.  The states are one
 (n_total, S) array in ``sysmodel.stacked_slices`` order, and the update is
 one product with the aggregate A(t)/B(t), built once per distinct step.  The
-subsystems whose tubes share one shape over the run (n, m, k(t), p(t),
-whether they chain, whether the tail is diagonal) form a group, and the
-group's witnesses are one (g, k, S) block; a step makes a fixed number of
-numpy calls per group.  Each tube's step data (Omega(t+1), Theta(t), the
+subsystems whose tubes share one shape over the run (n, m, k(t), p(t), the
+witness shift, whether they chain, whether the tail is diagonal) form a
+group, and the group's witnesses are one (g, k, S) block; a step makes a
+fixed number of numpy calls per group.  Each tube's step data (Omega(t+1), Theta(t), the
 head/tail split, the tail's radii or pseudo-inverse) is stacked once per
-step index, once per run for an RCI tube.
+distinct index ``sysmodel._at`` reads from the tube's lists: once per step,
+and once per run for an invariant tube, whose lists have one entry.
 
 The witnesses chain along the loop: a state keeps its coordinates from the
 last step, and only the new tail block of Omega_i(t+1), the columns that
@@ -25,7 +26,7 @@ the disturbance generators became, is solved for.  A diagonal tail is
 divided out; any other tail takes a least-squares guess and, where that
 misses, a min-|zeta|_inf LP on the tail alone.  Every chained witness is
 checked (|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state
-whose chained witness fails, and every state of a contracted RCI tube
+whose chained witness fails, and every state of a contracted invariant tube
 (beta > 0 or an error term), is re-witnessed by the membership LP on the
 whole tube, one warm instance per tube step, subsystem by subsystem in
 sorted order; so is every start state of ``step`` and ``simulate``.  A
@@ -45,7 +46,6 @@ import numpy as np
 
 from . import sysmodel
 from .geom import Zonotope, contains_point
-from .viability import RciSolution, ViableSolution
 
 
 class OutsideViableSet(Exception):
@@ -73,7 +73,7 @@ def _num_steps(solutions, num_steps, verb):
     """``num_steps`` checked against the shortest horizon; None means that
     horizon, or 100 steps when every tube is invariant."""
     horizons = [sol.horizon for sol in solutions.values()
-                if isinstance(sol, ViableSolution)]
+                if sol.horizon is not None]
     cap = min(horizons) if horizons else None
     if num_steps is None:
         num_steps = cap if cap is not None else 100
@@ -189,15 +189,13 @@ def _chain_exact(sol):
     """Whether witnesses chain through the tube recursion for this solution.
 
     A growing tube appends the disturbance generators to Omega(t+1), and an
-    uncontracted RCI tube shifts its oldest columns out for them, so a
+    uncontracted invariant tube shifts its oldest columns out for them, so a
     state's coordinates carry over and only the tail block is new.  The
-    contracted fixed-point form (beta > 0 or an error term) rescales the
-    tube, so the concatenation identity no longer holds and membership must
-    be re-witnessed on the whole tube every step.
+    contracted fixed-point form (beta > 0 or an error term, never on a
+    finite tube) rescales the tube, so the concatenation identity no longer
+    holds and membership must be re-witnessed on the whole tube every step.
     """
-    if isinstance(sol, RciSolution):
-        return sol.beta == 0.0 and sol.E is None
-    return True
+    return sol.beta == 0.0 and sol.E is None
 
 
 def _norms(a):
@@ -222,29 +220,29 @@ def _diagonal(G):
     return G.shape[0] == G.shape[1] and not np.any(G - np.diag(np.diag(G)))
 
 
-def _tube_steps(rci, steps):
-    """The step indices whose tube data a run over ``steps`` stacks: the
-    first alone for an RCI tube, which is the same at every step."""
-    return list(steps)[:1] if rci else list(steps)
+def _tube_steps(sol, steps):
+    """The distinct ``_at`` indices of ``sol``'s lists over the run
+    ``steps``: 0 alone for a one-entry tube, which is the same at every
+    step."""
+    return [0] if len(sol.T) == 1 and steps else list(steps)
 
 
 def _shape(sol, sub, steps):
-    """What the members of a group share: RCI or not, n, m, the witness
-    width at the first step, and per step p(t), whether the witnesses
-    chain and whether the tail of Omega(t+1) is diagonal."""
-    rci = isinstance(sol, RciSolution)
-
-    def width(t):
-        return sol.k if rci else sol.T[t].shape[1]
-
+    """What the members of a group share: n, m, the witness width at the
+    first step, and per tube step i (a ``_tube_steps`` index) i, p(i), the
+    witness shift, whether the witnesses chain and whether the tail of
+    Omega(i+1) is diagonal.  The shift is the number of leading witness
+    columns a step drops: p for a one-entry tube, whose oldest columns make
+    room for the disturbance ones, and 0 otherwise."""
     per_step = []
-    for t in _tube_steps(rci, steps):
-        p = (sol.W if rci else sol.W[t]).num_generators
-        chained = (_chain_exact(sol)
-                   and width(t) - (p if rci else 0) == width(t + 1) - p)
-        tail = sol.omega(t + 1).generators[:, width(t + 1) - p:]
-        per_step.append((p, chained, chained and _diagonal(tail)))
-    return rci, sub.n, sub.m, width(steps.start), tuple(per_step)
+    for i in _tube_steps(sol, steps):
+        p = sysmodel._at(sol.W, i).num_generators
+        shift = p if len(sol.T) == 1 else 0
+        width, width_next = (sysmodel._at(sol.T, j).shape[1] for j in (i, i + 1))
+        chained = _chain_exact(sol) and width - shift == width_next - p
+        tail = sol.omega(i + 1).generators[:, width_next - p:]
+        per_step.append((i, p, shift, chained, chained and _diagonal(tail)))
+    return sub.n, sub.m, sysmodel._at(sol.T, steps.start).shape[1], tuple(per_step)
 
 
 class _TubeStep:
@@ -297,15 +295,14 @@ class _Group:
     """Subsystems whose tubes have one shape over the run; their witnesses
     are one (g, k, S) block, members in sorted-id order."""
 
-    def __init__(self, pos, rows, urows, rci, steps):
+    def __init__(self, pos, rows, urows, steps):
         self.pos = pos          # (g,) positions in sorted-id order
         self.rows = rows        # (g, n) rows of the stacked states
         self.urows = urows      # (g, m) rows of the stacked inputs
-        self.rci = rci
-        self._steps = steps     # t (None for an RCI tube) -> _TubeStep
+        self._steps = steps     # _TubeStep per index of the tubes' lists
 
     def at(self, t):
-        return self._steps[None if self.rci else t]
+        return sysmodel._at(self._steps, t)
 
 
 def _groups(network, solutions, ids, steps, state_slices, input_slices):
@@ -315,18 +312,18 @@ def _groups(network, solutions, ids, steps, state_slices, input_slices):
         key = _shape(solutions[sid], network.subsystem(sid), steps)
         buckets.setdefault(key, []).append(pos)
     groups = []
-    for (rci, n, m, _, per_step), pos in buckets.items():
+    for (n, m, _, per_step), pos in buckets.items():
         sols = [solutions[ids[i]] for i in pos]
-        tube_steps = {
-            None if rci else t: _TubeStep(
-                [sol.omega(t + 1) for sol in sols],
-                [sol.theta(t) for sol in sols] if m else None,
-                p, p if rci else 0, chained, diagonal)
-            for t, (p, chained, diagonal) in zip(_tube_steps(rci, steps), per_step)}
+        # indexed like the tubes' own lists; steps before the run stay None
+        tube_steps = [None] * (per_step[-1][0] + 1 if per_step else 0)
+        for t, p, shift, chained, diagonal in per_step:
+            tube_steps[t] = _TubeStep([sol.omega(t + 1) for sol in sols],
+                                      [sol.theta(t) for sol in sols] if m else None,
+                                      p, shift, chained, diagonal)
         first = np.array([[state_slices[ids[i]].start,
                            input_slices[ids[i]].start] for i in pos])
         groups.append(_Group(np.array(pos), first[:, :1] + np.arange(n),
-                             first[:, 1:] + np.arange(m), rci, tube_steps))
+                             first[:, 1:] + np.arange(m), tube_steps))
     return groups
 
 

@@ -122,15 +122,6 @@ class DescentConfig:
         _check_encoding(self.k, self.reduction_order)
 
 
-def project_box(params, caps=None):
-    """Euclidean projection of the parameters onto [0, alpha_max].
-
-    ``caps`` overrides the box recorded in ``params`` (a ContractParams
-    whose values are the upper corner, e.g. from ``alpha_max``).
-    """
-    return params.clipped(caps)
-
-
 def _initial_params(caps, cfg):
     if cfg.init == "max":
         return caps.copy()
@@ -266,7 +257,7 @@ class SynthesisResult:
                 raw = name[len("solution_"):-len(".json")]
                 sid = lookup.get(raw, raw)
                 with open(os.path.join(outdir, name)) as fh:
-                    solutions[sid] = viability.solution_from_json(json.load(fh))
+                    solutions[sid] = viability.TubeSolution.from_json(json.load(fh))
         trace = []
         with open(os.path.join(outdir, "trace.csv")) as fh:
             for row in csv.DictReader(fh):
@@ -310,7 +301,7 @@ def _line_step(programs, params, direction, s, cfg):
     or None after 60 halvings."""
     vec = params.to_vector()
     for _ in range(60):
-        cand = project_box(params.from_vector(vec + s * direction))
+        cand = params.from_vector(vec + s * direction).clipped()
         try:
             rc = potential(programs, cand)
         except PotentialInfeasible:
@@ -445,7 +436,7 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
         with phases("caps"):
             caps = alpha_max(network, tpl)
         with phases("build"):
-            params = project_box(_initial_params(caps, cfg), caps)
+            params = _initial_params(caps, cfg).clipped(caps)
             programs = build_programs(network, tpl, k=cfg.k,
                                       reduction_order=cfg.reduction_order)
         try:
@@ -654,10 +645,15 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     solution is stored under the key "aggregate".  It is stamped "correct"
     after its containments and its aggregate recursion are re-checked; a
     containment that fails its check ends the run "failed", with a hint
-    that names the set and the step.
+    that names the set and the step.  ``beta`` contracts the invariant tube
+    (see ``viability.rci``); a nonzero one on a finite network raises
+    ValueError.
     """
     _check_mode(network, mode)
     _check_encoding(k)
+    if network.mode == "finite" and beta:
+        raise ValueError(f"beta={beta}: beta contracts an invariant tube and "
+                         "applies only to an infinite network")
     wall0 = time.perf_counter()
     phases = _Phases()
 
@@ -667,13 +663,12 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
             if network.mode == "infinite":
                 n_total = agg.A[0].shape[0]
                 budget = k if k is not None else n_total + agg.D[0].num_generators
-                X, U = agg.X[0], agg.U[0]
-                lp, read = viability.rci_lp(agg.A[0], agg.B[0], agg.D[0], X, U,
-                                            k=budget, beta=beta)
+                lp, read = viability.rci_lp(agg.A[0], agg.B[0], agg.D[0], agg.X[0],
+                                            agg.U[0], k=budget, beta=beta)
             else:
-                X, U = list(agg.X), list(agg.U)
                 lp, read = viability.finite_viable_lp(list(agg.A), list(agg.B),
-                                                      list(agg.D), X, U, k=k or 0)
+                                                      list(agg.D), list(agg.X),
+                                                      list(agg.U), k=k or 0)
         with phases("extract"):
             sol = viability.solve_and_read(lp, read, lp.name)
 
@@ -683,7 +678,7 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     with phases("certify"):
         if sol is not None:
             try:
-                state, inputs, fallbacks = viability.certify_solution(sol, X, U)
+                state, inputs, fallbacks = viability.certify_solution(sol, agg.X, agg.U)
             except viability.CertificationError as exc:
                 hint = f"aggregate: {exc}; {RETRY_HINT}"
             else:

@@ -21,7 +21,13 @@ Feasibility is encoded exactly by linear constraints:
 * infinite horizon (``rci``): ``[A T + B M, G_w] = [E, T]`` with the wiggle
   room Z(0, E) inside beta-scaled disturbance generators; the invariant set
   is Omega = Z(xbar, (1-beta)^-1 T) around the fixed point
-  A xbar + B ubar + wbar = xbar.  ``simplified=True`` pins E = 0, beta = 0.
+  A xbar + B ubar + wbar = xbar.  At beta = 0 there is no E.
+
+Both return one :class:`TubeSolution`: per-step lists, where the invariant
+set is the one-entry list (the same at every t, as for a constant field of
+a ``sysmodel`` network).  Certification and the recursion residual read the
+next tube as the entry at t + 1, which for a one-entry list is the tube
+itself.
 
 The objective min sum |T entries| shrinks the sets (an LP surrogate for the
 generator norms); infeasibility is a *result* (None), not an error.  All
@@ -42,6 +48,7 @@ from . import lpcore
 from .geom import (Zonotope, _join, _union, add_scaled_containment, affine,
                    certified_hausdorff, numbers, witness_values)
 from .lpcore import LinearProgram
+from .sysmodel import _at
 
 
 #: largest recursion residual a certified solution may have
@@ -178,16 +185,29 @@ def _certify(inner, outer, what, witness=None, tol=1e-7):
 
 
 @dataclass
-class ViableSolution:
-    """Finite-horizon result: Omega(t) = Z(xbar[t], T[t]), Theta(t) = Z(ubar[t], M[t])."""
+class TubeSolution:
+    """A synthesized tube: Omega(t) = Z(xbar[t], sigma T[t]) and Theta(t) =
+    Z(ubar[t], sigma M[t]), sigma = 1/(1 - beta), computed against the
+    disturbance sets W[t].
 
-    template: str  # "growing" | "fixed"
+    Every list holds one entry per step, and a one-entry list is the same at
+    every t (read with ``sysmodel._at``).  A finite tube has h + 1 entries of
+    T and xbar (the last is the terminal set) and h of the others, beta 0
+    and E None; an invariant (RCI) tube has one entry each, and its
+    recursion reads ``[A T + B M, G_w] = [E, T]``.
+    """
+
     T: list
     xbar: list
     M: list | None
     ubar: list | None
-    W: list  # the disturbance sets the solution was computed against
+    W: list
+    beta: float
+    E: np.ndarray | None
     objective: float
+    #: how a finite tube's width evolves, "growing" | "fixed"; saved only
+    #: for a finite tube
+    template: str = "growing"
     #: the synthesis LP's containment witnesses [Lam lam], keyed by the
     #: containment as in ``contracts.check_correctness`` ("inC3", "term",
     #: "inU0", ...); certification checks them first.  Never serialized: a
@@ -196,97 +216,53 @@ class ViableSolution:
 
     @property
     def horizon(self):
-        return len(self.T) - 1
-
-    def omega(self, t):
-        return Zonotope(self.xbar[t], self.T[t])
-
-    def theta(self, t):
-        if self.M is None:
-            raise ValueError("no inputs in this system")
-        return Zonotope(self.ubar[t], self.M[t])
-
-    def to_json(self):
-        return {
-            "kind": "viable",
-            "template": self.template,
-            "T": [T.tolist() for T in self.T],
-            "xbar": [x.tolist() for x in self.xbar],
-            "M": None if self.M is None else [M.tolist() for M in self.M],
-            "ubar": None if self.ubar is None else [u.tolist() for u in self.ubar],
-            "W": [w.to_json() for w in self.W],
-            "objective": self.objective,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            data["template"],
-            [np.asarray(T, dtype=float) for T in data["T"]],
-            [np.asarray(x, dtype=float) for x in data["xbar"]],
-            None if data["M"] is None else [np.asarray(M, dtype=float) for M in data["M"]],
-            None if data["ubar"] is None else [np.asarray(u, dtype=float) for u in data["ubar"]],
-            [Zonotope.from_json(w) for w in data["W"]],
-            data["objective"],
-        )
-
-
-@dataclass
-class RciSolution:
-    """Infinite-horizon result: Omega = Z(xbar, sigma T) with sigma = 1/(1-beta)."""
-
-    T: np.ndarray
-    xbar: np.ndarray
-    M: np.ndarray | None
-    ubar: np.ndarray | None
-    W: Zonotope
-    beta: float
-    E: np.ndarray | None
-    objective: float
-    #: containment witnesses, as for ViableSolution ("inC0", "inU0")
-    witness: dict | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def k(self):
-        return self.T.shape[1]
+        """h for a finite tube, None for an invariant one."""
+        return None if len(self.T) == 1 else len(self.T) - 1
 
     @property
     def sigma(self):
         return 1.0 / (1.0 - self.beta)
 
-    def omega(self, t=None):
-        return Zonotope(self.xbar, self.sigma * self.T)
+    def omega(self, t=0):
+        return Zonotope(_at(self.xbar, t), self.sigma * _at(self.T, t))
 
-    def theta(self, t=None):
+    def theta(self, t=0):
         if self.M is None:
             raise ValueError("no inputs in this system")
-        return Zonotope(self.ubar, self.sigma * self.M)
+        return Zonotope(_at(self.ubar, t), self.sigma * _at(self.M, t))
 
     def to_json(self):
-        return {
-            "kind": "rci",
-            "T": self.T.tolist(),
-            "xbar": self.xbar.tolist(),
-            "M": None if self.M is None else self.M.tolist(),
-            "ubar": None if self.ubar is None else self.ubar.tolist(),
-            "W": self.W.to_json(),
-            "beta": self.beta,
-            "E": None if self.E is None else self.E.tolist(),
-            "objective": self.objective,
-        }
+        """The "viable" layout (lists per step) for a finite tube, the "rci"
+        layout (single entries, beta and E) for an invariant one."""
+        rci = self.horizon is None
+
+        def dump(seq, write=np.ndarray.tolist):
+            if seq is None:
+                return None
+            return write(seq[0]) if rci else [write(x) for x in seq]
+
+        data = {"kind": "rci"} if rci else {"kind": "viable", "template": self.template}
+        data.update(T=dump(self.T), xbar=dump(self.xbar), M=dump(self.M),
+                    ubar=dump(self.ubar), W=dump(self.W, Zonotope.to_json))
+        if rci:
+            data.update(beta=self.beta, E=None if self.E is None else self.E.tolist())
+        data["objective"] = self.objective
+        return data
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            np.asarray(data["T"], dtype=float),
-            np.asarray(data["xbar"], dtype=float),
-            None if data["M"] is None else np.asarray(data["M"], dtype=float),
-            None if data["ubar"] is None else np.asarray(data["ubar"], dtype=float),
-            Zonotope.from_json(data["W"]),
-            data["beta"],
-            None if data["E"] is None else np.asarray(data["E"], dtype=float),
-            data["objective"],
-        )
+        rci = data["kind"] == "rci"
+
+        def load(value, read=lambda v: np.asarray(v, dtype=float)):
+            if value is None:
+                return None
+            return [read(value)] if rci else [read(v) for v in value]
+
+        E = data.get("E")
+        return cls(load(data["T"]), load(data["xbar"]), load(data["M"]),
+                   load(data["ubar"]), load(data["W"], Zonotope.from_json),
+                   data.get("beta", 0.0), None if E is None else np.asarray(E, dtype=float),
+                   data["objective"], data.get("template", "growing"))
 
 
 def certify_solution(solution, X, U):
@@ -294,10 +270,10 @@ def certify_solution(solution, X, U):
 
     Each containment is accepted on the solution's own witness when its
     Hausdorff bound is within tolerance, and otherwise decided by the
-    Hausdorff LP.  ``X``/``U`` are the per-step sequences for a
-    ViableSolution and single sets for an RciSolution.  Raises
-    CertificationError on a violation; returns the largest Omega and Theta
-    margins and the number of containments the LP decided.
+    Hausdorff LP.  ``X``/``U`` are per-step sequences, one entry for an
+    invariant tube.  Raises CertificationError on a violation; returns the
+    largest Omega and Theta margins and the number of containments the LP
+    decided.
     """
     witness = solution.witness or {}
     margins, fallbacks = [0.0, 0.0], 0
@@ -308,16 +284,10 @@ def certify_solution(solution, X, U):
         margins[channel] = max(margins[channel], margin)
         fallbacks += lp
 
-    if isinstance(solution, RciSolution):
-        check(0, solution.omega(), X, "Omega in X", "inC0")
-        if solution.M is not None:
-            check(1, solution.theta(), U, "Theta in U", "inU0")
-    else:
-        for t in range(solution.horizon + 1):
-            check(0, solution.omega(t), X[t], f"Omega({t}) in X({t})", f"inC{t}")
-        if solution.M is not None:
-            for t in range(solution.horizon):
-                check(1, solution.theta(t), U[t], f"Theta({t}) in U({t})", f"inU{t}")
+    for t in range(len(solution.T)):
+        check(0, solution.omega(t), _at(X, t), f"Omega({t}) in X({t})", f"inC{t}")
+    for t in range(len(solution.M or ())):
+        check(1, solution.theta(t), _at(U, t), f"Theta({t}) in U({t})", f"inU{t}")
     return margins[0], margins[1], fallbacks
 
 
@@ -325,36 +295,25 @@ def recursion_residual(solution, A_seq, B_seq):
     """Largest entry of the recursion and center residuals of ``solution``.
 
     ``A_seq``/``B_seq`` hold the system matrices per step (one step for an
-    RciSolution).  The residuals are ``[A T + B M, G_w] - R`` with R the
+    invariant tube).  The residuals are ``[A T + B M, G_w] - R`` with R the
     next tube (growing template), ``[0, T(t+1)]`` (fixed) or ``[E, T]``
-    (RCI, E = 0 when simplified), and ``A xbar + B ubar + w_c`` minus the
-    next (or, for RCI, the same) center.
+    (invariant, E = 0 when absent), and ``A xbar + B ubar + w_c`` minus the
+    next center (for an invariant tube, the same one).
     """
-    finite = isinstance(solution, ViableSolution)
     res = 0.0
-    for t in range(solution.horizon if finite else 1):
-        def at(series):
-            return series[t] if finite else series
-        W = at(solution.W)
-        flow = A_seq[t] @ at(solution.T)
-        drift = A_seq[t] @ at(solution.xbar)
+    for t, W in enumerate(solution.W):
+        flow = A_seq[t] @ solution.T[t]
+        drift = A_seq[t] @ solution.xbar[t]
         if solution.M is not None:
-            flow = flow + B_seq[t] @ at(solution.M)
-            drift = drift + B_seq[t] @ at(solution.ubar)
-        T_next = solution.T[t + 1] if finite else solution.T
-        x_next = solution.xbar[t + 1] if finite else solution.xbar
+            flow = flow + B_seq[t] @ solution.M[t]
+            drift = drift + B_seq[t] @ solution.ubar[t]
+        T_next, x_next = _at(solution.T, t + 1), _at(solution.xbar, t + 1)
         lhs = np.hstack([flow, W.generators])
         left = lhs.shape[1] - T_next.shape[1]
-        E = getattr(solution, "E", None)
-        rhs = np.hstack([np.zeros((len(x_next), left)) if E is None else E, T_next])
-        res = max(res, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+        E = np.zeros((len(x_next), left)) if solution.E is None else solution.E
+        res = max(res, float(np.max(np.abs(lhs - np.hstack([E, T_next])), initial=0.0)))
         res = max(res, float(np.max(np.abs(drift + W.center - x_next))))
     return res
-
-
-def solution_from_json(data):
-    return ViableSolution.from_json(data) if data["kind"] == "viable" \
-        else RciSolution.from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +332,7 @@ def solve_and_read(lp, read, what):
 
 def finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing", x0=None):
     """The LP of :func:`finite_viable`, and ``read(sol)`` that turns an
-    optimal solution of it into a ViableSolution."""
+    optimal solution of it into a TubeSolution."""
     h = len(A_seq)
     if not (len(B_seq) == len(W_seq) == len(U_seq) == h and len(X_seq) == h + 1):
         raise ValueError("sequence lengths disagree with the horizon")
@@ -421,14 +380,12 @@ def finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing", x
     lp.set_costs(_abs_objective(lp, T), 1.0)
 
     def read(sol):
-        return ViableSolution(
-            template,
+        return TubeSolution(
             [sol.column_values(Tt) for Tt in T],
             [sol.column_values(xt) for xt in xbar],
             [sol.column_values(Mt) for Mt in M] if m else None,
             [sol.column_values(ut) for ut in ubar] if m else None,
-            list(W_seq),
-            sol.objective,
+            list(W_seq), 0.0, None, sol.objective, template,
             witness_values(sol, witness),
         )
 
@@ -456,15 +413,11 @@ def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
 # infinite horizon
 
 
-def rci_lp(A, B, W, X, U, k, beta=0.0, simplified=None):
+def rci_lp(A, B, W, X, U, k, beta=0.0):
     """The LP of :func:`rci`, and ``read(sol)`` that turns an optimal
-    solution of it into an RciSolution."""
+    solution of it into a one-entry TubeSolution."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
-    if simplified is None:
-        simplified = beta == 0.0
-    if simplified and beta != 0.0:
-        raise ValueError("simplified variant requires beta = 0")
     n = A.shape[0]
     m = B.shape[1]
     p = W.num_generators
@@ -475,7 +428,7 @@ def rci_lp(A, B, W, X, U, k, beta=0.0, simplified=None):
     xbar = lp.var_block(n)
     M = lp.var_block((m, k)) if m else None
     ubar = lp.var_block(m) if m else None
-    E = None if simplified else lp.var_block((n, p))
+    E = None if beta == 0.0 else lp.var_block((n, p))
 
     add_recursion(lp, A, B, T, M, xbar, ubar, numeric_w(W), T, xbar, E=E)
     if E is not None:
@@ -488,31 +441,30 @@ def rci_lp(A, B, W, X, U, k, beta=0.0, simplified=None):
     lp.set_costs(_abs_objective(lp, [T]), 1.0)
 
     def read(sol):
-        return RciSolution(
-            sol.column_values(T),
-            sol.column_values(xbar),
-            sol.column_values(M) if m else None,
-            sol.column_values(ubar) if m else None,
-            W,
-            beta,
+        return TubeSolution(
+            [sol.column_values(T)],
+            [sol.column_values(xbar)],
+            [sol.column_values(M)] if m else None,
+            [sol.column_values(ubar)] if m else None,
+            [W], beta,
             None if E is None else sol.column_values(E),
             sol.objective,
-            witness_values(sol, witness),
+            witness=witness_values(sol, witness),
         )
 
     return lp, read
 
 
-def rci(A, B, W, X, U, k, beta=0.0, simplified=None):
+def rci(A, B, W, X, U, k, beta=0.0):
     """Robust control invariant set; None if infeasible at this (k, beta).
 
-    ``simplified`` defaults to True exactly when ``beta == 0``; it drops the
-    wiggle generators E (forcing the disturbance columns to be reproduced by
-    T itself).  With ``beta > 0`` the full variant is used and the returned
-    set is inflated by sigma = 1/(1-beta).
+    At ``beta == 0`` there are no wiggle generators E: the disturbance
+    columns must be reproduced by T itself.  With ``beta > 0`` the E
+    columns enter, bounded by beta W, and the returned set is inflated by
+    sigma = 1/(1-beta).
     """
-    lp, read = rci_lp(A, B, W, X, U, k, beta, simplified)
+    lp, read = rci_lp(A, B, W, X, U, k, beta)
     result = solve_and_read(lp, read, "RCI")
     if result is not None:
-        certify_solution(result, X, U)
+        certify_solution(result, [X], [U])
     return result

@@ -539,10 +539,8 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="gro
     return lp
 
 
-def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0, simplified=None):
+def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0):
     """Row-at-a-time reference for ``viability.rci_lp``'s LP."""
-    if simplified is None:
-        simplified = beta == 0.0
     n = A.shape[0]
     m = B.shape[1]
     p = W.num_generators
@@ -553,7 +551,7 @@ def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0, simplified=None):
     xbar = var_array(lp, n)
     M = var_array(lp, (m, k)) if m else None
     ubar = var_array(lp, m) if m else None
-    E = None if simplified else var_array(lp, (n, p))
+    E = None if beta == 0.0 else var_array(lp, (n, p))
     Gw = W.generators
     _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar,
                             [[float(v) for v in Gw[:, j]] for j in range(p)], W.center,
@@ -869,7 +867,6 @@ def _rewitness_per_subsystem(network, solutions, t, states, zeta, alive, report)
     in sorted order: chained tail, tail LP, tube LP."""
     from zonosynth.geom import Zonotope, contains_point
     from zonosynth.runtime import _chain_exact
-    from zonosynth.viability import RciSolution
 
     def lp_witness(Z, points):
         if Z.num_generators:
@@ -878,11 +875,11 @@ def _rewitness_per_subsystem(network, solutions, t, states, zeta, alive, report)
 
     for sid in network.sorted_ids():
         sol = solutions[sid]
-        rci = isinstance(sol, RciSolution)
+        rci = sol.horizon is None
         om_next = sol.omega(t + 1)
         G = om_next.generators
         k_next = G.shape[1]
-        p = (sol.W if rci else sol.W[t]).num_generators
+        p = (sol.W[0] if rci else sol.W[t]).num_generators
         base = zeta[sid][:, p:] if rci else zeta[sid]
         chained = _chain_exact(sol) and base.shape[1] == k_next - p
         new_zeta = np.zeros((len(alive), k_next))
@@ -1092,11 +1089,11 @@ DEFAULT_BETA_GRID = tuple(round(0.1 * i, 1) for i in range(10))
 
 
 def rci_beta_grid(A, B, W, X, U, k, betas=DEFAULT_BETA_GRID):
-    """First feasible RCI over a beta grid (beta=0 tried in simplified form)."""
+    """First feasible RCI over a beta grid (beta=0 tried without E)."""
     from zonosynth.viability import rci
 
     for beta in betas:
-        sol = rci(A, B, W, X, U, k, beta=beta, simplified=None if beta else True)
+        sol = rci(A, B, W, X, U, k, beta=beta)
         if sol is not None:
             return sol
     return None

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from zonosynth import cli, lpcore
 from zonosynth.cli import lambda_for, main
+from zonosynth.synthesis import SynthesisResult
 from zonosynth.sysmodel import load_network
 
 
@@ -111,6 +113,38 @@ def test_synth_mode_mismatch_exits_two(capsys):
 def test_synth_beta_needs_dense_method(capsys):
     code = main(["synth", "--config", "configs/case1.json", "--beta", "0.2"])
     assert code == 2
+    capsys.readouterr()
+    # a finite network has no invariant tube for beta to contract
+    code = main(["synth", "--config", "configs/case2.json", "--method", "dense",
+                 "--beta", "0.5"])
+    assert code == 2
+    assert "beta=0.5" in capsys.readouterr().err
+
+
+def assert_solutions_rewrite_unchanged(outdir):
+    """Every solution of a saved result loads and writes its file again
+    byte for byte."""
+    result = SynthesisResult.load(outdir)
+    for sid, sol in (result.solutions or {}).items():
+        text = (outdir / f"solution_{sid}.json").read_text()
+        assert json.dumps(sol.to_json()) == text, sid
+
+
+@pytest.mark.parametrize("method", ["compositional", "centralized", "dense"])
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_synth_every_method_on_every_shipped_config(tmp_path, capsys, case, method):
+    out = tmp_path / case
+    code = main(["synth", "--config", f"configs/{case}.json", "--method", method,
+                 "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert "status: " in printed
+    assert code == 0 or (code == 1 and "hint: " in printed)
+    assert_solutions_rewrite_unchanged(out)
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_committed_results_rewrite_unchanged(case):
+    assert_solutions_rewrite_unchanged(pathlib.Path("results") / case)
 
 
 @pytest.mark.parametrize("method,flag,order", [

@@ -30,7 +30,7 @@ from zonosynth import lpcore
 from zonosynth.cli import lambda_for
 from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
 from zonosynth.sysmodel import load_network, random_network
-from zonosynth.viability import RciSolution
+from zonosynth.viability import TubeSolution
 
 
 def interval_sub(sid, other, a_self=0.0, b=1.0, coupling=0.5, d=0.1, x=1.0, u=1.0):
@@ -221,14 +221,14 @@ def test_reduced_w_matches_order_reduce_box_at_alpha_max():
     for order in (1, 2, None):
         programs = build_programs(net, tpl, reduction_order=order)
         # the W a solution reads back from its program's own terms
-        reduced = potential(programs, params).evals[1].solution.W
+        reduced = potential(programs, params).evals[1].solution.W[0]
         oracle = order_reduce_box(exact, order)
         assert reduced.center == pytest.approx(oracle.center)
         assert reduced.generators == pytest.approx(oracle.generators)
         # at other alphas the reduction is still an outer approximation
         for sid, ev in potential(programs, shrunk).evals.items():
             exact6 = oracles.augmented_disturbance(net, tpl, shrunk, sid, 0)
-            assert directed_hausdorff(ev.solution.W, exact6) <= 1e-9
+            assert directed_hausdorff(ev.solution.W[0], exact6) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_potential_solution_is_built_lazily_from_its_own_evaluation(make_network
     # each W is the boxed augmented disturbance at the parameters evaluated
     for sid, sol in eager.items():
         for t in range(net.num_steps):
-            got = sol.W[t] if isinstance(sol.W, list) else sol.W
+            got = sol.W[t]
             want = order_reduce_box(oracles.augmented_disturbance(net, tpl, kept, sid, t), 1)
             assert np.array_equal(got.center, want.center)
             assert got.generators == pytest.approx(want.generators, abs=1e-15)
@@ -501,8 +501,8 @@ def test_check_correctness_flags_tampered_solution():
     params = alpha_max(net, tpl).scaled(0.5)
     res = potential(programs, params)
     good = res.solutions[1]
-    bad = RciSolution(good.T, good.xbar + 5.0, good.M, good.ubar, good.W,
-                      good.beta, good.E, good.objective)
+    bad = TubeSolution(good.T, [good.xbar[0] + 5.0], good.M, good.ubar, good.W,
+                       good.beta, good.E, good.objective)
     report = check_correctness(net, tpl, params, {1: bad, 2: res.solutions[2]})
     assert not report.ok
     assert any("escapes" in f or "residual" in f for f in report.failures)
@@ -520,9 +520,8 @@ def test_check_correctness_rejects_tampering_past_the_witness(make_network):
 
     # the kept witness still proves the old center, so its bound misses and
     # the Hausdorff LP measures the escape
-    finite = isinstance(good.xbar, list)
-    shifted = dataclasses.replace(
-        good, xbar=[x + 0.3 for x in good.xbar] if finite else good.xbar + 0.3)
+    finite = good.horizon is not None
+    shifted = dataclasses.replace(good, xbar=[x + 0.3 for x in good.xbar])
     report = check_correctness(net, tpl, params, {**sols, 1: shifted})
     assert not report.ok and report.lp_fallbacks >= 1
     assert "1: Omega" in " ".join(report.failures)
@@ -557,7 +556,7 @@ def test_case1_potential_smoke():
     res = potential(programs, params)
     assert np.isfinite(res.value) and res.value >= -1e-12
     assert res.grad.to_vector().shape == (6,)
-    assert isinstance(res.solutions[1], RciSolution)
+    assert res.solutions[1].horizon is None
     assert res.solve_seconds >= 0.0
 
 

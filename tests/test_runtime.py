@@ -31,7 +31,7 @@ from zonosynth.sysmodel import (
     load_network,
     random_network,
 )
-from zonosynth.viability import ViableSolution, rci
+from zonosynth.viability import TubeSolution, rci
 
 
 @pytest.fixture(scope="module")
@@ -471,10 +471,10 @@ def test_witness_losses_count_chain_misses_the_tube_lp_rewitnesses(w_gens):
             "couplings": [],
         }],
     })
-    sol = ViableSolution(
-        "growing", [np.array([[1.0]]), np.array([[0.5, *w_gens]])],
+    sol = TubeSolution(
+        [np.array([[1.0]]), np.array([[0.5, *w_gens]])],
         [np.zeros(1), np.zeros(1)], [np.zeros((1, 1))], [np.zeros(1)],
-        [Zonotope([0.0], [w_gens])], 0.0)
+        [Zonotope([0.0], [w_gens])], 0.0, None, 0.0)
     samples = 64
     report = verify_invariance(net, {"s": sol}, num_samples=samples, seed=0)
     assert report.witness_losses > 0 and report.violations > 0
@@ -505,10 +505,10 @@ def test_chained_witness_must_reconstruct_the_state(w_gens):
             "couplings": [],
         }],
     })
-    sol = ViableSolution(
-        "growing", [np.eye(2), np.hstack([0.5 * np.eye(2), w_gens])],
+    sol = TubeSolution(
+        [np.eye(2), np.hstack([0.5 * np.eye(2), w_gens])],
         [np.zeros(2), np.zeros(2)], [np.zeros((1, 2))], [np.zeros(1)],
-        [Zonotope([0.0, 0.0], w_gens)], 0.0)
+        [Zonotope([0.0, 0.0], w_gens)], 0.0, None, 0.0)
     report = verify_invariance(net, {"s": sol}, num_samples=64, seed=0)
     assert report.witness_losses > 0 and report.violations > 0
 
@@ -551,7 +551,7 @@ def mixed():
     net = mixed_network()
     result = compositional_synthesize(net)
     assert result.ok
-    shapes = {(net.subsystem(sid).n, net.subsystem(sid).m, sol.k)
+    shapes = {(net.subsystem(sid).n, net.subsystem(sid).m, sol.T[0].shape[1])
               for sid, sol in result.solutions.items()}
     assert shapes == {(1, 1, 2), (2, 1, 4), (2, 0, 4)}
     return net, result

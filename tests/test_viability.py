@@ -9,14 +9,12 @@ from oracles import escalate_k, interval_hull, rci_beta_grid
 from zonosynth.geom import Zonotope, contains_point
 from zonosynth.viability import (
     CertificationError,
-    RciSolution,
-    ViableSolution,
+    TubeSolution,
     _certify,
     certify_solution,
     finite_viable,
     rci,
     recursion_residual,
-    solution_from_json,
 )
 
 
@@ -36,10 +34,10 @@ def test_rci_deadbeat_1d():
     sol = rci(A, B, zono([0], [[0.3]]), zono([0], [[1.0]]), zono([0], [[1.0]]), k=1)
     assert sol is not None
     assert sol.objective == pytest.approx(0.3, abs=1e-9)
-    assert sol.T == pytest.approx(np.array([[0.3]]), abs=1e-9)
-    assert sol.M == pytest.approx(np.array([[-0.3]]), abs=1e-9)
+    assert sol.T[0] == pytest.approx(np.array([[0.3]]), abs=1e-9)
+    assert sol.M[0] == pytest.approx(np.array([[-0.3]]), abs=1e-9)
     # the fixed-point equation pins ubar = 0 but leaves the center free
-    assert sol.ubar == pytest.approx(np.array([0.0]), abs=1e-9)
+    assert sol.ubar[0] == pytest.approx(np.array([0.0]), abs=1e-9)
     lo, hi = interval_hull(sol.omega())
     assert hi - lo == pytest.approx([0.6], abs=1e-8)
     assert lo[0] >= -1.0 - 1e-8 and hi[0] <= 1.0 + 1e-8
@@ -54,8 +52,9 @@ def test_rci_respects_input_bounds():
 
 
 # ---------------------------------------------------------------------------
-# autonomous 0.5-contraction: the simplified variant cannot see the true
-# invariant interval [-1, 1], the beta-inflated variant recovers it exactly
+# autonomous 0.5-contraction: the beta = 0 variant (no E) cannot see the
+# true invariant interval [-1, 1], the beta-inflated variant recovers it
+# exactly
 
 
 CONTRACTION = dict(
@@ -102,8 +101,6 @@ def test_rci_argument_validation():
             CONTRACTION["X"], CONTRACTION["U"])
     with pytest.raises(ValueError, match="beta"):
         rci(*args, k=1, beta=1.0)
-    with pytest.raises(ValueError, match="simplified"):
-        rci(*args, k=1, beta=0.5, simplified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +224,12 @@ def test_recursion_residual_reads_every_template():
         assert recursion_residual(sol, A, B) <= 1e-9
     shifted = [T.copy() for T in growing.T]
     shifted[1] += 1e-3
-    broken = ViableSolution("growing", shifted, growing.xbar, growing.M, growing.ubar,
-                            growing.W, growing.objective)
+    broken = TubeSolution(shifted, growing.xbar, growing.M, growing.ubar, growing.W,
+                          0.0, None, growing.objective)
     assert recursion_residual(broken, A_fin, B_fin) == pytest.approx(1e-3)
     assert np.abs(wiggled.E).max() > 0.1
-    no_wiggle = RciSolution(wiggled.T, wiggled.xbar, None, None, wiggled.W, 0.5, None,
-                            wiggled.objective)
+    no_wiggle = TubeSolution(wiggled.T, wiggled.xbar, None, None, wiggled.W, 0.5, None,
+                             wiggled.objective)
     assert recursion_residual(no_wiggle, [CONTRACTION["A"]], [CONTRACTION["B"]]) > 0.1
 
 
@@ -254,7 +251,7 @@ def test_rci_2d_needs_escalation_past_k2():
     assert rci(*args, k=2) is None
     sol, k = escalate_k(lambda k: rci(*args, k=k), n=2)
     assert sol is not None and k == 4
-    assert sol.k == 4
+    assert sol.T[0].shape[1] == 4
 
 
 def test_escalation_gives_up_at_cap():
@@ -282,10 +279,10 @@ def test_certify_solution_reads_the_lp_witnesses_first():
                        x0=zono([0.5], [[0.1]])), FIN["X"], FIN["U"],
          {"inC0", "inC1", "inC2", "term", "inU0", "inU1"}),
         (rci(PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"],
-             PLANT2D["U"], k=4), PLANT2D["X"], PLANT2D["U"], {"inC0", "inU0"}),
+             PLANT2D["U"], k=4), [PLANT2D["X"]], [PLANT2D["U"]], {"inC0", "inU0"}),
         (rci(CONTRACTION["A"], CONTRACTION["B"], CONTRACTION["W"],
              CONTRACTION["X"], CONTRACTION["U"], k=1, beta=0.5),
-         CONTRACTION["X"], CONTRACTION["U"], {"inC0"}),
+         [CONTRACTION["X"]], [CONTRACTION["U"]], {"inC0"}),
     ]
     for sol, X, U, keys in cases:
         assert set(sol.witness) == keys
@@ -293,7 +290,7 @@ def test_certify_solution_reads_the_lp_witnesses_first():
         state, inputs, lps = certify_solution(sol, X, U)
         assert lps == 0 and 0.0 <= state <= 1e-7 and 0.0 <= inputs <= 1e-7
         # witnesses are not serialized: a loaded solution certifies by LP
-        back = solution_from_json(sol.to_json())
+        back = TubeSolution.from_json(sol.to_json())
         assert back.witness is None and "witness" not in sol.to_json()
         assert certify_solution(back, X, U)[2] == checks
         # a witness that proves nothing sends the check to the LP, which
@@ -305,8 +302,8 @@ def test_certify_solution_reads_the_lp_witnesses_first():
 def test_viable_solution_roundtrip():
     sol = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"],
                         k=1, x0=zono([0.5], [[0.1]]))
-    back = solution_from_json(sol.to_json())
-    assert isinstance(back, ViableSolution)
+    back = TubeSolution.from_json(sol.to_json())
+    assert back.horizon == 2
     assert back.template == sol.template
     for t in range(3):
         assert back.T[t] == pytest.approx(sol.T[t])
@@ -318,10 +315,10 @@ def test_viable_solution_roundtrip():
 def test_rci_solution_roundtrip():
     sol = rci(CONTRACTION["A"], CONTRACTION["B"], CONTRACTION["W"],
               CONTRACTION["X"], CONTRACTION["U"], k=1, beta=0.5)
-    back = solution_from_json(sol.to_json())
-    assert isinstance(back, RciSolution)
+    back = TubeSolution.from_json(sol.to_json())
+    assert back.horizon is None
     assert back.beta == pytest.approx(0.5)
-    assert back.T == pytest.approx(sol.T)
+    assert back.T[0] == pytest.approx(sol.T[0])
     assert back.E == pytest.approx(sol.E)
     assert back.M is None and back.ubar is None
 
@@ -339,8 +336,8 @@ def test_rci_step_stays_inside(zeta, zw):
     sol = _CACHED_RCI["sol"]
     zeta = np.asarray(zeta)
     zw = np.asarray(zw)
-    x = sol.xbar + sol.sigma * (sol.T @ zeta)
-    u = sol.ubar + sol.sigma * (sol.M @ zeta)
+    x = sol.xbar[0] + sol.sigma * (sol.T[0] @ zeta)
+    u = sol.ubar[0] + sol.sigma * (sol.M[0] @ zeta)
     w = PLANT2D["W"].center + PLANT2D["W"].generators @ zw
     x_next = PLANT2D["A"] @ x + PLANT2D["B"] @ u + w
     inside, _ = contains_point(sol.omega(), x_next, tol=1e-7)
