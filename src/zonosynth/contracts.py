@@ -508,7 +508,7 @@ def emit_subsystem(batch, network, template, sids, alpha_of, k=None,
         add_recursion(batch, np.stack([sub.A_at(t) for sub in subs]),
                       np.stack([sub.B_at(t) for sub in subs]), T[t], M[t] if m else None,
                       xbar[t], ubar[t] if m else None, stacked_w,
-                      T[t + 1] if finite else T[0], xbar[t + 1] if finite else xbar[0])
+                      _at(T, t + 1), _at(xbar, t + 1))
 
     witness, slack_cols = {}, [none]
 

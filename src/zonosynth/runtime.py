@@ -94,10 +94,12 @@ def step(network, solutions, states, t=0, disturbances=None):
     Each state is witnessed in its tube by the membership LP, and its input
     follows from that witness, so inputs read local state only.
     ``disturbances`` maps sid to a d_i in D_i(t) (defaults to the centers).
-    A state outside its tube raises OutsideViableSet; a step at or past a
-    finite horizon raises ValueError, and so does a state or disturbance
-    that is missing or has the wrong length.
+    A state outside its tube raises OutsideViableSet; a negative ``t`` or a
+    step at or past a finite horizon raises ValueError, and so does a state
+    or disturbance that is missing or has the wrong length.
     """
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     solutions = _solution_map(solutions, network)
     _num_steps(solutions, t + 1, "take")
     loop = _Loop(network, solutions, range(t, t + 1))

@@ -646,29 +646,23 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     after its containments and its aggregate recursion are re-checked; a
     containment that fails its check ends the run "failed", with a hint
     that names the set and the step.  ``beta`` contracts the invariant tube
-    (see ``viability.rci``); a nonzero one on a finite network raises
-    ValueError.
+    (see ``viability.viable``); a nonzero one on a finite network raises
+    ValueError.  ``k`` defaults to n_total + p for an invariant tube and to
+    0 for a finite one, which grows by each step's disturbance columns.
     """
     _check_mode(network, mode)
     _check_encoding(k)
-    if network.mode == "finite" and beta:
-        raise ValueError(f"beta={beta}: beta contracts an invariant tube and "
-                         "applies only to an infinite network")
     wall0 = time.perf_counter()
     phases = _Phases()
 
     with lpcore.track_solver_time() as solver:
         with phases("build"):
             agg = aggregate(network)
-            if network.mode == "infinite":
-                n_total = agg.A[0].shape[0]
-                budget = k if k is not None else n_total + agg.D[0].num_generators
-                lp, read = viability.rci_lp(agg.A[0], agg.B[0], agg.D[0], agg.X[0],
-                                            agg.U[0], k=budget, beta=beta)
-            else:
-                lp, read = viability.finite_viable_lp(list(agg.A), list(agg.B),
-                                                      list(agg.D), list(agg.X),
-                                                      list(agg.U), k=k or 0)
+            n_total = agg.A[0].shape[0]
+            if k is None:
+                k = 0 if network.mode == "finite" else n_total + agg.D[0].num_generators
+            lp, read = viability.viable_lp(list(agg.A), list(agg.B), list(agg.D), list(agg.X),
+                                           list(agg.U), k, beta)
         with phases("extract"):
             sol = viability.solve_and_read(lp, read, lp.name)
 

@@ -9,32 +9,32 @@ and the controller as the affine generator feedback
 
     u = ubar_t + M(t) zeta    where    x = xbar_t + T(t) zeta.
 
-Feasibility is encoded exactly by linear constraints:
+Feasibility is encoded exactly by linear constraints, built for both
+horizons by one function, :func:`viable_lp`:
 
-* finite horizon (``finite_viable``): the one-step recursion
-  ``[A T + B M, G_w] = T(t+1)`` (the ``growing`` template, where Omega(t+1)
-  picks up the disturbance generators) or its fixed-width variant
-  ``[A T + B M, G_w] = [0, T(t+1)]`` (``fixed`` template, constant k
-  columns), plus center recursion and containment of every Omega(t) in
+* finite horizon (an ``X_seq`` of h + 1 entries): the one-step recursion
+  ``[A T + B M, G_w] = T(t+1)``, where Omega(t+1) picks up the disturbance
+  generators, plus center recursion and containment of every Omega(t) in
   X(t) and every Theta(t) in U(t).
 
-* infinite horizon (``rci``): ``[A T + B M, G_w] = [E, T]`` with the wiggle
-  room Z(0, E) inside beta-scaled disturbance generators; the invariant set
-  is Omega = Z(xbar, (1-beta)^-1 T) around the fixed point
+* infinite horizon (one-entry sequences; :func:`rci` is this case):
+  ``[A T + B M, G_w] = [E, T]`` with the wiggle room Z(0, E) inside
+  beta-scaled disturbance generators; the invariant set is
+  Omega = Z(xbar, (1-beta)^-1 T) around the fixed point
   A xbar + B ubar + wbar = xbar.  At beta = 0 there is no E.
 
-Both return one :class:`TubeSolution`: per-step lists, where the invariant
-set is the one-entry list (the same at every t, as for a constant field of
-a ``sysmodel`` network).  Certification and the recursion residual read the
-next tube as the entry at t + 1, which for a one-entry list is the tube
-itself.
+Per-step sequences are read with ``sysmodel._at``: a one-entry list is the
+same at every t, as for a constant field of a ``sysmodel`` network.  So the
+recursion at step t reads the next tube as the entry at t + 1, which for the
+invariant tube is the tube itself, and both horizons give one
+:class:`TubeSolution`.
 
 The objective min sum |T entries| shrinks the sets (an LP surrogate for the
 generator norms); infeasibility is a *result* (None), not an error.  All
 returned solutions re-certify their containments before being handed back,
 first on the containment witnesses the LP itself found.
 
-The recursion rows of both programs, and of the per-subsystem contract
+The recursion rows of this program, and of the per-subsystem contract
 programs in ``contracts``, come from one block emitter, :func:`add_recursion`.
 """
 
@@ -205,9 +205,6 @@ class TubeSolution:
     beta: float
     E: np.ndarray | None
     objective: float
-    #: how a finite tube's width evolves, "growing" | "fixed"; saved only
-    #: for a finite tube
-    template: str = "growing"
     #: the synthesis LP's containment witnesses [Lam lam], keyed by the
     #: containment as in ``contracts.check_correctness`` ("inC3", "term",
     #: "inU0", ...); certification checks them first.  Never serialized: a
@@ -233,7 +230,8 @@ class TubeSolution:
 
     def to_json(self):
         """The "viable" layout (lists per step) for a finite tube, the "rci"
-        layout (single entries, beta and E) for an invariant one."""
+        layout (single entries, beta and E) for an invariant one.  Every
+        finite tube grows: its template is "growing", which loading ignores."""
         rci = self.horizon is None
 
         def dump(seq, write=np.ndarray.tolist):
@@ -241,7 +239,7 @@ class TubeSolution:
                 return None
             return write(seq[0]) if rci else [write(x) for x in seq]
 
-        data = {"kind": "rci"} if rci else {"kind": "viable", "template": self.template}
+        data = {"kind": "rci"} if rci else {"kind": "viable", "template": "growing"}
         data.update(T=dump(self.T), xbar=dump(self.xbar), M=dump(self.M),
                     ubar=dump(self.ubar), W=dump(self.W, Zonotope.to_json))
         if rci:
@@ -262,7 +260,7 @@ class TubeSolution:
         return cls(load(data["T"]), load(data["xbar"]), load(data["M"]),
                    load(data["ubar"]), load(data["W"], Zonotope.from_json),
                    data.get("beta", 0.0), None if E is None else np.asarray(E, dtype=float),
-                   data["objective"], data.get("template", "growing"))
+                   data["objective"])
 
 
 def certify_solution(solution, X, U):
@@ -296,8 +294,8 @@ def recursion_residual(solution, A_seq, B_seq):
 
     ``A_seq``/``B_seq`` hold the system matrices per step (one step for an
     invariant tube).  The residuals are ``[A T + B M, G_w] - R`` with R the
-    next tube (growing template), ``[0, T(t+1)]`` (fixed) or ``[E, T]``
-    (invariant, E = 0 when absent), and ``A xbar + B ubar + w_c`` minus the
+    next tube, or ``[E, T]`` when it is narrower (for an invariant tube; E
+    = 0 when absent), and ``A xbar + B ubar + w_c`` minus the
     next center (for an invariant tube, the same one).
     """
     res = 0.0
@@ -317,7 +315,7 @@ def recursion_residual(solution, A_seq, B_seq):
 
 
 # ---------------------------------------------------------------------------
-# finite horizon
+# the tube LP
 
 
 def solve_and_read(lp, read, what):
@@ -330,141 +328,90 @@ def solve_and_read(lp, read, what):
     return read(sol)
 
 
-def finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing", x0=None):
-    """The LP of :func:`finite_viable`, and ``read(sol)`` that turns an
-    optimal solution of it into a TubeSolution."""
+def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
+    """The LP of :func:`viable`, named "viable" for a finite tube and "rci"
+    for an invariant one, and ``read(sol)`` that turns an optimal solution
+    of it into a TubeSolution."""
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("beta must be in [0, 1)")
     h = len(A_seq)
-    if not (len(B_seq) == len(W_seq) == len(U_seq) == h and len(X_seq) == h + 1):
+    finite = len(X_seq) > 1
+    # h steps and h + 1 state sets for a finite tube, one of each otherwise
+    if not len(B_seq) == len(W_seq) == len(U_seq) == h == (len(X_seq) - 1 if finite else 1):
         raise ValueError("sequence lengths disagree with the horizon")
-    if template not in ("growing", "fixed"):
-        raise ValueError(f"unknown template {template!r}")
+    if finite and beta:
+        raise ValueError(f"beta={beta}: beta contracts an invariant tube and "
+                         "applies only to an infinite horizon")
     n = A_seq[0].shape[0]
     m = B_seq[0].shape[1]
-    p = [W.num_generators for W in W_seq]
-    if template == "fixed" and any(pt > k for pt in p):
-        raise ValueError("fixed template needs k >= number of disturbance generators")
-    if x0 is not None and x0.num_generators > k:
-        raise ValueError(f"x0 has {x0.num_generators} generators but k={k}")
+    sigma = 1.0 / (1.0 - beta)
 
+    # a finite tube grows by each step's disturbance columns
     widths = [k]
-    for t in range(h):
-        widths.append(widths[-1] + p[t] if template == "growing" else k)
+    if finite:
+        for W in W_seq:
+            widths.append(widths[-1] + W.num_generators)
 
-    lp = LinearProgram(name="viable")
-    T = [lp.var_block((n, widths[t])) for t in range(h + 1)]
-    xbar = [lp.var_block(n) for _ in range(h + 1)]
+    lp = LinearProgram(name="viable" if finite else "rci")
+    T = [lp.var_block((n, width)) for width in widths]
+    xbar = [lp.var_block(n) for _ in widths]
     M = [lp.var_block((m, widths[t])) for t in range(h)] if m else None
     ubar = [lp.var_block(m) for _ in range(h)] if m else None
+    E = lp.var_block((n, W_seq[0].num_generators)) if beta else None
 
     for t in range(h):
         add_recursion(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None, xbar[t],
-                      ubar[t] if m else None, numeric_w(W_seq[t]), T[t + 1],
-                      xbar[t + 1])
+                      ubar[t] if m else None, numeric_w(W_seq[t]), _at(T, t + 1),
+                      _at(xbar, t + 1), E=E)
+    if E is not None:
+        G = W_seq[0].generators
+        add_scaled_containment(lp, affine(np.column_stack([E, np.full(n, -1)])), G,
+                               numbers(np.full(G.shape[1], beta)), np.zeros(n))
 
-    witness = {f"inC{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t])
-               for t in range(h + 1)}
-    witness["term"] = witness[f"inC{h}"]
+    witness = {f"inC{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t], sigma)
+               for t in range(len(T))}
+    if finite:
+        witness["term"] = witness[f"inC{h}"]
     if m:
         for t in range(h):
-            witness[f"inU{t}"] = _add_plain_containment(lp, M[t], ubar[t], U_seq[t])
-
-    if x0 is not None:
-        # per i: xbar0[i] = c[i], then T0[i, j] = G[i, j] (0 past x0's columns)
-        values = np.zeros((n, k + 1))
-        values[:, 0] = x0.center
-        values[:, 1:1 + x0.num_generators] = x0.generators
-        size = n * (k + 1)
-        lp.add_rows(np.arange(size), np.column_stack([xbar[0], T[0]]).ravel(),
-                    np.ones(size), -(0.0 + -values.ravel()), "=")
+            witness[f"inU{t}"] = _add_plain_containment(lp, M[t], ubar[t], U_seq[t], sigma)
 
     lp.set_costs(_abs_objective(lp, T), 1.0)
 
     def read(sol):
+        def values(blocks):
+            return None if blocks is None else [sol.column_values(b) for b in blocks]
+
         return TubeSolution(
-            [sol.column_values(Tt) for Tt in T],
-            [sol.column_values(xt) for xt in xbar],
-            [sol.column_values(Mt) for Mt in M] if m else None,
-            [sol.column_values(ut) for ut in ubar] if m else None,
-            list(W_seq), 0.0, None, sol.objective, template,
-            witness_values(sol, witness),
-        )
-
-    return lp, read
-
-
-def finite_viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
-                  x0=None):
-    """Viable sets over a finite horizon; None if the LP is infeasible.
-
-    ``A_seq/B_seq/W_seq/U_seq`` have one entry per step t = 0..h-1 and
-    ``X_seq`` has h+1 entries.  ``k`` is the generator budget of Omega(0).
-    ``template="growing"`` lets Omega(t) gain the disturbance generators each
-    step; ``"fixed"`` keeps exactly k columns throughout (needs k >= p).
-    ``x0`` (a Zonotope) optionally pins Omega(0) = x0.
-    """
-    lp, read = finite_viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, template, x0)
-    result = solve_and_read(lp, read, "viable")
-    if result is not None:
-        certify_solution(result, X_seq, U_seq)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# infinite horizon
-
-
-def rci_lp(A, B, W, X, U, k, beta=0.0):
-    """The LP of :func:`rci`, and ``read(sol)`` that turns an optimal
-    solution of it into a one-entry TubeSolution."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must be in [0, 1)")
-    n = A.shape[0]
-    m = B.shape[1]
-    p = W.num_generators
-    sigma = 1.0 / (1.0 - beta)
-
-    lp = LinearProgram(name="rci")
-    T = lp.var_block((n, k))
-    xbar = lp.var_block(n)
-    M = lp.var_block((m, k)) if m else None
-    ubar = lp.var_block(m) if m else None
-    E = None if beta == 0.0 else lp.var_block((n, p))
-
-    add_recursion(lp, A, B, T, M, xbar, ubar, numeric_w(W), T, xbar, E=E)
-    if E is not None:
-        add_scaled_containment(lp, affine(np.column_stack([E, np.full(n, -1)])),
-                               W.generators, numbers(np.full(p, beta)), np.zeros(n))
-    witness = {"inC0": _add_plain_containment(lp, T, xbar, X, sigma)}
-    if m:
-        witness["inU0"] = _add_plain_containment(lp, M, ubar, U, sigma)
-
-    lp.set_costs(_abs_objective(lp, [T]), 1.0)
-
-    def read(sol):
-        return TubeSolution(
-            [sol.column_values(T)],
-            [sol.column_values(xbar)],
-            [sol.column_values(M)] if m else None,
-            [sol.column_values(ubar)] if m else None,
-            [W], beta,
-            None if E is None else sol.column_values(E),
-            sol.objective,
+            values(T), values(xbar), values(M), values(ubar), list(W_seq), beta,
+            None if E is None else sol.column_values(E), sol.objective,
             witness=witness_values(sol, witness),
         )
 
     return lp, read
 
 
+def viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
+    """A certified viable tube; None if the LP is infeasible.
+
+    ``A_seq/B_seq/W_seq/U_seq`` have one entry per step t = 0..h-1 and
+    ``X_seq`` has h+1 entries, or each has one entry for an invariant tube.
+    ``k`` is the generator budget of Omega(0).  ``beta`` applies only to an
+    invariant tube: with ``beta > 0`` the wiggle columns E enter, bounded
+    by beta W, and the tube is inflated by sigma = 1/(1-beta).
+    """
+    lp, read = viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta)
+    result = solve_and_read(lp, read, lp.name)
+    if result is not None:
+        certify_solution(result, X_seq, U_seq)
+    return result
+
+
 def rci(A, B, W, X, U, k, beta=0.0):
     """Robust control invariant set; None if infeasible at this (k, beta).
 
-    At ``beta == 0`` there are no wiggle generators E: the disturbance
-    columns must be reproduced by T itself.  With ``beta > 0`` the E
-    columns enter, bounded by beta W, and the returned set is inflated by
-    sigma = 1/(1-beta).
+    The one-step case of :func:`viable`.  At ``beta == 0`` there are no
+    wiggle generators E: the disturbance columns must be reproduced by T
+    itself.
     """
-    lp, read = rci_lp(A, B, W, X, U, k, beta)
-    result = solve_and_read(lp, read, "RCI")
-    if result is not None:
-        certify_solution(result, [X], [U])
-    return result
+    return viable([A], [B], [W], [X], [U], k, beta)

@@ -496,16 +496,16 @@ def _size_objective(lp, blocks):
     minimize(lp, LinExpr(dict.fromkeys(_abs_objective(lp, blocks).tolist(), 1.0)))
 
 
-def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="growing",
-                             x0=None):
-    """Row-at-a-time reference for ``viability.finite_viable_lp``'s LP."""
+def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k):
+    """Row-at-a-time reference for ``viability.viable_lp``'s finite-horizon
+    LP."""
     h = len(A_seq)
     n = A_seq[0].shape[0]
     m = B_seq[0].shape[1]
     p = [W.num_generators for W in W_seq]
     widths = [k]
     for t in range(h):
-        widths.append(widths[-1] + p[t] if template == "growing" else k)
+        widths.append(widths[-1] + p[t])
     lp = LinearProgram(name="viable")
     Tc = [lp.var_block((n, widths[t])) for t in range(h + 1)]
     T = [col_exprs(c) for c in Tc]
@@ -529,18 +529,13 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k, template="gro
     if m:
         for t in range(h):
             plain(M[t], ubar[t], U_seq[t])
-    if x0 is not None:
-        p0 = x0.num_generators
-        for i in range(n):
-            lp.add_eq(xbar[0][i], float(x0.center[i]))
-            for j in range(k):
-                lp.add_eq(T[0][i, j], float(x0.generators[i, j]) if j < p0 else 0.0)
     _size_objective(lp, Tc)
     return lp
 
 
 def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0):
-    """Row-at-a-time reference for ``viability.rci_lp``'s LP."""
+    """Row-at-a-time reference for ``viability.viable_lp``'s invariant
+    (one-step) LP."""
     n = A.shape[0]
     m = B.shape[1]
     p = W.num_generators

@@ -437,7 +437,6 @@ def test_finite_potential_by_hand():
     assert res.grad.x[2][1] == pytest.approx([-1.0], abs=1e-8)
     assert res.grad.x[2][2] == pytest.approx([0.0], abs=1e-9)
     sol = res.solutions[1]
-    assert sol.template == "growing"
     assert [T.shape[1] for T in sol.T] == [1, 2, 3]
 
 

@@ -1,12 +1,12 @@
 """The block tube-recursion emitter against the row-at-a-time references.
 
 Every program that emits recursion rows (``contracts.emit_subsystem``,
-``contracts.build_programs``, ``viability.finite_viable_lp`` and
-``viability.rci_lp``) must build the same LP as its reference in
-``oracles``: the same row senses in the same order, the same CSC arrays,
-costs and bounds, bit for bit (signed zeros included).  ``build_programs``
-emits whole groups of subsystems at once; its reference builds one
-subsystem at a time.
+``contracts.build_programs`` and ``viability.viable_lp``) must build the
+same LP as its reference in ``oracles``: the same row senses in the same
+order, the same CSC arrays, costs and bounds, bit for bit (signed zeros
+included).  ``build_programs`` emits whole groups of subsystems at once;
+its reference builds one subsystem at a time.  ``viable_lp`` builds both
+the finite-horizon and the invariant tube LP; each has its own reference.
 """
 
 import hashlib
@@ -17,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zonosynth import sysmodel
+from zonosynth import sysmodel, viability
 from zonosynth.cli import lambda_for
 from zonosynth.contracts import _at, _signature, build_programs, default_template, emit_subsystem
 from zonosynth.geom import Zonotope
 from zonosynth.lpcore import LinearProgram, _LpBatch
-from zonosynth.synthesis import centralized_synthesize
+from zonosynth.synthesis import centralized_dense, centralized_synthesize
 from zonosynth.sysmodel import load_network
-from zonosynth.viability import finite_viable_lp, rci_lp
+from zonosynth.viability import viable_lp
 
 # entries drawn for random matrices: zeros of both signs exercise sparsity
 # and the signed-zero bounds
@@ -206,7 +206,7 @@ def test_build_programs_of_a_geometric_network_match_reference():
 
 
 # ---------------------------------------------------------------------------
-# rci and finite_viable
+# viable_lp: the invariant and the finite-horizon tube
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,47 +215,42 @@ def test_build_programs_of_a_geometric_network_match_reference():
        k=st.integers(1, 4))
 def test_rci_lp_matches_rowwise_reference(seed, beta, n, m, p, k):
     rng = np.random.default_rng(seed)
-    args = (matrix(rng, n, n), matrix(rng, n, m), zono(rng, n, p),
-            zono(rng, n, n), zono(rng, m, m), k)
-    lp, _ = rci_lp(*args, beta=beta)
-    assert_same_lp(lp, oracles.rci_lp_rowwise(*args, beta=beta))
+    A, B, W, X, U = (matrix(rng, n, n), matrix(rng, n, m), zono(rng, n, p),
+                     zono(rng, n, n), zono(rng, m, m))
+    lp, _ = viable_lp([A], [B], [W], [X], [U], k, beta=beta)
+    assert_same_lp(lp, oracles.rci_lp_rowwise(A, B, W, X, U, k, beta=beta))
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), template=st.sampled_from(["growing", "fixed"]),
-       with_x0=st.booleans(), n=st.integers(1, 3), m=st.integers(0, 2),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(0, 2),
        h=st.integers(1, 3))
-def test_finite_viable_lp_matches_rowwise_reference(seed, template, with_x0, n, m, h):
+def test_finite_viable_lp_matches_rowwise_reference(seed, n, m, h):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 4))
     args = ([matrix(rng, n, n) for _ in range(h)], [matrix(rng, n, m) for _ in range(h)],
             [zono(rng, n, int(rng.integers(0, k + 1))) for _ in range(h)],
             [zono(rng, n, n) for _ in range(h + 1)], [zono(rng, m, m) for _ in range(h)], k)
-    x0 = zono(rng, n, int(rng.integers(0, k + 1))) if with_x0 else None
-    lp, _ = finite_viable_lp(*args, template=template, x0=x0)
-    assert_same_lp(lp, oracles.finite_viable_lp_rowwise(*args, template=template, x0=x0))
+    lp, _ = viable_lp(*args)
+    assert_same_lp(lp, oracles.finite_viable_lp_rowwise(*args))
 
 
 def test_fixed_shapes_match_rowwise_reference():
     # the 1-D integrator and contraction of test_viability, and a 2-D
-    # double integrator with a pinned start
+    # double integrator
     one = np.array([[1.0]])
     W = Zonotope([0.0], [[0.3]])
     box = Zonotope([0.0], [[1.0]])
     for beta, B in ((0.0, one), (0.5, np.zeros((1, 0)))):
-        args = (0.5 * one if beta else one, B, W, box, box, 2)
-        lp, _ = rci_lp(*args, beta=beta)
-        assert_same_lp(lp, oracles.rci_lp_rowwise(*args, beta=beta))
+        A = 0.5 * one if beta else one
+        lp, _ = viable_lp([A], [B], [W], [box], [box], 2, beta=beta)
+        assert_same_lp(lp, oracles.rci_lp_rowwise(A, B, W, box, box, 2, beta=beta))
     A = [np.array([[1.0, 1.0], [0.0, 1.0]])] * 3
     B = [np.array([[0.0], [1.0]])] * 3
     D = [Zonotope([0.1, -0.0], [[0.1, 0.0], [0.0, -0.2]])] * 3
     X = [Zonotope([0.0, 0.0], 2.0 * np.eye(2))] * 4
     U = [Zonotope([0.0], [[1.0]])] * 3
-    x0 = Zonotope([0.5, -0.0], [[0.2], [-0.1]])
-    for template in ("growing", "fixed"):
-        lp, _ = finite_viable_lp(A, B, D, X, U, 2, template=template, x0=x0)
-        assert_same_lp(lp, oracles.finite_viable_lp_rowwise(A, B, D, X, U, 2,
-                                                            template=template, x0=x0))
+    lp, _ = viable_lp(A, B, D, X, U, 2)
+    assert_same_lp(lp, oracles.finite_viable_lp_rowwise(A, B, D, X, U, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +290,22 @@ def test_case1_centralized_lp_matches_golden_digest(monkeypatch):
     centralized_synthesize(load_network("configs/case1.json"))
     assert lp_digest(lp for lp in solved if lp.name == "centralized") == \
         "97272aa18b49e7380bb2137005b834cb581922682c6ca7241ab3da7d5efc06b2"
+
+
+@pytest.mark.parametrize("config, beta, digest", [
+    ("configs/case1.json", 0.0,
+     "bf0a81e389497d0e8e334c9b75b37a326fb8b32e69fbdb785ab1971f55c193af"),
+    ("configs/case1.json", 0.3,
+     "a95b8dae1752982751599bda3e7f29f6a7790f34d550911bad44ae3e27ccb5ea"),
+    ("geo40", 0.0, "17f44c11cd64d0f9f0308fedb46925e60aaf2ecb0d92c3b90d69be37be3f73eb"),
+    ("configs/case2.json", 0.0,
+     "726612044073a75a030562d1eb46e856cadc076754a79d658e53050c923b14bf"),
+], ids=["case1", "case1-beta", "geo40", "case2"])
+def test_dense_lp_matches_golden_digest(monkeypatch, config, beta, digest):
+    # the LP is caught on its way to the solver and not solved
+    built = []
+    monkeypatch.setattr(viability, "solve_and_read", lambda lp, *a: built.append(lp))
+    network = (sysmodel.random_network(20, lambda_for(40), seed=0) if config == "geo40"
+               else load_network(config))
+    centralized_dense(network, beta=beta)
+    assert lp_digest(built) == digest

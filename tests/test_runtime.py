@@ -273,6 +273,15 @@ def test_step_at_the_horizon_raises(finite):
         step(net, result, states, t=6)
 
 
+@pytest.mark.parametrize("t", [-1, -2])
+@pytest.mark.parametrize("tubes", ["finite", "pair"])
+def test_step_before_the_start_raises(request, tubes, t):
+    net, result = request.getfixturevalue(tubes)
+    states = {sid: result.solutions[sid].omega(0).center for sid in net.sorted_ids()}
+    with pytest.raises(ValueError, match=f"t must be nonnegative, got {t}"):
+        step(net, result, states, t=t)
+
+
 def test_trajectory_csv(tmp_path, pair):
     net, result = pair
     traj = simulate(net, result, num_steps=5, seed=9)

@@ -12,9 +12,9 @@ from zonosynth.viability import (
     TubeSolution,
     _certify,
     certify_solution,
-    finite_viable,
     rci,
     recursion_residual,
+    viable,
 )
 
 
@@ -119,7 +119,7 @@ FIN = dict(
 def test_growing_viable_shrinks_initial_set():
     # nothing pins Omega(0), so min sum|T| collapses it to a point and each
     # later set is exactly the one-step disturbance interval
-    sol = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1)
+    sol = viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1)
     assert sol is not None
     assert sol.objective == pytest.approx(0.4, abs=1e-9)
     assert sol.T[0] == pytest.approx(np.zeros((1, 1)), abs=1e-10)
@@ -129,46 +129,9 @@ def test_growing_viable_shrinks_initial_set():
     assert (lo, hi) == (pytest.approx([-0.2]), pytest.approx([0.2]))
 
 
-def test_growing_viable_with_pinned_start():
-    x0 = zono([0.5], [[0.1]])
-    sol = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"],
-                        k=1, x0=x0)
-    assert sol is not None
-    assert sol.xbar[0] == pytest.approx([0.5])
-    assert sol.T[0] == pytest.approx(np.array([[0.1]]))
-    assert sol.objective == pytest.approx(0.5, abs=1e-9)
-
-
-def test_pinned_start_wider_than_budget():
-    x0 = zono([0.0], [[0.1, 0.2]])
-    with pytest.raises(ValueError, match="generators"):
-        finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"],
-                      k=1, x0=x0)
-
-
-def test_fixed_template_keeps_width():
-    sol = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"],
-                        k=1, template="fixed")
-    assert sol is not None
-    assert all(T.shape == (1, 1) for T in sol.T)
-    # the single column of every later set is the fresh disturbance column
-    assert sol.T[1] == pytest.approx(np.array([[0.2]]), abs=1e-9)
-    assert sol.T[2] == pytest.approx(np.array([[0.2]]), abs=1e-9)
-
-
-def test_fixed_template_needs_room_for_disturbance():
-    W = [zono([0, 0], [[0.1, 0.0], [0.0, 0.1]])] * 1
-    A = [np.eye(2)]
-    B = [np.array([[0.0], [1.0]])]
-    X = [zono([0, 0], np.eye(2))] * 2
-    U = [zono([0], [[1.0]])]
-    with pytest.raises(ValueError, match="k >="):
-        finite_viable(A, B, W, X, U, k=1, template="fixed")
-
-
 def test_viable_infeasible_when_state_box_too_small():
     # |w| <= 2 cannot fit inside |x| <= 1 one step later, with no input at all
-    sol = finite_viable(
+    sol = viable(
         [np.array([[1.0]])],
         [np.zeros((1, 0))],
         [zono([0], [[2.0]])],
@@ -181,17 +144,13 @@ def test_viable_infeasible_when_state_box_too_small():
 
 def test_sequence_length_mismatch():
     with pytest.raises(ValueError, match="lengths"):
-        finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"][:2], FIN["U"], k=1)
-    with pytest.raises(ValueError, match="template"):
-        finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1,
-                      template="bogus")
+        viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"][:2], FIN["U"], k=1)
 
 
 def test_growing_recursion_is_exact():
     # x+ computed from any witness (zeta, zeta_w) must land exactly on the
     # next set's parameterization: the LP equalities are an algebraic identity
-    sol = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"],
-                        k=2, x0=zono([0.1], [[0.3, 0.1]]))
+    sol = viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=2)
     assert sol is not None
     rng = np.random.default_rng(7)
     for t in range(2):
@@ -209,16 +168,14 @@ def test_growing_recursion_is_exact():
 
 def test_recursion_residual_reads_every_template():
     # ~0 on every kind of solution, and it sees a broken step or a dropped E
-    growing = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=2)
-    fixed = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=2,
-                          template="fixed")
+    growing = viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=2)
     contraction = (CONTRACTION["A"], CONTRACTION["B"], CONTRACTION["W"],
                    CONTRACTION["X"], CONTRACTION["U"])
     wiggled = rci(*contraction, k=1, beta=0.5)
     deadbeat = rci(np.array([[1.0]]), np.array([[1.0]]), zono([0], [[0.3]]),
                    zono([0], [[1.0]]), zono([0], [[1.0]]), k=1)
     A_fin, B_fin = FIN["A"], FIN["B"]
-    for sol, A, B in ((growing, A_fin, B_fin), (fixed, A_fin, B_fin),
+    for sol, A, B in ((growing, A_fin, B_fin),
                       (wiggled, [CONTRACTION["A"]], [CONTRACTION["B"]]),
                       (deadbeat, [np.array([[1.0]])], [np.array([[1.0]])])):
         assert recursion_residual(sol, A, B) <= 1e-9
@@ -275,8 +232,7 @@ def test_certify_rejects_blatant_violation():
 
 def test_certify_solution_reads_the_lp_witnesses_first():
     cases = [
-        (finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1,
-                       x0=zono([0.5], [[0.1]])), FIN["X"], FIN["U"],
+        (viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1), FIN["X"], FIN["U"],
          {"inC0", "inC1", "inC2", "term", "inU0", "inU1"}),
         (rci(PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"],
              PLANT2D["U"], k=4), [PLANT2D["X"]], [PLANT2D["U"]], {"inC0", "inU0"}),
@@ -294,17 +250,18 @@ def test_certify_solution_reads_the_lp_witnesses_first():
         assert back.witness is None and "witness" not in sol.to_json()
         assert certify_solution(back, X, U)[2] == checks
         # a witness that proves nothing sends the check to the LP, which
-        # still accepts the (correct) solution
-        sol.witness = {key: 2.0 * L for key, L in sol.witness.items()}
+        # still accepts the (correct) solution.  Doubling would not do: the
+        # finite tube's Omega(0) and Theta(0) are points at their sets'
+        # centers (min sum |T| collapses them), which a doubled witness of
+        # zeros still proves; every entry is shifted instead
+        sol.witness = {key: L + 1.0 for key, L in sol.witness.items()}
         assert certify_solution(sol, X, U)[2] == checks
 
 
 def test_viable_solution_roundtrip():
-    sol = finite_viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"],
-                        k=1, x0=zono([0.5], [[0.1]]))
+    sol = viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1)
     back = TubeSolution.from_json(sol.to_json())
     assert back.horizon == 2
-    assert back.template == sol.template
     for t in range(3):
         assert back.T[t] == pytest.approx(sol.T[t])
         assert back.xbar[t] == pytest.approx(sol.xbar[t])
