@@ -10,12 +10,23 @@ or across the horizon (finite mode).
 
 ``step``, ``simulate`` and ``verify_invariance`` run one closed loop on the
 whole network at once, with the sample axis last.  The states are one
-(n_total, S) array in ``sysmodel.stacked_slices`` order, and the update is
-one product with the aggregate A(t)/B(t), built once per distinct step.  The
-subsystems whose tubes share one shape over the run (n, m, k(t), p(t), the
-witness shift, whether they chain, whether the tail is diagonal) form a
-group, and the group's witnesses are one (g, k, S) block; a step makes a
-fixed number of numpy calls per group.  Each tube's step data (Omega(t+1), Theta(t), the
+(n_total, S) array in ``sysmodel.stacked_slices`` order.  The update x(t+1)
+= A(t) x + B(t) u + d runs in a reverse Cuthill-McKee order of whole
+subsystems over the coupling graph, computed once per run, which keeps the
+couplings near the diagonal.  In that order the rows are cut into tiles of
+whole subsystems of at most 32 rows, and each tile keeps the span of A(t)
+and of B(t) between its first and last nonzero column, built once per
+distinct step.  A step gathers the states into that order, makes one
+product per span and scatters the result back, so it costs about n_total *
+bandwidth * S instead of n_total**2 * S.  A network that fits one tile
+keeps its own order and takes the plain products A @ X + B @ U.  Every
+sample-sized array a step needs is allocated once per run: the states
+alternate between two buffers, and the disturbance draws, the product and
+the witness chain reuse the same scratch.  The subsystems whose tubes share
+one shape over the run (n, m, k(t), p(t), the witness shift, whether they
+chain, whether the tail is diagonal) form a group, and the group's
+witnesses are one (g, k, S) block; a step makes a fixed number of numpy
+calls per group.  Each tube's step data (Omega(t+1), Theta(t), the
 head/tail split, the tail's radii or pseudo-inverse) is stacked once per
 distinct index ``sysmodel._at`` reads from the tube's lists: once per step,
 and once per run for an invariant tube, whose lists have one entry.
@@ -40,6 +51,8 @@ because worst cases live at vertices.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +82,14 @@ def _solution_map(result, network):
     return solutions
 
 
+def _integer(value, name):
+    """``value``, which must be an integer; a float or a bool (an int to
+    Python, but not a count) raises TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _num_steps(solutions, num_steps, verb):
     """``num_steps`` checked against the shortest horizon; None means that
     horizon, or 100 steps when every tube is invariant."""
@@ -77,7 +98,7 @@ def _num_steps(solutions, num_steps, verb):
     cap = min(horizons) if horizons else None
     if num_steps is None:
         num_steps = cap if cap is not None else 100
-    if num_steps < 0:
+    if _integer(num_steps, "num_steps") < 0:
         raise ValueError(f"num_steps must be nonnegative, got {num_steps}")
     if cap is not None and num_steps > cap:
         raise ValueError(f"horizon is {cap}, cannot {verb} {num_steps} steps")
@@ -96,19 +117,21 @@ def step(network, solutions, states, t=0, disturbances=None):
     ``disturbances`` maps sid to a d_i in D_i(t) (defaults to the centers).
     A state outside its tube raises OutsideViableSet; a negative ``t`` or a
     step at or past a finite horizon raises ValueError, and so does a state
-    or disturbance that is missing or has the wrong length.
+    or disturbance that is missing or has the wrong length.  A ``t`` that is
+    not an integer (a float or a bool) raises TypeError.
     """
-    if t < 0:
+    if _integer(t, "t") < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     solutions = _solution_map(solutions, network)
     _num_steps(solutions, t + 1, "take")
-    loop = _Loop(network, solutions, range(t, t + 1))
+    loop = _Loop(network, solutions, range(t, t + 1), 1)
     X = loop.column(states, "states")
     d = loop.column(disturbances, "disturbances",
                     lambda sid: network.subsystem(sid).D_at(t).center)
-    nxt, U = loop.advance(t, X, loop.witness(t, X), d)
-    return ({sid: nxt[sl, 0] for sid, sl in loop.state_slices.items()},
-            {sid: U[sl, 0] for sid, sl in loop.input_slices.items()})
+    nxt = loop.advance(t, X, loop.witness(t, X), d)
+    U = loop.inputs()
+    return ({sid: nxt[sl, 0].copy() for sid, sl in loop.state_slices.items()},
+            {sid: U[sl, 0].copy() for sid, sl in loop.input_slices.items()})
 
 
 @dataclass
@@ -138,9 +161,9 @@ def simulate(network, solutions, num_steps, x0=None, seed=0):
     solutions = _solution_map(solutions, network)
     num_steps = _num_steps(solutions, num_steps, "simulate")
     rng = np.random.default_rng(seed)
-    loop = _Loop(network, solutions, range(num_steps))
+    loop = _Loop(network, solutions, range(num_steps), 1)
     X = loop.column(x0, "x0", lambda sid: solutions[sid].omega(0).center)
-    xs, us, ds = [X[:, 0]], [], []
+    xs, us, ds = [X[:, 0].copy()], [], []
     report = InvarianceReport(1, num_steps)
     alive = np.ones(1, dtype=bool)
     try:
@@ -152,11 +175,11 @@ def simulate(network, solutions, num_steps, x0=None, seed=0):
         if not alive[0]:
             break
         d = loop.disturbance(rng, t, 1)
-        X, U = loop.advance(t, X, zetas, d)
+        ds.append(d[:, 0].copy())
+        X = loop.advance(t, X, zetas, d)
+        us.append(loop.inputs()[:, 0])
         loop.rewitness(t, X, zetas, alive, report)
-        xs.append(X[:, 0])
-        us.append(U[:, 0])
-        ds.append(d[:, 0])
+        xs.append(X[:, 0].copy())
     xs = np.array(xs)
     us = np.array(us).reshape(len(us), loop.m_total)
     ds = np.array(ds).reshape(len(ds), loop.n_total)
@@ -172,18 +195,29 @@ def simulate(network, solutions, num_steps, x0=None, seed=0):
 # the network-stacked closed loop
 
 
-def _mixed_zeta(rng, num, p):
-    """num draws in [-1,1]^p: vertex sign patterns first, then uniform."""
+def _uniform(rng, out):
+    """Fill ``out`` (C-contiguous) with rng.uniform(-1, 1) draws: 2 u - 1
+    of rng.random's u is the same number, bit for bit, in the same order."""
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
+def _mixed_zeta(rng, num, p, out=None):
+    """num draws in [-1,1]^p: vertex sign patterns first, then uniform; into
+    ``out`` (num, p) when it is given."""
+    if out is None:
+        out = np.empty((num, p))
     if p == 0:
-        return np.zeros((num, 0))
+        return out
     if p <= 12:
         verts = np.array(list(itertools.product((-1.0, 1.0), repeat=p)))
     else:
         verts = rng.choice((-1.0, 1.0), size=(max(num // 2, 1), p))
     nv = min(len(verts), max(num // 2, 1 if num else 0))
-    out = np.empty((num, p))
     out[:nv] = verts[:nv]
-    out[nv:] = rng.uniform(-1.0, 1.0, (num - nv, p))
+    _uniform(rng, out[nv:])
     return out
 
 
@@ -200,26 +234,53 @@ def _chain_exact(sol):
     return sol.beta == 0.0 and sol.E is None
 
 
-def _norms(a):
+def _norms(a, buf=None):
     """|.|_inf over axis -2 of samples-last witnesses or residuals: one
-    value per sample (0 without coordinates)."""
-    return np.abs(a).max(axis=-2, initial=0.0)
+    value per sample (0 without coordinates).  With a scratch ``buf`` it is
+    the larger of the largest entry and the negated smallest, both kept in
+    buf's first entries (``_scratch``), so that no |a| is made."""
+    if buf is None:
+        return np.abs(a).max(axis=-2, initial=0.0)
+    shape = a.shape[:-2] + a.shape[-1:]
+    top, neg = _scratch(buf, (2,) + shape)
+    if not a.shape[-2]:
+        top.fill(0.0)
+        return top
+    a.max(axis=-2, out=top)
+    a.min(axis=-2, out=neg)
+    np.negative(neg, out=neg)
+    return np.maximum(top, neg, out=top)
 
 
-def _tail_ok(tail, radii, resid, zw):
+def _tail_ok(tail, radii, resid, zw, out=None, buf=None):
     """Samples where zw is a witness of resid on the tail: |zw|_inf <= 1 +
     1e-9 and tail @ zw reconstructs resid within 1e-9 (NaN fails).  A
-    diagonal tail passes its ``radii``, and the product is entrywise."""
-    ok = _norms(zw) <= 1.0 + 1e-9
-    miss = tail @ zw if radii is None else zw * radii
+    diagonal tail passes its ``radii``, and the product is entrywise.  The
+    reconstruction goes into ``out`` (resid's shape) and the norms into
+    ``buf`` when they are given."""
+    ok = _norms(zw, buf) <= 1.0 + 1e-9
+    if radii is None:
+        miss = np.matmul(tail, zw, out=out)
+    else:
+        miss = np.multiply(zw, radii, out=out)
     np.subtract(resid, miss, out=miss)
     np.abs(miss, out=miss)
-    return ok & (miss.max(axis=-2, initial=0.0) <= 1e-9)
+    worst = None if buf is None else _scratch(buf, ok.shape)
+    return ok & (miss.max(axis=-2, initial=0.0, out=worst) <= 1e-9)
 
 
 def _diagonal(G):
     """Whether the generator block G is a square diagonal one."""
     return G.shape[0] == G.shape[1] and not np.any(G - np.diag(np.diag(G)))
+
+
+def _scratch(buf, shape):
+    """The first entries of the contiguous buffer ``buf`` as an array of
+    ``shape``, or a new array where ``buf`` is too small."""
+    size = math.prod(shape)
+    if size > buf.size:
+        return np.empty(shape)
+    return buf.reshape(-1)[:size].reshape(shape)
 
 
 def _tube_steps(sol, steps):
@@ -301,6 +362,8 @@ class _Group:
         self.pos = pos          # (g,) positions in sorted-id order
         self.rows = rows        # (g, n) rows of the stacked states
         self.urows = urows      # (g, m) rows of the stacked inputs
+        self.inputs = None      # (g, m) rows of the band-ordered inputs
+        self.scratch = None     # the group's rows of the loop's scratch
         self._steps = steps     # _TubeStep per index of the tubes' lists
 
     def at(self, t):
@@ -329,16 +392,137 @@ def _groups(network, solutions, ids, steps, state_slices, input_slices):
     return groups
 
 
+_TILE = 32      # state rows of one tile of the step product, at most; a
+                # larger subsystem is a tile of its own
+
+
+def _band_order(network, ids):
+    """A reverse Cuthill-McKee order of the subsystems, as positions in
+    ``ids``, over the symmetrized coupling graph: breadth first from a
+    least-coupled subsystem of each component, neighbours by coupling count
+    and ties by position, then reversed (Cuthill & McKee 1969; George & Liu
+    1981).  Couplings then sit near the diagonal of A(t) and B(t) in that
+    order."""
+    pos = {sid: i for i, sid in enumerate(ids)}
+    adj = [set() for _ in ids]
+    for i, sid in enumerate(ids):
+        for j in map(pos.get, network.subsystem(sid).couplings):
+            if j != i:
+                adj[i].add(j)
+                adj[j].add(i)
+
+    def key(i):
+        return len(adj[i]), i
+
+    order, seen = [], set()
+    for root in sorted(range(len(ids)), key=key):
+        if root in seen:
+            continue
+        seen.add(root)
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            fresh = sorted(adj[order[head]] - seen, key=key)
+            seen.update(fresh)
+            order += fresh
+            head += 1
+    return order[::-1]
+
+
+def _span(M):
+    """(first, last + 1, M[:, first:last + 1]) over the nonzero columns of
+    M, or None when it has none."""
+    cols = np.flatnonzero(M.any(axis=0))
+    if not cols.size:
+        return None
+    return cols[0], cols[-1] + 1, np.ascontiguousarray(M[:, cols[0]:cols[-1] + 1])
+
+
+class _Band:
+    """x(t+1) = A(t) x + B(t) u + d on (rows, S) arrays, tile by tile.
+
+    The state rows are taken in the ``_band_order`` of whole subsystems and
+    cut into tiles of whole subsystems of at most ``_TILE`` rows.  Each tile
+    keeps, of A(t) and of B(t) in that order, the span from its first to
+    its last nonzero column, so a step costs about n_total * bandwidth * S
+    instead of n_total**2 * S.  A step gathers the states into that order,
+    makes one product per span and scatters the result back; the inputs
+    come in that order (``cols`` holds the stacked input row of each).  A
+    network that fits one tile keeps its own order and is not gathered.
+    """
+
+    def __init__(self, network, ids, slices):
+        self.network = network
+        self.slices = slices
+        state_slices, input_slices = slices
+        order = [ids[i] for i in _band_order(network, ids)]
+        self.bounds, size = [], 0
+        for sid in order:
+            n = state_slices[sid].stop - state_slices[sid].start
+            if self.bounds and self.bounds[-1][1] - self.bounds[-1][0] + n <= _TILE:
+                self.bounds[-1][1] += n
+            else:
+                self.bounds.append([size, size + n])
+            size += n
+        if len(self.bounds) == 1:
+            order = ids
+
+        def rows(slices):
+            return np.concatenate([np.arange(slices[sid].start, slices[sid].stop)
+                                   for sid in order])
+
+        self.rows, self.cols = rows(state_slices), rows(input_slices)
+        self.inverse = np.argsort(self.rows)
+        self.gathered = len(self.bounds) > 1
+
+    def tiles(self, t):
+        """Per tile (first row, row stop, A span, B span) at step t; a span
+        is a ``_span``."""
+        A, B = sysmodel.aggregate_dynamics(self.network, t, self.slices)
+        if not self.gathered:
+            return [(0, len(self.rows), _span(A), _span(B))]
+        return [(r0, r1, _span(A[np.ix_(self.rows[r0:r1], self.rows)]),
+                 _span(B[np.ix_(self.rows[r0:r1], self.cols)]))
+                for r0, r1 in self.bounds]
+
+    def apply(self, tiles, X, U, d, out, work):
+        """out = A(t) X + B(t) U + d for the ``tiles`` of step t.  ``work``,
+        of X's shape, is scratch; so is X when the rows are gathered: the
+        states are gathered into ``work``, the tiles write X, and ``out``
+        holds each tile's input product until the scatter fills it."""
+        # a take in numpy's default mode="raise" buffers its output
+        if self.gathered:
+            Xb = np.take(X, self.rows, axis=0, out=work, mode="clip")
+            Y, scratch = X, out
+        else:
+            Xb, Y, scratch = X, out, work
+        for r0, r1, a, b in tiles:
+            y = Y[r0:r1]
+            if a is None:
+                y.fill(0.0)
+            else:
+                np.matmul(a[2], Xb[a[0]:a[1]], out=y)
+            if b is not None:
+                s = scratch[:r1 - r0]
+                np.matmul(b[2], U[b[0]:b[1]], out=s)
+                y += s
+        if self.gathered:
+            np.take(Y, self.inverse, axis=0, out=out, mode="clip")
+        out += d
+
+
 class _Loop:
     """The closed loop of one network on stacked, samples-last arrays.
 
-    States are one (n_total, S) array and inputs one (m_total, S) array,
-    both in ``sysmodel.stacked_slices`` order; witnesses are a list of
-    (g, k, S) blocks, one per group.  ``steps`` is the range of steps the
-    run takes, for which the groups' tube data is stacked.
+    States are one (n_total, S) array in ``sysmodel.stacked_slices``
+    order; inputs are one (m_total, S) array in the order of the band
+    product (``_Band.cols``); witnesses are a list of (g, k, S) blocks, one
+    per group.  ``steps`` is the range of steps the run takes, for which
+    the groups' tube data is stacked, and S is ``num_samples``, for which
+    the inputs, disturbances and the product's buffers are allocated once.
     """
 
-    def __init__(self, network, solutions, steps):
+    def __init__(self, network, solutions, steps, num_samples):
         self.network = network
         self.solutions = solutions
         self.ids = network.sorted_ids()
@@ -359,6 +543,24 @@ class _Loop:
                 if len(seq) > 1],
             "disturbance": [s.D for s in subs if len(s.D) > 1]}
         self._built = {}
+        # x(t+1) goes into the spare state buffer, and the states given to
+        # ``advance`` become the next spare; d(t) and the work buffer serve
+        # as scratch of the draw, the product and the witness chain
+        at = 0
+        for group in self.groups:
+            g, n = group.rows.shape
+            group.scratch = slice(at, at + g * n)
+            at += g * n
+        self.band = _Band(network, self.ids, self.slices)
+        # the first step's tiles are built before the buffers exist, so the
+        # dense A(t)/B(t) they are cut from does not add to the run's peak
+        self._rebuilt("dynamics", steps.start, self.band.tiles)
+        self._spare, self._d, self._work = (
+            np.empty((self.n_total, num_samples)) for _ in range(3))
+        self._U = np.empty((self.m_total, num_samples))
+        band_col = np.argsort(self.band.cols)
+        for group in self.groups:
+            group.inputs = band_col[group.urows]
 
     def _rebuilt(self, what, t, build):
         """``build(t)``, rebuilt only when one of the per-step sequences of
@@ -407,8 +609,12 @@ class _Loop:
         def witnesses():
             for sid, sl in self.state_slices.items():
                 om = self.solutions[sid].omega(0)
-                zeta = _mixed_zeta(rng, S, om.num_generators)
-                X[sl] = (om.center + zeta @ om.generators.T).T
+                zeta = _mixed_zeta(rng, S, om.num_generators, _scratch(
+                    self._work, (S, om.num_generators)))
+                x = np.matmul(zeta, om.generators.T,
+                              out=_scratch(self._d, (S, len(om.center))))
+                x += om.center
+                X[sl] = x.T
                 yield zeta.T
 
         return X, self._blocks(witnesses())
@@ -444,19 +650,22 @@ class _Loop:
     def disturbance(self, rng, t, S, patterns=None):
         """d(t) for S samples: uniform zeta-draws from each D_i(t), in sorted
         order, after the first columns that ``patterns`` fixes.  Consecutive
-        subsystems of one shape share one ``rng.uniform`` call, which draws
-        the same numbers as one call each."""
+        subsystems of one shape share one ``_uniform`` draw, which draws the
+        same numbers as one draw each.  d(t) is the loop's buffer, valid
+        until the next ``rewitness``."""
         runs = self._rebuilt("disturbance", t, self._runs)
-        fixed = [None if patterns is None else patterns.block(sids, G.shape[2])
+        fixed = [None if patterns is None
+                 else patterns.block(sids, G.shape[2], self._work)
                  for sids, _, _, G in runs]
-        d = np.empty((self.n_total, S))
+        d = self._d
         for (sids, rows, c, G), vertex in zip(runs, fixed):
             r, n, p = G.shape
             nv = 0 if vertex is None else vertex.shape[2]
-            zd = np.empty((r, p, S))
+            zd = _scratch(self._spare, (r, p, S))
             if nv:
                 zd[:, :, :nv] = vertex
-            zd[:, :, nv:] = rng.uniform(-1.0, 1.0, (r, S - nv, p)).transpose(0, 2, 1)
+            draw = _uniform(rng, _scratch(self._work, (r, S - nv, p)))
+            zd[:, :, nv:] = draw.transpose(0, 2, 1)
             dr = d[rows].reshape(r, n, S)
             np.matmul(G, zd, out=dr)
             dr += c
@@ -464,18 +673,26 @@ class _Loop:
 
     def advance(self, t, X, zetas, d):
         """One synchronous update: inputs from the witnesses, then x(t+1) =
-        A(t) x + B(t) u + d; returns (next states, inputs)."""
-        U = np.zeros((self.m_total, X.shape[1]))
+        A(t) x + B(t) u + d, returned in the spare state buffer; X becomes
+        the spare, and ``inputs`` reads u."""
         for group, Z in zip(self.groups, zetas):
             st = group.at(t)
             if st.theta_G is not None:
-                U[group.urows] = st.theta_c + st.theta_G @ Z
-        A, B = self._rebuilt("dynamics", t, lambda s: sysmodel.aggregate_dynamics(
-            self.network, s, self.slices))
-        nxt = A @ X
-        nxt += B @ U
-        nxt += d
-        return nxt, U
+                u = np.matmul(st.theta_G, Z, out=_scratch(
+                    self._spare, group.inputs.shape + Z.shape[2:]))
+                u += st.theta_c
+                self._U[group.inputs] = u
+        tiles = self._rebuilt("dynamics", t, self.band.tiles)
+        out = self._spare
+        self.band.apply(tiles, X, self._U, d, out, self._work)
+        self._spare = X
+        return out
+
+    def inputs(self):
+        """The inputs of the last ``advance``, in stacked order."""
+        U = np.empty_like(self._U)
+        U[self.band.cols] = self._U
+        return U
 
     def rewitness(self, t, X, zetas, alive, report):
         """Replace the witness blocks ``zetas`` by those of the states X at
@@ -491,25 +708,42 @@ class _Loop:
         work = []
         for gi, group in enumerate(self.groups):
             st = group.at(t)
+            shape = (len(group.pos), st.width, X.shape[1])
             if not st.chained:
-                zetas[gi] = np.zeros((len(group.pos), st.width, X.shape[1]))
+                if zetas[gi].shape == shape:
+                    zetas[gi].fill(0.0)
+                else:
+                    zetas[gi] = np.zeros(shape)
                 work += [(pos, gi, i, None) for i, pos in enumerate(group.pos)]
                 continue
             # the tail coordinates are recovered from the actual next state
             # (not from the disturbance applied), so x = c + T zeta holds
             # every step up to the 1e-9 check, and solver-tolerance residuals
             # of the tube recursion cannot compound through the witnesses
-            block = np.empty((len(group.pos), st.width, X.shape[1]))
-            block[:, :st.width - st.p] = zetas[gi][:, st.shift:]
-            zetas[gi] = block   # frees the old block before the residuals
-            fit = st.head @ block[:, :st.width - st.p]
+            keep = st.width - st.p
+            block = zetas[gi]
+            if block.shape == shape:
+                # in place, member by member and in runs of ``shift``
+                # columns, so no copy overlaps its source; numpy would
+                # first copy an overlapping source
+                for member in block if st.shift else ():
+                    for j in range(0, keep, st.shift):
+                        stop = min(j + st.shift, keep)
+                        member[j:stop] = member[j + st.shift:stop + st.shift]
+            else:
+                block = np.empty(shape)
+                block[:, :keep] = zetas[gi][:, st.shift:]
+                zetas[gi] = block
+            rows = self._work[group.scratch].reshape(group.rows.shape + shape[2:])
+            fit = np.matmul(st.head, block[:, :keep], out=rows)
             fit += st.center
-            resid = X[group.rows]
+            resid = np.take(X, group.rows, axis=0, mode="clip",
+                            out=self._d[group.scratch].reshape(rows.shape))
             resid -= fit
-            del fit
-            zw = block[:, st.width - st.p:]
+            zw = block[:, keep:]
             st.solve_tail(resid, zw)
-            bad = ~_tail_ok(st.tail, st.radii, resid, zw)
+            bad = ~_tail_ok(st.tail, st.radii, resid, zw, out=rows,
+                            buf=self._spare)
             work += [(group.pos[i], gi, i, (resid[i], bad[i]))
                      for i in np.flatnonzero((bad & alive).any(axis=1))]
 
@@ -552,8 +786,8 @@ class _Loop:
         into ``out`` (one entry per subsystem, sorted order).  1 - x rounds
         monotonically, so that is 1 - the largest norm."""
         for group, Z in zip(self.groups, zetas):
-            out[group.pos] = 1.0 - _norms(Z).max(axis=1, where=alive,
-                                                 initial=-np.inf)
+            out[group.pos] = 1.0 - _norms(Z, self._spare).max(
+                axis=1, where=alive, initial=-np.inf)
 
 
 class _VertexPatterns:
@@ -567,14 +801,17 @@ class _VertexPatterns:
         self._drawn = {}        # (sid, p) -> (p, nv) pattern
         self._blocks = {}       # (sids, p) -> (r, p, nv) stack
 
-    def block(self, sids, p):
+    def block(self, sids, p, buf):
+        """The (r, p, nv) patterns of the run ``sids``; a draw goes through
+        the scratch buffer ``buf`` (``_scratch``)."""
         key = (sids, p)
         if key not in self._blocks:
             S = self.num_samples
             nv = min(2 ** p if p <= 12 else S, max(S // 2, 1))
             for sid in sids:
                 if (sid, p) not in self._drawn:
-                    self._drawn[sid, p] = _mixed_zeta(self.rng, S, p)[:nv].T.copy()
+                    draw = _mixed_zeta(self.rng, S, p, _scratch(buf, (S, p)))
+                    self._drawn[sid, p] = draw[:nv].T.copy()
             self._blocks[key] = np.stack([self._drawn[sid, p] for sid in sids])
         return self._blocks[key]
 
@@ -609,18 +846,19 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
     included); disturbances likewise from D_i(t), with the vertex-role
     samples holding one extreme pattern per generator count of D_i(t)
     across all steps.  Returns an InvarianceReport; a sound synthesis gives
-    violations == 0.
+    violations == 0.  ``num_samples`` and ``num_steps`` must be integers (a
+    float or a bool raises TypeError) and nonnegative (ValueError).
     """
     solutions = _solution_map(result, network)
     num_steps = _num_steps(solutions, num_steps, "verify")
-    if num_samples < 0:
+    if _integer(num_samples, "num_samples") < 0:
         raise ValueError(f"num_samples must be nonnegative, got {num_samples}")
     if num_samples == 0:
         return InvarianceReport(0, num_steps, vacuous=True)
 
     rng = np.random.default_rng(seed)
     S = num_samples
-    loop = _Loop(network, solutions, range(num_steps))
+    loop = _Loop(network, solutions, range(num_steps), S)
     N = len(loop.ids)
     X, zetas = loop.sample(rng, S)
     patterns = _VertexPatterns(rng, S)
@@ -633,7 +871,7 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
     for t in range(num_steps):
         if not alive.any():
             break
-        X = loop.advance(t, X, zetas, loop.disturbance(rng, t, S, patterns))[0]
+        X = loop.advance(t, X, zetas, loop.disturbance(rng, t, S, patterns))
         loop.rewitness(t, X, zetas, alive, report)
         report.checked += N * int(alive.sum())
         if alive.any():

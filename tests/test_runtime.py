@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import oracles
 import pytest
+import test_recursion
 from test_contracts import finite_pair, pair_network
 from test_viability import PLANT2D
 
@@ -24,12 +25,14 @@ from zonosynth.synthesis import (
     centralized_synthesize,
     compositional_synthesize,
 )
+from zonosynth import sysmodel
 from zonosynth.sysmodel import (
     Network,
     Subsystem,
     aggregate,
     load_network,
     random_network,
+    stacked_slices,
 )
 from zonosynth.viability import TubeSolution, rci
 
@@ -372,6 +375,23 @@ def test_verify_rejects_negative_run_lengths(pair, kwargs, name):
     net, result = pair
     with pytest.raises(ValueError, match=name):
         verify_invariance(net, result, **kwargs)
+
+
+@pytest.mark.parametrize("value", [0.5, 10.0, True], ids=["half", "float", "bool"])
+@pytest.mark.parametrize("name, call", [
+    ("num_samples", lambda net, res, v: verify_invariance(net, res, num_samples=v)),
+    ("num_steps", lambda net, res, v: verify_invariance(net, res, num_samples=4,
+                                                         num_steps=v)),
+    ("num_steps", lambda net, res, v: simulate(net, res, v)),
+    ("t", lambda net, res, v: step(net, res, {1: [0.0], 2: [0.0]}, t=v)),
+], ids=["verify-num_samples", "verify-num_steps", "simulate-num_steps", "step-t"])
+def test_run_lengths_must_be_integers(pair, name, call, value):
+    # a float or a bool is refused by name, not by whatever numpy or range
+    # make of it
+    net, result = pair
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "
+                                        rf"{value!r}$"):
+        call(net, result, value)
 
 
 def test_verify_missing_subsystem_raises(pair):
@@ -750,3 +770,121 @@ def test_rollouts_name_subsystems_without_solutions(pair, call):
     net, result = pair
     with pytest.raises(ValueError, match=r"no solutions for subsystem\(s\) \[2\]"):
         call(net, {1: result.solutions[1]})
+
+
+# ---------------------------------------------------------------------------
+# the banded step product
+
+
+def _band_product(band, t, X, U, d):
+    """``band``'s x(t+1) for states X, stacked inputs U and disturbances d;
+    X is copied, since the product uses it as scratch."""
+    out, work = np.empty_like(X), np.empty_like(X)
+    band.apply(band.tiles(t), X.copy(), U[band.cols], d, out, work)
+    return out
+
+
+def test_banded_product_matches_the_aggregate_dynamics(monkeypatch):
+    # mixed networks, finite and infinite, cut into tiles of at most two
+    # rows: input couplings, per-step A/B, subsystems with m = 0 and tiles
+    # with no input column all occur, and every product matches the dense
+    # A(t) X + B(t) U + d of sysmodel.aggregate_dynamics at every step
+    monkeypatch.setattr(runtime, "_TILE", 2)
+    seen = set()
+    for finite, seed in itertools.product((False, True), range(8)):
+        net = test_recursion.mixed_network(np.random.default_rng(seed), finite)
+        rng = np.random.default_rng(seed)
+        band = runtime._Band(net, net.sorted_ids(), stacked_slices(net))
+        n, m = len(band.rows), len(band.cols)
+        assert band.gathered and len(band.bounds) > 1
+        for t in range(net.num_steps):
+            A, B = sysmodel.aggregate_dynamics(net, t)
+            X, U, d = (rng.standard_normal((k, 7)) for k in (n, m, n))
+            np.testing.assert_allclose(_band_product(band, t, X, U, d),
+                                       A @ X + B @ U + d, rtol=0, atol=1e-12)
+            seen.update(("empty-B-span", finite) for *_, b in band.tiles(t)
+                        if b is None)
+        subs = [net.subsystem(sid) for sid in net.sorted_ids()]
+        seen.update(("m=0", finite) for s in subs if s.m == 0)
+        seen.update(("input-coupling", finite) for s in subs
+                    for c in s.couplings.values() if c.B is not None)
+        seen.update(("per-step", finite) for s in subs if len(s.A) > 1)
+    assert seen == {(what, finite) for finite in (False, True) for what in (
+        "empty-B-span", "m=0", "input-coupling")} | {("per-step", True)}
+
+
+def test_banded_product_on_a_geometric_network():
+    # at the real tile size the band order keeps the spans to a fraction of
+    # the dense A and B, and the product is still the dense one
+    net = random_network(200, lambda_for(400), seed=0)
+    band = runtime._Band(net, net.sorted_ids(), stacked_slices(net))
+    n, m = len(band.rows), len(band.cols)
+    tiles = band.tiles(0)
+    assert len(tiles) > 1 and all(r1 - r0 <= runtime._TILE for r0, r1, *_ in tiles)
+    assert sum((r1 - r0) * (a[1] - a[0]) for r0, r1, a, _ in tiles) < 0.25 * n * n
+    assert sum((r1 - r0) * (b[1] - b[0]) for r0, r1, _, b in tiles) < 0.25 * n * m
+    rng = np.random.default_rng(1)
+    X, U, d = (rng.standard_normal((k, 5)) for k in (n, m, n))
+    A, B = sysmodel.aggregate_dynamics(net, 0)
+    np.testing.assert_allclose(_band_product(band, 0, X, U, d),
+                               A @ X + B @ U + d, rtol=0, atol=1e-12)
+
+
+def test_band_order_is_a_permutation_built_once_per_loop(geo20, monkeypatch):
+    net, result = geo20
+    orders = []
+    real = runtime._band_order
+
+    def counted(*args):
+        orders.append(real(*args))
+        return orders[-1]
+
+    monkeypatch.setattr(runtime, "_band_order", counted)
+    for steps in (5, 50):
+        orders.clear()
+        assert verify_invariance(net, result, num_samples=8, num_steps=steps).ok
+        assert len(orders) == 1
+    assert sorted(orders[0]) == list(range(len(net.sorted_ids())))
+    band = runtime._Band(net, net.sorted_ids(), stacked_slices(net))
+    assert band.gathered
+    assert sorted(band.rows) == list(range(2 * len(net.sorted_ids())))
+    assert sorted(band.cols) == list(range(len(net.sorted_ids())))
+
+
+def changing_dynamics_pair():
+    """Two scalar subsystems over horizon 3 with their own A, B and
+    coupling at every step."""
+    def sub(sid, other):
+        return {"id": sid, "A": [[[0.0]], [[0.2]], [[0.1]]],
+                "B": [[[1.0]], [[0.5]], [[1.0]]],
+                "X": _box([0.0], [[1.0]]), "U": _box([0.0], [[1.0]]),
+                "D": _box([0.0], [[0.1]]),
+                "couplings": [{"to": other, "A": [[[0.3]], [[0.2]], [[0.1]]]}]}
+    return load_network({"mode": "finite", "horizon": 3,
+                         "subsystems": [sub(1, 2), sub(2, 1)]})
+
+
+@pytest.mark.parametrize("case", ["geo20", "finite-per-step"])
+def test_tiles_are_built_once_per_distinct_step(request, case, monkeypatch):
+    # the tiles are cut from sysmodel.aggregate_dynamics: once per run for
+    # invariant dynamics, once per step for dynamics that change every step
+    if case == "geo20":
+        net, result = request.getfixturevalue("geo20")
+        runs = {5: 1, 50: 1}
+    else:
+        net = changing_dynamics_pair()
+        result = centralized_synthesize(net, reduction_order=None)
+        assert result.ok
+        runs = {1: 1, 3: 3}
+    calls = []
+    real = sysmodel.aggregate_dynamics
+
+    def counted(network, t, slices=None):
+        calls.append(t)
+        return real(network, t, slices)
+
+    monkeypatch.setattr(sysmodel, "aggregate_dynamics", counted)
+    for steps, builds in runs.items():
+        calls.clear()
+        assert verify_invariance(net, result, num_samples=8, num_steps=steps).ok
+        assert len(calls) == builds
