@@ -234,13 +234,11 @@ def _chain_exact(sol):
     return sol.beta == 0.0 and sol.E is None
 
 
-def _norms(a, buf=None):
+def _norms(a, buf):
     """|.|_inf over axis -2 of samples-last witnesses or residuals: one
-    value per sample (0 without coordinates).  With a scratch ``buf`` it is
-    the larger of the largest entry and the negated smallest, both kept in
-    buf's first entries (``_scratch``), so that no |a| is made."""
-    if buf is None:
-        return np.abs(a).max(axis=-2, initial=0.0)
+    value per sample (0 without coordinates).  It is the larger of the
+    largest entry and the negated smallest, both kept in the first entries
+    of the scratch ``buf`` (``_scratch``), so that no |a| is made."""
     shape = a.shape[:-2] + a.shape[-1:]
     top, neg = _scratch(buf, (2,) + shape)
     if not a.shape[-2]:
@@ -252,12 +250,12 @@ def _norms(a, buf=None):
     return np.maximum(top, neg, out=top)
 
 
-def _tail_ok(tail, radii, resid, zw, out=None, buf=None):
+def _tail_ok(tail, radii, resid, zw, buf, out=None):
     """Samples where zw is a witness of resid on the tail: |zw|_inf <= 1 +
     1e-9 and tail @ zw reconstructs resid within 1e-9 (NaN fails).  A
     diagonal tail passes its ``radii``, and the product is entrywise.  The
-    reconstruction goes into ``out`` (resid's shape) and the norms into
-    ``buf`` when they are given."""
+    norms go into the scratch ``buf``, and the reconstruction into ``out``
+    (resid's shape) when it is given."""
     ok = _norms(zw, buf) <= 1.0 + 1e-9
     if radii is None:
         miss = np.matmul(tail, zw, out=out)
@@ -265,8 +263,8 @@ def _tail_ok(tail, radii, resid, zw, out=None, buf=None):
         miss = np.multiply(zw, radii, out=out)
     np.subtract(resid, miss, out=miss)
     np.abs(miss, out=miss)
-    worst = None if buf is None else _scratch(buf, ok.shape)
-    return ok & (miss.max(axis=-2, initial=0.0, out=worst) <= 1e-9)
+    worst = miss.max(axis=-2, initial=0.0, out=_scratch(buf, ok.shape))
+    return ok & (worst <= 1e-9)
 
 
 def _diagonal(G):
@@ -545,7 +543,9 @@ class _Loop:
         self._built = {}
         # x(t+1) goes into the spare state buffer, and the states given to
         # ``advance`` become the next spare; d(t) and the work buffer serve
-        # as scratch of the draw, the product and the witness chain
+        # as scratch of the draw, the product and the witness chain, and the
+        # spare, which holds no live state outside ``advance``, as scratch
+        # of the draw and the norms
         at = 0
         for group in self.groups:
             g, n = group.rows.shape
@@ -722,18 +722,17 @@ class _Loop:
             # of the tube recursion cannot compound through the witnesses
             keep = st.width - st.p
             block = zetas[gi]
-            if block.shape == shape:
-                # in place, member by member and in runs of ``shift``
-                # columns, so no copy overlaps its source; numpy would
-                # first copy an overlapping source
-                for member in block if st.shift else ():
-                    for j in range(0, keep, st.shift):
-                        stop = min(j + st.shift, keep)
-                        member[j:stop] = member[j + st.shift:stop + st.shift]
-            else:
+            if block.shape != shape:
                 block = np.empty(shape)
                 block[:, :keep] = zetas[gi][:, st.shift:]
                 zetas[gi] = block
+            elif st.shift:
+                # one overlapping copy over the flat block, which numpy
+                # makes in place as a 1-d one: each member's columns move
+                # ``shift`` places to the front, and the next member's
+                # first columns land in the tail, which is solved for below
+                flat = block.reshape(-1)
+                flat[:flat.size - st.shift * shape[2]] = flat[st.shift * shape[2]:]
             rows = self._work[group.scratch].reshape(group.rows.shape + shape[2:])
             fit = np.matmul(st.head, block[:, :keep], out=rows)
             fit += st.center
@@ -742,8 +741,8 @@ class _Loop:
             resid -= fit
             zw = block[:, keep:]
             st.solve_tail(resid, zw)
-            bad = ~_tail_ok(st.tail, st.radii, resid, zw, out=rows,
-                            buf=self._spare)
+            bad = ~_tail_ok(st.tail, st.radii, resid, zw, self._spare,
+                            out=rows)
             work += [(group.pos[i], gi, i, (resid[i], bad[i]))
                      for i in np.flatnonzero((bad & alive).any(axis=1))]
 
@@ -766,7 +765,7 @@ class _Loop:
                     zw = zeta[st.width - st.p:]
                     zw[:, rows[inside]] = wit[inside].T
                     miss[rows] = ~_tail_ok(st.tail[i], None, resid[:, rows],
-                                           zw[:, rows])
+                                           zw[:, rows], self._spare)
                 redo = np.flatnonzero(miss)
             if not redo.size:
                 continue

@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -888,3 +889,30 @@ def test_tiles_are_built_once_per_distinct_step(request, case, monkeypatch):
         calls.clear()
         assert verify_invariance(net, result, num_samples=8, num_steps=steps).ok
         assert len(calls) == builds
+
+
+def test_a_step_allocates_no_sample_sized_array(geo20, monkeypatch):
+    # from the second step on, the states alternate between two buffers and
+    # the draws, the product, the witness shift and the norms reuse the
+    # run's scratch, so no step allocates one float per subsystem and
+    # sample; the witness check's boolean masks stay well below that
+    net, result = geo20
+    S = 1024
+    grown, base = [], [0]
+    real = runtime._Loop.margins
+
+    def record(self, *args):
+        real(self, *args)
+        current, peak = tracemalloc.get_traced_memory()
+        grown.append(peak - base[0])
+        base[0] = current
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(runtime._Loop, "margins", record)
+    tracemalloc.start()
+    try:
+        assert verify_invariance(net, result, num_samples=S, num_steps=6).ok
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 7
+    assert max(grown[2:]) < 8 * S * len(net.sorted_ids())
