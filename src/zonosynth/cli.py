@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -181,6 +180,10 @@ def _bench_worker(conn, dim, lam, seed, method):
 
 
 def _bench_case(dim, lam, seed, method, timeout):
+    # imported here: it pulls in socket, selectors and signal, which no
+    # other command needs
+    import multiprocessing
+
     receiver, sender = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(target=_bench_worker,
                                    args=(sender, dim, lam, seed, method))

@@ -225,6 +225,10 @@ _S = _hcore.HighsModelStatus
 # a simplex breakdown, which one run by the interior-point solver retries,
 # with these options set and then put back
 _BREAKDOWN, _IPM = (_S.kNotset, _S.kSolveError), ("solver", "run_crossover")
+# programs, by name, solved at primal and dual feasibility tolerance 1e-10
+# instead of HiGHS's 1e-7: the Hausdorff LP's optimum is compared with
+# witness bounds to 1e-9
+_TIGHT = ("hausdorff",)
 
 
 def _merge(key, coefs):
@@ -458,6 +462,10 @@ class LinearProgram:
         solver.setOptionValue("output_flag", False)
         solver.setOptionValue("threads", 1)
         solver.setOptionValue("random_seed", 0)
+        if self.name in _TIGHT:
+            for option in ("primal_feasibility_tolerance",
+                           "dual_feasibility_tolerance"):
+                solver.setOptionValue(option, 1e-10)
         return solver
 
     def _highs_model(self):

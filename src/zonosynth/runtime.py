@@ -29,14 +29,21 @@ witnesses are one (g, k, S) block; a step makes a fixed number of numpy
 calls per group.  Each tube's step data (Omega(t+1), Theta(t), the
 head/tail split, the tail's radii or pseudo-inverse) is stacked once per
 distinct index ``sysmodel._at`` reads from the tube's lists: once per step,
-and once per run for an invariant tube, whose lists have one entry.
+and once per run for an invariant tube, whose lists have one entry.  A
+per-step tube's data is dropped once its step is taken.
 
 The witnesses chain along the loop: a state keeps its coordinates from the
 last step, and only the new tail block of Omega_i(t+1), the columns that
 the disturbance generators became, is solved for.  A diagonal tail is
 divided out; any other tail takes a least-squares guess and, where that
-misses, a min-|zeta|_inf LP on the tail alone.  Every chained witness is
-checked (|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state
+misses, its min-|zeta|_inf solution by vertex enumeration: for an n x p
+tail the minimum sits where p - n + 1 coordinates are at +-t (Cadzow 1973),
+and the C(p, n - 1) * 2**(p - n) linear systems of those vertices are
+inverted once per tube step and member, so one product solves them for
+every missed sample.  A tail with more than 4096 of them, or with fewer
+columns than rows, and a sample whose vertex solution fails the check
+below, take a min-|zeta|_inf LP on the tail alone.  Every chained witness
+is checked (|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state
 whose chained witness fails, and every state of a contracted invariant tube
 (beta > 0 or an error term), is re-witnessed by the membership LP on the
 whole tube, one warm instance per tube step, subsystem by subsystem in
@@ -50,6 +57,7 @@ because worst cases live at vertices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -272,6 +280,83 @@ def _diagonal(G):
     return G.shape[0] == G.shape[1] and not np.any(G - np.diag(np.diag(G)))
 
 
+_VERTICES = 4096    # vertex systems of a tail, at most; a tail with more
+                    # takes the tail LP
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_index(n, p):
+    """The vertex systems of an n x p tail G, p >= n, as read-only arrays
+    (F, R, s) of shapes (K, n - 1), (K, p - n + 1) and (K, p - n + 1), K =
+    C(p, n - 1) * 2**(p - n).  System k holds the coordinates R[k] at t *
+    s[k] and solves [G_F, G_R s][z_F; t] = r for the free ones F[k] and t;
+    s[k] starts with +1, because the sign of t gives -s[k] (Cadzow 1973)."""
+    signs = [(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=p - n)]
+    F, R, s = [], [], []
+    for free in itertools.combinations(range(p), n - 1):
+        held = [j for j in range(p) if j not in free]
+        F += [free] * len(signs)
+        R += [held] * len(signs)
+        s += signs
+    F, R = (np.array(a, dtype=np.intp).reshape(len(s), -1) for a in (F, R))
+    s = np.array(s)
+    for a in (F, R, s):
+        a.flags.writeable = False
+    return F, R, s
+
+
+def _vertex_systems(G):
+    """The inverses of the vertex systems [G_F, G_R s] of the tail G that
+    are not near singular, stacked (K', n, n), and their indices in
+    ``_vertex_index`` (K',); None when G has fewer columns than rows, more
+    than ``_VERTICES`` systems or no regular one (G of rank below n)."""
+    n, p = G.shape
+    if not 0 < n <= p or math.comb(p, n - 1) << (p - n) > _VERTICES:
+        return None
+    F, R, s = _vertex_index(n, p)
+    M = np.empty((len(s), n, n))
+    M[:, :, :-1] = G[:, F].transpose(1, 0, 2)
+    M[:, :, -1] = np.einsum("ikr,kr->ki", G[:, R], s)
+    # |det M| is at most the product of its column norms (Hadamard), with
+    # equality for orthogonal columns
+    keep = np.flatnonzero(np.abs(np.linalg.det(M)) > 1e-12 * np.prod(
+        np.linalg.norm(M, axis=1), axis=-1))
+    if not keep.size:
+        return None
+    return np.linalg.inv(M[keep]), keep
+
+
+def _vertex_witness(systems, tail, resid, buf):
+    """A min-|z|_inf solution z of tail @ z = resid per column of the (n,
+    c) residuals, as a (p, c) array; ``systems`` is ``_vertex_systems(tail)``.
+
+    The minimum sits at a vertex where p - n + 1 coordinates are at +-t
+    (Cadzow 1973).  Each regular system gives [z_F; t] = M^-1 r; it is a
+    vertex when |z_F| <= |t|, up to a 1e-12 relative allowance that keeps
+    the degenerate vertices, where a free coordinate sits at +-t too, from
+    being lost to rounding.  The least |t| per sample wins, and z_R = t s.
+    The candidates go through the scratch ``buf`` (``_scratch``), as many
+    samples at a time as fit.
+    """
+    inv, keep = systems
+    F, R, s = _vertex_index(*tail.shape)
+    K, n = inv.shape[:2]
+    z = np.empty((tail.shape[1], resid.shape[1]))
+    chunk = max(1, buf.size // (K * n))
+    for a in range(0, resid.shape[1], chunk):
+        r = resid[:, a:a + chunk]
+        cand = np.matmul(inv, r, out=_scratch(buf, (K, n, r.shape[1])))
+        np.abs(cand, out=cand)
+        t = cand[:, -1]
+        t[(cand[:, :-1] > t[:, None] * (1.0 + 1e-12)).any(axis=1)] = np.inf
+        best = t.argmin(axis=0)
+        sol = np.matmul(inv[best], r.T[:, :, None])[:, :, 0].T
+        k, cols = keep[best], np.arange(a, a + r.shape[1])
+        z[F[k].T, cols] = sol[:-1]
+        z[R[k].T, cols] = s[k].T * sol[-1]
+    return z
+
+
 def _scratch(buf, shape):
     """The first entries of the contiguous buffer ``buf`` as an array of
     ``shape``, or a new array where ``buf`` is too small."""
@@ -332,6 +417,7 @@ class _TubeStep:
             else:
                 self.pinv = np.linalg.pinv(self.tail)
         self._tail_sets = {}
+        self._vertices = {}
 
     def solve_tail(self, resid, out):
         """Tail coordinates of (g, n, S) residuals into ``out``: divided out
@@ -351,6 +437,12 @@ class _TubeStep:
                                           self.tail[i])
         return self._tail_sets[i]
 
+    def vertex_systems(self, i):
+        """Member i's ``_vertex_systems``, for ``_vertex_witness``."""
+        if i not in self._vertices:
+            self._vertices[i] = _vertex_systems(self.tail[i])
+        return self._vertices[i]
+
 
 class _Group:
     """Subsystems whose tubes have one shape over the run; their witnesses
@@ -366,6 +458,12 @@ class _Group:
 
     def at(self, t):
         return sysmodel._at(self._steps, t)
+
+    def spend(self, t):
+        """Drop step t's data, with what was cached on it, once the step is
+        taken; the one entry of an invariant tube serves every step."""
+        if len(self._steps) > 1:
+            self._steps[t] = None
 
 
 def _groups(network, solutions, ids, steps, state_slices, input_slices):
@@ -746,11 +844,6 @@ class _Loop:
             work += [(group.pos[i], gi, i, (resid[i], bad[i]))
                      for i in np.flatnonzero((bad & alive).any(axis=1))]
 
-        def lp_witness(Z, points):
-            if Z.num_generators:
-                report.lp_rewitness += len(points)
-            return contains_point(Z, points)
-
         for pos, gi, i, chain in sorted(work, key=lambda w: w[0]):
             st = self.groups[gi].at(t)
             zeta = zetas[gi][i]
@@ -758,19 +851,18 @@ class _Loop:
                 redo = np.flatnonzero(alive)
             else:
                 resid, bad = chain
-                miss = alive & bad
-                if st.pinv is not None and miss.any():
-                    rows = np.flatnonzero(miss)
-                    inside, wit = lp_witness(st.tail_set(i), resid[:, rows].T)
-                    zw = zeta[st.width - st.p:]
-                    zw[:, rows[inside]] = wit[inside].T
-                    miss[rows] = ~_tail_ok(st.tail[i], None, resid[:, rows],
-                                           zw[:, rows], self._spare)
-                redo = np.flatnonzero(miss)
+                redo = np.flatnonzero(alive & bad)
+                if st.pinv is not None and redo.size:
+                    if st.p:
+                        report.lp_rewitness += redo.size
+                    redo = self._tail_witness(st, i, zeta[st.width - st.p:],
+                                              resid, redo)
             if not redo.size:
                 continue
             sl = self.state_slices[self.ids[pos]]
-            inside, wit = lp_witness(st.omegas[i], X[sl, redo].T)
+            if st.omegas[i].num_generators:
+                report.lp_rewitness += redo.size
+            inside, wit = contains_point(st.omegas[i], X[sl, redo].T)
             zeta[:, redo[inside]] = wit[inside].T
             if chain is not None:
                 report.witness_losses += int(inside.sum())
@@ -779,6 +871,29 @@ class _Loop:
             alive[out] = False
             if out.size and report.first_violation is None:
                 report.first_violation = (self.ids[pos], t + 1)
+        for group in self.groups:
+            group.spend(t)
+
+    def _tail_witness(self, st, i, zw, resid, rows):
+        """Solve member i's non-diagonal tail for the tail coordinates
+        ``zw`` of the samples ``rows``, whose chained witness failed, from
+        their residuals ``resid``: exactly by ``_vertex_witness`` where the
+        tail allows it, then by the tail LP for those that fail the witness
+        check.  Returns the samples still without a witness."""
+        tail = st.tail[i]
+        systems = st.vertex_systems(i)
+        if systems is not None:
+            # the chain's reconstruction in the work buffer is spent
+            zw[:, rows] = _vertex_witness(systems, tail, resid[:, rows],
+                                          self._work)
+            rows = rows[~_tail_ok(tail, None, resid[:, rows], zw[:, rows],
+                                  self._spare)]
+        if rows.size:
+            inside, wit = contains_point(st.tail_set(i), resid[:, rows].T)
+            zw[:, rows[inside]] = wit[inside].T
+            rows = rows[~_tail_ok(tail, None, resid[:, rows], zw[:, rows],
+                                  self._spare)]
+        return rows
 
     def margins(self, zetas, alive, out):
         """1 - |zeta|_inf minimized over the live samples (at least one),
@@ -826,7 +941,8 @@ class InvarianceReport:
     checked: int = 0              # membership decisions made
     witness_losses: int = 0       # chained witness failed its check but the
                                   # tube LP found the state inside
-    lp_rewitness: int = 0         # membership LPs solved (tail and tube)
+    lp_rewitness: int = 0         # membership problems solved: tail (by
+                                  # vertex enumeration or LP) and tube LPs
     violations: int = 0           # states confirmed outside their tube
     first_violation: tuple | None = None
     margins: dict = field(default_factory=dict)  # sid -> per-step min margin

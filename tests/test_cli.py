@@ -446,3 +446,15 @@ def test_synth_malformed_config_exits_two(tmp_path, capsys, config):
 def test_plotdata_missing_result_exits_two(capsys):
     assert main(["plotdata", "--result", "/no/such/dir",
                  "--what", "viable-sets"]) == 2
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # multiprocessing pulls in socket, selectors and signal; only the bench
+    # command's worker needs it, and perfbench imports the CLI for lambda_for
+    from test_lpcore import _run_fresh
+
+    _run_fresh("""
+import sys
+import zonosynth.cli
+assert "multiprocessing" not in sys.modules
+""")

@@ -508,6 +508,16 @@ class TestHausdorffBound:
         bound = hausdorff_bound(inner, center, cols, scales, L)
         assert bound >= directed_hausdorff(Zonotope(center, cols * scales), inner) - 1e-9
 
+    def test_bounds_the_lp_on_a_nearly_flat_segment(self):
+        # a falsifying example of the property above: the exact distance is
+        # 2 - 1.678e-9, which the LP at HiGHS's default 1e-7 feasibility
+        # tolerances rounded to 2.0
+        cols = np.array([[1.0], [-1.678e-9]])
+        inner = Zonotope(np.array([0.0, -2.0]), np.zeros((2, 0)))
+        bound = hausdorff_bound(inner, np.zeros(2), cols, np.ones(1), np.array([[-1.0]]))
+        assert bound == pytest.approx(2.0 - 1.678e-9, rel=0, abs=1e-15)
+        assert bound >= directed_hausdorff(Zonotope(np.zeros(2), cols), inner) - 1e-9
+
     def test_containment_lp_witness_certifies(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

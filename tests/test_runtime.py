@@ -11,7 +11,7 @@ import test_recursion
 from test_contracts import finite_pair, pair_network
 from test_viability import PLANT2D
 
-from zonosynth import geom, runtime
+from zonosynth import geom, lpcore, runtime
 from zonosynth.cli import lambda_for
 from zonosynth.geom import Zonotope, contains_point, sample
 from zonosynth.runtime import (
@@ -541,6 +541,110 @@ def test_chained_witness_must_reconstruct_the_state(w_gens):
         [Zonotope([0.0, 0.0], w_gens)], 0.0, None, 0.0)
     report = verify_invariance(net, {"s": sol}, num_samples=64, seed=0)
     assert report.witness_losses > 0 and report.violations > 0
+
+
+# ---------------------------------------------------------------------------
+# the tail witness by vertex enumeration
+
+
+def _lp_optimum(G, r):
+    """min |z|_inf subject to G z = r by the membership LP (inf when r is
+    outside G's range)."""
+    lp, _, _ = geom.membership_lp(Zonotope(np.zeros(len(r)), G), r)
+    sol = lp.solve()
+    return sol.objective if sol.status == lpcore.OPTIMAL else np.inf
+
+
+def _tail_case(rng, kind):
+    """A zero-center tail G, n in {1, 2, 3} and n <= p <= 7, of one kind,
+    and a point G z0 with |z0|_inf up to 2, so that some are outside."""
+    n = int(rng.integers(1, 4))
+    p = int(rng.integers(n, 8))
+    G = rng.normal(size=(n, p))
+    if kind == "parallel" and p > 1:
+        G[:, 1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) * G[:, 0]
+    elif kind == "zero-column":
+        G[:, rng.integers(p)] = 0.0
+    elif kind == "rank-deficient":
+        G = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, p))
+    return G, G @ rng.uniform(-2.0, 2.0, p)
+
+
+def test_vertex_witness_matches_the_membership_lp():
+    rng = np.random.default_rng(21)
+    buf = np.empty(64)
+    seen = set()
+    for case in range(400):
+        kind = ("general", "parallel", "zero-column", "rank-deficient")[case % 4]
+        G, r = _tail_case(rng, kind)
+        n, p = G.shape
+        best = _lp_optimum(G, r)
+        systems = runtime._vertex_systems(G)
+        if systems is None:     # no regular vertex system: left to the LP
+            assert np.linalg.matrix_rank(G) < n
+            seen.add("left to the LP")
+            continue
+        z = runtime._vertex_witness(systems, G, r[:, None], buf)
+        assert z.shape == (p, 1)
+        norm = np.abs(z).max()
+        assert norm == pytest.approx(best, rel=0, abs=1e-9)
+        certified = runtime._tail_ok(G, None, r[:, None], z, buf)[0]
+        assert certified == (best <= 1.0 + 1e-9)
+        assert np.abs(G @ z[:, 0] - r).max() <= 1e-9
+        seen.add((kind, "inside" if certified else "outside"))
+    assert seen == {(kind, side) for kind in ("general", "parallel", "zero-column")
+                    for side in ("inside", "outside")} | {"left to the LP"}
+
+
+def test_vertex_witness_keeps_a_degenerate_vertex():
+    # two parallel columns: at the optimum every coordinate sits at -t, so
+    # a free coordinate equals |t| only up to rounding
+    G = np.array([[0.00344247, 0.00209663, 0.4, 0.0],
+                  [0.00344247, 0.00209663, 0.0, 0.4]])
+    r = np.array([-0.403, -0.403])
+    t = 0.403 / G[0, :3].sum()
+    z = runtime._vertex_witness(runtime._vertex_systems(G), G, r[:, None],
+                                np.empty(64))[:, 0]
+    np.testing.assert_allclose(z, -t * np.ones(4), rtol=0, atol=1e-12)
+    assert np.abs(z).max() == pytest.approx(_lp_optimum(G, r), rel=0, abs=1e-12)
+
+
+def test_vertex_witness_chunks_the_samples():
+    # a scratch smaller than one sample's candidates, one that holds a few
+    # samples and one that holds them all give the same witnesses
+    rng = np.random.default_rng(3)
+    G = rng.normal(size=(3, 7))
+    R = G @ rng.uniform(-1.0, 1.0, (7, 40))
+    systems = runtime._vertex_systems(G)
+    got = [runtime._vertex_witness(systems, G, R, np.empty(size))
+           for size in (1, 5 * 3 * len(systems[1]), 10**6)]
+    for z in got:
+        np.testing.assert_array_equal(z, got[-1])
+        np.testing.assert_allclose(G @ z, R, rtol=0, atol=1e-9)
+
+
+def test_verify_exact_encoding_solves_no_lp(finite_exact):
+    # every tail is 1 x 2: the vertex systems witness each chain miss, and
+    # lp_rewitness still counts the tail problems the reference solves by LP
+    net, result = finite_exact
+    with lpcore.track_solver_time() as solver:
+        report = verify_invariance(net, result, num_samples=32, seed=4)
+    ref = oracles.verify_invariance_per_subsystem(net, result.solutions, 32,
+                                                  report.num_steps, seed=4)
+    assert solver.solves == 0
+    assert report.lp_rewitness == ref.lp_rewitness > 0
+
+
+def test_tail_over_the_vertex_cap_takes_the_tail_lp(finite_exact, monkeypatch):
+    net, result = finite_exact
+    exact = verify_invariance(net, result, num_samples=32, seed=4)
+    monkeypatch.setattr(runtime, "_VERTICES", 1)    # a 1 x 2 tail has 2
+    with lpcore.track_solver_time() as solver:
+        capped = verify_invariance(net, result, num_samples=32, seed=4)
+    assert solver.solves == capped.lp_rewitness == exact.lp_rewitness > 0
+    for sid in exact.margins:
+        np.testing.assert_allclose(capped.margins[sid], exact.margins[sid],
+                                   rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
