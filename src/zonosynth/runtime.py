@@ -23,34 +23,35 @@ keeps its own order and takes the plain products A @ X + B @ U.  Every
 sample-sized array a step needs is allocated once per run: the states
 alternate between two buffers, and the disturbance draws, the product and
 the witness chain reuse the same scratch.  The subsystems whose tubes share
-one shape over the run (n, m, k(t), p(t), the witness shift, whether they
-chain, whether the tail is diagonal) form a group, and the group's
-witnesses are one (g, k, S) block; a step makes a fixed number of numpy
-calls per group.  Each tube's step data (Omega(t+1), Theta(t), the
-head/tail split, the tail's radii or pseudo-inverse) is stacked once per
-distinct index ``sysmodel._at`` reads from the tube's lists: once per step,
-and once per run for an invariant tube, whose lists have one entry.  A
-per-step tube's data is dropped once its step is taken.
+one shape over the run (n, m, k(t), p(t), the witness shift, whether the
+tail is diagonal) form a group, and the group's witnesses are one (g, k,
+S) block; a step makes a fixed number of numpy calls per group.  Each
+tube's step data (Omega(t+1), Theta(t), the head/tail split, the tail's
+radii or pseudo-inverse) is stacked once per distinct index
+``sysmodel._at`` reads from the tube's lists: once per step, and once per
+run for an invariant tube, whose lists have one entry.  A per-step tube's
+data is dropped once its step is taken.
 
 The witnesses chain along the loop: a state keeps its coordinates from the
 last step, and only the new tail block of Omega_i(t+1), the columns that
-the disturbance generators became, is solved for.  A diagonal tail is
-divided out; any other tail takes a least-squares guess and, where that
-misses, its min-|zeta|_inf solution by vertex enumeration: for an n x p
-tail the minimum sits where p - n + 1 coordinates are at +-t (Cadzow 1973),
-and the C(p, n - 1) * 2**(p - n) linear systems of those vertices are
-inverted once per tube step and member, so one product solves them for
-every missed sample.  A tail with more than 4096 of them, or with fewer
-columns than rows, and a sample whose vertex solution fails the check
-below, take a min-|zeta|_inf LP on the tail alone.  Every chained witness
-is checked (|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state
-whose chained witness fails, and every state of a contracted invariant tube
-(beta > 0 or an error term), is re-witnessed by the membership LP on the
-whole tube, one warm instance per tube step, subsystem by subsystem in
-sorted order; so is every start state of ``step`` and ``simulate``.  A
-chained witness need not be the min-norm one, so the per-step margins are
-lower bounds.  ``verify_invariance`` runs a batch of sampled trajectories;
-its disturbances mix uniform interior draws with all-plus/minus-one vertex
+the disturbance generators became, is solved for.  Every tube chains: a
+contracted invariant one (beta > 0) has E = G_w Lambda, each row sum of
+|Lambda| at most beta, so its tail coordinates Lambda zeta_head + zeta_d /
+sigma have |.|_inf <= beta + (1 - beta) = 1.  A diagonal tail is divided
+out; any other tail takes a least-squares guess and, where that misses, its
+min-|zeta|_inf solution by vertex enumeration: for an n x p tail the
+minimum sits where p - n + 1 coordinates are at +-t (Cadzow 1973), and the
+C(p, n - 1) * 2**(p - n) linear systems of those vertices are inverted once
+per tube step and member, so one product solves them for every missed
+sample.  A tail with no regular system among at most 4096 takes a
+min-|zeta|_inf LP on the tail alone.  Every chained witness is checked
+(|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state whose
+chained witness fails is re-witnessed by the membership LP on the whole
+tube, one warm instance per tube step, subsystem by subsystem in sorted
+order; so is every start state of ``step`` and ``simulate``.  A chained
+witness need not be the min-norm one, so the per-step margins are lower
+bounds.  ``verify_invariance`` runs a batch of sampled trajectories; its
+disturbances mix uniform interior draws with all-plus/minus-one vertex
 patterns (all 2^p of them when p <= 12, random sign patterns otherwise),
 because worst cases live at vertices.
 """
@@ -229,19 +230,6 @@ def _mixed_zeta(rng, num, p, out=None):
     return out
 
 
-def _chain_exact(sol):
-    """Whether witnesses chain through the tube recursion for this solution.
-
-    A growing tube appends the disturbance generators to Omega(t+1), and an
-    uncontracted invariant tube shifts its oldest columns out for them, so a
-    state's coordinates carry over and only the tail block is new.  The
-    contracted fixed-point form (beta > 0 or an error term, never on a
-    finite tube) rescales the tube, so the concatenation identity no longer
-    holds and membership must be re-witnessed on the whole tube every step.
-    """
-    return sol.beta == 0.0 and sol.E is None
-
-
 def _norms(a, buf):
     """|.|_inf over axis -2 of samples-last witnesses or residuals: one
     value per sample (0 without coordinates).  It is the larger of the
@@ -376,18 +364,22 @@ def _tube_steps(sol, steps):
 def _shape(sol, sub, steps):
     """What the members of a group share: n, m, the witness width at the
     first step, and per tube step i (a ``_tube_steps`` index) i, p(i), the
-    witness shift, whether the witnesses chain and whether the tail of
-    Omega(i+1) is diagonal.  The shift is the number of leading witness
-    columns a step drops: p for a one-entry tube, whose oldest columns make
-    room for the disturbance ones, and 0 otherwise."""
+    witness shift and whether the tail of T(i+1), so of Omega(i+1), is
+    diagonal.  The shift is the number of leading witness columns a step
+    drops: p for a one-entry tube, whose oldest columns make room for the
+    disturbance ones, and 0 otherwise.  Widths that do not follow the
+    disturbance generators raise ValueError."""
     per_step = []
     for i in _tube_steps(sol, steps):
         p = sysmodel._at(sol.W, i).num_generators
         shift = p if len(sol.T) == 1 else 0
-        width, width_next = (sysmodel._at(sol.T, j).shape[1] for j in (i, i + 1))
-        chained = _chain_exact(sol) and width - shift == width_next - p
-        tail = sol.omega(i + 1).generators[:, width_next - p:]
-        per_step.append((i, p, shift, chained, chained and _diagonal(tail)))
+        width, T_next = sysmodel._at(sol.T, i).shape[1], sysmodel._at(sol.T, i + 1)
+        keep = T_next.shape[1] - p
+        if not 0 <= keep == width - shift:
+            raise ValueError(f"subsystem {sub.sid!r}: tube widths {width} -> "
+                             f"{T_next.shape[1]} at step {i} do not follow "
+                             f"its {p} disturbance generators")
+        per_step.append((i, p, shift, _diagonal(T_next[:, keep:])))
     return sub.n, sub.m, sysmodel._at(sol.T, steps.start).shape[1], tuple(per_step)
 
 
@@ -396,39 +388,37 @@ class _TubeStep:
     Theta(t) for the inputs, and Omega(t+1) with its head/tail split and the
     tail's radii (a diagonal tail) or pseudo-inverse for the witnesses."""
 
-    def __init__(self, omegas, thetas, p, shift, chained, diagonal):
+    def __init__(self, omegas, thetas, p, shift, diagonal):
         self.omegas = omegas                # Omega(t+1) per member
         self.p = p                          # disturbance generators
         self.shift = shift                  # leading witness columns dropped
-        self.chained = chained
         self.theta_c = self.theta_G = None
         if thetas:
             self.theta_c = np.stack([th.center for th in thetas])[:, :, None]
             self.theta_G = np.stack([th.generators for th in thetas])
         self.width = omegas[0].num_generators
         self.radii = self.pinv = None
-        if chained:
-            gens = np.stack([om.generators for om in omegas])
-            self.center = np.stack([om.center for om in omegas])[:, :, None]
-            self.head = gens[:, :, :self.width - p]
-            self.tail = gens[:, :, self.width - p:]
-            if diagonal:
-                self.radii = np.diagonal(self.tail, axis1=1, axis2=2)[:, :, None]
-            else:
-                self.pinv = np.linalg.pinv(self.tail)
+        gens = np.stack([om.generators for om in omegas])
+        self.center = np.stack([om.center for om in omegas])[:, :, None]
+        self.head = gens[:, :, :self.width - p]
+        self.tail = gens[:, :, self.width - p:]
+        if diagonal:
+            self.radii = np.diagonal(self.tail, axis1=1, axis2=2)[:, :, None]
+        else:
+            self.pinv = np.linalg.pinv(self.tail)
         self._tail_sets = {}
         self._vertices = {}
 
     def solve_tail(self, resid, out):
         """Tail coordinates of (g, n, S) residuals into ``out``: divided out
-        by a diagonal tail (0 where a radius is not positive), the
-        least-squares guess otherwise."""
+        by a diagonal tail (0 where a radius is 0), the least-squares guess
+        otherwise."""
         if self.radii is None:
             np.matmul(self.pinv, resid, out=out)
             return
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(resid, self.radii, out=out)
-        np.copyto(out, 0.0, where=~(self.radii > 0.0))
+        np.copyto(out, 0.0, where=self.radii == 0.0)
 
     def tail_set(self, i):
         """Member i's tail as a zonotope around 0, for the tail LP."""
@@ -477,10 +467,10 @@ def _groups(network, solutions, ids, steps, state_slices, input_slices):
         sols = [solutions[ids[i]] for i in pos]
         # indexed like the tubes' own lists; steps before the run stay None
         tube_steps = [None] * (per_step[-1][0] + 1 if per_step else 0)
-        for t, p, shift, chained, diagonal in per_step:
+        for t, p, shift, diagonal in per_step:
             tube_steps[t] = _TubeStep([sol.omega(t + 1) for sol in sols],
                                       [sol.theta(t) for sol in sols] if m else None,
-                                      p, shift, chained, diagonal)
+                                      p, shift, diagonal)
         first = np.array([[state_slices[ids[i]].start,
                            input_slices[ids[i]].start] for i in pos])
         groups.append(_Group(np.array(pos), first[:, :1] + np.arange(n),
@@ -798,22 +788,15 @@ class _Loop:
 
         Chained witnesses are solved for a whole group at once.  Then, in
         sorted order, each subsystem with a live sample whose chained witness
-        failed takes the tail LP (a non-diagonal tail) and the tube LP, and
-        each subsystem whose tube does not chain takes the tube LP for every
-        live sample.  Samples the tube LP finds outside leave ``alive``;
-        ``report`` counts them, the LPs and the witness losses.
+        failed solves its tail exactly (a non-diagonal tail, ``_tail_witness``)
+        and, where that fails too, takes the tube LP.  Samples the tube LP
+        finds outside leave ``alive``; ``report`` counts them, the tail and
+        tube problems and the witness losses.
         """
         work = []
         for gi, group in enumerate(self.groups):
             st = group.at(t)
             shape = (len(group.pos), st.width, X.shape[1])
-            if not st.chained:
-                if zetas[gi].shape == shape:
-                    zetas[gi].fill(0.0)
-                else:
-                    zetas[gi] = np.zeros(shape)
-                work += [(pos, gi, i, None) for i, pos in enumerate(group.pos)]
-                continue
             # the tail coordinates are recovered from the actual next state
             # (not from the disturbance applied), so x = c + T zeta holds
             # every step up to the 1e-9 check, and solver-tolerance residuals
@@ -841,22 +824,18 @@ class _Loop:
             st.solve_tail(resid, zw)
             bad = ~_tail_ok(st.tail, st.radii, resid, zw, self._spare,
                             out=rows)
-            work += [(group.pos[i], gi, i, (resid[i], bad[i]))
+            work += [(group.pos[i], gi, i, resid[i], bad[i])
                      for i in np.flatnonzero((bad & alive).any(axis=1))]
 
-        for pos, gi, i, chain in sorted(work, key=lambda w: w[0]):
+        for pos, gi, i, resid, bad in sorted(work, key=lambda w: w[0]):
             st = self.groups[gi].at(t)
             zeta = zetas[gi][i]
-            if chain is None:
-                redo = np.flatnonzero(alive)
-            else:
-                resid, bad = chain
-                redo = np.flatnonzero(alive & bad)
-                if st.pinv is not None and redo.size:
-                    if st.p:
-                        report.lp_rewitness += redo.size
-                    redo = self._tail_witness(st, i, zeta[st.width - st.p:],
-                                              resid, redo)
+            redo = np.flatnonzero(alive & bad)
+            if st.pinv is not None and redo.size:
+                if st.p:
+                    report.lp_rewitness += redo.size
+                redo = self._tail_witness(st, i, zeta[st.width - st.p:],
+                                          resid, redo)
             if not redo.size:
                 continue
             sl = self.state_slices[self.ids[pos]]
@@ -864,8 +843,7 @@ class _Loop:
                 report.lp_rewitness += redo.size
             inside, wit = contains_point(st.omegas[i], X[sl, redo].T)
             zeta[:, redo[inside]] = wit[inside].T
-            if chain is not None:
-                report.witness_losses += int(inside.sum())
+            report.witness_losses += int(inside.sum())
             out = redo[~inside]
             report.violations += out.size
             alive[out] = False
@@ -878,22 +856,19 @@ class _Loop:
         """Solve member i's non-diagonal tail for the tail coordinates
         ``zw`` of the samples ``rows``, whose chained witness failed, from
         their residuals ``resid``: exactly by ``_vertex_witness`` where the
-        tail allows it, then by the tail LP for those that fail the witness
-        check.  Returns the samples still without a witness."""
+        tail has vertex systems, by the tail LP where it has none.  Returns
+        the samples whose solution fails the witness check."""
         tail = st.tail[i]
         systems = st.vertex_systems(i)
         if systems is not None:
             # the chain's reconstruction in the work buffer is spent
             zw[:, rows] = _vertex_witness(systems, tail, resid[:, rows],
                                           self._work)
-            rows = rows[~_tail_ok(tail, None, resid[:, rows], zw[:, rows],
-                                  self._spare)]
-        if rows.size:
+        else:
             inside, wit = contains_point(st.tail_set(i), resid[:, rows].T)
             zw[:, rows[inside]] = wit[inside].T
-            rows = rows[~_tail_ok(tail, None, resid[:, rows], zw[:, rows],
-                                  self._spare)]
-        return rows
+        return rows[~_tail_ok(tail, None, resid[:, rows], zw[:, rows],
+                              self._spare)]
 
     def margins(self, zetas, alive, out):
         """1 - |zeta|_inf minimized over the live samples (at least one),
@@ -941,8 +916,8 @@ class InvarianceReport:
     checked: int = 0              # membership decisions made
     witness_losses: int = 0       # chained witness failed its check but the
                                   # tube LP found the state inside
-    lp_rewitness: int = 0         # membership problems solved: tail (by
-                                  # vertex enumeration or LP) and tube LPs
+    lp_rewitness: int = 0         # chain misses re-solved: tail (vertex
+                                  # enumeration or LP) and tube problems
     violations: int = 0           # states confirmed outside their tube
     first_violation: tuple | None = None
     margins: dict = field(default_factory=dict)  # sid -> per-step min margin

@@ -811,7 +811,7 @@ def _tail_guess(tail, resid):
     if radii is None:
         return resid @ np.linalg.pinv(tail).T, None
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(radii > 0.0, resid / radii, 0.0), radii
+        return np.where(radii != 0.0, resid / radii, 0.0), radii
 
 
 def _witness_ok(tail, resid, zw, radii=None):
@@ -857,11 +857,12 @@ def _closed_loop_per_subsystem(network, solutions, t, states, zeta, d):
     return nxt, inputs
 
 
-def _rewitness_per_subsystem(network, solutions, t, states, zeta, alive, report):
+def _rewitness_per_subsystem(network, solutions, t, states, zeta, alive, report,
+                             chain=True):
     """Advance the witnesses to the states at t + 1, subsystem by subsystem
-    in sorted order: chained tail, tail LP, tube LP."""
+    in sorted order: chained tail, tail LP, tube LP; or, with ``chain``
+    False, the tube LP for every live state (the all-tube-LP reference)."""
     from zonosynth.geom import Zonotope, contains_point
-    from zonosynth.runtime import _chain_exact
 
     def lp_witness(Z, points):
         if Z.num_generators:
@@ -876,9 +877,8 @@ def _rewitness_per_subsystem(network, solutions, t, states, zeta, alive, report)
         k_next = G.shape[1]
         p = (sol.W[0] if rci else sol.W[t]).num_generators
         base = zeta[sid][:, p:] if rci else zeta[sid]
-        chained = _chain_exact(sol) and base.shape[1] == k_next - p
         new_zeta = np.zeros((len(alive), k_next))
-        if chained:
+        if chain:
             tail = G[:, k_next - p:]
             resid = states[sid] - (om_next.center + base @ G[:, :k_next - p].T)
             zw, radii = _tail_guess(tail, resid)
@@ -897,7 +897,7 @@ def _rewitness_per_subsystem(network, solutions, t, states, zeta, alive, report)
         if redo.size:
             inside, wit = lp_witness(om_next, states[sid][redo])
             new_zeta[redo[inside]] = wit[inside]
-            if chained:
+            if chain:
                 report.witness_losses += int(inside.sum())
             out = redo[~inside]
             report.violations += out.size
@@ -969,12 +969,13 @@ def simulate_per_subsystem(network, solutions, num_steps, x0=None, seed=0):
 
 
 def verify_invariance_per_subsystem(network, solutions, num_samples,
-                                    num_steps, seed=0):
+                                    num_steps, seed=0, chain=True):
     """``runtime.verify_invariance``, one subsystem at a time, with the same
     draws in the same order: the start witnesses subsystem by subsystem,
     then at every step the vertex patterns that step needs first (one per
     subsystem and generator count of D_i(t), drawn on first use), then the
-    uniform disturbance draws."""
+    uniform disturbance draws.  ``chain=False`` re-witnesses every live
+    state by the tube LP instead of chaining, whose margins are exact."""
     from zonosynth.runtime import InvarianceReport, _mixed_zeta
 
     rng = np.random.default_rng(seed)
@@ -1015,7 +1016,7 @@ def verify_invariance_per_subsystem(network, solutions, num_samples,
         states, _ = _closed_loop_per_subsystem(network, solutions, t, states,
                                                zeta, d)
         _rewitness_per_subsystem(network, solutions, t, states, zeta, alive,
-                                 report)
+                                 report, chain)
         report.checked += len(ids) * int(alive.sum())
         for sid in ids:
             if alive.any():

@@ -459,17 +459,18 @@ def contracted():
     return net, result
 
 
-def test_verify_contracted_rci_rewitnesses_every_state(contracted):
-    # beta > 0 rescales the tube, so nothing chains: every live state is
-    # re-witnessed on the whole tube, one warm LP instance per step
+def test_verify_contracted_rci_chains(contracted):
+    # E = G_w Lambda with |Lambda| row sums <= beta, so the new tail
+    # coordinates Lambda zeta_head + zeta_d / sigma stay in the unit box:
+    # every witness chains, and no LP is solved
     net, result = contracted
     samples, steps = 16, 20
-    report = verify_invariance(aggregate_network(net), result,
-                               num_samples=samples, num_steps=steps, seed=0)
+    with lpcore.track_solver_time() as solver:
+        report = verify_invariance(aggregate_network(net), result,
+                                   num_samples=samples, num_steps=steps, seed=0)
     assert report.ok
     assert report.checked == samples * (steps + 1)
-    assert report.witness_losses == 0
-    assert report.lp_rewitness == samples * steps
+    assert report.witness_losses == report.lp_rewitness == solver.solves == 0
     assert np.all(report.margins["aggregate"] >= -1e-9)
 
 
@@ -483,6 +484,107 @@ def test_verify_contracted_rci_flags_enlarged_coupling(contracted):
     assert report.first_violation == ("aggregate", 1)
 
 
+@pytest.fixture(scope="module")
+def contracted_geo():
+    net = random_network(20, lambda_for(40), seed=0)
+    result = centralized_dense(net, beta=0.2)
+    assert result.ok
+    return net, result
+
+
+@pytest.mark.parametrize("fixture, scale, samples, steps", [
+    ("contracted", None, 16, 20),
+    ("contracted", 1.5, 16, 10),
+    ("contracted_geo", None, 64, 10),
+], ids=["pair", "harsher-pair", "geo40"])
+def test_contracted_rci_matches_the_all_tube_lp_reference(
+        request, fixture, scale, samples, steps):
+    # the chained verdicts are the tube LP's, and its margins are lower
+    # bounds of the tube LP's min-norm ones
+    net, result = request.getfixturevalue(fixture)
+    if scale is not None:
+        net = pair_network(coupling=scale)
+    net = aggregate_network(net)
+    with lpcore.track_solver_time() as solver:
+        got = verify_invariance(net, result, num_samples=samples,
+                                num_steps=steps, seed=0)
+    ref = oracles.verify_invariance_per_subsystem(
+        net, result.solutions, samples, steps, seed=0, chain=False)
+    fields = ("checked", "violations", "first_violation")
+    assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert got.lp_rewitness == solver.solves == got.violations
+    assert ref.lp_rewitness > got.lp_rewitness
+    assert np.all(got.margins["aggregate"] <= ref.margins["aggregate"] + 1e-12)
+    assert (got.violations > 0) == (scale is not None)
+
+
+def scalar_finite_network(w_gens):
+    """One scalar subsystem over horizon 1, x+ = 0.5 x + u + d, disturbed by
+    the generator row ``w_gens``."""
+    return load_network({
+        "mode": "finite", "horizon": 1,
+        "subsystems": [{
+            "id": "s", "A": [[0.5]], "B": [[1.0]],
+            "X": {"center": [0.0], "generators": [[1.0]]},
+            "U": {"center": [0.0], "generators": [[1.0]]},
+            "D": {"center": [0.0], "generators": [list(w_gens)]},
+            "couplings": [],
+        }],
+    })
+
+
+@pytest.mark.parametrize("case", ["finite", "invariant"])
+def test_tube_widths_must_follow_the_disturbance_generators(contracted, case):
+    # a growing tube must grow by its p disturbance columns, and an
+    # invariant one must hold at least p; an edited tube that does not is
+    # refused by name, not witnessed on another path
+    if case == "finite":
+        net = scalar_finite_network([0.1])
+        sid, sol = "s", TubeSolution(
+            [np.array([[1.0]]), np.array([[0.5, 0.1, 0.0]])],
+            [np.zeros(1), np.zeros(1)], [np.zeros((1, 1))], [np.zeros(1)],
+            [Zonotope([0.0], [[0.1]])], 0.0, None, 0.0)
+        message = "tube widths 1 -> 3 at step 0 do not follow its 1"
+    else:
+        net, result = contracted
+        net, sid = aggregate_network(net), "aggregate"
+        sol = result.solutions[sid]
+        k = sol.T[0].shape[1]
+        W = Zonotope(sol.W[0].center, np.tile(sol.W[0].generators, k))
+        sol = TubeSolution(sol.T, sol.xbar, sol.M, sol.ubar, [W], sol.beta,
+                           sol.E, sol.objective)
+        message = (f"tube widths {k} -> {k} at step 0 do not follow its "
+                   f"{W.num_generators}")
+    for call in (lambda: verify_invariance(net, {sid: sol}, num_samples=4),
+                 lambda: simulate(net, {sid: sol}, 1)):
+        with pytest.raises(ValueError, match=rf"^subsystem {sid!r}: {message} "
+                                             r"disturbance generators$"):
+            call()
+
+
+def test_negated_disturbance_generators_chain_alike():
+    # a diagonal tail with negative radii is the same box: every witness
+    # still divides out, as with the positive radii
+    reports = []
+    for radius in (0.2, -0.2):
+        net = random_network(20, 0.1, seed=0, template={
+            "D": _box([0.0, 0.0], [[radius, 0.0], [0.0, radius]])})
+        result = centralized_dense(net)
+        assert result.ok
+        with lpcore.track_solver_time() as solver:
+            reports.append(verify_invariance(aggregate_network(net), result,
+                                             num_samples=500, num_steps=20,
+                                             seed=0))
+        assert solver.solves == 0
+    positive, negative = reports
+    fields = ("checked", "witness_losses", "lp_rewitness", "violations",
+              "first_violation")
+    assert [getattr(negative, f) for f in fields] == \
+        [getattr(positive, f) for f in fields] == [10_500, 0, 0, 0, None]
+    np.testing.assert_array_equal(negative.margins["aggregate"],
+                                  positive.margins["aggregate"])
+
+
 @pytest.mark.parametrize("w_gens", [[0.1], [0.06, 0.04]],
                          ids=["diagonal", "non-diagonal"])
 def test_witness_losses_count_chain_misses_the_tube_lp_rewitnesses(w_gens):
@@ -491,16 +593,7 @@ def test_witness_losses_count_chain_misses_the_tube_lp_rewitnesses(w_gens):
     # although its chained witness cannot cover the disturbance (a loss);
     # one near the boundary leaves (a violation).
     w_gens = np.asarray(w_gens)
-    net = load_network({
-        "mode": "finite", "horizon": 1,
-        "subsystems": [{
-            "id": "s", "A": [[0.5]], "B": [[1.0]],
-            "X": {"center": [0.0], "generators": [[1.0]]},
-            "U": {"center": [0.0], "generators": [[1.0]]},
-            "D": {"center": [0.0], "generators": [list(3.0 * w_gens)]},
-            "couplings": [],
-        }],
-    })
+    net = scalar_finite_network(3.0 * w_gens)
     sol = TubeSolution(
         [np.array([[1.0]]), np.array([[0.5, *w_gens]])],
         [np.zeros(1), np.zeros(1)], [np.zeros((1, 1))], [np.zeros(1)],
@@ -647,6 +740,22 @@ def test_tail_over_the_vertex_cap_takes_the_tail_lp(finite_exact, monkeypatch):
                                    rtol=0, atol=1e-12)
 
 
+def test_a_vertex_solution_outside_the_tail_is_final(finite_exact):
+    # the vertex solution is the tail's min-|z|_inf one: a sample it puts
+    # outside goes to the tube LP alone, with no tail LP to confirm it
+    _, result = finite_exact
+    harsher = finite_pair(horizon=6, coupling=1.5)
+    with lpcore.track_solver_time() as solver:
+        got = verify_invariance(harsher, result, num_samples=200, seed=4)
+    ref = oracles.verify_invariance_per_subsystem(harsher, result.solutions,
+                                                  200, 6, seed=4)
+    fields = ("checked", "witness_losses", "lp_rewitness", "violations",
+              "first_violation")
+    assert [getattr(got, f) for f in fields] == \
+        [getattr(ref, f) for f in fields] == [1468, 0, 419, 185, (1, 2)]
+    assert solver.solves == got.violations
+
+
 # ---------------------------------------------------------------------------
 # the network-stacked loop against the per-subsystem reference
 
@@ -728,8 +837,9 @@ def oracle_case(request, name):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_verify_matches_the_per_subsystem_loop(request, name, seed):
     net, solutions, samples, steps = oracle_case(request, name)
-    got = verify_invariance(net, solutions, num_samples=samples,
-                            num_steps=steps, seed=seed)
+    with lpcore.track_solver_time() as solver:
+        got = verify_invariance(net, solutions, num_samples=samples,
+                                num_steps=steps, seed=seed)
     ref = oracles.verify_invariance_per_subsystem(
         net, solutions, samples, got.num_steps, seed=seed)
     fields = ("checked", "violations", "lp_rewitness", "witness_losses",
@@ -741,8 +851,10 @@ def test_verify_matches_the_per_subsystem_loop(request, name, seed):
                                    rtol=0, atol=1e-12)
     if name.startswith("violating"):
         assert got.violations > 0
-    if name in ("finite-exact", "contracted-rci"):
+    if name == "finite-exact":
         assert got.lp_rewitness > 0
+    if name == "contracted-rci":
+        assert solver.solves == 0
 
 
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
@@ -775,10 +887,13 @@ def test_step_matches_the_per_subsystem_loop(request, name):
                                        atol=1e-12)
 
 
-@pytest.mark.parametrize("fixture", ["pair", "contracted"])
-def test_rci_geometry_is_built_once_per_run(request, fixture, monkeypatch):
-    # Omega, Theta and every tube-LP zonotope of an RCI tube are built once
-    # per verification, however many steps it takes
+@pytest.mark.parametrize("fixture, built_per_run", [("pair", 6),
+                                                    ("contracted", 3)],
+                         ids=["pair", "contracted"])
+def test_rci_geometry_is_built_once_per_run(request, fixture, built_per_run,
+                                            monkeypatch):
+    # Omega(0) to sample from, Omega and Theta of an RCI tube are built once
+    # per subsystem and verification, however many steps it takes
     net, result = request.getfixturevalue(fixture)
     if fixture == "contracted":
         net = aggregate_network(net)
@@ -797,7 +912,7 @@ def test_rci_geometry_is_built_once_per_run(request, fixture, monkeypatch):
                                    num_steps=steps, seed=0)
         assert report.ok
         counts.append(len(built))
-    assert counts[0] == counts[1]
+    assert counts == [built_per_run] * 2
 
 
 def changing_disturbance_pair(first, second):
