@@ -458,10 +458,12 @@ def emit_subsystem(batch, network, template, sids, alpha_of, k=None,
     padded by a nonnegative scalar d (one per step and channel) times the
     identity; their sum is this subsystem's potential share.  With
     ``slack=False`` the containments are hard, which is what a centralized
-    program wants.  The handles of the containment witnesses are kept,
-    keyed by the containment ("inC0", "term", "inU0", ...) and cut to the
-    rows of the promise itself; the witness columns of the identity columns
-    go to ``slack_cols``.  Returns the handles, one per member.
+    program wants, and take ``geom.add_scaled_containment``'s split-sign
+    form; with slack they keep its ``|Lam| <= W`` rows (see there why).  The
+    handles of the containment witnesses are kept, keyed by the containment
+    ("inC0", "term", "inU0", ...) and cut to the rows of the promise itself;
+    the witness columns of the identity columns go to ``slack_cols``.
+    Returns the handles, one per member.
     """
     subs = [network.subsystem(s) for s in sids]
     n, m = subs[0].n, subs[0].m
@@ -529,10 +531,9 @@ def emit_subsystem(batch, network, template, sids, alpha_of, k=None,
             scales = tuple(np.concatenate([np.broadcast_to(a, (len(sids), np.shape(a)[-1])), b],
                                           axis=-1) for a, b in zip(scales, extra))
         h = add_scaled_containment(batch, affine(np.concatenate([G, c[..., None]], axis=-1)),
-                                   outer_cols, scales, outer_c)
-        witness[key] = {name: h[name][:, :q] for name in ("Lam", "lam", "W")}
-        slack_cols.extend([h["Lam"][:, q:].reshape(len(sids), -1), h["lam"][:, q:],
-                           h["W"][:, q:].reshape(len(sids), -1)])
+                                   outer_cols, scales, outer_c, split=not slack)
+        witness[key] = {name: a[:, :q] for name, a in h.items()}
+        slack_cols.extend(a[:, q:].reshape(len(sids), -1) for a in h.values())
 
     for t in range(steps_x):
         promises = [_at(template.state[s], t) for s in sids]
@@ -858,9 +859,15 @@ class CorrectnessReport:
     lp_fallbacks: int = 0  # containments a Hausdorff LP had to decide
 
 
-def _diag_witness(alpha):
-    """The witness [Diag(alpha) 0] of Z(c, C Diag(alpha)) inside Z(c, C)."""
-    return np.hstack([np.diag(alpha), np.zeros((len(alpha), 1))])
+def _promise_witness(template, c, C, alpha, S):
+    """A witness for the promise Z(c, C Diag(alpha)) inside the admissible
+    set ``S``: [Diag(alpha) 0] for a bounds template, whose promise columns
+    are S's own; otherwise the least-squares L of ``G_S L = [C Diag(alpha),
+    c_S - c]``, exact wherever that system has a solution."""
+    if template.is_bounds:
+        return np.hstack([np.diag(alpha), np.zeros((len(alpha), 1))])
+    rhs = np.column_stack([np.asarray(C) * alpha, S.center - c])
+    return np.linalg.lstsq(S.generators, rhs, rcond=None)[0]
 
 
 def check_correctness(network, template, params, solutions, tol=1e-7):
@@ -874,11 +881,11 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
 
     Each containment is first checked on a witness: the one the hard
     extraction or centralized LP found (``solution.witness``) for Omega,
-    Theta and the terminal set, and [Diag(alpha) 0] for a promise inside its
-    admissible set.  When the witness bounds the directed Hausdorff distance
-    within ``tol``, that bound is the margin; otherwise the Hausdorff LP
-    decides, as it does for a solution without witnesses (a loaded one).
-    ``lp_fallbacks`` counts those LPs.
+    Theta and the terminal set, and :func:`_promise_witness` for a promise
+    inside its admissible set.  When the witness bounds the directed
+    Hausdorff distance within ``tol``, that bound is the margin; otherwise
+    the Hausdorff LP decides, as it does for a solution without witnesses
+    (a loaded one).  ``lp_fallbacks`` counts those LPs.
     """
     failures = []
     max_state = 0.0
@@ -910,8 +917,8 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
             alpha = _at(params.x[sid], t)
             max_state = max(max_state, check(f"{sid}: Omega({t}) escapes its promise",
                                              sol.omega(t), cx, Cx, alpha, witness.get(f"inC{t}")))
-            within(f"{sid}: state promise at t={t} exceeds X",
-                   template.state_set(params, sid, t), sub.X_at(t), _diag_witness(alpha))
+            within(f"{sid}: state promise at t={t} exceeds X", template.state_set(params, sid, t),
+                   sub.X_at(t), _promise_witness(template, cx, Cx, alpha, sub.X_at(t)))
         if finite:
             max_state = max(max_state, within(f"{sid}: terminal set escapes X", sol.omega(steps),
                                               sub.X_at(steps), witness.get("term")))
@@ -922,7 +929,8 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
                     cu, Cu = _at(template.input[sid], t)
                     alpha = _at(params.u[sid], t)
                     within(f"{sid}: input promise at t={t} exceeds U",
-                           template.input_set(params, sid, t), U, _diag_witness(alpha))
+                           template.input_set(params, sid, t), U,
+                           _promise_witness(template, cu, Cu, alpha, U))
                 else:
                     cu, Cu, alpha = U.center, U.generators, np.ones(U.num_generators)
                 max_input = max(max_input, check(f"{sid}: Theta({t}) escapes its promise",

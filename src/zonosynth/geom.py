@@ -15,11 +15,19 @@ instead of a fixed 1) the rows stay linear even when both the inner body's
 generators and the scales are decision variables, which is what the
 viability and contract programs rely on.  Every such entry is a number or
 one coefficient times one LP column, so the inner body and the scales are
-passed as arrays (:func:`affine`, :func:`numbers`).  :func:`hausdorff_bound`
-turns any candidate (Lambda, lam), such as the one a solved program found,
-into an upper bound on the directed Hausdorff distance;
-:func:`certified_hausdorff` checks that bound before it solves a Hausdorff
-LP.
+passed as arrays (:func:`affine`, :func:`numbers`).  This is the
+containment encoding of Sadraddini and Tedrake (CDC 2019).
+
+The l1 bound takes one of two forms.  The centralized, dense and one-shot
+programs split the sign, ``[Lambda lam] = P - N`` with ``P, N >= 0`` and one
+row-sum row per q (the usual LP form of an l1 bound, Boyd and Vandenberghe,
+*Convex Optimization*, 6.1).  The per-subsystem potential programs, whose
+duals the descent reads, keep two rows ``|.| <= W`` per entry (see
+:func:`add_scaled_containment` for why).  :func:`witness_values` reads
+``[Lambda lam]`` back from either.  :func:`hausdorff_bound` turns any
+candidate (Lambda, lam), such as the one a solved program found, into an
+upper bound on the directed Hausdorff distance; :func:`certified_hausdorff`
+checks that bound before it solves a Hausdorff LP.
 """
 
 from __future__ import annotations
@@ -254,22 +262,42 @@ def _join(parts):
     return tuple(joined)
 
 
-def add_scaled_containment(lp, inner, outer_cols, scales, outer_c):
+def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True):
     """Emit rows forcing Z(c, G) inside Z(outer_c, outer_cols @ Diag(scales)).
 
     ``inner`` is the body ``[G c]`` (n x r+1) and ``scales`` the s scales
     (nonnegative), each as :func:`affine` arrays: entry ``consts + coefs *
     x[cols]``, a plain number where the column index is below 0.
-    ``outer_cols`` (n x s) is numeric.  Returns a dict of handles: the column
-    indices of the substituted factor ``Lambda = Diag(scale) @ Gamma``
-    ("Lam", s x r), of ``lam`` (s,) and of the row-sum bounds ``W`` (s x
-    r+1).
+    ``outer_cols`` (n x s) is numeric.  The witness is ``[Lam lam]`` (s x
+    r+1), the substituted factor ``Lam = Diag(scale) @ Gamma`` and ``lam``;
+    :func:`witness_values` reads it back in either form below.
 
-    The rows are, in order: for every i, ``G[i, j]`` (j < r) and ``c[i]``
-    equalities (row ``i * (r+1) + j`` of the block); then for every q, two
-    rows ``|[Lam lam][q, j]| <= W[q, j]`` per j and the row-sum row
-    ``sum_j W[q, j] <= scale[q]`` (row ``(2r+3) q + 2r+2`` of the second
-    block), whose dual carries the scale's sensitivity.
+    The first block of rows is the same in both forms: for every i, the
+    ``G[i, j]`` (j < r) and ``c[i]`` equalities of ``[G c] = outer_cols @
+    [Lam lam]``, row ``i * (r+1) + j`` of the block.  The l1 bound
+    ``sum_j |[Lam lam][q, j]| <= scale[q]`` has two forms:
+
+    * ``split=True`` (the default): ``[Lam lam] = P - N`` with ``P, N >=
+      0`` (s x r+1 each), and one row-sum row ``sum_j (P + N)[q, j] <=
+      scale[q]`` per q, row q of the second block.  The handles are the
+      column indices "P" and "N".
+    * ``split=False``: free columns "Lam" (s x r) and "lam" (s), bounds
+      "W" >= 0 (s x r+1), and for every q two rows ``|[Lam lam][q, j]| <=
+      W[q, j]`` per j and the row-sum row ``sum_j W[q, j] <= scale[q]``
+      (row ``(2r+3) q + 2r+2`` of the second block).
+
+    Both have the same feasible witnesses and the same columns, and a
+    row-sum row's dual carries its scale's sensitivity in both.  The split
+    form has s rows where the other has s (2r+3), and the one-LP programs
+    (centralized, dense, alpha-cap and one-shot containment) take it: case2's
+    centralized LP then solves in about half the HiGHS time.  The
+    per-subsystem potential programs of ``contracts.emit_subsystem(slack=
+    True)``, whose instances also run the hard extraction, keep
+    ``split=False``: the descent reads its subgradients off their duals,
+    and in the split form the paper's subgradient rule ended case1
+    ``failed`` after 422 iterations (an extracted Omega(0) escaped its
+    promise by 1.772e-07, inside the solver's 1e-7 feasibility tolerance)
+    where this form certifies it after 433.
 
     ``lp`` may be an :class:`lpcore._LpBatch`: every argument may then carry
     the batch's leading member axis, and so do the handles.  Entries that
@@ -280,11 +308,15 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c):
     n, s = outer_cols.shape[-2:]
     p = np.shape(inner[0])[-1]  # columns of [Lam lam], rows per i of the equality block
     r = p - 1
-    Lam = lp.var_block((s, r))
-    lam = lp.var_block(s)
-    W = lp.var_block((s, p), lb=0.0)
-    lead = lam.shape[:-1]
-    Lam_lam = np.concatenate([Lam, lam[..., None]], axis=-1)
+    # [Lam lam] is the sum of sign * columns over its signed column blocks
+    if split:
+        P, N = lp.var_block((s, p), lb=0.0), lp.var_block((s, p), lb=0.0)
+        handles, signed = {"P": P, "N": N}, [(P, 1.0), (N, -1.0)]
+    else:
+        Lam, lam, W = lp.var_block((s, r)), lp.var_block(s), lp.var_block((s, p), lb=0.0)
+        handles = {"Lam": Lam, "lam": lam, "W": W}
+        signed = [(np.concatenate([Lam, lam[..., None]], axis=-1), 1.0)]
+    lead = signed[0][0].shape[:-2]
 
     # [G, c] = outer_cols @ [Lam, lam] with the inner terms moved left:
     # row i*p + j is G[i, j] for j < r and c[i] for j == r
@@ -292,32 +324,40 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c):
     own = np.flatnonzero(_union(cols >= 0, 1))
     is_c = np.arange(n * p) % p == r
     ii, qq = np.nonzero(_union(outer_cols, 2))
+    rows = ((ii * p)[:, None] + np.arange(p)).ravel()
+    outer = np.repeat(outer_cols[..., ii, qq], p, axis=-1)
     lp.add_rows(
-        *_join([(((ii * p)[:, None] + np.arange(p)).ravel(),
-                  Lam_lam[..., qq, :].reshape(lead + (-1,)),
-                  np.repeat(outer_cols[..., ii, qq], p, axis=-1)),
-                 (own, cols[..., own], np.where(is_c[own], coefs[..., own], -coefs[..., own]))]),
+        *_join([(rows, L[..., qq, :].reshape(lead + (-1,)), sign * outer) for L, sign in signed]
+               + [(own, cols[..., own], np.where(is_c[own], coefs[..., own], -coefs[..., own]))]),
         np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p, axis=-1)),
                  consts),
         "=")
+
+    cols, coefs, consts = scales
+    own = np.flatnonzero(_union(cols >= 0, 1))
+    one = np.ones(s * p)
+    if split:
+        # per q: sum_j (P + N)[q, j] - scale[q] <= 0 in row q
+        rowsum = np.repeat(np.arange(s), p)
+        lp.add_rows(*_join([(rowsum, L.reshape(lead + (-1,)), one) for L, _ in signed]
+                           + [(own, cols[..., own], -coefs[..., own])]),
+                    consts, "<")
+        return handles
 
     # per q: +/-[Lam lam][q, j] - W[q, j] <= 0 in rows q*rq + 2j, q*rq + 2j + 1,
     # then the row sum sum_j W[q, j] - scale[q] <= 0 in row q*rq + 2p
     rq = 2 * p + 1
     plus = ((np.arange(s) * rq)[:, None] + 2 * np.arange(p)).ravel()
     rowsum = np.arange(s) * rq + 2 * p
-    cols, coefs, consts = scales
-    own = np.flatnonzero(_union(cols >= 0, 1))
     bounds = np.zeros(np.shape(consts)[:-1] + (s * rq,))
     bounds[..., rowsum] = consts
-    Lam_lam, Wf = Lam_lam.reshape(lead + (-1,)), W.reshape(lead + (-1,))
-    one = np.ones(s * p)
+    Lam_lam, Wf = signed[0][0].reshape(lead + (-1,)), W.reshape(lead + (-1,))
     lp.add_rows(
         *_join([(plus, Lam_lam, one), (plus, Wf, -one), (plus + 1, Lam_lam, -one),
                 (plus + 1, Wf, -one), (np.repeat(rowsum, p), Wf, one),
                 (rowsum[own], cols[..., own], -coefs[..., own])]),
         bounds, "<")
-    return {"Lam": Lam, "lam": lam, "W": W}
+    return handles
 
 
 @dataclass
@@ -340,9 +380,9 @@ def containment_lp(inner, outer):
     sol = lp.solve()
     if sol.status != lpcore.OPTIMAL:
         return ContainmentCertificate(False, solve_seconds=sol.solve_seconds)
-    Gamma = sol.column_values(handles["Lam"])
-    gamma = sol.column_values(handles["lam"])
-    rows = np.abs(Gamma).sum(axis=1) + np.abs(gamma)
+    L = _witness_value(sol, handles)
+    Gamma, gamma = L[:, :-1], L[:, -1]
+    rows = np.abs(L).sum(axis=1)
     margin = float(1.0 - rows.max()) if len(rows) else 1.0
     return ContainmentCertificate(True, Gamma, gamma, margin, sol.solve_seconds)
 
@@ -368,15 +408,22 @@ def directed_hausdorff(outer, inner):
     return max(0.0, sol.objective)
 
 
+def _witness_value(sol, h):
+    """The ``[Lam lam]`` array of one containment's handles ``h``: ``P - N``
+    in the split form, ``Lam`` and ``lam`` side by side otherwise."""
+    if "P" in h:
+        return sol.column_values(h["P"]) - sol.column_values(h["N"])
+    return np.column_stack([sol.column_values(h["Lam"]), sol.column_values(h["lam"])])
+
+
 def witness_values(sol, handles):
     """The ``[Lam lam]`` array of each containment in ``handles``, by key.
 
     ``handles`` maps a key to the dict that :func:`add_scaled_containment`
-    returned; ``sol`` is a solution of the LP those rows were emitted into.
+    returned, in either form; ``sol`` is a solution of the LP those rows
+    were emitted into.
     """
-    return {key: np.column_stack([sol.column_values(h["Lam"]),
-                                  sol.column_values(h["lam"])])
-            for key, h in handles.items()}
+    return {key: _witness_value(sol, h) for key, h in handles.items()}
 
 
 def hausdorff_bound(inner, center, cols, scales, L):

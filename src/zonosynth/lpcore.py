@@ -229,6 +229,12 @@ _BREAKDOWN, _IPM = (_S.kNotset, _S.kSolveError), ("solver", "run_crossover")
 # instead of HiGHS's 1e-7: the Hausdorff LP's optimum is compared with
 # witness bounds to 1e-9
 _TIGHT = ("hausdorff",)
+# programs, by name, solved by the interior-point solver with crossover: the
+# finite tube LP of ``viability.viable_lp``.  On case2's aggregate network
+# dual simplex takes 11-15 s to a vertex whose Theta(6) escapes U(6) by
+# 3.1e-7, inside its feasibility tolerance; the interior-point solver takes
+# 3.5 s to one that certifies
+_BY_IPM = ("viable",)
 
 
 def _merge(key, coefs):
@@ -462,6 +468,9 @@ class LinearProgram:
         solver.setOptionValue("output_flag", False)
         solver.setOptionValue("threads", 1)
         solver.setOptionValue("random_seed", 0)
+        if self.name in _BY_IPM:
+            for name, value in zip(_IPM, ("ipm", "on")):
+                solver.setOptionValue(name, value)
         if self.name in _TIGHT:
             for option in ("primal_feasibility_tolerance",
                            "dual_feasibility_tolerance"):

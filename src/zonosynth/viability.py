@@ -32,7 +32,11 @@ invariant tube is the tube itself, and both horizons give one
 The objective min sum |T entries| shrinks the sets (an LP surrogate for the
 generator norms); infeasibility is a *result* (None), not an error.  All
 returned solutions re-certify their containments before being handed back,
-first on the containment witnesses the LP itself found.
+first on the containment witnesses the LP itself found.  Every containment
+of this one monolithic program (Omega(t) in X(t), Theta(t) in U(t) and the
+wiggle Z(0, E) in beta W) takes ``geom.add_scaled_containment``'s
+split-sign form, one row-sum row per outer generator; the finite program
+is solved by the interior-point solver (``lpcore._BY_IPM``).
 
 The recursion rows of this program, and of the per-subsystem contract
 programs in ``contracts``, come from one block emitter, :func:`add_recursion`.

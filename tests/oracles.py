@@ -357,8 +357,9 @@ def interval_hull_oracle(center, generators):
 
 
 def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scales,
-                                   outer_c):
-    """Row-at-a-time reference for ``geom.add_scaled_containment``.
+                                   outer_c, split=True):
+    """Row-at-a-time reference for ``geom.add_scaled_containment``, in the
+    same form (``split``).
 
     Emits the same variables and rows through ``add_eq``/``add_le`` and
     LinExpr arithmetic, one row per call, and returns the handles as LinExpr
@@ -366,33 +367,43 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
     or numbers.  The G, |[Lam lam]| and row-sum rows are written as
     ``-(right - left)``: that moves a zero constant right as +0.0, the sign
     the block emitter gives it, so the programs built with this reference
-    match the package's bit for bit.
+    match the package's bit for bit.  In the split form ``[Lam lam]`` is the
+    expression array ``P - N``.
     """
     outer_cols = np.asarray(outer_cols, dtype=float)
     n, s = outer_cols.shape
     inner_G = np.asarray(inner_G, dtype=object).reshape(n, -1)
     r = inner_G.shape[1]
-    Lam = var_array(lp, (s, r)) if s and r else np.empty((s, r), dtype=object)
-    lam = var_array(lp, s) if s else np.empty(0, dtype=object)
-    W = var_array(lp, (s, r + 1), lb=0.0) if s else np.empty((s, r + 1), dtype=object)
+    if split:
+        P = var_array(lp, (s, r + 1), lb=0.0)
+        N = var_array(lp, (s, r + 1), lb=0.0)
+        handles = {"P": P, "N": N}
+        Lam_lam = P - N
+    else:
+        Lam = var_array(lp, (s, r)) if s and r else np.empty((s, r), dtype=object)
+        lam = var_array(lp, s) if s else np.empty(0, dtype=object)
+        W = var_array(lp, (s, r + 1), lb=0.0) if s else np.empty((s, r + 1), dtype=object)
+        handles = {"Lam": Lam, "lam": lam, "W": W}
+        Lam_lam = np.column_stack([Lam, lam])
 
     for i in range(n):
         row_cols = np.nonzero(outer_cols[i])[0]
         for j in range(r):
-            expr = lin_sum(outer_cols[i, q] * Lam[q, j] for q in row_cols)
+            expr = lin_sum(outer_cols[i, q] * Lam_lam[q, j] for q in row_cols)
             lp.add_eq(-(as_expr(inner_G[i, j]) - expr), 0.0)
-        expr = lin_sum(outer_cols[i, q] * lam[q] for q in row_cols)
+        expr = lin_sum(outer_cols[i, q] * Lam_lam[q, r] for q in row_cols)
         lp.add_eq(expr + as_expr(inner_c[i]) - as_expr(outer_c[i]), 0.0)
 
     for q in range(s):
-        for j in range(r):
-            lp.add_le(-(W[q, j] - Lam[q, j]), 0.0)
-            lp.add_le(-Lam[q, j] - W[q, j], 0.0)
-        lp.add_le(-(W[q, r] - lam[q]), 0.0)
-        lp.add_le(-lam[q] - W[q, r], 0.0)
-        total = lin_sum(W[q, j] for j in range(r + 1))
+        if split:
+            total = lin_sum(P[q, j] + N[q, j] for j in range(r + 1))
+        else:
+            for j in range(r + 1):
+                lp.add_le(-(W[q, j] - Lam_lam[q, j]), 0.0)
+                lp.add_le(-Lam_lam[q, j] - W[q, j], 0.0)
+            total = lin_sum(W[q, j] for j in range(r + 1))
         lp.add_le(-(as_expr(outer_scales[q]) - total), 0.0)
-    return {"Lam": Lam, "lam": lam, "W": W}
+    return handles
 
 
 def membership_lp_rowwise(Z, x):
@@ -650,11 +661,12 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
             outer_cols = np.hstack([Cx, np.eye(n)])
             scales = scales + [d_x[t]] * n
         add_scaled_containment_rowwise(lp, T[t], xbar[t], outer_cols, scales,
-                                       np.asarray(cx, dtype=float))
+                                       np.asarray(cx, dtype=float), split=not slack)
     if finite:
         Xh = sub.X_at(steps)
         add_scaled_containment_rowwise(lp, T[steps], xbar[steps], Xh.generators,
-                                       [1.0] * Xh.num_generators, Xh.center)
+                                       [1.0] * Xh.num_generators, Xh.center,
+                                       split=not slack)
     if m:
         for t in range(steps):
             if sid in template.input:
@@ -668,7 +680,8 @@ def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
             if slack:
                 outer_cols = np.hstack([outer_cols, np.eye(m)])
                 scales = scales + [d_u[t]] * m
-            add_scaled_containment_rowwise(lp, M[t], ubar[t], outer_cols, scales, outer_c)
+            add_scaled_containment_rowwise(lp, M[t], ubar[t], outer_cols, scales, outer_c,
+                                           split=not slack)
     return Tc, np.array(d_cols, dtype=np.int64)
 
 

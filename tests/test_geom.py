@@ -260,8 +260,9 @@ def _entry_expr(e):
     return LinExpr({col: coef}, const) if col >= 0 else const
 
 
-def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c):
-    """The block emitter builds the row-wise reference's program.
+def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split):
+    """The block emitter builds the row-wise reference's program, both in
+    the form ``split`` selects.
 
     ``inner_G`` (n x r), ``inner_c`` (n) and ``scales`` (s) hold entries
     (col, coef, const); the emitter gets them as arrays, the reference as
@@ -273,7 +274,7 @@ def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c):
         lp = LinearProgram(name="emit")
         for k in range(BASE_VARS):
             oracles.var(lp, lb=-1.0, ub=1.0)
-        return lp, emit(lp, *args)
+        return lp, emit(lp, *args, split=split)
 
     body = [e for i in range(n) for e in list(inner_G[i]) + [inner_c[i]]]
     fast, got = make(add_scaled_containment, _entry_arrays(body, (n, r + 1)), outer_cols,
@@ -289,7 +290,8 @@ def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c):
     # (-0 == 0)
     for a, b in zip(fast._assemble(), ref._assemble()):
         assert a.shape == b.shape and np.array_equal(a, b)
-    for key in ("Lam", "lam", "W"):
+    assert got.keys() == want.keys()
+    for key in want:
         cols = np.vectorize(_column, otypes=[int])(want[key]) if want[key].size \
             else np.zeros(want[key].shape, dtype=int)
         assert np.array_equal(got[key], cols)
@@ -299,6 +301,7 @@ class TestContainmentEmitter:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_block_emitter_matches_rowwise_reference(self, data):
+        split = data.draw(st.booleans(), label="split")
         n = data.draw(st.integers(1, 3), label="n")
         s = data.draw(st.integers(0, 3), label="s")
         r = data.draw(st.integers(0, 3), label="r")
@@ -308,7 +311,7 @@ class TestContainmentEmitter:
         inner_c = [data.draw(entry) for _ in range(n)]
         scales = [data.draw(entry) for _ in range(s)]
         outer_c = data.draw(vec(n))
-        _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c)
+        _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split)
 
     @pytest.mark.parametrize("s,r", [(0, 0), (0, 2), (2, 0), (2, 3)])
     def test_edge_shapes_and_mixed_entries(self, s, r):
@@ -318,7 +321,9 @@ class TestContainmentEmitter:
                     for j in range(r)] for i in range(n)]
         inner_c = [(0, 1.0, -1.5), (-1, 0.0, 0.5)]
         scales = [(1, 1.0, 1.0) if q % 2 else (-1, 0.0, 2.0) for q in range(s)]
-        _assert_same_program(inner_G, inner_c, outer_cols, scales, np.array([1.0, -1.0]))
+        for split in (True, False):
+            _assert_same_program(inner_G, inner_c, outer_cols, scales, np.array([1.0, -1.0]),
+                                 split)
 
 
 class TestDirectedHausdorff:

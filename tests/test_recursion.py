@@ -289,17 +289,17 @@ def test_case1_centralized_lp_matches_golden_digest(monkeypatch):
                         lambda lp, *a, **kw: solved.append(lp) or solve(lp, *a, **kw))
     centralized_synthesize(load_network("configs/case1.json"))
     assert lp_digest(lp for lp in solved if lp.name == "centralized") == \
-        "97272aa18b49e7380bb2137005b834cb581922682c6ca7241ab3da7d5efc06b2"
+        "ed47eefd8dfa6c8a3424f86202fc2f02fe1ea5755f00869838c5df23833ed418"
 
 
 @pytest.mark.parametrize("config, beta, digest", [
     ("configs/case1.json", 0.0,
-     "bf0a81e389497d0e8e334c9b75b37a326fb8b32e69fbdb785ab1971f55c193af"),
+     "2e1fef2f90d8e69ba46c3954e5cc741ab83c83c78fc72c75cf164f500aef156e"),
     ("configs/case1.json", 0.3,
-     "a95b8dae1752982751599bda3e7f29f6a7790f34d550911bad44ae3e27ccb5ea"),
-    ("geo40", 0.0, "17f44c11cd64d0f9f0308fedb46925e60aaf2ecb0d92c3b90d69be37be3f73eb"),
+     "a92975c8ef24e5dee46cfa9684a0e4e241a6f4da460005c5ec9f91e4ef848a13"),
+    ("geo40", 0.0, "bab4390f3d193ea45479bff96528492092e450d8aef782b70de44b4f8e2b5364"),
     ("configs/case2.json", 0.0,
-     "726612044073a75a030562d1eb46e856cadc076754a79d658e53050c923b14bf"),
+     "6e53835d4f021ab9b2e0a6bab4478df23e658533283dc4a986ba56eebce75a82"),
 ], ids=["case1", "case1-beta", "geo40", "case2"])
 def test_dense_lp_matches_golden_digest(monkeypatch, config, beta, digest):
     # the LP is caught on its way to the solver and not solved

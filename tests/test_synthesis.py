@@ -22,7 +22,7 @@ from zonosynth.contracts import (
     potential,
     ContractTemplate,
 )
-from zonosynth import lpcore
+from zonosynth import contracts, geom, lpcore, viability
 from zonosynth.cli import lambda_for
 from zonosynth.sysmodel import (ConfigError, Network, Subsystem, aggregate, load_network,
                                 random_network)
@@ -414,6 +414,23 @@ def test_centralized_custom_template_admissibility_rows():
     assert res.params.x[1][0] == pytest.approx([0.05], abs=1e-9)
 
 
+def test_centralized_off_centre_custom_template_certifies_on_its_witnesses():
+    # promises centred at 0.3 with column 2 inside X = [-1, 1]: the
+    # promise-in-X witness [C alpha, c_X - c] / G_X = [2 alpha, -0.3] holds
+    # exactly, so no containment needs a Hausdorff LP
+    net = decoupled_net()
+    tpl = ContractTemplate(
+        state={sid: [(np.array([0.3]), np.array([[2.0]]))] for sid in (1, 2)},
+        input={},
+        is_bounds=False,
+    )
+    assert alpha_max(net, tpl).x[1][0] == pytest.approx([0.35])
+    res = centralized_synthesize(net, template=tpl)
+    assert res.ok, res.correctness.failures
+    assert res.params.x[1][0] == pytest.approx([0.05], abs=1e-9)
+    assert res.correctness.lp_fallbacks == 0
+
+
 def test_centralized_custom_template_with_an_input_contract(monkeypatch):
     # subsystem 2 needs its input (A = 1.5) and its input disturbs 1; the
     # custom promise columns are 2 X (caps 0.5) and 4 U (cap 0.25), so both
@@ -446,6 +463,8 @@ def test_centralized_custom_template_with_an_input_contract(monkeypatch):
     monkeypatch.setattr(synthesis, "add_promise_admissibility", recorded)
     res = centralized_synthesize(net, template=tpl)
     assert res.ok, res.correctness.failures
+    # the least-squares promise witnesses certify without a Hausdorff LP
+    assert res.correctness.lp_fallbacks == 0
     # one containment per promise (x of 1 and of 2, u of 2), each in the
     # solved LP as rows on its own multiplier's column
     lp = next(lp for lp in solved if lp.name == "centralized")
@@ -546,6 +565,52 @@ def test_dense_infeasible():
     net = pair_network(a_self=0.5, b=0.0)
     res = centralized_dense(net)
     assert res.status == "failed" and res.hint == RETRY_HINT
+
+
+# ---------------------------------------------------------------------------
+# the monolithic programs' containments: split-sign form against |Lam| <= W
+
+
+def geo40():
+    return random_network(20, lambda_for(40), seed=0)
+
+
+MONOLITHIC = {
+    "centralized-case1": lambda: centralized_synthesize(load_network("configs/case1.json")),
+    "centralized-case1-order1": lambda: centralized_synthesize(
+        load_network("configs/case1.json"), reduction_order=1),
+    "centralized-case2": lambda: centralized_synthesize(load_network("configs/case2.json")),
+    "dense-case1": lambda: centralized_dense(load_network("configs/case1.json")),
+    "dense-case1-beta": lambda: centralized_dense(load_network("configs/case1.json"), beta=0.3),
+    "dense-case2": lambda: centralized_dense(load_network("configs/case2.json")),
+    "dense-geo40": lambda: centralized_dense(geo40()),
+}
+
+
+@pytest.mark.parametrize("run", list(MONOLITHIC))
+def test_monolithic_lp_solves_alike_in_both_containment_forms(monkeypatch, run):
+    # the split form [Lam lam] = P - N has the feasible witnesses of the
+    # |Lam| <= W rows: the same status and optimum, in fewer rows
+    split = MONOLITHIC[run]()
+    emit = geom.add_scaled_containment
+    for module in (contracts, viability):
+        monkeypatch.setattr(module, "add_scaled_containment",
+                            lambda *args, split=True: emit(*args, split=False))
+    rows = MONOLITHIC[run]()
+    assert split.status == rows.status
+    assert (split.objective is None) == (rows.objective is None)
+    if split.objective is not None:
+        assert split.objective == pytest.approx(rows.objective, rel=1e-9, abs=0.0)
+    assert split.timings["max_lp_rows"] < rows.timings["max_lp_rows"]
+    assert split.timings["max_lp_cols"] == rows.timings["max_lp_cols"]
+
+
+def test_monolithic_lp_sizes_are_pinned():
+    # a return of the centralized or dense containments to two rows per
+    # witness entry shows here first (20,850 and 29,140 rows in that form)
+    assert centralized_synthesize(load_network("configs/case2.json")).timings["max_lp_rows"] \
+        == 9468
+    assert centralized_dense(geo40()).timings["max_lp_rows"] == 16180
 
 
 # ---------------------------------------------------------------------------
