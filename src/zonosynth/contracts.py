@@ -49,14 +49,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lpcore
-from .geom import (Zonotope, add_scaled_containment, affine, certified_hausdorff, numbers,
-                   scale_generators, witness_values)
-# kept by name: perfbench's tracer test rebinds this import
-from .geom import directed_hausdorff  # noqa: F401
+from .geom import (Zonotope, add_scaled_containment, affine, directed_hausdorff,
+                   hausdorff_bound, numbers, witness_values)
 from .lpcore import LinearProgram
 from .sysmodel import _at, _id_key  # _at: a one-entry list is constant in t
-from .viability import (RESIDUAL_TOL, TubeSolution, _abs_objective, add_recursion,
-                        recursion_residual)
+from .viability import RESIDUAL_TOL, TubeSolution, _abs_objective, add_recursion, step_residual
 
 ALPHA_CAP = 1e6
 
@@ -87,14 +84,6 @@ class ContractTemplate:
     state: dict
     input: dict
     is_bounds: bool = True
-
-    def state_set(self, params, sid, t):
-        c, C = _at(self.state[sid], t)
-        return scale_generators(Zonotope(c, C), _at(params.x[sid], t))
-
-    def input_set(self, params, sid, t):
-        c, C = _at(self.input[sid], t)
-        return scale_generators(Zonotope(c, C), _at(params.u[sid], t))
 
 
 def default_template(network):
@@ -274,15 +263,6 @@ def alpha_max(network, template):
 # augmented disturbance structure
 
 
-@dataclass(frozen=True)
-class AugBlock:
-    """One generator block of an augmented disturbance: scaled by one alpha."""
-
-    kind: str  # "state" | "input" | "local"
-    source: object  # neighbor id, or None for the local disturbance
-    cols: np.ndarray  # base columns before any alpha scaling
-
-
 def _input_coupling(coupling, t):
     """The coupling's B at step t, or None where the neighbor's input does
     not act (no B, or an all-zero one)."""
@@ -290,33 +270,51 @@ def _input_coupling(coupling, t):
     return B if B is not None and B.any() else None
 
 
-def aug_blocks(network, template, sid, t):
-    """Center and column blocks of W_i(t, alpha), in canonical order.
+def _aug_group(network, template, sids, t):
+    """W_i(t, alpha)'s centers and column blocks for the subsystems ``sids``
+    (all of one n), in one array pass over their coupling lists.
 
-    Blocks are ordered neighbor-by-neighbor (ascending id, state block then
-    input block) with the local disturbance last; this ordering is relied on
-    everywhere a witness or certificate refers to W columns.
+    A member's blocks run neighbor by neighbor (ascending id, A_ij C_j, then
+    B_ij C_j where j's input acts), its local disturbance last; witnesses
+    and certificates rely on this order.  Products of one shape are one
+    stacked product.  Returns the centers (members x n: D_i's center plus
+    the A_ij c_j and B_ij c_j in block order), the blocks side by side (n x
+    total width), and every block as (member, kind, source, width), kind
+    "state", "input" or "local".
     """
-    sub = network.subsystem(sid)
-    center = np.array(sub.D_at(t).center, dtype=float)
-    blocks = []
-    for j in sub.neighbor_ids():
-        coupling = sub.couplings[j]
-        A_ij = coupling.A_at(t)
-        cx, Cx = _at(template.state[j], t)
-        blocks.append(AugBlock("state", j, A_ij @ Cx))
-        center = center + A_ij @ cx
-        B_ij = _input_coupling(coupling, t)
-        if B_ij is not None:
-            if j not in template.input:
-                raise ContractError(
-                    f"subsystem {j!r} disturbs {sid!r} through its input "
-                    "but has no input contract")
-            cu, Cu = _at(template.input[j], t)
-            blocks.append(AugBlock("input", j, B_ij @ Cu))
-            center = center + B_ij @ cu
-    blocks.append(AugBlock("local", None, np.array(sub.D_at(t).generators, dtype=float)))
-    return center, blocks
+    subs = [network.subsystem(sid) for sid in sids]
+    blocks, terms, local = [], [], []  # terms: (block number, matrix, (center, columns))
+    for g, (sid, sub) in enumerate(zip(sids, subs)):
+        for j in sub.neighbor_ids():
+            coupling = sub.couplings[j]
+            B_ij = _input_coupling(coupling, t)
+            if B_ij is not None and j not in template.input:
+                raise ContractError(f"subsystem {j!r} disturbs {sid!r} through its input "
+                                    "but has no input contract")
+            for kind, K, promises in (("state", coupling.A_at(t), template.state),
+                                      ("input", B_ij, template.input)):
+                if K is not None:
+                    terms.append((len(blocks), K, _at(promises[j], t)))
+                    blocks.append((g, kind, j, np.shape(terms[-1][2][1])[1]))
+        local.append((len(blocks), sub.D_at(t).generators))
+        blocks.append((g, "local", None, local[-1][1].shape[1]))
+    first = np.cumsum([0] + [width for *_, width in blocks])
+    base, shifts = np.empty((subs[0].n, first[-1])), np.empty((len(terms), subs[0].n))
+    shapes = {}
+    for e, (_, K, (_, C)) in enumerate(terms):
+        shapes.setdefault((np.shape(K), np.shape(C)), []).append(e)
+    for members in shapes.values():
+        K, c, C = (np.array([terms[e][1] for e in members], dtype=float),
+                   *(np.array([terms[e][2][i] for e in members], dtype=float) for i in (0, 1)))
+        cols = first[[terms[e][0] for e in members]][:, None] + np.arange(C.shape[2])
+        base[:, cols] = (K @ C).transpose(1, 0, 2)
+        shifts[members] = (K @ c[..., None])[..., 0]
+    for b, D in local:
+        base[:, first[b]:first[b + 1]] = D
+    centers = np.array([sub.D_at(t).center for sub in subs], dtype=float)
+    # summed in block order, as center + A_ij c_j + B_ij c_u + ... one term at a time
+    np.add.at(centers, [blocks[b][0] for b, *_ in terms], shifts)
+    return centers, base, blocks
 
 
 def _kept_count(total, n, order):
@@ -328,49 +326,43 @@ def _kept_count(total, n, order):
     return total if total <= n * order else n * (order - 1)
 
 
-def _choose_columns(blocks, n, order):
-    """Split W columns into kept (exact) and boxed, mirroring order_reduce_box.
+def _choose_columns(base, n, order):
+    """Split W's columns ``base`` (n x total, the blocks side by side) into
+    kept (exact) and boxed, mirroring order_reduce_box.
 
-    Columns are numbered in block order, as in ``np.hstack`` of the blocks'
-    columns; returns the kept and the boxed numbers, each ascending.  The
+    Returns the kept and the boxed column numbers, each ascending.  The
     split uses *unscaled* column norms so it does not depend on alpha and
     the LP structure stays fixed across evaluations.
     """
-    total = sum(block.cols.shape[1] for block in blocks)
+    total = base.shape[1]
     allcols = np.arange(total)
     keep = _kept_count(total, n, order)
     if keep in (0, total):
         return allcols[:keep], allcols[keep:]
-    base = np.hstack([block.cols for block in blocks])
     norms = np.array([np.linalg.norm(base[:, c]) for c in range(total)])
     kept = np.sort(np.argsort(-norms, kind="stable")[:keep])
     return kept, np.setdiff1d(allcols, kept)
 
 
-def _w_columns(centers, blocks, splits, alpha_cols, n):
+def _w_columns(centers, base, widths, alpha, splits, n):
     """W_i's columns in the ``W`` form of ``add_recursion``, kept exact and
     the remainder boxed into n diagonal columns, for every member of a group
-    at one step: ``blocks[g]``, ``splits[g]`` and ``alpha_cols[g]`` are
-    member g's.
+    at one step: ``base`` holds the members' W columns side by side (member
+    g's ``widths[g]`` of them), ``alpha`` the column index of each one's
+    multiplier (-1 for the local disturbance) and ``splits[g]`` member g's.
 
-    ``alpha_cols[g][b]`` holds the column indices of block b's multipliers
-    (None for the local disturbance).  A kept column is alpha * base, with
-    constant 0.0 * base; a boxed radius sums its constant |entries| in
-    column order, plus alpha terms with coefficients |entry|.  A member's
-    terms run over its kept, then its boxed columns, column by column with
-    rows ascending, nonzero entries only.  Read at a solution's values, the
-    same form is the solution's W_i (:func:`_w_value`).  The members must
-    keep equally many columns and all box some or none.
+    A kept column is alpha * base, with constant 0.0 * base; a boxed radius
+    sums its constant |entries| in column order, plus alpha terms with
+    coefficients |entry|.  A member's terms run over its kept, then its
+    boxed columns, column by column with rows ascending, nonzero entries
+    only.  Read at a solution's values, the same form is the solution's W_i
+    (:func:`_w_value`).  The members must keep equally many columns and all
+    box some or none.
 
     Returns each member's form and all of them stacked along a leading
     member axis, the terms padded with zero terms to one length.
     """
     members = len(centers)
-    base = np.concatenate([block.cols for member in blocks for block in member], axis=1)
-    alpha = np.concatenate([np.full(block.cols.shape[1], -1) if cols is None else cols
-                            for member, cols_of in zip(blocks, alpha_cols)
-                            for block, cols in zip(member, cols_of)]).astype(np.int64)
-    widths = np.array([sum(block.cols.shape[1] for block in member) for member in blocks])
     owner = np.repeat(np.arange(members), widths)
     offset = np.cumsum(widths) - widths
     kept = np.concatenate([offset[g] + split[0] for g, split in enumerate(splits)])
@@ -469,11 +461,15 @@ def emit_subsystem(batch, network, template, sids, alpha_of, k=None,
     n, m = subs[0].n, subs[0].m
     steps = network.num_steps
     finite = network.mode == "finite"
-    structure = [[aug_blocks(network, template, s, t) for t in range(steps)] for s in sids]
-    splits = [[_choose_columns(blocks, n, reduction_order) for _, blocks in member]
-              for member in structure]
-    p_reds = {tuple(len(kept) + (n if len(boxed) else 0) for kept, boxed in member)
-              for member in splits}
+    groups = [_aug_group(network, template, sids, t) for t in range(steps)]
+    # per step: each member's W column count and its split into kept and boxed
+    widths_w = [np.bincount([g for g, *_ in blocks], [w for *_, w in blocks],
+                            len(sids)).astype(int) for _, _, blocks in groups]
+    splits = [[_choose_columns(base[:, a - w:a], n, reduction_order)
+               for w, a in zip(widths_t, np.cumsum(widths_t))]
+              for (_, base, _), widths_t in zip(groups, widths_w)]
+    p_reds = {tuple(len(split[g][0]) + (n if len(split[g][1]) else 0) for split in splits)
+              for g in range(len(sids))}
     if len(p_reds) != 1 or len({(sub.n, sub.m) for sub in subs}) != 1:
         raise ContractError(f"subsystems {sids!r} differ in structure")
     p_red = p_reds.pop()
@@ -495,16 +491,14 @@ def emit_subsystem(batch, network, template, sids, alpha_of, k=None,
     d_u = np.column_stack([batch.var_block(1, lb=0.0)[:, 0]
                            for _ in range(steps)]) if slack and m else none
 
-    alpha_cols = [[[None if block.kind == "local" else
-                    alpha_of[g](block.source, "x" if block.kind == "state" else "u", t)
-                    for block in blocks] for t, (_, blocks) in enumerate(member)]
-                  for g, member in enumerate(structure)]
+    # the multipliers' column of every W column (-1: the local disturbance)
+    alpha = [np.concatenate([np.full(width, -1) if kind == "local" else
+                             alpha_of[g](j, "x" if kind == "state" else "u", t)
+                             for g, kind, j, width in blocks]).astype(np.int64)
+             for t, (_, _, blocks) in enumerate(groups)]
     W = [[] for _ in sids]
-    for t in range(steps):
-        forms, stacked_w = _w_columns([member[t][0] for member in structure],
-                                      [member[t][1] for member in structure],
-                                      [member[t] for member in splits],
-                                      [member[t] for member in alpha_cols], n)
+    for t, (centers, base, _) in enumerate(groups):
+        forms, stacked_w = _w_columns(centers, base, widths_w[t], alpha[t], splits[t], n)
         for Wg, form in zip(W, forms):
             Wg.append(form)
         add_recursion(batch, np.stack([sub.A_at(t) for sub in subs]),
@@ -865,7 +859,9 @@ def _promise_witness(template, c, C, alpha, S):
     are S's own; otherwise the least-squares L of ``G_S L = [C Diag(alpha),
     c_S - c]``, exact wherever that system has a solution."""
     if template.is_bounds:
-        return np.hstack([np.diag(alpha), np.zeros((len(alpha), 1))])
+        L = np.zeros((len(alpha), len(alpha) + 1))
+        L.flat[::len(alpha) + 2] = alpha  # the diagonal
+        return L
     rhs = np.column_stack([np.asarray(C) * alpha, S.center - c])
     return np.linalg.lstsq(S.generators, rhs, rcond=None)[0]
 
@@ -882,63 +878,89 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
     Each containment is first checked on a witness: the one the hard
     extraction or centralized LP found (``solution.witness``) for Omega,
     Theta and the terminal set, and :func:`_promise_witness` for a promise
-    inside its admissible set.  When the witness bounds the directed
-    Hausdorff distance within ``tol``, that bound is the margin; otherwise
-    the Hausdorff LP decides, as it does for a solution without witnesses
-    (a loaded one).  ``lp_fallbacks`` counts those LPs.
+    inside its admissible set.  The containments of one shape, across
+    subsystems and steps, are bounded by one ``geom.hausdorff_bound`` call
+    on stacked (g, n, k) arrays, as the tubes of one shape are by one
+    ``viability.step_residual`` call.  A bound within ``tol`` is the margin;
+    otherwise the Hausdorff LP decides, one containment at a time, as it
+    does for a solution without witnesses (a loaded one).  ``lp_fallbacks``
+    counts those LPs.
     """
-    failures = []
-    max_state = 0.0
-    max_input = 0.0
-    max_res = 0.0
-    fallbacks = 0
     steps = network.num_steps
     finite = network.mode == "finite"
+    # (what, margin kind, inner G, inner c, outer center, cols, scales, witness),
+    # in the order of the report's failures
+    checks = []
+    recursions = {}  # shapes -> the (A, B, T, M, xbar, ubar, W_G, W_c, E, T_next, x_next) of each
 
-    def check(what, inner, center, cols, scales, witness):
-        # the margin of inner in Z(center, cols Diag(scales)); beyond tol, a failure
-        nonlocal fallbacks
-        margin, lp = certified_hausdorff(inner, center, cols, scales, witness, tol)
-        fallbacks += lp
-        if margin > tol:
-            failures.append(f"{what} by {margin:.3e}")
-        return margin
-
-    def within(what, inner, S, witness):
-        return check(what, inner, S.center, S.generators, np.ones(S.num_generators), witness)
+    def promise(what, c, C, alpha, S):
+        checks.append((what, None, np.asarray(C, dtype=float) * alpha, c, S.center,
+                       S.generators, np.ones(S.num_generators),
+                       _promise_witness(template, c, C, alpha, S)))
 
     for sid in network.sorted_ids():
         sub = network.subsystem(sid)
         sol = solutions[sid]
         witness = sol.witness or {}
-        steps_x = steps + 1 if finite else 1
-        for t in range(steps_x):
+        sigma = sol.sigma
+        for t in range(steps + 1 if finite else 1):
             cx, Cx = _at(template.state[sid], t)
             alpha = _at(params.x[sid], t)
-            max_state = max(max_state, check(f"{sid}: Omega({t}) escapes its promise",
-                                             sol.omega(t), cx, Cx, alpha, witness.get(f"inC{t}")))
-            within(f"{sid}: state promise at t={t} exceeds X", template.state_set(params, sid, t),
-                   sub.X_at(t), _promise_witness(template, cx, Cx, alpha, sub.X_at(t)))
+            checks.append((f"{sid}: Omega({t}) escapes its promise", "x", sigma * _at(sol.T, t),
+                           _at(sol.xbar, t), cx, Cx, alpha, witness.get(f"inC{t}")))
+            promise(f"{sid}: state promise at t={t} exceeds X", cx, Cx, alpha, sub.X_at(t))
         if finite:
-            max_state = max(max_state, within(f"{sid}: terminal set escapes X", sol.omega(steps),
-                                              sub.X_at(steps), witness.get("term")))
+            X = sub.X_at(steps)
+            checks.append((f"{sid}: terminal set escapes X", "x", sigma * sol.T[steps],
+                           sol.xbar[steps], X.center, X.generators, np.ones(X.num_generators),
+                           witness.get("term")))
         if sub.m:
             for t in range(steps):
                 U = sub.U_at(t)
                 if sid in template.input:
                     cu, Cu = _at(template.input[sid], t)
                     alpha = _at(params.u[sid], t)
-                    within(f"{sid}: input promise at t={t} exceeds U",
-                           template.input_set(params, sid, t), U,
-                           _promise_witness(template, cu, Cu, alpha, U))
+                    promise(f"{sid}: input promise at t={t} exceeds U", cu, Cu, alpha, U)
                 else:
                     cu, Cu, alpha = U.center, U.generators, np.ones(U.num_generators)
-                max_input = max(max_input, check(f"{sid}: Theta({t}) escapes its promise",
-                                                 sol.theta(t), cu, Cu, alpha,
-                                                 witness.get(f"inU{t}")))
-        max_res = max(max_res, recursion_residual(
-            sol, [sub.A_at(t) for t in range(steps)], [sub.B_at(t) for t in range(steps)]))
+                checks.append((f"{sid}: Theta({t}) escapes its promise", "u",
+                               sigma * _at(sol.M, t), _at(sol.ubar, t), cu, Cu, alpha,
+                               witness.get(f"inU{t}")))
+        inputs = sol.M is not None
+        for t, W in enumerate(sol.W):
+            step = (sub.A_at(t), sub.B_at(t) if inputs else None, sol.T[t],
+                    sol.M[t] if inputs else None, sol.xbar[t], sol.ubar[t] if inputs else None,
+                    W.generators, W.center, sol.E, _at(sol.T, t + 1), _at(sol.xbar, t + 1))
+            shapes = tuple(np.shape(step[i]) for i in (2, 3, 6, 8, 9))  # fix all the others'
+            recursions.setdefault(shapes, []).append(step)
+
+    bounds = np.full(len(checks), np.inf)
+    groups = {}
+    for e, (*_, G, _, _, cols, _, L) in enumerate(checks):
+        if L is not None:  # shapes that fix all the others' (or misshape the witness)
+            groups.setdefault((G.shape, np.shape(cols), np.shape(L)), []).append(e)
+    for members in groups.values():
+        G, c, *outer = _stacked([checks[e][2:] for e in members])
+        bounds[members] = hausdorff_bound((G, c), *outer)
+    max_res = max((step_residual(*_stacked(stack)) for stack in recursions.values()),
+                  default=0.0)
+
+    failures, fallbacks = [], 0
+    margins = {"x": 0.0, "u": 0.0, None: 0.0}
+    for (what, kind, G, c, center, cols, scales, _), margin in zip(checks, bounds.tolist()):
+        if margin > tol:
+            outer = Zonotope(center, np.asarray(cols, dtype=float) * scales)
+            margin = directed_hausdorff(outer, Zonotope(c, G))
+            fallbacks += 1
+        if margin > tol:
+            failures.append(f"{what} by {margin:.3e}")
+        margins[kind] = max(margins[kind], margin)
     if max_res > RESIDUAL_TOL:
         failures.append(f"recursion residual {max_res:.3e}")
-    return CorrectnessReport(not failures, max_state, max_input, max_res, failures,
+    return CorrectnessReport(not failures, margins["x"], margins["u"], max_res, failures,
                              fallbacks)
+
+
+def _stacked(items):
+    """Each field of the equal-shaped tuples ``items`` stacked (None stays None)."""
+    return [None if field[0] is None else np.array(field) for field in zip(*items)]

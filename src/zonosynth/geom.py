@@ -92,19 +92,6 @@ class Zonotope:
         return f"Zonotope(dim={self.dim}, p={self.num_generators})"
 
 
-def minkowski_sum(*zonotopes):
-    """Minkowski sum: centers add, generator matrices concatenate."""
-    if not zonotopes:
-        raise ValueError("need at least one zonotope")
-    dim = zonotopes[0].dim
-    for Z in zonotopes:
-        if Z.dim != dim:
-            raise ValueError("dimension mismatch in minkowski_sum")
-    center = sum(Z.center for Z in zonotopes)
-    gens = np.hstack([Z.generators for Z in zonotopes])
-    return Zonotope(center, gens)
-
-
 def stack(zonotopes):
     """Cartesian product: block-diagonal generators, stacked centers."""
     zonotopes = list(zonotopes)
@@ -119,14 +106,6 @@ def stack(zonotopes):
         r += n
         q += p
     return Zonotope(center, G)
-
-
-def scale_generators(Z, alpha):
-    """Z(c, G Diag(alpha)) — per-generator scaling, used by contract templates."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (Z.num_generators,):
-        raise ValueError(f"alpha shape {alpha.shape} != ({Z.num_generators},)")
-    return Zonotope(Z.center, Z.generators * alpha)
 
 
 def order_reduce_box(Z, order=1):
@@ -161,19 +140,6 @@ def sample(Z, num, rng):
     """num points c + G zeta with zeta uniform over [-1,1]^p."""
     zeta = rng.uniform(-1.0, 1.0, size=(num, Z.num_generators))
     return Z.center + zeta @ Z.generators.T
-
-
-def zonogon_area(Z):
-    """Area of a 2-D zonotope: 4 * sum_{j<k} |det [g_j g_k]|."""
-    if Z.dim != 2:
-        raise ValueError("zonogon_area needs a 2-D zonotope")
-    G = Z.generators
-    p = G.shape[1]
-    total = 0.0
-    for j in range(p):
-        for k in range(j + 1, p):
-            total += abs(G[0, j] * G[1, k] - G[1, j] * G[0, k])
-    return 4.0 * total
 
 
 def polygon_vertices_2d(Z, tol=1e-12):
@@ -437,20 +403,27 @@ def hausdorff_bound(inner, center, cols, scales, L):
     sums, and the excess of each row sum of |L| over its scale through
     ``|cols|``.  The bound is never below the true distance, and is 0 for
     an exact witness.  Returns inf for a missing or misshapen candidate.
+
+    ``inner`` is a Zonotope, or its generators and center as a pair of
+    arrays ``(G, c)``.  Every array may carry leading axes, the same for
+    all, for a stack of containments of one shape (a (g, n, r) stack of
+    generators, say); the bounds then come back as an array of those axes,
+    each bitwise the bound of its containment alone.
     """
-    center = np.asarray(center, dtype=float)
-    cols = np.asarray(cols, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    n, s = cols.shape
+    G, c = (inner.generators, inner.center) if isinstance(inner, Zonotope) else inner
+    center, cols, scales = (np.asarray(a, dtype=float) for a in (center, cols, scales))
+    n, s = cols.shape[-2:]
     if L is None:
         return np.inf
     L = np.asarray(L, dtype=float)
-    if inner.dim != n or scales.shape != (s,) or \
-            L.shape != (s, inner.num_generators + 1):
+    if np.shape(G)[-2] != n or scales.shape[-1:] != (s,) or \
+            L.shape[-2:] != (s, np.shape(G)[-1] + 1):
         return np.inf
-    E = np.hstack([inner.generators, (center - inner.center)[:, None]]) - cols @ L
-    excess = np.maximum(np.abs(L).sum(axis=1) - scales, 0.0)
-    return float(np.max(np.abs(cols) @ excess + np.abs(E).sum(axis=1), initial=0.0))
+    E = np.concatenate([G, (center - c)[..., None]], axis=-1) - cols @ L
+    excess = np.maximum(np.abs(L).sum(axis=-1) - scales, 0.0)
+    bound = np.max((np.abs(cols) @ excess[..., None])[..., 0] + np.abs(E).sum(axis=-1),
+                   axis=-1, initial=0.0)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def certified_hausdorff(inner, center, cols, scales, witness, tol):

@@ -18,6 +18,12 @@ and column duals (reduced costs) by column index.  :class:`_LpBatch` builds
 programs of one row structure together, as arrays with a leading member
 axis.
 
+A model reaches HiGHS by one path, one call of ``passModel``'s array
+overload: costs, column and row bounds, the matrix column-wise (CSC) and an
+all-zero (continuous) integrality array.  A batch program's CSC arrays are
+slices of its batch's; rows added later are merged in at the next hand-off.
+HiGHS drops coefficients of magnitude at most 1e-9 as it takes a model.
+
 Column bounds and costs are kept as arrays.  The solver instance stays alive
 between solves, so :meth:`LinearProgram.set_col_bounds` and
 :meth:`LinearProgram.set_costs` change it in place (one HiGHS call for a
@@ -221,6 +227,8 @@ def as_expr(value):
 # the program
 
 _LE, _GE = ord("<"), ord(">")
+_COLWISE, _MINIMIZE = int(_hcore.MatrixFormat.kColwise), int(_hcore.ObjSense.kMinimize)
+_LOWER = _hcore.HighsBasisStatus.kLower
 _S = _hcore.HighsModelStatus
 # a simplex breakdown, which one run by the interior-point solver retries,
 # with these options set and then put back
@@ -235,6 +243,12 @@ _TIGHT = ("hausdorff",)
 # 3.1e-7, inside its feasibility tolerance; the interior-point solver takes
 # 3.5 s to one that certifies
 _BY_IPM = ("viable",)
+
+
+def _row_bounds(sense, bound):
+    """Lower and upper row bounds from the sense bytes and the bounds."""
+    sense = np.frombuffer(sense, dtype=np.uint8)
+    return np.where(sense == _LE, -INF, bound), np.where(sense == _GE, INF, bound)
 
 
 def _merge(key, coefs):
@@ -258,10 +272,10 @@ class LinearProgram:
     returned :class:`LpSolution`; numerical failures raise
     :class:`LpSolverError`.
 
-    Rows live in one store: COO triplets (row, column, coefficient), rows
-    ascending within each column, plus per-row sense and bound.
-    :meth:`add_rows` appends a block of rows given as triplets.  Column
-    bounds and costs are arrays, grown by doubling as columns are added.
+    The matrix is kept column-wise (CSC), plus per-row sense and bound;
+    :meth:`add_rows` keeps its blocks as COO triplets until the next
+    hand-off merges them in.  Column bounds and costs are arrays, grown by
+    doubling as columns are added.
     """
 
     def __init__(self, name="lp"):
@@ -270,12 +284,15 @@ class LinearProgram:
         self._lb = np.zeros(0)        # column arrays, valid up to num_vars
         self._ub = np.zeros(0)
         self._cost = np.zeros(0)
-        self._coo = []                # (rows, cols, coefs) blocks, row- or column-ordered
+        self._csc = (np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+        self._coo = []                # (rows, cols, coefs) blocks added since, row-ordered
         self._sense = bytearray()     # "=", "<" or ">" per row
         self._bound = array("d")      # row reads: terms <sense> bound
+        self._rows = (np.zeros(0), np.zeros(0))  # row lower and upper bounds, made on use
         self._structure_version = 0
         self._solver = None
         self._built_version = -1
+        self._clock = 0.0             # the instance's run clock after its last solve
         self._size = (0, 0, 0)  # (rows, cols, nnz) of the last model built
         self._shared = None           # batch programs: the batch-wide columns, in order
         self._siblings = None         # batch programs: the batch, until one lends
@@ -308,22 +325,16 @@ class LinearProgram:
         self._structure_version += 1
         return np.arange(first, stop).reshape(shape)
 
-    def _install(self, col_records, entries, sense, bounds):
-        """Make this empty program the given model: ``(size, lb, ub,
-        shared)`` per block of columns, the matrix ``(rows, cols, coefs)``
-        in column order, one sense byte and one bound per row.  The columns
-        of the blocks marked ``shared`` are kept, in order, as the layout
-        a lent basis is mapped through."""
-        sizes = [record[0] for record in col_records]
-        self._num_cols = sum(sizes)
-        self._lb, self._ub = (np.repeat(np.array([record[i] for record in col_records],
-                                                 dtype=float), sizes) for i in (1, 2))
-        self._shared = np.flatnonzero(
-            np.repeat([record[3] for record in col_records], sizes)).astype(np.int32)
-        self._cost = np.zeros(self._num_cols)
-        self._coo = [entries]
+    def _install(self, cols, shared, csc, sense, rows):
+        """Make this empty program the given model.  The columns ``shared``
+        are kept, in order, as the layout a lent basis is mapped through."""
+        self._lb, self._ub, self._cost = cols
+        self._num_cols = len(self._cost)
+        self._shared = shared
+        self._csc = csc
         self._sense = bytearray(sense)
-        self._bound.frombytes(bounds.tobytes())
+        self._bound.frombytes(rows[0].tobytes())
+        self._rows = rows[1:]
         self._structure_version += 1
 
     # -- constraints ---------------------------------------------------------
@@ -403,16 +414,13 @@ class LinearProgram:
 
     def set_col_bounds(self, cols, lb, ub):
         """Set the bounds of the columns ``cols`` (``lb``/``ub`` scalars or
-        arrays).  A live solver instance takes them in one call, and the
-        next ``solve()`` is a warm re-solve."""
+        arrays of the shape of ``cols``).  A live solver instance takes them
+        in one call, and the next ``solve()`` is a warm re-solve."""
         cols = np.asarray(cols, dtype=np.int32)
         self._lb[cols] = lb
         self._ub[cols] = ub
         if self._live():
-            # an array per column goes to the solver as it is
-            lo = lb if np.shape(lb) == cols.shape else self._lb[cols]
-            hi = ub if np.shape(ub) == cols.shape else self._ub[cols]
-            self._solver.changeColsBounds(len(cols), cols, lo, hi)
+            self._solver.changeColsBounds(len(cols), cols, self._lb[cols], self._ub[cols])
 
     def set_costs(self, cols, values):
         """Set the objective coefficients of the columns ``cols``; like
@@ -425,28 +433,35 @@ class LinearProgram:
     def _senses(self):
         return np.frombuffer(self._sense, dtype=np.uint8).copy()
 
+    def _matrix(self):
+        """The matrix column-wise (CSC): int32 ``(start, index, value)``,
+        with the rows added since the last call merged in."""
+        start, index, value = self._csc
+        if self._coo or len(start) != self._num_cols + 1:
+            cols = np.repeat(np.arange(len(start) - 1, dtype=np.int32), np.diff(start))
+            rows, cols, coefs = (np.concatenate(part)
+                                 for part in zip((index, cols, value), *self._coo))
+            # rows ascend within each column of every block, and later blocks
+            # hold later rows, so a stable sort by column keeps them ascending
+            order = np.argsort(cols, kind="stable")
+            start = np.zeros(self._num_cols + 1, dtype=np.int32)
+            np.cumsum(np.bincount(cols, minlength=self._num_cols), out=start[1:])
+            self._csc, self._coo = (start, rows[order], coefs[order]), []
+        return self._csc
+
+    def _row_bounds(self):
+        if len(self._rows[0]) != len(self._sense):  # rows were added
+            self._rows = _row_bounds(self._sense, np.frombuffer(self._bound))
+        return self._rows
+
     def _assemble(self):
         """The model as arrays, with the constraint matrix column-wise (CSC):
-        ``(start, index, value, cost, lb, ub, row_lo, row_hi)``."""
-        if len(self._coo) > 1:
-            self._coo = [tuple(np.concatenate(part) for part in zip(*self._coo))]
-        if self._coo:
-            rows, cols, coefs = self._coo[0]
-        else:
-            rows = cols = np.zeros(0, dtype=np.int32)
-            coefs = np.zeros(0)
-        # rows ascend within each column of every block, and later blocks hold
-        # later rows, so a stable sort by column keeps them ascending
-        order = np.argsort(cols, kind="stable")
-        start = np.zeros(self.num_vars + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=self.num_vars), out=start[1:])
-        sense = self._senses()
-        bound = np.frombuffer(self._bound, dtype=np.float64).copy()
-        n = self.num_vars
-        return (start, rows[order], coefs[order], self._cost[:n].copy(),
-                self._lb[:n].copy(), self._ub[:n].copy(),
-                np.where(sense == _LE, -INF, bound),
-                np.where(sense == _GE, INF, bound))
+        ``(start, index, value, cost, lb, ub, row_lo, row_hi)``, ``start``
+        as int64."""
+        start, index, value = self._matrix()
+        n = self._num_cols
+        return (start.astype(np.int64), index, value, self._cost[:n].copy(),
+                self._lb[:n].copy(), self._ub[:n].copy(), *(a.copy() for a in self._row_bounds()))
 
     # -- solving -------------------------------------------------------------
 
@@ -457,7 +472,7 @@ class LinearProgram:
 
     def _solve_trivial(self):
         # No variables: every row is a constant; check feasibility directly.
-        rlo, rhi = self._assemble()[6:]
+        rlo, rhi = self._row_bounds()
         if np.any((rlo - 1e-12 > 0.0) | (rhi + 1e-12 < 0.0)):
             return LpSolution(self, INFEASIBLE, None, np.zeros(0), None, 0.0)
         duals = SimpleNamespace(col_dual=np.zeros(0))
@@ -477,31 +492,23 @@ class LinearProgram:
                 solver.setOptionValue(option, 1e-10)
         return solver
 
-    def _highs_model(self):
-        """A fresh HighsLp of the current model, and its number of nonzeros."""
+    def _pass_model(self, solver):
+        """Hand ``solver`` the current model in one ``passModel`` call;
+        returns its number of nonzeros."""
         # HiGHS's infinity is IEEE inf, so bounds pass through unchanged
-        start, index, value, cost, lb, ub, rlo, rhi = self._assemble()
-        model = _hcore.HighsLp()
-        model.num_col_ = self.num_vars
-        model.num_row_ = self.num_rows
-        model.col_cost_ = cost
-        model.offset_ = 0.0
-        model.col_lower_ = lb
-        model.col_upper_ = ub
-        model.row_lower_ = rlo
-        model.row_upper_ = rhi
-        model.a_matrix_.format_ = _hcore.MatrixFormat.kColwise
-        model.a_matrix_.start_ = start
-        model.a_matrix_.index_ = index
-        model.a_matrix_.value_ = value
-        return model, len(value)
+        start, index, value = self._matrix()
+        n = self._num_cols
+        solver.passModel(n, len(self._sense), len(value), _COLWISE, _MINIMIZE, 0.0,
+                         self._cost[:n], self._lb[:n], self._ub[:n], *self._row_bounds(),
+                         start, index, value, np.zeros(n, dtype=np.int32))
+        return len(value)
 
     def _build_highs(self):
-        model, nnz = self._highs_model()
         solver = self._new_highs()
-        solver.passModel(model)
+        nnz = self._pass_model(solver)
         self._solver = solver
         self._time_limit = INF  # the instance's, set again only when it changes
+        self._clock = 0.0
         self._built_version = self._structure_version
         self._size = (self.num_rows, self.num_vars, nnz)
 
@@ -519,7 +526,8 @@ class LinearProgram:
             start = _hcore.HighsBasis()
             start.row_status = basis.row_status
             start.valid, start.alien = True, False  # HiGHS rejects a basis that does not fit
-            lent = (start, np.array(basis.col_status, dtype=object)[self._shared])
+            status = basis.col_status
+            lent = (start, [status[c] for c in self._shared.tolist()])
         for lp in self._siblings:
             lp._siblings = None
             if lp._solver is None:
@@ -534,9 +542,10 @@ class LinearProgram:
         if lent is None:
             return False
         start, shared = lent
-        cols = np.full(self.num_vars, _hcore.HighsBasisStatus.kLower, dtype=object)
-        cols[self._shared] = shared
-        start.col_status = cols.tolist()
+        cols = [_LOWER] * self.num_vars
+        for c, status in zip(self._shared.tolist(), shared):
+            cols[c] = status
+        start.col_status = cols
         return self._solver.setBasis(start) == _hcore.HighsStatus.kOk
 
     def _solve_highs(self, time_limit):
@@ -549,21 +558,19 @@ class LinearProgram:
         if limit != self._time_limit:
             solver.setOptionValue("time_limit", limit)
             self._time_limit = limit
-        t0 = solver.getRunTime()
-        solver.run()
-        seconds = solver.getRunTime() - t0
+        solver.run()  # the run clock advances only while HiGHS runs
         status = solver.getModelStatus()
         retried = status in _BREAKDOWN
         if retried:  # once more by the interior-point solver, crossover on
             previous = [solver.getOptionValue(name)[1] for name in _IPM]
             for name, value in zip(_IPM, ("ipm", "on")):
                 solver.setOptionValue(name, value)
-            t0 = solver.getRunTime()
             solver.run()
-            seconds += solver.getRunTime() - t0
             for name, value in zip(_IPM, previous):
                 solver.setOptionValue(name, value)
             status = solver.getModelStatus()
+        clock = solver.getRunTime()
+        seconds, self._clock = clock - self._clock, clock
         _notify_trackers(seconds, self._size, cold, retried)
         if status == _S.kUnboundedOrInfeasible:
             status = self._disambiguate_highs()
@@ -571,8 +578,9 @@ class LinearProgram:
             if self._siblings:
                 self._lend_basis()
             sol = solver.getSolution()  # a copy: later solves leave it alone
-            x = np.asarray(sol.col_value, dtype=float)
-            obj = float(self._cost[:self._num_cols] @ x) + 0.0  # -0.0 reads as +0.0
+            n = self._num_cols
+            x = np.fromiter(sol.col_value, float, n)
+            obj = float(self._cost[:n] @ x) + 0.0  # -0.0 reads as +0.0
             return LpSolution(self, OPTIMAL, obj, x, sol, seconds)
         if status == _S.kInfeasible:
             return LpSolution(self, INFEASIBLE, None, None, None, seconds)
@@ -587,7 +595,7 @@ class LinearProgram:
         # without it on a throwaway instance.
         solver = self._new_highs()
         solver.setOptionValue("presolve", "off")
-        solver.passModel(self._highs_model()[0])
+        self._pass_model(solver)
         solver.run()
         return solver.getModelStatus()
 
@@ -646,7 +654,8 @@ class _LpBatch:
     def programs(self):
         """One :class:`LinearProgram` per member.  All members' entries are
         sorted in one stable pass by (member, column, row) and merged as in
-        :meth:`LinearProgram.add_rows`."""
+        :meth:`LinearProgram.add_rows`; each member's CSC arrays are slices
+        of the sorted ones."""
         num_rows, width = max(len(self._sense), 1), max(max(self._next, default=0), 1)
         offset, limit = np.arange(len(self._names))[:, None] * width, np.array(self._next)[:, None]
         keys, coefs = [], []
@@ -660,18 +669,32 @@ class _LpBatch:
         # their emission order, which the merge sums in
         key, coefs = _merge(np.concatenate(keys[::-1]), np.concatenate(coefs[::-1]))
         del keys
-        member, key = np.divmod(key, width * num_rows)
-        col, row = (a.astype(np.int32) for a in np.divmod(key, num_rows))
-        cut = np.searchsorted(member, np.arange(len(self._names) + 1)).tolist()
+        # key // num_rows is member * width + column: the entries before each,
+        # and one past every member's last column, give the CSC starts
+        start = np.searchsorted(key // num_rows, np.arange(len(self._names) * width + 1))
+        row = (key % num_rows).astype(np.int32)
+        del key
         bounds = np.concatenate(self._bounds, axis=1)
+        lower, upper = _row_bounds(self._sense, bounds)
+        # all members' column arrays side by side, member g's from column first[g]
+        records = [record for member in self._cols for record in member]
+        sizes = [record[0] for record in records]
+        lb, ub, shared = (np.repeat(np.array([rec[i] for rec in records], dtype=float), sizes)
+                          for i in (1, 2, 3))
+        first = np.cumsum([0] + self._next)
+        shared, cost = np.flatnonzero(shared).astype(np.int32), np.zeros(first[-1])
+        cut = np.searchsorted(shared, first)
         out = []
         # each member keeps views of the merged arrays, which hold nothing but
         # the members' entries; every other array of the batch is let go
-        for g, (name, records) in enumerate(zip(self._names, self._cols)):
-            a, b = cut[g], cut[g + 1]
+        for g, name in enumerate(self._names):
+            a, b = start[g * width], start[g * width + self._next[g]]
+            cols = slice(first[g], first[g + 1])
             lp = LinearProgram(name=name)
-            lp._install(records, (row[a:b], col[a:b], coefs[a:b]),
-                        self._sense, np.ascontiguousarray(bounds[g]))
+            lp._install((lb[cols], ub[cols], cost[cols]), shared[cut[g]:cut[g + 1]] - first[g],
+                        ((start[g * width:g * width + self._next[g] + 1] - a).astype(np.int32),
+                         row[a:b], coefs[a:b]),
+                        self._sense, (np.ascontiguousarray(bounds[g]), lower[g], upper[g]))
             out.append(lp)
         siblings = tuple(out) if len(out) > 1 else None
         for lp in out:
@@ -708,5 +731,5 @@ class LpSolution:
         column fixed by its bounds."""
         self._require_solution()
         if self._col_sens is None:
-            self._col_sens = np.asarray(self._duals.col_dual, dtype=float)
+            self._col_sens = np.fromiter(self._duals.col_dual, float, len(self._x))
         return self._col_sens[cols]

@@ -297,25 +297,38 @@ def recursion_residual(solution, A_seq, B_seq):
     """Largest entry of the recursion and center residuals of ``solution``.
 
     ``A_seq``/``B_seq`` hold the system matrices per step (one step for an
-    invariant tube).  The residuals are ``[A T + B M, G_w] - R`` with R the
-    next tube, or ``[E, T]`` when it is narrower (for an invariant tube; E
-    = 0 when absent), and ``A xbar + B ubar + w_c`` minus the
-    next center (for an invariant tube, the same one).
+    invariant tube); each step is :func:`step_residual`.
     """
     res = 0.0
     for t, W in enumerate(solution.W):
-        flow = A_seq[t] @ solution.T[t]
-        drift = A_seq[t] @ solution.xbar[t]
-        if solution.M is not None:
-            flow = flow + B_seq[t] @ solution.M[t]
-            drift = drift + B_seq[t] @ solution.ubar[t]
-        T_next, x_next = _at(solution.T, t + 1), _at(solution.xbar, t + 1)
-        lhs = np.hstack([flow, W.generators])
-        left = lhs.shape[1] - T_next.shape[1]
-        E = np.zeros((len(x_next), left)) if solution.E is None else solution.E
-        res = max(res, float(np.max(np.abs(lhs - np.hstack([E, T_next])), initial=0.0)))
-        res = max(res, float(np.max(np.abs(drift + W.center - x_next))))
+        inputs = solution.M is not None
+        res = max(res, step_residual(
+            A_seq[t], B_seq[t] if inputs else None, solution.T[t],
+            solution.M[t] if inputs else None, solution.xbar[t],
+            solution.ubar[t] if inputs else None, W.generators, W.center, solution.E,
+            _at(solution.T, t + 1), _at(solution.xbar, t + 1)))
     return res
+
+
+def step_residual(A, B, T, M, xbar, ubar, W_G, W_c, E, T_next, x_next):
+    """Largest entry of one step's residuals ``[A T + B M, W_G] - R`` (R the
+    next tube ``T_next``, or ``[E, T_next]`` when it is narrower: an
+    invariant tube, E = 0 when None) and ``A xbar + B ubar + W_c - x_next``.
+
+    ``B``, ``M`` and ``ubar`` are None without inputs.  All arrays may carry
+    the same leading axes, a stack of tubes of one shape; the result is the
+    largest entry over the stack.
+    """
+    flow = A @ T
+    drift = (A @ xbar[..., None])[..., 0]
+    if M is not None:
+        flow = flow + B @ M
+        drift = drift + (B @ ubar[..., None])[..., 0]
+    lhs = np.concatenate([flow, W_G], axis=-1)
+    if E is None:
+        E = np.zeros(lhs.shape[:-1] + (lhs.shape[-1] - T_next.shape[-1],))
+    res = float(np.max(np.abs(lhs - np.concatenate([E, T_next], axis=-1)), initial=0.0))
+    return max(res, float(np.max(np.abs(drift + W_c - x_next))))
 
 
 # ---------------------------------------------------------------------------

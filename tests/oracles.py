@@ -13,10 +13,12 @@ LP per subsystem with its parameters pinned by equality rows, to check
 one distance call per pair of points, to check ``network_from_points``'
 neighbour prefilter against; and the Monte-Carlo closed loop run subsystem
 by subsystem on (S, n_i) arrays, to check ``runtime``'s network-stacked
-loop against.  Last come small helpers that only the tests use (support
+loop against.  Then come small helpers that only the tests use (support
 functions, interval hulls, the exact augmented disturbance, a beta grid and
 a k escalation over ``viability.rci``, a trajectory CSV writer), which call
-the package freely.
+the package freely.  Last, ``check_correctness`` one containment at a time,
+with the witness bound and the recursion residual on 2-D arrays, to check
+the stacked certification against.
 
 The row-wise LP layer
 ---------------------
@@ -36,6 +38,7 @@ sensitivity), duals of ``=`` and ``>=`` rows are the sensitivity itself.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -607,19 +610,57 @@ def _w_expr_columns(blocks, split, alpha_cols, n):
     return columns
 
 
+@dataclass(frozen=True)
+class AugBlock:
+    """One generator block of an augmented disturbance: scaled by one alpha."""
+
+    kind: str  # "state" | "input" | "local"
+    source: object  # neighbor id, or None for the local disturbance
+    cols: np.ndarray  # base columns before any alpha scaling
+
+
+def aug_blocks(network, template, sid, t):
+    """Center and column blocks of W_i(t, alpha) for subsystem ``sid``, one
+    neighbor at a time: the reference for ``contracts._aug_group``, in its
+    block order."""
+    from zonosynth.contracts import ContractError, _at, _input_coupling
+
+    sub = network.subsystem(sid)
+    center = np.array(sub.D_at(t).center, dtype=float)
+    blocks = []
+    for j in sub.neighbor_ids():
+        coupling = sub.couplings[j]
+        A_ij = coupling.A_at(t)
+        cx, Cx = _at(template.state[j], t)
+        blocks.append(AugBlock("state", j, A_ij @ Cx))
+        center = center + A_ij @ cx
+        B_ij = _input_coupling(coupling, t)
+        if B_ij is not None:
+            if j not in template.input:
+                raise ContractError(
+                    f"subsystem {j!r} disturbs {sid!r} through its input "
+                    "but has no input contract")
+            cu, Cu = _at(template.input[j], t)
+            blocks.append(AugBlock("input", j, B_ij @ Cu))
+            center = center + B_ij @ cu
+    blocks.append(AugBlock("local", None, np.array(sub.D_at(t).generators, dtype=float)))
+    return center, blocks
+
+
 def emit_subsystem_rowwise(lp, network, template, sid, alpha_of, k=None,
                            reduction_order=1, slack=True):
     """Row-at-a-time reference for ``contracts.emit_subsystem``; ``alpha_of``
     returns column indices, as there.  Returns the column indices of the
     tubes T and of the slack columns d (state steps, then input steps)."""
-    from zonosynth.contracts import _at, _choose_columns, aug_blocks
+    from zonosynth.contracts import _at, _choose_columns
 
     sub = network.subsystem(sid)
     n, m = sub.n, sub.m
     steps = network.num_steps
     finite = network.mode == "finite"
     structure = [aug_blocks(network, template, sid, t) for t in range(steps)]
-    splits = [_choose_columns(blocks, n, reduction_order) for _, blocks in structure]
+    splits = [_choose_columns(np.hstack([b.cols for b in blocks]), n, reduction_order)
+              for _, blocks in structure]
     p_red = [len(kept) + (n if len(boxed) else 0) for kept, boxed in splits]
     if k is None:
         k = n if finite else n + p_red[0]
@@ -1072,6 +1113,53 @@ def affine_map(A, Z, b=None):
     return Zonotope(c, A @ Z.generators)
 
 
+def minkowski_sum(*zonotopes):
+    """Minkowski sum: centers add, generator matrices concatenate."""
+    from zonosynth.geom import Zonotope
+
+    if not zonotopes:
+        raise ValueError("need at least one zonotope")
+    dim = zonotopes[0].dim
+    for Z in zonotopes:
+        if Z.dim != dim:
+            raise ValueError("dimension mismatch in minkowski_sum")
+    center = sum(Z.center for Z in zonotopes)
+    gens = np.hstack([Z.generators for Z in zonotopes])
+    return Zonotope(center, gens)
+
+
+def zonogon_area(Z):
+    """Area of a 2-D zonotope: 4 * sum_{j<k} |det [g_j g_k]|."""
+    if Z.dim != 2:
+        raise ValueError("zonogon_area needs a 2-D zonotope")
+    G = Z.generators
+    p = G.shape[1]
+    total = 0.0
+    for j in range(p):
+        for k in range(j + 1, p):
+            total += abs(G[0, j] * G[1, k] - G[1, j] * G[0, k])
+    return 4.0 * total
+
+
+def scale_generators(Z, alpha):
+    """Z(c, G Diag(alpha)) — per-generator scaling."""
+    from zonosynth.geom import Zonotope
+
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (Z.num_generators,):
+        raise ValueError(f"alpha shape {alpha.shape} != ({Z.num_generators},)")
+    return Zonotope(Z.center, Z.generators * alpha)
+
+
+def promise_set(template, params, sid, channel, t):
+    """Subsystem ``sid``'s promised state ("x") or input ("u") tube at t."""
+    from zonosynth.contracts import _at
+    from zonosynth.geom import Zonotope
+
+    c, C = _at((template.state if channel == "x" else template.input)[sid], t)
+    return scale_generators(Zonotope(c, C), _at((params.x if channel == "x" else params.u)[sid], t))
+
+
 def interval_hull(Z):
     """Componentwise bounds (lo, hi): lo = c - sum|G| rows, hi = c + sum|G|."""
     radius = np.abs(Z.generators).sum(axis=1)
@@ -1080,7 +1168,7 @@ def interval_hull(Z):
 
 def augmented_disturbance(network, template, params, sid, t):
     """The exact (un-reduced) W_i(t, alpha) as a numeric zonotope."""
-    from zonosynth.contracts import _at, aug_blocks
+    from zonosynth.contracts import _at
     from zonosynth.geom import Zonotope
 
     def alpha(block):
@@ -1148,3 +1236,108 @@ def trajectory_csv(traj, path):
                     row += [""] * m_max
                 writer.writerow(row)
     return path
+
+
+def hausdorff_bound_one(inner, center, cols, scales, L):
+    """``geom.hausdorff_bound`` for one containment, on 2-D arrays: the
+    formula the stacked bound must match bit for bit."""
+    center = np.asarray(center, dtype=float)
+    cols = np.asarray(cols, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    n, s = cols.shape
+    if L is None:
+        return np.inf
+    L = np.asarray(L, dtype=float)
+    if inner.dim != n or scales.shape != (s,) or \
+            L.shape != (s, inner.num_generators + 1):
+        return np.inf
+    E = np.hstack([inner.generators, (center - inner.center)[:, None]]) - cols @ L
+    excess = np.maximum(np.abs(L).sum(axis=1) - scales, 0.0)
+    return float(np.max(np.abs(cols) @ excess + np.abs(E).sum(axis=1), initial=0.0))
+
+
+def recursion_residual_one(solution, A_seq, B_seq):
+    """``viability.recursion_residual`` written step by step on 2-D arrays."""
+    res = 0.0
+    for t, W in enumerate(solution.W):
+        flow = A_seq[t] @ solution.T[t]
+        drift = A_seq[t] @ solution.xbar[t]
+        if solution.M is not None:
+            flow = flow + B_seq[t] @ solution.M[t]
+            drift = drift + B_seq[t] @ solution.ubar[t]
+        T_next = solution.T[t + 1] if len(solution.T) > 1 else solution.T[0]
+        x_next = solution.xbar[t + 1] if len(solution.xbar) > 1 else solution.xbar[0]
+        lhs = np.hstack([flow, W.generators])
+        left = lhs.shape[1] - T_next.shape[1]
+        E = np.zeros((len(x_next), left)) if solution.E is None else solution.E
+        res = max(res, float(np.max(np.abs(lhs - np.hstack([E, T_next])), initial=0.0)))
+        res = max(res, float(np.max(np.abs(drift + W.center - x_next))))
+    return res
+
+
+def check_correctness_per_containment(network, template, params, solutions, tol=1e-7):
+    """``contracts.check_correctness`` one containment at a time: each
+    witness bound by :func:`hausdorff_bound_one`, past ``tol`` the Hausdorff
+    LP, and each subsystem's residual by :func:`recursion_residual_one`."""
+    from zonosynth.contracts import CorrectnessReport, _at, _promise_witness
+    from zonosynth.geom import Zonotope, directed_hausdorff
+    from zonosynth.viability import RESIDUAL_TOL
+
+    failures = []
+    max_state = 0.0
+    max_input = 0.0
+    max_res = 0.0
+    fallbacks = 0
+    steps = network.num_steps
+    finite = network.mode == "finite"
+
+    def check(what, inner, center, cols, scales, witness):
+        nonlocal fallbacks
+        margin = hausdorff_bound_one(inner, center, cols, scales, witness)
+        if margin > tol:
+            margin = directed_hausdorff(Zonotope(center, np.asarray(cols, dtype=float) * scales),
+                                        inner)
+            fallbacks += 1
+        if margin > tol:
+            failures.append(f"{what} by {margin:.3e}")
+        return margin
+
+    def within(what, inner, S, witness):
+        return check(what, inner, S.center, S.generators, np.ones(S.num_generators), witness)
+
+    for sid in network.sorted_ids():
+        sub = network.subsystem(sid)
+        sol = solutions[sid]
+        witness = sol.witness or {}
+        steps_x = steps + 1 if finite else 1
+        for t in range(steps_x):
+            cx, Cx = _at(template.state[sid], t)
+            alpha = _at(params.x[sid], t)
+            max_state = max(max_state, check(f"{sid}: Omega({t}) escapes its promise",
+                                             sol.omega(t), cx, Cx, alpha, witness.get(f"inC{t}")))
+            within(f"{sid}: state promise at t={t} exceeds X",
+                   promise_set(template, params, sid, "x", t),
+                   sub.X_at(t), _promise_witness(template, cx, Cx, alpha, sub.X_at(t)))
+        if finite:
+            max_state = max(max_state, within(f"{sid}: terminal set escapes X", sol.omega(steps),
+                                              sub.X_at(steps), witness.get("term")))
+        if sub.m:
+            for t in range(steps):
+                U = sub.U_at(t)
+                if sid in template.input:
+                    cu, Cu = _at(template.input[sid], t)
+                    alpha = _at(params.u[sid], t)
+                    within(f"{sid}: input promise at t={t} exceeds U",
+                           promise_set(template, params, sid, "u", t), U,
+                           _promise_witness(template, cu, Cu, alpha, U))
+                else:
+                    cu, Cu, alpha = U.center, U.generators, np.ones(U.num_generators)
+                max_input = max(max_input, check(f"{sid}: Theta({t}) escapes its promise",
+                                                 sol.theta(t), cu, Cu, alpha,
+                                                 witness.get(f"inU{t}")))
+        max_res = max(max_res, recursion_residual_one(
+            sol, [sub.A_at(t) for t in range(steps)], [sub.B_at(t) for t in range(steps)]))
+    if max_res > RESIDUAL_TOL:
+        failures.append(f"recursion residual {max_res:.3e}")
+    return CorrectnessReport(not failures, max_state, max_input, max_res, failures,
+                             fallbacks)

@@ -16,8 +16,8 @@ from zonosynth.contracts import (
     ContractError,
     ContractParams,
     PotentialInfeasible,
+    _aug_group,
     alpha_max,
-    aug_blocks,
     build_programs,
     check_correctness,
     default_template,
@@ -149,12 +149,42 @@ def test_params_json_roundtrip():
 def test_aug_blocks_structure_and_values():
     net = pair_network()
     tpl = default_template(net)
-    center, blocks = aug_blocks(net, tpl, 1, 0)
-    assert [b.kind for b in blocks] == ["state", "local"]
-    assert blocks[0].source == 2
-    assert blocks[0].cols == pytest.approx(np.array([[0.5]]))
-    assert blocks[1].cols == pytest.approx(np.array([[0.1]]))
+    (center,), base, blocks = _aug_group(net, tpl, [1], 0)
+    assert blocks == [(0, "state", 2, 1), (0, "local", None, 1)]
+    assert base == pytest.approx(np.array([[0.5, 0.1]]))
     assert center == pytest.approx([0.0])
+
+
+@pytest.mark.parametrize("name", ["case1", "case2", "geo20", "inputs"])
+def test_group_pass_matches_the_per_neighbour_reference(name):
+    # every member's blocks and center bit for bit those of the loop over
+    # its neighbours, one product at a time
+    net = {"case1": lambda: load_network("configs/case1.json"),
+           "case2": lambda: load_network("configs/case2.json"),
+           "geo20": lambda: random_network(10, lambda_for(20), seed=0),
+           "inputs": lambda: load_network({"mode": "infinite", "subsystems": [
+               dict(interval_sub(1, 2), couplings=[{"to": 2, "A": [[0.5]], "B": [[0.2]]},
+                                                   {"to": 3, "A": [[-0.25]]}]),
+               interval_sub(2, 1),
+               dict(interval_sub(3, 1), couplings=[{"to": 2, "A": [[0.3]]}])]}),
+           }[name]()
+    tpl = default_template(net)
+    ids = net.sorted_ids()
+    for t in range(net.num_steps):
+        for sids in ([sid] for sid in ids) if name == "case2" else (ids,):
+            centers, base, blocks = _aug_group(net, tpl, sids, t)
+            column = 0
+            for g, sid in enumerate(sids):
+                want_center, want = oracles.aug_blocks(net, tpl, sid, t)
+                assert centers[g].tobytes() == want_center.tobytes()
+                got = [block for block in blocks if block[0] == g]
+                assert [(kind, source) for _, kind, source, _ in got] == \
+                    [(block.kind, block.source) for block in want]
+                for block, (*_, width) in zip(want, got):
+                    assert block.cols.tobytes() == \
+                        np.ascontiguousarray(base[:, column:column + width]).tobytes()
+                    column += width
+            assert column == base.shape[1]
 
 
 def test_augmented_disturbance_scales_with_alpha():
@@ -183,7 +213,7 @@ def test_input_coupling_requires_input_contract():
     assert W.generators == pytest.approx(np.array([[0.5, 0.2, 0.1]]))
     stripped = ContractTemplate(tpl.state, {}, is_bounds=True)
     with pytest.raises(ContractError, match="input"):
-        aug_blocks(net, stripped, 1, 0)
+        _aug_group(net, stripped, [1], 0)
 
 
 def test_reduced_w_matches_order_reduce_box_at_alpha_max():
@@ -524,7 +554,8 @@ def test_check_correctness_rejects_tampering_past_the_witness(make_network):
     report = check_correctness(net, tpl, params, {**sols, 1: shifted})
     assert not report.ok and report.lp_fallbacks >= 1
     assert "1: Omega" in " ".join(report.failures)
-    escapes = [directed_hausdorff(tpl.state_set(params, 1, t), shifted.omega(t))
+    escapes = [directed_hausdorff(oracles.promise_set(tpl, params, 1, "x", t),
+                                  shifted.omega(t))
                for t in range(len(tpl.state[1]))]
     if finite:
         steps = net.num_steps
@@ -750,3 +781,37 @@ def test_parameter_views_write_the_flat_vector():
     assert params.max_x[1][0] == pytest.approx([1.0])
     with pytest.raises(ContractError, match="steps"):
         params.x[1] = [np.array([0.5])]
+
+
+def _report_bits(report):
+    """A correctness report with every float as its exact hex string."""
+    return [value.hex() if isinstance(value, float) else value
+            for value in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("name", ["case1", "case2", "geo20", "case2-centralized"])
+def test_stacked_certification_matches_the_per_containment_loop(name):
+    # margins bit for bit, the same failures in the same order and the same
+    # Hausdorff LPs: on the synthesized tubes, with one subsystem's centers
+    # shifted past its witnesses, and loaded back without witnesses
+    from zonosynth.synthesis import centralized_synthesize, compositional_synthesize
+
+    network = {"case1": lambda: load_network("configs/case1.json"),
+               "geo20": lambda: random_network(10, lambda_for(20), seed=0)}.get(
+        name, lambda: load_network("configs/case2.json"))()
+    synthesize = centralized_synthesize if name.endswith("centralized") else compositional_synthesize
+    res = synthesize(network)
+    assert res.status == "correct"
+    sols = res.solutions
+    first = network.sorted_ids()[0]
+    shifted = dataclasses.replace(sols[first], xbar=[x + 0.05 for x in sols[first].xbar])
+    loaded = {sid: TubeSolution.from_json(sol.to_json()) for sid, sol in sols.items()}
+    reports = []
+    for case in (sols, {**sols, first: shifted}, loaded):
+        got = check_correctness(network, res.template, res.params, case)
+        want = oracles.check_correctness_per_containment(network, res.template, res.params, case)
+        assert _report_bits(got) == _report_bits(want)
+        reports.append(got)
+    assert [report.ok for report in reports] == [True, False, True]
+    assert reports[0].lp_fallbacks == 0 < reports[1].lp_fallbacks < reports[2].lp_fallbacks
+    assert reports[1].failures

@@ -16,20 +16,18 @@ from zonosynth.geom import (
     directed_hausdorff,
     hausdorff_bound,
     membership_lp,
-    minkowski_sum,
     numbers,
     order_reduce_box,
     polygon_vertices_2d,
     sample,
-    scale_generators,
     stack,
     witness_values,
-    zonogon_area,
 )
 from zonosynth import lpcore
 from zonosynth.lpcore import LinearProgram, LinExpr
 
 import oracles
+from oracles import minkowski_sum, scale_generators, zonogon_area
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -603,6 +601,24 @@ class TestHausdorffBound:
         assert directed_hausdorff(Zonotope(np.zeros(2), cols), inner) == pytest.approx(1.0)
         assert oracles.directed_hausdorff_oracle_2d(
             np.zeros(2), cols, inner.center, inner.generators) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n, s, r", [(1, 1, 0), (1, 3, 2), (2, 1, 1), (2, 2, 3), (3, 4, 6)])
+    def test_a_stack_bounds_each_containment_bit_for_bit(self, n, s, r):
+        # the bound on (g, ...) stacks is the 2-D formula's, containment by
+        # containment, whatever the shape's matrix-product path
+        rng = np.random.default_rng(n * 100 + s * 10 + r)
+        g = 7
+        G, c, center = rng.normal(size=(g, n, r)), rng.normal(size=(g, n)), rng.normal(size=(g, n))
+        cols, scales = rng.normal(size=(g, n, s)), rng.uniform(0.1, 2.0, size=(g, s))
+        L = rng.normal(size=(g, s, r + 1))
+        got = hausdorff_bound((G, c), center, cols, scales, L)
+        assert got.shape == (g,)
+        for e in range(g):
+            want = oracles.hausdorff_bound_one(Zonotope(c[e], G[e]), center[e], cols[e],
+                                               scales[e], L[e])
+            assert got[e].hex() == want.hex()
+            assert hausdorff_bound(Zonotope(c[e], G[e]), center[e], cols[e], scales[e],
+                                   L[e]).hex() == want.hex()
 
     def test_certified_hausdorff_solves_the_lp_only_past_tol(self):
         inner = Zonotope([0.5, 0.0], np.eye(2))

@@ -618,3 +618,46 @@ def test_an_unusable_sibling_basis_falls_back_to_a_cold_start():
         sol = second.solve()
     assert sol.status == lpcore.OPTIMAL and sol.objective == pytest.approx(2.5)
     assert (tracker.solves, tracker.cold_solves) == (2, 2)
+
+
+def _held(lp):
+    """The model lp's live HiGHS instance holds, as arrays."""
+    lp._solver.ensureColwise()
+    held = lp._solver.getLp()
+    matrix = held.a_matrix_
+    return ([np.asarray(a, dtype=np.int64) for a in (matrix.start_, matrix.index_)]
+            + [np.asarray(a, dtype=float) for a in (matrix.value_, held.col_cost_,
+                                                       held.col_lower_, held.col_upper_,
+                                                       held.row_lower_, held.row_upper_)])
+
+
+@pytest.mark.parametrize("name", ["geo20", "case2"])
+def test_highs_holds_the_assembled_model_of_every_batch_member(name):
+    # what passModel hands over is _assemble's model, less the entries of
+    # magnitude at most 1e-9 that HiGHS drops; later bound and cost changes
+    # reach the live instance as they reach _lb, _ub and _cost
+    from zonosynth import contracts, sysmodel
+    from zonosynth.cli import lambda_for
+
+    network = (sysmodel.random_network(10, lambda_for(20), seed=0) if name == "geo20"
+               else sysmodel.load_network("configs/case2.json"))
+    template = contracts.default_template(network)
+    programs = contracts.build_programs(network, template)
+    params = contracts.alpha_max(network, template).scaled(0.5)
+    for program in programs.values():
+        lp = program.lp
+        start, index, value, cost, lb, ub, rlo, rhi = lp._assemble()
+        keep = np.abs(value) > 1e-9
+        column = np.repeat(np.arange(lp.num_vars), np.diff(start))[keep]
+        want = [np.r_[0, np.cumsum(np.bincount(column, minlength=lp.num_vars))],
+                index[keep], value[keep], cost, lb, ub, rlo, rhi]
+        lp._build_highs()
+        for got, expected in zip(_held(lp), want):
+            assert got.tobytes() == np.asarray(expected, dtype=got.dtype).tobytes()
+        program.evaluate(params)  # moves the alpha columns' bounds
+        program.extract(params)  # moves the slack's bounds and the costs, and back
+        lp.set_costs(program._alpha_cols[:3], [2.0, -1.0, 0.5])
+        lp.set_col_bounds(program._alpha_cols[:2], 0.25, [0.5, 0.75])
+        n = lp.num_vars
+        for got, expected in zip(_held(lp)[3:6], (lp._cost[:n], lp._lb[:n], lp._ub[:n])):
+            assert got.tobytes() == expected.tobytes()
