@@ -284,25 +284,28 @@ def _aug_group(network, template, sids, t):
     """
     subs = [network.subsystem(sid) for sid in sids]
     blocks, terms, local = [], [], []  # terms: (block number, matrix, (center, columns))
+    shapes = {}  # (matrix shape, columns shape) -> the terms of that shape
+
+    def term(g, kind, j, K, promise):
+        shape = np.shape(promise[1])
+        shapes.setdefault((np.shape(K), shape), []).append(len(terms))
+        terms.append((len(blocks), K, promise))
+        blocks.append((g, kind, j, shape[1]))
+
     for g, (sid, sub) in enumerate(zip(sids, subs)):
         for j in sub.neighbor_ids():
             coupling = sub.couplings[j]
+            term(g, "state", j, coupling.A_at(t), _at(template.state[j], t))
             B_ij = _input_coupling(coupling, t)
-            if B_ij is not None and j not in template.input:
-                raise ContractError(f"subsystem {j!r} disturbs {sid!r} through its input "
-                                    "but has no input contract")
-            for kind, K, promises in (("state", coupling.A_at(t), template.state),
-                                      ("input", B_ij, template.input)):
-                if K is not None:
-                    terms.append((len(blocks), K, _at(promises[j], t)))
-                    blocks.append((g, kind, j, np.shape(terms[-1][2][1])[1]))
+            if B_ij is not None:
+                if j not in template.input:
+                    raise ContractError(f"subsystem {j!r} disturbs {sid!r} through its input "
+                                        "but has no input contract")
+                term(g, "input", j, B_ij, _at(template.input[j], t))
         local.append((len(blocks), sub.D_at(t).generators))
         blocks.append((g, "local", None, local[-1][1].shape[1]))
     first = np.cumsum([0] + [width for *_, width in blocks])
     base, shifts = np.empty((subs[0].n, first[-1])), np.empty((len(terms), subs[0].n))
-    shapes = {}
-    for e, (_, K, (_, C)) in enumerate(terms):
-        shapes.setdefault((np.shape(K), np.shape(C)), []).append(e)
     for members in shapes.values():
         K, c, C = (np.array([terms[e][1] for e in members], dtype=float),
                    *(np.array([terms[e][2][i] for e in members], dtype=float) for i in (0, 1)))

@@ -232,7 +232,11 @@ _LOWER = _hcore.HighsBasisStatus.kLower
 _S = _hcore.HighsModelStatus
 # a simplex breakdown, which one run by the interior-point solver retries,
 # with these options set and then put back
-_BREAKDOWN, _IPM = (_S.kNotset, _S.kSolveError), ("solver", "run_crossover")
+_BREAKDOWN, _IPM = (int(_S.kNotset), int(_S.kSolveError)), ("solver", "run_crossover")
+# the model statuses, by code, that end a solve with a result
+_RESULTS = {int(_S.kOptimal): OPTIMAL, int(_S.kInfeasible): INFEASIBLE,
+            int(_S.kUnbounded): UNBOUNDED, int(_S.kTimeLimit): TIME_LIMIT,
+            int(_S.kIterationLimit): TIME_LIMIT}
 # programs, by name, solved at primal and dual feasibility tolerance 1e-10
 # instead of HiGHS's 1e-7: the Hausdorff LP's optimum is compared with
 # witness bounds to 1e-9
@@ -560,7 +564,7 @@ class LinearProgram:
             self._time_limit = limit
         solver.run()  # the run clock advances only while HiGHS runs
         status = solver.getModelStatus()
-        retried = status in _BREAKDOWN
+        retried = int(status) in _BREAKDOWN
         if retried:  # once more by the interior-point solver, crossover on
             previous = [solver.getOptionValue(name)[1] for name in _IPM]
             for name, value in zip(_IPM, ("ipm", "on")):
@@ -574,21 +578,18 @@ class LinearProgram:
         _notify_trackers(seconds, self._size, cold, retried)
         if status == _S.kUnboundedOrInfeasible:
             status = self._disambiguate_highs()
-        if status == _S.kOptimal:
-            if self._siblings:
-                self._lend_basis()
-            sol = solver.getSolution()  # a copy: later solves leave it alone
-            n = self._num_cols
-            x = np.fromiter(sol.col_value, float, n)
-            obj = float(self._cost[:n] @ x) + 0.0  # -0.0 reads as +0.0
-            return LpSolution(self, OPTIMAL, obj, x, sol, seconds)
-        if status == _S.kInfeasible:
-            return LpSolution(self, INFEASIBLE, None, None, None, seconds)
-        if status == _S.kUnbounded:
-            return LpSolution(self, UNBOUNDED, None, None, None, seconds)
-        if status in (_S.kTimeLimit, _S.kIterationLimit):
-            return LpSolution(self, TIME_LIMIT, None, None, None, seconds)
-        raise LpSolverError(f"solver failed on {self.name!r}: {status}")
+        result = _RESULTS.get(int(status))
+        if result is None:
+            raise LpSolverError(f"solver failed on {self.name!r}: {status}")
+        if result != OPTIMAL:
+            return LpSolution(self, result, None, None, None, seconds)
+        if self._siblings:
+            self._lend_basis()
+        sol = solver.getSolution()  # a copy: later solves leave it alone
+        n = self._num_cols
+        x = np.fromiter(sol.col_value, float, n)
+        obj = float(self._cost[:n] @ x) + 0.0  # -0.0 reads as +0.0
+        return LpSolution(self, OPTIMAL, obj, x, sol, seconds)
 
     def _disambiguate_highs(self):
         # Presolve sometimes cannot tell infeasible from unbounded; retry
