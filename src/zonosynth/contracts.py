@@ -44,6 +44,7 @@ column values, the fixed alphas included.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -613,13 +614,13 @@ class PotentialProgram:
         self._alpha = alpha
         self._layout = layout
         # the parameter vector's entries the alpha columns are fixed at
-        self.reads = np.concatenate([np.arange(*_at(layout.spans[(j, channel)], t))
-                                     for j, channel, t in alpha])
+        self.reads = np.fromiter(itertools.chain.from_iterable(
+            range(*_at(layout.spans[(j, channel)], t)) for j, channel, t in alpha), np.int64)
         slack = np.concatenate([handles.d_x, handles.d_u])
         self._alpha_cols = np.concatenate(list(alpha.values())).astype(np.int32)
         # the objective's columns and their costs for V_i and for extraction
         self._cost_cols = np.concatenate([slack, size])
-        self._potential_cost = np.r_[np.ones(len(slack)), np.zeros(len(size))]
+        self._potential_cost = np.concatenate([np.ones(len(slack)), np.zeros(len(size))])
         self._extract_cost = 1.0 - self._potential_cost
         lp.set_costs(self._cost_cols, self._potential_cost)
         # fixed at 0 for extraction: d and the witness parts only d pays for
@@ -934,13 +935,13 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
             step = (sub.A_at(t), sub.B_at(t) if inputs else None, sol.T[t],
                     sol.M[t] if inputs else None, sol.xbar[t], sol.ubar[t] if inputs else None,
                     W.generators, W.center, sol.E, _at(sol.T, t + 1), _at(sol.xbar, t + 1))
-            shapes = tuple(np.shape(step[i]) for i in (2, 3, 6, 8, 9))  # fix all the others'
-            recursions.setdefault(shapes, []).append(step)
+            shapes = tuple(np.shape(step[i]) for i in (2, 3, 6, 8, 9))  # T, M, W, E, next T
+            recursions.setdefault(shapes, []).append(step)  # which fix all the others
 
     bounds = np.full(len(checks), np.inf)
     groups = {}
     for e, (*_, G, _, _, cols, _, L) in enumerate(checks):
-        if L is not None:  # shapes that fix all the others' (or misshape the witness)
+        if L is not None:  # G's, the outer columns' and L's shapes fix the others'
             groups.setdefault((G.shape, np.shape(cols), np.shape(L)), []).append(e)
     for members in groups.values():
         G, c, *outer = _stacked([checks[e][2:] for e in members])

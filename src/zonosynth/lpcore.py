@@ -418,13 +418,16 @@ class LinearProgram:
 
     def set_col_bounds(self, cols, lb, ub):
         """Set the bounds of the columns ``cols`` (``lb``/``ub`` scalars or
-        arrays of the shape of ``cols``).  A live solver instance takes them
-        in one call, and the next ``solve()`` is a warm re-solve."""
+        arrays).  A live solver instance takes them in one call, and the
+        next ``solve()`` is a warm re-solve."""
         cols = np.asarray(cols, dtype=np.int32)
         self._lb[cols] = lb
         self._ub[cols] = ub
         if self._live():
-            self._solver.changeColsBounds(len(cols), cols, self._lb[cols], self._ub[cols])
+            # an array per column goes to the solver as it is
+            lo = lb if np.shape(lb) == cols.shape else self._lb[cols]
+            hi = ub if np.shape(ub) == cols.shape else self._ub[cols]
+            self._solver.changeColsBounds(len(cols), cols, lo, hi)
 
     def set_costs(self, cols, values):
         """Set the objective coefficients of the columns ``cols``; like

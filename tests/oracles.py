@@ -14,11 +14,14 @@ one distance call per pair of points, to check ``network_from_points``'
 neighbour prefilter against; and the Monte-Carlo closed loop run subsystem
 by subsystem on (S, n_i) arrays, to check ``runtime``'s network-stacked
 loop against.  Then come small helpers that only the tests use (support
-functions, interval hulls, the exact augmented disturbance, a beta grid and
-a k escalation over ``viability.rci``, a trajectory CSV writer), which call
-the package freely.  Last, ``check_correctness`` one containment at a time,
-with the witness bound and the recursion residual on 2-D arrays, to check
-the stacked certification against.
+functions, interval hulls, Minkowski sums, zonogon areas, scaled
+generators and promised tubes, the exact augmented disturbance, a beta grid
+and a k escalation over ``viability.rci``, a trajectory CSV writer), which
+call the package freely.  Last, ``check_correctness`` one containment at a
+time, with the witness bound and the recursion residual on 2-D arrays, to
+check the stacked certification against.  W's blocks one neighbour at a
+time (``aug_blocks``), to check the grouped pass against, sit with the
+reference emitters.
 
 The row-wise LP layer
 ---------------------

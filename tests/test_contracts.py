@@ -155,6 +155,21 @@ def test_aug_blocks_structure_and_values():
     assert center == pytest.approx([0.0])
 
 
+def _off_centre_network(rng, count=5):
+    """Scalar subsystems with off-centre sets, each disturbed by every other
+    one's state and, through B, by its input: W's centers then sum many
+    terms, in an order that shows in their last bits."""
+    def box(center, radius):
+        return {"center": [float(center)], "generators": [[float(radius)]]}
+
+    return load_network({"mode": "infinite", "subsystems": [
+        {"id": i, "A": [[0.1]], "B": [[1.0]], "X": box(rng.normal(), 2.0),
+         "U": box(rng.normal(), 1.0), "D": box(rng.normal(), 0.1),
+         "couplings": [{"to": j, "A": [[rng.normal() / count]], "B": [[rng.normal() / count]]}
+                       for j in range(count) if j != i]}
+        for i in range(count)]})
+
+
 @pytest.mark.parametrize("name", ["case1", "case2", "geo20", "inputs"])
 def test_group_pass_matches_the_per_neighbour_reference(name):
     # every member's blocks and center bit for bit those of the loop over
@@ -162,11 +177,7 @@ def test_group_pass_matches_the_per_neighbour_reference(name):
     net = {"case1": lambda: load_network("configs/case1.json"),
            "case2": lambda: load_network("configs/case2.json"),
            "geo20": lambda: random_network(10, lambda_for(20), seed=0),
-           "inputs": lambda: load_network({"mode": "infinite", "subsystems": [
-               dict(interval_sub(1, 2), couplings=[{"to": 2, "A": [[0.5]], "B": [[0.2]]},
-                                                   {"to": 3, "A": [[-0.25]]}]),
-               interval_sub(2, 1),
-               dict(interval_sub(3, 1), couplings=[{"to": 2, "A": [[0.3]]}])]}),
+           "inputs": lambda: _off_centre_network(np.random.default_rng(5)),
            }[name]()
     tpl = default_template(net)
     ids = net.sorted_ids()
