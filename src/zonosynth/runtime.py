@@ -25,12 +25,16 @@ alternate between two buffers, and the disturbance draws, the product and
 the witness chain reuse the same scratch.  The subsystems whose tubes share
 one shape over the run (n, m, k(t), p(t), the witness shift, whether the
 tail is diagonal) form a group, and the group's witnesses are one (g, k,
-S) block; a step makes a fixed number of numpy calls per group.  Each
-tube's step data (Omega(t+1), Theta(t), the head/tail split, the tail's
-radii or pseudo-inverse) is stacked once per distinct index
-``sysmodel._at`` reads from the tube's lists: once per step, and once per
-run for an invariant tube, whose lists have one entry.  A per-step tube's
-data is dropped once its step is taken.
+S) block; a step makes a fixed number of numpy calls per group.  A
+group's step data (Omega(t+1), Theta(t), the head/tail split, the tail's
+radii) is stacked straight from the solutions' xbar, T, ubar, M and sigma
+when the run first reaches the step, once per distinct index
+``sysmodel._at`` reads from the tubes' lists: once per step, and once per
+run for an invariant tube, whose lists have one entry.  One check per
+stack raises ValueError on a non-finite entry, and a zonotope is built
+only for an LP.  A per-step tube's data is dropped once its step is
+taken.  The tails that are not diagonal are stacked over the whole run at
+set-up, with one pseudo-inverse per shape.
 
 The witnesses chain along the loop: a state keeps its coordinates from the
 last step, and only the new tail block of Omega_i(t+1), the columns that
@@ -41,19 +45,23 @@ sigma have |.|_inf <= beta + (1 - beta) = 1.  A diagonal tail is divided
 out; any other tail takes a least-squares guess and, where that misses, its
 min-|zeta|_inf solution by vertex enumeration: for an n x p tail the
 minimum sits where p - n + 1 coordinates are at +-t (Cadzow 1973), and the
-C(p, n - 1) * 2**(p - n) linear systems of those vertices are inverted once
-per tube step and member, so one product solves them for every missed
-sample.  A tail with no regular system among at most 4096 takes a
-min-|zeta|_inf LP on the tail alone.  Every chained witness is checked
-(|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).  A state whose
-chained witness fails is re-witnessed by the membership LP on the whole
-tube, one warm instance per tube step, subsystem by subsystem in sorted
-order; so is every start state of ``step`` and ``simulate``.  A chained
-witness need not be the min-norm one, so the per-step margins are lower
-bounds.  ``verify_invariance`` runs a batch of sampled trajectories; its
-disturbances mix uniform interior draws with all-plus/minus-one vertex
-patterns (all 2^p of them when p <= 12, random sign patterns otherwise),
-because worst cases live at vertices.
+C(p, n - 1) * 2**(p - n) linear systems of those vertices are inverted in
+batches of up to 1024: at a group's first miss at a step, for that step's
+remaining members and the members of its later steps with tails of that
+shape, each step's part dropped with the step.  Stacked products then
+solve them for every missed sample.  A tail with no regular system among
+at most 4096 takes a min-|zeta|_inf LP on the tail alone.  Every chained
+witness is checked (|zeta|_inf <= 1 + 1e-9, reconstruction within 1e-9).
+A state whose chained witness fails is re-witnessed by the membership LP
+on the whole tube, one warm instance per tube step, subsystem by
+subsystem in sorted order; so is every start state of ``step`` and
+``simulate``.  A chained witness need not be the min-norm one, so the
+per-step margins are lower bounds.  ``verify_invariance`` runs a batch of
+sampled trajectories; its start states and disturbances mix uniform
+interior draws with all-plus/minus-one vertex patterns (all 2^p of them
+when p <= 12, random sign patterns otherwise), because worst cases live
+at vertices.  Consecutive subsystems of one shape share one draw and one
+product, which draw the same numbers as one draw each.
 """
 
 from __future__ import annotations
@@ -171,7 +179,7 @@ def simulate(network, solutions, num_steps, x0=None, seed=0):
     num_steps = _num_steps(solutions, num_steps, "simulate")
     rng = np.random.default_rng(seed)
     loop = _Loop(network, solutions, range(num_steps), 1)
-    X = loop.column(x0, "x0", lambda sid: solutions[sid].omega(0).center)
+    X = loop.column(x0, "x0", lambda sid: sysmodel._at(solutions[sid].xbar, 0))
     xs, us, ds = [X[:, 0].copy()], [], []
     report = InvarianceReport(1, num_steps)
     alive = np.ones(1, dtype=bool)
@@ -213,6 +221,31 @@ def _uniform(rng, out):
     return out
 
 
+def _draw(rng, Z, work):
+    """Fill the (r, p, c) block Z with the ``_uniform`` draws of one (r, c,
+    p) array, transposed: the same numbers in the same order, drawn into
+    the scratch ``work`` (``_scratch``) as many at a time as fit."""
+    r, p, c = Z.shape
+    rows = max(1, work.size // max(p, 1))      # samples per draw
+    per = max(1, rows // c) if c else r         # members per draw
+    for j in range(0, r, per):
+        for a in range(0, c, rows):
+            draw = _uniform(rng, _scratch(work, (len(Z[j:j + per]),
+                                                 min(rows, c - a), p)))
+            Z[j:j + per, :, a:a + draw.shape[1]] = draw.transpose(0, 2, 1)
+
+
+def _vertex_rows(rng, num, p):
+    """The vertex-role rows of num draws in [-1,1]^p, p > 0: the first of
+    all 2^p sign patterns when p <= 12, random patterns otherwise; half of
+    num of them, at most, and at least one."""
+    if p <= 12:
+        verts = np.array(list(itertools.product((-1.0, 1.0), repeat=p)))
+    else:
+        verts = rng.choice((-1.0, 1.0), size=(max(num // 2, 1), p))
+    return verts[:min(len(verts), max(num // 2, 1 if num else 0))]
+
+
 def _mixed_zeta(rng, num, p, out=None):
     """num draws in [-1,1]^p: vertex sign patterns first, then uniform; into
     ``out`` (num, p) when it is given."""
@@ -220,65 +253,84 @@ def _mixed_zeta(rng, num, p, out=None):
         out = np.empty((num, p))
     if p == 0:
         return out
-    if p <= 12:
-        verts = np.array(list(itertools.product((-1.0, 1.0), repeat=p)))
-    else:
-        verts = rng.choice((-1.0, 1.0), size=(max(num // 2, 1), p))
-    nv = min(len(verts), max(num // 2, 1 if num else 0))
-    out[:nv] = verts[:nv]
-    _uniform(rng, out[nv:])
+    verts = _vertex_rows(rng, num, p)
+    out[:len(verts)] = verts
+    _uniform(rng, out[len(verts):])
     return out
 
 
 def _norms(a, buf):
     """|.|_inf over axis -2 of samples-last witnesses or residuals: one
-    value per sample (0 without coordinates).  It is the larger of the
-    largest entry and the negated smallest, both kept in the first entries
-    of the scratch ``buf`` (``_scratch``), so that no |a| is made."""
+    value per sample (0 without coordinates).  A short coordinate axis is
+    folded one coordinate at a time, where that beats numpy's reductions
+    over it; elsewhere it is the larger of the largest entry and the
+    negated smallest.  Both keep their terms in the first entries of the
+    scratch ``buf`` (``_scratch``), so that no |a| is made."""
     shape = a.shape[:-2] + a.shape[-1:]
-    top, neg = _scratch(buf, (2,) + shape)
-    if not a.shape[-2]:
+    top, other = _scratch(buf, (2,) + shape)
+    k = a.shape[-2]
+    if not k:
         top.fill(0.0)
-        return top
-    a.max(axis=-2, out=top)
-    a.min(axis=-2, out=neg)
-    np.negative(neg, out=neg)
-    return np.maximum(top, neg, out=top)
+    elif k <= 2 or (k <= 4 and top.size >= 1 << 14):
+        np.abs(a[..., 0, :], out=top)
+        for j in range(1, k):
+            np.maximum(top, np.abs(a[..., j, :], out=other), out=top)
+    else:
+        a.max(axis=-2, out=top)
+        a.min(axis=-2, out=other)
+        np.negative(other, out=other)
+        np.maximum(top, other, out=top)
+    return top
 
 
 def _tail_ok(tail, radii, resid, zw, buf, out=None):
     """Samples where zw is a witness of resid on the tail: |zw|_inf <= 1 +
     1e-9 and tail @ zw reconstructs resid within 1e-9 (NaN fails).  A
     diagonal tail passes its ``radii``, and the product is entrywise.  The
-    norms go into the scratch ``buf``, and the reconstruction into ``out``
-    (resid's shape) when it is given."""
-    ok = _norms(zw, buf) <= 1.0 + 1e-9
+    norms and the worst misses go into the scratch ``buf``, and the
+    reconstruction into ``out`` (resid's shape) when it is given.  The two
+    tests are one, on the larger of |zw|_inf - (1 + 1e-9) and the worst
+    miss - 1e-9, since a rounded a - b is at most 0 exactly when a <= b.
+    The boolean verdicts are returned in the spent worst misses' memory,
+    valid until ``buf`` is used again."""
+    norms = _norms(zw, buf)
     if radii is None:
         miss = np.matmul(tail, zw, out=out)
     else:
         miss = np.multiply(zw, radii, out=out)
     np.subtract(resid, miss, out=miss)
     np.abs(miss, out=miss)
-    worst = miss.max(axis=-2, initial=0.0, out=_scratch(buf, ok.shape))
-    return ok & (worst <= 1e-9)
+    worst = miss.max(axis=-2, initial=0.0,
+                     out=_scratch(buf.reshape(-1)[norms.size:], norms.shape))
+    norms -= 1.0 + 1e-9
+    worst -= 1e-9
+    np.maximum(norms, worst, out=norms)
+    return np.less_equal(norms, 0.0, out=worst.reshape(-1).view(bool)[
+        :norms.size].reshape(norms.shape))
 
 
 def _diagonal(G):
     """Whether the generator block G is a square diagonal one."""
-    return G.shape[0] == G.shape[1] and not np.any(G - np.diag(np.diag(G)))
+    return G.shape[0] == G.shape[1] and np.count_nonzero(G) == np.count_nonzero(
+        G.diagonal())
 
 
 _VERTICES = 4096    # vertex systems of a tail, at most; a tail with more
                     # takes the tail LP
+_BATCH = 1024       # vertex systems made in one batch, at most (a tail with
+                    # more is a batch of its own): a batch is made with about
+                    # three times the memory of its inverses, which its steps
+                    # hold until they are taken
 
 
 @functools.lru_cache(maxsize=None)
 def _vertex_index(n, p):
     """The vertex systems of an n x p tail G, p >= n, as read-only arrays
-    (F, R, s) of shapes (K, n - 1), (K, p - n + 1) and (K, p - n + 1), K =
-    C(p, n - 1) * 2**(p - n).  System k holds the coordinates R[k] at t *
-    s[k] and solves [G_F, G_R s][z_F; t] = r for the free ones F[k] and t;
-    s[k] starts with +1, because the sign of t gives -s[k] (Cadzow 1973)."""
+    (F, R, s, order) of shapes (K, n - 1), (K, p - n + 1), (K, p - n + 1)
+    and (K, p), K = C(p, n - 1) * 2**(p - n).  System k holds the
+    coordinates R[k] at t * s[k] and solves [G_F, G_R s][z_F; t] = r for
+    the free ones F[k] and t; s[k] starts with +1, because the sign of t
+    gives -s[k] (Cadzow 1973).  z = [z_F; t s[k]][order[k]]."""
     signs = [(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=p - n)]
     F, R, s = [], [], []
     for free in itertools.combinations(range(p), n - 1):
@@ -288,60 +340,91 @@ def _vertex_index(n, p):
         s += signs
     F, R = (np.array(a, dtype=np.intp).reshape(len(s), -1) for a in (F, R))
     s = np.array(s)
-    for a in (F, R, s):
+    order = np.argsort(np.concatenate([F, R], axis=1), axis=1)
+    for a in (F, R, s, order):
         a.flags.writeable = False
-    return F, R, s
+    return F, R, s, order
 
 
-def _vertex_systems(G):
-    """The inverses of the vertex systems [G_F, G_R s] of the tail G that
-    are not near singular, stacked (K', n, n), and their indices in
-    ``_vertex_index`` (K',); None when G has fewer columns than rows, more
-    than ``_VERTICES`` systems or no regular one (G of rank below n)."""
-    n, p = G.shape
+def _vertex_systems(tails):
+    """Per tail of the (b, n, p) stack ``tails``: the inverses of its vertex
+    systems [G_F, G_R s] that are not near singular, stacked (K', n, n),
+    and their indices in ``_vertex_index`` (K',); None for a tail of rank
+    below n, which has no regular one.  Every tail gets None when they
+    have fewer columns than rows or more than ``_VERTICES`` systems."""
+    b, n, p = tails.shape
     if not 0 < n <= p or math.comb(p, n - 1) << (p - n) > _VERTICES:
-        return None
-    F, R, s = _vertex_index(n, p)
-    M = np.empty((len(s), n, n))
-    M[:, :, :-1] = G[:, F].transpose(1, 0, 2)
-    M[:, :, -1] = np.einsum("ikr,kr->ki", G[:, R], s)
+        return [None] * b
+    F, R, s, _ = _vertex_index(n, p)
+    M = np.empty((b, len(s), n, n))
+    M[..., :-1] = tails[:, :, F].transpose(0, 2, 1, 3)
+    last = M[..., -1].transpose(0, 2, 1)                # (b, n, K)
+    if n == 1:
+        # einsum sums a one-row tail's terms in another order than those of
+        # a stack; one (b K, r) product keeps the one-tail sums
+        last[:, 0] = np.einsum("kr,kr->k", tails[:, 0, R].reshape(
+            -1, s.shape[1]), np.tile(s, (b, 1))).reshape(b, -1)
+    else:
+        # in order over the held coordinates, as einsum sums them for one
+        # tail, one gathered column at a time
+        np.multiply(tails[:, :, R[:, 0]], s[:, 0], out=last)
+        for r in range(1, s.shape[1]):
+            last += tails[:, :, R[:, r]] * s[:, r]
     # |det M| is at most the product of its column norms (Hadamard), with
-    # equality for orthogonal columns
-    keep = np.flatnonzero(np.abs(np.linalg.det(M)) > 1e-12 * np.prod(
-        np.linalg.norm(M, axis=1), axis=-1))
-    if not keep.size:
-        return None
-    return np.linalg.inv(M[keep]), keep
+    # equality for orthogonal columns; the norms as np.linalg.norm takes
+    # them, with one temporary instead of two
+    regular = np.abs(np.linalg.det(M)) > 1e-12 * np.prod(
+        np.sqrt(np.add.reduce(M * M, axis=-2)), axis=-1)
+    inverses = np.linalg.inv(M if regular.all() else M[regular])
+    del M, last
+    inverses = inverses.reshape(-1, n, n)
+    stops = np.cumsum(regular.sum(axis=1))
+    # a copy per tail, so that each goes with its tail's step
+    return [(inverses[stop - len(keep):stop].copy(), keep) if len(keep) else None
+            for keep, stop in zip(map(np.flatnonzero, regular), stops)]
 
 
 def _vertex_witness(systems, tail, resid, buf):
     """A min-|z|_inf solution z of tail @ z = resid per column of the (n,
-    c) residuals, as a (p, c) array; ``systems`` is ``_vertex_systems(tail)``.
+    c) residuals, as a (p, c) array; ``systems`` is the tail's entry of
+    ``_vertex_systems``.
 
     The minimum sits at a vertex where p - n + 1 coordinates are at +-t
     (Cadzow 1973).  Each regular system gives [z_F; t] = M^-1 r; it is a
     vertex when |z_F| <= |t|, up to a 1e-12 relative allowance that keeps
     the degenerate vertices, where a free coordinate sits at +-t too, from
     being lost to rounding.  The least |t| per sample wins, and z_R = t s.
-    The candidates go through the scratch ``buf`` (``_scratch``), as many
-    samples at a time as fit.
+    The candidates of as many samples as fit the scratch ``buf``
+    (``_scratch``), one at least, are one product; the products of a call
+    hold the candidates of ``_VERTICES`` systems or fill ``buf``.
     """
     inv, keep = systems
-    F, R, s = _vertex_index(*tail.shape)
+    _, _, s, order = _vertex_index(*tail.shape)
     K, n = inv.shape[:2]
-    z = np.empty((tail.shape[1], resid.shape[1]))
-    chunk = max(1, buf.size // (K * n))
-    for a in range(0, resid.shape[1], chunk):
-        r = resid[:, a:a + chunk]
-        cand = np.matmul(inv, r, out=_scratch(buf, (K, n, r.shape[1])))
-        np.abs(cand, out=cand)
-        t = cand[:, -1]
-        t[(cand[:, :-1] > t[:, None] * (1.0 + 1e-12)).any(axis=1)] = np.inf
-        best = t.argmin(axis=0)
-        sol = np.matmul(inv[best], r.T[:, :, None])[:, :, 0].T
-        k, cols = keep[best], np.arange(a, a + r.shape[1])
-        z[F[k].T, cols] = sol[:-1]
-        z[R[k].T, cols] = s[k].T * sol[-1]
+    c = resid.shape[1]
+    z = np.empty((tail.shape[1], c))
+    w = max(1, buf.size // (K * n))                     # samples per product
+    step = w * max(1, _VERTICES * n // (K * n * w))     # samples per call
+    for a in range(0, c, step):
+        b = min(a + step, c)
+        for lo, hi in ((a, b - (b - a) % w), (b - (b - a) % w, b)):
+            if lo == hi:
+                continue
+            width = min(w, hi - lo)
+            r = resid[:, lo:hi]
+            chunks = r.reshape(n, -1, width).transpose(1, 0, 2)[:, None]
+            cand = np.matmul(inv, chunks, out=_scratch(
+                buf, (len(chunks), K, n, width)))
+            np.abs(cand, out=cand)
+            t = cand[:, :, -1]
+            allowed = t * (1.0 + 1e-12)
+            for j in range(n - 1):
+                t[cand[:, :, j] > allowed] = np.inf
+            best = t.argmin(axis=1).reshape(-1)
+            sol = np.matmul(inv[best], r.T[:, :, None])[:, :, 0].T
+            k = keep[best]
+            z[:, lo:hi] = np.concatenate((sol[:-1], s[k].T * sol[-1]))[
+                order[k].T, np.arange(hi - lo)]
     return z
 
 
@@ -383,31 +466,58 @@ def _shape(sol, sub, steps):
     return sub.n, sub.m, sysmodel._at(sol.T, steps.start).shape[1], tuple(per_step)
 
 
+def _finite(data):
+    """``data``, whose non-finite entries raise ValueError as in
+    ``geom.Zonotope``."""
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite entries in zonotope data")
+    return data
+
+
+def _zonotopes(pairs, sigma):
+    """The (centers, generators) pairs of per-member lists stacked into (g,
+    n) centers and (g, n, k) generators scaled by the members' ``sigma``
+    (None for all ones), all in one ``_finite`` buffer."""
+    parts = [part for pair in pairs for part in pair]
+    shapes = [np.shape(part[0]) for part in parts]
+    sizes = [len(part) * math.prod(shape) for part, shape in zip(parts, shapes)]
+    data = np.empty(sum(sizes))
+    views, at = [], 0
+    for part, shape, size in zip(parts, shapes, sizes):
+        view = np.concatenate(part, out=data[at:at + size].reshape(
+            (-1,) + shape[1:]))
+        views.append(view.reshape((len(part),) + shape))
+        at += size
+    _finite(data)
+    if sigma is not None:
+        for G in views[1::2]:
+            G *= sigma[:, None, None]
+    return list(zip(views[::2], views[1::2]))
+
+
 class _TubeStep:
     """One step t -> t + 1 of a group's tubes, stacked over the group:
     Theta(t) for the inputs, and Omega(t+1) with its head/tail split and the
-    tail's radii (a diagonal tail) or pseudo-inverse for the witnesses."""
+    tail's radii (a diagonal tail) or pseudo-inverse for the witnesses.  A
+    member's Omega(t+1) or tail is a zonotope only for an LP."""
 
-    def __init__(self, omegas, thetas, p, shift, diagonal):
-        self.omegas = omegas                # Omega(t+1) per member
+    def __init__(self, omega, theta, p, shift, pinv):
+        center, gens = omega                # Omega(t+1): (g, n), (g, n, k)
         self.p = p                          # disturbance generators
         self.shift = shift                  # leading witness columns dropped
         self.theta_c = self.theta_G = None
-        if thetas:
-            self.theta_c = np.stack([th.center for th in thetas])[:, :, None]
-            self.theta_G = np.stack([th.generators for th in thetas])
-        self.width = omegas[0].num_generators
-        self.radii = self.pinv = None
-        gens = np.stack([om.generators for om in omegas])
-        self.center = np.stack([om.center for om in omegas])[:, :, None]
+        if theta is not None:
+            self.theta_c = theta[0][:, :, None]
+            self.theta_G = theta[1]
+        self.width = gens.shape[2]
+        self.gens = gens
+        self.center = center[:, :, None]
         self.head = gens[:, :, :self.width - p]
         self.tail = gens[:, :, self.width - p:]
-        if diagonal:
+        self.pinv = pinv                    # None for a diagonal tail
+        self.radii = None
+        if pinv is None:
             self.radii = np.diagonal(self.tail, axis1=1, axis2=2)[:, :, None]
-        else:
-            self.pinv = np.linalg.pinv(self.tail)
-        self._tail_sets = {}
-        self._vertices = {}
 
     def solve_tail(self, resid, out):
         """Tail coordinates of (g, n, S) residuals into ``out``: divided out
@@ -420,40 +530,103 @@ class _TubeStep:
             np.divide(resid, self.radii, out=out)
         np.copyto(out, 0.0, where=self.radii == 0.0)
 
+    def omega(self, i):
+        """Member i's Omega(t+1), for the tube LP."""
+        return Zonotope(self.center[i, :, 0], self.gens[i])
+
     def tail_set(self, i):
         """Member i's tail as a zonotope around 0, for the tail LP."""
-        if i not in self._tail_sets:
-            self._tail_sets[i] = Zonotope(np.zeros(self.tail.shape[1]),
-                                          self.tail[i])
-        return self._tail_sets[i]
-
-    def vertex_systems(self, i):
-        """Member i's ``_vertex_systems``, for ``_vertex_witness``."""
-        if i not in self._vertices:
-            self._vertices[i] = _vertex_systems(self.tail[i])
-        return self._vertices[i]
+        return Zonotope(np.zeros(self.tail.shape[1]), self.tail[i])
 
 
 class _Group:
     """Subsystems whose tubes have one shape over the run; their witnesses
-    are one (g, k, S) block, members in sorted-id order."""
+    are one (g, k, S) block, members in sorted-id order.
 
-    def __init__(self, pos, rows, urows, steps):
+    ``per_step`` is their ``_shape``'s.  Omega at the run's first step is
+    stacked at once, and a tube step's Omega(t+1) and Theta(t) when the run
+    first reaches it (``_zonotopes``): once per step, and once per run for
+    an invariant tube, whose lists have one entry.  A per-step tube's data
+    goes once its step is taken.  The tails that are not diagonal are
+    stacked for the whole run, with one pseudo-inverse per shape.
+    """
+
+    def __init__(self, pos, rows, urows, sols, per_step, start):
         self.pos = pos          # (g,) positions in sorted-id order
         self.rows = rows        # (g, n) rows of the stacked states
         self.urows = urows      # (g, m) rows of the stacked inputs
         self.inputs = None      # (g, m) rows of the band-ordered inputs
         self.scratch = None     # the group's rows of the loop's scratch
-        self._steps = steps     # _TubeStep per index of the tubes' lists
+        self._sols = sols
+        self._sigma = np.array([sol.sigma for sol in sols])
+        self._scale = self._sigma if np.any(self._sigma != 1.0) else None
+        self._per_step = {t: rest for t, *rest in per_step}
+        self._steps = {}        # _TubeStep per index of the tubes' lists
+        self._vertices = {}     # that index -> member -> ``_vertex_systems``
+        self.start = self._stacked(("xbar", "T", start))[0]
+        by_p, self._pinv = {}, {}
+        for t, (p, _, diagonal) in self._per_step.items():
+            if not diagonal:
+                by_p.setdefault(p, []).append(t)
+        for ts in by_p.values():
+            tails = _finite(self._tails([(t, j) for t in ts
+                                         for j in range(len(sols))]))
+            self._pinv.update(zip(ts, np.linalg.pinv(
+                tails.reshape((len(ts), len(sols)) + tails.shape[1:]))))
+
+    def _stacked(self, *parts):
+        """``_zonotopes`` of the members' (center, generator) lists of
+        ``parts``, named by attribute, at their step."""
+        at = sysmodel._at
+        return _zonotopes([([at(getattr(sol, c), t) for sol in self._sols],
+                            [at(getattr(sol, G), t) for sol in self._sols])
+                           for c, G, t in parts], self._scale)
+
+    def _tails(self, pairs):
+        """The tails of Omega(t+1) of the members j of ``pairs`` (t, j),
+        stacked (len, n, p)."""
+        tails = []
+        for t, j in pairs:
+            T = sysmodel._at(self._sols[j].T, t + 1)
+            tails.append(T[:, T.shape[1] - self._per_step[t][0]:] * self._sigma[j])
+        return np.stack(tails)
 
     def at(self, t):
-        return sysmodel._at(self._steps, t)
+        """Step t's ``_TubeStep``, stacked when first asked for."""
+        t = t if t in self._per_step else 0
+        if t not in self._steps:
+            p, shift, _ = self._per_step[t]
+            inputs = [("ubar", "M", t)] if self.urows.shape[1] else []
+            omega, theta, *_ = self._stacked(("xbar", "T", t + 1), *inputs) + [None]
+            self._steps[t] = _TubeStep(omega, theta, p, shift,
+                                       self._pinv.pop(t, None))
+        return self._steps[t]
 
     def spend(self, t):
-        """Drop step t's data, with what was cached on it, once the step is
+        """Drop step t's data, with its vertex systems, once the step is
         taken; the one entry of an invariant tube serves every step."""
-        if len(self._steps) > 1:
-            self._steps[t] = None
+        if len(self._sols[0].T) > 1:
+            self._steps.pop(t, None)
+            self._vertices.pop(t, None)
+
+    def vertex_systems(self, t, i):
+        """Member i's ``_vertex_systems`` at step t.  The first call makes
+        them in one batch with those of the later members of step t and of
+        the members of its later steps whose tails have the same shape, as
+        many tails as fit ``_BATCH`` systems."""
+        t = t if t in self._per_step else 0
+        if i not in self._vertices.get(t, ()):
+            n, p = self.rows.shape[1], self._per_step[t][0]
+            count = math.comb(p, n - 1) << (p - n) if 0 < n <= p else 0
+            batch = list(itertools.islice(
+                ((s, j) for s, (q, _, diagonal) in sorted(self._per_step.items())
+                 if s >= t and q == p and not diagonal
+                 for j in range(i if s == t else 0, len(self._sols))),
+                max(1, _BATCH // count) if 0 < count <= _VERTICES else 1))
+            systems = _vertex_systems(self._tails(batch))
+            for (s, j), found in zip(batch, systems):
+                self._vertices.setdefault(s, {})[j] = found
+        return self._vertices[t][i]
 
 
 def _groups(network, solutions, ids, steps, state_slices, input_slices):
@@ -464,17 +637,12 @@ def _groups(network, solutions, ids, steps, state_slices, input_slices):
         buckets.setdefault(key, []).append(pos)
     groups = []
     for (n, m, _, per_step), pos in buckets.items():
-        sols = [solutions[ids[i]] for i in pos]
-        # indexed like the tubes' own lists; steps before the run stay None
-        tube_steps = [None] * (per_step[-1][0] + 1 if per_step else 0)
-        for t, p, shift, diagonal in per_step:
-            tube_steps[t] = _TubeStep([sol.omega(t + 1) for sol in sols],
-                                      [sol.theta(t) for sol in sols] if m else None,
-                                      p, shift, diagonal)
         first = np.array([[state_slices[ids[i]].start,
                            input_slices[ids[i]].start] for i in pos])
         groups.append(_Group(np.array(pos), first[:, :1] + np.arange(n),
-                             first[:, 1:] + np.arange(m), tube_steps))
+                             first[:, 1:] + np.arange(m),
+                             [solutions[ids[i]] for i in pos], per_step,
+                             steps.start))
     return groups
 
 
@@ -633,7 +801,7 @@ class _Loop:
         # ``advance`` become the next spare; d(t) and the work buffer serve
         # as scratch of the draw, the product and the witness chain, and the
         # spare, which holds no live state outside ``advance``, as scratch
-        # of the draw and the norms
+        # of the draw and the witness check
         at = 0
         for group in self.groups:
             g, n = group.rows.shape
@@ -691,21 +859,45 @@ class _Loop:
 
     def sample(self, rng, S):
         """zeta-samples of every Omega_i(0), vertex patterns first, in sorted
-        order; returns the states and their witness blocks."""
+        order; returns the states and their witness blocks.  Consecutive
+        members of a group share one ``_uniform`` draw when p <= 12, which
+        draws the same numbers as one ``_mixed_zeta`` each, in chunks that
+        fit the work buffer, and one product.  A block is made after its
+        first sign patterns and the states after every draw, so that no
+        draw's arrays add to them at the peak."""
+        zetas, runs = [None] * len(self.groups), []
+        slots = (self._slot[pos] for pos in range(len(self.ids)))
+        for gi, run in itertools.groupby(slots, key=lambda slot: slot[0]):
+            run = [i for _, i in run]
+            p = self.groups[gi].start[1].shape[2]
+            size = len(run) if p <= 12 else 1
+            for a in range(run[0], run[-1] + 1, size):
+                b = min(a + size, run[-1] + 1)
+                runs.append((gi, a, b))
+                verts = _vertex_rows(rng, S, p).T if p else None
+                if zetas[gi] is None:
+                    zetas[gi] = np.empty((len(self.groups[gi].pos), p, S))
+                if p:
+                    Z = zetas[gi][a:b]
+                    Z[:, :, :verts.shape[1]] = verts
+                    _draw(rng, Z[:, :, verts.shape[1]:], self._work)
+                del verts
         X = np.empty((self.n_total, S))
-
-        def witnesses():
-            for sid, sl in self.state_slices.items():
-                om = self.solutions[sid].omega(0)
-                zeta = _mixed_zeta(rng, S, om.num_generators, _scratch(
-                    self._work, (S, om.num_generators)))
-                x = np.matmul(zeta, om.generators.T,
-                              out=_scratch(self._d, (S, len(om.center))))
-                x += om.center
-                X[sl] = x.T
-                yield zeta.T
-
-        return X, self._blocks(witnesses())
+        for gi, a, b in runs:
+            group = self.groups[gi]
+            c, G = group.start
+            x = np.matmul(zetas[gi][a:b].transpose(0, 2, 1),
+                          G[a:b].transpose(0, 2, 1),
+                          out=_scratch(self._d, (b - a, S, G.shape[1])))
+            # the center goes in along the sample axis, where numpy adds it
+            # without a buffer
+            rows = X[group.rows[a, 0]:group.rows[b - 1, -1] + 1].reshape(
+                x.shape[0], x.shape[2], S)
+            rows[...] = x.transpose(0, 2, 1)
+            rows += c[a:b, :, None]
+        for group in self.groups:
+            group.start = None      # drawn from; not needed again
+        return X, zetas
 
     def witness(self, t, X):
         """Membership-LP witnesses of the states X in their tubes Omega_i(t);
@@ -752,8 +944,7 @@ class _Loop:
             zd = _scratch(self._spare, (r, p, S))
             if nv:
                 zd[:, :, :nv] = vertex
-            draw = _uniform(rng, _scratch(self._work, (r, S - nv, p)))
-            zd[:, :, nv:] = draw.transpose(0, 2, 1)
+            _draw(rng, zd[:, :, nv:], self._work)
             dr = d[rows].reshape(r, n, S)
             np.matmul(G, zd, out=dr)
             dr += c
@@ -822,26 +1013,29 @@ class _Loop:
             resid -= fit
             zw = block[:, keep:]
             st.solve_tail(resid, zw)
-            bad = ~_tail_ok(st.tail, st.radii, resid, zw, self._spare,
-                            out=rows)
-            work += [(group.pos[i], gi, i, resid[i], bad[i])
-                     for i in np.flatnonzero((bad & alive).any(axis=1))]
+            bad = _tail_ok(st.tail, st.radii, resid, zw, self._spare, out=rows)
+            np.logical_not(bad, out=bad)
+            bad &= alive
+            # the verdicts sit in the spare, which the next group reuses
+            work += [(group.pos[i], gi, i, resid[i], np.flatnonzero(bad[i]))
+                     for i in np.flatnonzero(bad.any(axis=1))]
 
         for pos, gi, i, resid, bad in sorted(work, key=lambda w: w[0]):
-            st = self.groups[gi].at(t)
+            group = self.groups[gi]
+            st = group.at(t)
             zeta = zetas[gi][i]
-            redo = np.flatnonzero(alive & bad)
+            redo = bad[alive[bad]]
             if st.pinv is not None and redo.size:
                 if st.p:
                     report.lp_rewitness += redo.size
-                redo = self._tail_witness(st, i, zeta[st.width - st.p:],
+                redo = self._tail_witness(group, t, i, zeta[st.width - st.p:],
                                           resid, redo)
             if not redo.size:
                 continue
             sl = self.state_slices[self.ids[pos]]
-            if st.omegas[i].num_generators:
+            if st.width:
                 report.lp_rewitness += redo.size
-            inside, wit = contains_point(st.omegas[i], X[sl, redo].T)
+            inside, wit = contains_point(st.omega(i), X[sl, redo].T)
             zeta[:, redo[inside]] = wit[inside].T
             report.witness_losses += int(inside.sum())
             out = redo[~inside]
@@ -852,23 +1046,24 @@ class _Loop:
         for group in self.groups:
             group.spend(t)
 
-    def _tail_witness(self, st, i, zw, resid, rows):
-        """Solve member i's non-diagonal tail for the tail coordinates
-        ``zw`` of the samples ``rows``, whose chained witness failed, from
-        their residuals ``resid``: exactly by ``_vertex_witness`` where the
-        tail has vertex systems, by the tail LP where it has none.  Returns
-        the samples whose solution fails the witness check."""
-        tail = st.tail[i]
-        systems = st.vertex_systems(i)
+    def _tail_witness(self, group, t, i, zw, resid, rows):
+        """Solve the non-diagonal tail of the group's member i at step t
+        for the tail coordinates ``zw`` of the samples ``rows``, whose
+        chained witness failed, from their residuals ``resid``: exactly by
+        ``_vertex_witness`` where the tail has vertex systems, by the tail LP
+        where it has none.  Returns the samples whose solution fails the
+        witness check."""
+        st = group.at(t)
+        tail, resid = st.tail[i], resid[:, rows]
+        systems = group.vertex_systems(t, i)
         if systems is not None:
             # the chain's reconstruction in the work buffer is spent
-            zw[:, rows] = _vertex_witness(systems, tail, resid[:, rows],
-                                          self._work)
+            z = zw[:, rows] = _vertex_witness(systems, tail, resid, self._work)
         else:
-            inside, wit = contains_point(st.tail_set(i), resid[:, rows].T)
+            inside, wit = contains_point(st.tail_set(i), resid.T)
             zw[:, rows[inside]] = wit[inside].T
-        return rows[~_tail_ok(tail, None, resid[:, rows], zw[:, rows],
-                              self._spare)]
+            z = zw[:, rows]
+        return rows[~_tail_ok(tail, None, resid, z, self._spare)]
 
     def margins(self, zetas, alive, out):
         """1 - |zeta|_inf minimized over the live samples (at least one),
@@ -887,7 +1082,7 @@ class _VertexPatterns:
     def __init__(self, rng, num_samples):
         self.rng = rng
         self.num_samples = num_samples
-        self._drawn = {}        # (sid, p) -> (p, nv) pattern
+        self._drawn = {}        # (sid, p) -> (p, nv) pattern, a block's row
         self._blocks = {}       # (sids, p) -> (r, p, nv) stack
 
     def block(self, sids, p, buf):
@@ -897,11 +1092,17 @@ class _VertexPatterns:
         if key not in self._blocks:
             S = self.num_samples
             nv = min(2 ** p if p <= 12 else S, max(S // 2, 1))
-            for sid in sids:
-                if (sid, p) not in self._drawn:
-                    draw = _mixed_zeta(self.rng, S, p, _scratch(buf, (S, p)))
-                    self._drawn[sid, p] = draw[:nv].T.copy()
-            self._blocks[key] = np.stack([self._drawn[sid, p] for sid in sids])
+            block = None
+            for j, sid in enumerate(sids):
+                pattern = self._drawn.get((sid, p))
+                if pattern is None:
+                    pattern = _mixed_zeta(self.rng, S, p,
+                                          _scratch(buf, (S, p)))[:nv].T
+                # made after the first draw, whose arrays are gone by then
+                if block is None:
+                    block = self._blocks[key] = np.empty((len(sids), p, nv))
+                block[j] = pattern
+                self._drawn.setdefault((sid, p), block[j])
         return self._blocks[key]
 
 
@@ -963,7 +1164,7 @@ def verify_invariance(network, result, num_samples=10_000, num_steps=None,
             break
         X = loop.advance(t, X, zetas, loop.disturbance(rng, t, S, patterns))
         loop.rewitness(t, X, zetas, alive, report)
-        report.checked += N * int(alive.sum())
+        report.checked += N * int(np.count_nonzero(alive))
         if alive.any():
             loop.margins(zetas, alive, margins[:, t + 1])
     return report

@@ -13,11 +13,15 @@ LP per subsystem with its parameters pinned by equality rows, to check
 one distance call per pair of points, to check ``network_from_points``'
 neighbour prefilter against; and the Monte-Carlo closed loop run subsystem
 by subsystem on (S, n_i) arrays, to check ``runtime``'s network-stacked
-loop against.  Then come small helpers that only the tests use (support
-functions, interval hulls, Minkowski sums, zonogon areas, scaled
-generators and promised tubes, the exact augmented disturbance, a beta grid
-and a k escalation over ``viability.rci``, a trajectory CSV writer), which
-call the package freely.  Last, ``check_correctness`` one containment at a
+loop against, with the loop's set-up one (member, step) at a time: Omega
+and Theta as zonotopes, one pseudo-inverse and one set of vertex systems
+per tail, to check the set-up stacked by tail shape against, and the
+vertex witness one chunk of samples at a time.  Then come small helpers
+that only the tests use (support functions, interval hulls, Minkowski
+sums, zonogon areas, scaled generators and promised tubes, the exact
+augmented disturbance, a beta grid and a k escalation over
+``viability.rci``, a trajectory CSV writer), which call the package
+freely.  Last, ``check_correctness`` one containment at a
 time, with the witness bound and the recursion residual on 2-D arrays, to
 check the stacked certification against.  W's blocks one neighbour at a
 time (``aug_blocks``), to check the grouped pass against, sit with the
@@ -962,6 +966,114 @@ def _rewitness_per_subsystem(network, solutions, t, states, zeta, alive, report,
             if out.size and report.first_violation is None:
                 report.first_violation = (sid, t + 1)
         zeta[sid] = new_zeta
+
+
+def vertex_systems_one_tail(G):
+    """``runtime._vertex_systems`` for the one tail G (n, p): the inverses
+    of its regular vertex systems (K', n, n) and their indices (K',), or
+    None."""
+    import math
+
+    from zonosynth.runtime import _VERTICES, _vertex_index
+
+    n, p = G.shape
+    if not 0 < n <= p or math.comb(p, n - 1) << (p - n) > _VERTICES:
+        return None
+    F, R, s, _ = _vertex_index(n, p)
+    M = np.empty((len(s), n, n))
+    M[:, :, :-1] = G[:, F].transpose(1, 0, 2)
+    M[:, :, -1] = np.einsum("ikr,kr->ki", G[:, R], s)
+    keep = np.flatnonzero(np.abs(np.linalg.det(M)) > 1e-12 * np.prod(
+        np.linalg.norm(M, axis=1), axis=-1))
+    if not keep.size:
+        return None
+    return np.linalg.inv(M[keep]), keep
+
+
+def vertex_witness_chunk_by_chunk(systems, tail, resid, buf):
+    """``runtime._vertex_witness`` with one product per chunk of the
+    samples that fit ``buf``."""
+    from zonosynth.runtime import _scratch, _vertex_index
+
+    inv, keep = systems
+    F, R, s, _ = _vertex_index(*tail.shape)
+    K, n = inv.shape[:2]
+    z = np.empty((tail.shape[1], resid.shape[1]))
+    chunk = max(1, buf.size // (K * n))
+    for a in range(0, resid.shape[1], chunk):
+        r = resid[:, a:a + chunk]
+        cand = np.matmul(inv, r, out=_scratch(buf, (K, n, r.shape[1])))
+        np.abs(cand, out=cand)
+        t = cand[:, -1]
+        t[(cand[:, :-1] > t[:, None] * (1.0 + 1e-12)).any(axis=1)] = np.inf
+        best = t.argmin(axis=0)
+        sol = np.matmul(inv[best], r.T[:, :, None])[:, :, 0].T
+        k, cols = keep[best], np.arange(a, a + r.shape[1])
+        z[F[k].T, cols] = sol[:-1]
+        z[R[k].T, cols] = s[k].T * sol[-1]
+    return z
+
+
+class PerMemberGroup:
+    """A ``runtime._Group`` whose tube steps are built at set-up, one
+    (member, step) at a time, and whose vertex systems are those of one
+    tail (``vertex_systems_one_tail``)."""
+
+    def __init__(self, pos, rows, urows, start, steps):
+        self.pos, self.rows, self.urows, self.start = pos, rows, urows, start
+        self.inputs = self.scratch = None
+        self.steps = steps      # _TubeStep per index of the tubes' lists
+        self._vertices = {}
+
+    def at(self, t):
+        return self.steps[0] if len(self.steps) == 1 else self.steps[t]
+
+    def spend(self, t):
+        if len(self.steps) > 1:
+            self.steps[t] = None
+
+    def vertex_systems(self, t, i):
+        key = (t if len(self.steps) > 1 else 0, i)
+        if key not in self._vertices:
+            self._vertices[key] = vertex_systems_one_tail(self.at(t).tail[i])
+        return self._vertices[key]
+
+
+def groups_per_member(network, solutions, ids, steps, state_slices,
+                      input_slices):
+    """``runtime._groups`` one (member, step) at a time: Omega(t+1) and
+    Theta(t) built as zonotopes by the solutions, one pseudo-inverse per
+    tail, all at set-up, and the vertex systems of one tail on first
+    use."""
+    from zonosynth import runtime
+
+    def stacked(zonotopes):
+        return (np.stack([Z.center for Z in zonotopes]),
+                np.stack([Z.generators for Z in zonotopes]))
+
+    buckets = {}
+    for pos, sid in enumerate(ids):
+        key = runtime._shape(solutions[sid], network.subsystem(sid), steps)
+        buckets.setdefault(key, []).append(pos)
+    groups = []
+    for (n, m, _, per_step), pos in buckets.items():
+        sols = [solutions[ids[i]] for i in pos]
+        tube_steps = [None] * (per_step[-1][0] + 1 if per_step else 0)
+        for t, p, shift, diagonal in per_step:
+            center, gens = stacked([sol.omega(t + 1) for sol in sols])
+            theta = stacked([sol.theta(t) for sol in sols]) if m else None
+            tail = gens[:, :, gens.shape[2] - p:]
+            pinv = None if diagonal else np.stack(
+                [np.linalg.pinv(T) for T in tail])
+            tube_steps[t] = runtime._TubeStep((center, gens), theta, p, shift,
+                                              pinv)
+        first = np.array([[state_slices[ids[i]].start,
+                           input_slices[ids[i]].start] for i in pos])
+        groups.append(PerMemberGroup(
+            np.array(pos), first[:, :1] + np.arange(n),
+            first[:, 1:] + np.arange(m),
+            stacked([sol.omega(steps.start) for sol in sols]), tube_steps))
+    return groups
 
 
 def step_per_subsystem(network, solutions, states, t=0, disturbances=None):

@@ -1,6 +1,7 @@
 """Closed-loop rollouts and the Monte-Carlo invariance checker."""
 
 import csv
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -672,7 +673,7 @@ def test_vertex_witness_matches_the_membership_lp():
         G, r = _tail_case(rng, kind)
         n, p = G.shape
         best = _lp_optimum(G, r)
-        systems = runtime._vertex_systems(G)
+        systems = runtime._vertex_systems(G[None])[0]
         if systems is None:     # no regular vertex system: left to the LP
             assert np.linalg.matrix_rank(G) < n
             seen.add("left to the LP")
@@ -696,8 +697,8 @@ def test_vertex_witness_keeps_a_degenerate_vertex():
                   [0.00344247, 0.00209663, 0.0, 0.4]])
     r = np.array([-0.403, -0.403])
     t = 0.403 / G[0, :3].sum()
-    z = runtime._vertex_witness(runtime._vertex_systems(G), G, r[:, None],
-                                np.empty(64))[:, 0]
+    z = runtime._vertex_witness(runtime._vertex_systems(G[None])[0], G,
+                                r[:, None], np.empty(64))[:, 0]
     np.testing.assert_allclose(z, -t * np.ones(4), rtol=0, atol=1e-12)
     assert np.abs(z).max() == pytest.approx(_lp_optimum(G, r), rel=0, abs=1e-12)
 
@@ -708,12 +709,29 @@ def test_vertex_witness_chunks_the_samples():
     rng = np.random.default_rng(3)
     G = rng.normal(size=(3, 7))
     R = G @ rng.uniform(-1.0, 1.0, (7, 40))
-    systems = runtime._vertex_systems(G)
+    systems = runtime._vertex_systems(G[None])[0]
     got = [runtime._vertex_witness(systems, G, R, np.empty(size))
            for size in (1, 5 * 3 * len(systems[1]), 10**6)]
     for z in got:
         np.testing.assert_array_equal(z, got[-1])
         np.testing.assert_allclose(G @ z, R, rtol=0, atol=1e-9)
+
+
+def test_vertex_witness_is_the_chunk_by_chunk_one():
+    # the chunks of samples that fit the scratch go through fewer, stacked
+    # products, each chunk's candidates bit for bit those of its own product
+    rng = np.random.default_rng(5)
+    for n, p in [(1, 3), (2, 4), (2, 6), (3, 5)]:
+        G = rng.normal(size=(n, p))
+        systems = runtime._vertex_systems(G[None])[0]
+        K = len(systems[1])
+        for samples, size in [(1, 1), (7, 1), (7, 3 * K * n), (50, 4 * K * n + 1),
+                              (50, 10**6)]:
+            r = G @ rng.uniform(-1.5, 1.5, (p, samples))
+            got = runtime._vertex_witness(systems, G, r, np.empty(size))
+            want = oracles.vertex_witness_chunk_by_chunk(systems, G, r,
+                                                          np.empty(size))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_verify_exact_encoding_solves_no_lp(finite_exact):
@@ -808,6 +826,28 @@ def geo20():
     return net, result
 
 
+def test_vertex_systems_of_a_stack_are_those_of_each_tail():
+    # tails of one shape, some of them rank-deficient or with parallel
+    # columns, give bit for bit the systems that each gives alone
+    rng = np.random.default_rng(8)
+    seen = set()
+    for n, p in [(1, 1), (1, 2), (1, 5), (2, 2), (2, 4), (2, 6), (3, 5), (4, 6)]:
+        tails = rng.normal(size=(9, n, p))
+        tails[1, :, -1] = 0.0
+        tails[2] = rng.normal(size=(n, 1)) @ rng.normal(size=(1, p))
+        if p > 1:
+            tails[3, :, 1] = -2.0 * tails[3, :, 0]
+        for got, G in zip(runtime._vertex_systems(tails), tails):
+            want = oracles.vertex_systems_one_tail(G)
+            seen.add(want is None)
+            if want is None:
+                assert got is None
+                continue
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert seen == {False, True}
+
+
 # fixture, whether to check it on the aggregate network or a harsher pair,
 # samples and steps (None: the horizon)
 ORACLE_CASES = {
@@ -887,13 +927,14 @@ def test_step_matches_the_per_subsystem_loop(request, name):
                                        atol=1e-12)
 
 
-@pytest.mark.parametrize("fixture, built_per_run", [("pair", 6),
-                                                    ("contracted", 3)],
+@pytest.mark.parametrize("fixture, built_per_run", [("pair", 0),
+                                                    ("contracted", 0)],
                          ids=["pair", "contracted"])
 def test_rci_geometry_is_built_once_per_run(request, fixture, built_per_run,
                                             monkeypatch):
-    # Omega(0) to sample from, Omega and Theta of an RCI tube are built once
-    # per subsystem and verification, however many steps it takes
+    # Omega(0) to sample from, Omega and Theta of an RCI tube are stacked
+    # from the solutions' arrays once per verification, however many steps
+    # it takes, and no zonotope is built while no LP is needed
     net, result = request.getfixturevalue(fixture)
     if fixture == "contracted":
         net = aggregate_network(net)
@@ -1135,3 +1176,147 @@ def test_a_step_allocates_no_sample_sized_array(geo20, monkeypatch):
         tracemalloc.stop()
     assert len(grown) == 7
     assert max(grown[2:]) < 8 * S * len(net.sorted_ids())
+
+
+# ---------------------------------------------------------------------------
+# the loop's set-up, stacked by tail shape, against one (member, step) at a
+# time
+
+
+@pytest.fixture(scope="module")
+def case2_centralized():
+    net = load_network("configs/case2.json")
+    result = centralized_synthesize(net, reduction_order=None)
+    assert result.ok
+    return net, result
+
+
+@pytest.fixture(scope="module")
+def finite_geo():
+    net = Network("finite", 4, random_network(6, lambda_for(12), seed=0).subsystems)
+    result = compositional_synthesize(net)
+    assert result.ok
+    return net, result
+
+
+@pytest.fixture(scope="module")
+def contracted_wide():
+    """An invariant tube of beta 0.2 around a scalar state disturbed by two
+    generators, so its 1 x 2 tail is not diagonal."""
+    net = load_network({"mode": "infinite", "subsystems": [{
+        "id": "s", "A": [[0.5]], "B": [[1.0]], "X": _box([0.0], [[1.0]]),
+        "U": _box([0.0], [[1.0]]), "D": _box([0.0], [[0.06, 0.04]]),
+        "couplings": []}]})
+    result = centralized_dense(net, beta=0.2)
+    assert result.ok
+    return net, result
+
+
+# fixture, whether to check it on the aggregate network, and the kinds of
+# tail it holds
+SETUP_CASES = {
+    # 2 x 4 and 2 x 6 tails over 15 steps, in groups of two and one
+    "case2-centralized": ("case2_centralized", None, {"general"}),
+    # one group of six finite tubes
+    "finite-geo": ("finite_geo", None, {"diagonal"}),
+    # an invariant tube of beta 0.2, so its sets are scaled by 1.25
+    "contracted-rci": ("contracted", "aggregate", {"diagonal"}),
+    # 1 x 2 tails, whose vertex systems sum in another order
+    "finite-exact": ("finite_exact", None, {"general"}),
+    # and the same scaled by 1.25
+    "contracted-wide": ("contracted_wide", "aggregate", {"general"}),
+}
+
+
+def setup_case(request, name):
+    fixture, view, kinds = SETUP_CASES[name]
+    net, result = request.getfixturevalue(fixture)
+    if view == "aggregate":
+        net = aggregate_network(net)
+    horizons = [sol.horizon for sol in result.solutions.values() if sol.horizon]
+    return net, result.solutions, min(horizons, default=20), kinds
+
+
+def _same(a, b):
+    """Both None, or arrays of one shape and dtype, equal bit for bit."""
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("name", list(SETUP_CASES))
+def test_stacked_setup_equals_the_per_member_one(request, name):
+    net, solutions, steps, kinds = setup_case(request, name)
+    ids, slices = net.sorted_ids(), stacked_slices(net)
+    got = runtime._groups(net, solutions, ids, range(steps), *slices)
+    ref = oracles.groups_per_member(net, solutions, ids, range(steps), *slices)
+    assert [list(g.pos) for g in got] == [list(g.pos) for g in ref]
+    seen = set()
+    for mine, theirs in zip(got, ref):
+        for a, b in zip((mine.rows, mine.urows, *mine.start),
+                        (theirs.rows, theirs.urows, *theirs.start)):
+            _same(a, b)
+        for t, ts in enumerate(theirs.steps):
+            if ts is None:
+                continue
+            st = mine.at(t)
+            assert (st.p, st.shift, st.width) == (ts.p, ts.shift, ts.width)
+            for part in ("center", "head", "tail", "theta_c", "theta_G",
+                         "radii", "pinv"):
+                _same(getattr(st, part), getattr(ts, part))
+            seen.add("diagonal" if ts.pinv is None else "general")
+            if ts.pinv is None:
+                continue
+            for i in range(len(ts.tail)):
+                got, want = mine.vertex_systems(t, i), theirs.vertex_systems(t, i)
+                assert (got is None) == (want is None)
+                for a, b in zip(got or (), want or ()):
+                    _same(a, b)
+    assert seen == kinds
+
+
+def _runs(net, solutions, steps):
+    """A verification, a rollout and one step of the closed loop."""
+    report = verify_invariance(net, solutions, num_samples=32, num_steps=steps,
+                               seed=1)
+    trajectory = simulate(net, solutions, steps, seed=2)
+    states = {sid: solutions[sid].omega(1).center for sid in net.sorted_ids()}
+    return report, trajectory, step(net, solutions, states, t=1)
+
+
+@pytest.mark.parametrize("name", list(SETUP_CASES))
+def test_the_per_member_setup_runs_alike(request, name, monkeypatch):
+    net, solutions, steps, _ = setup_case(request, name)
+    got = _runs(net, solutions, steps)
+    monkeypatch.setattr(runtime, "_groups", oracles.groups_per_member)
+    ref = _runs(net, solutions, steps)
+    fields = ("checked", "violations", "lp_rewitness", "witness_losses",
+              "first_violation")
+    assert [getattr(got[0], f) for f in fields] == [getattr(ref[0], f) for f in fields]
+    assert list(got[0].margins) == list(ref[0].margins)
+    for sid in ref[0].margins:
+        _same(got[0].margins[sid], ref[0].margins[sid])
+    assert got[1].violation == ref[1].violation
+    for part in ("states", "inputs", "disturbances"):
+        for sid, values in getattr(ref[1], part).items():
+            _same(getattr(got[1], part)[sid], values)
+    for mine, theirs in zip(got[2], ref[2]):
+        for sid in theirs:
+            _same(mine[sid], theirs[sid])
+
+
+@pytest.mark.parametrize("part, index", [("xbar", 0), ("T", 3), ("T", 6),
+                                         ("M", 2), ("ubar", 5)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_tube_entry_raises_at_verification(finite, part, index,
+                                                        value):
+    net, result = finite
+    sid = net.sorted_ids()[-1]
+    entries = [a.copy() for a in getattr(result.solutions[sid], part)]
+    entries[index].flat[0] = value
+    solutions = dict(result.solutions)
+    solutions[sid] = dataclasses.replace(solutions[sid], **{part: entries})
+    with pytest.raises(ValueError, match="non-finite entries"):
+        verify_invariance(net, solutions, num_samples=4)
