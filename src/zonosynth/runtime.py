@@ -283,21 +283,30 @@ def _norms(a, buf):
     return top
 
 
-def _tail_ok(tail, radii, resid, zw, buf, out=None):
+def _tail_ok(tail, radii, resid, zw, buf=None, out=None):
     """Samples where zw is a witness of resid on the tail: |zw|_inf <= 1 +
     1e-9 and tail @ zw reconstructs resid within 1e-9 (NaN fails).  A
-    diagonal tail passes its ``radii``, and the product is entrywise.  The
-    norms and the worst misses go into the scratch ``buf``, and the
-    reconstruction into ``out`` (resid's shape) when it is given.  The two
-    tests are one, on the larger of |zw|_inf - (1 + 1e-9) and the worst
-    miss - 1e-9, since a rounded a - b is at most 0 exactly when a <= b.
-    The boolean verdicts are returned in the spent worst misses' memory,
-    valid until ``buf`` is used again."""
-    norms = _norms(zw, buf)
+    diagonal tail passes its ``radii``, and the product is entrywise.
+
+    Without a scratch ``buf`` (for the few samples of one member) the
+    tests make their own arrays.  With one, the norms and the worst misses
+    go into ``buf`` (``_scratch``), and the reconstruction into ``out``
+    (resid's shape) when it is given.  The two tests are then one, on the
+    larger of |zw|_inf - (1 + 1e-9) and the worst miss - 1e-9, since a
+    rounded a - b is at most 0 exactly when a <= b, and the boolean
+    verdicts are returned in the spent worst misses' memory, valid until
+    ``buf`` is used again."""
     if radii is None:
         miss = np.matmul(tail, zw, out=out)
     else:
         miss = np.multiply(zw, radii, out=out)
+    if buf is None:
+        # |a - b| is |b - a| to the bit
+        miss -= resid
+        np.abs(miss, out=miss)
+        return ((np.abs(zw).max(axis=-2, initial=0.0) <= 1.0 + 1e-9)
+                & (miss.max(axis=-2, initial=0.0) <= 1e-9))
+    norms = _norms(zw, buf)
     np.subtract(resid, miss, out=miss)
     np.abs(miss, out=miss)
     worst = miss.max(axis=-2, initial=0.0,
@@ -326,11 +335,12 @@ _BATCH = 1024       # vertex systems made in one batch, at most (a tail with
 @functools.lru_cache(maxsize=None)
 def _vertex_index(n, p):
     """The vertex systems of an n x p tail G, p >= n, as read-only arrays
-    (F, R, s, order) of shapes (K, n - 1), (K, p - n + 1), (K, p - n + 1)
-    and (K, p), K = C(p, n - 1) * 2**(p - n).  System k holds the
-    coordinates R[k] at t * s[k] and solves [G_F, G_R s][z_F; t] = r for
-    the free ones F[k] and t; s[k] starts with +1, because the sign of t
-    gives -s[k] (Cadzow 1973).  z = [z_F; t s[k]][order[k]]."""
+    (F, R, s, pick, sign) of shapes (K, n - 1), (K, p - n + 1), (K, p - n +
+    1), (K, p) and (K, p), K = C(p, n - 1) * 2**(p - n).  System k holds
+    the coordinates R[k] at t * s[k] and solves [G_F, G_R s][z_F; t] = r
+    for the free ones F[k] and t; s[k] starts with +1, because the sign of
+    t gives -s[k] (Cadzow 1973).  z = [z_F; t][pick[k]] * sign[k], whose
+    factors are 1 on F[k] and s[k] on R[k]."""
     signs = [(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=p - n)]
     F, R, s = [], [], []
     for free in itertools.combinations(range(p), n - 1):
@@ -340,10 +350,14 @@ def _vertex_index(n, p):
         s += signs
     F, R = (np.array(a, dtype=np.intp).reshape(len(s), -1) for a in (F, R))
     s = np.array(s)
-    order = np.argsort(np.concatenate([F, R], axis=1), axis=1)
-    for a in (F, R, s, order):
+    pick, sign = np.empty(F.shape[:1] + (p,), dtype=np.intp), np.ones((len(s), p))
+    system = np.arange(len(s))[:, None]
+    pick[system, F] = np.arange(n - 1)
+    pick[system, R] = n - 1
+    sign[system, R] = s
+    for a in (F, R, s, pick, sign):
         a.flags.writeable = False
-    return F, R, s, order
+    return F, R, s, pick, sign
 
 
 def _vertex_systems(tails):
@@ -355,7 +369,7 @@ def _vertex_systems(tails):
     b, n, p = tails.shape
     if not 0 < n <= p or math.comb(p, n - 1) << (p - n) > _VERTICES:
         return [None] * b
-    F, R, s, _ = _vertex_index(n, p)
+    F, R, s = _vertex_index(n, p)[:3]
     M = np.empty((b, len(s), n, n))
     M[..., :-1] = tails[:, :, F].transpose(0, 2, 1, 3)
     last = M[..., -1].transpose(0, 2, 1)                # (b, n, K)
@@ -371,17 +385,23 @@ def _vertex_systems(tails):
         for r in range(1, s.shape[1]):
             last += tails[:, :, R[:, r]] * s[:, r]
     # |det M| is at most the product of its column norms (Hadamard), with
-    # equality for orthogonal columns; the norms as np.linalg.norm takes
-    # them, with one temporary instead of two
-    regular = np.abs(np.linalg.det(M)) > 1e-12 * np.prod(
-        np.sqrt(np.add.reduce(M * M, axis=-2)), axis=-1)
+    # equality for orthogonal columns; the norms and their product summed
+    # and multiplied row by row, in the order np.linalg.norm and np.prod
+    # take them
+    sq = M[..., 0, :] * M[..., 0, :]
+    for row in range(1, n):
+        sq += M[..., row, :] * M[..., row, :]
+    bound = np.sqrt(sq, out=sq)[..., 0].copy()
+    for col in range(1, n):
+        bound *= sq[..., col]
+    regular = np.abs(np.linalg.det(M)) > 1e-12 * bound
     inverses = np.linalg.inv(M if regular.all() else M[regular])
     del M, last
     inverses = inverses.reshape(-1, n, n)
     stops = np.cumsum(regular.sum(axis=1))
     # a copy per tail, so that each goes with its tail's step
     return [(inverses[stop - len(keep):stop].copy(), keep) if len(keep) else None
-            for keep, stop in zip(map(np.flatnonzero, regular), stops)]
+            for keep, stop in zip((r.nonzero()[0] for r in regular), stops)]
 
 
 def _vertex_witness(systems, tail, resid, buf):
@@ -399,7 +419,7 @@ def _vertex_witness(systems, tail, resid, buf):
     hold the candidates of ``_VERTICES`` systems or fill ``buf``.
     """
     inv, keep = systems
-    _, _, s, order = _vertex_index(*tail.shape)
+    pick, sign = _vertex_index(*tail.shape)[3:]
     K, n = inv.shape[:2]
     c = resid.shape[1]
     z = np.empty((tail.shape[1], c))
@@ -421,10 +441,10 @@ def _vertex_witness(systems, tail, resid, buf):
             for j in range(n - 1):
                 t[cand[:, :, j] > allowed] = np.inf
             best = t.argmin(axis=1).reshape(-1)
-            sol = np.matmul(inv[best], r.T[:, :, None])[:, :, 0].T
+            sol = np.matmul(inv[best], r.T[:, :, None]).reshape(-1)
             k = keep[best]
-            z[:, lo:hi] = np.concatenate((sol[:-1], s[k].T * sol[-1]))[
-                order[k].T, np.arange(hi - lo)]
+            np.multiply(sol[pick[k].T + np.arange(0, sol.size, n)], sign[k].T,
+                        out=z[:, lo:hi])
     return z
 
 
@@ -588,8 +608,11 @@ class _Group:
         tails = []
         for t, j in pairs:
             T = sysmodel._at(self._sols[j].T, t + 1)
-            tails.append(T[:, T.shape[1] - self._per_step[t][0]:] * self._sigma[j])
-        return np.stack(tails)
+            tails.append(T[:, T.shape[1] - self._per_step[t][0]:])
+        tails = np.stack(tails)
+        if self._scale is not None:
+            tails *= self._scale[[j for _, j in pairs], None, None]
+        return tails
 
     def at(self, t):
         """Step t's ``_TubeStep``, stacked when first asked for."""
@@ -599,7 +622,7 @@ class _Group:
             inputs = [("ubar", "M", t)] if self.urows.shape[1] else []
             omega, theta, *_ = self._stacked(("xbar", "T", t + 1), *inputs) + [None]
             self._steps[t] = _TubeStep(omega, theta, p, shift,
-                                       self._pinv.pop(t, None))
+                                       self._pinv.get(t))
         return self._steps[t]
 
     def spend(self, t):
@@ -1017,8 +1040,8 @@ class _Loop:
             np.logical_not(bad, out=bad)
             bad &= alive
             # the verdicts sit in the spare, which the next group reuses
-            work += [(group.pos[i], gi, i, resid[i], np.flatnonzero(bad[i]))
-                     for i in np.flatnonzero(bad.any(axis=1))]
+            work += [(group.pos[i], gi, i, resid[i], bad[i].nonzero()[0])
+                     for i in bad.any(axis=1).nonzero()[0]]
 
         for pos, gi, i, resid, bad in sorted(work, key=lambda w: w[0]):
             group = self.groups[gi]
@@ -1063,7 +1086,7 @@ class _Loop:
             inside, wit = contains_point(st.tail_set(i), resid.T)
             zw[:, rows[inside]] = wit[inside].T
             z = zw[:, rows]
-        return rows[~_tail_ok(tail, None, resid, z, self._spare)]
+        return rows[~_tail_ok(tail, None, resid, z)]
 
     def margins(self, zetas, alive, out):
         """1 - |zeta|_inf minimized over the live samples (at least one),

@@ -979,7 +979,7 @@ def vertex_systems_one_tail(G):
     n, p = G.shape
     if not 0 < n <= p or math.comb(p, n - 1) << (p - n) > _VERTICES:
         return None
-    F, R, s, _ = _vertex_index(n, p)
+    F, R, s = _vertex_index(n, p)[:3]
     M = np.empty((len(s), n, n))
     M[:, :, :-1] = G[:, F].transpose(1, 0, 2)
     M[:, :, -1] = np.einsum("ikr,kr->ki", G[:, R], s)
@@ -996,7 +996,7 @@ def vertex_witness_chunk_by_chunk(systems, tail, resid, buf):
     from zonosynth.runtime import _scratch, _vertex_index
 
     inv, keep = systems
-    F, R, s, _ = _vertex_index(*tail.shape)
+    F, R, s = _vertex_index(*tail.shape)[:3]
     K, n = inv.shape[:2]
     z = np.empty((tail.shape[1], resid.shape[1]))
     chunk = max(1, buf.size // (K * n))

@@ -721,7 +721,7 @@ def test_vertex_witness_is_the_chunk_by_chunk_one():
     # the chunks of samples that fit the scratch go through fewer, stacked
     # products, each chunk's candidates bit for bit those of its own product
     rng = np.random.default_rng(5)
-    for n, p in [(1, 3), (2, 4), (2, 6), (3, 5)]:
+    for n, p in [(1, 3), (2, 4), (2, 6), (3, 5), (4, 6)]:
         G = rng.normal(size=(n, p))
         systems = runtime._vertex_systems(G[None])[0]
         K = len(systems[1])
@@ -732,6 +732,49 @@ def test_vertex_witness_is_the_chunk_by_chunk_one():
             want = oracles.vertex_witness_chunk_by_chunk(systems, G, r,
                                                           np.empty(size))
             assert got.tobytes() == want.tobytes()
+
+
+def test_tail_check_without_scratch_is_the_scratch_one():
+    # the few samples of one member are checked on new arrays: the same
+    # verdicts as the fused test in scratch, NaN failing, on a full tail
+    # and a diagonal one, with norms and misses at the tolerances
+    rng = np.random.default_rng(13)
+    for n, p in [(1, 3), (2, 2), (3, 5), (4, 4)]:
+        tail = rng.normal(size=(n, p))
+        radii = None
+        if n == p:
+            radii = rng.uniform(0.5, 2.0, (n, 1))
+            tail = np.diag(radii[:, 0])
+        z = rng.uniform(-1.0 - 2e-9, 1.0 + 2e-9, (p, 60))
+        z[0, :4] = (1.0 + 1e-9, -1.0 - 1e-9, np.nextafter(1.0 + 1e-9, 2.0), np.nan)
+        resid = tail @ z + rng.choice([0.0, 5e-10, 1e-9, 2e-9], size=(n, 60))
+        resid[-1, 4] = np.nan
+        want = runtime._tail_ok(tail, radii, resid, z, np.empty(10**4))
+        got = runtime._tail_ok(tail, radii, resid, z)
+        assert want.any() and not want.all() and not want[3] and not want[4]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_vertex_systems_of_a_stack_are_those_of_each_tail():
+    # tails of one shape, some of them rank-deficient or with parallel
+    # columns, give bit for bit the systems that each gives alone
+    rng = np.random.default_rng(8)
+    seen = set()
+    for n, p in [(1, 1), (1, 2), (1, 5), (2, 2), (2, 4), (2, 6), (3, 5), (4, 6)]:
+        tails = rng.normal(size=(9, n, p))
+        tails[1, :, -1] = 0.0
+        tails[2] = rng.normal(size=(n, 1)) @ rng.normal(size=(1, p))
+        if p > 1:
+            tails[3, :, 1] = -2.0 * tails[3, :, 0]
+        for got, G in zip(runtime._vertex_systems(tails), tails):
+            want = oracles.vertex_systems_one_tail(G)
+            seen.add(want is None)
+            if want is None:
+                assert got is None
+                continue
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert seen == {False, True}
 
 
 def test_verify_exact_encoding_solves_no_lp(finite_exact):
@@ -824,28 +867,6 @@ def geo20():
     result = compositional_synthesize(net)
     assert result.ok
     return net, result
-
-
-def test_vertex_systems_of_a_stack_are_those_of_each_tail():
-    # tails of one shape, some of them rank-deficient or with parallel
-    # columns, give bit for bit the systems that each gives alone
-    rng = np.random.default_rng(8)
-    seen = set()
-    for n, p in [(1, 1), (1, 2), (1, 5), (2, 2), (2, 4), (2, 6), (3, 5), (4, 6)]:
-        tails = rng.normal(size=(9, n, p))
-        tails[1, :, -1] = 0.0
-        tails[2] = rng.normal(size=(n, 1)) @ rng.normal(size=(1, p))
-        if p > 1:
-            tails[3, :, 1] = -2.0 * tails[3, :, 0]
-        for got, G in zip(runtime._vertex_systems(tails), tails):
-            want = oracles.vertex_systems_one_tail(G)
-            seen.add(want is None)
-            if want is None:
-                assert got is None
-                continue
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert seen == {False, True}
 
 
 # fixture, whether to check it on the aggregate network or a harsher pair,
