@@ -22,10 +22,11 @@ i.e. the total directed-Hausdorff-style slack by which the local solution
 misses its own promise.  V(alpha) = 0 certifies the composition.
 
 Each subsystem has one LP, ``PotentialProgram``, built once and re-solved
-warm on one HiGHS instance for the whole synthesis.  Every alpha it reads
-is a column fixed by its bounds, so a new parameter vector moves those
-bounds in one solver call and nothing else; the gradient dV_i/dalpha is the
-fixed columns' reduced cost.  The same instance extracts the final tubes:
+warm from its own last basis for the whole synthesis; the programs of one
+signature group share one HiGHS instance (see ``lpcore``).  Every alpha it
+reads is a column fixed by its bounds, so a new parameter vector moves those
+bounds and nothing else; the gradient dV_i/dalpha is the fixed columns'
+reduced cost.  The same program extracts the final tubes:
 ``PotentialProgram.extract`` fixes the slack at zero, swaps the objective
 to the template size sum |T|, re-solves warm and puts both back.
 
@@ -652,7 +653,7 @@ class PotentialProgram:
         """Warm re-solve of V_i at ``params``; raises PotentialInfeasible.
 
         Where the values read are bitwise those of the last solve and the
-        instance is as that solve left it, the LP is the same, and that
+        program is as that solve left it, the LP is the same, and that
         solve's evaluation is returned.
         """
         values = self._values(params)
@@ -681,7 +682,7 @@ class PotentialProgram:
     def _solve_hard(self, params):
         """The LP solution of the hard problem at ``params``, or None.
 
-        Solved on this program's own instance: the slack and its witness
+        Solved by this program's own LP: the slack and its witness
         columns are fixed at 0 and the objective becomes sum |T|; both are
         put back afterwards.  The next ``evaluate`` solves again, warm from
         this solve's basis.
@@ -723,7 +724,7 @@ def extract_solutions(programs, params):
 
     Unlike the potential there is no slack here: each subsystem's program
     solves its viability problem with hard containment in its own promised
-    sets, minimizing total template size, warm on its own instance.
+    sets, minimizing total template size, warm from its own last basis.
     Raises PotentialInfeasible naming the subsystems whose hard problem has
     no solution (the potential at ``params`` is then necessarily positive);
     the tubes are read back only when every subsystem has one.

@@ -258,12 +258,12 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True):
     (centralized, dense, alpha-cap and one-shot containment) take it: case2's
     centralized LP then solves in about half the HiGHS time.  The
     per-subsystem potential programs of ``contracts.emit_subsystem(slack=
-    True)``, whose instances also run the hard extraction, keep
+    True)``, which also run the hard extraction, keep
     ``split=False``: the descent reads its subgradients off their duals,
     and in the split form the paper's subgradient rule ended case1
     ``failed`` after 422 iterations (an extracted Omega(0) escaped its
     promise by 1.772e-07, inside the solver's 1e-7 feasibility tolerance)
-    where this form certifies it after 433.
+    where this form certifies it after 432.
 
     ``lp`` may be an :class:`lpcore._LpBatch`: every argument may then carry
     the batch's leading member axis, and so do the handles.  Entries that

@@ -24,15 +24,19 @@ all-zero (continuous) integrality array.  A batch program's CSC arrays are
 slices of its batch's; rows added later are merged in at the next hand-off.
 HiGHS drops coefficients of magnitude at most 1e-9 as it takes a model.
 
-Column bounds and costs are kept as arrays.  The solver instance stays alive
-between solves, so :meth:`LinearProgram.set_col_bounds` and
-:meth:`LinearProgram.set_costs` change it in place (one HiGHS call for a
-whole block of columns), :meth:`LinearProgram.add_rows` appends to it, and
-the next solve is a warm re-solve from the last basis.  A program's first
-solve is cold (presolve and a crash basis), except among the programs of one
-:class:`_LpBatch`: the first of them to reach an optimum lends its basis to
-the first solve of every other one not yet solved.  Reported times are
-in-solver seconds.
+Column bounds and costs are kept as arrays.  The programs of one
+:class:`_LpBatch` share one HiGHS instance, so solver memory grows with the
+batches, not the programs (a standalone program is a batch of one).  On the
+program that holds it, :meth:`LinearProgram.set_col_bounds`,
+:meth:`LinearProgram.set_costs` and :meth:`LinearProgram.add_rows` change the
+instance in place, one HiGHS call per block, and the next solve is a warm
+re-solve; on another they change only its arrays, and its next solve hands
+the instance its model (``passModel``) and its last basis (``setBasis``: the
+opaque ``HighsBasis`` kept when a sibling took the instance).  A first solve
+is cold (presolve and a crash basis), except in a batch of several: the
+first member to reach an optimum lends its basis to the first solve of every
+other one.  HiGHS refuses a basis that does not fit (rows or columns added
+since), and the solve starts cold.  Reported times are in-solver seconds.
 
 :class:`LinExpr`, :func:`as_expr` and ``add_eq``/``add_le``/``add_ge`` (one
 row per call, written as expression arithmetic) are no part of that API;
@@ -49,7 +53,9 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import struct
 import sys
+import weakref
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -114,9 +120,11 @@ class SolverTimeTracker:
 
     ``cold_solves`` counts the solves that started with no basis, and
     ``retries`` those re-run by the interior-point solver after the simplex
-    solver broke down.  ``max_rows``/``max_cols``/``max_nnz`` are the size
-    of the largest LP solved in the context, each maximized on its own
-    (rows, columns and constraint-matrix nonzeros).
+    solver broke down; ``instances`` counts the HiGHS instances made (one
+    per batch, see the module docstring, and a throwaway one per model that
+    presolve cannot call infeasible or unbounded).  ``max_rows``/
+    ``max_cols``/``max_nnz`` are the size of the largest LP solved in the
+    context, each maximized on its own (rows, columns and nonzeros).
     """
 
     def __init__(self):
@@ -124,6 +132,7 @@ class SolverTimeTracker:
         self.solves = 0
         self.cold_solves = 0
         self.retries = 0
+        self.instances = 0
         self.max_rows = 0
         self.max_cols = 0
         self.max_nnz = 0
@@ -294,13 +303,12 @@ class LinearProgram:
         self._bound = array("d")      # row reads: terms <sense> bound
         self._rows = (np.zeros(0), np.zeros(0))  # row lower and upper bounds, made on use
         self._structure_version = 0
-        self._solver = None
-        self._built_version = -1
-        self._clock = 0.0             # the instance's run clock after its last solve
+        self._holder = _Holder()      # the solver instance, shared within a batch
+        self._ref = weakref.ref(self)  # the holder's owner while this program holds it
+        self._built_version = -1      # the structure last handed to the instance
+        self._basis = None            # the last basis, kept while a sibling holds the instance
         self._size = (0, 0, 0)  # (rows, cols, nnz) of the last model built
         self._shared = None           # batch programs: the batch-wide columns, in order
-        self._siblings = None         # batch programs: the batch, until one lends
-        self._start = None            # the lent basis the first solve starts from
 
     # -- variables ---------------------------------------------------------
 
@@ -352,8 +360,8 @@ class LinearProgram:
         with one ``sense`` ("=", "<" or ">") for the block.  Repeated
         (row, column) entries are summed left to right from 0.0, and
         entries whose coefficient is then zero are dropped.  A live solver
-        instance takes the block in one call and keeps its basis, so the
-        next ``solve()`` is a warm re-solve.
+        instance takes the block in one call and keeps its basis; otherwise
+        the block waits for the next hand-off.
         """
         if sense not in ("=", "<", ">"):
             raise LpBuildError(f"unknown sense {sense!r}")
@@ -378,7 +386,7 @@ class LinearProgram:
         self._bound.frombytes(bounds.tobytes())
         self._structure_version += 1
         if live:
-            self._solver.addRows(
+            self._holder.highs.addRows(
                 count, np.full(count, -INF) if sense == "<" else bounds,
                 np.full(count, INF) if sense == ">" else bounds, len(coefs),
                 np.searchsorted(local, np.arange(count)).astype(np.int32), cols, coefs)
@@ -408,8 +416,8 @@ class LinearProgram:
         return self._add_one_row(lhs, rhs, ">")
 
     def _live(self):
-        """True if the solver instance holds the current structure."""
-        return self._solver is not None and self._built_version == self._structure_version
+        """True if the solver instance holds this program's current structure."""
+        return self._holder.owner is self._ref and self._built_version == self._structure_version
 
     def col_bounds(self, cols):
         """Copies of the (lower, upper) bounds of the columns ``cols``."""
@@ -418,8 +426,8 @@ class LinearProgram:
 
     def set_col_bounds(self, cols, lb, ub):
         """Set the bounds of the columns ``cols`` (``lb``/``ub`` scalars or
-        arrays).  A live solver instance takes them in one call, and the
-        next ``solve()`` is a warm re-solve."""
+        arrays).  A live solver instance takes them in one call; otherwise
+        they wait for the next hand-off (see the module docstring)."""
         cols = np.asarray(cols, dtype=np.int32)
         self._lb[cols] = lb
         self._ub[cols] = ub
@@ -427,7 +435,7 @@ class LinearProgram:
             # an array per column goes to the solver as it is
             lo = lb if np.shape(lb) == cols.shape else self._lb[cols]
             hi = ub if np.shape(ub) == cols.shape else self._ub[cols]
-            self._solver.changeColsBounds(len(cols), cols, lo, hi)
+            self._holder.highs.changeColsBounds(len(cols), cols, lo, hi)
 
     def set_costs(self, cols, values):
         """Set the objective coefficients of the columns ``cols``; like
@@ -435,7 +443,7 @@ class LinearProgram:
         cols = np.asarray(cols, dtype=np.int32)
         self._cost[cols] = values
         if self._live():
-            self._solver.changeColsCost(len(cols), cols, self._cost[cols])
+            self._holder.highs.changeColsCost(len(cols), cols, self._cost[cols])
 
     def _senses(self):
         return np.frombuffer(self._sense, dtype=np.uint8).copy()
@@ -486,6 +494,8 @@ class LinearProgram:
         return LpSolution(self, OPTIMAL, 0.0, np.zeros(0), duals, 0.0)
 
     def _new_highs(self):
+        for tracker in _tracker_stack.get():
+            tracker.instances += 1
         solver = _hcore._Highs()
         solver.setOptionValue("output_flag", False)
         solver.setOptionValue("threads", 1)
@@ -510,61 +520,57 @@ class LinearProgram:
                          start, index, value, np.zeros(n, dtype=np.int32))
         return len(value)
 
-    def _build_highs(self):
-        solver = self._new_highs()
-        nnz = self._pass_model(solver)
-        self._solver = solver
-        self._time_limit = INF  # the instance's, set again only when it changes
-        self._clock = 0.0
+    def _take_highs(self):
+        """Hand this program's model to its holder's instance; True where the
+        solve starts from a basis: on a first solve the one a sibling lent,
+        later this program's own last basis.  The program that held the
+        instance keeps its basis for its next solve.  HiGHS refuses a basis
+        that does not fit (rows or columns were added since, or its basic
+        count is not the row count), and the solve starts cold."""
+        holder = self._holder
+        if holder.highs is None:
+            holder.highs = self._new_highs()
+        elif holder.owner is not self._ref and holder.owner() is not None:
+            holder.owner()._basis = holder.highs.getBasis()
+        nnz = self._pass_model(holder.highs)
+        start = self._basis
+        if self._built_version < 0 and holder.lent is not None:  # the lent basis, mapped
+            start, shared = holder.lent
+            cols = [_LOWER] * self.num_vars
+            for c, status in zip(self._shared.tolist(), shared):
+                cols[c] = status
+            start.col_status = cols
+        holder.owner, self._basis = self._ref, None
         self._built_version = self._structure_version
         self._size = (self.num_rows, self.num_vars, nnz)
+        return start is not None and holder.highs.setBasis(start) == _hcore.HighsStatus.kOk
 
     def _lend_basis(self):
         """Lend this first optimum of the batch to the first solve of every
-        sibling not yet built; no sibling lends after that.
+        sibling not yet solved; no sibling lends after that.
 
         The rows and the batch-wide columns (``var_block``, the same in every
         member and in the same order) keep this program's statuses.  They are
         read once here; each borrower fills in its own columns
         (``member_block``) as nonbasic at their lower bounds.
         """
-        basis, lent = self._solver.getBasis(), None
+        holder = self._holder
+        basis, holder.lend = holder.highs.getBasis(), False
         if basis.valid:
             start = _hcore.HighsBasis()
             start.row_status = basis.row_status
             start.valid, start.alien = True, False  # HiGHS rejects a basis that does not fit
             status = basis.col_status
-            lent = (start, [status[c] for c in self._shared.tolist()])
-        for lp in self._siblings:
-            lp._siblings = None
-            if lp._solver is None:
-                lp._start = lent
-
-    def _set_start_basis(self):
-        """Hand the fresh solver instance the basis a sibling lent; False
-        where it starts cold: nothing was lent, or HiGHS refuses the basis
-        (rows were added after the batch was built, or its basic count is
-        not the row count)."""
-        lent, self._start = self._start, None
-        if lent is None:
-            return False
-        start, shared = lent
-        cols = [_LOWER] * self.num_vars
-        for c, status in zip(self._shared.tolist(), shared):
-            cols[c] = status
-        start.col_status = cols
-        return self._solver.setBasis(start) == _hcore.HighsStatus.kOk
+            holder.lent = (start, [status[c] for c in self._shared.tolist()])
 
     def _solve_highs(self, time_limit):
-        cold = False
-        if not self._live():
-            self._build_highs()
-            cold = not self._set_start_basis()
-        solver = self._solver
+        cold = not self._live() and not self._take_highs()
+        holder = self._holder
+        solver = holder.highs
         limit = float(time_limit) if time_limit else INF
-        if limit != self._time_limit:
+        if limit != holder.time_limit:  # the instance's, set only when it changes
             solver.setOptionValue("time_limit", limit)
-            self._time_limit = limit
+            holder.time_limit = limit
         solver.run()  # the run clock advances only while HiGHS runs
         status = solver.getModelStatus()
         retried = int(status) in _BREAKDOWN
@@ -577,7 +583,7 @@ class LinearProgram:
                 solver.setOptionValue(name, value)
             status = solver.getModelStatus()
         clock = solver.getRunTime()
-        seconds, self._clock = clock - self._clock, clock
+        seconds, holder.clock = clock - holder.clock, clock
         _notify_trackers(seconds, self._size, cold, retried)
         if status == _S.kUnboundedOrInfeasible:
             status = self._disambiguate_highs()
@@ -586,11 +592,11 @@ class LinearProgram:
             raise LpSolverError(f"solver failed on {self.name!r}: {status}")
         if result != OPTIMAL:
             return LpSolution(self, result, None, None, None, seconds)
-        if self._siblings:
+        if holder.lend:
             self._lend_basis()
         sol = solver.getSolution()  # a copy: later solves leave it alone
         n = self._num_cols
-        x = np.fromiter(sol.col_value, float, n)
+        x = _doubles(sol.col_value, n)
         obj = float(self._cost[:n] @ x) + 0.0  # -0.0 reads as +0.0
         return LpSolution(self, OPTIMAL, obj, x, sol, seconds)
 
@@ -602,6 +608,27 @@ class LinearProgram:
         self._pass_model(solver)
         solver.run()
         return solver.getModelStatus()
+
+
+def _doubles(values, n):
+    """The list of ``n`` floats ``values`` (as HiGHS hands a solution over)
+    as a read-only array, bitwise; faster than ``np.fromiter``."""
+    return np.frombuffer(struct.pack(f"{n}d", *values))
+
+
+class _Holder:
+    """The HiGHS instance of a batch, made at its first solve, and what
+    belongs to the instance: a weak reference to the program whose model it
+    holds (``owner``), its run ``clock`` after the last solve and its
+    ``time_limit``; its options are those of the program that made it.
+    ``lend`` is True while a batch of several waits for its first optimum,
+    and ``lent`` is the basis that optimum lent to first solves."""
+
+    __slots__ = ("highs", "owner", "clock", "time_limit", "lend", "lent")
+
+    def __init__(self, lend=False):
+        self.highs = self.owner = self.lent = None
+        self.clock, self.time_limit, self.lend = 0.0, INF, lend
 
 
 class _LpBatch:
@@ -700,9 +727,9 @@ class _LpBatch:
                          row[a:b], coefs[a:b]),
                         self._sense, (np.ascontiguousarray(bounds[g]), lower[g], upper[g]))
             out.append(lp)
-        siblings = tuple(out) if len(out) > 1 else None
+        holder = _Holder(lend=len(out) > 1)
         for lp in out:
-            lp._siblings = siblings
+            lp._holder = holder
         return out
 
 
@@ -735,5 +762,5 @@ class LpSolution:
         column fixed by its bounds."""
         self._require_solution()
         if self._col_sens is None:
-            self._col_sens = np.fromiter(self._duals.col_dual, float, len(self._x))
+            self._col_sens = _doubles(self._duals.col_dual, len(self._x))
         return self._col_sens[cols]

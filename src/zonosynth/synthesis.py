@@ -514,7 +514,8 @@ def _finish(result, solver, wall0, phases, extract_attempts=0, master_size=(0, 0
     ``max_lp_*`` is the largest LP solved, the level master included;
     ``master_lp_*`` is the level master alone (0 without one).
     ``solver_retries`` counts the solves re-run by the interior-point solver
-    after the simplex solver broke down.
+    after the simplex solver broke down, ``solver_instances`` the HiGHS
+    instances made.
     """
     result.timings = {
         "solve_seconds": solver.seconds,
@@ -528,6 +529,7 @@ def _finish(result, solver, wall0, phases, extract_attempts=0, master_size=(0, 0
         "max_lp_nnz": solver.max_nnz,
         **dict(zip(("master_lp_rows", "master_lp_cols", "master_lp_nnz"), master_size)),
         "solver_retries": solver.retries,
+        "solver_instances": solver.instances,
         "extract_attempts": extract_attempts,
     }
     return result

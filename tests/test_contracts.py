@@ -606,9 +606,10 @@ def test_case1_potential_smoke():
 
 
 def _cold(programs):
-    """The programs, each left to start its first solve cold."""
+    """The programs, each on an instance of its own, so that its first solve
+    starts cold."""
     for program in programs.values():
-        program.lp._siblings = None
+        program.lp._holder = lpcore._Holder()
     return programs
 
 
@@ -687,7 +688,20 @@ def test_group_of_one_starts_cold():
     assert _groups(net, tpl) == 2
     with lpcore.track_solver_time() as tracker:
         potential(build_programs(net, tpl), alpha_max(net, tpl).scaled(0.5))
-    assert (tracker.solves, tracker.cold_solves) == (2, 2)
+    assert (tracker.solves, tracker.cold_solves, tracker.instances) == (2, 2, 2)
+
+
+def test_a_signature_group_shares_one_solver_instance():
+    # solver memory grows with the signature groups, not the subsystems
+    net = random_network(20, lambda_for(40), seed=0)
+    tpl = default_template(net)
+    params = alpha_max(net, tpl).scaled(0.5)
+    with lpcore.track_solver_time() as tracker:
+        programs = build_programs(net, tpl)
+        potential(programs, params)
+    assert tracker.instances == _groups(net, tpl) == 1
+    assert tracker.solves == len(programs) == 20
+    assert len({id(program.lp._holder) for program in programs.values()}) == 1
 
 
 # ---------------------------------------------------------------------------

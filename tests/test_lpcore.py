@@ -262,13 +262,13 @@ def test_simplex_breakdown_is_retried_once_by_ipm(monkeypatch, status):
         sol = lp.solve()
         assert sol.status == lpcore.OPTIMAL
         assert sol.objective == pytest.approx(1.5 + 1.5)  # x = (1.5, 0.5)
-        assert lp._solver.runs == ["choose", "ipm"]
+        assert lp._holder.highs.runs == ["choose", "ipm"]
         # the options are put back: the next solve is a simplex one again
-        assert [lp._solver.getOptionValue(name)[1] for name in ("solver", "run_crossover")] \
+        assert [lp._holder.highs.getOptionValue(name)[1] for name in ("solver", "run_crossover")] \
             == ["choose", "on"]
         lp.set_col_bounds([1], 1.0, INF)
         assert lp.solve().objective == pytest.approx(1.0 + 3.0)
-        assert lp._solver.runs == ["choose", "ipm", "choose", "ipm"]
+        assert lp._holder.highs.runs == ["choose", "ipm", "choose", "ipm"]
     assert (tracker.solves, tracker.retries) == (2, 2)
 
 
@@ -322,11 +322,11 @@ def test_column_bound_and_cost_switches_rewarm_like_fresh_builds():
 
     lp = build()
     first = lp.solve()
-    solver = lp._solver
+    solver = lp._holder.highs
     lp.set_col_bounds([0], 0.0, 1.5)          # one call on the live instance
     lp.set_costs(np.array([1]), [1.0])
     warm = lp.solve()
-    assert lp._solver is solver                # re-solved, not rebuilt
+    assert lp._holder.highs is solver                # re-solved, not rebuilt
     ref = build(cost_y=1.0, x_ub=1.5).solve()
     assert warm.objective == pytest.approx(ref.objective, abs=1e-9)
     assert warm.column_values([0, 1]) == pytest.approx(ref.column_values([0, 1]), abs=1e-9)
@@ -357,12 +357,12 @@ def test_add_rows_after_solve_stays_warm_like_a_fresh_build():
 
     lp = build(0)
     lp.solve()
-    solver = lp._solver
+    solver = lp._holder.highs
     for count, block in enumerate(blocks, 1):
         lp.add_rows(*block)
         with lpcore.track_solver_time() as tracker:
             warm = lp.solve()
-        assert lp._solver is solver                 # re-solved, not rebuilt
+        assert lp._holder.highs is solver                 # re-solved, not rebuilt
         fresh = build(count)
         with lpcore.track_solver_time() as ref_tracker:
             ref = fresh.solve()
@@ -588,7 +588,7 @@ def test_a_batch_lends_its_first_optimum_to_the_other_first_solves():
         first.solve()
         got = second.solve()
     assert (tracker.solves, tracker.cold_solves) == (2, 1)
-    assert first._siblings is None and second._siblings is None  # lent once
+    assert first._holder is second._holder and not first._holder.lend  # lent once
     cold = _sibling_pair(0.0, 0.0, 0.0)[0][1]
     cold.set_col_bounds(a[1], 0.8, 0.8)
     with lpcore.track_solver_time() as tracker:
@@ -597,7 +597,7 @@ def test_a_batch_lends_its_first_optimum_to_the_other_first_solves():
     assert got.objective == pytest.approx(want.objective, rel=1e-12)
     assert got.column_values(np.arange(3)) == pytest.approx(want.column_values(np.arange(3)))
     (alone,) = lpcore._LpBatch(["alone"]).programs()
-    assert alone._siblings is None
+    assert not alone._holder.lend
 
 
 def test_an_unusable_sibling_basis_falls_back_to_a_cold_start():
@@ -620,10 +620,95 @@ def test_an_unusable_sibling_basis_falls_back_to_a_cold_start():
     assert (tracker.solves, tracker.cold_solves) == (2, 2)
 
 
+# ---------------------------------------------------------------------------
+# one solver instance per batch, handed between its members
+
+
+def _handed_pair():
+    """A solved ``_sibling_pair`` (a in [0, 1] at cost 0.5: optimum x = (1,
+    0), a = 1, objective 1.5), with the second member holding the instance."""
+    (first, second), a = _sibling_pair(0.0, 1.0, 0.5)
+    solved = first.solve()
+    second.solve()
+    assert first._holder is second._holder and first._holder.owner() is second
+    return first, second, a, solved
+
+
+def test_changes_to_a_member_without_the_instance_reach_its_next_solve():
+    first, second, a, _ = _handed_pair()
+    held = second.solve()  # in place, no hand-off
+    first.set_col_bounds(a[0], 0.25, 0.75)
+    first.set_costs([1], 1.5)
+    first.add_rows([0], [0], [1.0], [0.5], "<")  # x0 <= 0.5
+    # the instance still holds second's model
+    assert all(np.array_equal(got, want) for got, want in zip(_held(second), second._assemble()))
+    again = second.solve()
+    assert (again.objective, again.column_values(np.arange(3)).tolist()) == \
+        (held.objective, held.column_values(np.arange(3)).tolist())
+    fresh = LinearProgram("fresh")
+    x = fresh.var_block(2, lb=0.0)
+    own = fresh.var_block(1, lb=0.25, ub=0.75)
+    fresh.add_rows([0, 0, 0], np.r_[x, own], [1.0] * 3, [2.0], ">")
+    fresh.add_rows([0, 0], x, [1.0, -1.0], [1.0], "<")
+    fresh.add_rows([0], [0], [1.0], [0.5], "<")
+    fresh.set_costs(np.r_[x, own], [1.0, 1.5, 0.5])
+    assert_same_arrays(first, fresh)
+    got, want = first.solve(), fresh.solve()
+    assert first._holder.owner() is first
+    assert got.objective == pytest.approx(want.objective, abs=1e-12) == 2.0
+    assert got.column_values(np.arange(3)) == pytest.approx(
+        want.column_values(np.arange(3)), abs=1e-12)
+
+
+def test_a_member_re_solved_after_a_hand_off_returns_its_last_solution():
+    first, second, _, solved = _handed_pair()
+    with lpcore.track_solver_time() as tracker:
+        again = first.solve()
+    assert (tracker.solves, tracker.cold_solves, tracker.instances) == (1, 0, 0)
+    assert again.objective == solved.objective == pytest.approx(1.5)
+    assert again.column_values(np.arange(3)).tolist() == \
+        solved.column_values(np.arange(3)).tolist()
+    assert again.column_duals(np.arange(3)).tolist() == \
+        solved.column_duals(np.arange(3)).tolist()
+
+
+def test_a_time_limit_stays_with_the_solve_that_passed_it():
+    first, second, _, _ = _handed_pair()
+    highs = first._holder.highs
+    assert first.solve(time_limit=30.0).status == lpcore.OPTIMAL
+    assert highs.getOptionValue("time_limit")[1] == 30.0
+    assert second.solve().status == lpcore.OPTIMAL
+    assert highs.getOptionValue("time_limit")[1] == INF
+
+
+def test_solve_seconds_of_a_batch_add_up_to_its_instance_clock():
+    (first, second), _ = _sibling_pair(0.0, 1.0, 0.5)
+    with lpcore.track_solver_time() as tracker:
+        seconds = [lp.solve().solve_seconds for lp in (first, second, first, second, second)]
+    assert min(seconds) >= 0.0
+    assert (tracker.solves, tracker.instances) == (5, 1)
+    assert tracker.seconds == pytest.approx(first._holder.highs.getRunTime(), rel=1e-12)
+
+
+def test_a_refused_own_basis_starts_cold():
+    first, second, a, _ = _handed_pair()
+    # bounds only: the own basis still fits, and the solve starts from it
+    first.set_col_bounds(a[0], 0.0, 0.5)
+    with lpcore.track_solver_time() as tracker:
+        assert first.solve().objective == pytest.approx(1.75 + 0.25)
+    assert tracker.cold_solves == 0
+    # one row more: HiGHS refuses the own basis of second
+    second.add_rows([0], a[1], [1.0], [0.5], "<")  # a <= 0.5
+    with lpcore.track_solver_time() as tracker:
+        sol = second.solve()
+    assert tracker.cold_solves == 1
+    assert sol.status == lpcore.OPTIMAL and sol.objective == pytest.approx(2.0)
+
+
 def _held(lp):
     """The model lp's live HiGHS instance holds, as arrays."""
-    lp._solver.ensureColwise()
-    held = lp._solver.getLp()
+    lp._holder.highs.ensureColwise()
+    held = lp._holder.highs.getLp()
     matrix = held.a_matrix_
     return ([np.asarray(a, dtype=np.int64) for a in (matrix.start_, matrix.index_)]
             + [np.asarray(a, dtype=float) for a in (matrix.value_, held.col_cost_,
@@ -651,7 +736,7 @@ def test_highs_holds_the_assembled_model_of_every_batch_member(name):
         column = np.repeat(np.arange(lp.num_vars), np.diff(start))[keep]
         want = [np.r_[0, np.cumsum(np.bincount(column, minlength=lp.num_vars))],
                 index[keep], value[keep], cost, lb, ub, rlo, rhi]
-        lp._build_highs()
+        lp._take_highs()
         for got, expected in zip(_held(lp), want):
             assert got.tobytes() == np.asarray(expected, dtype=got.dtype).tobytes()
         program.evaluate(params)  # moves the alpha columns' bounds
