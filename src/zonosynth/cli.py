@@ -107,6 +107,8 @@ def cmd_synth(args):
             result = centralized_synthesize(network, mode=args.mode, k=args.k,
                                             reduction_order=reduce_order)
         else:
+            if args.reduce_order is not None:
+                raise ConfigError("--reduce-order does not apply to --method dense")
             result = centralized_dense(network, mode=args.mode, k=args.k,
                                        beta=args.beta)
     except (ConfigError, ValueError) as exc:

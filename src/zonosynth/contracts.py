@@ -51,11 +51,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lpcore
-from .geom import (Zonotope, add_scaled_containment, affine, directed_hausdorff,
-                   hausdorff_bound, numbers, witness_values)
+from .geom import Zonotope, add_scaled_containment, affine, numbers, witness_values
+from .geom import directed_hausdorff  # noqa: F401 (perfbench's tracer test reads it here)
 from .lpcore import LinearProgram
 from .sysmodel import _at, _id_key  # _at: a one-entry list is constant in t
-from .viability import RESIDUAL_TOL, TubeSolution, _abs_objective, add_recursion, step_residual
+from .viability import TubeSolution, _abs_objective, add_recursion, certify, recursion_steps
 
 ALPHA_CAP = 1e6
 
@@ -848,16 +848,6 @@ def potential(programs, params):
 # end-to-end correctness of a synthesized composition
 
 
-@dataclass
-class CorrectnessReport:
-    ok: bool
-    max_state_margin: float
-    max_input_margin: float
-    max_residual: float | None  # None: the recursion was not checked
-    failures: list = field(default_factory=list)
-    lp_fallbacks: int = 0  # containments a Hausdorff LP had to decide
-
-
 def _promise_witness(template, c, C, alpha, S):
     """A witness for the promise Z(c, C Diag(alpha)) inside the admissible
     set ``S``: [Diag(alpha) 0] for a bounds template, whose promise columns
@@ -883,20 +873,17 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
     Each containment is first checked on a witness: the one the hard
     extraction or centralized LP found (``solution.witness``) for Omega,
     Theta and the terminal set, and :func:`_promise_witness` for a promise
-    inside its admissible set.  The containments of one shape, across
-    subsystems and steps, are bounded by one ``geom.hausdorff_bound`` call
-    on stacked (g, n, k) arrays, as the tubes of one shape are by one
-    ``viability.step_residual`` call.  A bound within ``tol`` is the margin;
-    otherwise the Hausdorff LP decides, one containment at a time, as it
-    does for a solution without witnesses (a loaded one).  ``lp_fallbacks``
-    counts those LPs.
+    inside its admissible set.  ``viability.certify`` decides the checks
+    and the recursion steps gathered here.  Raises ValueError when a
+    subsystem has no solution.
     """
+    if missing := [sid for sid in network.sorted_ids() if sid not in solutions]:
+        raise ValueError(f"no solutions for subsystem(s) {missing}")
     steps = network.num_steps
     finite = network.mode == "finite"
     # (what, margin kind, inner G, inner c, outer center, cols, scales, witness),
     # in the order of the report's failures
-    checks = []
-    recursions = {}  # shapes -> the (A, B, T, M, xbar, ubar, W_G, W_c, E, T_next, x_next) of each
+    checks, recursions = [], []
 
     def promise(what, c, C, alpha, S):
         checks.append((what, None, np.asarray(C, dtype=float) * alpha, c, S.center,
@@ -931,41 +918,5 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
                 checks.append((f"{sid}: Theta({t}) escapes its promise", "u",
                                sigma * _at(sol.M, t), _at(sol.ubar, t), cu, Cu, alpha,
                                witness.get(f"inU{t}")))
-        inputs = sol.M is not None
-        for t, W in enumerate(sol.W):
-            step = (sub.A_at(t), sub.B_at(t) if inputs else None, sol.T[t],
-                    sol.M[t] if inputs else None, sol.xbar[t], sol.ubar[t] if inputs else None,
-                    W.generators, W.center, sol.E, _at(sol.T, t + 1), _at(sol.xbar, t + 1))
-            shapes = tuple(np.shape(step[i]) for i in (2, 3, 6, 8, 9))  # T, M, W, E, next T
-            recursions.setdefault(shapes, []).append(step)  # which fix all the others
-
-    bounds = np.full(len(checks), np.inf)
-    groups = {}
-    for e, (*_, G, _, _, cols, _, L) in enumerate(checks):
-        if L is not None:  # G's, the outer columns' and L's shapes fix the others'
-            groups.setdefault((G.shape, np.shape(cols), np.shape(L)), []).append(e)
-    for members in groups.values():
-        G, c, *outer = _stacked([checks[e][2:] for e in members])
-        bounds[members] = hausdorff_bound((G, c), *outer)
-    max_res = max((step_residual(*_stacked(stack)) for stack in recursions.values()),
-                  default=0.0)
-
-    failures, fallbacks = [], 0
-    margins = {"x": 0.0, "u": 0.0, None: 0.0}
-    for (what, kind, G, c, center, cols, scales, _), margin in zip(checks, bounds.tolist()):
-        if margin > tol:
-            outer = Zonotope(center, np.asarray(cols, dtype=float) * scales)
-            margin = directed_hausdorff(outer, Zonotope(c, G))
-            fallbacks += 1
-        if margin > tol:
-            failures.append(f"{what} by {margin:.3e}")
-        margins[kind] = max(margins[kind], margin)
-    if max_res > RESIDUAL_TOL:
-        failures.append(f"recursion residual {max_res:.3e}")
-    return CorrectnessReport(not failures, margins["x"], margins["u"], max_res, failures,
-                             fallbacks)
-
-
-def _stacked(items):
-    """Each field of the equal-shaped tuples ``items`` stacked (None stays None)."""
-    return [None if field[0] is None else np.array(field) for field in zip(*items)]
+        recursions += recursion_steps(sol, sub.A, sub.B)
+    return certify(checks, recursions, tol)

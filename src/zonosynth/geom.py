@@ -26,8 +26,8 @@ duals the descent reads, keep two rows ``|.| <= W`` per entry (see
 :func:`add_scaled_containment` for why).  :func:`witness_values` reads
 ``[Lambda lam]`` back from either.  :func:`hausdorff_bound` turns any
 candidate (Lambda, lam), such as the one a solved program found, into an
-upper bound on the directed Hausdorff distance; :func:`certified_hausdorff`
-checks that bound before it solves a Hausdorff LP.
+upper bound on the directed Hausdorff distance, which ``viability.certify``
+checks before it solves a Hausdorff LP.
 """
 
 from __future__ import annotations
@@ -424,20 +424,6 @@ def hausdorff_bound(inner, center, cols, scales, L):
     bound = np.max((np.abs(cols) @ excess[..., None])[..., 0] + np.abs(E).sum(axis=-1),
                    axis=-1, initial=0.0)
     return float(bound) if bound.ndim == 0 else bound
-
-
-def certified_hausdorff(inner, center, cols, scales, witness, tol):
-    """``directed_hausdorff(Z(center, cols @ Diag(scales)), inner)`` as far
-    as ``tol`` needs it: returns ``(distance, used_lp)``.
-
-    The distance is the witness's :func:`hausdorff_bound` when that is
-    within ``tol`` (``used_lp`` False); otherwise the Hausdorff LP decides.
-    """
-    bound = hausdorff_bound(inner, center, cols, scales, witness)
-    if bound <= tol:
-        return bound, False
-    outer = Zonotope(center, np.asarray(cols, dtype=float) * scales)
-    return directed_hausdorff(outer, inner), True
 
 
 def membership_lp(Z, x):

@@ -46,7 +46,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from . import lpcore, viability
 from .contracts import (
     ContractParams,
     ContractTemplate,
-    CorrectnessReport,
     PotentialInfeasible,
     add_promise_admissibility,
     admissible_set,
@@ -69,7 +68,6 @@ from .contracts import (
 )
 from .lpcore import LinearProgram
 from .sysmodel import ConfigError, aggregate, load_network, save_network
-from .viability import recursion_residual
 
 #: machine-readable remedy attached to failed syntheses (the advisory is to
 #: re-run with a larger generator budget k or a higher reduction order).
@@ -644,13 +642,13 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
 
     The benchmark baseline: no contracts, no structure, one big viability
     problem whose LP grows with the total dimension.  The single aggregate
-    solution is stored under the key "aggregate".  It is stamped "correct"
-    after its containments and its aggregate recursion are re-checked; a
-    containment that fails its check ends the run "failed", with a hint
-    that names the set and the step.  ``beta`` contracts the invariant tube
-    (see ``viability.viable``); a nonzero one on a finite network raises
-    ValueError.  ``k`` defaults to n_total + p for an invariant tube and to
-    0 for a finite one, which grows by each step's disturbance columns.
+    solution is stored under the key "aggregate" and certified by
+    ``viability.certify_tube``; a failed certificate's failures start
+    "aggregate: ", and the hint names the first.  ``beta`` contracts the
+    invariant tube (see ``viability.viable``); a nonzero one on a finite
+    network raises ValueError.  ``k`` defaults to n_total + p for an
+    invariant tube and to 0 for a finite one, which grows by each step's
+    disturbance columns.
     """
     _check_mode(network, mode)
     _check_encoding(k)
@@ -663,8 +661,7 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
             n_total = agg.A[0].shape[0]
             if k is None:
                 k = 0 if network.mode == "finite" else n_total + agg.D[0].num_generators
-            lp, read = viability.viable_lp(list(agg.A), list(agg.B), list(agg.D), list(agg.X),
-                                           list(agg.U), k, beta)
+            lp, read = viability.viable_lp(agg.A, agg.B, agg.D, agg.X, agg.U, k, beta)
         with phases("extract"):
             sol = viability.solve_and_read(lp, read, lp.name)
 
@@ -673,16 +670,10 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     correctness, hint = None, RETRY_HINT
     with phases("certify"):
         if sol is not None:
-            try:
-                state, inputs, fallbacks = viability.certify_solution(sol, agg.X, agg.U)
-            except viability.CertificationError as exc:
-                hint = f"aggregate: {exc}; {RETRY_HINT}"
-            else:
-                residual = recursion_residual(sol, agg.A, agg.B)
-                failures = [] if residual <= viability.RESIDUAL_TOL else [
-                    f"aggregate: recursion residual {residual:.3e}"]
-                correctness = CorrectnessReport(not failures, state, inputs, residual,
-                                                failures, lp_fallbacks=fallbacks)
+            report = viability.certify_tube(sol, agg.A, agg.B, agg.X, agg.U)
+            correctness = replace(report, failures=[f"aggregate: {f}" for f in report.failures])
+            if not correctness.ok:
+                hint = f"{correctness.failures[0]}; {RETRY_HINT}"
     ok = correctness is not None and correctness.ok
 
     return _finish(

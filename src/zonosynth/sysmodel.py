@@ -401,20 +401,6 @@ def random_network(num_subsystems, lam, seed=0, field_size=100.0, radius=10.0,
 # aggregation (for the dense centralized baseline)
 
 
-@dataclass
-class AggregateModel:
-    """The whole network as one system (couplings folded into A/B blocks)."""
-
-    A: tuple
-    B: tuple
-    X: tuple
-    U: tuple
-    D: tuple
-    ids: list
-    state_slices: dict
-    input_slices: dict
-
-
 def stacked_slices(network):
     """Each subsystem's slice of the stacked state and of the stacked input
     vector of the whole network, in sorted-id order: (state, input) dicts."""
@@ -449,8 +435,9 @@ def aggregate_dynamics(network, t, slices=None):
 
 
 def aggregate(network):
-    ids = network.sorted_ids()
-    subs = [network.subsystem(sid) for sid in ids]
+    """The whole network as one subsystem, "aggregate", on the ``stacked_slices``
+    layout: the couplings folded into A/B, the sets stacked."""
+    subs = [network.subsystem(sid) for sid in network.sorted_ids()]
     slices = stacked_slices(network)
     steps = network.num_steps
     A_seq, B_seq, X_seq, U_seq, D_seq = [], [], [], [], []
@@ -462,5 +449,4 @@ def aggregate(network):
         D_seq.append(stack([s.D_at(t) for s in subs]))
     for t in range(steps + 1 if network.mode == "finite" else 1):
         X_seq.append(stack([s.X_at(t) for s in subs]))
-    return AggregateModel(tuple(A_seq), tuple(B_seq), tuple(X_seq), tuple(U_seq),
-                          tuple(D_seq), ids, *slices)
+    return Subsystem("aggregate", *map(tuple, (A_seq, B_seq, X_seq, U_seq, D_seq)))

@@ -30,13 +30,17 @@ invariant tube is the tube itself, and both horizons give one
 :class:`TubeSolution`.
 
 The objective min sum |T entries| shrinks the sets (an LP surrogate for the
-generator norms); infeasibility is a *result* (None), not an error.  All
-returned solutions re-certify their containments before being handed back,
-first on the containment witnesses the LP itself found.  Every containment
-of this one monolithic program (Omega(t) in X(t), Theta(t) in U(t) and the
-wiggle Z(0, E) in beta W) takes ``geom.add_scaled_containment``'s
-split-sign form, one row-sum row per outer generator; the finite program
-is solved by the interior-point solver (``lpcore._BY_IPM``).
+generator norms); infeasibility is a *result* (None), not an error.  A
+returned solution has passed :func:`certify_tube`: its containments,
+checked on the witnesses the LP itself found first, and its recursion.
+:func:`certify` is the certifier of all three synthesis methods;
+``contracts.check_correctness`` gathers a network's checks for it.
+
+Every containment of this one monolithic program (Omega(t) in X(t),
+Theta(t) in U(t) and the wiggle Z(0, E) in beta W) takes
+``geom.add_scaled_containment``'s split-sign form, one row-sum row per
+outer generator; the finite program is solved by the interior-point
+solver (``lpcore._BY_IPM``).
 
 The recursion rows of this program, and of the per-subsystem contract
 programs in ``contracts``, come from one block emitter, :func:`add_recursion`.
@@ -50,7 +54,7 @@ import numpy as np
 
 from . import lpcore
 from .geom import (Zonotope, _join, _union, add_scaled_containment, affine,
-                   certified_hausdorff, numbers, witness_values)
+                   directed_hausdorff, hausdorff_bound, numbers, witness_values)
 from .lpcore import LinearProgram
 from .sysmodel import _at
 
@@ -60,7 +64,7 @@ RESIDUAL_TOL = 1e-8
 
 
 class CertificationError(lpcore.LpError):
-    """An LP-feasible solution failed its independent containment check."""
+    """An LP-feasible solution failed its certificate (:func:`certify_tube`)."""
 
 
 def _abs_objective(lp, blocks):
@@ -170,20 +174,6 @@ def _add_plain_containment(lp, G, c, outer, scale=1.0):
                                   outer.center)
 
 
-def _certify(inner, outer, what, witness=None, tol=1e-7):
-    """Check ``inner`` inside ``outer`` up to ``tol``; returns (margin, lp).
-
-    The margin is the witness's Hausdorff bound when that is within
-    ``tol``; otherwise the Hausdorff LP decides, and ``lp`` is True.
-    Raises CertificationError when the containment fails.
-    """
-    margin, lp = certified_hausdorff(inner, outer.center, outer.generators,
-                                     np.ones(outer.num_generators), witness, tol)
-    if margin > tol:
-        raise CertificationError(f"{what}: solution violates containment")
-    return margin, lp
-
-
 # ---------------------------------------------------------------------------
 # solutions
 
@@ -267,49 +257,6 @@ class TubeSolution:
                    data["objective"])
 
 
-def certify_solution(solution, X, U):
-    """Re-check every Omega(t) in X(t) and Theta(t) in U(t).
-
-    Each containment is accepted on the solution's own witness when its
-    Hausdorff bound is within tolerance, and otherwise decided by the
-    Hausdorff LP.  ``X``/``U`` are per-step sequences, one entry for an
-    invariant tube.  Raises CertificationError on a violation; returns the
-    largest Omega and Theta margins and the number of containments the LP
-    decided.
-    """
-    witness = solution.witness or {}
-    margins, fallbacks = [0.0, 0.0], 0
-
-    def check(channel, inner, outer, what, key):
-        nonlocal fallbacks
-        margin, lp = _certify(inner, outer, what, witness.get(key))
-        margins[channel] = max(margins[channel], margin)
-        fallbacks += lp
-
-    for t in range(len(solution.T)):
-        check(0, solution.omega(t), _at(X, t), f"Omega({t}) in X({t})", f"inC{t}")
-    for t in range(len(solution.M or ())):
-        check(1, solution.theta(t), _at(U, t), f"Theta({t}) in U({t})", f"inU{t}")
-    return margins[0], margins[1], fallbacks
-
-
-def recursion_residual(solution, A_seq, B_seq):
-    """Largest entry of the recursion and center residuals of ``solution``.
-
-    ``A_seq``/``B_seq`` hold the system matrices per step (one step for an
-    invariant tube); each step is :func:`step_residual`.
-    """
-    res = 0.0
-    for t, W in enumerate(solution.W):
-        inputs = solution.M is not None
-        res = max(res, step_residual(
-            A_seq[t], B_seq[t] if inputs else None, solution.T[t],
-            solution.M[t] if inputs else None, solution.xbar[t],
-            solution.ubar[t] if inputs else None, W.generators, W.center, solution.E,
-            _at(solution.T, t + 1), _at(solution.xbar, t + 1)))
-    return res
-
-
 def step_residual(A, B, T, M, xbar, ubar, W_G, W_c, E, T_next, x_next):
     """Largest entry of one step's residuals ``[A T + B M, W_G] - R`` (R the
     next tube ``T_next``, or ``[E, T_next]`` when it is narrower: an
@@ -329,6 +276,96 @@ def step_residual(A, B, T, M, xbar, ubar, W_G, W_c, E, T_next, x_next):
         E = np.zeros(lhs.shape[:-1] + (lhs.shape[-1] - T_next.shape[-1],))
     res = float(np.max(np.abs(lhs - np.concatenate([E, T_next], axis=-1)), initial=0.0))
     return max(res, float(np.max(np.abs(drift + W_c - x_next))))
+
+
+# ---------------------------------------------------------------------------
+# certification
+
+
+@dataclass
+class CorrectnessReport:
+    ok: bool
+    max_state_margin: float
+    max_input_margin: float
+    max_residual: float
+    failures: list = field(default_factory=list)
+    lp_fallbacks: int = 0  # containments a Hausdorff LP had to decide
+
+
+def recursion_steps(solution, A_seq, B_seq):
+    """The :func:`step_residual` arguments of every step of ``solution``;
+    ``A_seq``/``B_seq`` are per-step sequences, read with ``_at``."""
+    inputs = solution.M is not None
+    return [(_at(A_seq, t), _at(B_seq, t) if inputs else None, solution.T[t],
+             solution.M[t] if inputs else None, solution.xbar[t],
+             solution.ubar[t] if inputs else None, W.generators, W.center, solution.E,
+             _at(solution.T, t + 1), _at(solution.xbar, t + 1))
+            for t, W in enumerate(solution.W)]
+
+
+def certify(checks, steps, tol=1e-7):
+    """The certificate of every method: decide ``checks`` and ``steps``.
+
+    Each check is ``(what, kind, G, c, center, cols, scales, L)``: the
+    containment Z(c, G) inside Z(center, cols Diag(scales)), named ``what``
+    in the failures, whose margin counts towards the state margin (kind
+    "x"), the input margin ("u") or neither (None).  It is first bounded on
+    its witness ``L`` (None for none): the checks of one shape by one
+    ``geom.hausdorff_bound`` call on stacked arrays.  A bound within ``tol``
+    is the margin; otherwise the Hausdorff LP decides, one containment at a
+    time, and ``lp_fallbacks`` counts those LPs.  Each step is a tuple of
+    :func:`step_residual` arguments; the steps of one shape are checked by
+    one call, and the largest residual fails above ``RESIDUAL_TOL``.
+    """
+    bounds = np.full(len(checks), np.inf)
+    groups = {}
+    for e, (*_, G, _, _, cols, _, L) in enumerate(checks):
+        if L is not None:  # G's, the outer columns' and L's shapes fix the others'
+            groups.setdefault((G.shape, np.shape(cols), np.shape(L)), []).append(e)
+    for members in groups.values():
+        G, c, *outer = _stacked([checks[e][2:] for e in members])
+        bounds[members] = hausdorff_bound((G, c), *outer)
+    recursions = {}
+    for step in steps:  # the shapes of T, M, W, E and the next T fix all the others
+        recursions.setdefault(tuple(np.shape(step[i]) for i in (2, 3, 6, 8, 9)), []).append(step)
+    max_res = max((step_residual(*_stacked(stack)) for stack in recursions.values()),
+                  default=0.0)
+
+    failures, fallbacks = [], 0
+    margins = {"x": 0.0, "u": 0.0, None: 0.0}
+    for (what, kind, G, c, center, cols, scales, _), margin in zip(checks, bounds.tolist()):
+        if margin > tol:
+            outer = Zonotope(center, np.asarray(cols, dtype=float) * scales)
+            margin = directed_hausdorff(outer, Zonotope(c, G))
+            fallbacks += 1
+        if margin > tol:
+            failures.append(f"{what} by {margin:.3e}")
+        margins[kind] = max(margins[kind], margin)
+    if max_res > RESIDUAL_TOL:
+        failures.append(f"recursion residual {max_res:.3e}")
+    return CorrectnessReport(not failures, margins["x"], margins["u"], max_res, failures,
+                             fallbacks)
+
+
+def certify_tube(solution, A_seq, B_seq, X_seq, U_seq):
+    """:func:`certify` one tube: every Omega(t) in X(t) and Theta(t) in U(t),
+    on the solution's own witnesses first, and its recursion against
+    A(t)/B(t).  Every argument but ``solution`` is a per-step sequence."""
+    witness = solution.witness or {}
+    checks = []
+    for name, kind, G_seq, c_seq, outers, key in (
+            ("Omega({t}) escapes X({t})", "x", solution.T, solution.xbar, X_seq, "inC"),
+            ("Theta({t}) escapes U({t})", "u", solution.M or (), solution.ubar, U_seq, "inU")):
+        for t, G in enumerate(G_seq):
+            S = _at(outers, t)
+            checks.append((name.format(t=t), kind, solution.sigma * G, c_seq[t], S.center,
+                           S.generators, np.ones(S.num_generators), witness.get(f"{key}{t}")))
+    return certify(checks, recursion_steps(solution, A_seq, B_seq))
+
+
+def _stacked(items):
+    """Each field of the equal-shaped tuples ``items`` stacked (None stays None)."""
+    return [None if field[0] is None else np.array(field) for field in zip(*items)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +446,8 @@ def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
 
 
 def viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
-    """A certified viable tube; None if the LP is infeasible.
+    """A certified viable tube; None if the LP is infeasible.  A tube that
+    fails :func:`certify_tube` raises CertificationError with its first failure.
 
     ``A_seq/B_seq/W_seq/U_seq`` have one entry per step t = 0..h-1 and
     ``X_seq`` has h+1 entries, or each has one entry for an invariant tube.
@@ -420,7 +458,9 @@ def viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     lp, read = viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta)
     result = solve_and_read(lp, read, lp.name)
     if result is not None:
-        certify_solution(result, X_seq, U_seq)
+        report = certify_tube(result, A_seq, B_seq, X_seq, U_seq)
+        if not report.ok:
+            raise CertificationError(report.failures[0])
     return result
 
 

@@ -1372,7 +1372,8 @@ def hausdorff_bound_one(inner, center, cols, scales, L):
 
 
 def recursion_residual_one(solution, A_seq, B_seq):
-    """``viability.recursion_residual`` written step by step on 2-D arrays."""
+    """The largest ``viability.step_residual`` over the steps of ``solution``,
+    written step by step on 2-D arrays."""
     res = 0.0
     for t, W in enumerate(solution.W):
         flow = A_seq[t] @ solution.T[t]
@@ -1394,9 +1395,9 @@ def check_correctness_per_containment(network, template, params, solutions, tol=
     """``contracts.check_correctness`` one containment at a time: each
     witness bound by :func:`hausdorff_bound_one`, past ``tol`` the Hausdorff
     LP, and each subsystem's residual by :func:`recursion_residual_one`."""
-    from zonosynth.contracts import CorrectnessReport, _at, _promise_witness
+    from zonosynth.contracts import _at, _promise_witness
     from zonosynth.geom import Zonotope, directed_hausdorff
-    from zonosynth.viability import RESIDUAL_TOL
+    from zonosynth.viability import RESIDUAL_TOL, CorrectnessReport
 
     failures = []
     max_state = 0.0

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line frontend."""
 
 import csv
+import dataclasses
 import json
 import pathlib
 
@@ -254,17 +255,32 @@ def test_synth_dense_method(tmp_path):
 
 
 def test_synth_dense_failed_certificate_exits_one_with_a_reason(monkeypatch, capsys):
+    # an invariant set inflated a hundredfold escapes X
     from zonosynth import viability
 
-    def fails(solution, X, U):
-        raise viability.CertificationError("Omega in X: solution violates containment")
+    solve = viability.solve_and_read
 
-    monkeypatch.setattr(viability, "certify_solution", fails)
+    def widened(lp, read, what):
+        sol = solve(lp, read, what)
+        return dataclasses.replace(sol, T=[100.0 * T for T in sol.T])
+
+    monkeypatch.setattr(viability, "solve_and_read", widened)
     code = main(["synth", "--config", "configs/case1.json", "--method", "dense"])
     captured = capsys.readouterr()
     assert code == 1
     assert "status: failed" in captured.out
-    assert "hint: aggregate: Omega in X: solution violates containment; " in captured.out
+    assert "hint: aggregate: Omega(0) escapes X(0) by " in captured.out
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("order", ["3", "0"])
+def test_synth_reduce_order_does_not_apply_to_dense(capsys, order):
+    code = main(["synth", "--config", "configs/case1.json", "--method", "dense",
+                 "--reduce-order", order])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: --reduce-order does not apply to --method dense" in captured.err
+    assert "status:" not in captured.out
     assert "Traceback" not in captured.err + captured.out
 
 

@@ -7,6 +7,8 @@ the slack is active.
 """
 
 import dataclasses
+import os
+import re
 
 import numpy as np
 import oracles
@@ -29,6 +31,7 @@ from zonosynth.contracts import (
 from zonosynth import lpcore
 from zonosynth.cli import lambda_for
 from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
+from zonosynth.synthesis import SynthesisResult, compositional_synthesize
 from zonosynth.sysmodel import load_network, random_network
 from zonosynth.viability import TubeSolution
 
@@ -546,6 +549,22 @@ def test_check_correctness_flags_tampered_solution():
     report = check_correctness(net, tpl, params, {1: bad, 2: res.solutions[2]})
     assert not report.ok
     assert any("escapes" in f or "residual" in f for f in report.failures)
+
+
+def test_check_correctness_names_the_subsystems_without_a_solution(tmp_path):
+    # a saved case1 result loads without the solution file removed from it
+    res = compositional_synthesize(load_network("configs/case1.json"))
+    assert res.ok
+    out = res.save(str(tmp_path / "case1"))
+    os.remove(os.path.join(out, "solution_1.json"))
+    back = SynthesisResult.load(out)
+    assert sorted(back.solutions) == [2, 3]
+    with pytest.raises(ValueError, match=re.escape("no solutions for subsystem(s) [1]")):
+        check_correctness(back.network, back.template, back.params, back.solutions)
+    # with it put back, the loaded solutions certify, by LP: no witnesses
+    report = check_correctness(back.network, back.template, back.params,
+                               {**back.solutions, 1: res.solutions[1]})
+    assert report.ok and report.lp_fallbacks > 0, report.failures
 
 
 @pytest.mark.parametrize("make_network", [pair_network, gapped_input_pair])

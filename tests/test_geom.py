@@ -10,7 +10,6 @@ from zonosynth.geom import (
     Zonotope,
     add_scaled_containment,
     affine,
-    certified_hausdorff,
     containment_lp,
     contains_point,
     directed_hausdorff,
@@ -619,18 +618,6 @@ class TestHausdorffBound:
             assert got[e].hex() == want.hex()
             assert hausdorff_bound(Zonotope(c[e], G[e]), center[e], cols[e], scales[e],
                                    L[e]).hex() == want.hex()
-
-    def test_certified_hausdorff_solves_the_lp_only_past_tol(self):
-        inner = Zonotope([0.5, 0.0], np.eye(2))
-        outer = (np.zeros(2), np.eye(2), np.ones(2))
-        L = np.array([[1.0, 0.0, -0.5], [0.0, 1.0, 0.0]])  # exact; row 0 sums to 1.5
-        d, used_lp = certified_hausdorff(inner, *outer, L, 1.0)
-        assert d == pytest.approx(0.5) and not used_lp
-        d, used_lp = certified_hausdorff(inner, *outer, L, 1e-7)
-        assert d == pytest.approx(0.5) and used_lp
-        d, used_lp = certified_hausdorff(Zonotope(np.zeros(2), 0.5 * np.eye(2)), *outer,
-                                         None, 1e-7)
-        assert d == pytest.approx(0.0, abs=1e-9) and used_lp
 
     def test_missing_or_misshapen_candidate_is_infinite(self):
         inner = Zonotope([0.0, 0.0], np.eye(2))

@@ -24,7 +24,7 @@ from zonosynth.contracts import (
 )
 from zonosynth import contracts, geom, lpcore, viability
 from zonosynth.cli import lambda_for
-from zonosynth.sysmodel import (ConfigError, Network, Subsystem, aggregate, load_network,
+from zonosynth.sysmodel import (ConfigError, Network, aggregate, load_network,
                                 random_network)
 from zonosynth import synthesis
 from zonosynth.synthesis import (
@@ -498,21 +498,26 @@ def test_dense_finite_pair():
     assert res.solutions["aggregate"].horizon == 3
 
 
-@pytest.mark.parametrize("network", [lambda: load_network("configs/case1.json"),
-                                     lambda: finite_pair(horizon=3)],
-                         ids=["rci", "finite"])
-def test_dense_result_recertifies_on_its_own_witnesses(network):
+@pytest.mark.parametrize("network, beta", [
+    (lambda: load_network("configs/case1.json"), 0.0),
+    (lambda: finite_pair(horizon=3), 0.0),
+    (lambda: random_network(20, lambda_for(40), seed=0), 0.0),
+    (lambda: random_network(20, lambda_for(40), seed=0), 0.2),
+    (lambda: load_network("configs/case2.json"), 0.0),
+], ids=["rci", "finite", "geo40", "geo40-beta", "case2"])
+def test_dense_result_recertifies_on_its_own_witnesses(network, beta):
     # the dense LP keys its witnesses as check_correctness reads them, so
-    # re-certifying on the folded one-subsystem network solves no LP
+    # re-certifying on the folded one-subsystem network, against its own
+    # sets (alpha at its caps), solves no LP, and there is one certifier:
+    # the report is the dense driver's own
     net = network()
-    res = centralized_dense(net)
+    res = centralized_dense(net, beta=beta)
     assert res.ok
-    agg = aggregate(net)
-    folded = Network(net.mode, net.horizon, [
-        Subsystem("aggregate", agg.A, agg.B, agg.X, agg.U, agg.D)]).validate()
+    folded = Network(net.mode, net.horizon, [aggregate(net)]).validate()
     tpl = default_template(folded)
     report = check_correctness(folded, tpl, alpha_max(folded, tpl), res.solutions)
     assert report.ok and report.lp_fallbacks == 0, report.failures
+    assert report == res.correctness
 
 
 def test_dense_meters_certification_apart():
@@ -541,23 +546,33 @@ def test_dense_rejects_a_broken_recursion(monkeypatch):
 
     monkeypatch.setattr(viability, "solve_and_read", shifted)
     res = centralized_dense(load_network("configs/case1.json"))
-    assert res.status == "failed" and res.hint == RETRY_HINT
+    assert res.status == "failed"
     assert res.correctness.max_residual > 1e-8
     assert res.correctness.failures == [
         f"aggregate: recursion residual {res.correctness.max_residual:.3e}"]
+    assert res.hint == f"{res.correctness.failures[0]}; {RETRY_HINT}"
 
 
 def test_dense_names_the_containment_that_fails_its_check(monkeypatch):
+    # Omega(2) inflated a hundredfold escapes X(2) and breaks the two
+    # recursion steps around it; the report lists every failure
     from zonosynth import viability
 
-    def fails(solution, X, U):
-        raise viability.CertificationError("Omega(2) in X(2): solution violates containment")
+    solve = viability.solve_and_read
 
-    monkeypatch.setattr(viability, "certify_solution", fails)
+    def widened(lp, read, what):
+        sol = solve(lp, read, what)
+        return dataclasses.replace(sol, T=[100.0 * T if t == 2 else T
+                                           for t, T in enumerate(sol.T)])
+
+    monkeypatch.setattr(viability, "solve_and_read", widened)
     res = centralized_dense(finite_pair(horizon=3))
-    assert res.status == "failed" and res.correctness is None
-    assert res.hint == ("aggregate: Omega(2) in X(2): solution violates containment; "
-                        + RETRY_HINT)
+    assert res.status == "failed" and not res.correctness.ok
+    failures = res.correctness.failures
+    assert failures[0].startswith("aggregate: Omega(2) escapes X(2) by ")
+    assert failures[-1] == f"aggregate: recursion residual {res.correctness.max_residual:.3e}"
+    assert len(failures) == 2 and res.correctness.lp_fallbacks == 1
+    assert res.hint == f"{failures[0]}; {RETRY_HINT}"
     assert res.solutions["aggregate"] is not None
 
 

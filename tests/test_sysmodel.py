@@ -17,6 +17,7 @@ from zonosynth.sysmodel import (
     network_to_dict,
     random_network,
     save_network,
+    stacked_slices,
 )
 
 import oracles
@@ -270,7 +271,8 @@ class TestAggregate:
         assert agg.B[0].shape == (6, 3)
         assert np.allclose(agg.B[0][:2, 0], [0.0, 0.1])
         assert agg.X[0].dim == 6 and agg.X[0].num_generators == 6
-        assert agg.state_slices[2] == slice(2, 4)
+        assert agg.sid == "aggregate" and agg.n == 6 and agg.m == 3
+        assert stacked_slices(net)[0][2] == slice(2, 4)
 
     def test_aggregate_finite_sequences(self):
         net = load_network("configs/case2.json")

@@ -1,5 +1,8 @@
 """Viable-set and RCI LP tests, including hand-derived 1-D cases."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +10,14 @@ from hypothesis import strategies as st
 from oracles import escalate_k, interval_hull, rci_beta_grid
 
 from zonosynth.geom import Zonotope, contains_point
+from zonosynth import viability
 from zonosynth.viability import (
     CertificationError,
     TubeSolution,
-    _certify,
-    certify_solution,
+    certify,
+    certify_tube,
     rci,
-    recursion_residual,
+    recursion_steps,
     viable,
 )
 
@@ -174,20 +178,27 @@ def test_recursion_residual_reads_every_template():
     wiggled = rci(*contraction, k=1, beta=0.5)
     deadbeat = rci(np.array([[1.0]]), np.array([[1.0]]), zono([0], [[0.3]]),
                    zono([0], [[1.0]]), zono([0], [[1.0]]), k=1)
+
+    def residual(sol, A, B):
+        return certify([], recursion_steps(sol, A, B))
+
     A_fin, B_fin = FIN["A"], FIN["B"]
     for sol, A, B in ((growing, A_fin, B_fin),
                       (wiggled, [CONTRACTION["A"]], [CONTRACTION["B"]]),
                       (deadbeat, [np.array([[1.0]])], [np.array([[1.0]])])):
-        assert recursion_residual(sol, A, B) <= 1e-9
+        report = residual(sol, A, B)
+        assert report.ok and report.max_residual <= 1e-9
     shifted = [T.copy() for T in growing.T]
     shifted[1] += 1e-3
     broken = TubeSolution(shifted, growing.xbar, growing.M, growing.ubar, growing.W,
                           0.0, None, growing.objective)
-    assert recursion_residual(broken, A_fin, B_fin) == pytest.approx(1e-3)
+    report = residual(broken, A_fin, B_fin)
+    assert report.max_residual == pytest.approx(1e-3)
+    assert report.failures == [f"recursion residual {report.max_residual:.3e}"]
     assert np.abs(wiggled.E).max() > 0.1
     no_wiggle = TubeSolution(wiggled.T, wiggled.xbar, None, None, wiggled.W, 0.5, None,
                              wiggled.objective)
-    assert recursion_residual(no_wiggle, [CONTRACTION["A"]], [CONTRACTION["B"]]) > 0.1
+    assert residual(no_wiggle, [CONTRACTION["A"]], [CONTRACTION["B"]]).max_residual > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -223,39 +234,82 @@ def test_escalation_gives_up_at_cap():
 # certification helper and serialization
 
 
+def check(inner, center, cols, scales, witness, what="demo"):
+    """One state check of ``viability.certify``."""
+    return (what, "x", inner.generators, inner.center, center, cols, scales, witness)
+
+
 def test_certify_rejects_blatant_violation():
     inner = zono([2.0], [[0.5]])
-    outer = zono([0.0], [[1.0]])
-    with pytest.raises(CertificationError, match="containment"):
-        _certify(inner, outer, "demo")
+    report = certify([check(inner, np.zeros(1), np.eye(1), np.ones(1), None)], [])
+    assert not report.ok and report.lp_fallbacks == 1
+    assert report.max_state_margin == pytest.approx(1.5)
+    assert report.failures == [f"demo by {report.max_state_margin:.3e}"]
 
 
-def test_certify_solution_reads_the_lp_witnesses_first():
+def test_certify_solves_the_lp_only_past_tol():
+    inner = Zonotope([0.5, 0.0], np.eye(2))
+    outer = (np.zeros(2), np.eye(2), np.ones(2))
+    L = np.array([[1.0, 0.0, -0.5], [0.0, 1.0, 0.0]])  # exact; row 0 sums to 1.5
+    report = certify([check(inner, *outer, L)], [], tol=1.0)
+    assert report.max_state_margin == pytest.approx(0.5) and report.lp_fallbacks == 0
+    report = certify([check(inner, *outer, L)], [])
+    assert report.max_state_margin == pytest.approx(0.5) and report.lp_fallbacks == 1
+    assert not report.ok
+    report = certify([check(Zonotope(np.zeros(2), 0.5 * np.eye(2)), *outer, None)], [])
+    assert report.max_state_margin == pytest.approx(0.0, abs=1e-9)
+    assert report.ok and report.lp_fallbacks == 1
+
+
+def test_viable_certifies_on_the_lp_witnesses_first():
     cases = [
-        (viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1), FIN["X"], FIN["U"],
+        (viable(FIN["A"], FIN["B"], FIN["W"], FIN["X"], FIN["U"], k=1),
+         (FIN["A"], FIN["B"], FIN["X"], FIN["U"]),
          {"inC0", "inC1", "inC2", "term", "inU0", "inU1"}),
-        (rci(PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"],
-             PLANT2D["U"], k=4), [PLANT2D["X"]], [PLANT2D["U"]], {"inC0", "inU0"}),
+        (rci(PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"], PLANT2D["U"], k=4),
+         ([PLANT2D["A"]], [PLANT2D["B"]], [PLANT2D["X"]], [PLANT2D["U"]]), {"inC0", "inU0"}),
         (rci(CONTRACTION["A"], CONTRACTION["B"], CONTRACTION["W"],
              CONTRACTION["X"], CONTRACTION["U"], k=1, beta=0.5),
-         [CONTRACTION["X"]], [CONTRACTION["U"]], {"inC0"}),
+         ([CONTRACTION["A"]], [CONTRACTION["B"]], [CONTRACTION["X"]], [CONTRACTION["U"]]),
+         {"inC0"}),
     ]
-    for sol, X, U, keys in cases:
+    for sol, system, keys in cases:
         assert set(sol.witness) == keys
         checks = len(keys - {"term"})  # "term" is the last "inC" again
-        state, inputs, lps = certify_solution(sol, X, U)
-        assert lps == 0 and 0.0 <= state <= 1e-7 and 0.0 <= inputs <= 1e-7
+        report = certify_tube(sol, *system)
+        assert report.ok and report.lp_fallbacks == 0
+        assert 0.0 <= report.max_state_margin <= 1e-7
+        assert 0.0 <= report.max_input_margin <= 1e-7
         # witnesses are not serialized: a loaded solution certifies by LP
         back = TubeSolution.from_json(sol.to_json())
         assert back.witness is None and "witness" not in sol.to_json()
-        assert certify_solution(back, X, U)[2] == checks
+        assert certify_tube(back, *system).lp_fallbacks == checks
         # a witness that proves nothing sends the check to the LP, which
         # still accepts the (correct) solution.  Doubling would not do: the
         # finite tube's Omega(0) and Theta(0) are points at their sets'
         # centers (min sum |T| collapses them), which a doubled witness of
         # zeros still proves; every entry is shifted instead
         sol.witness = {key: L + 1.0 for key, L in sol.witness.items()}
-        assert certify_solution(sol, X, U)[2] == checks
+        report = certify_tube(sol, *system)
+        assert report.ok and report.lp_fallbacks == checks
+
+
+@pytest.mark.parametrize("change, first", [
+    # inflating every set escapes X(0) first, and breaks the recursion too
+    (lambda sol: {"T": [100.0 * T for T in sol.T]}, "Omega(0) escapes X(0) by "),
+    # a center off its fixed point by 1e-6 still fits X
+    (lambda sol: {"xbar": [x + 1e-6 for x in sol.xbar]}, "recursion residual "),
+], ids=["wide", "off-center"])
+def test_viable_raises_on_the_first_failing_check(monkeypatch, change, first):
+    solve = viability.solve_and_read
+
+    def changed(lp, read, what):
+        sol = solve(lp, read, what)
+        return dataclasses.replace(sol, **change(sol))
+
+    monkeypatch.setattr(viability, "solve_and_read", changed)
+    with pytest.raises(CertificationError, match="^" + re.escape(first)):
+        rci(PLANT2D["A"], PLANT2D["B"], PLANT2D["W"], PLANT2D["X"], PLANT2D["U"], k=4)
 
 
 def test_viable_solution_roundtrip():
