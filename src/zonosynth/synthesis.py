@@ -78,6 +78,15 @@ NO_ALPHA_HINT = ("the cutting-plane master is infeasible: no alpha in "
                  "[0, alpha_max] gives V = 0 under this template, k and "
                  "reduction order; change one of them")
 
+
+def _failure_hint(correctness, hint=RETRY_HINT):
+    """None for a certified result; a failed certificate's first failure
+    before :data:`RETRY_HINT`; ``hint`` when nothing was certified."""
+    if correctness is None:
+        return hint
+    return None if correctness.ok else f"{correctness.failures[0]}; {RETRY_HINT}"
+
+
 #: step rules of the compositional descent
 RULES = ("level", "subgradient")
 
@@ -415,8 +424,9 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
     Returns a SynthesisResult whose status is "correct" only if V reached
     ``tol_v``, the slack-free extraction succeeded, and check_correctness
     signed off.  Otherwise status is "failed" and ``hint`` carries the
-    retry advisory, or :data:`NO_ALPHA_HINT` when the level master proved
-    that no parameters compose.
+    retry advisory, after the first failure of a failed certificate, or
+    :data:`NO_ALPHA_HINT` when the level master proved that no parameters
+    compose.
     """
     cfg = config or DescentConfig()
     cfg.validate()
@@ -493,8 +503,7 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
         SynthesisResult(
             status=status, method="compositional", mode=network.mode,
             value=value, objective=None, iterations=it, params=params,
-            solutions=solutions, trace=trace,
-            hint=None if status == "correct" else hint,
+            solutions=solutions, trace=trace, hint=_failure_hint(correctness, hint),
             correctness=correctness, network=network, template=tpl),
         solver, wall0, phases, extract_attempts=attempts,
         master_size=master.lp._size if master is not None else (0, 0, 0))
@@ -548,7 +557,8 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
     reduction) unless ``reduction_order`` says otherwise.
 
     Feasible implies correct by construction; the result is still passed
-    through check_correctness before being stamped "correct".  Infeasible
+    through check_correctness before being stamped "correct", and the hint
+    of one that fails it names its first failure.  Infeasible
     returns status "failed" with no partial solutions (retry with larger k).
     """
     _check_mode(network, mode)
@@ -618,8 +628,8 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
             status=status, method="centralized", mode=network.mode,
             value=0.0 if correctness.ok else None, objective=sol.objective,
             iterations=0, params=params, solutions=solutions,
-            hint=None if correctness.ok else RETRY_HINT,
-            correctness=correctness, network=network, template=tpl),
+            hint=_failure_hint(correctness), correctness=correctness, network=network,
+            template=tpl),
         solver, wall0, phases)
 
 
@@ -648,7 +658,9 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     invariant tube (see ``viability.viable``); a nonzero one on a finite
     network raises ValueError.  ``k`` defaults to n_total + p for an
     invariant tube and to 0 for a finite one, which grows by each step's
-    disturbance columns.
+    disturbance columns.  Zero forcing (a recursion row with constant 0 and
+    one entry not yet pinned pins it, see ``viability.viable_lp``) leaves
+    out the entries the recursion pins to 0: geo40's LP has 6,988 rows, not 16,180.
     """
     _check_mode(network, mode)
     _check_encoding(k)
@@ -667,13 +679,11 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
 
     # Certification is metered apart from the synthesis LP, as in the
     # other two methods.
-    correctness, hint = None, RETRY_HINT
+    correctness = None
     with phases("certify"):
         if sol is not None:
             report = viability.certify_tube(sol, agg.A, agg.B, agg.X, agg.U)
             correctness = replace(report, failures=[f"aggregate: {f}" for f in report.failures])
-            if not correctness.ok:
-                hint = f"{correctness.failures[0]}; {RETRY_HINT}"
     ok = correctness is not None and correctness.ok
 
     return _finish(
@@ -682,6 +692,6 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
             mode=network.mode, value=None, objective=sol.objective if sol else None,
             iterations=0, params=None,
             solutions={"aggregate": sol} if sol else None,
-            hint=None if ok else hint, correctness=correctness,
+            hint=_failure_hint(correctness), correctness=correctness,
             network=network),
         solver, wall0, phases)

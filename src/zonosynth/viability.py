@@ -69,18 +69,19 @@ class CertificationError(lpcore.LpError):
 
 def _abs_objective(lp, blocks):
     """Aux columns s >= |x| for every variable x of each (rows x cols)
-    block of column indices (at least one block); returns the aux columns,
-    whose sum is the size objective.  With an ``lpcore._LpBatch`` the blocks
-    and the result carry its leading member axis, also when every block is
-    empty."""
+    block of column indices (at least one block; -1, the number 0, gets
+    none); returns the aux columns, whose sum is the size objective.  With
+    an ``lpcore._LpBatch`` the blocks and the result carry its leading
+    member axis, also when every block is empty."""
     aux = [np.zeros(np.shape(blocks[0])[:-2] + (0,), dtype=np.int64)]
     for cols in blocks:
         cols = np.asarray(cols)
-        size = cols.shape[-2] * cols.shape[-1]
+        cols = cols.reshape(cols.shape[:-2] + (-1,))
+        cols = cols[..., _union(cols >= 0, 1)]  # a forced zero (-1) needs no |.|
+        size = cols.shape[-1]
         if size == 0:
             continue
-        s = lp.var_block(cols.shape[-2:], lb=0.0)
-        s, cols = s.reshape(s.shape[:-2] + (size,)), cols.reshape(cols.shape[:-2] + (size,))
+        s = lp.var_block(size, lb=0.0)
         # entry e gives rows 2e (x - s[e] <= -0.0) and 2e + 1 (-x - s[e] <= 0)
         pair = 2 * np.arange(size)
         lp.add_rows(np.concatenate([pair, pair + 1, pair, pair + 1]),
@@ -91,7 +92,7 @@ def _abs_objective(lp, blocks):
     return np.concatenate(aux, axis=-1)
 
 
-def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None):
+def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None, prune=False):
     """Emit one step of the tube recursion and its center row as one block.
 
     With w columns in ``T`` and p in W, rows (i, j), i < n and j < w + p,
@@ -103,12 +104,13 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None):
     (the left part is ``E``, or zero when ``E`` is None).  Rows i < n then
     read ``A xbar + B ubar + W.center - x_next = 0``; row (i, j) is row
     ``i * (w + p) + j`` of the block and center row i is row ``n * (w + p) +
-    i``.  Every tube argument is
-    an array of column indices; ``B``, ``M`` and ``ubar`` are None without
-    inputs.  ``W`` is ``(center, const, terms)``: entry (i, j) of the W
-    columns is ``const[i, j]`` plus the terms ``coefs[e] * x[cols[e]]`` with
-    ``(rows[e], wcols[e]) == (i, j)`` of ``terms = (rows, wcols, cols,
-    coefs)``.
+    i``.  Every tube argument is an array of column indices (in ``T``,
+    ``M`` and ``T_next``, -1 is the number 0); ``B``, ``M`` and ``ubar`` are
+    None without inputs.  ``prune`` drops rows with no column and bound 0,
+    moving the later rows up.  ``W`` is ``(center, const, terms)``: entry
+    (i, j) of the W columns is ``const[i, j]`` plus the terms ``coefs[e] *
+    x[cols[e]]`` with ``(rows[e], wcols[e]) == (i, j)`` of ``terms = (rows,
+    wcols, cols, coefs)``.
 
     The rows, their term order and their bounds (signed zeros included) are
     those of writing each row as a LinExpr ``lhs - rhs`` with ``add_eq``.
@@ -158,7 +160,15 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None):
          .reshape(const.shape[:-2] + (-1,)),
          -(0.0 + np.asarray(center, dtype=float))],
         axis=-1)
-    lp.add_rows(*_join(parts), bounds, "=")
+    rows, cols, coefs = _join(parts)
+    kept = _union(cols >= 0, 1)
+    if not kept.all():  # a T or M entry -1 is the number 0 and drops out
+        rows, cols, coefs = rows[kept], cols[..., kept], coefs[..., kept]
+    if prune:  # a row with no column and bound 0 reads 0 = 0
+        live = _union(bounds != 0, 1)
+        live[rows] = True
+        rows, bounds = np.cumsum(live)[rows] - 1, bounds[..., live]
+    lp.add_rows(rows, cols, coefs, bounds, "=")
 
 
 def numeric_w(W):
@@ -382,10 +392,48 @@ def solve_and_read(lp, read, what):
     return read(sol)
 
 
+def _forced_zeros(A_seq, B_seq, W_seq, widths, beta):
+    """Masks of the T(t) and M(t) entries that zero forcing pins to 0 on the
+    recursion rows of :func:`viable_lp`: a row whose constant is exactly 0
+    and that has one entry not yet pinned pins it, until nothing changes.
+    E, xbar and ubar are never pinned.  A sweep counts entries by products."""
+    n = A_seq[0].shape[0]
+    T_zero = [np.zeros((n, w), dtype=bool) for w in widths]
+    M_zero = [np.zeros((B.shape[1], w), dtype=bool) for B, w in zip(B_seq, widths)]
+    forced = -1
+    while forced < (forced := sum(int(z.sum()) for z in T_zero + M_zero)):
+        for t, (A, B, W) in enumerate(zip(A_seq, B_seq, W_seq)):
+            nxt, w, p = (t + 1) % len(widths), widths[t], W.num_generators
+            shift = w + p - widths[nxt]  # columns of R left of T_next
+            same = nxt == t and shift == 0  # R is T: the rows read (A - I) T + B M = 0
+            A, B = ((A - np.eye(n) if same else A) != 0) * 1.0, (B != 0) * 1.0
+            R = ~T_zero[nxt] & (not same)  # T_next's unpinned entries in R
+            count = np.pad(A @ ~T_zero[t] + B @ ~M_zero[t], ((0, 0), (0, p)))
+            count[:, shift:] += R
+            count[:, :shift] += beta > 0  # E, never pinned
+            forcing = (count == 1) & np.pad(W.generators == 0, ((0, 0), (w, 0)),
+                                            constant_values=True)
+            T_zero[t] |= A.T @ forcing[:, :w] > 0
+            M_zero[t] |= B.T @ forcing[:, :w] > 0
+            T_zero[nxt] |= forcing[:, shift:] & R
+    return T_zero, M_zero
+
+
+def _columns(lp, zero):
+    """Columns for the unset entries of the mask ``zero``, in C order, and
+    -1 (the number 0) for the set ones."""
+    cols = np.full(zero.shape, -1)
+    cols[~zero] = lp.var_block(int((~zero).sum()))
+    return cols
+
+
 def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     """The LP of :func:`viable`, named "viable" for a finite tube and "rci"
     for an invariant one, and ``read(sol)`` that turns an optimal solution
-    of it into a TubeSolution."""
+    of it into a TubeSolution.  The T(t) and M(t) entries that the
+    recursion rows pin to 0 (:func:`_forced_zeros`; on geo40 2,760 of T's
+    3,200) are the number 0, with no |.| column; recursion rows left with
+    no column stay only with a nonzero bound, which makes the LP infeasible."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
     h = len(A_seq)
@@ -407,16 +455,17 @@ def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
             widths.append(widths[-1] + W.num_generators)
 
     lp = LinearProgram(name="viable" if finite else "rci")
-    T = [lp.var_block((n, width)) for width in widths]
+    T_zero, M_zero = _forced_zeros(A_seq, B_seq, W_seq, widths, beta)
+    T = [_columns(lp, zero) for zero in T_zero]
     xbar = [lp.var_block(n) for _ in widths]
-    M = [lp.var_block((m, widths[t])) for t in range(h)] if m else None
+    M = [_columns(lp, zero) for zero in M_zero] if m else None
     ubar = [lp.var_block(m) for _ in range(h)] if m else None
     E = lp.var_block((n, W_seq[0].num_generators)) if beta else None
 
     for t in range(h):
         add_recursion(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None, xbar[t],
                       ubar[t] if m else None, numeric_w(W_seq[t]), _at(T, t + 1),
-                      _at(xbar, t + 1), E=E)
+                      _at(xbar, t + 1), E=E, prune=True)
     if E is not None:
         G = W_seq[0].generators
         add_scaled_containment(lp, affine(np.column_stack([E, np.full(n, -1)])), G,
@@ -433,8 +482,9 @@ def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     lp.set_costs(_abs_objective(lp, T), 1.0)
 
     def read(sol):
-        def values(blocks):
-            return None if blocks is None else [sol.column_values(b) for b in blocks]
+        def values(blocks):  # a forced zero (-1) reads 0.0, not the last column
+            return None if blocks is None else [
+                np.where(b >= 0, sol.column_values(b), 0.0) for b in blocks]
 
         return TubeSolution(
             values(T), values(xbar), values(M), values(ubar), list(W_seq), beta,

@@ -75,10 +75,11 @@ def lin_sum(items):
 
 def col_exprs(cols):
     """The variables with column indices ``cols`` as an object array of
-    LinExpr of the same shape."""
+    LinExpr of the same shape; an index -1 is the number 0."""
     cols = np.asarray(cols)
     out = np.empty(cols.shape, dtype=object)
-    out.reshape(-1)[:] = [LinExpr({c: 1.0}) for c in cols.ravel().tolist()]
+    out.reshape(-1)[:] = [LinExpr({c: 1.0}) if c >= 0 else LinExpr()
+                          for c in cols.ravel().tolist()]
     return out
 
 
@@ -489,10 +490,12 @@ def lin_matmul(A, X):
 
 
 def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
-                            x_next, left):
+                            x_next, left, prune=False, record=None):
     """The recursion rows of one step: ``[A T + B M, W] = [left, T_next]`` row
     by row (``left[i][j]`` an expression, or 0.0), then the center rows.
-    ``wcols`` holds the W columns as lists of LinExpr or numbers."""
+    ``wcols`` holds the W columns as lists of LinExpr or numbers.  With
+    ``prune``, a row with no term and constant 0 is not emitted; every row
+    ``expr = 0`` is appended to the list ``record`` as ``expr``."""
     n, w = T.shape
     p = len(wcols)
     shift = w + p - T_next.shape[1]
@@ -503,12 +506,19 @@ def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
         for j in range(w + p):
             lhs = flow[i, j] if j < w else wcols[j - w][i]
             rhs = left[i][j] if j < shift else T_next[i, j - shift]
-            lp.add_eq(lhs - rhs, 0.0)
+            row = as_expr(lhs - rhs)
+            if record is not None:
+                record.append(row)
+            if not (prune and not row.terms and row.const == 0.0):
+                lp.add_eq(row, 0.0)
     drift = lin_matmul(A, xbar.reshape(-1, 1))[:, 0]
     if M is not None:
         drift = drift + lin_matmul(B, ubar.reshape(-1, 1))[:, 0]
     for i in range(n):
-        lp.add_eq(drift[i] + float(w_center[i]) - x_next[i], 0.0)
+        row = drift[i] + float(w_center[i]) - x_next[i]
+        if record is not None:
+            record.append(row)
+        lp.add_eq(row, 0.0)
 
 
 def _size_objective(lp, blocks):
@@ -517,9 +527,55 @@ def _size_objective(lp, blocks):
     minimize(lp, LinExpr(dict.fromkeys(_abs_objective(lp, blocks).tolist(), 1.0)))
 
 
+def zero_forcing_rowwise(rows, forcible):
+    """Row-at-a-time reference for ``viability._forced_zeros``: the columns
+    of the set ``forcible`` that zero forcing pins on the rows ``expr = 0``
+    (LinExpr).  A row whose constant is 0 and that has exactly one term
+    with a nonzero coefficient in a column not yet pinned pins that column,
+    if it is forcible; this repeats until nothing changes."""
+    forced = set()
+    while True:
+        new = set()
+        for expr in rows:
+            live = [c for c, v in expr.terms.items() if v != 0.0 and c not in forced]
+            if expr.const == 0.0 and len(live) == 1 and live[0] in forcible:
+                new.add(live[0])
+        if not new:
+            return forced
+        forced |= new
+
+
+def masked_cols(lp, zero):
+    """A fresh column for each unset entry of the mask ``zero``, one
+    ``var_block`` call each in C order, and -1 for each set entry."""
+    cols = np.full(zero.shape, -1)
+    for idx in zip(*np.nonzero(~zero)):
+        cols[idx] = lp.var_block(())
+    return cols
+
+
+def _with_forced_zeros(build):
+    """The LP of ``build(zero)``, where ``zero`` masks the T(t) and M(t)
+    entries that :func:`zero_forcing_rowwise` pins on the recursion rows of
+    ``build(None)``, whose every entry is a column.  ``build`` returns the
+    LP, its recursion rows and the column blocks of T(t) and M(t)."""
+    _, rows, blocks = build(None)
+    forcible = {int(c) for b in blocks for c in b.ravel()}
+    forced = zero_forcing_rowwise(rows, forcible)
+    lp, _, _ = build([np.isin(b, list(forced)) for b in blocks])
+    return lp
+
+
+def force_nothing(A_seq, B_seq, W_seq, widths, beta):
+    """``viability._forced_zeros`` that pins no entry: monkeypatched in, it
+    makes ``viability.viable_lp`` build the full LP, every entry a column."""
+    return ([np.zeros((A_seq[0].shape[0], w), dtype=bool) for w in widths],
+            [np.zeros((B.shape[1], w), dtype=bool) for B, w in zip(B_seq, widths)])
+
+
 def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k):
     """Row-at-a-time reference for ``viability.viable_lp``'s finite-horizon
-    LP."""
+    LP, its forced zeros the numbers 0 (see :func:`_with_forced_zeros`)."""
     h = len(A_seq)
     n = A_seq[0].shape[0]
     m = B_seq[0].shape[1]
@@ -527,60 +583,77 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k):
     widths = [k]
     for t in range(h):
         widths.append(widths[-1] + p[t])
-    lp = LinearProgram(name="viable")
-    Tc = [lp.var_block((n, widths[t])) for t in range(h + 1)]
-    T = [col_exprs(c) for c in Tc]
-    xbar = [var_array(lp, n) for _ in range(h + 1)]
-    M = [var_array(lp, (m, widths[t])) for t in range(h)] if m else None
-    ubar = [var_array(lp, m) for _ in range(h)] if m else None
-    for t in range(h):
-        Gw = W_seq[t].generators
-        _recursion_rows_rowwise(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None,
-                                xbar[t], ubar[t] if m else None,
-                                [[float(v) for v in Gw[:, j]] for j in range(p[t])],
-                                W_seq[t].center, T[t + 1], xbar[t + 1],
-                                [[0.0] * (widths[t] + p[t])] * n)
+    shapes = [(n, w) for w in widths] + ([(m, widths[t]) for t in range(h)] if m else [])
 
-    def plain(inner_G, inner_c, outer):
-        add_scaled_containment_rowwise(lp, inner_G, inner_c, outer.generators,
-                                       [1.0] * outer.num_generators, outer.center)
-
-    for t in range(h + 1):
-        plain(T[t], xbar[t], X_seq[t])
-    if m:
+    def build(zero):
+        zero = zero or [np.zeros(shape, dtype=bool) for shape in shapes]
+        lp = LinearProgram(name="viable")
+        Tc = [masked_cols(lp, z) for z in zero[:h + 1]]
+        T = [col_exprs(c) for c in Tc]
+        xbar = [var_array(lp, n) for _ in range(h + 1)]
+        Mc = [masked_cols(lp, z) for z in zero[h + 1:]]
+        M = [col_exprs(c) for c in Mc] if m else None
+        ubar = [var_array(lp, m) for _ in range(h)] if m else None
+        rows = []
         for t in range(h):
-            plain(M[t], ubar[t], U_seq[t])
-    _size_objective(lp, Tc)
-    return lp
+            Gw = W_seq[t].generators
+            _recursion_rows_rowwise(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None,
+                                    xbar[t], ubar[t] if m else None,
+                                    [[float(v) for v in Gw[:, j]] for j in range(p[t])],
+                                    W_seq[t].center, T[t + 1], xbar[t + 1],
+                                    [[0.0] * (widths[t] + p[t])] * n, prune=True, record=rows)
+
+        def plain(inner_G, inner_c, outer):
+            add_scaled_containment_rowwise(lp, inner_G, inner_c, outer.generators,
+                                           [1.0] * outer.num_generators, outer.center)
+
+        for t in range(h + 1):
+            plain(T[t], xbar[t], X_seq[t])
+        if m:
+            for t in range(h):
+                plain(M[t], ubar[t], U_seq[t])
+        _size_objective(lp, Tc)
+        return lp, rows, Tc + Mc
+
+    return _with_forced_zeros(build)
 
 
 def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0):
     """Row-at-a-time reference for ``viability.viable_lp``'s invariant
-    (one-step) LP."""
+    (one-step) LP, its forced zeros the numbers 0 (see
+    :func:`_with_forced_zeros`)."""
     n = A.shape[0]
     m = B.shape[1]
     p = W.num_generators
     sigma = 1.0 / (1.0 - beta)
-    lp = LinearProgram(name="rci")
-    Tc = lp.var_block((n, k))
-    T = col_exprs(Tc)
-    xbar = var_array(lp, n)
-    M = var_array(lp, (m, k)) if m else None
-    ubar = var_array(lp, m) if m else None
-    E = None if beta == 0.0 else var_array(lp, (n, p))
     Gw = W.generators
-    _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar,
-                            [[float(v) for v in Gw[:, j]] for j in range(p)], W.center,
-                            T, xbar, [[0.0] * (k + p)] * n if E is None else E)
-    if E is not None:
-        add_scaled_containment_rowwise(lp, E, np.zeros(n), Gw, [beta] * p, np.zeros(n))
-    add_scaled_containment_rowwise(lp, sigma * T, xbar, X.generators,
-                                   [1.0] * X.num_generators, X.center)
-    if m:
-        add_scaled_containment_rowwise(lp, sigma * M, ubar, U.generators,
-                                       [1.0] * U.num_generators, U.center)
-    _size_objective(lp, [Tc])
-    return lp
+
+    def build(zero):
+        zero = zero or [np.zeros((n, k), dtype=bool), np.zeros((m, k), dtype=bool)]
+        lp = LinearProgram(name="rci")
+        Tc = masked_cols(lp, zero[0])
+        T = col_exprs(Tc)
+        xbar = var_array(lp, n)
+        Mc = masked_cols(lp, zero[1])
+        M = col_exprs(Mc) if m else None
+        ubar = var_array(lp, m) if m else None
+        E = None if beta == 0.0 else var_array(lp, (n, p))
+        rows = []
+        _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar,
+                                [[float(v) for v in Gw[:, j]] for j in range(p)], W.center,
+                                T, xbar, [[0.0] * (k + p)] * n if E is None else E,
+                                prune=True, record=rows)
+        if E is not None:
+            add_scaled_containment_rowwise(lp, E, np.zeros(n), Gw, [beta] * p, np.zeros(n))
+        add_scaled_containment_rowwise(lp, sigma * T, xbar, X.generators,
+                                       [1.0] * X.num_generators, X.center)
+        if m:
+            add_scaled_containment_rowwise(lp, sigma * M, ubar, U.generators,
+                                           [1.0] * U.num_generators, U.center)
+        _size_objective(lp, [Tc])
+        return lp, rows, [Tc, Mc]
+
+    return _with_forced_zeros(build)
 
 
 def _w_expr_columns(blocks, split, alpha_cols, n):

@@ -253,6 +253,18 @@ def test_fixed_shapes_match_rowwise_reference():
     assert_same_lp(lp, oracles.finite_viable_lp_rowwise(A, B, D, X, U, 2))
 
 
+def test_forcing_reads_a_cancelled_diagonal():
+    # with no disturbance columns the invariant rows read (A - I) T + B M =
+    # 0: A = 1 cancels T, so each row pins its M entry alone
+    one = np.array([[1.0]])
+    box = Zonotope([0.0], [[1.0]])
+    W = Zonotope([0.0], np.zeros((1, 0)))
+    T_zero, M_zero = viability._forced_zeros([one], [one], [W], [2], 0.0)
+    assert not T_zero[0].any() and M_zero[0].all()
+    lp, _ = viable_lp([one], [one], [W], [box], [box], 2)
+    assert_same_lp(lp, oracles.rci_lp_rowwise(one, one, W, box, box, 2))
+
+
 # ---------------------------------------------------------------------------
 # golden digests: the emitters and their references above can change
 # together, so the LPs handed to HiGHS are also pinned by a digest
@@ -294,6 +306,29 @@ def test_case1_centralized_lp_matches_golden_digest(monkeypatch):
 
 @pytest.mark.parametrize("config, beta, digest", [
     ("configs/case1.json", 0.0,
+     "2727051850828e42db7082875a88c947e085258364a4c5d3ade36ed706d97466"),
+    ("configs/case1.json", 0.3,
+     "bd39601528fb0d7036a02e40de1b7163686a12a21d386c945539a7262e2153d9"),
+    ("geo40", 0.0, "81bb24d8f31d58fd81616bb954c3d44f1fc7d1eca097b954caee0509f644ba8f"),
+    ("configs/case2.json", 0.0,
+     "44623ba8f1a8dc672f27b31ca1031ee32ac3344576f1a32ea3016915e5f704dc"),
+], ids=["case1", "case1-beta", "geo40", "case2"])
+def test_dense_lp_matches_golden_digest(monkeypatch, config, beta, digest):
+    assert dense_lp_digest(monkeypatch, config, beta) == digest
+
+
+def dense_lp_digest(monkeypatch, config, beta):
+    # the LP is caught on its way to the solver and not solved
+    built = []
+    monkeypatch.setattr(viability, "solve_and_read", lambda lp, *a: built.append(lp))
+    network = (sysmodel.random_network(20, lambda_for(40), seed=0) if config == "geo40"
+               else load_network(config))
+    centralized_dense(network, beta=beta)
+    return lp_digest(built)
+
+
+@pytest.mark.parametrize("config, beta, digest", [
+    ("configs/case1.json", 0.0,
      "2e1fef2f90d8e69ba46c3954e5cc741ab83c83c78fc72c75cf164f500aef156e"),
     ("configs/case1.json", 0.3,
      "a92975c8ef24e5dee46cfa9684a0e4e241a6f4da460005c5ec9f91e4ef848a13"),
@@ -301,11 +336,8 @@ def test_case1_centralized_lp_matches_golden_digest(monkeypatch):
     ("configs/case2.json", 0.0,
      "6e53835d4f021ab9b2e0a6bab4478df23e658533283dc4a986ba56eebce75a82"),
 ], ids=["case1", "case1-beta", "geo40", "case2"])
-def test_dense_lp_matches_golden_digest(monkeypatch, config, beta, digest):
-    # the LP is caught on its way to the solver and not solved
-    built = []
-    monkeypatch.setattr(viability, "solve_and_read", lambda lp, *a: built.append(lp))
-    network = (sysmodel.random_network(20, lambda_for(40), seed=0) if config == "geo40"
-               else load_network(config))
-    centralized_dense(network, beta=beta)
-    assert lp_digest(built) == digest
+def test_unpinned_dense_lp_is_the_full_lp(monkeypatch, config, beta, digest):
+    # with zero forcing pinning nothing, the dense LP is bit for bit the one
+    # built before forced zeros left it: these are that LP's digests
+    monkeypatch.setattr(viability, "_forced_zeros", oracles.force_nothing)
+    assert dense_lp_digest(monkeypatch, config, beta) == digest

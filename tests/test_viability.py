@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import escalate_k, interval_hull, rci_beta_grid
+from oracles import escalate_k, force_nothing, interval_hull, rci_beta_grid
 
+from zonosynth.cli import lambda_for
 from zonosynth.geom import Zonotope, contains_point
-from zonosynth import viability
+from zonosynth import lpcore, viability
+from zonosynth.lpcore import LinearProgram
+from zonosynth.synthesis import RETRY_HINT, centralized_dense
+from zonosynth.sysmodel import aggregate, load_network, random_network
 from zonosynth.viability import (
     CertificationError,
     TubeSolution,
@@ -332,6 +336,77 @@ def test_rci_solution_roundtrip():
     assert back.T[0] == pytest.approx(sol.T[0])
     assert back.E == pytest.approx(sol.E)
     assert back.M is None and back.ubar is None
+
+
+# ---------------------------------------------------------------------------
+# zero forcing: the T and M entries the recursion rows pin to 0 leave the LP
+
+
+FORCING_RUNS = {
+    **{f"geo{dim}-seed{seed}": (dim, seed, 0.0) for dim in (20, 40) for seed in range(6)},
+    "case1": ("configs/case1.json", 0, 0.0),
+    "case2": ("configs/case2.json", 0, 0.0),
+    "geo20-beta": (20, 0, 0.2),
+}
+
+
+@pytest.mark.parametrize("run", list(FORCING_RUNS))
+def test_pinned_zeros_keep_the_dense_result(monkeypatch, run):
+    # the LP without its pinned entries and the full one have one optimum,
+    # and both tubes certify on their own witnesses
+    config, seed, beta = FORCING_RUNS[run]
+    net = (load_network(config) if isinstance(config, str)
+           else random_network(config // 2, lambda_for(config), seed=seed))
+    pruned = centralized_dense(net, beta=beta)
+    monkeypatch.setattr(viability, "_forced_zeros", force_nothing)
+    full = centralized_dense(net, beta=beta)
+    assert pruned.status == full.status == "correct"
+    assert pruned.objective == pytest.approx(full.objective, rel=1e-9, abs=0.0)
+    assert pruned.correctness.lp_fallbacks == full.correctness.lp_fallbacks
+    assert pruned.timings["max_lp_rows"] < full.timings["max_lp_rows"]
+
+
+def test_every_pinned_entry_is_zero_on_the_full_lp(monkeypatch):
+    # each pinned entry of T and M has min = max = 0 over the feasible set
+    # of the full LP, whose columns are T (n x k), xbar (n), then M (m x k)
+    agg = aggregate(random_network(3, lambda_for(6), seed=0))
+    (n, m), p = agg.B[0].shape, agg.D[0].num_generators
+    k = n + p
+    (T_zero,), (M_zero,) = viability._forced_zeros(agg.A, agg.B, agg.D, [k], 0.0)
+    monkeypatch.setattr(viability, "_forced_zeros", force_nothing)
+    lp, _ = viability.viable_lp(agg.A, agg.B, agg.D, agg.X, agg.U, k)
+    T = np.arange(n * k).reshape(n, k)
+    M = n * k + n + np.arange(m * k).reshape(m, k)
+    pinned = np.concatenate([T[T_zero], M[M_zero]])
+    assert T_zero.any() and M_zero.any() and len(pinned) < T.size + M.size
+    for col in pinned.tolist():
+        for sign in (1.0, -1.0):  # min of the entry, then of its negative
+            lp.set_costs(np.arange(lp.num_vars), 0.0)
+            lp.set_costs([col], sign)
+            sol = lp.solve()
+            assert sol.status == lpcore.OPTIMAL
+            assert abs(sol.objective) <= 1e-9
+
+
+def test_a_pinned_row_with_a_nonzero_bound_fails_the_run(monkeypatch):
+    # x1+ = x2 and x2+ = w, W = Z(0, [0; 1]), k = 1: the row (A T)[0, 0] = 0
+    # pins T[1, 0], and W's row 1 = T[1, 0] keeps its bound 1 with no column
+    # left, so the LP is infeasible as the full one is
+    net = load_network({"mode": "infinite", "subsystems": [{
+        "id": 1, "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [0.0]],
+        "X": {"center": [0.0, 0.0], "generators": [[1.0, 0.0], [0.0, 1.0]]},
+        "U": {"center": [0.0], "generators": [[1.0]]},
+        "D": {"center": [0.0, 0.0], "generators": [[0.0], [1.0]]}}]})
+    solved = []
+    solve = LinearProgram.solve
+    monkeypatch.setattr(LinearProgram, "solve",
+                        lambda lp, *a, **kw: solved.append(lp) or solve(lp, *a, **kw))
+    res = centralized_dense(net, k=1)
+    assert res.status == "failed" and res.solutions is None and res.hint == RETRY_HINT
+    (lp,) = solved
+    empty = np.bincount(lp._matrix()[1], minlength=lp.num_rows) == 0
+    lo, hi = lp._row_bounds()
+    assert np.any(empty & (lo == hi) & (lo != 0))
 
 
 # ---------------------------------------------------------------------------
