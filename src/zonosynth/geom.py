@@ -228,7 +228,42 @@ def _join(parts):
     return tuple(joined)
 
 
-def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True):
+def _columns(lp, zero, lb=-np.inf):
+    """Columns for the unset entries of the mask ``zero``, in C order, and
+    -1 (the number 0) for the set ones; with an ``lpcore._LpBatch``, with
+    its leading member axis."""
+    cols = lp.var_block(int((~zero).sum()), lb=lb)
+    out = np.full(cols.shape[:-1] + zero.shape, -1)
+    out[..., ~zero] = cols
+    return out
+
+
+def _add_rows(lp, rows, cols, coefs, bounds, sense, prune=False):
+    """``lp.add_rows`` without the terms in column -1 (the number 0).  With
+    ``prune``, a row left with no column and bound 0 (it reads 0 = 0 or 0
+    <= 0) drops out, moving the later rows up."""
+    kept = _union(cols >= 0, 1)
+    if not kept.all():
+        rows, cols, coefs = rows[kept], cols[..., kept], coefs[..., kept]
+    if prune:
+        live = _union(bounds != 0, 1)
+        live[rows] = True
+        rows, bounds = np.cumsum(live)[rows] - 1, bounds[..., live]
+    return lp.add_rows(rows, cols, coefs, bounds, sense)
+
+
+def _pinned_witness(outer_cols, live):
+    """The witness entries ``[q, j]`` that ``add_scaled_containment(prune=
+    True)`` pins to 0: those of the blocks of ``outer_cols`` (n x s) with
+    ``live[i, j]`` (n x r+1) unset on every row i of the block."""
+    S = (outer_cols != 0) * 1.0
+    keep = S.T @ live > 0  # spread through the block until nothing changes
+    while (more := S.T @ (S @ keep > 0) > 0).sum() > keep.sum():
+        keep = more
+    return ~keep
+
+
+def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, prune=False):
     """Emit rows forcing Z(c, G) inside Z(outer_c, outer_cols @ Diag(scales)).
 
     ``inner`` is the body ``[G c]`` (n x r+1) and ``scales`` the s scales
@@ -265,6 +300,17 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True):
     promise by 1.772e-07, inside the solver's 1e-7 feasibility tolerance)
     where this form certifies it after 432.
 
+    ``prune`` (the dense tube LP of ``viability.viable_lp``) splits
+    ``outer_cols`` into blocks, rows and generators joined where an entry
+    is nonzero.  Where column j of the equality block (``c[i] - outer_c[i]``
+    for j == r) is the number 0 on every row of a block, the entries ``[Lam
+    lam][q, j]`` of the block's generators q sit only in rows that then
+    read 0 = 0 and, with "+" signs, in row sums: zeroing them keeps every
+    feasible witness feasible at no cost.  They get no column in either
+    form (handle -1, which :func:`witness_values` reads as 0.0), and a row
+    left with no column and bound 0 drops out, moving the later rows up.
+    On geo40's dense LP this leaves out 9,120 of 14,588 columns.
+
     ``lp`` may be an :class:`lpcore._LpBatch`: every argument may then carry
     the batch's leading member axis, and so do the handles.  Entries that
     are zero for one member but not for all are emitted as zeros, which
@@ -274,30 +320,36 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True):
     n, s = outer_cols.shape[-2:]
     p = np.shape(inner[0])[-1]  # columns of [Lam lam], rows per i of the equality block
     r = p - 1
+    # [G, c] = outer_cols @ [Lam, lam] with the inner terms moved left:
+    # row i*p + j is G[i, j] for j < r and c[i] for j == r
+    cols, coefs, consts = (np.reshape(a, np.shape(a)[:-2] + (n * p,)) for a in inner)
+    is_c = np.arange(n * p) % p == r
+    bounds = np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p, axis=-1)),
+                      consts)
+    pinned = np.zeros((s, p), dtype=bool)
+    if prune:
+        pinned = _pinned_witness(_union(outer_cols, 2),
+                                 (_union(cols >= 0, 1) | _union(bounds != 0, 1)).reshape(n, p))
     # [Lam lam] is the sum of sign * columns over its signed column blocks
     if split:
-        P, N = lp.var_block((s, p), lb=0.0), lp.var_block((s, p), lb=0.0)
+        P, N = _columns(lp, pinned, lb=0.0), _columns(lp, pinned, lb=0.0)
         handles, signed = {"P": P, "N": N}, [(P, 1.0), (N, -1.0)]
     else:
-        Lam, lam, W = lp.var_block((s, r)), lp.var_block(s), lp.var_block((s, p), lb=0.0)
+        Lam, lam = _columns(lp, pinned[:, :r]), _columns(lp, pinned[:, r])
+        W = _columns(lp, pinned, lb=0.0)
         handles = {"Lam": Lam, "lam": lam, "W": W}
         signed = [(np.concatenate([Lam, lam[..., None]], axis=-1), 1.0)]
     lead = signed[0][0].shape[:-2]
 
-    # [G, c] = outer_cols @ [Lam, lam] with the inner terms moved left:
-    # row i*p + j is G[i, j] for j < r and c[i] for j == r
-    cols, coefs, consts = (np.reshape(a, np.shape(a)[:-2] + (n * p,)) for a in inner)
     own = np.flatnonzero(_union(cols >= 0, 1))
-    is_c = np.arange(n * p) % p == r
     ii, qq = np.nonzero(_union(outer_cols, 2))
     rows = ((ii * p)[:, None] + np.arange(p)).ravel()
     outer = np.repeat(outer_cols[..., ii, qq], p, axis=-1)
-    lp.add_rows(
-        *_join([(rows, L[..., qq, :].reshape(lead + (-1,)), sign * outer) for L, sign in signed]
-               + [(own, cols[..., own], np.where(is_c[own], coefs[..., own], -coefs[..., own]))]),
-        np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p, axis=-1)),
-                 consts),
-        "=")
+    _add_rows(lp, *_join([(rows, L[..., qq, :].reshape(lead + (-1,)), sign * outer)
+                          for L, sign in signed]
+                         + [(own, cols[..., own], np.where(is_c[own], coefs[..., own],
+                                                           -coefs[..., own]))]),
+              bounds, "=", prune)
 
     cols, coefs, consts = scales
     own = np.flatnonzero(_union(cols >= 0, 1))
@@ -305,9 +357,9 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True):
     if split:
         # per q: sum_j (P + N)[q, j] - scale[q] <= 0 in row q
         rowsum = np.repeat(np.arange(s), p)
-        lp.add_rows(*_join([(rowsum, L.reshape(lead + (-1,)), one) for L, _ in signed]
-                           + [(own, cols[..., own], -coefs[..., own])]),
-                    consts, "<")
+        _add_rows(lp, *_join([(rowsum, L.reshape(lead + (-1,)), one) for L, _ in signed]
+                             + [(own, cols[..., own], -coefs[..., own])]),
+                  consts, "<", prune)
         return handles
 
     # per q: +/-[Lam lam][q, j] - W[q, j] <= 0 in rows q*rq + 2j, q*rq + 2j + 1,
@@ -318,11 +370,10 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True):
     bounds = np.zeros(np.shape(consts)[:-1] + (s * rq,))
     bounds[..., rowsum] = consts
     Lam_lam, Wf = signed[0][0].reshape(lead + (-1,)), W.reshape(lead + (-1,))
-    lp.add_rows(
-        *_join([(plus, Lam_lam, one), (plus, Wf, -one), (plus + 1, Lam_lam, -one),
-                (plus + 1, Wf, -one), (np.repeat(rowsum, p), Wf, one),
-                (rowsum[own], cols[..., own], -coefs[..., own])]),
-        bounds, "<")
+    _add_rows(lp, *_join([(plus, Lam_lam, one), (plus, Wf, -one), (plus + 1, Lam_lam, -one),
+                          (plus + 1, Wf, -one), (np.repeat(rowsum, p), Wf, one),
+                          (rowsum[own], cols[..., own], -coefs[..., own])]),
+              bounds, "<", prune)
     return handles
 
 
@@ -374,12 +425,18 @@ def directed_hausdorff(outer, inner):
     return max(0.0, sol.objective)
 
 
+def column_values(sol, cols):
+    """``sol.column_values(cols)``, with a column index -1 (the number 0)
+    read as 0.0, not as the last column."""
+    return np.where(cols >= 0, sol.column_values(cols), 0.0)
+
+
 def _witness_value(sol, h):
     """The ``[Lam lam]`` array of one containment's handles ``h``: ``P - N``
     in the split form, ``Lam`` and ``lam`` side by side otherwise."""
     if "P" in h:
-        return sol.column_values(h["P"]) - sol.column_values(h["N"])
-    return np.column_stack([sol.column_values(h["Lam"]), sol.column_values(h["lam"])])
+        return column_values(sol, h["P"]) - column_values(sol, h["N"])
+    return np.column_stack([column_values(sol, h["Lam"]), column_values(sol, h["lam"])])
 
 
 def witness_values(sol, handles):

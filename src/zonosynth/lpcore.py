@@ -248,8 +248,9 @@ _RESULTS = {int(_S.kOptimal): OPTIMAL, int(_S.kInfeasible): INFEASIBLE,
             int(_S.kIterationLimit): TIME_LIMIT}
 # programs, by name, solved at primal and dual feasibility tolerance 1e-10
 # instead of HiGHS's 1e-7: the Hausdorff LP's optimum is compared with
-# witness bounds to 1e-9
-_TIGHT = ("hausdorff",)
+# witness bounds to 1e-9, and the dense invariant LP's recursion residuals
+# with ``viability.RESIDUAL_TOL`` 1e-8 (at 1e-7, dims 80 and 100 left 9.4e-8)
+_TIGHT = ("hausdorff", "rci")
 # programs, by name, solved by the interior-point solver with crossover: the
 # finite tube LP of ``viability.viable_lp``.  On case2's aggregate network
 # dual simplex takes 11-15 s to a vertex whose Theta(6) escapes U(6) by

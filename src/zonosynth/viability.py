@@ -53,8 +53,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lpcore
-from .geom import (Zonotope, _join, _union, add_scaled_containment, affine,
-                   directed_hausdorff, hausdorff_bound, numbers, witness_values)
+from .geom import (Zonotope, _add_rows, _columns, _join, _union, add_scaled_containment,
+                   affine, column_values, directed_hausdorff, hausdorff_bound, numbers,
+                   witness_values)
 from .lpcore import LinearProgram
 from .sysmodel import _at
 
@@ -160,15 +161,8 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None, prune=F
          .reshape(const.shape[:-2] + (-1,)),
          -(0.0 + np.asarray(center, dtype=float))],
         axis=-1)
-    rows, cols, coefs = _join(parts)
-    kept = _union(cols >= 0, 1)
-    if not kept.all():  # a T or M entry -1 is the number 0 and drops out
-        rows, cols, coefs = rows[kept], cols[..., kept], coefs[..., kept]
-    if prune:  # a row with no column and bound 0 reads 0 = 0
-        live = _union(bounds != 0, 1)
-        live[rows] = True
-        rows, bounds = np.cumsum(live)[rows] - 1, bounds[..., live]
-    lp.add_rows(rows, cols, coefs, bounds, "=")
+    # a T or M entry -1 is the number 0 and drops out
+    _add_rows(lp, *_join(parts), bounds, "=", prune)
 
 
 def numeric_w(W):
@@ -177,11 +171,12 @@ def numeric_w(W):
 
 
 def _add_plain_containment(lp, G, c, outer, scale=1.0):
-    """Rows for Z(c, scale * G) inside ``outer``; ``G``/``c`` are columns."""
+    """Rows for Z(c, scale * G) inside ``outer``, pruned; ``G``/``c`` are
+    columns, -1 the number 0."""
     inner = affine(np.column_stack([G, c]), np.r_[np.full(G.shape[1], scale), 1.0])
     return add_scaled_containment(lp, inner, outer.generators,
                                   numbers(np.ones(outer.num_generators)),
-                                  outer.center)
+                                  outer.center, prune=True)
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +414,16 @@ def _forced_zeros(A_seq, B_seq, W_seq, widths, beta):
     return T_zero, M_zero
 
 
-def _columns(lp, zero):
-    """Columns for the unset entries of the mask ``zero``, in C order, and
-    -1 (the number 0) for the set ones."""
-    cols = np.full(zero.shape, -1)
-    cols[~zero] = lp.var_block(int((~zero).sum()))
-    return cols
-
-
 def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     """The LP of :func:`viable`, named "viable" for a finite tube and "rci"
     for an invariant one, and ``read(sol)`` that turns an optimal solution
     of it into a TubeSolution.  The T(t) and M(t) entries that the
     recursion rows pin to 0 (:func:`_forced_zeros`; on geo40 2,760 of T's
     3,200) are the number 0, with no |.| column; recursion rows left with
-    no column stay only with a nonzero bound, which makes the LP infeasible."""
+    no column stay only with a nonzero bound, which makes the LP infeasible.
+    Every containment is pruned (``geom.add_scaled_containment(prune=
+    True)``): a witness entry [q, j] whose block of outer rows reads the
+    number 0 in column j, as a pinned T entry makes it, gets no column."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
     h = len(A_seq)
@@ -469,7 +459,7 @@ def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     if E is not None:
         G = W_seq[0].generators
         add_scaled_containment(lp, affine(np.column_stack([E, np.full(n, -1)])), G,
-                               numbers(np.full(G.shape[1], beta)), np.zeros(n))
+                               numbers(np.full(G.shape[1], beta)), np.zeros(n), prune=True)
 
     witness = {f"inC{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t], sigma)
                for t in range(len(T))}
@@ -482,9 +472,8 @@ def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     lp.set_costs(_abs_objective(lp, T), 1.0)
 
     def read(sol):
-        def values(blocks):  # a forced zero (-1) reads 0.0, not the last column
-            return None if blocks is None else [
-                np.where(b >= 0, sol.column_values(b), 0.0) for b in blocks]
+        def values(blocks):
+            return None if blocks is None else [column_values(sol, b) for b in blocks]
 
         return TubeSolution(
             values(T), values(xbar), values(M), values(ubar), list(W_seq), beta,

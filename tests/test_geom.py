@@ -1,5 +1,7 @@
 """Zonotope operation tests: frozen values, oracle cross-checks, properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,7 +243,8 @@ entry = st.one_of(
 
 
 def _column(e):
-    (col,) = e.terms
+    """The column of a witness handle entry; -1 for a pinned one."""
+    (col,) = e.terms or (-1,)
     return col
 
 
@@ -257,9 +260,9 @@ def _entry_expr(e):
     return LinExpr({col: coef}, const) if col >= 0 else const
 
 
-def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split):
+def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split, prune=False):
     """The block emitter builds the row-wise reference's program, both in
-    the form ``split`` selects.
+    the form ``split`` selects and with the same ``prune``.
 
     ``inner_G`` (n x r), ``inner_c`` (n) and ``scales`` (s) hold entries
     (col, coef, const); the emitter gets them as arrays, the reference as
@@ -271,7 +274,7 @@ def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split):
         lp = LinearProgram(name="emit")
         for k in range(BASE_VARS):
             oracles.var(lp, lb=-1.0, ub=1.0)
-        return lp, emit(lp, *args, split=split)
+        return lp, emit(lp, *args, split=split, prune=prune)
 
     body = [e for i in range(n) for e in list(inner_G[i]) + [inner_c[i]]]
     fast, got = make(add_scaled_containment, _entry_arrays(body, (n, r + 1)), outer_cols,
@@ -299,6 +302,7 @@ class TestContainmentEmitter:
     @given(st.data())
     def test_block_emitter_matches_rowwise_reference(self, data):
         split = data.draw(st.booleans(), label="split")
+        prune = data.draw(st.booleans(), label="prune")
         n = data.draw(st.integers(1, 3), label="n")
         s = data.draw(st.integers(0, 3), label="s")
         r = data.draw(st.integers(0, 3), label="r")
@@ -308,7 +312,7 @@ class TestContainmentEmitter:
         inner_c = [data.draw(entry) for _ in range(n)]
         scales = [data.draw(entry) for _ in range(s)]
         outer_c = data.draw(vec(n))
-        _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split)
+        _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split, prune)
 
     @pytest.mark.parametrize("s,r", [(0, 0), (0, 2), (2, 0), (2, 3)])
     def test_edge_shapes_and_mixed_entries(self, s, r):
@@ -318,9 +322,9 @@ class TestContainmentEmitter:
                     for j in range(r)] for i in range(n)]
         inner_c = [(0, 1.0, -1.5), (-1, 0.0, 0.5)]
         scales = [(1, 1.0, 1.0) if q % 2 else (-1, 0.0, 2.0) for q in range(s)]
-        for split in (True, False):
+        for split, prune in itertools.product((True, False), repeat=2):
             _assert_same_program(inner_G, inner_c, outer_cols, scales, np.array([1.0, -1.0]),
-                                 split)
+                                 split, prune)
 
 
 class TestDirectedHausdorff:

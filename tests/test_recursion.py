@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zonosynth import sysmodel, viability
+from zonosynth import geom, sysmodel, viability
 from zonosynth.cli import lambda_for
 from zonosynth.contracts import _at, _signature, build_programs, default_template, emit_subsystem
 from zonosynth.geom import Zonotope
@@ -306,6 +306,20 @@ def test_case1_centralized_lp_matches_golden_digest(monkeypatch):
 
 @pytest.mark.parametrize("config, beta, digest", [
     ("configs/case1.json", 0.0,
+     "f065827bca1eb9da443367ffc9e6c895ba14e1ea371800b6d7408efb3feb4bf6"),
+    ("configs/case1.json", 0.3,
+     "9ded5a5c8ddabbb26d92244ae5b3c1ecb24752cf05c8650103fa59d0f607a62c"),
+    ("geo40", 0.0,
+     "937b30c61e121f9aeddb42928c641d647a8c4bd131b1c821f2ec9ea358dbe01d"),
+    ("configs/case2.json", 0.0,
+     "dc07ebe4351241b818e21153ca5725b36bd4b4448105877619b7ef113e3532b6"),
+], ids=["case1", "case1-beta", "geo40", "case2"])
+def test_dense_lp_matches_golden_digest(monkeypatch, config, beta, digest):
+    assert dense_lp_digest(monkeypatch, config, beta) == digest
+
+
+@pytest.mark.parametrize("config, beta, digest", [
+    ("configs/case1.json", 0.0,
      "2727051850828e42db7082875a88c947e085258364a4c5d3ade36ed706d97466"),
     ("configs/case1.json", 0.3,
      "bd39601528fb0d7036a02e40de1b7163686a12a21d386c945539a7262e2153d9"),
@@ -313,7 +327,10 @@ def test_case1_centralized_lp_matches_golden_digest(monkeypatch):
     ("configs/case2.json", 0.0,
      "44623ba8f1a8dc672f27b31ca1031ee32ac3344576f1a32ea3016915e5f704dc"),
 ], ids=["case1", "case1-beta", "geo40", "case2"])
-def test_dense_lp_matches_golden_digest(monkeypatch, config, beta, digest):
+def test_dense_lp_without_pinned_witnesses(monkeypatch, config, beta, digest):
+    # with the block rule pinning no witness entry, the dense LP is bit for
+    # bit the one built before pinned witnesses left it: these are its digests
+    monkeypatch.setattr(geom, "_pinned_witness", oracles.pin_no_witness)
     assert dense_lp_digest(monkeypatch, config, beta) == digest
 
 
@@ -337,7 +354,9 @@ def dense_lp_digest(monkeypatch, config, beta):
      "6e53835d4f021ab9b2e0a6bab4478df23e658533283dc4a986ba56eebce75a82"),
 ], ids=["case1", "case1-beta", "geo40", "case2"])
 def test_unpinned_dense_lp_is_the_full_lp(monkeypatch, config, beta, digest):
-    # with zero forcing pinning nothing, the dense LP is bit for bit the one
-    # built before forced zeros left it: these are that LP's digests
+    # with neither zero forcing nor the block rule pinning anything, the
+    # dense LP is bit for bit the one built before forced zeros left it:
+    # these are that LP's digests
     monkeypatch.setattr(viability, "_forced_zeros", oracles.force_nothing)
+    monkeypatch.setattr(geom, "_pinned_witness", oracles.pin_no_witness)
     assert dense_lp_digest(monkeypatch, config, beta) == digest

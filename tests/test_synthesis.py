@@ -645,9 +645,9 @@ MONOLITHIC = {
 
 
 # the optimum of case2's finite dense LP with |Lam| <= W rows, solved once
-# by the interior-point solver (about 5 s): pinned here instead of solved
+# by the interior-point solver (about 4 s): pinned here instead of solved
 # again, while the LP itself is still built and sized below
-W_FORM_OPTIMUM = {"dense-case2": ("correct", 135.219853702115)}
+W_FORM_OPTIMUM = {"dense-case2": ("correct", 135.2198536792825)}
 
 
 @pytest.mark.parametrize("run", list(MONOLITHIC))
@@ -658,7 +658,7 @@ def test_monolithic_lp_solves_alike_in_both_containment_forms(monkeypatch, run):
     emit = geom.add_scaled_containment
     for module in (contracts, viability):
         monkeypatch.setattr(module, "add_scaled_containment",
-                            lambda *args, split=True: emit(*args, split=False))
+                            lambda *args, split=True, **kw: emit(*args, split=False, **kw))
     if run in W_FORM_OPTIMUM:
         built = []  # the W-form LP, caught on its way to the solver
         monkeypatch.setattr(viability, "solve_and_read", lambda lp, *a: built.append(lp))
@@ -667,7 +667,7 @@ def test_monolithic_lp_solves_alike_in_both_containment_forms(monkeypatch, run):
         status, objective = W_FORM_OPTIMUM[run]
         rows = SimpleNamespace(status=status, objective=objective, timings={
             "max_lp_rows": lp.num_rows, "max_lp_cols": lp.num_vars})
-        assert (lp.num_rows, lp.num_vars) == (30726, 22361)
+        assert (lp.num_rows, lp.num_vars) == (29208, 21349)
     else:
         rows = MONOLITHIC[run]()
     assert split.status == rows.status
@@ -683,7 +683,7 @@ def test_monolithic_lp_sizes_are_pinned():
     # witness entry shows here first (20,850 and 19,948 rows in that form)
     assert centralized_synthesize(load_network("configs/case2.json")).timings["max_lp_rows"] \
         == 9468
-    assert centralized_dense(geo40()).timings["max_lp_rows"] == 6988
+    assert centralized_dense(geo40()).timings["max_lp_rows"] == 3644
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import escalate_k, force_nothing, interval_hull, rci_beta_grid
+from oracles import escalate_k, force_nothing, interval_hull, pin_no_witness, rci_beta_grid
 
 from zonosynth.cli import lambda_for
-from zonosynth.geom import Zonotope, contains_point
-from zonosynth import lpcore, viability
+from zonosynth.geom import (Zonotope, add_scaled_containment, contains_point, numbers,
+                            witness_values)
+from zonosynth import geom, lpcore, viability
 from zonosynth.lpcore import LinearProgram
 from zonosynth.synthesis import RETRY_HINT, centralized_dense
 from zonosynth.sysmodel import aggregate, load_network, random_network
@@ -407,6 +408,60 @@ def test_a_pinned_row_with_a_nonzero_bound_fails_the_run(monkeypatch):
     empty = np.bincount(lp._matrix()[1], minlength=lp.num_rows) == 0
     lo, hi = lp._row_bounds()
     assert np.any(empty & (lo == hi) & (lo != 0))
+
+
+def test_dense_rci_at_dim_80_certifies():
+    # at HiGHS's default 1e-7 feasibility tolerance this tube left a
+    # recursion residual of 9.371e-08, above RESIDUAL_TOL
+    res = centralized_dense(random_network(40, lambda_for(80), seed=0))
+    assert res.status == "correct"
+    assert res.correctness.lp_fallbacks == 0
+
+
+# ---------------------------------------------------------------------------
+# the block rule: witness entries of blocks whose inner entries are all 0
+# leave the dense LP
+
+
+PRUNING_RUNS = {**FORCING_RUNS, "case1-beta": ("configs/case1.json", 0, 0.2),
+                "geo40-beta": (40, 0, 0.2), "geo60": (60, 0, 0.0)}
+
+
+@pytest.mark.parametrize("run", list(PRUNING_RUNS))
+def test_pinned_witnesses_keep_the_dense_result(monkeypatch, run):
+    # the LP without its pinned witness entries and the one with them have
+    # one status and one optimum, and neither needs a Hausdorff LP
+    config, seed, beta = PRUNING_RUNS[run]
+    net = (load_network(config) if isinstance(config, str)
+           else random_network(config // 2, lambda_for(config), seed=seed))
+    pruned = centralized_dense(net, beta=beta)
+    monkeypatch.setattr(geom, "_pinned_witness", pin_no_witness)
+    full = centralized_dense(net, beta=beta)
+    assert pruned.status == full.status == "correct"
+    assert pruned.objective == pytest.approx(full.objective, rel=1e-9, abs=0.0)
+    assert pruned.correctness.lp_fallbacks == full.correctness.lp_fallbacks == 0
+    assert pruned.timings["max_lp_rows"] < full.timings["max_lp_rows"]
+    assert pruned.timings["max_lp_cols"] < full.timings["max_lp_cols"]
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_a_block_keeps_every_witness_entry_of_a_live_row(split):
+    # the outer [[1, 1], [0, 1]] is one block, and column 0 of the inner
+    # [[0, 0], [1, 0]] is live on row 1 alone: both witness entries of
+    # column 0 stay (row 1 needs Lam[1, 0] = 1, row 0 then Lam[0, 0] = -1),
+    # while column 1, the number 0 on both rows, keeps none
+    lp = LinearProgram()
+    handles = add_scaled_containment(lp, numbers([[0.0, 0.0], [1.0, 0.0]]),
+                                     [[1.0, 1.0], [0.0, 1.0]], numbers([1.0, 1.0]),
+                                     np.zeros(2), split=split, prune=True)
+    lp.var_block((), lb=5.0, ub=5.0)  # the last column reads 5, not 0
+    kept = handles["P"] if split else np.column_stack([handles["Lam"], handles["lam"]])
+    assert np.array_equal(kept >= 0, [[True, False], [True, False]])
+    sol = lp.solve()
+    assert sol.status == lpcore.OPTIMAL
+    # a pinned entry reads 0.0 through witness_values
+    (L,) = witness_values(sol, {"in": handles}).values()
+    assert L.tolist() == [[-1.0, 0.0], [1.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------
