@@ -666,9 +666,6 @@ class PotentialProgram:
         if sol.status == lpcore.INFEASIBLE:
             raise PotentialInfeasible(
                 f"subsystem {self.sid!r}: no viable tube at these parameters")
-        if sol.status != lpcore.OPTIMAL:
-            raise lpcore.LpSolverError(
-                f"potential LP for {self.sid!r} ended with {sol.status}")
         ev = PotentialEval(self.sid, max(0.0, sol.objective), self.reads,
                            sol.column_duals(self._alpha_cols), sol.solve_seconds, self.handles, sol)
         self._last = (key, ev)
@@ -697,12 +694,7 @@ class PotentialProgram:
         finally:
             lp.set_col_bounds(self._slack, *self._slack_bounds)
             lp.set_costs(self._cost_cols, self._potential_cost)
-        if sol.status == lpcore.INFEASIBLE:
-            return None
-        if sol.status != lpcore.OPTIMAL:
-            raise lpcore.LpSolverError(
-                f"extraction LP for {self.sid!r} ended with {sol.status}")
-        return sol
+        return None if sol.status == lpcore.INFEASIBLE else sol
 
 
 def _numeric_solution(sol, handles):

@@ -38,6 +38,13 @@ first member to reach an optimum lends its basis to the first solve of every
 other one.  HiGHS refuses a basis that does not fit (rows or columns added
 since), and the solve starts cold.  Reported times are in-solver seconds.
 
+A program carries the HiGHS options its solves run under (``options``, as
+:data:`TIGHT` or :data:`IPM`).  :func:`_run` sets them, a time limit and the
+settings of a retry or disambiguation before ``run()`` and puts each back
+after it, so no setting outlives its solve on a shared instance.  A solve
+ends :data:`OPTIMAL` or :data:`INFEASIBLE`; any other outcome (a time limit,
+an unbounded model, a breakdown) raises :class:`LpSolverError`.
+
 :class:`LinExpr`, :func:`as_expr` and ``add_eq``/``add_le``/``add_ge`` (one
 row per call, written as expression arithmetic) are no part of that API;
 no program of the package calls them.  They stay only because the
@@ -89,8 +96,10 @@ _hcore = _load_highs()
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-TIME_LIMIT = "time_limit"
+# HiGHS options a program may carry: primal and dual feasibility tolerance
+# 1e-10 instead of 1e-7, and the interior-point solver with crossover
+TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+IPM = {"solver": "ipm", "run_crossover": "on"}
 
 
 class LpError(Exception):
@@ -102,11 +111,9 @@ class LpBuildError(LpError):
 
 
 class LpSolverError(LpError):
-    """Raised when the solver fails numerically.
-
-    Infeasible and unbounded models are *results* (see ``LpSolution.status``),
-    not errors; this exception marks genuine solver breakdowns.
-    """
+    """Raised when a solve ends neither optimal nor infeasible: a time
+    limit, an unbounded model or a solver breakdown.  Infeasible models are
+    *results* (see ``LpSolution.status``), not errors."""
 
 
 # --------------------------------------------------------------------------
@@ -239,24 +246,9 @@ _LE, _GE = ord("<"), ord(">")
 _COLWISE, _MINIMIZE = int(_hcore.MatrixFormat.kColwise), int(_hcore.ObjSense.kMinimize)
 _LOWER = _hcore.HighsBasisStatus.kLower
 _S = _hcore.HighsModelStatus
-# a simplex breakdown, which one run by the interior-point solver retries,
-# with these options set and then put back
-_BREAKDOWN, _IPM = (int(_S.kNotset), int(_S.kSolveError)), ("solver", "run_crossover")
-# the model statuses, by code, that end a solve with a result
-_RESULTS = {int(_S.kOptimal): OPTIMAL, int(_S.kInfeasible): INFEASIBLE,
-            int(_S.kUnbounded): UNBOUNDED, int(_S.kTimeLimit): TIME_LIMIT,
-            int(_S.kIterationLimit): TIME_LIMIT}
-# programs, by name, solved at primal and dual feasibility tolerance 1e-10
-# instead of HiGHS's 1e-7: the Hausdorff LP's optimum is compared with
-# witness bounds to 1e-9, and the dense invariant LP's recursion residuals
-# with ``viability.RESIDUAL_TOL`` 1e-8 (at 1e-7, dims 80 and 100 left 9.4e-8)
-_TIGHT = ("hausdorff", "rci")
-# programs, by name, solved by the interior-point solver with crossover: the
-# finite tube LP of ``viability.viable_lp``.  On case2's aggregate network
-# dual simplex takes 11-15 s to a vertex whose Theta(6) escapes U(6) by
-# 3.1e-7, inside its feasibility tolerance; the interior-point solver takes
-# 3.5 s to one that certifies
-_BY_IPM = ("viable",)
+_OK = _hcore.HighsStatus.kOk
+# a simplex breakdown, which one run under IPM retries
+_BREAKDOWN = (int(_S.kNotset), int(_S.kSolveError))
 
 
 def _row_bounds(sense, bound):
@@ -282,9 +274,9 @@ def _merge(key, coefs):
 class LinearProgram:
     """Incrementally built LP, solved by HiGHS.
 
-    Minimization only.  Infeasible/unbounded are reported as statuses on the
-    returned :class:`LpSolution`; numerical failures raise
-    :class:`LpSolverError`.
+    Minimization only.  A solve ends :data:`OPTIMAL` or :data:`INFEASIBLE`
+    (the returned :class:`LpSolution`'s status) or raises
+    :class:`LpSolverError`, under the HiGHS ``options`` (name: value).
 
     The matrix is kept column-wise (CSC), plus per-row sense and bound;
     :meth:`add_rows` keeps its blocks as COO triplets until the next
@@ -292,8 +284,9 @@ class LinearProgram:
     doubling as columns are added.
     """
 
-    def __init__(self, name="lp"):
+    def __init__(self, name="lp", options=None):
         self.name = name
+        self.options = dict(options or {})
         self._num_cols = 0
         self._lb = np.zeros(0)        # column arrays, valid up to num_vars
         self._ub = np.zeros(0)
@@ -482,9 +475,14 @@ class LinearProgram:
     # -- solving -------------------------------------------------------------
 
     def solve(self, time_limit=None):
+        """Solve under :attr:`options`, and under ``time_limit`` seconds
+        (floored at 0.0; None: no limit) for this solve alone."""
         if self.num_vars == 0:
             return self._solve_trivial()
-        return self._solve_highs(time_limit)
+        options = self.options
+        if time_limit is not None:
+            options = {**options, "time_limit": max(0.0, float(time_limit))}
+        return self._solve_highs(options)
 
     def _solve_trivial(self):
         # No variables: every row is a constant; check feasibility directly.
@@ -498,16 +496,8 @@ class LinearProgram:
         for tracker in _tracker_stack.get():
             tracker.instances += 1
         solver = _hcore._Highs()
-        solver.setOptionValue("output_flag", False)
-        solver.setOptionValue("threads", 1)
-        solver.setOptionValue("random_seed", 0)
-        if self.name in _BY_IPM:
-            for name, value in zip(_IPM, ("ipm", "on")):
-                solver.setOptionValue(name, value)
-        if self.name in _TIGHT:
-            for option in ("primal_feasibility_tolerance",
-                           "dual_feasibility_tolerance"):
-                solver.setOptionValue(option, 1e-10)
+        for name, value in (("output_flag", False), ("threads", 1), ("random_seed", 0)):
+            _set_option(solver, name, value)
         return solver
 
     def _pass_model(self, solver):
@@ -564,35 +554,23 @@ class LinearProgram:
             status = basis.col_status
             holder.lent = (start, [status[c] for c in self._shared.tolist()])
 
-    def _solve_highs(self, time_limit):
+    def _solve_highs(self, options):
         cold = not self._live() and not self._take_highs()
         holder = self._holder
         solver = holder.highs
-        limit = float(time_limit) if time_limit else INF
-        if limit != holder.time_limit:  # the instance's, set only when it changes
-            solver.setOptionValue("time_limit", limit)
-            holder.time_limit = limit
-        solver.run()  # the run clock advances only while HiGHS runs
-        status = solver.getModelStatus()
+        status = _run(solver, options)  # the run clock advances only while HiGHS runs
         retried = int(status) in _BREAKDOWN
         if retried:  # once more by the interior-point solver, crossover on
-            previous = [solver.getOptionValue(name)[1] for name in _IPM]
-            for name, value in zip(_IPM, ("ipm", "on")):
-                solver.setOptionValue(name, value)
-            solver.run()
-            for name, value in zip(_IPM, previous):
-                solver.setOptionValue(name, value)
-            status = solver.getModelStatus()
+            status = _run(solver, {**options, **IPM})
         clock = solver.getRunTime()
         seconds, holder.clock = clock - holder.clock, clock
         _notify_trackers(seconds, self._size, cold, retried)
         if status == _S.kUnboundedOrInfeasible:
-            status = self._disambiguate_highs()
-        result = _RESULTS.get(int(status))
-        if result is None:
-            raise LpSolverError(f"solver failed on {self.name!r}: {status}")
-        if result != OPTIMAL:
-            return LpSolution(self, result, None, None, None, seconds)
+            status = self._disambiguate_highs(options)
+        if status == _S.kInfeasible:
+            return LpSolution(self, INFEASIBLE, None, None, None, seconds)
+        if status != _S.kOptimal:
+            raise LpSolverError(f"LP {self.name!r} ended with {status}")
         if holder.lend:
             self._lend_basis()
         sol = solver.getSolution()  # a copy: later solves leave it alone
@@ -601,14 +579,33 @@ class LinearProgram:
         obj = float(self._cost[:n] @ x) + 0.0  # -0.0 reads as +0.0
         return LpSolution(self, OPTIMAL, obj, x, sol, seconds)
 
-    def _disambiguate_highs(self):
+    def _disambiguate_highs(self, options):
         # Presolve sometimes cannot tell infeasible from unbounded; retry
         # without it on a throwaway instance.
         solver = self._new_highs()
-        solver.setOptionValue("presolve", "off")
         self._pass_model(solver)
+        return _run(solver, {**options, "presolve": "off"})
+
+
+def _set_option(solver, name, value):
+    if solver.setOptionValue(name, value) != _OK:
+        raise LpBuildError(f"HiGHS refused option {name}={value!r}")
+
+
+def _run(solver, options):
+    """``solver.run()`` under ``options``, each set before the run and put
+    back after it to the value ``getOptionValue`` read; the model status."""
+    previous = []
+    try:
+        for name, value in options.items():
+            old = solver.getOptionValue(name)[1]
+            _set_option(solver, name, value)
+            previous.append((name, old))
         solver.run()
         return solver.getModelStatus()
+    finally:
+        for name, value in previous:
+            _set_option(solver, name, value)
 
 
 def _doubles(values, n):
@@ -620,16 +617,16 @@ def _doubles(values, n):
 class _Holder:
     """The HiGHS instance of a batch, made at its first solve, and what
     belongs to the instance: a weak reference to the program whose model it
-    holds (``owner``), its run ``clock`` after the last solve and its
-    ``time_limit``; its options are those of the program that made it.
-    ``lend`` is True while a batch of several waits for its first optimum,
-    and ``lent`` is the basis that optimum lent to first solves."""
+    holds (``owner``) and its run ``clock`` after the last solve; between
+    solves it reads HiGHS's defaults but three (see ``_new_highs``).  ``lend``
+    is True while a batch of several waits for its first optimum, and
+    ``lent`` is the basis that optimum lent to first solves."""
 
-    __slots__ = ("highs", "owner", "clock", "time_limit", "lend", "lent")
+    __slots__ = ("highs", "owner", "clock", "lend", "lent")
 
     def __init__(self, lend=False):
         self.highs = self.owner = self.lent = None
-        self.clock, self.time_limit, self.lend = 0.0, INF, lend
+        self.clock, self.lend = 0.0, lend
 
 
 class _LpBatch:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zonosynth.lpcore import OPTIMAL, LinearProgram, LinExpr, _LpBatch, as_expr
+from zonosynth.lpcore import IPM, OPTIMAL, TIGHT, LinearProgram, LinExpr, _LpBatch, as_expr
 
 INF = float("inf")
 _LE, _GE = ord("<"), ord(">")
@@ -631,7 +631,7 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k):
 
     def build(zero):
         zero = zero or [np.zeros(shape, dtype=bool) for shape in shapes]
-        lp = LinearProgram(name="viable")
+        lp = LinearProgram(name="viable", options=IPM)
         Tc = [masked_cols(lp, z) for z in zero[:h + 1]]
         T = [col_exprs(c) for c in Tc]
         xbar = [var_array(lp, n) for _ in range(h + 1)]
@@ -675,7 +675,7 @@ def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0):
 
     def build(zero):
         zero = zero or [np.zeros((n, k), dtype=bool), np.zeros((m, k), dtype=bool)]
-        lp = LinearProgram(name="rci")
+        lp = LinearProgram(name="rci", options=TIGHT)
         Tc = masked_cols(lp, zero[0])
         T = col_exprs(Tc)
         xbar = var_array(lp, n)

@@ -70,7 +70,7 @@ def test_sensitivity_matches_perturbed_resolve(backend):
     assert dual(base, 0) > 0
 
 
-def test_infeasible_and_unbounded_are_statuses(backend):
+def test_infeasible_is_a_status_and_unbounded_raises(backend):
     lp = backend()
     x = var(lp)
     lp.add_ge(x, 2.0)
@@ -78,10 +78,11 @@ def test_infeasible_and_unbounded_are_statuses(backend):
     minimize(lp, x)
     assert lp.solve().status == lpcore.INFEASIBLE
 
-    lp2 = backend()
+    lp2 = backend("free")
     x2 = var(lp2)
     minimize(lp2, x2)
-    assert lp2.solve().status == lpcore.UNBOUNDED
+    with pytest.raises(lpcore.LpSolverError, match="'free'.*kUnbounded"):
+        lp2.solve()
 
 
 def test_value_on_expression_arrays(backend):
@@ -438,6 +439,52 @@ def test_only_lpcore_uses_expression_arithmetic():
     assert found == []
 
 
+def test_only_lpcore_sets_solver_options_or_reads_other_outcomes():
+    # a program carries its options and lpcore runs HiGHS under them; a
+    # solve ends optimal or infeasible, so no caller tests for another
+    # outcome; and lpcore's code names no program another module builds
+    import ast
+    import re
+
+    def key(node):
+        return getattr(node, "attr", getattr(node, "id", getattr(node, "value", None)))
+
+    # a solution's outcomes, and the synthesis verdicts SynthesisResult.status holds
+    allowed = {"OPTIMAL", "INFEASIBLE", "correct", "failed"}
+    found, built, compared = [], set(), 0
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and key(node.func) == "LinearProgram":
+                named = node.args[:1] + [k.value for k in node.keywords if k.arg == "name"]
+                built |= {key(c) for arg in named for c in ast.walk(arg)
+                          if isinstance(c, ast.Constant)}
+            if name == "lpcore.py":
+                continue
+            if key(node) in ("setOptionValue", "getOptionValue"):
+                found.append(f"{name}:{node.lineno} {key(node)}")
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(key(side) == "status" for side in sides):
+                    compared += 1
+                    found += [f"{name}:{node.lineno} status compared with {key(side)!r}"
+                              for side in sides if key(side) not in allowed | {"status"}]
+    assert found == []
+    assert compared >= 6  # the guard sees the callers' status tests
+    programs = {"hausdorff", "rci", "viable"}
+    assert programs <= built
+    import zonosynth.lpcore
+
+    tree = dict(_src_trees())["lpcore.py"]
+    lines = open(zonosynth.lpcore.__file__).read().splitlines()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            lines[doc.lineno - 1:doc.end_lineno] = [""] * (doc.end_lineno - doc.lineno + 1)
+    code = "\n".join(lines).lower()
+    assert [p for p in sorted(programs) if re.search(rf"\b{p}\b", code)] == []
+
+
 def test_lpcore_defines_none_of_the_row_wise_layer():
     import ast
 
@@ -674,11 +721,11 @@ def test_a_member_re_solved_after_a_hand_off_returns_its_last_solution():
 
 def test_a_time_limit_stays_with_the_solve_that_passed_it():
     first, second, _, _ = _handed_pair()
-    highs = first._holder.highs
+    highs = first._holder.highs = _Recording(first._holder.highs)
     assert first.solve(time_limit=30.0).status == lpcore.OPTIMAL
-    assert highs.getOptionValue("time_limit")[1] == 30.0
-    assert second.solve().status == lpcore.OPTIMAL
     assert highs.getOptionValue("time_limit")[1] == INF
+    assert second.solve().status == lpcore.OPTIMAL
+    assert [run["time_limit"] for run in highs.runs] == [30.0, INF]
 
 
 def test_solve_seconds_of_a_batch_add_up_to_its_instance_clock():
@@ -746,3 +793,155 @@ def test_highs_holds_the_assembled_model_of_every_batch_member(name):
         n = lp.num_vars
         for got, expected in zip(_held(lp)[3:6], (lp._cost[:n], lp._lb[:n], lp._ub[:n])):
             assert got.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# solver options: carried by the program, set for its solves alone
+
+_WATCHED = ("primal_feasibility_tolerance", "dual_feasibility_tolerance", "solver",
+            "run_crossover", "presolve", "time_limit")
+
+
+def _settings(highs):
+    return {name: highs.getOptionValue(name)[1] for name in _WATCHED}
+
+
+_DEFAULTS = _settings(lpcore._hcore._Highs())
+
+
+class _Recording:
+    """A HiGHS instance that records the watched options at each run."""
+
+    def __init__(self, solver):
+        self._solver, self.runs = solver, []
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+    def run(self):
+        self.runs.append(_settings(self._solver))
+        return self._solver.run()
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """(program name, watched options) at every HiGHS run; after every
+    solve the program's instance must read HiGHS's defaults again."""
+    log, solving = [], []
+    new_highs, solve = LinearProgram._new_highs, LinearProgram.solve
+
+    class Logged(_Recording):
+        def run(self):
+            log.append((solving[-1], _settings(self._solver)))
+            return self._solver.run()
+
+    def logged_solve(lp, *args, **kwargs):
+        solving.append(lp.name)
+        try:
+            return solve(lp, *args, **kwargs)
+        finally:
+            solving.pop()
+            if lp._holder.highs is not None:
+                assert _settings(lp._holder.highs) == _DEFAULTS, lp.name
+
+    monkeypatch.setattr(LinearProgram, "_new_highs", lambda lp: Logged(new_highs(lp)))
+    monkeypatch.setattr(LinearProgram, "solve", logged_solve)
+    return log
+
+
+def _runs_of(log, prefix):
+    got = [settings for name, settings in log if name.startswith(prefix)]
+    assert got, prefix
+    return got
+
+
+def test_the_hausdorff_and_invariant_dense_lps_run_tight(runs):
+    from zonosynth import geom, synthesis, sysmodel
+
+    box = geom.Zonotope(np.zeros(2), np.eye(2))
+    assert geom.directed_hausdorff(box, geom.Zonotope(np.zeros(2), 2.0 * np.eye(2))) == \
+        pytest.approx(1.0)
+    assert synthesis.centralized_dense(sysmodel.load_network("configs/case1.json")).ok
+    tight = dict(_DEFAULTS, **lpcore.TIGHT)
+    for prefix in ("hausdorff", "rci"):
+        assert _runs_of(runs, prefix) == [tight] * len(_runs_of(runs, prefix))
+
+
+def test_the_finite_dense_lp_runs_by_ipm_with_crossover(runs):
+    from test_contracts import finite_pair
+    from zonosynth import synthesis
+
+    assert synthesis.centralized_dense(finite_pair(horizon=3)).ok
+    assert _runs_of(runs, "viable") == [dict(_DEFAULTS, **lpcore.IPM)]
+
+
+def test_the_other_programs_run_at_highs_defaults(runs):
+    from test_contracts import pair_network
+    from zonosynth import contracts, geom, synthesis, sysmodel
+
+    network = sysmodel.load_network("configs/case1.json")
+    assert synthesis.compositional_synthesize(network).ok
+    synthesis.centralized_synthesize(network)
+    pair = pair_network()
+    half = contracts.ContractTemplate({1: ((np.zeros(1), np.array([[0.5]])),),
+                                       2: ((np.zeros(1), np.array([[0.5]])),)}, {},
+                                      is_bounds=False)
+    assert contracts.alpha_max(pair, half).x[1][0] == pytest.approx([2.0])
+    box = geom.Zonotope(np.zeros(2), np.eye(2))
+    assert geom.contains_point(box, np.array([[0.5, 0.5], [2.0, 0.0]]))[0].tolist() == \
+        [True, False]
+    for prefix in ("potential[", "centralized", "master", "member", "alphamax"):
+        assert _runs_of(runs, prefix) == [_DEFAULTS] * len(_runs_of(runs, prefix))
+
+
+def test_a_batch_member_keeps_its_options_from_its_siblings(runs):
+    (first, second), _ = _sibling_pair(0.0, 1.0, 0.5)
+    first.options = lpcore.TIGHT
+    for lp in (first, second, first, second):
+        assert lp.solve().status == lpcore.OPTIMAL
+    tight = dict(_DEFAULTS, **lpcore.TIGHT)
+    assert [settings for _, settings in runs] == [tight, _DEFAULTS, tight, _DEFAULTS]
+    assert first._holder is second._holder
+
+
+@pytest.mark.parametrize("limit", [0.0, -1.0])
+def test_a_spent_time_limit_raises(limit):
+    # a limit is floored at 0.0, which HiGHS ends at once
+    lp = LinearProgram("spent")
+    x = lp.var_block(2, lb=0.0)
+    lp.add_rows([0, 0], x, [1.0, 1.0], [1.0], ">")
+    lp.set_costs(x, [1.0, 2.0])
+    with pytest.raises(lpcore.LpSolverError, match="'spent'.*kTimeLimit"):
+        lp.solve(time_limit=limit)
+    assert lp._holder.highs.getOptionValue("time_limit")[1] == INF
+    assert lp.solve().objective == pytest.approx(1.0)
+
+
+def test_an_option_highs_refuses_is_a_build_error():
+    lp = LinearProgram("typo", options={"primal_feasibility_tolerence": 1e-10})
+    x = lp.var_block(1, lb=0.0)
+    lp.set_costs(x, [1.0])
+    with pytest.raises(LpBuildError, match="primal_feasibility_tolerence=1e-10"):
+        lp.solve()
+    lp.options = dict(lpcore.TIGHT, solver="simplx")
+    with pytest.raises(LpBuildError, match="solver='simplx'"):
+        lp.solve()
+    assert _settings(lp._holder.highs) == _DEFAULTS  # the tolerances set first are put back
+
+
+def test_a_solve_with_no_options_makes_no_option_call(monkeypatch):
+    (first, second), _ = _sibling_pair(0.0, 1.0, 0.5)
+    first.solve()
+    calls = []
+    highs = first._holder.highs
+
+    class Counting:
+        def __getattr__(self, name):
+            if name in ("setOptionValue", "getOptionValue"):
+                calls.append(name)
+            return getattr(highs, name)
+
+    first._holder.highs = Counting()
+    for lp in (second, first, second):
+        assert lp.solve().status == lpcore.OPTIMAL
+    assert calls == []

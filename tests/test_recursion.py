@@ -32,7 +32,7 @@ VALUES = np.array([0.0, -0.0, 0.0, 1.0, -0.5, 0.3, 2.0, -1.25])
 
 
 def assert_same_lp(got, want):
-    assert got.name == want.name
+    assert got.name == want.name and got.options == want.options
     assert got._senses().tobytes() == want._senses().tobytes()
     for a, b in zip(got._assemble(), want._assemble()):
         assert a.dtype == b.dtype and a.shape == b.shape
