@@ -18,7 +18,7 @@ one coefficient times one LP column, so the inner body and the scales are
 passed as arrays (:func:`affine`, :func:`numbers`).  This is the
 containment encoding of Sadraddini and Tedrake (CDC 2019).
 
-The l1 bound takes one of two forms.  The centralized, dense and one-shot
+The l1 bound takes one of two forms.  The centralized, dense and Hausdorff
 programs split the sign, ``[Lambda lam] = P - N`` with ``P, N >= 0`` and one
 row-sum row per q (the usual LP form of an l1 bound, Boyd and Vandenberghe,
 *Convex Optimization*, 6.1).  The per-subsystem potential programs, whose
@@ -26,8 +26,11 @@ duals the descent reads, keep two rows ``|.| <= W`` per entry (see
 :func:`add_scaled_containment` for why).  :func:`witness_values` reads
 ``[Lambda lam]`` back from either.  :func:`hausdorff_bound` turns any
 candidate (Lambda, lam), such as the one a solved program found, into an
-upper bound on the directed Hausdorff distance, which ``viability.certify``
-checks before it solves a Hausdorff LP.
+upper bound on the directed Hausdorff distance.  A containment is decided
+one way, as ``viability.certify`` does: by that bound on a witness, or
+else by the Hausdorff LP, :func:`directed_hausdorff`, which is 0 when the
+containment rows are feasible.  Witness entries and rows that the inputs
+make idle get no column and no row (see :func:`add_scaled_containment`).
 """
 
 from __future__ import annotations
@@ -136,12 +139,6 @@ def order_reduce_box(Z, order=1):
     return Zonotope(Z.center, np.hstack([Z.generators[:, kept], np.diag(radius)]))
 
 
-def sample(Z, num, rng):
-    """num points c + G zeta with zeta uniform over [-1,1]^p."""
-    zeta = rng.uniform(-1.0, 1.0, size=(num, Z.num_generators))
-    return Z.center + zeta @ Z.generators.T
-
-
 def polygon_vertices_2d(Z, tol=1e-12):
     """Vertices of a 2-D zonotope in counter-clockwise order.
 
@@ -203,11 +200,6 @@ def numbers(values):
     return affine(-1, 0.0, values)
 
 
-def _body(Z):
-    """The numeric inner body ``[G c]`` of zonotope ``Z``."""
-    return numbers(np.column_stack([Z.generators, Z.center]))
-
-
 def _union(mask, ndim):
     """The entries of the last ``ndim`` axes that are set for any index of
     the axes before them: one pattern for every member of a batch."""
@@ -238,24 +230,27 @@ def _columns(lp, zero, lb=-np.inf):
     return out
 
 
-def _add_rows(lp, rows, cols, coefs, bounds, sense, prune=False):
-    """``lp.add_rows`` without the terms in column -1 (the number 0).  With
-    ``prune``, a row left with no column and bound 0 (it reads 0 = 0 or 0
-    <= 0) drops out, moving the later rows up."""
+def _add_rows(lp, rows, cols, coefs, bounds, sense):
+    """``lp.add_rows`` without the terms in column -1 (the number 0) and
+    without the rows then left with no column and bound 0, which read 0 = 0
+    or 0 <= 0; the later rows move up."""
     kept = _union(cols >= 0, 1)
     if not kept.all():
         rows, cols, coefs = rows[kept], cols[..., kept], coefs[..., kept]
-    if prune:
-        live = _union(bounds != 0, 1)
-        live[rows] = True
+    live = np.zeros(np.shape(bounds)[-1], dtype=bool)
+    live[rows] = True
+    if not live.all():
+        live |= _union(bounds != 0, 1)
         rows, bounds = np.cumsum(live)[rows] - 1, bounds[..., live]
     return lp.add_rows(rows, cols, coefs, bounds, sense)
 
 
 def _pinned_witness(outer_cols, live):
-    """The witness entries ``[q, j]`` that ``add_scaled_containment(prune=
-    True)`` pins to 0: those of the blocks of ``outer_cols`` (n x s) with
+    """The witness entries ``[q, j]`` that :func:`add_scaled_containment`
+    pins to 0: those of the blocks of ``outer_cols`` (n x s) with
     ``live[i, j]`` (n x r+1) unset on every row i of the block."""
+    if live.all():  # then only a generator with no nonzero entry is idle
+        return (outer_cols == 0).all(axis=0)[:, None].repeat(live.shape[1], axis=1)
     S = (outer_cols != 0) * 1.0
     keep = S.T @ live > 0  # spread through the block until nothing changes
     while (more := S.T @ (S @ keep > 0) > 0).sum() > keep.sum():
@@ -263,7 +258,7 @@ def _pinned_witness(outer_cols, live):
     return ~keep
 
 
-def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, prune=False):
+def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True):
     """Emit rows forcing Z(c, G) inside Z(outer_c, outer_cols @ Diag(scales)).
 
     ``inner`` is the body ``[G c]`` (n x r+1) and ``scales`` the s scales
@@ -290,7 +285,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, p
     Both have the same feasible witnesses and the same columns, and a
     row-sum row's dual carries its scale's sensitivity in both.  The split
     form has s rows where the other has s (2r+3), and the one-LP programs
-    (centralized, dense, alpha-cap and one-shot containment) take it: case2's
+    (centralized, dense, alpha-cap and Hausdorff) take it: case2's
     centralized LP then solves in about half the HiGHS time.  The
     per-subsystem potential programs of ``contracts.emit_subsystem(slack=
     True)``, which also run the hard extraction, keep
@@ -300,21 +295,22 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, p
     promise by 1.772e-07, inside the solver's 1e-7 feasibility tolerance)
     where this form certifies it after 432.
 
-    ``prune`` (the dense tube LP of ``viability.viable_lp``) splits
-    ``outer_cols`` into blocks, rows and generators joined where an entry
-    is nonzero.  Where column j of the equality block (``c[i] - outer_c[i]``
-    for j == r) is the number 0 on every row of a block, the entries ``[Lam
-    lam][q, j]`` of the block's generators q sit only in rows that then
-    read 0 = 0 and, with "+" signs, in row sums: zeroing them keeps every
-    feasible witness feasible at no cost.  They get no column in either
-    form (handle -1, which :func:`witness_values` reads as 0.0), and a row
-    left with no column and bound 0 drops out, moving the later rows up.
-    On geo40's dense LP this leaves out 9,120 of 14,588 columns.
+    Both forms leave out what the inputs make idle.  ``outer_cols`` splits
+    into blocks, rows and generators joined where an entry is nonzero.
+    Where column j of the equality block (``c[i] - outer_c[i]`` for j == r)
+    is the number 0 on every row of a block, the entries ``[Lam lam][q, j]``
+    of the block's generators q sit only in rows that then read 0 = 0 and,
+    with "+" signs, in row sums: zeroing them keeps every feasible witness
+    feasible at no cost.  They get no column (handle -1, which
+    :func:`witness_values` reads as 0.0), and a row left with no column and
+    bound 0 drops out, moving the later rows up.  On geo40's dense LP, where
+    zero forcing pins most of T, this leaves out 9,120 of 14,588 columns.
 
     ``lp`` may be an :class:`lpcore._LpBatch`: every argument may then carry
     the batch's leading member axis, and so do the handles.  Entries that
     are zero for one member but not for all are emitted as zeros, which
-    ``add_rows`` drops; the columns (index >= 0) must be the same for all.
+    ``add_rows`` drops, and only what is idle in every member is left out;
+    the columns (index >= 0) must be the same for all.
     """
     outer_cols = np.asarray(outer_cols, dtype=float)
     n, s = outer_cols.shape[-2:]
@@ -326,10 +322,9 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, p
     is_c = np.arange(n * p) % p == r
     bounds = np.where(is_c, -(consts - np.repeat(np.asarray(outer_c, dtype=float), p, axis=-1)),
                       consts)
-    pinned = np.zeros((s, p), dtype=bool)
-    if prune:
-        pinned = _pinned_witness(_union(outer_cols, 2),
-                                 (_union(cols >= 0, 1) | _union(bounds != 0, 1)).reshape(n, p))
+    has_col = _union(cols >= 0, 1)  # an entry is live with a column or a number not 0
+    live = has_col if has_col.all() else has_col | _union(bounds != 0, 1)
+    pinned = _pinned_witness(_union(outer_cols, 2), live.reshape(n, p))
     # [Lam lam] is the sum of sign * columns over its signed column blocks
     if split:
         P, N = _columns(lp, pinned, lb=0.0), _columns(lp, pinned, lb=0.0)
@@ -341,7 +336,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, p
         signed = [(np.concatenate([Lam, lam[..., None]], axis=-1), 1.0)]
     lead = signed[0][0].shape[:-2]
 
-    own = np.flatnonzero(_union(cols >= 0, 1))
+    own = np.flatnonzero(has_col)
     ii, qq = np.nonzero(_union(outer_cols, 2))
     rows = ((ii * p)[:, None] + np.arange(p)).ravel()
     outer = np.repeat(outer_cols[..., ii, qq], p, axis=-1)
@@ -349,7 +344,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, p
                           for L, sign in signed]
                          + [(own, cols[..., own], np.where(is_c[own], coefs[..., own],
                                                            -coefs[..., own]))]),
-              bounds, "=", prune)
+              bounds, "=")
 
     cols, coefs, consts = scales
     own = np.flatnonzero(_union(cols >= 0, 1))
@@ -359,7 +354,7 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, p
         rowsum = np.repeat(np.arange(s), p)
         _add_rows(lp, *_join([(rowsum, L.reshape(lead + (-1,)), one) for L, _ in signed]
                              + [(own, cols[..., own], -coefs[..., own])]),
-                  consts, "<", prune)
+                  consts, "<")
         return handles
 
     # per q: +/-[Lam lam][q, j] - W[q, j] <= 0 in rows q*rq + 2j, q*rq + 2j + 1,
@@ -373,42 +368,16 @@ def add_scaled_containment(lp, inner, outer_cols, scales, outer_c, split=True, p
     _add_rows(lp, *_join([(plus, Lam_lam, one), (plus, Wf, -one), (plus + 1, Lam_lam, -one),
                           (plus + 1, Wf, -one), (np.repeat(rowsum, p), Wf, one),
                           (rowsum[own], cols[..., own], -coefs[..., own])]),
-              bounds, "<", prune)
+              bounds, "<")
     return handles
-
-
-@dataclass
-class ContainmentCertificate:
-    feasible: bool
-    Gamma: np.ndarray | None = None
-    gamma: np.ndarray | None = None
-    margin: float | None = None  # min over rows of (1 - |[Gamma gamma]| row sum)
-    solve_seconds: float = 0.0
-
-
-def containment_lp(inner, outer):
-    """Check Z_inner subset of Z_outer via the containment LP; returns a certificate."""
-    if inner.dim != outer.dim:
-        raise ValueError("dimension mismatch")
-    lp = LinearProgram(name="containment")
-    handles = add_scaled_containment(lp, _body(inner), outer.generators,
-                                     numbers(np.ones(outer.num_generators)),
-                                     outer.center)
-    sol = lp.solve()
-    if sol.status != lpcore.OPTIMAL:
-        return ContainmentCertificate(False, solve_seconds=sol.solve_seconds)
-    L = _witness_value(sol, handles)
-    Gamma, gamma = L[:, :-1], L[:, -1]
-    rows = np.abs(L).sum(axis=1)
-    margin = float(1.0 - rows.max()) if len(rows) else 1.0
-    return ContainmentCertificate(True, Gamma, gamma, margin, sol.solve_seconds)
 
 
 def directed_hausdorff(outer, inner):
     """min d >= 0 with Z_inner inside Z_outer + d * unit box (directed Hausdorff).
 
-    Zero iff the containment LP certifies Z_inner inside Z_outer; the box
-    inflation keeps the program linear and always feasible.
+    Zero iff the rows of :func:`add_scaled_containment` for Z_inner inside
+    Z_outer are feasible; the box inflation keeps the program linear and
+    always feasible, with at least the column d.
     """
     if inner.dim != outer.dim:
         raise ValueError("dimension mismatch")
@@ -418,8 +387,8 @@ def directed_hausdorff(outer, inner):
     lp = LinearProgram(name="hausdorff", options=lpcore.TIGHT)
     d = lp.var_block((), lb=0.0)
     scales = affine(np.r_[np.full(s, -1), np.full(n, d)], 1.0, np.r_[np.ones(s), np.zeros(n)])
-    add_scaled_containment(lp, _body(inner), np.hstack([outer.generators, np.eye(n)]),
-                           scales, outer.center)
+    add_scaled_containment(lp, numbers(np.column_stack([inner.generators, inner.center])),
+                           np.hstack([outer.generators, np.eye(n)]), scales, outer.center)
     lp.set_costs([d], 1.0)
     return max(0.0, lp.solve().objective)
 
@@ -430,22 +399,17 @@ def column_values(sol, cols):
     return np.where(cols >= 0, sol.column_values(cols), 0.0)
 
 
-def _witness_value(sol, h):
-    """The ``[Lam lam]`` array of one containment's handles ``h``: ``P - N``
-    in the split form, ``Lam`` and ``lam`` side by side otherwise."""
-    if "P" in h:
-        return column_values(sol, h["P"]) - column_values(sol, h["N"])
-    return np.column_stack([column_values(sol, h["Lam"]), column_values(sol, h["lam"])])
-
-
 def witness_values(sol, handles):
-    """The ``[Lam lam]`` array of each containment in ``handles``, by key.
+    """The ``[Lam lam]`` array of each containment in ``handles``, by key:
+    ``P - N`` in the split form, ``Lam`` and ``lam`` side by side otherwise.
 
     ``handles`` maps a key to the dict that :func:`add_scaled_containment`
     returned, in either form; ``sol`` is a solution of the LP those rows
     were emitted into.
     """
-    return {key: _witness_value(sol, h) for key, h in handles.items()}
+    return {key: column_values(sol, h["P"]) - column_values(sol, h["N"]) if "P" in h
+            else np.column_stack([column_values(sol, h["Lam"]), column_values(sol, h["lam"])])
+            for key, h in handles.items()}
 
 
 def hausdorff_bound(inner, center, cols, scales, L):

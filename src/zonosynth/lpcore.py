@@ -476,12 +476,15 @@ class LinearProgram:
 
     def solve(self, time_limit=None):
         """Solve under :attr:`options`, and under ``time_limit`` seconds
-        (floored at 0.0; None: no limit) for this solve alone."""
-        if self.num_vars == 0:
-            return self._solve_trivial()
+        (None: no limit) for this solve alone; a limit at or below 0 is
+        spent and raises :class:`LpSolverError` before any solver runs."""
         options = self.options
         if time_limit is not None:
-            options = {**options, "time_limit": max(0.0, float(time_limit))}
+            if time_limit <= 0:
+                raise LpSolverError(f"LP {self.name!r} ended with {_S.kTimeLimit}")
+            options = {**options, "time_limit": float(time_limit)}
+        if self.num_vars == 0:
+            return self._solve_trivial()
         return self._solve_highs(options)
 
     def _solve_trivial(self):

@@ -283,29 +283,21 @@ def _norms(a, buf):
     return top
 
 
-def _tail_ok(tail, radii, resid, zw, buf=None, out=None):
+def _tail_ok(tail, radii, resid, zw, buf, out=None):
     """Samples where zw is a witness of resid on the tail: |zw|_inf <= 1 +
     1e-9 and tail @ zw reconstructs resid within 1e-9 (NaN fails).  A
     diagonal tail passes its ``radii``, and the product is entrywise.
 
-    Without a scratch ``buf`` (for the few samples of one member) the
-    tests make their own arrays.  With one, the norms and the worst misses
-    go into ``buf`` (``_scratch``), and the reconstruction into ``out``
-    (resid's shape) when it is given.  The two tests are then one, on the
-    larger of |zw|_inf - (1 + 1e-9) and the worst miss - 1e-9, since a
-    rounded a - b is at most 0 exactly when a <= b, and the boolean
-    verdicts are returned in the spent worst misses' memory, valid until
-    ``buf`` is used again."""
+    The norms and the worst misses go into the scratch ``buf``
+    (``_scratch``), and the reconstruction into ``out`` (resid's shape) when
+    it is given.  The two tests are one, on the larger of |zw|_inf - (1 +
+    1e-9) and the worst miss - 1e-9, since a rounded a - b is at most 0
+    exactly when a <= b.  The boolean verdicts are returned in the spent
+    worst misses' memory, valid until ``buf`` is used again."""
     if radii is None:
         miss = np.matmul(tail, zw, out=out)
     else:
         miss = np.multiply(zw, radii, out=out)
-    if buf is None:
-        # |a - b| is |b - a| to the bit
-        miss -= resid
-        np.abs(miss, out=miss)
-        return ((np.abs(zw).max(axis=-2, initial=0.0) <= 1.0 + 1e-9)
-                & (miss.max(axis=-2, initial=0.0) <= 1e-9))
     norms = _norms(zw, buf)
     np.subtract(resid, miss, out=miss)
     np.abs(miss, out=miss)
@@ -1079,14 +1071,14 @@ class _Loop:
         st = group.at(t)
         tail, resid = st.tail[i], resid[:, rows]
         systems = group.vertex_systems(t, i)
+        # the chain is done with the work buffer: the solve, then the check take it
         if systems is not None:
-            # the chain's reconstruction in the work buffer is spent
             z = zw[:, rows] = _vertex_witness(systems, tail, resid, self._work)
         else:
             inside, wit = contains_point(st.tail_set(i), resid.T)
             zw[:, rows[inside]] = wit[inside].T
             z = zw[:, rows]
-        return rows[~_tail_ok(tail, None, resid, z)]
+        return rows[~_tail_ok(tail, None, resid, z, self._work)]
 
     def margins(self, zetas, alive, out):
         """1 - |zeta|_inf minimized over the live samples (at least one),

@@ -669,7 +669,7 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
                 k = 0 if network.mode == "finite" else n_total + agg.D[0].num_generators
             lp, read = viability.viable_lp(agg.A, agg.B, agg.D, agg.X, agg.U, k, beta)
         with phases("extract"):
-            sol = viability.solve_and_read(lp, read, lp.name)
+            sol = viability.solve_and_read(lp, read)
 
     # Certification is metered apart from the synthesis LP, as in the
     # other two methods.

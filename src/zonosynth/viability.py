@@ -45,6 +45,9 @@ finite one by the interior-point solver (``lpcore.IPM``).
 
 The recursion rows of this program, and of the per-subsystem contract
 programs in ``contracts``, come from one block emitter, :func:`add_recursion`.
+It and the containment emitter leave out alike what the inputs make idle:
+the rows that read 0 = 0 and the witness entries whose block of outer rows
+reads the number 0.  In this program zero forcing makes most of them.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def _abs_objective(lp, blocks):
     return np.concatenate(aux, axis=-1)
 
 
-def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None, prune=False):
+def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None):
     """Emit one step of the tube recursion and its center row as one block.
 
     With w columns in ``T`` and p in W, rows (i, j), i < n and j < w + p,
@@ -108,19 +111,21 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None, prune=F
     ``i * (w + p) + j`` of the block and center row i is row ``n * (w + p) +
     i``.  Every tube argument is an array of column indices (in ``T``,
     ``M`` and ``T_next``, -1 is the number 0); ``B``, ``M`` and ``ubar`` are
-    None without inputs.  ``prune`` drops rows with no column and bound 0,
-    moving the later rows up.  ``W`` is ``(center, const, terms)``: entry
+    None without inputs.  A row left with no column and bound 0 drops
+    out, moving the later rows up.  ``W`` is ``(center, const, terms)``: entry
     (i, j) of the W columns is ``const[i, j]`` plus the terms ``coefs[e] *
     x[cols[e]]`` with ``(rows[e], wcols[e]) == (i, j)`` of ``terms = (rows,
     wcols, cols, coefs)``.
 
     The rows, their term order and their bounds (signed zeros included) are
-    those of writing each row as a LinExpr ``lhs - rhs`` with ``add_eq``.
+    those of writing each row as a LinExpr ``lhs - rhs`` with ``add_eq``,
+    less the rows that read 0 = 0.
 
     ``lp`` may be an ``lpcore._LpBatch``: every argument may then carry its
     leading member axis.  A product entry that is zero for some members
     but not all is emitted as a zero, which ``add_rows`` drops; terms of
-    ``W`` may be padded the same way.
+    ``W`` may be padded the same way.  A row drops out only where it has no
+    column and bound 0 in every member.
     """
     center, const, (w_rows, w_cols, w_vars, w_coefs) = W
     n, w = T.shape[-2:]
@@ -163,7 +168,7 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None, prune=F
          -(0.0 + np.asarray(center, dtype=float))],
         axis=-1)
     # a T or M entry -1 is the number 0 and drops out
-    _add_rows(lp, *_join(parts), bounds, "=", prune)
+    _add_rows(lp, *_join(parts), bounds, "=")
 
 
 def numeric_w(W):
@@ -172,12 +177,12 @@ def numeric_w(W):
 
 
 def _add_plain_containment(lp, G, c, outer, scale=1.0):
-    """Rows for Z(c, scale * G) inside ``outer``, pruned; ``G``/``c`` are
-    columns, -1 the number 0."""
+    """Rows for Z(c, scale * G) inside ``outer``; ``G``/``c`` are columns,
+    -1 the number 0."""
     inner = affine(np.column_stack([G, c]), np.r_[np.full(G.shape[1], scale), 1.0])
     return add_scaled_containment(lp, inner, outer.generators,
                                   numbers(np.ones(outer.num_generators)),
-                                  outer.center, prune=True)
+                                  outer.center)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +383,7 @@ def _stacked(items):
 # the tube LP
 
 
-def solve_and_read(lp, read, what):
+def solve_and_read(lp, read):
     """Solve ``lp`` and read the solution back; None if it is infeasible."""
     sol = lp.solve()
     return None if sol.status == lpcore.INFEASIBLE else read(sol)
@@ -418,9 +423,9 @@ def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     recursion rows pin to 0 (:func:`_forced_zeros`; on geo40 2,760 of T's
     3,200) are the number 0, with no |.| column; recursion rows left with
     no column stay only with a nonzero bound, which makes the LP infeasible.
-    Every containment is pruned (``geom.add_scaled_containment(prune=
-    True)``): a witness entry [q, j] whose block of outer rows reads the
-    number 0 in column j, as a pinned T entry makes it, gets no column."""
+    So the containments leave much out: a witness entry [q, j] whose block
+    of outer rows reads the number 0 in column j, as a pinned T entry makes
+    it, gets no column (``geom.add_scaled_containment``)."""
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
     h = len(A_seq)
@@ -457,11 +462,11 @@ def viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     for t in range(h):
         add_recursion(lp, A_seq[t], B_seq[t], T[t], M[t] if m else None, xbar[t],
                       ubar[t] if m else None, numeric_w(W_seq[t]), _at(T, t + 1),
-                      _at(xbar, t + 1), E=E, prune=True)
+                      _at(xbar, t + 1), E=E)
     if E is not None:
         G = W_seq[0].generators
         add_scaled_containment(lp, affine(np.column_stack([E, np.full(n, -1)])), G,
-                               numbers(np.full(G.shape[1], beta)), np.zeros(n), prune=True)
+                               numbers(np.full(G.shape[1], beta)), np.zeros(n))
 
     witness = {f"inC{t}": _add_plain_containment(lp, T[t], xbar[t], X_seq[t], sigma)
                for t in range(len(T))}
@@ -497,7 +502,7 @@ def viable(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta=0.0):
     by beta W, and the tube is inflated by sigma = 1/(1-beta).
     """
     lp, read = viable_lp(A_seq, B_seq, W_seq, X_seq, U_seq, k, beta)
-    result = solve_and_read(lp, read, lp.name)
+    result = solve_and_read(lp, read)
     if result is not None:
         report = certify_tube(result, A_seq, B_seq, X_seq, U_seq)
         if not report.ok:

@@ -386,9 +386,9 @@ def outer_blocks(outer_cols):
 
 
 def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scales,
-                                   outer_c, split=True, prune=False):
+                                   outer_c, split=True):
     """Row-at-a-time reference for ``geom.add_scaled_containment``, in the
-    same form (``split``) and with the same ``prune``.
+    same form (``split``).
 
     Emits the same variables and rows through ``add_eq``/``add_le`` and
     LinExpr arithmetic, one row per call, and returns the handles as LinExpr
@@ -399,7 +399,7 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
     match the package's bit for bit.  In the split form ``[Lam lam]`` is the
     expression array ``P - N``.
 
-    With ``prune``, the entry ``[Lam lam][q, j]`` is the number 0, with no
+    The entry ``[Lam lam][q, j]`` is the number 0, with no
     column, when every row i of q's block (:func:`outer_blocks`) has the
     inner entry ``G[i, j]`` (``c[i] - outer_c[i]`` for j == r) with no term
     and constant 0; a row with no term and constant 0 is not emitted.
@@ -409,13 +409,12 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
     inner_G = np.asarray(inner_G, dtype=object).reshape(n, -1)
     r = inner_G.shape[1]
     pinned = np.zeros((s, r + 1), dtype=bool)
-    if prune:
-        row_block, gen_block = outer_blocks(outer_cols)
-        entries = [[as_expr(inner_G[i, j]) for j in range(r)]
-                   + [as_expr(inner_c[i]) - as_expr(outer_c[i])] for i in range(n)]
-        for q, j in np.ndindex(s, r + 1):
-            pinned[q, j] = all(not entries[i][j].terms and entries[i][j].const == 0.0
-                               for i in range(n) if row_block[i] == gen_block[q])
+    row_block, gen_block = outer_blocks(outer_cols)
+    entries = [[as_expr(inner_G[i, j]) for j in range(r)]
+               + [as_expr(inner_c[i]) - as_expr(outer_c[i])] for i in range(n)]
+    for q, j in np.ndindex(s, r + 1):
+        pinned[q, j] = all(not entries[i][j].terms and entries[i][j].const == 0.0
+                           for i in range(n) if row_block[i] == gen_block[q])
     if split:
         P = col_exprs(masked_cols(lp, pinned, lb=0.0))
         N = col_exprs(masked_cols(lp, pinned, lb=0.0))
@@ -430,7 +429,7 @@ def add_scaled_containment_rowwise(lp, inner_G, inner_c, outer_cols, outer_scale
 
     def emit(add, row):
         row = as_expr(row)
-        if not (prune and not row.terms and row.const == 0.0):
+        if row.terms or row.const != 0.0:
             add(row, 0.0)
 
     for i in range(n):
@@ -526,12 +525,12 @@ def lin_matmul(A, X):
 
 
 def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
-                            x_next, left, prune=False, record=None):
+                            x_next, left, record=None):
     """The recursion rows of one step: ``[A T + B M, W] = [left, T_next]`` row
     by row (``left[i][j]`` an expression, or 0.0), then the center rows.
-    ``wcols`` holds the W columns as lists of LinExpr or numbers.  With
-    ``prune``, a row with no term and constant 0 is not emitted; every row
-    ``expr = 0`` is appended to the list ``record`` as ``expr``."""
+    ``wcols`` holds the W columns as lists of LinExpr or numbers.  A row
+    with no term and constant 0 is not emitted; every row ``expr = 0`` is
+    appended to the list ``record`` as ``expr``."""
     n, w = T.shape
     p = len(wcols)
     shift = w + p - T_next.shape[1]
@@ -545,7 +544,7 @@ def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
             row = as_expr(lhs - rhs)
             if record is not None:
                 record.append(row)
-            if not (prune and not row.terms and row.const == 0.0):
+            if row.terms or row.const != 0.0:
                 lp.add_eq(row, 0.0)
     drift = lin_matmul(A, xbar.reshape(-1, 1))[:, 0]
     if M is not None:
@@ -611,15 +610,14 @@ def force_nothing(A_seq, B_seq, W_seq, widths, beta):
 
 def pin_no_witness(outer_cols, live):
     """``geom._pinned_witness`` that pins no entry: monkeypatched in, it
-    makes ``geom.add_scaled_containment(prune=True)`` give every witness
-    entry its columns."""
+    makes ``geom.add_scaled_containment`` give every witness entry its
+    columns."""
     return np.zeros((np.shape(outer_cols)[-1], np.shape(live)[-1]), dtype=bool)
 
 
 def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k):
     """Row-at-a-time reference for ``viability.viable_lp``'s finite-horizon
-    LP, its forced zeros the numbers 0 (see :func:`_with_forced_zeros`) and
-    its containments pruned."""
+    LP, its forced zeros the numbers 0 (see :func:`_with_forced_zeros`)."""
     h = len(A_seq)
     n = A_seq[0].shape[0]
     m = B_seq[0].shape[1]
@@ -645,12 +643,11 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k):
                                     xbar[t], ubar[t] if m else None,
                                     [[float(v) for v in Gw[:, j]] for j in range(p[t])],
                                     W_seq[t].center, T[t + 1], xbar[t + 1],
-                                    [[0.0] * (widths[t] + p[t])] * n, prune=True, record=rows)
+                                    [[0.0] * (widths[t] + p[t])] * n, record=rows)
 
         def plain(inner_G, inner_c, outer):
             add_scaled_containment_rowwise(lp, inner_G, inner_c, outer.generators,
-                                           [1.0] * outer.num_generators, outer.center,
-                                           prune=True)
+                                           [1.0] * outer.num_generators, outer.center)
 
         for t in range(h + 1):
             plain(T[t], xbar[t], X_seq[t])
@@ -666,7 +663,7 @@ def finite_viable_lp_rowwise(A_seq, B_seq, W_seq, X_seq, U_seq, k):
 def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0):
     """Row-at-a-time reference for ``viability.viable_lp``'s invariant
     (one-step) LP, its forced zeros the numbers 0 (see
-    :func:`_with_forced_zeros`) and its containments pruned."""
+    :func:`_with_forced_zeros`)."""
     n = A.shape[0]
     m = B.shape[1]
     p = W.num_generators
@@ -687,15 +684,14 @@ def rci_lp_rowwise(A, B, W, X, U, k, beta=0.0):
         _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar,
                                 [[float(v) for v in Gw[:, j]] for j in range(p)], W.center,
                                 T, xbar, [[0.0] * (k + p)] * n if E is None else E,
-                                prune=True, record=rows)
+                                record=rows)
         if E is not None:
-            add_scaled_containment_rowwise(lp, E, np.zeros(n), Gw, [beta] * p, np.zeros(n),
-                                           prune=True)
+            add_scaled_containment_rowwise(lp, E, np.zeros(n), Gw, [beta] * p, np.zeros(n))
         add_scaled_containment_rowwise(lp, sigma * T, xbar, X.generators,
-                                       [1.0] * X.num_generators, X.center, prune=True)
+                                       [1.0] * X.num_generators, X.center)
         if m:
             add_scaled_containment_rowwise(lp, sigma * M, ubar, U.generators,
-                                           [1.0] * U.num_generators, U.center, prune=True)
+                                           [1.0] * U.num_generators, U.center)
         _size_objective(lp, [Tc])
         return lp, rows, [Tc, Mc]
 

@@ -260,8 +260,8 @@ def test_synth_dense_failed_certificate_exits_one_with_a_reason(monkeypatch, cap
 
     solve = viability.solve_and_read
 
-    def widened(lp, read, what):
-        sol = solve(lp, read, what)
+    def widened(lp, read):
+        sol = solve(lp, read)
         return dataclasses.replace(sol, T=[100.0 * T for T in sol.T])
 
     monkeypatch.setattr(viability, "solve_and_read", widened)

@@ -30,7 +30,7 @@ from zonosynth.contracts import (
 )
 from zonosynth import lpcore
 from zonosynth.cli import lambda_for
-from zonosynth.geom import Zonotope, containment_lp, directed_hausdorff, order_reduce_box
+from zonosynth.geom import Zonotope, directed_hausdorff, order_reduce_box
 from zonosynth.synthesis import SynthesisResult, compositional_synthesize
 from zonosynth.sysmodel import load_network, random_network
 from zonosynth.viability import TubeSolution

@@ -1,6 +1,5 @@
 """Zonotope operation tests: frozen values, oracle cross-checks, properties."""
 
-import itertools
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from zonosynth.geom import (
     Zonotope,
     add_scaled_containment,
     affine,
-    containment_lp,
     contains_point,
     directed_hausdorff,
     hausdorff_bound,
@@ -20,7 +18,6 @@ from zonosynth.geom import (
     numbers,
     order_reduce_box,
     polygon_vertices_2d,
-    sample,
     stack,
     witness_values,
 )
@@ -120,14 +117,14 @@ class TestIntervalHullAndReduction:
         for _ in range(10):
             Z = Zonotope(rng.normal(size=2), rng.normal(size=(2, 5)))
             red = order_reduce_box(Z)
-            assert containment_lp(Z, red).feasible
+            assert directed_hausdorff(red, Z) <= 1e-9
 
     def test_higher_order_reduction(self):
         rng = np.random.default_rng(5)
         Z = Zonotope(np.zeros(2), rng.normal(size=(2, 8)))
         red = order_reduce_box(Z, order=2)
         assert red.num_generators == 4
-        assert containment_lp(Z, red).feasible
+        assert directed_hausdorff(red, Z) <= 1e-9
         # already small enough -> unchanged
         small = Zonotope(np.zeros(2), rng.normal(size=(2, 3)))
         assert order_reduce_box(small, order=2) is small
@@ -180,26 +177,38 @@ def _shoelace(verts):
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
+def _containment_witness(inner, outer):
+    """``[Lam lam]`` at a feasible point of the rows for ``inner`` inside
+    ``outer``, or None where those rows are infeasible."""
+    lp = LinearProgram(name="containment")
+    handles = add_scaled_containment(lp, numbers(np.column_stack([inner.generators,
+                                                                  inner.center])),
+                                     outer.generators, numbers(np.ones(outer.num_generators)),
+                                     outer.center)
+    sol = lp.solve()
+    return witness_values(sol, {"in": handles})["in"] if oracles.is_optimal(sol) else None
+
+
 class TestContainment:
     def test_simple_scaling_cases(self):
         inner = Zonotope([0.0, 0.0], 0.5 * np.eye(2))
         outer = Zonotope([0.0, 0.0], np.eye(2))
-        cert = containment_lp(inner, outer)
-        assert cert.feasible
-        assert cert.margin == pytest.approx(0.5)
-        # certificate reproduces the inner body
-        assert np.allclose(outer.generators @ cert.Gamma, inner.generators)
-        assert not containment_lp(outer, inner).feasible
+        assert directed_hausdorff(outer, inner) == 0.0
+        # the witness reproduces the inner body, each row sum at 0.5
+        L = _containment_witness(inner, outer)
+        assert np.allclose(outer.generators @ L[:, :-1], inner.generators)
+        assert 1.0 - np.abs(L).sum(axis=1).max() == pytest.approx(0.5)
+        assert _containment_witness(outer, inner) is None
+        assert directed_hausdorff(inner, outer) == pytest.approx(0.5)
 
     def test_point_inner(self):
-        cert = containment_lp(oracles.point_zonotope([0.5, 0.5]),
-                              Zonotope([0.0, 0.0], np.eye(2)))
-        assert cert.feasible
+        point = oracles.point_zonotope([0.5, 0.5])
+        assert directed_hausdorff(Zonotope([0.0, 0.0], np.eye(2)), point) == 0.0
 
     def test_rotated_diamond_in_box_is_certified(self):
         diamond = Zonotope([0.0, 0.0], [[0.5, 0.5], [0.5, -0.5]])
         box = Zonotope([0.0, 0.0], np.eye(2))
-        assert containment_lp(diamond, box).feasible
+        assert directed_hausdorff(box, diamond) == 0.0
 
     def test_soundness_against_sampling(self):
         # whenever the LP certifies containment, no sampled inner point may
@@ -211,8 +220,7 @@ class TestContainment:
                              rng.uniform(-1, 1, (2, int(rng.integers(1, 4)))))
             outer = Zonotope(rng.uniform(-0.5, 0.5, 2),
                              rng.uniform(-1.5, 1.5, (2, int(rng.integers(1, 4)))))
-            cert = containment_lp(inner, outer)
-            if cert.feasible:
+            if directed_hausdorff(outer, inner) <= 1e-9:
                 certified += 1
                 pts = oracles.sample_zonotope(inner.center, inner.generators,
                                               1000, rng)
@@ -223,7 +231,7 @@ class TestContainment:
     def test_contains_point_witness(self):
         Z = Zonotope([1.0, 1.0], [[1.0, 0.0], [0.5, 2.0]])
         rng = np.random.default_rng(2)
-        pts = sample(Z, 20, rng)
+        pts = oracles.sample_zonotope(Z.center, Z.generators, 20, rng)
         for x in pts:
             inside, zeta = contains_point(Z, x)
             assert inside
@@ -260,9 +268,9 @@ def _entry_expr(e):
     return LinExpr({col: coef}, const) if col >= 0 else const
 
 
-def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split, prune=False):
+def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split):
     """The block emitter builds the row-wise reference's program, both in
-    the form ``split`` selects and with the same ``prune``.
+    the form ``split`` selects.
 
     ``inner_G`` (n x r), ``inner_c`` (n) and ``scales`` (s) hold entries
     (col, coef, const); the emitter gets them as arrays, the reference as
@@ -274,7 +282,7 @@ def _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split, p
         lp = LinearProgram(name="emit")
         for k in range(BASE_VARS):
             oracles.var(lp, lb=-1.0, ub=1.0)
-        return lp, emit(lp, *args, split=split, prune=prune)
+        return lp, emit(lp, *args, split=split)
 
     body = [e for i in range(n) for e in list(inner_G[i]) + [inner_c[i]]]
     fast, got = make(add_scaled_containment, _entry_arrays(body, (n, r + 1)), outer_cols,
@@ -302,7 +310,6 @@ class TestContainmentEmitter:
     @given(st.data())
     def test_block_emitter_matches_rowwise_reference(self, data):
         split = data.draw(st.booleans(), label="split")
-        prune = data.draw(st.booleans(), label="prune")
         n = data.draw(st.integers(1, 3), label="n")
         s = data.draw(st.integers(0, 3), label="s")
         r = data.draw(st.integers(0, 3), label="r")
@@ -312,7 +319,7 @@ class TestContainmentEmitter:
         inner_c = [data.draw(entry) for _ in range(n)]
         scales = [data.draw(entry) for _ in range(s)]
         outer_c = data.draw(vec(n))
-        _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split, prune)
+        _assert_same_program(inner_G, inner_c, outer_cols, scales, outer_c, split)
 
     @pytest.mark.parametrize("s,r", [(0, 0), (0, 2), (2, 0), (2, 3)])
     def test_edge_shapes_and_mixed_entries(self, s, r):
@@ -322,9 +329,9 @@ class TestContainmentEmitter:
                     for j in range(r)] for i in range(n)]
         inner_c = [(0, 1.0, -1.5), (-1, 0.0, 0.5)]
         scales = [(1, 1.0, 1.0) if q % 2 else (-1, 0.0, 2.0) for q in range(s)]
-        for split, prune in itertools.product((True, False), repeat=2):
+        for split in (True, False):
             _assert_same_program(inner_G, inner_c, outer_cols, scales, np.array([1.0, -1.0]),
-                                 split, prune)
+                                 split)
 
 
 class TestDirectedHausdorff:
@@ -347,7 +354,7 @@ class TestDirectedHausdorff:
             outer = Zonotope(rng.uniform(-0.5, 0.5, 2),
                              rng.uniform(-1.5, 1.5, (2, int(rng.integers(1, 4)))))
             d = directed_hausdorff(outer, inner)
-            feasible = containment_lp(inner, outer).feasible
+            feasible = _containment_witness(inner, outer) is not None
             assert (d <= 1e-9) == feasible
 
     def test_matches_exact_oracle_1d(self):

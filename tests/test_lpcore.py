@@ -904,17 +904,30 @@ def test_a_batch_member_keeps_its_options_from_its_siblings(runs):
     assert first._holder is second._holder
 
 
-@pytest.mark.parametrize("limit", [0.0, -1.0])
-def test_a_spent_time_limit_raises(limit):
-    # a limit is floored at 0.0, which HiGHS ends at once
+@pytest.mark.parametrize("program, limit", [
+    pytest.param("cold", 0.0, id="0.0"), pytest.param("cold", -1.0, id="-1.0"),
+    pytest.param("no-columns", 0.0, id="no-columns"), pytest.param("no-rows", 0.0, id="no-rows"),
+    pytest.param("warm", 0.0, id="warm")])
+def test_a_spent_time_limit_raises(program, limit):
+    # a limit at or below 0 is spent: the solve raises before any solver
+    # runs, also where HiGHS would end optimal without a step (no columns,
+    # no rows, or an optimal model solved again unchanged)
     lp = LinearProgram("spent")
-    x = lp.var_block(2, lb=0.0)
-    lp.add_rows([0, 0], x, [1.0, 1.0], [1.0], ">")
-    lp.set_costs(x, [1.0, 2.0])
+    if program == "no-columns":
+        lp.add_rows([], [], [], [0.0], "=")
+    else:
+        x = lp.var_block(2, lb=0.0, ub=1.0)
+        lp.set_costs(x, [1.0, 2.0])
+        if program != "no-rows":
+            lp.add_rows([0, 0], x, [1.0, 1.0], [1.0], ">")
+        if program == "warm":
+            assert lp.solve().objective == pytest.approx(1.0)
     with pytest.raises(lpcore.LpSolverError, match="'spent'.*kTimeLimit"):
         lp.solve(time_limit=limit)
-    assert lp._holder.highs.getOptionValue("time_limit")[1] == INF
-    assert lp.solve().objective == pytest.approx(1.0)
+    if program == "cold":
+        assert lp._holder.highs is None
+    assert lp.solve(time_limit=30.0).status == lpcore.OPTIMAL
+    assert lp.solve().objective == pytest.approx(1.0 if program in ("cold", "warm") else 0.0)
 
 
 def test_an_option_highs_refuses_is_a_build_error():

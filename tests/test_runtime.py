@@ -14,7 +14,7 @@ from test_viability import PLANT2D
 
 from zonosynth import geom, lpcore, runtime
 from zonosynth.cli import lambda_for
-from zonosynth.geom import Zonotope, contains_point, sample
+from zonosynth.geom import Zonotope, contains_point
 from zonosynth.runtime import (
     OutsideViableSet,
     _mixed_zeta,
@@ -215,7 +215,8 @@ def test_simulate_honors_explicit_start(pair):
 def test_rci_invariance_under_simulation(plant2d):
     net, solutions = plant2d
     sol = solutions["plant"]
-    x0 = sample(sol.omega(), 1, np.random.default_rng(11))[0]
+    x0 = oracles.sample_zonotope(sol.omega().center, sol.omega().generators, 1,
+                                 np.random.default_rng(11))[0]
     traj = simulate(net, solutions, num_steps=50, x0={"plant": x0}, seed=11)
     assert traj.violation is None
     assert traj.states["plant"].shape == (51, 2)
@@ -734,10 +735,10 @@ def test_vertex_witness_is_the_chunk_by_chunk_one():
             assert got.tobytes() == want.tobytes()
 
 
-def test_tail_check_without_scratch_is_the_scratch_one():
-    # the few samples of one member are checked on new arrays: the same
-    # verdicts as the fused test in scratch, NaN failing, on a full tail
-    # and a diagonal one, with norms and misses at the tolerances
+def test_tail_check_is_the_reference_check():
+    # the fused test in scratch, in a buffer that holds it and in one too
+    # small, gives the verdicts of the row-wise reference, NaN failing, on a
+    # full tail and a diagonal one, with norms and misses at the tolerances
     rng = np.random.default_rng(13)
     for n, p in [(1, 3), (2, 2), (3, 5), (4, 4)]:
         tail = rng.normal(size=(n, p))
@@ -749,10 +750,11 @@ def test_tail_check_without_scratch_is_the_scratch_one():
         z[0, :4] = (1.0 + 1e-9, -1.0 - 1e-9, np.nextafter(1.0 + 1e-9, 2.0), np.nan)
         resid = tail @ z + rng.choice([0.0, 5e-10, 1e-9, 2e-9], size=(n, 60))
         resid[-1, 4] = np.nan
-        want = runtime._tail_ok(tail, radii, resid, z, np.empty(10**4))
-        got = runtime._tail_ok(tail, radii, resid, z)
+        want = oracles._witness_ok(tail, resid.T, z.T, None if radii is None else radii[:, 0])
         assert want.any() and not want.all() and not want[3] and not want[4]
-        assert got.tobytes() == want.tobytes()
+        for size in (10**4, 10):
+            got = runtime._tail_ok(tail, radii, resid, z, np.empty(size))
+            assert got.tolist() == want.tolist()
 
 
 def test_vertex_systems_of_a_stack_are_those_of_each_tail():

@@ -541,8 +541,8 @@ def test_dense_rejects_a_broken_recursion(monkeypatch):
 
     solve = viability.solve_and_read
 
-    def shifted(lp, read, what):
-        sol = solve(lp, read, what)
+    def shifted(lp, read):
+        sol = solve(lp, read)
         return dataclasses.replace(sol, xbar=[x + 1e-6 for x in sol.xbar])
 
     monkeypatch.setattr(viability, "solve_and_read", shifted)
@@ -561,8 +561,8 @@ def test_dense_names_the_containment_that_fails_its_check(monkeypatch):
 
     solve = viability.solve_and_read
 
-    def widened(lp, read, what):
-        sol = solve(lp, read, what)
+    def widened(lp, read):
+        sol = solve(lp, read)
         return dataclasses.replace(sol, T=[100.0 * T if t == 2 else T
                                            for t, T in enumerate(sol.T)])
 

@@ -308,8 +308,8 @@ def test_viable_certifies_on_the_lp_witnesses_first():
 def test_viable_raises_on_the_first_failing_check(monkeypatch, change, first):
     solve = viability.solve_and_read
 
-    def changed(lp, read, what):
-        sol = solve(lp, read, what)
+    def changed(lp, read):
+        sol = solve(lp, read)
         return dataclasses.replace(sol, **change(sol))
 
     monkeypatch.setattr(viability, "solve_and_read", changed)
@@ -453,7 +453,7 @@ def test_a_block_keeps_every_witness_entry_of_a_live_row(split):
     lp = LinearProgram()
     handles = add_scaled_containment(lp, numbers([[0.0, 0.0], [1.0, 0.0]]),
                                      [[1.0, 1.0], [0.0, 1.0]], numbers([1.0, 1.0]),
-                                     np.zeros(2), split=split, prune=True)
+                                     np.zeros(2), split=split)
     lp.var_block((), lb=5.0, ub=5.0)  # the last column reads 5, not 0
     kept = handles["P"] if split else np.column_stack([handles["Lam"], handles["lam"]])
     assert np.array_equal(kept >= 0, [[True, False], [True, False]])
