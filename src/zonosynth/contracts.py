@@ -26,9 +26,9 @@ warm from its own last basis for the whole synthesis; the programs of one
 signature group share one HiGHS instance (see ``lpcore``).  Every alpha it
 reads is a column fixed by its bounds, so a new parameter vector moves those
 bounds and nothing else; the gradient dV_i/dalpha is the fixed columns'
-reduced cost.  The same program extracts the final tubes:
-``PotentialProgram.extract`` fixes the slack at zero, swaps the objective
-to the template size sum |T|, re-solves warm and puts both back.
+reduced cost.  The same program gives the final tube: its optimum where
+V_i = 0 and the recursion pins T (``_pinned``), else the hard extraction,
+which fixes the slack at zero, minimizes sum |T| and puts both back.
 
 ``build_programs`` builds the programs of all subsystems of one structural
 signature (``_signature``: the shapes that fix their rows) together:
@@ -585,7 +585,6 @@ class PotentialEval:
     value: float
     reads: np.ndarray
     grad: np.ndarray
-    solve_seconds: float
     _handles: SubsystemHandles = field(repr=False)
     _lp_solution: object = field(repr=False)
 
@@ -602,16 +601,20 @@ class PotentialProgram:
     call, so every solve after the first is a warm re-solve, and the fixed
     columns' reduced costs are dV_i/dalpha.  The objective is the slack sum
     d; the columns of the size objective sum |T| sit in the model at zero
-    cost for ``extract``.  :func:`build_programs` makes them.
+    cost for the hard extraction.  Where the recursion fixes T and M from
+    W, and so from alpha (``pinned``), no tube at these alphas is smaller
+    than the potential's optimum.  :func:`build_programs` makes them.
     """
 
-    def __init__(self, sid, lp, handles, alpha, size, layout):
+    def __init__(self, sid, lp, handles, alpha, size, layout, pinned):
         """Subsystem ``sid``'s program ``lp``, with the ``handles`` its rows
         were emitted with, its fixed multiplier columns ``alpha`` ((j,
         channel, t) -> columns, own promises first, in creation order), the
-        aux columns ``size`` of the size objective sum |T| and the
-        ``layout`` of the parameter vectors it reads."""
+        aux columns ``size`` of the size objective sum |T|, the ``layout``
+        of the parameter vectors it reads and whether it is ``pinned``."""
         self.sid = sid
+        self.pinned = pinned
+        self.reused = False  # whether the last hard solution was the potential's optimum
         self._alpha = alpha
         self._layout = layout
         # the parameter vector's entries the alpha columns are fixed at
@@ -667,31 +670,33 @@ class PotentialProgram:
             raise PotentialInfeasible(
                 f"subsystem {self.sid!r}: no viable tube at these parameters")
         ev = PotentialEval(self.sid, max(0.0, sol.objective), self.reads,
-                           sol.column_duals(self._alpha_cols), sol.solve_seconds, self.handles, sol)
+                           sol.column_duals(self._alpha_cols), self.handles, sol)
         self._last = (key, ev)
         return ev
-
-    def extract(self, params):
-        """The hard tubes at ``params``, or None if none keeps the promises."""
-        sol = self._solve_hard(params)
-        return None if sol is None else _numeric_solution(sol, self.handles)
 
     def _solve_hard(self, params):
         """The LP solution of the hard problem at ``params``, or None.
 
-        Solved by this program's own LP: the slack and its witness
-        columns are fixed at 0 and the objective becomes sum |T|; both are
-        put back afterwards.  The next ``evaluate`` solves again, warm from
-        this solve's basis.
+        Where the last evaluation was at these values with V_i = 0, its
+        optimum has no slack: a pinned program returns it (``reused``), any
+        other starts there by primal simplex.  A solve fixes the slack and its
+        witness columns at 0 and minimizes sum |T|, then puts both back.
         """
+        values, last = self._values(params), self._last
+        slack_free = last is not None and last[0] == values.tobytes() and last[1].value == 0.0
+        self.reused = slack_free and self.pinned
+        if self.reused:
+            return last[1]._lp_solution
         self._last = None
-        self._fix(self._values(params))
-        lp = self.lp
+        self._fix(values)
+        lp, options = self.lp, self.lp.options
         lp.set_col_bounds(self._slack, 0.0, 0.0)
         lp.set_costs(self._cost_cols, self._extract_cost)
+        lp.options = {**options, "simplex_strategy": 4} if slack_free else options
         try:
             sol = lp.solve()
         finally:
+            lp.options = options
             lp.set_col_bounds(self._slack, *self._slack_bounds)
             lp.set_costs(self._cost_cols, self._potential_cost)
         return None if sol.status == lpcore.INFEASIBLE else sol
@@ -714,20 +719,18 @@ def _numeric_solution(sol, handles):
 def extract_solutions(programs, params):
     """Per-subsystem tubes satisfying the promises at ``params`` exactly.
 
-    Unlike the potential there is no slack here: each subsystem's program
-    solves its viability problem with hard containment in its own promised
-    sets, minimizing total template size, warm from its own last basis.
-    Raises PotentialInfeasible naming the subsystems whose hard problem has
-    no solution (the potential at ``params`` is then necessarily positive);
-    the tubes are read back only when every subsystem has one.
+    Each program solves its viability problem in hard containment in its own
+    promised sets, minimizing total template size, warm from its own last
+    basis; a pinned one at V_i = 0 reuses its potential optimum
+    (``PotentialProgram.reused``).  Raises PotentialInfeasible naming the
+    subsystems whose hard problem has no solution (V at ``params`` is then
+    positive); the tubes are read back only when every subsystem has one.
     """
     ids = sorted(programs, key=_id_key)
     solved = {sid: programs[sid]._solve_hard(params) for sid in ids}
-    losers = [sid for sid in ids if solved[sid] is None]
-    if losers:
-        raise PotentialInfeasible(
-            "hard extraction infeasible for subsystem(s) "
-            + ", ".join(repr(s) for s in losers))
+    if losers := [sid for sid in ids if solved[sid] is None]:
+        raise PotentialInfeasible("hard extraction infeasible for subsystem(s) "
+                                  + ", ".join(repr(s) for s in losers))
     return {sid: _numeric_solution(solved[sid], programs[sid].handles) for sid in ids}
 
 
@@ -804,8 +807,34 @@ def _build_group(network, template, sids, k, reduction_order, layout):
                              [functools.partial(alpha_of, g) for g in range(len(sids))],
                              k=k, reduction_order=reduction_order, slack=True)
     size = _abs_objective(batch, [np.stack(T) for T in zip(*(h.T for h in handles))])
-    return {sid: PotentialProgram(sid, lp, h, alpha, cols, layout) for sid, lp, h, alpha, cols
-            in zip(sids, batch.programs(), handles, alphas, size)}
+    pinned = (_pinned(network, sids, handles[0].k, handles[0].W[0][1].shape[-1])
+              if network.mode == "infinite" else [False] * len(sids))
+    return {sid: PotentialProgram(sid, lp, h, alpha, cols, layout, fix) for sid, lp, h, alpha,
+            cols, fix in zip(sids, batch.programs(), handles, alphas, size, pinned)}
+
+
+def _pinned(network, sids, k, p):
+    """Per member of an invariant group, whether its recursion rows fix T
+    and M from W, as the map (T, M) -> [A T + B M, 0] - [0, T] has full
+    column rank (a finite T(0) is free).  The kernel splits into chains of
+    columns j, j + p, ..., so it is the rank of [A - I, B] (p = 0) or of
+    [B, A B, ..., A^(ceil(k/p) - 1) B], by row-pivoted elimination at
+    ``matrix_rank``'s tolerance (its SVD pages in 1 MB of LAPACK)."""
+    subs, g = [network.subsystem(s) for s in sids], np.arange(len(sids))
+    A, B = (np.stack(mats) for mats in zip(*[(sub.A_at(0), sub.B_at(0)) for sub in subs]))
+    blocks = [A - np.eye(subs[0].n), B] if p == 0 else [B]
+    while p and len(blocks) < -(-k // p):
+        blocks.append(A @ blocks[-1])
+    op = np.concatenate(blocks, axis=2) if k else B[:, :, :0]
+    tol = np.abs(op).max(axis=(1, 2), initial=0.0) * max(op.shape[1:]) * np.finfo(float).eps
+    pinned = np.full(len(subs), op.shape[1] >= op.shape[2])
+    for j in range(min(op.shape[1:])):
+        top = j + np.abs(op[:, j:, j]).argmax(axis=1)
+        op[g, j], op[g, top] = op[g, top], op[g, j]
+        pinned &= np.abs(op[:, j, j]) > tol
+        factor = op[:, j + 1:, j] / np.where(pinned, op[:, j, j], np.inf)[:, None]
+        op[:, j + 1:] -= factor[..., None] * op[:, None, j]
+    return pinned.tolist()
 
 
 @dataclass
@@ -862,12 +891,12 @@ def check_correctness(network, template, params, solutions, tol=1e-7):
     X_i(h) for finite horizons, and the algebraic recursion residuals of the
     stored solution against the stored disturbance sets.
 
-    Each containment is first checked on a witness: the one the hard
-    extraction or centralized LP found (``solution.witness``) for Omega,
-    Theta and the terminal set, and :func:`_promise_witness` for a promise
-    inside its admissible set.  ``viability.certify`` decides the checks
-    and the recursion steps gathered here.  Raises ValueError when a
-    subsystem has no solution.
+    Each containment is first checked on a witness: the one the LP that
+    gave the tube found (``solution.witness``) for Omega, Theta and the
+    terminal set, and :func:`_promise_witness` for a promise inside its
+    admissible set.  ``viability.certify`` decides the checks and the
+    recursion steps gathered here.  Raises ValueError when a subsystem has
+    no solution.
     """
     if missing := [sid for sid in network.sorted_ids() if sid not in solutions]:
         raise ValueError(f"no solutions for subsystem(s) {missing}")

@@ -236,7 +236,7 @@ def _add_rows(lp, rows, cols, coefs, bounds, sense):
     or 0 <= 0; the later rows move up."""
     kept = _union(cols >= 0, 1)
     if not kept.all():
-        rows, cols, coefs = rows[kept], cols[..., kept], coefs[..., kept]
+        rows, cols, coefs = rows[..., kept], cols[..., kept], coefs[..., kept]
     live = np.zeros(np.shape(bounds)[-1], dtype=bool)
     live[rows] = True
     if not live.all():

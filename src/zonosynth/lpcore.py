@@ -156,14 +156,14 @@ class SolverTimeTracker:
 
 
 @contextmanager
-def track_solver_time():
+def track_solver_time(tracker=None):
     """Accumulate in-solver seconds and model sizes of every ``solve()`` in
-    this context.
+    this context, into ``tracker`` if given (an earlier context's, resumed).
 
     Trackers nest without shielding: every enclosing tracker sees every
     solve, so an inner tracker cannot keep solves out of an outer one.
     """
-    tracker = SolverTimeTracker()
+    tracker = SolverTimeTracker() if tracker is None else tracker
     token = _tracker_stack.set(_tracker_stack.get() + (tracker,))
     try:
         yield tracker

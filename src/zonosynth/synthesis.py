@@ -11,8 +11,8 @@ Two roads to a correct composition:
   V(alpha) = sum_i V_i(alpha) from module ``contracts``.  Each iteration
   re-solves |I| small independent LPs, each built once and re-solved warm,
   whose duals give a subgradient of each V_i.  V = 0 certifies the
-  composition; the parameters are then solved without slack, on the same
-  LPs, to extract the tubes and controllers.
+  composition.  Each tube is then the slack-free potential optimum where the
+  recursion pins T, else the same LP solved without slack.
 
 The step rule deserves a note.  V is convex and piecewise linear, each V_i
 is nonnegative, and the target value is known: a correct composition has
@@ -45,7 +45,7 @@ import csv
 import json
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -418,11 +418,11 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
     """Descend the potential; extract and certify tubes once it vanishes.
 
     Returns a SynthesisResult whose status is "correct" only if V reached
-    ``tol_v``, the slack-free extraction succeeded, and check_correctness
-    signed off.  Otherwise status is "failed" and ``hint`` carries the
+    ``tol_v``, ``extract_solutions`` gave every subsystem a slack-free tube
+    and check_correctness signed off (on every hard LP's tube where reused
+    ones fail it).  Otherwise status is "failed" and ``hint`` carries the
     retry advisory, after the first failure of a failed certificate, or
-    :data:`NO_ALPHA_HINT` when the level master proved that no parameters
-    compose.
+    :data:`NO_ALPHA_HINT` when the master proved no parameters compose.
     """
     cfg = config or DescentConfig()
     cfg.validate()
@@ -460,10 +460,9 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
         if cfg.rule == "level":
             with phases("master"):
                 master = _LevelMaster(caps, cfg.tol_v)
-        # Every iterate at V <= tol_v tries the hard extraction, which can
-        # miss by ~tol_v.  A miss leaves the level master's cuts of the
-        # positive V_i in force; the subgradient rule, once it has tried,
-        # tries again at every later iterate.
+        # Every iterate at V <= tol_v tries the extraction, which can miss by
+        # ~tol_v.  A miss leaves the level master's cuts of the positive V_i
+        # in force; the subgradient rule then tries at every later iterate.
         while True:
             if res.value <= cfg.tol_v or (attempts and master is None):
                 attempts += 1
@@ -490,9 +489,16 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
             hint = NO_ALPHA_HINT
 
     correctness = None
-    with phases("certify"):
-        if solutions is not None:
+    while solutions is not None:
+        with phases("certify"):
             correctness = check_correctness(network, tpl, params, solutions)
+        if correctness.ok or not any(program.reused for program in programs.values()):
+            break
+        for program in programs.values():  # a reused tube failed: none is reused
+            program._last = None
+        solutions = None
+        with lpcore.track_solver_time(solver), phases("extract"), suppress(PotentialInfeasible):
+            solutions = extract_solutions(programs, params)
     status = "correct" if correctness is not None and correctness.ok else "failed"
 
     return _finish(
@@ -502,18 +508,20 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
             solutions=solutions, trace=trace, hint=_failure_hint(correctness, hint),
             correctness=correctness, network=network, template=tpl),
         solver, wall0, phases, extract_attempts=attempts,
+        reused_tubes=sum(p.reused for p in programs.values()) if solutions else 0,
         master_size=master.lp._size if master is not None else (0, 0, 0))
 
 
-def _finish(result, solver, wall0, phases, extract_attempts=0, master_size=(0, 0, 0)):
+def _finish(result, solver, wall0, phases, master_size=(0, 0, 0), **counts):
     """Stamp the solver totals and the per-phase wall seconds on ``result``.
 
     The phases: ``caps`` computes the box [0, alpha_max]; ``build`` makes
     the synthesis LPs (for the dense baseline, folds the network and builds
     its one LP); ``descent`` evaluates the potential (0 for the one-LP
     methods); ``master`` builds and solves the level rule's master LP;
-    ``extract`` solves for the tubes and reads them back (compositional:
-    every hard extraction attempt); ``certify`` is check_correctness.
+    ``extract`` solves for the tubes or reuses them and reads them back
+    (compositional: every attempt, and the re-solve after a reused tube
+    fails); ``certify`` is check_correctness.  Unset ``counts`` read 0.
     ``max_lp_*`` is the largest LP solved, the level master included;
     ``master_lp_*`` is the level master alone (0 without one).
     ``solver_retries`` counts the solves re-run by the interior-point solver
@@ -533,7 +541,7 @@ def _finish(result, solver, wall0, phases, extract_attempts=0, master_size=(0, 0
         **dict(zip(("master_lp_rows", "master_lp_cols", "master_lp_nnz"), master_size)),
         "solver_retries": solver.retries,
         "solver_instances": solver.instances,
-        "extract_attempts": extract_attempts,
+        **{"extract_attempts": 0, "reused_tubes": 0, **counts},
     }
     return result
 

@@ -138,6 +138,9 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None):
         rhs[..., :E.shape[-1]] = E
     base = np.arange(n) * width
     parts = []      # (rows, cols, coefs) in the order a LinExpr sums them
+    # a recursion closed on itself sums a row's terms in T (xbar): (A - I) T
+    closed_t = width == T_next.shape[-1] and np.array_equal(T_next, T)
+    closed_x = np.array_equal(x_next, xbar)
 
     def product(K, X, first):
         # K @ X: entry K[i, k] * X[k, j] goes to row first[i] + j
@@ -147,17 +150,17 @@ def add_recursion(lp, A, B, T, M, xbar, ubar, W, T_next, x_next, E=None):
                       X[..., kk, :].reshape(X.shape[:-2] + (-1,)),
                       np.repeat(K[..., ii, kk], c, axis=-1)))
 
-    product(A, T, base)
+    product(A - np.eye(n) if closed_t else A, T, base)
     if M is not None:
         product(B, M, base)
     parts.append((base[w_rows] + w + w_cols, w_vars, w_coefs))
-    ii, jj = np.nonzero(_union(rhs >= 0, 2))
+    ii, jj = np.nonzero(_union(rhs >= 0, 2) & (not closed_t))
     parts.append((base[ii] + jj, rhs[..., ii, jj], np.full(len(ii), -1.0)))
     cen = n * width + np.arange(n)
-    product(A, xbar[..., None], cen)
+    product(A - np.eye(n) if closed_x else A, xbar[..., None], cen)
     if ubar is not None:
         product(B, ubar[..., None], cen)
-    parts.append((cen, x_next, np.full(n, -1.0)))
+    parts.append((cen, np.where(closed_x, -1, x_next), np.full(n, -1.0)))
 
     # a W entry's constant moves right; every other row has constant 0.0,
     # and the center row the constant 0.0 + center

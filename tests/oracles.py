@@ -529,8 +529,9 @@ def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
     """The recursion rows of one step: ``[A T + B M, W] = [left, T_next]`` row
     by row (``left[i][j]`` an expression, or 0.0), then the center rows.
     ``wcols`` holds the W columns as lists of LinExpr or numbers.  A row
-    with no term and constant 0 is not emitted; every row ``expr = 0`` is
-    appended to the list ``record`` as ``expr``."""
+    with no nonzero coefficient (its terms summed) and constant 0 is not
+    emitted; every row ``expr = 0`` is appended to the list ``record`` as
+    ``expr``."""
     n, w = T.shape
     p = len(wcols)
     shift = w + p - T_next.shape[1]
@@ -544,7 +545,7 @@ def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
             row = as_expr(lhs - rhs)
             if record is not None:
                 record.append(row)
-            if row.terms or row.const != 0.0:
+            if any(row.terms.values()) or row.const != 0.0:
                 lp.add_eq(row, 0.0)
     drift = lin_matmul(A, xbar.reshape(-1, 1))[:, 0]
     if M is not None:
@@ -553,7 +554,8 @@ def _recursion_rows_rowwise(lp, A, B, T, M, xbar, ubar, wcols, w_center, T_next,
         row = drift[i] + float(w_center[i]) - x_next[i]
         if record is not None:
             record.append(row)
-        lp.add_eq(row, 0.0)
+        if any(row.terms.values()) or row.const != 0.0:
+            lp.add_eq(row, 0.0)
 
 
 def _size_objective(lp, blocks):

@@ -7,6 +7,7 @@ the slack is active.
 """
 
 import dataclasses
+import json
 import os
 import re
 
@@ -443,7 +444,7 @@ def test_extraction_programs_rewarm_like_fresh_ones():
                 assert report.ok and report.lp_fallbacks == 0, report.failures
             for sid, program in programs.items():
                 if index == 0:  # the same verdict per subsystem
-                    assert (program.extract(params) is None) == (want[sid] is None)
+                    assert (program._solve_hard(params) is None) == (want[sid] is None)
                 else:  # the witness parts only the slack pays for are fixed at 0
                     sol = program._solve_hard(params)
                     assert not np.any(sol.column_values(program.handles.slack_cols))
@@ -791,6 +792,96 @@ def test_moving_one_entry_re_solves_only_its_readers():
         assert all((res.evals[sid] is first.evals[sid]) == (sid not in readers)
                    for sid in programs)
         first, _ = _swept(programs, params)  # the readers solve back at params
+
+
+# ---------------------------------------------------------------------------
+# pinned programs: the hard extraction from the potential's own optimum
+
+
+def pinned_reference(A, B, k, p):
+    """Whether (T, M) -> [A T + B M, 0] - [0, T] (p zero columns each) has
+    full column rank, from the matrix of its values at every unit (T, M)."""
+    n, m = B.shape
+    columns = []
+    for unit in np.eye((n + m) * k):
+        T, M = unit[:n * k].reshape(n, k), unit[n * k:].reshape(m, k)
+        columns.append((np.hstack([A @ T + B @ M, np.zeros((n, p))])
+                        - np.hstack([np.zeros((n, p)), T])).ravel())
+    return bool(np.linalg.matrix_rank(np.array(columns).T) == (n + m) * k)
+
+
+def case1_variant(sid, **fields):
+    """case1 with subsystem ``sid``'s fields replaced."""
+    with open("configs/case1.json") as fh:
+        cfg = json.load(fh)
+    cfg["subsystems"][sid - 1].update(fields)
+    return load_network(cfg)
+
+
+@pytest.mark.parametrize("make_network, k, pinned", [
+    (lambda: load_network("configs/case1.json"), None, [1, 2, 3]),
+    (lambda: load_network("configs/case1.json"), 3, [1, 2, 3]),
+    # more unknowns than rows: 6 (n + m) against n (6 + p)
+    (lambda: load_network("configs/case1.json"), 6, []),
+    # an input that acts on nothing leaves M free
+    (lambda: case1_variant(2, B=[[0.0], [0.0]]), None, [1, 3]),
+    (lambda: case1_variant(3, B=[[0.05, 0.0], [0.1, 0.1]],
+                           U={"center": [0.0, 0.0], "generators": np.eye(2).tolist()}),
+     None, [1, 2]),
+    (lambda: random_network(20, lambda_for(40), seed=0), None, list(range(20))),
+    (pair_network, None, []),
+    # finite: T(0) is free
+    (lambda: load_network("configs/case2.json"), None, []),
+], ids=["case1", "case1-k3", "case1-k6", "case1-idle-input", "case1-two-inputs", "geo40",
+        "pair", "case2"])
+def test_pinned_programs_match_a_per_member_rank(make_network, k, pinned):
+    net = make_network()
+    programs = build_programs(net, default_template(net), k=k)
+    want = {sid: net.mode == "infinite" and pinned_reference(
+        net.subsystem(sid).A_at(0), net.subsystem(sid).B_at(0), program.k,
+        program.handles.W[0][1].shape[-1]) for sid, program in programs.items()}
+    assert {sid: program.pinned for sid, program in programs.items()} == want
+    assert [sid for sid, program in programs.items() if program.pinned] == pinned
+
+
+def test_a_slack_free_evaluation_gives_the_hard_solution():
+    # at V = 0 every pinned program returns the potential's optimum, solving
+    # nothing, until its LP moves
+    net = random_network(20, lambda_for(40), seed=0)
+    res = compositional_synthesize(net)
+    programs = build_programs(net, res.template)
+    ev, _ = _swept(programs, res.params)
+    assert ev.value == 0.0
+    with lpcore.track_solver_time() as tracker:
+        got = extract_solutions(programs, res.params)
+    assert tracker.solves == 0 and all(program.reused for program in programs.values())
+    assert all(got[sid].T[0] is not ev.evals[sid].solution.T[0]
+               and np.array_equal(got[sid].T[0], ev.evals[sid].solution.T[0]) for sid in got)
+    moved = res.params.from_vector(0.99 * res.params.to_vector())
+    _swept(programs, moved)
+    with lpcore.track_solver_time() as tracker:
+        extract_solutions(programs, res.params)  # not the last evaluation's alphas
+    assert tracker.solves == len(programs)
+    assert not any(program.reused for program in programs.values())
+
+
+def test_hard_lp_after_a_slack_free_evaluation_runs_primal_simplex(monkeypatch):
+    # the pair leaves T free, so each hard LP solves: by primal simplex from
+    # the potential's basis where V_i = 0, by dual simplex where V_i > 0
+    net = pair_network()
+    tpl = default_template(net)
+    programs = build_programs(net, tpl)
+    params = set_pair(alpha_max(net, tpl), 1.0, 1.0)
+    options, run = [], lpcore._run
+    monkeypatch.setattr(lpcore, "_run", lambda solver, opts: options.append(opts) or run(solver, opts))
+    assert potential(programs, params).value == 0.0
+    extract_solutions(programs, params)
+    assert options[-2:] == [{"simplex_strategy": 4}] * 2
+    potential(programs, set_pair(params, 0.55, 1.0))  # V_1 = 0.05, V_2 = 0
+    with pytest.raises(PotentialInfeasible, match="subsystem\\(s\\) 1$"):
+        extract_solutions(programs, set_pair(params, 0.55, 1.0))
+    assert options[-2:] == [{}, {"simplex_strategy": 4}]
+    assert all(program.lp.options == {} for program in programs.values())
 
 
 def test_parameters_of_another_layout_are_refused():

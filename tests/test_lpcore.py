@@ -787,7 +787,7 @@ def test_highs_holds_the_assembled_model_of_every_batch_member(name):
         for got, expected in zip(_held(lp), want):
             assert got.tobytes() == np.asarray(expected, dtype=got.dtype).tobytes()
         program.evaluate(params)  # moves the alpha columns' bounds
-        program.extract(params)  # moves the slack's bounds and the costs, and back
+        program._solve_hard(params)  # moves the slack's bounds and the costs, and back
         lp.set_costs(program._alpha_cols[:3], [2.0, -1.0, 0.5])
         lp.set_col_bounds(program._alpha_cols[:2], 0.25, [0.5, 0.75])
         n = lp.num_vars

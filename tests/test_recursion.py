@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_contracts import pinned_reference
 from zonosynth import geom, sysmodel, viability
 from zonosynth.cli import lambda_for
 from zonosynth.contracts import _at, _signature, build_programs, default_template, emit_subsystem
@@ -219,6 +220,44 @@ def test_build_programs_of_a_geometric_network_match_reference():
     # 50 subsystems of one shape and 0 to 4 neighbors: one group, whose
     # members differ in how many neighbor multipliers W reads
     assert_builds_like_reference(sysmodel.random_network(50, lambda_for(100), seed=0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([None, 1, 2]))
+def test_pinned_groups_match_a_per_member_rank(seed, order):
+    # one stacked rank per group, against one rank per member
+    network = mixed_network(np.random.default_rng(seed), finite=False)
+    programs = build_programs(network, default_template(network), reduction_order=order)
+    for sid, program in programs.items():
+        sub = network.subsystem(sid)
+        assert program.pinned is pinned_reference(sub.A_at(0), sub.B_at(0), program.k,
+                                                  program.handles.W[0][1].shape[-1])
+
+
+def test_invariant_rows_whose_terms_cancel_drop_out():
+    # subsystem 3 has A = [[2, 2], [0, 1]], no neighbours and no W columns:
+    # its rows (A - I) T = 0 and its center row 1 read 0 = 0 once their
+    # terms are summed
+    network = mixed_network(np.random.default_rng(158), finite=False)
+    for slack in (True, False):
+        lp = emitted(network, 3, False, slack=slack)
+        assert [a.tobytes() for a in model(lp)] == [a.tobytes() for a in model(lp, False)]
+        assert lp.num_rows == (38 if slack else 12)
+        assert_same_lp(lp, emitted(network, 3, True, slack=slack))
+
+
+def test_a_closed_recursion_row_drops_only_where_it_cancels_in_every_member():
+    # x(t+1) = a x(t) + 0, no input and no disturbance columns: with a = 1
+    # both invariant rows read 0 = 0.  In a group a row stays where it reads
+    # anything in one member
+    for diag, rows in (([1.0, 1.0], 0), ([1.0, 2.0], 2)):
+        batch = _LpBatch(["a", "b"])
+        T, xbar = batch.var_block((1, 1)), batch.var_block(1)
+        W = (np.zeros((2, 1)), np.zeros((2, 1, 0)),
+             (np.zeros((2, 0), dtype=np.int64),) * 3 + (np.zeros((2, 0)),))
+        viability.add_recursion(batch, np.reshape(diag, (2, 1, 1)), np.zeros((2, 1, 0)), T,
+                                None, xbar, None, W, T, xbar)
+        assert [lp.num_rows for lp in batch.programs()] == [rows, rows]
 
 
 # ---------------------------------------------------------------------------

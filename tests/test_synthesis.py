@@ -611,6 +611,80 @@ def test_failed_certificate_names_its_first_failure_in_the_hint(monkeypatch, met
     assert res.hint == f"{failures[0]}; {RETRY_HINT}"
 
 
+# ---------------------------------------------------------------------------
+# the verdict from the potential's own optimum
+
+
+def case1_with_two_inputs():
+    """case1 with subsystem 3 driven through two inputs: its recursion rows
+    no longer fix T and M from W."""
+    with open("configs/case1.json") as fh:
+        cfg = json.load(fh)
+    cfg["subsystems"][2].update(B=[[0.05, 0.0], [0.1, 0.1]],
+                                U={"center": [0.0, 0.0], "generators": [[10.0, 0.0], [0.0, 10.0]]})
+    return load_network(cfg)
+
+
+def tubes(res):
+    return [json.dumps(res.solutions[sid].to_json(), sort_keys=True)
+            for sid in res.network.sorted_ids()]
+
+
+@pytest.mark.parametrize("make_network, reused", [
+    (lambda: load_network("configs/case1.json"), 3),
+    (pair_network, 0),
+    (lambda: random_network(20, lambda_for(40), seed=0), 20),
+    (lambda: random_network(50, lambda_for(100), seed=3), 50),
+], ids=["case1", "pair", "geo40", "lambda100"])
+def test_reused_tubes_are_those_of_the_hard_extraction(monkeypatch, make_network, reused):
+    # at V_i = 0 a pinned program's potential optimum is an optimum of its
+    # hard LP: the verdict and every tube are bit for bit those of solving it
+    res = compositional_synthesize(make_network())
+    assert res.ok and res.timings["reused_tubes"] == reused
+    monkeypatch.setattr(contracts, "_pinned", lambda network, sids, k, p: [False] * len(sids))
+    solved = compositional_synthesize(make_network())
+    assert solved.ok and solved.timings["reused_tubes"] == 0
+    assert tubes(solved) == tubes(res)
+    assert solved.timings["solves"] == res.timings["solves"] + reused
+
+
+def test_a_reused_tube_that_fails_its_check_sends_every_subsystem_to_the_hard_lp(monkeypatch):
+    # subsystem 2's reused tube, widened, fails: the run solves the hard LP
+    # of all three subsystems once and certifies what they give
+    extract, reused = synthesis.extract_solutions, []
+
+    def widen_one(programs, params):
+        got = extract(programs, params)
+        reused.append([sid for sid, program in programs.items() if program.reused])
+        return {sid: widened(sol) if sid == 2 and programs[sid].reused else sol
+                for sid, sol in got.items()}
+
+    monkeypatch.setattr(synthesis, "extract_solutions", widen_one)
+    res = compositional_synthesize(load_network("configs/case1.json"))
+    assert reused == [[1, 2, 3], []]
+    assert res.ok and res.correctness.lp_fallbacks == 0
+    assert res.timings["reused_tubes"] == 0 and res.timings["extract_attempts"] == 1
+    assert res.timings["solves"] == 15 + 3
+
+
+def test_an_unpinned_invariant_subsystem_gets_its_tube_from_the_hard_lp(monkeypatch):
+    net = case1_with_two_inputs()
+    assert [p.pinned for p in build_programs(net, default_template(net)).values()] == [
+        True, True, False]
+    extract, solved = synthesis.extract_solutions, []
+
+    def count(programs, params):
+        with lpcore.track_solver_time() as tracker:
+            got = extract(programs, params)
+        solved.append((tracker.solves, [program.reused for program in programs.values()]))
+        return got
+
+    monkeypatch.setattr(synthesis, "extract_solutions", count)
+    res = compositional_synthesize(net)
+    assert res.ok and res.timings["reused_tubes"] == 2
+    assert solved == [(1, [True, True, False])]
+
+
 def test_subgradient_rule_fails_geo400_seed25_naming_the_escape():
     # the paper's subgradient rule ends this network "failed": an extracted
     # Omega escapes its promise by about 1.6e-7, inside HiGHS's feasibility
@@ -739,6 +813,9 @@ def test_report_json_lp_sizes(tmp_path, driver):
     # only the compositional method extracts tubes after a descent
     compositional = driver is compositional_synthesize
     assert timings["extract_attempts"] == (1 if compositional else 0)
+    # the pair's recursion leaves T free (n = m = 1), and the one-LP methods
+    # have no potential
+    assert timings["reused_tubes"] == 0
     # the level master is reported apart, and max_lp_* still counts it
     master = [timings[f"master_lp_{key}"] for key in ("rows", "cols", "nnz")]
     if compositional:
@@ -841,11 +918,11 @@ def _sha(text):
 
 
 @pytest.mark.parametrize("make_network, iterations, solves, trace, params, tubes", [
-    (lambda: load_network("configs/case1.json"), 3, 18,
+    (lambda: load_network("configs/case1.json"), 3, 15,
      "4f1b621f241dc1ca6d547902daad9ebf6c4d8601a08044959356c26f58ac67dc",
      "c617499eccf54ec60cfafab9e6207702c640e00514602768a7017073143e6fa2",
      "462ca8b1ec47c383bccac61ee9e9f91ffc81ceb188c05b6822cc38b6fe219fc1"),
-    (lambda: random_network(20, lambda_for(40), seed=0), 1, 43,
+    (lambda: random_network(20, lambda_for(40), seed=0), 1, 23,
      "1f60c3dc8d90d749469219d1f284291bc177c17b1e012f310f3f87e0dbf214f0",
      "6b67d9cea2f6e52dcac52c1224040ff60cc71e421e44c638c7c2099c70050f23",
      "21f8c6eecc6dd9e6430370d3502ab279eda00c14360bacffacc13b03b513f0a4"),
@@ -855,7 +932,9 @@ def test_level_descent_matches_golden_digest(make_network, iterations, solves, t
     res = compositional_synthesize(make_network(), config=DescentConfig(rule="level"))
     assert res.ok
     # the digests are those of the descent before unmoved evaluations were
-    # re-used, which cut the solves on geo40 from 61 to 43
+    # re-used, which cut the solves on geo40 from 61 to 43, and before the
+    # verdict took each pinned tube from the potential's optimum (43 to 23;
+    # case1 18 to 15: one hard solve fewer per subsystem)
     assert (res.iterations, res.timings["solves"]) == (iterations, solves)
     assert _sha(" ".join(float(v).hex() for row in res.trace for v in row)) == trace
     assert _sha(" ".join(float(v).hex() for v in res.params.to_vector())) == params
