@@ -47,7 +47,7 @@ def main():
     print(f"invariance check: {args.samples} trajectories x {args.steps} "
           f"steps -> {report.violations} violations, "
           f"{report.witness_losses} chained witnesses re-witnessed, "
-          f"{report.lp_rewitness} membership LPs "
+          f"{report.lp_rewitness} chain misses re-solved "
           f"({time.perf_counter() - t0:.2f}s)")
     for sid in net.sorted_ids():
         print(f"  subsystem {sid}: worst margin "

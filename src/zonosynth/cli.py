@@ -340,7 +340,7 @@ def _emit_potential_slice(result, dims, outdir, grid):
                              f"#{coord}")
         axes.append((sid, coord))
 
-    programs = build_programs(result.network, result.template)
+    programs = build_programs(result.network, result.template, **result.encoding)
     base = result.params
 
     def values(sid, coord):

@@ -572,25 +572,18 @@ def emit_subsystem(batch, network, template, sids, alpha_of, k=None,
 
 @dataclass
 class PotentialEval:
-    """One evaluation of V_i: value, gradient, and the inner solution.
+    """One evaluation of V_i: value, gradient, and the LP solution.
 
     ``grad[e]`` is dV_i/dalpha at the parameter vector's entry
-    ``reads[e]``.  ``solution`` is built on first access from this
-    evaluation's own LP solution, which holds every column's value, the
-    fixed alphas included; later re-solves of the program or changes to the
-    parameters leave it as it was.
+    ``reads[e]``.  ``_lp_solution`` holds every column's value, the fixed
+    alphas included; later re-solves of the program leave it as it was.
     """
 
     sid: object
     value: float
     reads: np.ndarray
     grad: np.ndarray
-    _handles: SubsystemHandles = field(repr=False)
     _lp_solution: object = field(repr=False)
-
-    @functools.cached_property
-    def solution(self):
-        return _numeric_solution(self._lp_solution, self._handles)
 
 
 class PotentialProgram:
@@ -614,7 +607,6 @@ class PotentialProgram:
         of the parameter vectors it reads and whether it is ``pinned``."""
         self.sid = sid
         self.pinned = pinned
-        self.reused = False  # whether the last hard solution was the potential's optimum
         self._alpha = alpha
         self._layout = layout
         # the parameter vector's entries the alpha columns are fixed at
@@ -670,23 +662,20 @@ class PotentialProgram:
             raise PotentialInfeasible(
                 f"subsystem {self.sid!r}: no viable tube at these parameters")
         ev = PotentialEval(self.sid, max(0.0, sol.objective), self.reads,
-                           sol.column_duals(self._alpha_cols), self.handles, sol)
+                           sol.column_duals(self._alpha_cols), sol)
         self._last = (key, ev)
         return ev
 
-    def _solve_hard(self, params):
-        """The LP solution of the hard problem at ``params``, or None.
-
-        Where the last evaluation was at these values with V_i = 0, its
-        optimum has no slack: a pinned program returns it (``reused``), any
-        other starts there by primal simplex.  A solve fixes the slack and its
-        witness columns at 0 and minimizes sum |T|, then puts both back.
-        """
+    def _solve_hard(self, params, reuse=True):
+        """The LP solution of the hard problem at ``params`` (None if it is
+        infeasible) and whether it is the potential's optimum, ``reuse`` as
+        in :func:`extract_solutions`.  A solve fixes the slack and its
+        witness columns at 0 and minimizes sum |T|, then puts both back."""
         values, last = self._values(params), self._last
-        slack_free = last is not None and last[0] == values.tobytes() and last[1].value == 0.0
-        self.reused = slack_free and self.pinned
-        if self.reused:
-            return last[1]._lp_solution
+        slack_free = (reuse and last is not None and last[0] == values.tobytes()
+                      and last[1].value == 0.0)
+        if slack_free and self.pinned:
+            return last[1]._lp_solution, True
         self._last = None
         self._fix(values)
         lp, options = self.lp, self.lp.options
@@ -699,7 +688,7 @@ class PotentialProgram:
             lp.options = options
             lp.set_col_bounds(self._slack, *self._slack_bounds)
             lp.set_costs(self._cost_cols, self._potential_cost)
-        return None if sol.status == lpcore.INFEASIBLE else sol
+        return None if sol.status == lpcore.INFEASIBLE else sol, False
 
 
 def _numeric_solution(sol, handles):
@@ -716,22 +705,26 @@ def _numeric_solution(sol, handles):
     return TubeSolution(T, xbar, M, ubar, W, 0.0, None, size, witness=witness)
 
 
-def extract_solutions(programs, params):
-    """Per-subsystem tubes satisfying the promises at ``params`` exactly.
+def extract_solutions(programs, params, reuse=True):
+    """Per-subsystem tubes satisfying the promises at ``params`` exactly,
+    and how many are reused potential optima.
 
     Each program solves its viability problem in hard containment in its own
     promised sets, minimizing total template size, warm from its own last
-    basis; a pinned one at V_i = 0 reuses its potential optimum
-    (``PotentialProgram.reused``).  Raises PotentialInfeasible naming the
+    basis.  With ``reuse``, where its last evaluation was at ``params`` with
+    V_i = 0, that optimum has no slack: a pinned program returns it, any
+    other starts there by primal simplex.  Without, each solves as if no
+    evaluation had come before.  Raises PotentialInfeasible naming the
     subsystems whose hard problem has no solution (V at ``params`` is then
     positive); the tubes are read back only when every subsystem has one.
     """
     ids = sorted(programs, key=_id_key)
-    solved = {sid: programs[sid]._solve_hard(params) for sid in ids}
-    if losers := [sid for sid in ids if solved[sid] is None]:
+    solved = {sid: programs[sid]._solve_hard(params, reuse) for sid in ids}
+    if losers := [sid for sid in ids if solved[sid][0] is None]:
         raise PotentialInfeasible("hard extraction infeasible for subsystem(s) "
                                   + ", ".join(repr(s) for s in losers))
-    return {sid: _numeric_solution(solved[sid], programs[sid].handles) for sid in ids}
+    return ({sid: _numeric_solution(solved[sid][0], programs[sid].handles) for sid in ids},
+            sum(reused for _, reused in solved.values()))
 
 
 def _signature(network, template, sid, reduction_order):
@@ -842,27 +835,20 @@ class PotentialResult:
     value: float
     grad: ContractParams
     evals: dict
-    solve_seconds: float
-
-    @property
-    def solutions(self):
-        """Each subsystem's inner solution, built on first access."""
-        return {sid: ev.solution for sid, ev in self.evals.items()}
 
 
 def potential(programs, params):
     """V(alpha) = sum of V_i, with the gradient summed entry by entry over
     the programs in id order.  A program whose values did not move re-uses
-    its last evaluation (:meth:`PotentialProgram.evaluate`);
-    ``solve_seconds`` counts the solves this call made."""
+    its last evaluation (:meth:`PotentialProgram.evaluate`).  The tubes are
+    not read back here: :func:`extract_solutions` does that."""
     ids = sorted(programs, key=_id_key)
-    with lpcore.track_solver_time() as solver:
-        evals = {sid: programs[sid].evaluate(params) for sid in ids}
+    evals = {sid: programs[sid].evaluate(params) for sid in ids}
     parts = evals.values()
     grad = np.bincount(np.concatenate([ev.reads for ev in parts]),
                        np.concatenate([ev.grad for ev in parts]), params._layout.size)
     value = float(sum(ev.value for ev in parts))
-    return PotentialResult(value, params._like(grad), evals, solver.seconds)
+    return PotentialResult(value, params._like(grad), evals)
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,9 @@ class DescentConfig:
                              "evaluation is serial; pass None or 1")
         if self.rule not in RULES:
             raise ValueError(f"unknown step rule {self.rule!r}; expected one of {RULES}")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.tol_v <= 0:
-            raise ValueError("tol_v must be positive")
+        for name in ("delta", "tol_v"):
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails both
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.init not in ("half", "max", "random"):
@@ -188,6 +187,7 @@ class SynthesisResult:
     correctness: object | None = None           # CorrectnessReport
     network: object | None = None
     template: object | None = None
+    encoding: dict = field(default_factory=dict)  # k and reduction_order as passed
 
     @property
     def ok(self):
@@ -203,6 +203,7 @@ class SynthesisResult:
             "iterations": self.iterations,
             "timings": self.timings,
             "hint": self.hint,
+            **self.encoding,
         }
         if self.correctness is not None:
             rep["correctness"] = {
@@ -276,7 +277,8 @@ class SynthesisResult:
             iterations=rep.get("iterations", 0), params=params,
             solutions=solutions or None, trace=trace,
             timings=rep.get("timings", {}), hint=rep.get("hint"),
-            network=network, template=template)
+            network=network, template=template,
+            encoding={key: rep[key] for key in ("k", "reduction_order") if key in rep})
 
 
 def _template_to_json(template):
@@ -428,13 +430,12 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
     cfg.validate()
     _check_mode(network, mode)
     tpl = template if template is not None else default_template(network)
+    encoding = dict(k=cfg.k, reduction_order=cfg.reduction_order)
     wall0 = time.perf_counter()
     phases = _Phases()
     trace = []
     solutions = None
-    it = 0
-    attempts = 0
-    hint = RETRY_HINT
+    it = attempts = reused = 0
 
     with lpcore.track_solver_time() as solver:
         with phases("caps"):
@@ -452,7 +453,7 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
                     status="failed", method="compositional", mode=network.mode,
                     value=None, objective=None, iterations=0, params=params,
                     solutions=None, trace=trace, hint=f"{exc}; {RETRY_HINT}",
-                    network=network, template=tpl),
+                    network=network, template=tpl, encoding=encoding),
                 solver, wall0, phases)
 
         trace.append((0, res.value, float(np.linalg.norm(res.grad.to_vector())), 0.0))
@@ -460,15 +461,15 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
         if cfg.rule == "level":
             with phases("master"):
                 master = _LevelMaster(caps, cfg.tol_v)
-        # Every iterate at V <= tol_v tries the extraction, which can miss by
-        # ~tol_v.  A miss leaves the level master's cuts of the positive V_i
-        # in force; the subgradient rule then tries at every later iterate.
+        # Every iterate at V <= tol_v, and no other, tries the extraction,
+        # which can miss by ~tol_v.  A miss leaves the level master's cuts of
+        # the positive V_i in force; either rule then carries on.
         while True:
-            if res.value <= cfg.tol_v or (attempts and master is None):
+            if res.value <= cfg.tol_v:
                 attempts += 1
                 try:
                     with phases("extract"):
-                        solutions = extract_solutions(programs, params)
+                        solutions, reused = extract_solutions(programs, params)
                     break
                 except PotentialInfeasible:
                     pass
@@ -484,31 +485,26 @@ def compositional_synthesize(network, template=None, mode=None, config=None):
             params, res, s = stepped
             it += 1
             trace.append((it, res.value, float(np.linalg.norm(res.grad.to_vector())), s))
-        value = res.value
-        if master is not None and master.empty:
-            hint = NO_ALPHA_HINT
+        hint = NO_ALPHA_HINT if master is not None and master.empty else RETRY_HINT
 
     correctness = None
     while solutions is not None:
         with phases("certify"):
             correctness = check_correctness(network, tpl, params, solutions)
-        if correctness.ok or not any(program.reused for program in programs.values()):
+        if correctness.ok or not reused:
             break
-        for program in programs.values():  # a reused tube failed: none is reused
-            program._last = None
-        solutions = None
+        solutions, reused = None, 0  # a reused tube failed: every hard LP solves
         with lpcore.track_solver_time(solver), phases("extract"), suppress(PotentialInfeasible):
-            solutions = extract_solutions(programs, params)
+            solutions, reused = extract_solutions(programs, params, reuse=False)
     status = "correct" if correctness is not None and correctness.ok else "failed"
 
     return _finish(
         SynthesisResult(
             status=status, method="compositional", mode=network.mode,
-            value=value, objective=None, iterations=it, params=params,
+            value=res.value, objective=None, iterations=it, params=params,
             solutions=solutions, trace=trace, hint=_failure_hint(correctness, hint),
-            correctness=correctness, network=network, template=tpl),
-        solver, wall0, phases, extract_attempts=attempts,
-        reused_tubes=sum(p.reused for p in programs.values()) if solutions else 0,
+            correctness=correctness, network=network, template=tpl, encoding=encoding),
+        solver, wall0, phases, extract_attempts=attempts, reused_tubes=reused,
         master_size=master.lp._size if master is not None else (0, 0, 0))
 
 
@@ -568,6 +564,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
     _check_mode(network, mode)
     _check_encoding(k, reduction_order)
     tpl = template if template is not None else default_template(network)
+    encoding = dict(k=k, reduction_order=reduction_order)
     wall0 = time.perf_counter()
     phases = _Phases()
     ids = network.sorted_ids()
@@ -610,7 +607,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
                         status="failed", method="centralized", mode=network.mode,
                         value=None, objective=None, iterations=0, params=None,
                         solutions=None, hint=RETRY_HINT, network=network,
-                        template=tpl),
+                        template=tpl, encoding=encoding),
                     solver, wall0, phases)
 
             cols = [alphas[(sid, channel, t)] for channel, series in (("x", caps.x), ("u", caps.u))
@@ -631,7 +628,7 @@ def centralized_synthesize(network, template=None, mode=None, k=None,
             value=0.0 if correctness.ok else None, objective=sol.objective,
             iterations=0, params=params, solutions=solutions,
             hint=_failure_hint(correctness), correctness=correctness, network=network,
-            template=tpl),
+            template=tpl, encoding=encoding),
         solver, wall0, phases)
 
 
@@ -662,7 +659,7 @@ def centralized_dense(network, mode=None, k=None, beta=0.0):
     invariant tube and to 0 for a finite one, which grows by each step's
     disturbance columns.  Zero forcing (a recursion row with constant 0 and
     one entry not yet pinned pins it, see ``viability.viable_lp``) leaves
-    out the entries the recursion pins to 0: geo40's LP has 6,988 rows, not 16,180.
+    out the entries the recursion pins to 0: geo40's LP has 3,644 rows, not 16,180.
     """
     _check_mode(network, mode)
     _check_encoding(k)

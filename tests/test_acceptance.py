@@ -174,8 +174,11 @@ def test_criterion_3_benchmark(capsys, tmp_path):
         programs = build_programs(net, template)
         caps = alpha_max(net, template)
         potential(programs, caps.scaled(0.5))  # first evaluate pays LP assembly
-        reps = [potential(programs, caps.scaled(0.5 - 0.01 * r)).solve_seconds
-                for r in range(1, 6)]
+        reps = []
+        for r in range(1, 6):
+            with lpcore.track_solver_time() as solver:
+                potential(programs, caps.scaled(0.5 - 0.01 * r))
+            reps.append(solver.seconds)
         sizes.append(n_subs)
         times.append(float(np.median(reps)))
     exponent = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])

@@ -193,6 +193,16 @@ def test_synth_step_without_fixed_rule_exits_two(flags, capsys):
     assert "--step is the step size of --rule fixed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--tol", "nan"], "tol_v"), (["--tol", "inf"], "tol_v"), (["--tol", "0"], "tol_v"),
+    (["--rule", "fixed", "--step", "nan"], "delta"),
+    (["--rule", "fixed", "--step", "inf"], "delta"),
+])
+def test_synth_non_finite_descent_settings_exit_two(flags, field, capsys):
+    assert main(["synth", "--config", "configs/case1.json", *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be finite and positive")
+
+
 @pytest.mark.parametrize("method", ["compositional", "centralized"])
 def test_synth_negative_reduce_order_exits_two(method, capsys):
     code = main(["synth", "--config", "configs/case1.json", "--method", method,
@@ -399,6 +409,20 @@ def test_plotdata_slice_grid_one_matches_report(case1_dir):
     with open(case1_dir / "report.json") as fh:
         report = json.load(fh)
     assert float(rows[1][2]) == pytest.approx(report["V"], abs=1e-9)
+
+
+def test_plotdata_slice_builds_the_programs_of_the_result(tmp_path):
+    # at k = 8 case1 certifies with V = 0; the slice at its own alpha reads
+    # V = 0 only on programs built with that k (0.409 at the default k)
+    out = tmp_path / "k8"
+    assert main(["synth", "--config", "configs/case1.json", "--k", "8",
+                 "--out", str(out)]) == 0
+    with open(out / "report.json") as fh:
+        report = json.load(fh)
+    assert report["V"] == 0.0 and (report["k"], report["reduction_order"]) == (8, 1)
+    assert main(["plotdata", "--result", str(out), "--what", "potential-slice",
+                 "--dims", "1:0,2:0", "--grid", "1"]) == 0
+    assert float(read_csv(out / "potential_slice.csv")[1][2]) == 0.0
 
 
 def test_plotdata_slice_grid_shape(case1_dir, tmp_path):

@@ -49,6 +49,13 @@ def interval_sub(sid, other, a_self=0.0, b=1.0, coupling=0.5, d=0.1, x=1.0, u=1.
     }
 
 
+def solutions_of(programs, res):
+    """Each subsystem's tube at the potential evaluation ``res``, read back
+    from that evaluation's own LP solution."""
+    return {sid: _numeric_solution(ev._lp_solution, programs[sid].handles)
+            for sid, ev in res.evals.items()}
+
+
 def pair_network(**kw):
     return load_network({
         "mode": "infinite",
@@ -266,14 +273,14 @@ def test_reduced_w_matches_order_reduce_box_at_alpha_max():
     for order in (1, 2, None):
         programs = build_programs(net, tpl, reduction_order=order)
         # the W a solution reads back from its program's own terms
-        reduced = potential(programs, params).evals[1].solution.W[0]
+        reduced = solutions_of(programs, potential(programs, params))[1].W[0]
         oracle = order_reduce_box(exact, order)
         assert reduced.center == pytest.approx(oracle.center)
         assert reduced.generators == pytest.approx(oracle.generators)
         # at other alphas the reduction is still an outer approximation
-        for sid, ev in potential(programs, shrunk).evals.items():
+        for sid, sol in solutions_of(programs, potential(programs, shrunk)).items():
             exact6 = oracles.augmented_disturbance(net, tpl, shrunk, sid, 0)
-            assert directed_hausdorff(ev.solution.W[0], exact6) <= 1e-9
+            assert directed_hausdorff(sol.W[0], exact6) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +384,7 @@ def test_potential_solution_is_built_lazily_from_its_own_evaluation(make_network
     kept = p1.copy()
     r1 = potential(programs, p1)
     assert r1.value == pytest.approx(0.0, abs=1e-9)
-    eager = {sid: _numeric_solution(ev._lp_solution, programs[sid].handles)
-             for sid, ev in r1.evals.items()}
-    assert all("solution" not in vars(ev) for ev in r1.evals.values())
+    eager = solutions_of(programs, r1)
     # each W is the boxed augmented disturbance at the parameters evaluated
     for sid, sol in eager.items():
         for t in range(net.num_steps):
@@ -396,12 +401,11 @@ def test_potential_solution_is_built_lazily_from_its_own_evaluation(make_network
         for a in series:
             a *= 1.7
 
-    lazy = r1.solutions
+    lazy = solutions_of(programs, r1)
     for sid, want in eager.items():
         for name in ("T", "xbar", "M", "ubar", "W"):
             got = _flat(getattr(lazy[sid], name))
             assert np.max(np.abs(got - _flat(getattr(want, name)))) <= 1e-12
-    assert r1.solutions[1] is lazy[1]
     report = check_correctness(net, tpl, kept, lazy)
     assert report.ok, report.failures
 
@@ -437,16 +441,16 @@ def test_extraction_programs_rewarm_like_fresh_ones():
                     extract_solutions(programs, params)
             else:
                 assert all(sol is not None for sol in want.values())
-                got = extract_solutions(programs, params)
+                got, _ = extract_solutions(programs, params)
                 for sid in got:
                     assert got[sid].objective == pytest.approx(want[sid].objective, abs=1e-9)
                 report = check_correctness(net, tpl, params, got)
                 assert report.ok and report.lp_fallbacks == 0, report.failures
             for sid, program in programs.items():
                 if index == 0:  # the same verdict per subsystem
-                    assert (program._solve_hard(params) is None) == (want[sid] is None)
+                    assert (program._solve_hard(params)[0] is None) == (want[sid] is None)
                 else:  # the witness parts only the slack pays for are fixed at 0
-                    sol = program._solve_hard(params)
+                    sol, _ = program._solve_hard(params)
                     assert not np.any(sol.column_values(program.handles.slack_cols))
                 # bounds and costs are back: V_i and its gradient as fresh
                 fresh = build_programs(net, tpl)[sid].evaluate(probe)
@@ -481,7 +485,7 @@ def test_finite_potential_by_hand():
     assert res.grad.x[2][0] == pytest.approx([0.5], abs=1e-8)
     assert res.grad.x[2][1] == pytest.approx([-1.0], abs=1e-8)
     assert res.grad.x[2][2] == pytest.approx([0.0], abs=1e-9)
-    sol = res.solutions[1]
+    sol = solutions_of(programs, res)[1]
     assert [T.shape[1] for T in sol.T] == [1, 2, 3]
 
 
@@ -532,7 +536,7 @@ def test_check_correctness_accepts_zero_potential_solutions():
     params = alpha_max(net, tpl).scaled(0.5)
     res = potential(programs, params)
     assert res.value == pytest.approx(0.0, abs=1e-9)
-    report = check_correctness(net, tpl, params, res.solutions)
+    report = check_correctness(net, tpl, params, solutions_of(programs, res))
     assert report.ok, report.failures
     assert report.max_state_margin <= 1e-7
     assert report.max_residual <= 1e-9
@@ -543,11 +547,11 @@ def test_check_correctness_flags_tampered_solution():
     tpl = default_template(net)
     programs = build_programs(net, tpl)
     params = alpha_max(net, tpl).scaled(0.5)
-    res = potential(programs, params)
-    good = res.solutions[1]
+    sols = solutions_of(programs, potential(programs, params))
+    good = sols[1]
     bad = TubeSolution(good.T, [good.xbar[0] + 5.0], good.M, good.ubar, good.W,
                        good.beta, good.E, good.objective)
-    report = check_correctness(net, tpl, params, {1: bad, 2: res.solutions[2]})
+    report = check_correctness(net, tpl, params, {1: bad, 2: sols[2]})
     assert not report.ok
     assert any("escapes" in f or "residual" in f for f in report.failures)
 
@@ -573,7 +577,7 @@ def test_check_correctness_rejects_tampering_past_the_witness(make_network):
     net = make_network()
     tpl = default_template(net)
     params = alpha_max(net, tpl).scaled(0.5)
-    sols = extract_solutions(build_programs(net, tpl), params)
+    sols, _ = extract_solutions(build_programs(net, tpl), params)
     good = sols[1]
     report = check_correctness(net, tpl, params, sols)
     assert report.ok and report.lp_fallbacks == 0, report.failures
@@ -617,8 +621,7 @@ def test_case1_potential_smoke():
     res = potential(programs, params)
     assert np.isfinite(res.value) and res.value >= -1e-12
     assert res.grad.to_vector().shape == (6,)
-    assert res.solutions[1].horizon is None
-    assert res.solve_seconds >= 0.0
+    assert solutions_of(programs, res)[1].horizon is None
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +746,7 @@ def test_potential_twice_at_one_alpha_solves_once():
     first, solves = _swept(programs, params)
     assert solves == len(programs)
     again, solves = _swept(programs, params.copy())
-    assert solves == 0 and again.solve_seconds == 0.0
+    assert solves == 0
     assert all(again.evals[sid] is first.evals[sid] for sid in programs)
     assert again.value == first.value
     assert again.grad.to_vector().tobytes() == first.grad.to_vector().tobytes()
@@ -853,16 +856,40 @@ def test_a_slack_free_evaluation_gives_the_hard_solution():
     ev, _ = _swept(programs, res.params)
     assert ev.value == 0.0
     with lpcore.track_solver_time() as tracker:
-        got = extract_solutions(programs, res.params)
-    assert tracker.solves == 0 and all(program.reused for program in programs.values())
-    assert all(got[sid].T[0] is not ev.evals[sid].solution.T[0]
-               and np.array_equal(got[sid].T[0], ev.evals[sid].solution.T[0]) for sid in got)
+        got, reused = extract_solutions(programs, res.params)
+    assert tracker.solves == 0 and reused == len(programs)
+    optima = solutions_of(programs, ev)
+    assert all(np.array_equal(got[sid].T[0], optima[sid].T[0]) for sid in got)
     moved = res.params.from_vector(0.99 * res.params.to_vector())
     _swept(programs, moved)
     with lpcore.track_solver_time() as tracker:
-        extract_solutions(programs, res.params)  # not the last evaluation's alphas
-    assert tracker.solves == len(programs)
-    assert not any(program.reused for program in programs.values())
+        _, reused = extract_solutions(programs, res.params)  # not the last evaluation's alphas
+    assert tracker.solves == len(programs) and reused == 0
+
+
+def test_extraction_without_reuse_solves_every_program_by_its_default_method(monkeypatch):
+    # at a slack-free alpha of pinned programs, reuse=False solves every hard
+    # LP as a program with no last evaluation does: no reuse, no primal start
+    net = random_network(20, lambda_for(40), seed=0)
+    res = compositional_synthesize(net)
+    programs = build_programs(net, res.template)
+    assert all(program.pinned for program in programs.values())
+    ev, _ = _swept(programs, res.params)
+    assert ev.value == 0.0
+    with lpcore.track_solver_time() as tracker:
+        reused_tubes, reused = extract_solutions(programs, res.params, reuse=True)
+    assert tracker.solves == 0 and reused == len(programs)
+    options, run = [], lpcore._run
+    monkeypatch.setattr(lpcore, "_run", lambda solver, opts: options.append(opts) or run(solver, opts))
+    with lpcore.track_solver_time() as tracker:
+        solved, reused = extract_solutions(programs, res.params, reuse=False)
+    assert tracker.solves == len(programs) and reused == 0
+    assert options == [{}] * len(programs)
+    for sid, sol in solved.items():
+        assert np.allclose(_flat(sol.T), _flat(reused_tubes[sid].T), rtol=0, atol=1e-9)
+    with lpcore.track_solver_time() as tracker:  # the last evaluations are gone
+        _, reused = extract_solutions(programs, res.params, reuse=True)
+    assert tracker.solves == len(programs) and reused == 0
 
 
 def test_hard_lp_after_a_slack_free_evaluation_runs_primal_simplex(monkeypatch):

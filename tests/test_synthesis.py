@@ -4,8 +4,10 @@ The 1-D pair networks come from test_contracts, where the potential is
 derived by hand: V_i = max(0, coupling * alpha_j + d - alpha_i).
 """
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -51,10 +53,10 @@ def decoupled_net(**kw):
 
 
 def test_descent_config_validation():
-    with pytest.raises(ValueError):
-        DescentConfig(delta=0.0).validate()
-    with pytest.raises(ValueError):
-        DescentConfig(tol_v=-1.0).validate()
+    for name in ("delta", "tol_v"):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+                DescentConfig(**{name: bad}).validate()
     with pytest.raises(ValueError):
         DescentConfig(max_iters=0).validate()
     with pytest.raises(ValueError):
@@ -256,18 +258,45 @@ def test_case1_builds_each_subsystem_lp_once(monkeypatch):
 
 def test_subgradient_rule_reproduces_the_polyak_trace_on_case1():
     # the paper's step rule, kept as the baseline: 432 Polyak iterations,
-    # of which 80 are extraction attempts
+    # with an extraction attempt at each of the 65 iterates with V <= tol_v
     res = compositional_synthesize(load_network("configs/case1.json"),
                                    config=DescentConfig(rule="subgradient"))
     assert res.ok
     assert res.iterations == 432 and len(res.trace) == 433
-    assert res.timings["extract_attempts"] == 80
+    assert res.timings["extract_attempts"] == 65
     assert res.timings["master_seconds"] == 0.0
     it, value, gnorm, step = res.trace[-1]
     assert it == 432
     assert value == pytest.approx(9.359100860972802e-08, rel=1e-9)
     assert gnorm == pytest.approx(1.0662487571856767, rel=1e-12)
     assert step == pytest.approx(3.648031672273313e-08, rel=1e-9)
+
+
+@pytest.mark.parametrize("rule", synthesis.RULES)
+def test_extraction_is_tried_at_the_iterates_with_v_within_tol_and_no_other(rule):
+    # a hard LP at V > tol_v has no solution, so neither rule tries one there
+    cfg = DescentConfig(rule=rule)
+    res = compositional_synthesize(load_network("configs/case1.json"), config=cfg)
+    assert res.ok
+    assert res.timings["extract_attempts"] == sum(value <= cfg.tol_v for _, value, *_ in res.trace)
+
+
+def test_the_driver_keeps_out_of_program_state():
+    # synthesis reaches the programs through contracts' functions alone: it
+    # reads no private PotentialProgram attribute and no reuse flag
+    def nodes(module, kind):
+        return [node for node in ast.walk(ast.parse(inspect.getsource(module)))
+                if isinstance(node, kind)]
+
+    program = next(node for node in nodes(contracts, ast.ClassDef)
+                   if node.name == "PotentialProgram")
+    private = {node.attr for node in ast.walk(program) if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_")}
+    private |= {node.name for node in program.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_") and not node.name.endswith("__")}
+    assert {"_last", "_solve_hard", "_values"} <= private
+    used = {node.attr for node in nodes(synthesis, ast.Attribute)}
+    assert not used & (private | {"reused"})
 
 
 def test_case1_level_master_extracts_once():
@@ -595,8 +624,12 @@ def test_failed_certificate_names_its_first_failure_in_the_hint(monkeypatch, met
     net = load_network("configs/case1.json")
     if method == "compositional":
         extract = synthesis.extract_solutions
-        monkeypatch.setattr(synthesis, "extract_solutions", lambda *a: {
-            sid: widened(sol) for sid, sol in extract(*a).items()})
+
+        def widen_all(*args, **kwargs):
+            got, reused = extract(*args, **kwargs)
+            return {sid: widened(sol) for sid, sol in got.items()}, reused
+
+        monkeypatch.setattr(synthesis, "extract_solutions", widen_all)
         res = compositional_synthesize(net)
     elif method == "centralized":
         read = synthesis._numeric_solution
@@ -653,15 +686,15 @@ def test_a_reused_tube_that_fails_its_check_sends_every_subsystem_to_the_hard_lp
     # of all three subsystems once and certifies what they give
     extract, reused = synthesis.extract_solutions, []
 
-    def widen_one(programs, params):
-        got = extract(programs, params)
-        reused.append([sid for sid, program in programs.items() if program.reused])
-        return {sid: widened(sol) if sid == 2 and programs[sid].reused else sol
-                for sid, sol in got.items()}
+    def widen_one(programs, params, reuse=True):
+        got, count = extract(programs, params, reuse)
+        reused.append(count)
+        return {sid: widened(sol) if sid == 2 and count else sol
+                for sid, sol in got.items()}, count
 
     monkeypatch.setattr(synthesis, "extract_solutions", widen_one)
     res = compositional_synthesize(load_network("configs/case1.json"))
-    assert reused == [[1, 2, 3], []]
+    assert reused == [3, 0]
     assert res.ok and res.correctness.lp_fallbacks == 0
     assert res.timings["reused_tubes"] == 0 and res.timings["extract_attempts"] == 1
     assert res.timings["solves"] == 15 + 3
@@ -673,16 +706,16 @@ def test_an_unpinned_invariant_subsystem_gets_its_tube_from_the_hard_lp(monkeypa
         True, True, False]
     extract, solved = synthesis.extract_solutions, []
 
-    def count(programs, params):
+    def count(programs, params, reuse=True):
         with lpcore.track_solver_time() as tracker:
-            got = extract(programs, params)
-        solved.append((tracker.solves, [program.reused for program in programs.values()]))
-        return got
+            got, reused = extract(programs, params, reuse)
+        solved.append((tracker.solves, reused))
+        return got, reused
 
     monkeypatch.setattr(synthesis, "extract_solutions", count)
     res = compositional_synthesize(net)
     assert res.ok and res.timings["reused_tubes"] == 2
-    assert solved == [(1, [True, True, False])]
+    assert solved == [(1, 2)]
 
 
 def test_subgradient_rule_fails_geo400_seed25_naming_the_escape():
